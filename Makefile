@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench benchcheck simbench critpath recover netobs soak audit obs-race load load-race ci
+.PHONY: all build vet test race bench-smoke benchsmoke bench benchcheck simbench critpath recover netobs soak audit obs-race load load-race ci
 
 all: build
 
@@ -20,6 +20,15 @@ race:
 # single iteration gives the full virtual-time result set.
 bench-smoke:
 	$(GO) test -run - -bench BenchmarkFigure5 -benchtime 1x .
+
+# The repository benchmark is a module of its own (bench/go.mod, replacing
+# repro with ..), so none of the ./... targets above compile it. Vet it and
+# run its unit tests and tiny-scale smoke run (~3 s) here, so a change to
+# internal/sim, kern or mbuf that breaks it fails tier-2 and not first the
+# benchmark gate.
+benchsmoke:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
 
 # Regenerate the committed BENCH_fig*.json perf baselines in place. Run
 # this (and commit the result) when a change intentionally moves the
@@ -118,4 +127,4 @@ load:
 load-race:
 	$(GO) test -race -count 1 ./internal/load/...
 
-ci: vet build race bench-smoke soak obs-race load load-race audit simbench critpath recover netobs fabric benchcheck
+ci: vet build race bench-smoke benchsmoke soak obs-race load load-race audit simbench critpath recover netobs fabric benchcheck

@@ -2,18 +2,20 @@
 //
 // The engine advances a virtual clock by executing scheduled events in
 // (time, sequence) order. On top of raw events it offers blocking
-// *processes* (goroutines that park between simulation steps, in the style
-// of SimPy), counting semaphore *resources* with priorities, condition
-// *signals*, and FIFO *queues*. All scheduling is deterministic: ties are
-// broken by insertion order and the only source of randomness is an
-// explicitly seeded generator.
+// *processes* (coroutines the event loop resumes and that hand control
+// back when they block, in the style of SimPy), counting semaphore
+// *resources* with priorities, condition *signals*, and FIFO *queues*. All
+// scheduling is deterministic: ties are broken by insertion order and the
+// only source of randomness is an explicitly seeded generator.
 //
-// The engine is single-threaded from the caller's point of view: events and
-// process steps never run concurrently, so simulation code needs no locks.
+// The engine is single-threaded: the event loop and every process share
+// one thread of control, passed by a direct coroutine switch, so events
+// and process steps never run concurrently and simulation code needs no
+// locks. Scheduling an event, dispatching it and resuming a process
+// allocate nothing.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -71,31 +73,72 @@ type Engine struct {
 	mon     Monitor
 }
 
+// event is one heap entry. A process wake-up carries the process itself
+// (proc != nil) so the hot Sleep/wake path needs no closure; every other
+// event carries its callback in fn.
 type event struct {
 	at   units.Time
 	seq  int64
 	kind Kind
+	proc *Proc
 	fn   func()
 }
 
-type eventHeap []*event
+// eventHeap is a binary min-heap of events ordered by (at, seq), held by
+// value so a push or pop moves structs inside one backing array and never
+// allocates once the array has grown to the run's high-water mark.
+type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = ev
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	ev := s[n]
+	s[n] = event{} // drop the callback and process references
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && s[r].before(&s[child]) {
+			child = r
+		}
+		if !s[child].before(&ev) {
+			break
+		}
+		s[i] = s[child]
+		i = child
+	}
+	s[i] = ev
+	return top
 }
 
 // NewEngine returns an engine with its clock at zero and a deterministic
@@ -130,10 +173,16 @@ func (e *Engine) AtKind(t units.Time, kind Kind, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
+	e.schedule(event{at: t, kind: kind, fn: fn})
+}
+
+// schedule stamps ev with the next sequence number and queues it.
+func (e *Engine) schedule(ev event) {
 	e.seq++
-	heap.Push(&e.events, &event{at: t, seq: e.seq, kind: kind, fn: fn})
+	ev.seq = e.seq
+	e.events.push(ev)
 	if e.mon != nil {
-		e.mon.Scheduled(kind, len(e.events))
+		e.mon.Scheduled(ev.kind, len(e.events))
 	}
 }
 
@@ -156,9 +205,13 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	ev := e.events.pop()
 	e.now = ev.at
-	ev.fn()
+	if ev.proc != nil {
+		e.deliver(ev.proc)
+	} else {
+		ev.fn()
+	}
 	if e.mon != nil {
 		e.mon.Dispatched(ev.kind, len(e.events))
 	}
@@ -211,13 +264,13 @@ func (e *Engine) LiveProcNames() []string {
 	return out
 }
 
-// KillAll terminates every parked process by unwinding its goroutine. It is
-// intended for teardown after a simulation completes; killed processes do
-// not run deferred simulation logic beyond their own defers.
+// KillAll terminates every live process: a process that has started is
+// unwound from the point where it blocked (its own defers run, nothing
+// else of it does), and one that was spawned but never ran is discarded.
+// It is intended for teardown after a simulation completes and must not be
+// called from inside a process.
 func (e *Engine) KillAll() {
 	for p := range e.live {
-		if p.parkedNow {
-			e.deliver(p, procMsg{kill: true})
-		}
+		p.kill()
 	}
 }

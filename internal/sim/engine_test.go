@@ -413,13 +413,16 @@ func TestYield(t *testing.T) {
 
 func TestProcPanicPropagatesToEngine(t *testing.T) {
 	e := NewEngine(1)
-	e.Go("bad", func(p *Proc) {
+	bad := e.Go("bad", func(p *Proc) {
 		p.Sleep(5)
 		panic("boom")
 	})
 	defer func() {
 		if r := recover(); r != "boom" {
 			t.Fatalf("recovered %v, want boom", r)
+		}
+		if !bad.Done() || e.LiveProcs() != 0 {
+			t.Fatalf("after the panic: done=%v live=%d, want true 0", bad.Done(), e.LiveProcs())
 		}
 	}()
 	e.Run()

@@ -1,66 +1,63 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/units"
 )
 
-// Proc is a simulation process: a goroutine whose execution is interleaved
-// with the event loop. At any instant at most one process (or event) is
-// running; a process gives up control by blocking in Sleep, Signal.Wait,
-// Resource.Acquire, or Queue.Get.
+// Proc is a simulation process: a coroutine the event loop resumes and that
+// hands control straight back when it blocks. At any instant at most one
+// process (or event) is running; a process gives up control by blocking in
+// Sleep, Signal.Wait, Resource.Acquire, or Queue.Get, and is resumed by a
+// KindProc event. The switch in each direction is the runtime's coroutine
+// switch (iter.Pull): no channel, no scheduler round trip, no other thread.
 //
-// Proc methods that block must only be called from the process's own
-// goroutine. Methods that wake other processes (Signal.Broadcast and
-// friends) may be called from any simulation context; they take effect via
-// scheduled events.
+// Proc methods that block must only be called from the process itself.
+// Methods that wake other processes (Signal.Broadcast and friends) may be
+// called from any simulation context; they take effect via scheduled
+// events.
 type Proc struct {
-	eng       *Engine
-	name      string
-	resume    chan procMsg
-	parked    chan struct{}
-	done      bool
-	parkedNow bool
-	panicVal  any
+	eng    *Engine
+	name   string
+	next   func() (struct{}, bool) // resume the coroutine until it parks or ends
+	stop   func()                  // unwind the coroutine
+	yield  func(struct{}) bool     // park: switch back to the event loop
+	done   bool
+	killed bool
+
+	// State of the one Signal wait the process can be in at a time: a
+	// queued waiter is live while its gen equals waitGen (see Signal).
+	waitGen  uint64
+	timedOut bool
 }
 
-type procMsg struct {
-	kill bool
-}
-
-// killSentinel unwinds a killed process goroutine.
+// killSentinel unwinds a killed process.
 type killSentinel struct{}
 
 // Go spawns a new process named name running fn. The process starts at the
 // current virtual time (after already-scheduled events at that time).
 func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan procMsg),
-		parked: make(chan struct{}),
-	}
-	e.live[p] = struct{}{}
-	go func() {
+	p := &Proc{eng: e, name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			r := recover()
-			if r != nil {
+			p.finish()
+			// A kill ends here. Any other panic goes on to next's caller,
+			// which is the event loop and so the caller of Run.
+			if r := recover(); r != nil {
 				if _, ok := r.(killSentinel); !ok {
-					// Hand the panic to the engine goroutine (the caller
-					// of Run), where tests can recover it.
-					p.panicVal = r
+					panic(r)
 				}
 			}
-			p.done = true
-			p.parked <- struct{}{}
 		}()
-		if m := <-p.resume; m.kill {
-			panic(killSentinel{})
-		}
 		fn(p)
-	}()
-	e.AtKind(e.now, KindProc, func() { e.deliver(p, procMsg{}) })
+	})
+	e.live[p] = struct{}{}
+	p.wake()
 	return p
 }
 
@@ -76,35 +73,43 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() units.Time { return p.eng.now }
 
-// deliver hands control to p and waits for it to park or finish. It must be
-// called from event context (never from another process's goroutine).
-func (e *Engine) deliver(p *Proc, m procMsg) {
+// deliver switches to p and returns when it parks or finishes. It must be
+// called from event context (never from inside a process). A panic in the
+// process surfaces here.
+func (e *Engine) deliver(p *Proc) {
 	if p.done {
 		return
 	}
-	p.parkedNow = false
-	p.resume <- m
-	<-p.parked
-	if p.done {
-		delete(e.live, p)
-		if p.panicVal != nil {
-			panic(p.panicVal)
-		}
-	}
+	p.next()
 }
 
-// park blocks the calling process goroutine until the engine wakes it.
+// park switches from the calling process back to the event loop and
+// returns when the process is next delivered. A killed process unwinds
+// instead, and keeps unwinding if its own defers try to block again.
 func (p *Proc) park() {
-	p.parkedNow = true
-	p.parked <- struct{}{}
-	if m := <-p.resume; m.kill {
+	if p.killed || !p.yield(struct{}{}) {
+		p.killed = true
 		panic(killSentinel{})
 	}
 }
 
+// finish records that the process is over, however it ended.
+func (p *Proc) finish() {
+	p.done = true
+	delete(p.eng.live, p)
+}
+
+// kill unwinds p if it has started and discards it if it has not.
+func (p *Proc) kill() {
+	p.stop()
+	p.finish() // a process that never started has no coroutine body to do it
+}
+
 // wake schedules the engine to resume p at the current time.
-func (p *Proc) wake() {
-	p.eng.AtKind(p.eng.now, KindProc, func() { p.eng.deliver(p, procMsg{}) })
+func (p *Proc) wake() { p.wakeAt(p.eng.now) }
+
+func (p *Proc) wakeAt(t units.Time) {
+	p.eng.schedule(event{at: t, kind: KindProc, proc: p})
 }
 
 // Sleep blocks the process for d of virtual time.
@@ -112,7 +117,7 @@ func (p *Proc) Sleep(d units.Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v in %s", d, p.name))
 	}
-	p.eng.AfterKind(d, KindProc, func() { p.eng.deliver(p, procMsg{}) })
+	p.wakeAt(p.eng.now + d)
 	p.park()
 }
 

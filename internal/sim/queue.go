@@ -4,7 +4,7 @@ package sim
 // Put may be called from any simulation context; Get blocks the calling
 // process until an item is available.
 type Queue[T any] struct {
-	items  []T
+	items  fifo[T]
 	signal *Signal
 }
 
@@ -15,33 +15,26 @@ func NewQueue[T any](e *Engine) *Queue[T] {
 
 // Put appends an item and wakes one waiting consumer.
 func (q *Queue[T]) Put(v T) {
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.signal.Signal()
 }
 
 // Get removes and returns the oldest item, blocking p until one exists.
 func (q *Queue[T]) Get(p *Proc) T {
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		q.signal.Wait(p)
 	}
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v
+	return q.items.pop()
 }
 
 // TryGet removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryGet() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }

@@ -9,7 +9,7 @@ type Resource struct {
 	capacity int
 	inUse    int
 	seq      int64
-	queue    []*resWaiter
+	queue    []resWaiter // ordered by (prio, seq); the backing array is reused
 }
 
 type resWaiter struct {
@@ -34,8 +34,7 @@ func (r *Resource) Acquire(p *Proc, prio int) {
 		return
 	}
 	r.seq++
-	w := &resWaiter{p: p, prio: prio, seq: r.seq}
-	r.insert(w)
+	r.insert(resWaiter{p: p, prio: prio, seq: r.seq})
 	p.park()
 	// The releaser incremented inUse on our behalf before waking us.
 }
@@ -56,10 +55,12 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 	if len(r.queue) > 0 && r.inUse < r.capacity {
-		w := r.queue[0]
-		r.queue = r.queue[1:]
+		p := r.queue[0].p
+		n := copy(r.queue, r.queue[1:])
+		r.queue[n] = resWaiter{}
+		r.queue = r.queue[:n]
 		r.inUse++
-		w.p.wake()
+		p.wake()
 	}
 }
 
@@ -70,7 +71,7 @@ func (r *Resource) InUse() int { return r.inUse }
 func (r *Resource) QueueLen() int { return len(r.queue) }
 
 // insert places w in the queue ordered by (prio, seq).
-func (r *Resource) insert(w *resWaiter) {
+func (r *Resource) insert(w resWaiter) {
 	i := len(r.queue)
 	for i > 0 {
 		q := r.queue[i-1]
@@ -79,7 +80,7 @@ func (r *Resource) insert(w *resWaiter) {
 		}
 		i--
 	}
-	r.queue = append(r.queue, nil)
+	r.queue = append(r.queue, w)
 	copy(r.queue[i+1:], r.queue[i:])
 	r.queue[i] = w
 }

@@ -6,74 +6,75 @@ import "repro/internal/units"
 // The zero value is not usable; create one with NewSignal.
 type Signal struct {
 	eng     *Engine
-	waiters []*waitToken
+	waiters fifo[sigWaiter]
 }
 
-type waitToken struct {
-	p        *Proc
-	done     bool
-	timedOut bool
+// sigWaiter is one queued wait. A process is in at most one wait at a
+// time, so the wait's state lives in the Proc: the entry is live while
+// gen equals the process's waitGen, and whoever ends the wait (a signal
+// or the timeout) advances waitGen, which retires the entry wherever it
+// still sits in the queue.
+type sigWaiter struct {
+	p   *Proc
+	gen uint64
 }
+
+func (w sigWaiter) live() bool { return w.gen == w.p.waitGen }
 
 // NewSignal returns a signal bound to e.
 func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 
 // Wait blocks p until the signal is signaled or broadcast.
 func (s *Signal) Wait(p *Proc) {
-	t := &waitToken{p: p}
-	s.waiters = append(s.waiters, t)
+	s.waiters.push(sigWaiter{p, p.waitGen})
 	p.park()
 }
 
 // WaitTimeout blocks p until the signal fires or d elapses. It reports
 // whether the signal fired (false means timeout).
 func (s *Signal) WaitTimeout(p *Proc, d units.Time) bool {
-	t := &waitToken{p: p}
-	s.waiters = append(s.waiters, t)
+	w := sigWaiter{p, p.waitGen}
+	s.waiters.push(w)
+	p.timedOut = false
 	s.eng.AfterKind(d, KindTimer, func() {
-		if t.done {
+		if !w.live() {
 			return
 		}
-		t.done = true
-		t.timedOut = true
-		s.eng.deliver(t.p, procMsg{})
+		p.waitGen++
+		p.timedOut = true
+		s.eng.deliver(p)
 	})
 	p.park()
-	return !t.timedOut
+	return !p.timedOut
 }
 
 // Signal wakes the longest-waiting process, if any.
-func (s *Signal) Signal() {
-	for len(s.waiters) > 0 {
-		t := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		if t.done {
-			continue
-		}
-		t.done = true
-		t.p.wake()
-		return
-	}
-}
+func (s *Signal) Signal() { s.wakeNext() }
 
 // Broadcast wakes every waiting process.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, t := range ws {
-		if t.done {
-			continue
-		}
-		t.done = true
-		t.p.wake()
+	for s.wakeNext() {
 	}
+}
+
+// wakeNext dequeues up to and including the oldest live waiter and wakes
+// it; it reports false when the queue held none.
+func (s *Signal) wakeNext() bool {
+	for s.waiters.len() > 0 {
+		if w := s.waiters.pop(); w.live() {
+			w.p.waitGen++
+			w.p.wake()
+			return true
+		}
+	}
+	return false
 }
 
 // Waiting returns the number of processes currently waiting.
 func (s *Signal) Waiting() int {
 	n := 0
-	for _, t := range s.waiters {
-		if !t.done {
+	for i := 0; i < s.waiters.len(); i++ {
+		if s.waiters.at(i).live() {
 			n++
 		}
 	}
