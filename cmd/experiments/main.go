@@ -1,290 +1,172 @@
 // Command experiments regenerates the paper's tables and figures from the
-// simulator.
+// simulator, and gates the committed baselines. What it can run is the
+// registry in internal/exp; `experiments -h` prints the table.
 //
 // Usage:
 //
-//	experiments -exp fig5|fig6|fig7|fig8|fig9|table1|table2|analysis|hol|window|lazy|threshold|chaos|load|simbench|critpath|recover|netobs|fabric|all
-//	experiments -exp fig5 -quick   # fewer sizes, faster
-//	experiments -exp bench         # regenerate every BENCH_fig*.json baseline
+//	experiments -exp <name>|all|bench   # print; names come from the registry
+//	experiments -exp fig5 -quick        # fewer sizes, faster
+//	experiments -exp bench -benchdir .  # rewrite every committed baseline
+//	experiments -check [name...]        # regenerate and diff against -benchdir (default .)
 //	experiments -exp simbench -cpuprofile cpu.pprof   # profile the simulator itself
+//
+// Baseline files are written only when -benchdir is given, and only on the
+// full grid: -quick with -benchdir or -check is refused.
+//
+// -check is the perf-regression gate. Every file's verdict line carries its
+// comparison coverage — "N exact / N tolerant / N advisory fields compared"
+// — so a gate that quietly stops comparing anything is visible at a
+// glance. Exit status 1 means at least one file regressed; each violation
+// is printed with its JSON path and percentage drift.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 
-	"repro/internal/analysis"
 	"repro/internal/exp"
-	"repro/internal/taxonomy"
 	"repro/internal/units"
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment: fig5..fig9, table1, table2, analysis, hol, window, lazy, threshold, chaos, touches, load, simbench, critpath, recover, netobs, fabric, bench, all")
-	quick := flag.Bool("quick", false, "use a reduced size sweep for the figures")
-	csv := flag.Bool("csv", false, "emit figures as CSV instead of tables")
-	metricsOut := flag.String("metrics", "", "write a telemetry snapshot of one instrumented transfer to this JSON file")
-	benchDir := flag.String("benchdir", ".", "directory for the BENCH_fig5.json / BENCH_fig6.json perf-trajectory files")
-	cpuProf := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
-	memProf := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its process edges as parameters; it returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) (status int) {
+	reg := exp.Registry()
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	which := fs.String("exp", "all", "experiment to run: a name from the table below, all, or bench")
+	check := fs.Bool("check", false, "gate mode: regenerate the named entries (default: every entry with a baseline) and compare against the committed files in -benchdir")
+	quick := fs.Bool("quick", false, "use the reduced grid, for entries that have one")
+	csv := fs.Bool("csv", false, "emit figures as CSV instead of tables")
+	metricsOut := fs.String("metrics", "", "write a telemetry snapshot of one instrumented transfer to this JSON file")
+	benchDir := fs.String("benchdir", "", "directory of the baseline files in the table below: written there by -exp, read from there by -check (default .)")
+	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
+	memProf := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "Usage: experiments [flags] [-check [name...]]\n")
+		fs.PrintDefaults()
+		fmt.Fprintf(stderr, "\nThe registry (name, baseline file, what it is):\n%s", exp.Usage(reg))
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(status int, err error) int {
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return status
+	}
+	if *quick && (*check || *benchDir != "") {
+		return fail(2, fmt.Errorf("-quick cannot be combined with -check or -benchdir: the quick grid is not a baseline"))
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *cpuProf)
+			fmt.Fprintf(stderr, "wrote %s\n", *cpuProf)
 		}()
 	}
 	if *memProf != "" {
 		defer func() {
 			f, err := os.Create(*memProf)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+				status = fail(1, err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+				status = fail(1, err)
 				return
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *memProf)
+			fmt.Fprintf(stderr, "wrote %s\n", *memProf)
 		}()
 	}
 
-	sizes := exp.DefaultSizes()
-	if *quick {
-		sizes = []units.Size{4 * units.KB, 16 * units.KB, 64 * units.KB, 256 * units.KB}
-	}
-
-	// writeBench records a figure's curves as machine-readable JSON so
-	// future changes have a perf trajectory to diff against.
-	writeBench := func(file string, data []byte) {
-		path := filepath.Join(*benchDir, file)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+	if *check {
+		sels := fs.Args()
+		if len(sels) == 0 {
+			sels = []string{"bench"}
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-
-	// The Figure 7–9 family comes from one sweep; cache it across cases.
-	var (
-		bdDone     bool
-		fig7, fig8 exp.BreakdownFigure
-		fig9       exp.DecompFigure
-	)
-	breakdowns := func() (exp.BreakdownFigure, exp.BreakdownFigure, exp.DecompFigure) {
-		if !bdDone {
-			fig7, fig8, fig9 = exp.RunBreakdowns(sizes)
-			bdDone = true
+		if *benchDir == "" {
+			*benchDir = "."
 		}
-		return fig7, fig8, fig9
-	}
-
-	run := func(name string) {
-		switch name {
-		case "fig5":
-			fig := exp.Figure5(sizes)
-			if *csv {
-				fmt.Print(fig.CSV())
-			} else {
-				fmt.Println(fig.Format())
-			}
-			writeBench("BENCH_fig5.json", fig.JSON())
-		case "fig6":
-			fig := exp.Figure6(sizes)
-			if *csv {
-				fmt.Print(fig.CSV())
-			} else {
-				fmt.Println(fig.Format())
-			}
-			writeBench("BENCH_fig6.json", fig.JSON())
-		case "fig7":
-			f7, _, _ := breakdowns()
-			fmt.Println(f7.Format())
-			writeBench("BENCH_fig7.json", f7.JSON())
-		case "fig8":
-			_, f8, _ := breakdowns()
-			fmt.Println(f8.Format())
-			writeBench("BENCH_fig8.json", f8.JSON())
-		case "fig9":
-			_, _, f9 := breakdowns()
-			fmt.Println(f9.Format())
-			writeBench("BENCH_fig9.json", f9.JSON())
-		case "bench":
-			// Regenerate every perf baseline with the full size sweep,
-			// regardless of -quick: the committed files and the CI gate
-			// must agree on the grid.
-			writeBench("BENCH_fig5.json", exp.Figure5(nil).JSON())
-			writeBench("BENCH_fig6.json", exp.Figure6(nil).JSON())
-			f7, f8, f9 := exp.RunBreakdowns(nil)
-			writeBench("BENCH_fig7.json", f7.JSON())
-			writeBench("BENCH_fig8.json", f8.JSON())
-			writeBench("BENCH_fig9.json", f9.JSON())
-			rep, err := exp.RunTouches(1)
+		for _, sel := range sels {
+			entries, err := exp.Select(reg, sel)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
+				return fail(2, err)
 			}
-			writeBench("BENCH_touches.json", rep.JSON())
-			lb, err := exp.RunLoadBench()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
+			for _, e := range entries {
+				d, err := e.Check(*benchDir)
+				if err != nil {
+					status = fail(1, fmt.Errorf("%s: %w", e.Name, err))
+					continue
+				}
+				fmt.Fprintln(stdout, d.Summary(e.File))
+				for _, v := range d.Violations {
+					fmt.Fprintf(stdout, "  %s\n", v)
+					status = 1
+				}
+				for _, a := range d.Advisories {
+					fmt.Fprintf(stdout, "  adv  %s\n", a)
+				}
 			}
-			writeBench("BENCH_load.json", lb.JSON())
-			sb, err := exp.RunSimBench(false)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			writeBench("BENCH_sim.json", sb.JSON())
-			cb, err := exp.RunCritPath(false)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			writeBench("BENCH_critpath.json", cb.JSON())
-			rb, err := exp.RunRecoverBench()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			writeBench("BENCH_recover.json", rb.JSON())
-			nb, err := exp.RunNetObs()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			writeBench("BENCH_netobs.json", nb.JSON())
-			fb, err := exp.RunFabric()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			writeBench("BENCH_fabric.json", fb.JSON())
-		case "fabric":
-			fb, err := exp.RunFabric()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(fb.Format())
-			writeBench("BENCH_fabric.json", fb.JSON())
-		case "netobs":
-			nb, err := exp.RunNetObs()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(nb.Format())
-			writeBench("BENCH_netobs.json", nb.JSON())
-		case "recover":
-			rb, err := exp.RunRecoverBench()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(rb.Format())
-			writeBench("BENCH_recover.json", rb.JSON())
-		case "critpath":
-			cb, err := exp.RunCritPath(*quick)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(cb.Format())
-			writeBench("BENCH_critpath.json", cb.JSON())
-		case "simbench":
-			sb, err := exp.RunSimBench(*quick)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(sb.Format())
-			writeBench("BENCH_sim.json", sb.JSON())
-		case "load":
-			lb, err := exp.RunLoadBench()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(lb.Format())
-			writeBench("BENCH_load.json", lb.JSON())
-		case "touches":
-			rep, err := exp.RunTouches(1)
-			fmt.Println(rep.Format())
-			writeBench("BENCH_touches.json", rep.JSON())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "touches: %v\n", err)
-				os.Exit(1)
-			}
-		case "table1":
-			fmt.Println(taxonomy.Format())
-		case "table2":
-			fmt.Println(exp.FormatTable2(exp.MeasureTable2()))
-		case "analysis":
-			fmt.Println("Section 7.3 analytic estimates (Alpha 3000/400, 32KB packets):")
-			for _, e := range analysis.PaperTable() {
-				fmt.Println("  " + e.String())
-			}
-			fmt.Println()
-		case "hol":
-			rs := []exp.HOLResult{
-				exp.RunHOL(2, 20000, 1),
-				exp.RunHOL(8, 20000, 2),
-				exp.RunHOL(32, 20000, 3),
-			}
-			fmt.Println(exp.FormatHOL(rs))
-		case "window":
-			fmt.Println(exp.FormatWindowSweep(exp.RunWindowSweep(nil)))
-		case "lazy":
-			fmt.Println(exp.FormatLazyPin(exp.RunLazyPinAblation()))
-		case "threshold":
-			fmt.Println(exp.FormatThreshold(exp.RunThresholdAblation(nil)))
-		case "chaos":
-			rs := exp.RunChaos()
-			fmt.Println(exp.FormatChaos(rs))
-			if exp.ChaosFailed(rs) {
-				fmt.Fprintln(os.Stderr, "chaos: invariant violations")
-				os.Exit(1)
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			os.Exit(2)
 		}
+		return status
 	}
 
 	if *metricsOut != "" {
 		snap := exp.MetricsRun(64*units.KB, 1)
 		if err := os.WriteFile(*metricsOut, snap.JSON(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *metricsOut)
+		fmt.Fprintf(stderr, "wrote %s\n", *metricsOut)
 	}
 
-	if *which == "all" {
-		for _, name := range []string{"table1", "table2", "analysis", "hol", "window", "lazy", "threshold", "fig5", "fig6", "fig7", "fig8", "fig9"} {
-			fmt.Printf("=== %s ===\n", name)
-			run(name)
-		}
-		return
+	entries, err := exp.Select(reg, *which)
+	if err != nil {
+		return fail(2, err)
 	}
-	run(*which)
+	for _, e := range entries {
+		if len(entries) > 1 {
+			fmt.Fprintf(stdout, "=== %s ===\n", e.Name)
+		}
+		res, err := e.Run(*quick)
+		switch {
+		case *csv && res.CSV != "":
+			fmt.Fprint(stdout, res.CSV)
+		case res.Text != "":
+			fmt.Fprintln(stdout, res.Text)
+		}
+		if err != nil {
+			return fail(1, fmt.Errorf("%s: %w", e.Name, err))
+		}
+		if *benchDir != "" && e.File != "" {
+			path := filepath.Join(*benchDir, e.File)
+			if err := os.WriteFile(path, res.JSON, 0o644); err != nil {
+				return fail(1, err)
+			}
+			fmt.Fprintf(stderr, "wrote %s\n", path)
+		}
+	}
+	return 0
 }

@@ -9,7 +9,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -23,9 +22,9 @@ import (
 
 // CatShare is one category's slice of a host's CPU time.
 type CatShare struct {
-	Category string
-	Ns       int64
-	Share    float64 // of the host's busy time
+	Category string  `json:"category"`
+	Ns       int64   `json:"ns"`
+	Share    float64 `json:"share"` // of the host's busy time
 }
 
 // BreakdownPoint is one (mode, size) cell of Figure 7 or 8: a host's CPU
@@ -103,10 +102,7 @@ var breakdownModes = []struct {
 // breakdownCell runs one (mode, size) transfer and returns both sides'
 // category breakdowns from the same run.
 func breakdownCell(mode socket.Mode, rw units.Size, seed int64) (snd, rcv BreakdownPoint) {
-	tb := core.NewTestbed(seed)
-	a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mach: cost.Alpha400(), Mode: mode, CABNode: 1})
-	b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mach: cost.Alpha400(), Mode: mode, CABNode: 2})
-	tb.RouteCAB(a, b)
+	tb, a, b := pairTestbed(seed, core.HostConfig{Mach: cost.Alpha400(), Mode: mode}, nil)
 	res := ttcp.Run(tb, a, b, ttcp.Params{Total: totalFor(rw), RWSize: rw})
 	return breakdownPoint(rw, res, a), breakdownPoint(rw, res, b)
 }
@@ -235,65 +231,29 @@ func (f DecompFigure) Format() string {
 	return b.String()
 }
 
-// Machine-readable exports: series in Order (slices, never maps), so
-// identical runs marshal to identical bytes.
-
-type jsonCatShare struct {
-	Category string  `json:"category"`
-	Ns       int64   `json:"ns"`
-	Share    float64 `json:"share"`
-}
+// Machine-readable exports, through figureJSON.
 
 type jsonBreakdownPoint struct {
-	RWSizeBytes    int64          `json:"rwsize_bytes"`
-	ThroughputMbps float64        `json:"throughput_mbps"`
-	Utilization    float64        `json:"utilization"`
-	EfficiencyMbps float64        `json:"efficiency_mbps"`
-	BusyNs         int64          `json:"busy_ns"`
-	Shares         []jsonCatShare `json:"shares"`
-}
-
-type jsonBreakdownSeries struct {
-	Name   string               `json:"name"`
-	Points []jsonBreakdownPoint `json:"points"`
-}
-
-type jsonBreakdownFigure struct {
-	Name    string                `json:"name"`
-	Side    string                `json:"side"`
-	Machine string                `json:"machine"`
-	Series  []jsonBreakdownSeries `json:"series"`
+	RWSizeBytes    int64      `json:"rwsize_bytes"`
+	ThroughputMbps float64    `json:"throughput_mbps"`
+	Utilization    float64    `json:"utilization"`
+	EfficiencyMbps float64    `json:"efficiency_mbps"`
+	BusyNs         int64      `json:"busy_ns"`
+	Shares         []CatShare `json:"shares"`
 }
 
 // JSON renders the figure as deterministic JSON.
 func (f BreakdownFigure) JSON() []byte {
-	jf := jsonBreakdownFigure{Name: f.Name, Side: f.Side, Machine: f.Machine}
-	for _, s := range f.Order {
-		pts, ok := f.Series[s]
-		if !ok {
-			continue
+	return figureJSON(f.Name, f.Side, f.Machine, f.Order, f.Series, func(p BreakdownPoint) jsonBreakdownPoint {
+		return jsonBreakdownPoint{
+			RWSizeBytes:    int64(p.RWSize),
+			ThroughputMbps: p.Throughput.Mbit(),
+			Utilization:    p.Utilization,
+			EfficiencyMbps: p.Efficiency.Mbit(),
+			BusyNs:         p.BusyNs,
+			Shares:         p.Shares,
 		}
-		js := jsonBreakdownSeries{Name: s, Points: []jsonBreakdownPoint{}}
-		for _, p := range pts {
-			jp := jsonBreakdownPoint{
-				RWSizeBytes:    int64(p.RWSize),
-				ThroughputMbps: p.Throughput.Mbit(),
-				Utilization:    p.Utilization,
-				EfficiencyMbps: p.Efficiency.Mbit(),
-				BusyNs:         p.BusyNs,
-			}
-			for _, sh := range p.Shares {
-				jp.Shares = append(jp.Shares, jsonCatShare(sh))
-			}
-			js.Points = append(js.Points, jp)
-		}
-		jf.Series = append(jf.Series, js)
-	}
-	b, err := json.MarshalIndent(jf, "", "  ")
-	if err != nil {
-		panic("exp: breakdown marshal: " + err.Error())
-	}
-	return append(b, '\n')
+	})
 }
 
 type jsonDecompPoint struct {
@@ -305,42 +265,17 @@ type jsonDecompPoint struct {
 	EfficiencyMbps float64 `json:"efficiency_mbps"`
 }
 
-type jsonDecompSeries struct {
-	Name   string            `json:"name"`
-	Points []jsonDecompPoint `json:"points"`
-}
-
-type jsonDecompFigure struct {
-	Name    string             `json:"name"`
-	Machine string             `json:"machine"`
-	Series  []jsonDecompSeries `json:"series"`
-}
-
 // JSON renders Figure 9 as deterministic JSON.
 func (f DecompFigure) JSON() []byte {
-	jf := jsonDecompFigure{Name: f.Name, Machine: f.Machine}
-	for _, s := range f.Order {
-		pts, ok := f.Series[s]
-		if !ok {
-			continue
+	return figureJSON(f.Name, "", f.Machine, f.Order, f.Series, func(p DecompPoint) jsonDecompPoint {
+		pb, pp, pc := p.NsPerKB()
+		return jsonDecompPoint{
+			RWSizeBytes:    int64(p.RWSize),
+			PerByteNsPerKB: pb,
+			PerPktNsPerKB:  pp,
+			PerCallNsPerKB: pc,
+			Utilization:    p.Utilization,
+			EfficiencyMbps: p.Efficiency.Mbit(),
 		}
-		js := jsonDecompSeries{Name: s, Points: []jsonDecompPoint{}}
-		for _, p := range pts {
-			pb, pp, pc := p.NsPerKB()
-			js.Points = append(js.Points, jsonDecompPoint{
-				RWSizeBytes:    int64(p.RWSize),
-				PerByteNsPerKB: pb,
-				PerPktNsPerKB:  pp,
-				PerCallNsPerKB: pc,
-				Utilization:    p.Utilization,
-				EfficiencyMbps: p.Efficiency.Mbit(),
-			})
-		}
-		jf.Series = append(jf.Series, js)
-	}
-	b, err := json.MarshalIndent(jf, "", "  ")
-	if err != nil {
-		panic("exp: decomp marshal: " + err.Error())
-	}
-	return append(b, '\n')
+	})
 }

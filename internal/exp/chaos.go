@@ -7,42 +7,20 @@ import (
 	"repro/internal/fault/soak"
 )
 
-// ChaosResult is one soak case's outcome in the chaos table.
-type ChaosResult struct {
-	Outcome soak.Outcome
-}
-
-// RunChaos runs the full adversarial soak matrix: every fault surface,
-// both protocols, both stack modes. It is the experiment-shaped wrapper
-// around the soak suite, for the CLI.
-func RunChaos() []ChaosResult {
-	var rs []ChaosResult
-	for _, c := range soak.Matrix() {
-		rs = append(rs, ChaosResult{Outcome: soak.Run(c)})
-	}
-	return rs
-}
-
-// ChaosFailed reports whether any case violated an invariant.
-func ChaosFailed(rs []ChaosResult) bool {
-	for _, r := range rs {
-		if len(r.Outcome.Failures) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// FormatChaos renders the chaos table.
-func FormatChaos(rs []ChaosResult) string {
+// chaos is the experiment-shaped wrapper around the soak suite: the full
+// adversarial matrix — every fault surface, both protocols, both stack
+// modes — rendered as a table. Any invariant violation is an error.
+func chaos(bool) (Result, error) {
 	var b strings.Builder
 	b.WriteString("Chaos soak: end-to-end recovery under injected faults\n")
 	fmt.Fprintf(&b, "  %-18s %-6s %-10s %-7s %s\n", "case", "proto", "delivered", "status", "faults")
-	for _, r := range rs {
-		o := r.Outcome
+	failed := 0
+	for _, c := range soak.Matrix() {
+		o := soak.Run(c)
 		status := "ok"
 		if len(o.Failures) > 0 {
 			status = "FAIL"
+			failed++
 		}
 		faults := strings.TrimPrefix(o.Report, "fault injection: ")
 		fmt.Fprintf(&b, "  %-18s %-6s %-10v %-7s %s\n",
@@ -51,5 +29,8 @@ func FormatChaos(rs []ChaosResult) string {
 			fmt.Fprintf(&b, "      ! %s\n", f)
 		}
 	}
-	return b.String()
+	if failed > 0 {
+		return Result{Text: b.String()}, fmt.Errorf("%d cases violated an invariant", failed)
+	}
+	return Result{Text: b.String()}, nil
 }

@@ -1,10 +1,35 @@
-package main
+// The baseline gate's comparison: a fresh regeneration against the committed
+// BENCH_*.json, leaf by leaf. The simulator is deterministic, so on
+// unchanged code the files match byte-for-byte; the tolerances only leave
+// room for intentional small recalibrations. Leaves fall in three classes:
+//
+//   - exact: strings and booleans always, and every number of an entry
+//     registered Exact — integer counts and virtual nanoseconds that are
+//     pure functions of the seeded event sequence, where any drift is a
+//     real behavior change, never noise;
+//   - tolerant: the numbers of the other entries (figure curves, load
+//     throughput and latency), gated at defaultRel/defaultAbs;
+//   - advisory: anything under an advisoryKey — drift is printed ("adv"
+//     lines) but never fails the gate. This is what lets BENCH_sim.json
+//     commit real events/sec and allocs/op numbers without making CI flake
+//     on scheduler noise.
+
+package exp
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
+)
+
+// Tolerances of the tolerant class. The gate protects fractional leaves
+// (utilization, category shares, all in [0,1]) as strictly as large ones,
+// so the absolute term only absorbs float formatting noise.
+const (
+	defaultRel = 0.05
+	defaultAbs = 1e-6
 )
 
 // Diff is the outcome of comparing one baseline file: Violations fail the
@@ -54,6 +79,51 @@ func (d Diff) Summary(file string) string {
 // advisory columns.
 func advisoryKey(k string) bool {
 	return k == "advisory" || strings.HasPrefix(k, "advisory_")
+}
+
+// StripAdvisory re-renders a baseline without its advisory-class subtrees,
+// by the same key rule Compare classifies with: what is left is exactly
+// what the gate pins, so same-seed runs must agree on it byte for byte.
+func StripAdvisory(data []byte) ([]byte, error) {
+	var tree any
+	if err := json.Unmarshal(data, &tree); err != nil {
+		return nil, err
+	}
+	var strip func(v any)
+	strip = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, sub := range v {
+				if advisoryKey(k) {
+					delete(v, k)
+				} else {
+					strip(sub)
+				}
+			}
+		case []any:
+			for _, sub := range v {
+				strip(sub)
+			}
+		}
+	}
+	strip(tree)
+	return json.MarshalIndent(tree, "", "  ")
+}
+
+// compareJSON is Compare over two rendered files, with the tolerance class
+// the registry gives the entry.
+func compareJSON(file string, base, fresh []byte, exact bool) (Diff, error) {
+	var b, f any
+	if err := json.Unmarshal(base, &b); err != nil {
+		return Diff{}, fmt.Errorf("baseline %s: %w", file, err)
+	}
+	if err := json.Unmarshal(fresh, &f); err != nil {
+		return Diff{}, fmt.Errorf("fresh %s: %w", file, err)
+	}
+	if exact {
+		return Compare(file, b, f, 0, 0), nil
+	}
+	return Compare(file, b, f, defaultRel, defaultAbs), nil
 }
 
 // Compare walks two parsed JSON trees (the committed baseline and a fresh

@@ -1,4 +1,4 @@
-package main
+package exp
 
 import (
 	"encoding/json"

@@ -1,19 +1,16 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 
 	"repro/internal/cab"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/load"
 	"repro/internal/obs"
 	"repro/internal/obs/critpath"
 	"repro/internal/socket"
-	"repro/internal/ttcp"
 	"repro/internal/units"
 )
 
@@ -21,7 +18,7 @@ import (
 // the Figure-5 size sweep in both stack modes plus a 64-flow incast, each
 // cell reduced to its per-cause latency attribution. Everything except the
 // "advisory" analysis wall time is a pure function of the virtual event
-// sequence, so benchdiff exact-diffs it — the per-cause nanoseconds ARE the
+// sequence, so the gate exact-diffs it — the per-cause nanoseconds ARE the
 // paper's claim restated as latency: the single-copy cells commit
 // sender_cpu_copy_ns = 0 and sender_cpu_csum_ns = 0, the unmodified cells
 // commit where those nanoseconds went instead.
@@ -85,30 +82,12 @@ func critCell(name, mode string, rw units.Size, flows int, rec *obs.CritRec) Cri
 	return cell
 }
 
-// CritRun performs one fig5-style transfer with the causal recorder enabled
-// and returns the recorder. Deterministic: the same (mode, rw, seed) always
-// yields the same event sequence.
-func CritRun(mode socket.Mode, rw units.Size, seed int64) *obs.CritRec {
-	tb := core.NewTestbed(seed)
-	rec := tb.EnableCritPath()
-	a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mach: cost.Alpha400(),
-		Mode: mode, CABNode: 1})
-	b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mach: cost.Alpha400(),
-		Mode: mode, CABNode: 2})
-	tb.RouteCAB(a, b)
-	ttcp.Run(tb, a, b, ttcp.Params{
-		Total: totalFor(rw), RWSize: rw,
-		WithUtil: true, WithBackground: true,
-	})
-	return rec
-}
-
 // critIncast is the 64-flow incast cell: 64 request/response flows from 8
 // clients converging on one server under the netmem arbiter, single-copy
 // stack — the contention shape where queue/netmem causes climb onto the
 // critical path.
 func critIncast() (*obs.CritRec, error) {
-	rep, err := load.Run(load.Scenario{
+	rep, err := runLoad(load.Scenario{
 		Name:     "incast64",
 		Seed:     11,
 		Clients:  8,
@@ -122,9 +101,6 @@ func critIncast() (*obs.CritRec, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if rep.Errors != 0 {
-		return nil, fmt.Errorf("incast64: %d errors (%s)", rep.Errors, rep.FirstError)
 	}
 	return rep.Crit, nil
 }
@@ -146,7 +122,8 @@ func RunCritPath(quick bool) (CritBench, error) {
 		{socket.ModeSingleCopy, "single_copy"},
 	} {
 		for i, rw := range sizes {
-			rec := CritRun(m.mode, rw, int64(3000+i))
+			var rec *obs.CritRec
+			fig5Cell(m.mode, rw, int64(3000+i), func(tb *core.Testbed) { rec = tb.EnableCritPath() })
 			b.Cells = append(b.Cells,
 				critCell(fmt.Sprintf("fig5/%s/%d", m.label, int64(rw)), m.label, rw, 0, rec))
 		}
@@ -157,51 +134,6 @@ func RunCritPath(quick bool) (CritBench, error) {
 	}
 	b.Cells = append(b.Cells, critCell("incast64", "single_copy", 0, 64, rec))
 	return b, nil
-}
-
-// JSON renders the baseline file.
-func (b CritBench) JSON() []byte {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(out, '\n')
-}
-
-// critCellDet is a cell stripped to its exact-diffable fields.
-type critCellDet struct {
-	Name         string             `json:"name"`
-	Mode         string             `json:"mode"`
-	RWSizeBytes  int64              `json:"rwsize_bytes,omitempty"`
-	Flows        int                `json:"flows,omitempty"`
-	Transfers    int                `json:"transfers"`
-	Events       int                `json:"events"`
-	TotalNs      int64              `json:"total_ns"`
-	LastPathNs   int64              `json:"last_path_ns"`
-	LastSteps    int                `json:"last_steps"`
-	SenderCopyNs int64              `json:"sender_cpu_copy_ns"`
-	SenderCsumNs int64              `json:"sender_cpu_csum_ns"`
-	ByCause      []critpath.CauseNs `json:"by_cause"`
-}
-
-// DeterministicJSON renders only the deterministic fields — the bytes the
-// twice-run determinism test compares.
-func (b CritBench) DeterministicJSON() []byte {
-	var cs []critCellDet
-	for _, c := range b.Cells {
-		cs = append(cs, critCellDet{
-			Name: c.Name, Mode: c.Mode, RWSizeBytes: c.RWSizeBytes, Flows: c.Flows,
-			Transfers: c.Transfers, Events: c.Events, TotalNs: c.TotalNs,
-			LastPathNs: c.LastPathNs, LastSteps: c.LastSteps,
-			SenderCopyNs: c.SenderCopyNs, SenderCsumNs: c.SenderCsumNs,
-			ByCause: c.ByCause,
-		})
-	}
-	out, err := json.MarshalIndent(cs, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(out, '\n')
 }
 
 // Format renders a human summary: one line per cell plus its top causes.

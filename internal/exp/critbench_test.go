@@ -1,29 +1,15 @@
 package exp
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // TestCritBenchDeterminism runs the critical-path workload matrix twice and
 // requires the deterministic fields (transfers, graph sizes, per-cause
-// nanoseconds) to be byte-identical — the property benchdiff's exact diff
+// nanoseconds) to be byte-identical — the property the gate's exact diff
 // of BENCH_critpath.json rests on. The quick matrix (three sizes plus the
 // incast) is always enough to pin determinism; the committed baseline uses
 // the full grid.
 func TestCritBenchDeterminism(t *testing.T) {
-	a, err := RunCritPath(true)
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	b, err := RunCritPath(true)
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	ja, jb := a.DeterministicJSON(), b.DeterministicJSON()
-	if !bytes.Equal(ja, jb) {
-		t.Fatalf("deterministic fields differ between same-seed runs:\n--- first\n%s\n--- second\n%s", ja, jb)
-	}
+	a := sameSeedTwice(t, func() (CritBench, error) { return RunCritPath(true) })
 	for _, c := range a.Cells {
 		if c.Transfers == 0 || c.Events == 0 {
 			t.Fatalf("cell %s recorded no transfers/events", c.Name)

@@ -67,16 +67,43 @@ const (
 	addrB = wire.Addr(0x0a000002)
 )
 
+// pairTestbed builds the two-host testbed every ttcp experiment measures
+// on: hosts A and B from the template cfg, on CAB nodes 1 and 2, routed to
+// each other. enable, if non-nil, attaches recorders to the bare testbed
+// first — AddHost wires each layer to whatever is enabled by then.
+func pairTestbed(seed int64, cfg core.HostConfig, enable func(*core.Testbed)) (tb *core.Testbed, a, b *core.Host) {
+	tb = core.NewTestbed(seed)
+	if enable != nil {
+		enable(tb)
+	}
+	cfg.Name, cfg.Addr, cfg.CABNode = "A", addrA, 1
+	a = tb.AddHost(cfg)
+	cfg.Name, cfg.Addr, cfg.CABNode = "B", addrB, 2
+	b = tb.AddHost(cfg)
+	tb.RouteCAB(a, b)
+	return tb, a, b
+}
+
+// fig5Cell runs the Figure-5-style transfer at one read/write size — util
+// soaker and background load on, as the paper measured — on a pairTestbed
+// of Alpha 3000/400 hosts in the given mode.
+func fig5Cell(mode socket.Mode, rw units.Size, seed int64, enable func(*core.Testbed)) *core.Testbed {
+	tb, a, b := pairTestbed(seed, core.HostConfig{Mach: cost.Alpha400(), Mode: mode}, enable)
+	ttcp.Run(tb, a, b, fig5Params(rw))
+	return tb
+}
+
+func fig5Params(rw units.Size) ttcp.Params {
+	return ttcp.Params{Total: totalFor(rw), RWSize: rw, WithUtil: true, WithBackground: true}
+}
+
 // stackPoint measures one (machine, mode, size) cell with a fresh testbed.
 func stackPoint(mach func() *cost.Machine, mode socket.Mode, rw units.Size, seed int64) Point {
-	tb := core.NewTestbed(seed)
-	a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mach: mach(), Mode: mode, CABNode: 1})
-	b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mach: mach(), Mode: mode, CABNode: 2})
-	tb.RouteCAB(a, b)
-	res := ttcp.Run(tb, a, b, ttcp.Params{
-		Total: totalFor(rw), RWSize: rw,
-		WithUtil: true, WithBackground: true,
-	})
+	tb, a, b := pairTestbed(seed, core.HostConfig{Mach: mach(), Mode: mode}, nil)
+	return pointOf(rw, ttcp.Run(tb, a, b, fig5Params(rw)))
+}
+
+func pointOf(rw units.Size, res ttcp.Result) Point {
 	return Point{
 		RWSize:      rw,
 		Throughput:  res.Throughput,
@@ -90,15 +117,9 @@ func rawPoint(mach func() *cost.Machine, rw units.Size, seed int64) Point {
 	tb := core.NewTestbed(seed)
 	a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mach: mach(), CABNode: 1, NoDriver: true})
 	b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mach: mach(), CABNode: 2, NoDriver: true})
-	res := ttcp.RunRaw(tb, a, b, ttcp.Params{
+	return pointOf(rw, ttcp.RunRaw(tb, a, b, ttcp.Params{
 		Total: totalFor(rw), RWSize: rw, WithUtil: true,
-	})
-	return Point{
-		RWSize:      rw,
-		Throughput:  res.Throughput,
-		Utilization: res.Snd.Utilization,
-		Efficiency:  res.Snd.Efficiency,
-	}
+	}))
 }
 
 // RunFigure produces the three curves of Figure 5/6 for one machine.
@@ -129,56 +150,8 @@ func RunFigure(name string, mach func() *cost.Machine, sizes []units.Size) Figur
 // Alpha 3000/400) and returns the full telemetry snapshot. Deterministic:
 // the same (rw, seed) always yields byte-identical Snapshot.JSON().
 func MetricsRun(rw units.Size, seed int64) obs.Snapshot {
-	tb := core.NewTestbed(seed)
-	tb.EnableTelemetry()
-	a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mach: cost.Alpha400(),
-		Mode: socket.ModeSingleCopy, CABNode: 1})
-	b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mach: cost.Alpha400(),
-		Mode: socket.ModeSingleCopy, CABNode: 2})
-	tb.RouteCAB(a, b)
-	ttcp.Run(tb, a, b, ttcp.Params{
-		Total: totalFor(rw), RWSize: rw,
-		WithUtil: true, WithBackground: true,
-	})
+	tb := fig5Cell(socket.ModeSingleCopy, rw, seed, func(tb *core.Testbed) { tb.EnableTelemetry() })
 	return tb.Tel.Snapshot()
-}
-
-// ProfileRun runs one instrumented Figure-5-style cell with the
-// virtual-time profiler enabled (mode selects the stack) and returns the
-// testbed, whose Prof holds the exact per-stack CPU attribution.
-// Deterministic: the same (mode, rw, seed) always yields byte-identical
-// Prof.Folded().
-func ProfileRun(mode socket.Mode, rw units.Size, seed int64) *core.Testbed {
-	tb := core.NewTestbed(seed)
-	tb.EnableProfiling()
-	a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mach: cost.Alpha400(),
-		Mode: mode, CABNode: 1})
-	b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mach: cost.Alpha400(),
-		Mode: mode, CABNode: 2})
-	tb.RouteCAB(a, b)
-	ttcp.Run(tb, a, b, ttcp.Params{
-		Total: totalFor(rw), RWSize: rw,
-		WithUtil: true, WithBackground: true,
-	})
-	return tb
-}
-
-// SeriesRun runs one instrumented cell with the utilization time-series
-// sampler ticking every interval of virtual time, and returns the testbed
-// whose Series holds the recorded rows.
-func SeriesRun(rw units.Size, interval units.Time, seed int64) *core.Testbed {
-	tb := core.NewTestbed(seed)
-	tb.EnableSeries(interval)
-	a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mach: cost.Alpha400(),
-		Mode: socket.ModeSingleCopy, CABNode: 1})
-	b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mach: cost.Alpha400(),
-		Mode: socket.ModeSingleCopy, CABNode: 2})
-	tb.RouteCAB(a, b)
-	ttcp.Run(tb, a, b, ttcp.Params{
-		Total: totalFor(rw), RWSize: rw,
-		WithUtil: true, WithBackground: true,
-	})
-	return tb
 }
 
 // Figure5 regenerates Figure 5 (Alpha 3000/400).
@@ -279,44 +252,62 @@ type jsonPoint struct {
 	EfficiencyMbps float64 `json:"efficiency_mbps"`
 }
 
-// jsonSeries is one curve.
-type jsonSeries struct {
-	Name   string      `json:"name"`
-	Points []jsonPoint `json:"points"`
+// jsonSeries is one curve of a machine-readable figure export.
+type jsonSeries[P any] struct {
+	Name   string `json:"name"`
+	Points []P    `json:"points"`
 }
 
-// jsonFigure is the machine-readable figure envelope.
-type jsonFigure struct {
-	Name    string       `json:"name"`
-	Machine string       `json:"machine"`
-	Series  []jsonSeries `json:"series"`
+// jsonFigure is the machine-readable figure envelope (Side only on the
+// Figure 7/8 breakdowns).
+type jsonFigure[P any] struct {
+	Name    string          `json:"name"`
+	Side    string          `json:"side,omitempty"`
+	Machine string          `json:"machine"`
+	Series  []jsonSeries[P] `json:"series"`
 }
 
-// JSON renders the figure as deterministic JSON: series in Order (slices,
-// not the Series map), so identical runs produce identical bytes.
-func (f Figure) JSON() []byte {
-	jf := jsonFigure{Name: f.Name, Machine: f.Machine}
-	for _, s := range f.Order {
-		pts, ok := f.Series[s]
+// figureJSON renders one figure family as deterministic JSON: series in
+// order (slices, not the series map), so identical runs produce identical
+// bytes.
+func figureJSON[T, P any](name, side, machine string, order []string, series map[string][]T, point func(T) P) []byte {
+	jf := jsonFigure[P]{Name: name, Side: side, Machine: machine}
+	for _, s := range order {
+		pts, ok := series[s]
 		if !ok {
 			continue
 		}
-		js := jsonSeries{Name: s, Points: []jsonPoint{}}
+		js := jsonSeries[P]{Name: s, Points: []P{}}
 		for _, p := range pts {
-			js.Points = append(js.Points, jsonPoint{
-				RWSizeBytes:    int64(p.RWSize),
-				ThroughputMbps: p.Throughput.Mbit(),
-				Utilization:    p.Utilization,
-				EfficiencyMbps: p.Efficiency.Mbit(),
-			})
+			js.Points = append(js.Points, point(p))
 		}
 		jf.Series = append(jf.Series, js)
 	}
-	b, err := json.MarshalIndent(jf, "", "  ")
+	return benchJSON(jf)
+}
+
+// benchJSON renders a baseline file: indented and newline-terminated.
+// Every bench type is slices and structs (encoding/json sorts the one
+// map's keys), so identical runs marshal to identical bytes.
+func benchJSON(v any) []byte {
+	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		panic("exp: figure marshal: " + err.Error())
+		panic("exp: baseline marshal: " + err.Error())
 	}
-	return append(b, '\n')
+	return append(out, '\n')
+}
+
+// JSON renders the figure's curves so future changes have a perf
+// trajectory to diff against.
+func (f Figure) JSON() []byte {
+	return figureJSON(f.Name, "", f.Machine, f.Order, f.Series, func(p Point) jsonPoint {
+		return jsonPoint{
+			RWSizeBytes:    int64(p.RWSize),
+			ThroughputMbps: p.Throughput.Mbit(),
+			Utilization:    p.Utilization,
+			EfficiencyMbps: p.Efficiency.Mbit(),
+		}
+	})
 }
 
 // CSV renders the figure as plot-ready rows:

@@ -6,9 +6,6 @@ import (
 	"repro/internal/units"
 )
 
-// quickSizes keeps figure tests fast while spanning the interesting range.
-var quickSizes = []units.Size{4 * units.KB, 16 * units.KB, 64 * units.KB, 256 * units.KB}
-
 func TestFigure5ShapeClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweep is long")

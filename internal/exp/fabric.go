@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -16,7 +15,7 @@ import (
 // FabricBench is the multi-switch fabric baseline (BENCH_fabric.json):
 // four workload families over leaf/spine topologies assembled by
 // internal/fabric, each a deterministic function of its seeded scenario,
-// so the benchdiff gate exact-diffs the file.
+// so the gate exact-diffs the file.
 //
 //   - The incast pair is the congestion-control comparison: 64 flows from
 //     8 clients converge through one spine→leaf trunk onto 8 servers in
@@ -213,12 +212,9 @@ func fabricPartition() load.Scenario {
 // RunFabricScenario executes one fabric scenario and folds its report
 // into the bench row (shared by the bench generator and the tests).
 func RunFabricScenario(s load.Scenario) (FabricRun, error) {
-	rep, err := load.Run(s)
+	rep, err := runLoad(s)
 	if err != nil {
 		return FabricRun{}, err
-	}
-	if rep.Errors != 0 {
-		return FabricRun{}, fmt.Errorf("fabric bench %s: %d errors (%s)", rep.Name, rep.Errors, rep.FirstError)
 	}
 	fr := FabricRun{
 		Name:        rep.Name,
@@ -268,15 +264,6 @@ func RunFabric() (FabricBench, error) {
 		*step.dst = fr
 	}
 	return b, nil
-}
-
-// JSON renders the baseline file.
-func (b FabricBench) JSON() []byte {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(out, '\n')
 }
 
 // Format renders a human summary.

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -16,7 +15,7 @@ import (
 // fairness demonstration pair (the same netmem-starved incast run without
 // and with the arbiter). Everything inside is a deterministic function of
 // the scenarios, so unchanged code regenerates the file byte-for-byte; the
-// benchdiff gate allows small relative drift on the throughput and latency
+// gate allows small relative drift on the throughput and latency
 // leaves and none on the structure, counters, or order digests.
 type LoadBench struct {
 	Mixed        *load.Report `json:"mixed_256"`
@@ -78,36 +77,34 @@ func loadBenchFair(arb bool) load.Scenario {
 	return s
 }
 
+// runLoad runs one many-flow scenario and fails it on any flow error: the
+// baselines only commit healthy runs.
+func runLoad(s load.Scenario) (*load.Report, error) {
+	rep, err := load.Run(s)
+	if err != nil {
+		return nil, err
+	}
+	if rep.Errors != 0 {
+		return nil, fmt.Errorf("load scenario %s: %d errors (%s)", rep.Name, rep.Errors, rep.FirstError)
+	}
+	return rep, nil
+}
+
 // RunLoadBench executes the workload baselines.
 func RunLoadBench() (LoadBench, error) {
 	var b LoadBench
 	var err error
-	if b.Mixed, err = load.Run(loadBenchMixed()); err != nil {
+	if b.Mixed, err = runLoad(loadBenchMixed()); err != nil {
 		return b, err
 	}
+	// The arbiter-less fairness baseline is exempt from the error check:
+	// starvation-induced connection timeouts are the phenomenon it
+	// demonstrates.
 	if b.FairBaseline, err = load.Run(loadBenchFair(false)); err != nil {
 		return b, err
 	}
-	if b.FairArbiter, err = load.Run(loadBenchFair(true)); err != nil {
-		return b, err
-	}
-	// The arbiter-less fairness baseline is exempt: starvation-induced
-	// connection timeouts are the phenomenon it demonstrates.
-	for _, r := range []*load.Report{b.Mixed, b.FairArbiter} {
-		if r.Errors != 0 {
-			return b, fmt.Errorf("load bench %s: %d errors (%s)", r.Name, r.Errors, r.FirstError)
-		}
-	}
-	return b, nil
-}
-
-// JSON renders the baseline file.
-func (b LoadBench) JSON() []byte {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(out, '\n')
+	b.FairArbiter, err = runLoad(loadBenchFair(true))
+	return b, err
 }
 
 // Format renders a human summary.

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -14,7 +13,7 @@ import (
 // run's starved elephants must come out netmem-starved (RTO fires against
 // a memory-dropping receiver); the arbitrated run must come out all
 // healthy. Everything inside is a deterministic function of the seeded
-// scenarios, so the benchdiff gate exact-diffs the file.
+// scenarios, so the gate exact-diffs the file.
 type NetObsBench struct {
 	// Per-run one-line context, so a verdict flip is readable next to
 	// the fairness numbers it explains.
@@ -27,45 +26,33 @@ type NetObsBench struct {
 	Arbiter  *netobs.Postmortem `json:"fair_arbiter"`
 }
 
-// RunNetObs executes the incast/fairness pair with the transport-dynamics
-// observatory on and returns both postmortems.
-func RunNetObs() (NetObsBench, error) {
-	var b NetObsBench
-
-	base := loadBenchFair(false)
-	base.Name = "netobs-fair"
-	base.NetObs = true
-	rb, err := load.Run(base)
-	if err != nil {
-		return b, err
+// netObsPair runs the fairness incast pair with the transport-dynamics
+// observatory on: the unarbitrated baseline (whose starvation errors are
+// the phenomenon) and the arbitrated run (which must be clean).
+func netObsPair() (base, arb *load.Report, err error) {
+	s := loadBenchFair(false)
+	s.Name = "netobs-fair"
+	s.NetObs = true
+	if base, err = load.Run(s); err != nil {
+		return nil, nil, err
 	}
-	b.Baseline = rb.NetObs
-	b.BaselineJain = rb.Jain
-	b.BaselineStarved = rb.Starved
-
-	arb := loadBenchFair(true)
-	arb.Name = "netobs-fair-arb"
-	arb.NetObs = true
-	ra, err := load.Run(arb)
-	if err != nil {
-		return b, err
-	}
-	if ra.Errors != 0 {
-		return b, fmt.Errorf("netobs bench %s: %d errors (%s)", ra.Name, ra.Errors, ra.FirstError)
-	}
-	b.Arbiter = ra.NetObs
-	b.ArbiterJain = ra.Jain
-	b.ArbiterStarved = ra.Starved
-	return b, nil
+	s = loadBenchFair(true)
+	s.Name = "netobs-fair-arb"
+	s.NetObs = true
+	arb, err = runLoad(s)
+	return base, arb, err
 }
 
-// JSON renders the baseline file.
-func (b NetObsBench) JSON() []byte {
-	out, err := json.MarshalIndent(b, "", "  ")
+// RunNetObs executes the pair and returns both postmortems.
+func RunNetObs() (NetObsBench, error) {
+	rb, ra, err := netObsPair()
 	if err != nil {
-		panic(err)
+		return NetObsBench{}, err
 	}
-	return append(out, '\n')
+	return NetObsBench{
+		BaselineJain: rb.Jain, BaselineStarved: rb.Starved, Baseline: rb.NetObs,
+		ArbiterJain: ra.Jain, ArbiterStarved: ra.Starved, Arbiter: ra.NetObs,
+	}, nil
 }
 
 // Format renders a human summary.

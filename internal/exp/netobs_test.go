@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -16,20 +15,18 @@ import (
 // come out healthy. This is the analyzer's acceptance test — the verdicts
 // have to agree with what the goodput numbers independently prove.
 func TestNetObsIncastVerdicts(t *testing.T) {
-	base := loadBenchFair(false)
-	base.Name = "netobs-fair"
-	base.NetObs = true
-	rb, err := load.Run(base)
+	rb, ra, err := netObsPair()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rb.NetObs == nil {
 		t.Fatal("baseline run carried no postmortem")
 	}
+	clients := loadBenchFair(false).Clients
 	// Client flow i runs on host C(i mod Clients) and its netobs row keys
 	// on (host, client local port, server port).
 	verdictOf := func(rep *load.Report, f load.FlowReport) string {
-		host := fmt.Sprintf("C%d", f.ID%base.Clients)
+		host := fmt.Sprintf("C%d", f.ID%clients)
 		return rep.NetObs.Verdict(host, f.Port, 5001)
 	}
 	starved := 0
@@ -53,16 +50,6 @@ func TestNetObsIncastVerdicts(t *testing.T) {
 		t.Fatal("vacuous: baseline starved no TCP flow")
 	}
 
-	arb := loadBenchFair(true)
-	arb.Name = "netobs-fair-arb"
-	arb.NetObs = true
-	ra, err := load.Run(arb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.Errors != 0 {
-		t.Fatalf("arbitrated run errors: %d (%s)", ra.Errors, ra.FirstError)
-	}
 	for _, f := range ra.PerFlow {
 		if f.Proto != "tcp" {
 			continue
@@ -75,21 +62,11 @@ func TestNetObsIncastVerdicts(t *testing.T) {
 
 // TestNetObsBenchDeterminism pins the BENCH_netobs.json bytes: two
 // RunNetObs invocations must render identically, which is what lets the
-// benchdiff gate exact-diff the committed baseline.
+// gate exact-diff the committed baseline.
 func TestNetObsBenchDeterminism(t *testing.T) {
-	b1, err := RunNetObs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := RunNetObs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.JSON(), b2.JSON()) {
-		t.Fatal("BENCH_netobs.json bytes differ between identical runs")
-	}
-	if b1.BaselineStarved == 0 || b1.ArbiterStarved != 0 {
+	b := sameSeedTwice(t, RunNetObs)
+	if b.BaselineStarved == 0 || b.ArbiterStarved != 0 {
 		t.Fatalf("fairness shape: baseline starved=%d arbiter starved=%d",
-			b1.BaselineStarved, b1.ArbiterStarved)
+			b.BaselineStarved, b.ArbiterStarved)
 	}
 }

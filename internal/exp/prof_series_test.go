@@ -7,18 +7,28 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/socket"
-	"repro/internal/ttcp"
 	"repro/internal/units"
 )
+
+// profileRun is one Figure-5-style 64 KB cell with the virtual-time
+// profiler on; seriesRun the same with the utilization sampler ticking
+// every 100 µs of virtual time.
+func profileRun(mode socket.Mode) *core.Testbed {
+	return fig5Cell(mode, 64*units.KB, 5, func(tb *core.Testbed) { tb.EnableProfiling() })
+}
+
+func seriesRun() *core.Testbed {
+	return fig5Cell(socket.ModeSingleCopy, 64*units.KB, 9,
+		func(tb *core.Testbed) { tb.EnableSeries(100 * units.Microsecond) })
+}
 
 // TestProfilerExactSum is the profiler's core invariant: folded-stack
 // virtual-CPU totals sum exactly — not approximately — to each kernel's
 // busy time. The profiler is sampling-free, so any missing or double
 // attribution is a hard failure.
 func TestProfilerExactSum(t *testing.T) {
-	tb := ProfileRun(socket.ModeSingleCopy, 64*units.KB, 5)
+	tb := profileRun(socket.ModeSingleCopy)
 	perHost := map[string]int64{}
 	for _, line := range strings.Split(strings.TrimSuffix(tb.Prof.Folded(), "\n"), "\n") {
 		stack, val, ok := strings.Cut(line, " ")
@@ -49,8 +59,8 @@ func TestProfilerExactSum(t *testing.T) {
 
 // TestProfilerDeterministic: same seed, byte-identical exports.
 func TestProfilerDeterministic(t *testing.T) {
-	tb1 := ProfileRun(socket.ModeSingleCopy, 64*units.KB, 5)
-	tb2 := ProfileRun(socket.ModeSingleCopy, 64*units.KB, 5)
+	tb1 := profileRun(socket.ModeSingleCopy)
+	tb2 := profileRun(socket.ModeSingleCopy)
 	if tb1.Prof.Folded() != tb2.Prof.Folded() {
 		t.Fatal("same-seed runs produced different folded stacks")
 	}
@@ -64,7 +74,7 @@ func TestProfilerDeterministic(t *testing.T) {
 // interrupt-side mirror, and the data-touching categories appear only
 // where the stack variant predicts them.
 func TestProfilerStackShape(t *testing.T) {
-	single := ProfileRun(socket.ModeSingleCopy, 64*units.KB, 5).Prof.Folded()
+	single := profileRun(socket.ModeSingleCopy).Prof.Folded()
 	for _, want := range []string{
 		"A;ttcp-snd;socket;tcp_output;ip_output;cabdrv;driver ",
 		"A;ttcp-snd;socket;vm ",
@@ -79,7 +89,7 @@ func TestProfilerStackShape(t *testing.T) {
 		t.Error("single-copy profile charges software checksum time")
 	}
 
-	unmod := ProfileRun(socket.ModeUnmodified, 64*units.KB, 5).Prof.Folded()
+	unmod := profileRun(socket.ModeUnmodified).Prof.Folded()
 	for _, want := range []string{
 		"A;ttcp-snd;socket;copy ",
 		"A;ttcp-snd;socket;tcp_output;csum ",
@@ -93,24 +103,8 @@ func TestProfilerStackShape(t *testing.T) {
 // TestProfilerVirtualTimeNeutral: profiling observes the run without
 // changing it.
 func TestProfilerVirtualTimeNeutral(t *testing.T) {
-	run := func(profile bool) (ttcp.Result, *core.Testbed) {
-		tb := core.NewTestbed(3)
-		if profile {
-			tb.EnableProfiling()
-		}
-		a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mach: cost.Alpha400(),
-			Mode: socket.ModeSingleCopy, CABNode: 1})
-		b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mach: cost.Alpha400(),
-			Mode: socket.ModeSingleCopy, CABNode: 2})
-		tb.RouteCAB(a, b)
-		res := ttcp.Run(tb, a, b, ttcp.Params{
-			Total: 4 * units.MB, RWSize: 64 * units.KB,
-			WithUtil: true, WithBackground: true,
-		})
-		return res, tb
-	}
-	on, tbOn := run(true)
-	off, tbOff := run(false)
+	tbOn, on := shortRun(3, func(tb *core.Testbed) { tb.EnableProfiling() })
+	tbOff, off := shortRun(3, nil)
 	if on.Elapsed != off.Elapsed || on.Bytes != off.Bytes || on.Throughput != off.Throughput {
 		t.Fatalf("profiling changed the run: on=(%v %v) off=(%v %v)",
 			on.Elapsed, on.Throughput, off.Elapsed, off.Throughput)
@@ -126,7 +120,7 @@ func TestProfilerVirtualTimeNeutral(t *testing.T) {
 // per-mille columns stay in range, the soaker keeps the CPU saturated,
 // netmem occupancy is visible, and latency quantiles are ordered.
 func TestSeriesRecordsUtilization(t *testing.T) {
-	tb := SeriesRun(64*units.KB, 100*units.Microsecond, 9)
+	tb := seriesRun()
 	snap := tb.Series.Snapshot()
 	if snap.IntervalNs != int64(100*units.Microsecond) {
 		t.Fatalf("interval = %d", snap.IntervalNs)
@@ -180,8 +174,8 @@ func TestSeriesRecordsUtilization(t *testing.T) {
 
 // TestSeriesDeterministic: same seed, byte-identical series exports.
 func TestSeriesDeterministic(t *testing.T) {
-	s1 := SeriesRun(64*units.KB, 100*units.Microsecond, 9).Series.Snapshot()
-	s2 := SeriesRun(64*units.KB, 100*units.Microsecond, 9).Series.Snapshot()
+	s1 := seriesRun().Series.Snapshot()
+	s2 := seriesRun().Series.Snapshot()
 	if !bytes.Equal(s1.JSON(), s2.JSON()) {
 		t.Fatal("same-seed runs produced different series JSON")
 	}
@@ -194,22 +188,8 @@ func TestSeriesDeterministic(t *testing.T) {
 // workload's virtual-time results even though it keeps an engine event
 // pending.
 func TestSeriesVirtualTimeNeutral(t *testing.T) {
-	run := func(series bool) ttcp.Result {
-		tb := core.NewTestbed(3)
-		if series {
-			tb.EnableSeries(100 * units.Microsecond)
-		}
-		a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mach: cost.Alpha400(),
-			Mode: socket.ModeSingleCopy, CABNode: 1})
-		b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mach: cost.Alpha400(),
-			Mode: socket.ModeSingleCopy, CABNode: 2})
-		tb.RouteCAB(a, b)
-		return ttcp.Run(tb, a, b, ttcp.Params{
-			Total: 4 * units.MB, RWSize: 64 * units.KB,
-			WithUtil: true, WithBackground: true,
-		})
-	}
-	on, off := run(true), run(false)
+	_, on := shortRun(3, func(tb *core.Testbed) { tb.EnableSeries(100 * units.Microsecond) })
+	_, off := shortRun(3, nil)
 	if on.Elapsed != off.Elapsed || on.Bytes != off.Bytes || on.Throughput != off.Throughput {
 		t.Fatalf("series sampling changed the run: on=(%v %v) off=(%v %v)",
 			on.Elapsed, on.Throughput, off.Elapsed, off.Throughput)

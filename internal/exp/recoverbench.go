@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -14,7 +13,7 @@ import (
 // every case of the recovery soak matrix reduced to its virtual-time
 // recovery telemetry. The injection schedule, the first-goodput instant,
 // each flow's fate, and the byte/reset/drop counts are pure functions of
-// the seeded event sequence, so benchdiff exact-diffs them; only the
+// the seeded event sequence, so the gate exact-diffs them; only the
 // advisory wall time may drift. Recovery-time-to-first-goodput is the
 // robustness claim restated as a number: how long after the fault domain
 // heals does the application see bytes again.
@@ -110,53 +109,6 @@ func RunRecoverBench() (RecoverBench, error) {
 		b.Cells = append(b.Cells, cell)
 	}
 	return b, nil
-}
-
-// JSON renders the baseline file.
-func (b RecoverBench) JSON() []byte {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(out, '\n')
-}
-
-// recoverCellDet is a cell stripped to its exact-diffable fields.
-type recoverCellDet struct {
-	Name           string        `json:"name"`
-	Plan           string        `json:"plan"`
-	Mode           string        `json:"mode"`
-	Flows          int           `json:"flows"`
-	FaultAtNs      int64         `json:"fault_at_ns"`
-	HealAtNs       int64         `json:"heal_at_ns"`
-	FirstGoodputNs int64         `json:"first_goodput_ns"`
-	RecoveryNs     int64         `json:"recovery_ns"`
-	EndNs          int64         `json:"end_ns"`
-	DeliveredBytes int64         `json:"delivered_bytes"`
-	Resets         int           `json:"resets"`
-	PartitionDrops int64         `json:"partition_drops"`
-	FlowFates      []RecoverFate `json:"flow_fates"`
-}
-
-// DeterministicJSON renders only the deterministic fields — the bytes the
-// twice-run determinism test compares.
-func (b RecoverBench) DeterministicJSON() []byte {
-	var cs []recoverCellDet
-	for _, c := range b.Cells {
-		cs = append(cs, recoverCellDet{
-			Name: c.Name, Plan: c.Plan, Mode: c.Mode, Flows: c.Flows,
-			FaultAtNs: c.FaultAtNs, HealAtNs: c.HealAtNs,
-			FirstGoodputNs: c.FirstGoodputNs, RecoveryNs: c.RecoveryNs,
-			EndNs: c.EndNs, DeliveredBytes: c.DeliveredBytes,
-			Resets: c.Resets, PartitionDrops: c.PartitionDrops,
-			FlowFates: c.FlowFates,
-		})
-	}
-	out, err := json.MarshalIndent(cs, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(out, '\n')
 }
 
 // Format renders a human summary: one line per case.

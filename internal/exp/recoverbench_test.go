@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -9,20 +8,9 @@ import (
 // TestRecoverBenchDeterminism runs the recovery matrix twice and requires
 // the deterministic fields (injection schedule, first-goodput instants,
 // flow fates, byte/reset/drop counts) to be byte-identical — the property
-// benchdiff's exact diff of BENCH_recover.json rests on.
+// the gate's exact diff of BENCH_recover.json rests on.
 func TestRecoverBenchDeterminism(t *testing.T) {
-	a, err := RunRecoverBench()
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	b, err := RunRecoverBench()
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	ja, jb := a.DeterministicJSON(), b.DeterministicJSON()
-	if !bytes.Equal(ja, jb) {
-		t.Fatalf("deterministic fields differ between same-seed runs:\n--- first\n%s\n--- second\n%s", ja, jb)
-	}
+	a := sameSeedTwice(t, RunRecoverBench)
 	for _, c := range a.Cells {
 		// Every flow must have a committed fate: byte-exact completion or
 		// a documented error on the side that failed.

@@ -1,18 +1,15 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
 	"repro/internal/cab"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/fault/soak"
 	"repro/internal/load"
 	"repro/internal/obs/engine"
 	"repro/internal/socket"
-	"repro/internal/ttcp"
 	"repro/internal/units"
 )
 
@@ -21,7 +18,7 @@ import (
 // workload's "deterministic" section is a pure function of the virtual
 // event sequence and is exact-diffed by the simbench CI gate; the
 // "advisory" section (wall-clock ns/event, events/sec, allocations) is
-// machine- and Go-version-dependent, so benchdiff reports its drift but
+// machine- and Go-version-dependent, so the gate reports its drift but
 // never fails on it. Together they are the wall-clock "before" picture
 // for simulator-speed work: any change to how much real work the engine
 // does per unit of simulated traffic shows up here first.
@@ -43,20 +40,9 @@ type SimWorkload struct {
 
 // simFig5 runs the Figure-5 single-copy transfer cell (64 KB read/write,
 // 16 MB total) under the observer.
-func simFig5(o *engine.Observer) (units.Time, error) {
-	rw := 64 * units.KB
-	tb := core.NewTestbed(1)
-	tb.EnableEngineObs(o)
-	a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mach: cost.Alpha400(),
-		Mode: socket.ModeSingleCopy, CABNode: 1})
-	b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mach: cost.Alpha400(),
-		Mode: socket.ModeSingleCopy, CABNode: 2})
-	tb.RouteCAB(a, b)
-	ttcp.Run(tb, a, b, ttcp.Params{
-		Total: totalFor(rw), RWSize: rw,
-		WithUtil: true, WithBackground: true,
-	})
-	return tb.Eng.Now(), nil
+func simFig5(o *engine.Observer) (units.Time, int, error) {
+	tb := fig5Cell(socket.ModeSingleCopy, 64*units.KB, 1, func(tb *core.Testbed) { tb.EnableEngineObs(o) })
+	return tb.Eng.Now(), 1, nil
 }
 
 // simSoak runs the full 22-case recovery soak matrix through one
@@ -102,97 +88,50 @@ func simLoadScenario(flows int) load.Scenario {
 	return s
 }
 
-// simLoad runs one many-flow scenario under the observer.
-func simLoad(flows int, o *engine.Observer) (units.Time, error) {
-	s := simLoadScenario(flows)
-	s.EngObs = o
-	rep, err := load.Run(s)
-	if err != nil {
-		return 0, err
+// simLoad runs the many-flow scenario of the given scale under the
+// observer.
+func simLoad(flows int) func(*engine.Observer) (units.Time, int, error) {
+	return func(o *engine.Observer) (units.Time, int, error) {
+		s := simLoadScenario(flows)
+		s.EngObs = o
+		rep, err := runLoad(s)
+		if err != nil {
+			return 0, 0, err
+		}
+		return units.Time(rep.VTimeSec * 1e9), 1, nil
 	}
-	if rep.Errors != 0 {
-		return 0, fmt.Errorf("load %s: %d errors (%s)", rep.Name, rep.Errors, rep.FirstError)
-	}
-	return units.Time(rep.VTimeSec * 1e9), nil
 }
 
-// RunSimBench executes the simbench workload matrix. With quick set it
-// runs only the cheap workloads (the Figure-5 cell and the 256-flow load
-// run) — the shape the determinism test uses under -short.
+// RunSimBench executes the simbench workload matrix, each workload under a
+// fresh observer. With quick set it runs only the cheap workloads (the
+// Figure-5 cell and the 256-flow load run) — the shape the determinism
+// test uses.
 func RunSimBench(quick bool) (SimBench, error) {
 	var b SimBench
-	add := func(name string, cases int, vtime units.Time, o *engine.Observer) {
-		snap := o.Snapshot()
-		b.Workloads = append(b.Workloads, SimWorkload{
-			Name:      name,
-			Cases:     cases,
-			VirtualNs: int64(vtime),
-			Det:       snap.Det,
-			Adv:       snap.Adv,
-		})
-	}
-
-	o := engine.New()
-	vtime, err := simFig5(o)
-	if err != nil {
-		return b, err
-	}
-	add("fig5-xfer", 1, vtime, o)
-
-	if !quick {
-		o = engine.New()
-		vtime, n, err := simSoak(o)
+	for _, w := range []struct {
+		name string
+		full bool // skipped by quick
+		run  func(*engine.Observer) (vtime units.Time, cases int, err error)
+	}{
+		{"fig5-xfer", false, simFig5},
+		{"soak-matrix", true, simSoak},
+		{"load-256", false, simLoad(256)},
+		{"load-1024", true, simLoad(1024)},
+	} {
+		if quick && w.full {
+			continue
+		}
+		o := engine.New()
+		vtime, cases, err := w.run(o)
 		if err != nil {
 			return b, err
 		}
-		add("soak-matrix", n, vtime, o)
-	}
-
-	o = engine.New()
-	if vtime, err = simLoad(256, o); err != nil {
-		return b, err
-	}
-	add("load-256", 1, vtime, o)
-
-	if !quick {
-		o = engine.New()
-		if vtime, err = simLoad(1024, o); err != nil {
-			return b, err
-		}
-		add("load-1024", 1, vtime, o)
+		snap := o.Snapshot()
+		b.Workloads = append(b.Workloads, SimWorkload{
+			Name: w.name, Cases: cases, VirtualNs: int64(vtime), Det: snap.Det, Adv: snap.Adv,
+		})
 	}
 	return b, nil
-}
-
-// JSON renders the baseline file.
-func (b SimBench) JSON() []byte {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(out, '\n')
-}
-
-// simWorkloadDet is a workload stripped to its exact-diffable fields.
-type simWorkloadDet struct {
-	Name      string               `json:"name"`
-	Cases     int                  `json:"cases"`
-	VirtualNs int64                `json:"virtual_ns"`
-	Det       engine.Deterministic `json:"deterministic"`
-}
-
-// DeterministicJSON renders only the deterministic sections — the bytes
-// the engine-counter determinism oracle compares across same-seed runs.
-func (b SimBench) DeterministicJSON() []byte {
-	var ws []simWorkloadDet
-	for _, w := range b.Workloads {
-		ws = append(ws, simWorkloadDet{Name: w.Name, Cases: w.Cases, VirtualNs: w.VirtualNs, Det: w.Det})
-	}
-	out, err := json.MarshalIndent(ws, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(out, '\n')
 }
 
 // Format renders a human summary.

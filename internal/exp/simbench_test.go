@@ -1,30 +1,17 @@
 package exp
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
-// TestSimBenchDeterminism runs the simbench workload matrix twice and
-// requires the deterministic sections (event counts by kind, queue
-// high-waters, kernel charges, virtual time) to be byte-identical — the
-// property the CI gate's exact diff of BENCH_sim.json rests on. Under
-// -short only the quick matrix (fig5 + 256-flow load) runs; the full run
-// adds the soak matrix and the 1024-flow scenario.
+// TestSimBenchDeterminism runs the quick simbench matrix (fig5 + 256-flow
+// load) twice and requires the deterministic sections (event counts by
+// kind, queue high-waters, kernel charges, virtual time) to be
+// byte-identical — the property the gate's exact diff of BENCH_sim.json
+// rests on. The soak matrix and the 1024-flow run get their second
+// same-seed pass from the gate itself (`-check simbench` exact-diffs a
+// fresh full run against the committed one) and have determinism tests of
+// their own in internal/fault/soak and internal/load.
 func TestSimBenchDeterminism(t *testing.T) {
-	quick := testing.Short()
-	a, err := RunSimBench(quick)
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	b, err := RunSimBench(quick)
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	ja, jb := a.DeterministicJSON(), b.DeterministicJSON()
-	if !bytes.Equal(ja, jb) {
-		t.Fatalf("deterministic sections differ between same-seed runs:\n--- first\n%s\n--- second\n%s", ja, jb)
-	}
+	a := sameSeedTwice(t, func() (SimBench, error) { return RunSimBench(true) })
 	for _, w := range a.Workloads {
 		if w.Det.EventsTotal == 0 {
 			t.Fatalf("workload %s observed no events", w.Name)

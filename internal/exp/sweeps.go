@@ -29,10 +29,7 @@ func RunWindowSweep(windows []units.Size) []WindowPoint {
 	}
 	var out []WindowPoint
 	for i, w := range windows {
-		tb := core.NewTestbed(int64(2000 + i))
-		a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mode: socket.ModeUnmodified, CABNode: 1})
-		b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mode: socket.ModeUnmodified, CABNode: 2})
-		tb.RouteCAB(a, b)
+		tb, a, b := pairTestbed(int64(2000+i), core.HostConfig{Mode: socket.ModeUnmodified}, nil)
 		res := ttcp.Run(tb, a, b, ttcp.Params{
 			Total: 8 * units.MB, RWSize: 128 * units.KB, Window: w,
 			WithUtil: true, WithBackground: true,
@@ -76,12 +73,8 @@ type LazyPinPoint struct {
 func RunLazyPinAblation() []LazyPinPoint {
 	var out []LazyPinPoint
 	for i, lazy := range []bool{false, true} {
-		tb := core.NewTestbed(int64(3000 + i))
-		a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA,
-			Mode: socket.ModeSingleCopy, CABNode: 1, LazyUnpin: lazy})
-		b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB,
-			Mode: socket.ModeSingleCopy, CABNode: 2, LazyUnpin: lazy})
-		tb.RouteCAB(a, b)
+		tb, a, b := pairTestbed(int64(3000+i),
+			core.HostConfig{Mode: socket.ModeSingleCopy, LazyUnpin: lazy}, nil)
 		res := ttcp.Run(tb, a, b, ttcp.Params{
 			Total: 8 * units.MB, RWSize: 128 * units.KB,
 			WithUtil: true, WithBackground: true,
@@ -123,10 +116,7 @@ func RunThresholdAblation(sizes []units.Size) []ThresholdPoint {
 		sizes = []units.Size{2 * units.KB, 4 * units.KB, 8 * units.KB, 16 * units.KB, 64 * units.KB}
 	}
 	run := func(rw, thresh units.Size, seed int64) units.Rate {
-		tb := core.NewTestbed(seed)
-		a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mode: socket.ModeSingleCopy, CABNode: 1})
-		b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mode: socket.ModeSingleCopy, CABNode: 2})
-		tb.RouteCAB(a, b)
+		tb, a, b := pairTestbed(seed, core.HostConfig{Mode: socket.ModeSingleCopy}, nil)
 		res := ttcp.Run(tb, a, b, ttcp.Params{
 			Total: totalFor(rw) / 2, RWSize: rw, UIOThreshold: thresh,
 			WithUtil: true, WithBackground: true,

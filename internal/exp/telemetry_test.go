@@ -14,28 +14,29 @@ import (
 	"repro/internal/units"
 )
 
-// runInstrumented runs one single-copy transfer with telemetry enabled,
-// optionally injecting faults.
-func runInstrumented(seed int64, rules ...fault.Rule) (*core.Testbed, ttcp.Result) {
-	tb := core.NewTestbed(seed)
-	tb.EnableTelemetry()
-	if len(rules) > 0 {
-		inj := fault.New(tb.Eng, 99)
-		for _, r := range rules {
-			inj.Add(r)
-		}
-		tb.EnableFaults(inj)
-	}
-	a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mach: cost.Alpha400(),
-		Mode: socket.ModeSingleCopy, CABNode: 1})
-	b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mach: cost.Alpha400(),
-		Mode: socket.ModeSingleCopy, CABNode: 2})
-	tb.RouteCAB(a, b)
-	res := ttcp.Run(tb, a, b, ttcp.Params{
+// shortRun runs the 4 MB single-copy transfer the recorder tests share, with
+// whatever enable attaches (nil: nothing).
+func shortRun(seed int64, enable func(*core.Testbed)) (*core.Testbed, ttcp.Result) {
+	tb, a, b := pairTestbed(seed, core.HostConfig{Mach: cost.Alpha400(), Mode: socket.ModeSingleCopy}, enable)
+	return tb, ttcp.Run(tb, a, b, ttcp.Params{
 		Total: 4 * units.MB, RWSize: 64 * units.KB,
 		WithUtil: true, WithBackground: true,
 	})
-	return tb, res
+}
+
+// runInstrumented is shortRun with telemetry enabled, optionally injecting
+// faults.
+func runInstrumented(seed int64, rules ...fault.Rule) (*core.Testbed, ttcp.Result) {
+	return shortRun(seed, func(tb *core.Testbed) {
+		tb.EnableTelemetry()
+		if len(rules) > 0 {
+			inj := fault.New(tb.Eng, 99)
+			for _, r := range rules {
+				inj.Add(r)
+			}
+			tb.EnableFaults(inj)
+		}
+	})
 }
 
 // metric looks one value up in a snapshot.
@@ -101,22 +102,8 @@ func TestLossMovesCounters(t *testing.T) {
 // TestTelemetryVirtualTimeNeutral asserts observing the system does not
 // change it: virtual-time results are identical with telemetry on and off.
 func TestTelemetryVirtualTimeNeutral(t *testing.T) {
-	run := func(telemetry bool) ttcp.Result {
-		tb := core.NewTestbed(3)
-		if telemetry {
-			tb.EnableTelemetry()
-		}
-		a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mach: cost.Alpha400(),
-			Mode: socket.ModeSingleCopy, CABNode: 1})
-		b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mach: cost.Alpha400(),
-			Mode: socket.ModeSingleCopy, CABNode: 2})
-		tb.RouteCAB(a, b)
-		return ttcp.Run(tb, a, b, ttcp.Params{
-			Total: 4 * units.MB, RWSize: 64 * units.KB,
-			WithUtil: true, WithBackground: true,
-		})
-	}
-	on, off := run(true), run(false)
+	_, on := shortRun(3, func(tb *core.Testbed) { tb.EnableTelemetry() })
+	_, off := shortRun(3, nil)
 	if on.Elapsed != off.Elapsed || on.Bytes != off.Bytes || on.Throughput != off.Throughput {
 		t.Fatalf("telemetry changed the run: on=(%v %v) off=(%v %v)",
 			on.Elapsed, on.Throughput, off.Elapsed, off.Throughput)
