@@ -252,9 +252,13 @@ func (c *CAB) TotalPages() int { return c.totalPages }
 
 // Packet is a packet resident in network memory.
 type Packet struct {
-	cab   *CAB
-	ID    int
+	cab *CAB
+	ID  int
+	// buf is the packet's network memory, drawn from the testbed's free
+	// list (net.Bufs) and returned to it by Free, which leaves buf nil. A
+	// zapped packet keeps its wiped buffer for good.
 	buf   []byte
+	n     units.Size
 	pages int
 	flow  int
 	freed bool
@@ -271,8 +275,8 @@ type Packet struct {
 	HasBodySum bool
 }
 
-// Len returns the packet length in bytes.
-func (pk *Packet) Len() units.Size { return units.Size(len(pk.buf)) }
+// Len returns the packet length in bytes; it stays valid after Free.
+func (pk *Packet) Len() units.Size { return pk.n }
 
 // Freed reports whether the packet's pages have been returned.
 func (pk *Packet) Freed() bool { return pk.freed }
@@ -299,7 +303,9 @@ func (pk *Packet) Bytes() []byte {
 // contents are gone; Bytes panics, Free is a no-op).
 func (pk *Packet) Zapped() bool { return pk.zapped }
 
-// Free returns the packet's pages to the pool.
+// Free returns the packet's pages to the pool and its buffer to the
+// testbed's free list. A zapped packet's buffer is retired instead: the
+// host may still hold the packet, and its Bytes must stay wiped.
 func (pk *Packet) Free() {
 	if pk.zapped {
 		return
@@ -308,6 +314,8 @@ func (pk *Packet) Free() {
 		panic("cab: double free of packet")
 	}
 	pk.freed = true
+	pk.cab.net.Bufs.Put(pk.buf)
+	pk.buf = nil
 	pk.cab.freePages += pk.pages
 	delete(pk.cab.live, pk.ID)
 	pk.cab.pagesUsed.Set(int64(pk.cab.totalPages - pk.cab.freePages))
@@ -336,7 +344,19 @@ func (c *CAB) AllocPacket(n units.Size) (*Packet, bool) {
 
 // AllocPacketFlow is AllocPacket with the pages accounted to flow in the
 // netmem arbiter (0: unattributed; identical to AllocPacket).
+//
+// The packet's memory is not cleared: it holds whatever the buffer's last
+// user left. The only way to fill a packet is a full-gather SDMA, which
+// overwrites every byte (performToCAB panics otherwise), so nothing reads
+// network memory before it is written.
 func (c *CAB) AllocPacketFlow(n units.Size, flow int) (*Packet, bool) {
+	return c.allocPacket(n, flow, nil)
+}
+
+// allocPacket reserves pages for an n-byte packet whose network memory is
+// buf (an arriving frame's bytes, adopted) or, when buf is nil, a buffer
+// from the free list.
+func (c *CAB) allocPacket(n units.Size, flow int, buf []byte) (*Packet, bool) {
 	if n <= 0 {
 		panic("cab: zero-length packet")
 	}
@@ -346,7 +366,10 @@ func (c *CAB) AllocPacketFlow(n units.Size, flow int) (*Packet, bool) {
 	}
 	c.freePages -= pages
 	c.nextPktID++
-	pk := &Packet{cab: c, ID: c.nextPktID, buf: make([]byte, n), pages: pages, flow: flow}
+	if buf == nil {
+		buf = c.net.Bufs.Get(int(n))
+	}
+	pk := &Packet{cab: c, ID: c.nextPktID, buf: buf, n: n, pages: pages, flow: flow}
 	c.live[pk.ID] = pk
 	c.pagesUsed.Set(int64(c.totalPages - c.freePages))
 	if c.Arb != nil {

@@ -322,3 +322,92 @@ func TestLogicalChannelRoundRobin(t *testing.T) {
 		t.Fatalf("round-robin failed: first three went to %v", order[:3])
 	}
 }
+
+// TestPacketBufferRecycled: a freed packet's network memory is the next
+// same-class allocation's, handed out dirty; the full-gather SDMA that is
+// the only way to fill a packet leaves none of the old bytes behind; and
+// the receiving adaptor keeps the arriving frame's bytes as the packet
+// instead of copying them.
+func TestPacketBufferRecycled(t *testing.T) {
+	e, _, a, b := testRig()
+	defer e.KillAll()
+	fill := func(pk *Packet, v byte) {
+		a.SDMA(&SDMAReq{Dir: ToCAB, Pkt: pk, Gather: [][]byte{bytes.Repeat([]byte{v}, int(pk.Len()))}})
+		e.Run()
+	}
+	pk, _ := a.AllocPacket(20 * units.KB)
+	fill(pk, 0xaa)
+	first := &pk.Bytes()[0]
+	pk.Free()
+	if pk.Len() != 20*units.KB {
+		t.Fatalf("Len after Free = %v, want 20KB", pk.Len())
+	}
+
+	// Same class (20 KB), different length.
+	pk2, _ := a.AllocPacket(19*units.KB + 1)
+	if &pk2.Bytes()[0] != first {
+		t.Fatal("same-class allocation did not reuse the freed buffer")
+	}
+	if pk2.Len() != 19*units.KB+1 || len(pk2.Bytes()) != int(pk2.Len()) {
+		t.Fatalf("recycled packet is %v / %d bytes long", pk2.Len(), len(pk2.Bytes()))
+	}
+	fill(pk2, 0x55)
+	if !bytes.Equal(pk2.Bytes(), bytes.Repeat([]byte{0x55}, int(pk2.Len()))) {
+		t.Fatal("stale bytes left after a full-gather SDMA")
+	}
+
+	// Another class gets another buffer.
+	other, _ := a.AllocPacket(8 * units.KB)
+	if &other.Bytes()[0] == first {
+		t.Fatal("8 KB packet took the 20 KB buffer")
+	}
+
+	// Across the wire: the frame is a private copy of the packet, and
+	// the receiver adopts it whole.
+	b.ProvideRxBuf(make([]byte, b.Cfg.AutoDMALen))
+	var ev *RxEvent
+	b.OnRx = func(e *RxEvent) { ev = e }
+	a.MDMATx(pk2, 2, nil, nil, nil)
+	e.Run()
+	if ev == nil || !bytes.Equal(ev.Pkt.Bytes(), pk2.Bytes()) {
+		t.Fatal("receive mismatch")
+	}
+	if &ev.Pkt.Bytes()[0] == &pk2.Bytes()[0] {
+		t.Fatal("receiver's packet aliases the sender's network memory")
+	}
+	rx := &ev.Pkt.Bytes()[0]
+	ev.Pkt.Free()
+	pk3, _ := a.AllocPacket(20 * units.KB)
+	if &pk3.Bytes()[0] != rx {
+		t.Fatal("sender did not pick up the buffer the receiver released")
+	}
+}
+
+// TestZappedBufferRetired: a firmware reset wipes a packet the host may
+// still hold, so its buffer is never recycled — not by Reset, not by the
+// host's late Free — and its Bytes stay zero whatever is allocated next.
+func TestZappedBufferRetired(t *testing.T) {
+	e, _, a, _ := testRig()
+	defer e.KillAll()
+	pk, _ := a.AllocPacket(16 * units.KB)
+	a.SDMA(&SDMAReq{Dir: ToCAB, Pkt: pk, Gather: [][]byte{bytes.Repeat([]byte{0xee}, 16<<10)}})
+	e.Run()
+	a.Reset()
+	pk.Free() // the host's reference outlived the hardware state: no-op
+	if !pk.Zapped() || pk.Len() != 16*units.KB {
+		t.Fatalf("zapped=%v len=%v", pk.Zapped(), pk.Len())
+	}
+	zapped := &pk.Bytes()[0]
+	for i := 0; i < 4; i++ {
+		fresh, _ := a.AllocPacket(16 * units.KB)
+		if &fresh.Bytes()[0] == zapped {
+			t.Fatal("zapped packet's buffer was handed out again")
+		}
+		a.SDMA(&SDMAReq{Dir: ToCAB, Pkt: fresh, Gather: [][]byte{bytes.Repeat([]byte{0x11}, 16<<10)}})
+		e.Run()
+		fresh.Free()
+	}
+	if !bytes.Equal(pk.Bytes(), make([]byte, 16<<10)) {
+		t.Fatal("zapped packet no longer reads as zeros")
+	}
+}

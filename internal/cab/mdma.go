@@ -72,8 +72,9 @@ func (c *CAB) mdmaTxProc(p *sim.Proc) {
 		e.span.CritEv(obs.CauseQueue, "mdma_start")
 		// The MDMA engine reads the packet out of network memory as the
 		// frame serializes; copy the bytes so the host may overlay a new
-		// header (retransmit) without racing the in-flight frame.
-		data := make([]byte, e.pkt.Len())
+		// header (retransmit) without racing the in-flight frame. The copy
+		// is the frame's own: the receiving adaptor keeps it.
+		data := c.net.Bufs.Get(int(e.pkt.Len()))
 		copy(data, e.pkt.buf)
 		c.Led.TouchP(e.prov, 0, e.pkt.Len(), ledger.MDMATx, "mdma", 0)
 		sent := sim.NewSignal(c.eng)
@@ -262,7 +263,9 @@ func (c *CAB) tryRx(f hippi.Frame) bool {
 	var pk *Packet
 	ok := false
 	if c.Arb == nil || c.Arb.rxAdmit(key, n) {
-		pk, ok = c.AllocPacketFlow(n, key)
+		// The frame is ours (hippi.Frame): its bytes become the packet's
+		// network memory as they are.
+		pk, ok = c.allocPacket(n, key, f.Data)
 	}
 	if !ok {
 		// Network memory exhausted. Frames that fit in the auto-DMA
@@ -275,7 +278,6 @@ func (c *CAB) tryRx(f hippi.Frame) bool {
 		}
 		return false
 	}
-	copy(pk.buf, f.Data)
 	c.Stats.RxPackets++
 
 	var bodySum uint32
@@ -330,6 +332,7 @@ func (c *CAB) rxDeliverDirect(f hippi.Frame) {
 	buf := c.rxBufs[0]
 	c.rxBufs = c.rxBufs[1:]
 	copy(buf, f.Data)
+	c.net.Bufs.Put(f.Data)
 	c.Stats.RxPackets++
 	c.Stats.RxHdrDeliveries++
 	span := f.Span

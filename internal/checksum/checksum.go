@@ -10,7 +10,19 @@
 // unfolded partial sums, sum concatenation (with the odd-length byte-swap
 // rule), folding, seeding, incremental adjustment, and the TCP/UDP
 // pseudo-header.
+//
+// What is exact is the folded sum. A partial sum is a uint32 that stands
+// for its residue mod 0xffff (with 0 reserved for all-zero data): Sum, Add,
+// Swap and Combine promise Fold of their result, never which of the many
+// unfolded representatives comes back, so callers compare, store on the
+// wire and digest folded values only. That freedom is what lets Sum add
+// eight bytes at a time.
 package checksum
+
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Sum returns the unfolded 16-bit ones-complement partial sum of b, treating
 // b as a sequence of big-endian 16-bit words starting on an even offset. A
@@ -18,25 +30,42 @@ package checksum
 //
 // The returned value is already partially reduced (it fits in 32 bits for
 // any input); combine partial sums with Add or Combine and reduce with Fold.
+// Only Fold(Sum(b)) is specified: the unfolded value is some member of the
+// folded sum's congruence class mod 0xffff, not a particular one.
 func Sum(b []byte) uint32 {
-	var s uint64
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		s += uint64(b[i])<<8 | uint64(b[i+1])
-		s += uint64(b[i+2])<<8 | uint64(b[i+3])
-		s += uint64(b[i+4])<<8 | uint64(b[i+5])
-		s += uint64(b[i+6])<<8 | uint64(b[i+7])
+	// Eight bytes per load. A 64-bit big-endian word is four 16-bit words
+	// and 2^16 ≡ 1 (mod 0xffff), so a ones-complement sum of 64-bit words
+	// (add, then add the carry back in) is in the same class as the sum of
+	// the 16-bit words. The carry out of each add is the carry into the
+	// next — one add-with-carry chain — and the last one comes back around
+	// at the end. The tail (under eight bytes) cannot carry.
+	var s, c, tail uint64
+	for len(b) >= 32 {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[8:]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[16:]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[24:]), c)
+		b = b[32:]
 	}
-	for ; i+2 <= len(b); i += 2 {
-		s += uint64(b[i])<<8 | uint64(b[i+1])
+	for len(b) >= 8 {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b), c)
+		b = b[8:]
 	}
-	if i < len(b) {
-		s += uint64(b[i]) << 8
+	for len(b) >= 2 {
+		tail += uint64(b[0])<<8 | uint64(b[1])
+		b = b[2:]
 	}
-	// Reduce to 32 bits.
-	for s > 0xffffffff {
-		s = (s & 0xffffffff) + (s >> 32)
+	if len(b) == 1 {
+		tail += uint64(b[0]) << 8
 	}
+	s, c = bits.Add64(s, tail, c)
+	// End-around carry. If this add carries too, s is left 0 and the
+	// second carry cannot overflow it.
+	s, c = bits.Add64(s, 0, c)
+	s += c
+	// Reduce to 32 bits: twice, because the first fold can reach 2^33-2.
+	s = s>>32 + s&0xffffffff
+	s = s>>32 + s&0xffffffff
 	return uint32(s)
 }
 

@@ -1,6 +1,7 @@
 package checksum
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -31,13 +32,67 @@ func randBytes(r *rand.Rand, n int) []byte {
 	return b
 }
 
+func checkSum(t *testing.T, what string, b []byte) {
+	t.Helper()
+	if got, want := Fold(Sum(b)), Fold(refSum(b)); got != want {
+		t.Fatalf("%s: Fold(Sum) = %#04x, reference %#04x (len %d)", what, got, want, len(b))
+	}
+}
+
 func TestSumMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
-		b := randBytes(r, r.Intn(300))
-		if Fold(Sum(b)) != Fold(refSum(b)) {
-			t.Fatalf("Sum mismatch on %d-byte input", len(b))
+		checkSum(t, "random", randBytes(r, r.Intn(300)))
+	}
+	// Every length 0–300 at every sub-slice offset 0–7: odd starts, and
+	// tails on both sides of the 8- and 32-byte blocks. All-0xFF input
+	// carries out of every word; all-zero input is the one sum that folds
+	// to 0 rather than 0xffff.
+	ones := make([]byte, 308)
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	for _, src := range [][]byte{randBytes(r, 308), ones, make([]byte, 308)} {
+		for off := 0; off < 8; off++ {
+			for n := 0; n <= 300; n++ {
+				checkSum(t, fmt.Sprintf("off %d", off), src[off:off+n])
+			}
 		}
+	}
+	// Long inputs: the accumulators must not lose carries.
+	for _, n := range []int{64 << 10, 64<<10 + 1, 1 << 20, 1<<20 + 7} {
+		checkSum(t, "long random", randBytes(r, n))
+		ff := make([]byte, n)
+		for i := range ff {
+			ff[i] = 0xff
+		}
+		checkSum(t, "long 0xff", ff)
+	}
+}
+
+func TestSumProperty(t *testing.T) {
+	f := func(b []byte, off uint8) bool {
+		if o := int(off % 8); o <= len(b) {
+			b = b[o:]
+		}
+		return Fold(Sum(b)) == Fold(refSum(b))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+var sinkSum uint32
+
+func BenchmarkSum(b *testing.B) {
+	for _, n := range []int{64, 1500, 32 << 10} {
+		buf := randBytes(rand.New(rand.NewSource(1)), n)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				sinkSum += Sum(buf)
+			}
+		})
 	}
 }
 

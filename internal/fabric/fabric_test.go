@@ -205,3 +205,42 @@ func TestFabricPartitionDropsOnlyHashedFlows(t *testing.T) {
 			delivered, net.DroppedInj, 16-viaDown, viaDown)
 	}
 }
+
+type dupAll struct{}
+
+func (dupAll) Frame(*hippi.Frame) hippi.Verdict { return hippi.Verdict{Dup: 1} }
+
+// TestDupCopiesOwnTheirBytes: an injector-duplicated frame used to share
+// one Data between its deliveries, so an in-place CE mark — or a receiver
+// that keeps the buffer — hit both. Each delivery now has bytes of its own,
+// on the single-switch path and across trunks.
+func TestDupCopiesOwnTheirBytes(t *testing.T) {
+	for _, topo := range []string{"single", "leafspine:2x1"} {
+		eng := sim.NewEngine(1)
+		net := hippi.NewNetwork(eng, 100*units.MBytePerSec, 5*units.Microsecond)
+		tp := MustParse(topo)
+		tp.Install(net, 42)
+		net.SetPlacement(tp.PlaceRacked([]hippi.NodeID{1}, []hippi.NodeID{2}))
+		net.Inj = dupAll{}
+		var got [][]byte
+		net.Attach(1, func(f hippi.Frame) { got = append(got, f.Data) })
+		net.Attach(2, func(hippi.Frame) {})
+		net.SendFrame(*frame(2, 1, 40000, 5001, wire.ECNECT0), nil)
+		eng.Run()
+
+		if len(got) != 2 || net.Duped != 1 {
+			t.Fatalf("%s: %d deliveries, Duped=%d; want 2, 1", topo, len(got), net.Duped)
+		}
+		if &got[0][0] == &got[1][0] {
+			t.Fatalf("%s: both deliveries share one backing array", topo)
+		}
+		if !MarkCE(got[0]) {
+			t.Fatalf("%s: ECT frame not marked", topo)
+		}
+		ecn := func(b []byte) uint8 { return b[wire.LinkHdrLen+wire.ECNOff] & 0x3 }
+		if ecn(got[0]) != wire.ECNCE || ecn(got[1]) != wire.ECNECT0 {
+			t.Fatalf("%s: ECN bits %#x / %#x after marking the first copy; want CE / ECT0",
+				topo, ecn(got[0]), ecn(got[1]))
+		}
+	}
+}

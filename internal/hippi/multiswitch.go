@@ -146,24 +146,24 @@ func (n *Network) TrunkStats() []TrunkStat {
 // forward carries a frame that must cross switches. Runs in event context
 // at the moment the frame has fully left the source port (where the
 // single-switch path would deliver); v is the injector's verdict, already
-// checked for Drop. Each dup copy is forwarded independently — copies
-// share f.Data, as they do on the single-switch path.
-func (n *Network) forward(f Frame, txTime units.Time, v Verdict, sw, dstSw SwitchID) {
-	for i := 0; i <= v.Dup; i++ {
-		if i > 0 {
-			n.Duped++
-		}
-		n.hop(f, txTime, sw, dstSw, v.Delay)
+// checked for Drop. Each dup copy is forwarded independently with bytes of
+// its own (hops mark ECN in place). The original travels last, so every
+// copy is taken before a hop can mark it.
+func (n *Network) forward(f *Frame, txTime units.Time, v Verdict, sw, dstSw SwitchID) {
+	for i := 0; i < v.Dup; i++ {
+		n.Duped++
+		n.hop(f.dup(), txTime, sw, dstSw, v.Delay)
 	}
+	n.hop(f, txTime, sw, dstSw, v.Delay)
 }
 
 // hop moves the frame one trunk closer to dstSw: route lookup, partition
 // check, switch delay, serialization onto the trunk (with optional FIFO
 // coupling and ECN marking), then either the next hop or final delivery.
-func (n *Network) hop(f Frame, txTime units.Time, sw, dstSw SwitchID, extra units.Time) {
+func (n *Network) hop(f *Frame, txTime units.Time, sw, dstSw SwitchID, extra units.Time) {
 	var t *trunk
 	if n.route != nil {
-		t = n.trunks[n.route(&f, sw, dstSw)]
+		t = n.trunks[n.route(f, sw, dstSw)]
 	}
 	if t == nil {
 		n.Dropped++
@@ -228,9 +228,8 @@ func (n *Network) hop(f Frame, txTime units.Time, sw, dstSw SwitchID, extra unit
 
 // deliverAt is the last hop: the frame has reached the destination's
 // switch and now crosses to the host port, exactly as the single-switch
-// tail does (switch delay, receive-side serialization unless the injector
-// delayed the frame off the fast path, final wire-transit charge).
-func (n *Network) deliverAt(f Frame, txTime, extra units.Time) {
+// tail does.
+func (n *Network) deliverAt(f *Frame, txTime, extra units.Time) {
 	dp, ok := n.ports[f.Dst]
 	if !ok {
 		n.Dropped++
@@ -238,25 +237,7 @@ func (n *Network) deliverAt(f Frame, txTime, extra units.Time) {
 		n.nobs.Drop(false)
 		return
 	}
-	arriveStart := n.eng.Now() + n.delay + extra
-	var rxStall units.Time
-	if extra == 0 {
-		if dp.rxBusyUntil > arriveStart {
-			rxStall = dp.rxBusyUntil - arriveStart
-			arriveStart = dp.rxBusyUntil
-			n.rxStalls.Inc()
-		}
-		dp.rxBusyUntil = arriveStart + txTime
-	}
-	if n.markECN != nil && rxStall >= n.markDelay && n.markECN(f.Data) {
-		n.ECNMarked++
-	}
-	n.nobs.Rx(int(f.Dst), len(f.Data), rxStall, arriveStart, arriveStart+txTime)
-	n.eng.AtKind(arriveStart+txTime, sim.KindWire, func() {
-		n.Delivered++
-		n.Led.TouchP(f.Prov, 0, units.Size(len(f.Data)), ledger.WireTransit, "wire", 0)
-		dp.recv(f)
-	})
+	n.arrive(f, dp, txTime, extra, true)
 }
 
 func trunkPortName(name string, dir int) string {

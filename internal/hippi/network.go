@@ -7,6 +7,7 @@
 package hippi
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/obs"
@@ -24,6 +25,16 @@ type NodeID int
 
 // Frame is one media frame: a fully formed packet. Span, when telemetry is
 // enabled, carries the sender's data-path span across the wire.
+//
+// Ownership of Data moves with the frame. The sender gives it up at
+// SendFrame (a CAB sends a private copy of the packet, never its network
+// memory); the network may rewrite it in flight (injected corruption, ECN
+// marking) and gives every duplicate it makes bytes of its own; a frame
+// delivered to a receive callback belongs to that receiver. A CAB adopts
+// Data as the arriving packet's network memory and later recycles it
+// through Network.Bufs; hippi itself never recycles or reuses a buffer, so
+// a dropped frame's bytes simply go to the garbage collector, and a
+// plain-callback receiver that keeps or ignores Data is equally fine.
 type Frame struct {
 	Src, Dst NodeID
 	Data     []byte
@@ -70,6 +81,10 @@ type Network struct {
 	// Inj, if set, is consulted for every frame after source
 	// serialization (fault injection).
 	Inj Injector
+
+	// Bufs is the free list the attached adaptors draw packet and frame
+	// buffers from and release them to.
+	Bufs BufPool
 
 	// Counters. Dropped is the total; DroppedInj (fault-injector drops),
 	// DroppedUnattached (frames addressed to a node with no attached
@@ -197,7 +212,7 @@ func (n *Network) SendFrame(f Frame, sent func()) {
 			return
 		}
 		if asw, bsw := n.switchOf(f.Src), n.switchOf(f.Dst); asw != bsw {
-			n.forward(f, txTime, v, asw, bsw)
+			n.forward(&f, txTime, v, asw, bsw)
 			return
 		}
 		dp, ok := n.ports[f.Dst]
@@ -207,27 +222,45 @@ func (n *Network) SendFrame(f Frame, sent func()) {
 			n.nobs.Drop(false)
 			return
 		}
-		for i := 0; i <= v.Dup; i++ {
-			if i > 0 {
-				n.Duped++
-			}
-			arriveStart := n.eng.Now() + n.delay + v.Delay
-			var rxStall units.Time
-			if v.Delay == 0 {
-				if dp.rxBusyUntil > arriveStart {
-					rxStall = dp.rxBusyUntil - arriveStart
-					arriveStart = dp.rxBusyUntil
-					n.rxStalls.Inc()
-				}
-				dp.rxBusyUntil = arriveStart + txTime
-			}
-			n.nobs.Rx(int(f.Dst), len(f.Data), rxStall, arriveStart, arriveStart+txTime)
-			n.eng.AtKind(arriveStart+txTime, sim.KindWire, func() {
-				n.Delivered++
-				n.Led.TouchP(f.Prov, 0, units.Size(len(f.Data)), ledger.WireTransit, "wire", 0)
-				dp.recv(f)
-			})
+		for i := 0; i < v.Dup; i++ {
+			n.Duped++
+			n.arrive(f.dup(), dp, txTime, v.Delay, false)
 		}
+		n.arrive(&f, dp, txTime, v.Delay, false)
+	})
+}
+
+// dup returns a copy of f with bytes of its own: each receiver keeps the
+// Data it is handed, and must not see its twin rewritten under it.
+func (f *Frame) dup() *Frame {
+	d := *f
+	d.Data = bytes.Clone(f.Data)
+	return &d
+}
+
+// arrive schedules f's delivery at port dp: switch delay, receive-side
+// serialization unless the injector delayed the frame off the fast path,
+// final wire-transit charge. fabric is true for a frame that crossed
+// trunks: its last hop is then subject to ECN marking like the others.
+func (n *Network) arrive(f *Frame, dp *port, txTime, extra units.Time, fabric bool) {
+	arriveStart := n.eng.Now() + n.delay + extra
+	var rxStall units.Time
+	if extra == 0 {
+		if dp.rxBusyUntil > arriveStart {
+			rxStall = dp.rxBusyUntil - arriveStart
+			arriveStart = dp.rxBusyUntil
+			n.rxStalls.Inc()
+		}
+		dp.rxBusyUntil = arriveStart + txTime
+	}
+	if fabric && n.markECN != nil && rxStall >= n.markDelay && n.markECN(f.Data) {
+		n.ECNMarked++
+	}
+	n.nobs.Rx(int(f.Dst), len(f.Data), rxStall, arriveStart, arriveStart+txTime)
+	n.eng.AtKind(arriveStart+txTime, sim.KindWire, func() {
+		n.Delivered++
+		n.Led.TouchP(f.Prov, 0, units.Size(len(f.Data)), ledger.WireTransit, "wire", 0)
+		dp.recv(*f)
 	})
 }
 

@@ -170,9 +170,10 @@ func (c Ctx) CopyToUIO(u *mem.UIO, off units.Size, src []byte, region units.Size
 	u.WriteAt(src, off)
 }
 
-// ChecksumRead software-checksums b, charging read time in this context.
-func (c Ctx) ChecksumRead(b []byte, region units.Size) uint32 {
-	c.Charge(c.K.Mach.CsumTime(units.Size(len(b)), region), CatCsum)
-	c.touch(ledger.CPUCsum, 0, units.Size(len(b)))
-	return sum(b)
+// ChecksumCharge charges this context for software-checksumming n bytes and
+// records the touch. The caller sums the bytes where they lie (the stack's
+// data sits in mbuf chains, which the kernel does not know).
+func (c Ctx) ChecksumCharge(n, region units.Size) {
+	c.Charge(c.K.Mach.CsumTime(n, region), CatCsum)
+	c.touch(ledger.CPUCsum, 0, n)
 }

@@ -62,7 +62,3 @@ func (k *Kernel) IntrCopyBytes(p *sim.Proc, dst, src []byte, region units.Size) 
 	k.Led.Unattributed(ledger.CPUCopy, units.Size(len(src)))
 	copy(dst, src)
 }
-
-// sum is a local alias so Ctx helpers can checksum without importing the
-// checksum package at every call site.
-func sum(b []byte) uint32 { return checksum.Sum(b) }

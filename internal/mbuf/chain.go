@@ -3,6 +3,7 @@ package mbuf
 import (
 	"fmt"
 
+	"repro/internal/checksum"
 	"repro/internal/units"
 )
 
@@ -164,16 +165,11 @@ func SplitAt(m *Mbuf, n units.Size) (front, back *Mbuf) {
 	panic(fmt.Sprintf("mbuf: SplitAt beyond chain by %v", n))
 }
 
-// ReadRange copies n bytes starting at chain offset off into dst, for
-// byte-holding and descriptor mbufs alike (descriptors are dereferenced
-// through their UIO region or outboard read function). This is the
-// materialization primitive used by integrity checks and by conversion
-// shims; the caller is responsible for charging the corresponding cost.
-func ReadRange(m *Mbuf, off, n units.Size, dst []byte) {
-	if units.Size(len(dst)) < n {
-		panic("mbuf: ReadRange destination too small")
-	}
-	var done units.Size
+// eachRun calls fn, in order, on each contiguous run of the chain's bytes
+// [off, off+n) where they lie, for byte-holding and descriptor mbufs alike
+// (descriptors are dereferenced through their UIO region or outboard read
+// function). fn must not keep or write the slice.
+func eachRun(m *Mbuf, off, n units.Size, fn func(b []byte)) {
 	for cur := m; cur != nil && n > 0; cur = cur.next {
 		if off >= cur.ln {
 			off -= cur.ln
@@ -183,25 +179,52 @@ func ReadRange(m *Mbuf, off, n units.Size, dst []byte) {
 		if take > n {
 			take = n
 		}
-		out := dst[done : done+take]
 		switch cur.typ {
 		case TData, TCluster:
-			copy(out, cur.Bytes()[off:off+take])
+			fn(cur.Bytes()[off : off+take])
 		case TUIO:
-			cur.uio.ReadAt(out, cur.off+off, take)
+			for _, seg := range cur.uio.Segments(cur.off+off, take) {
+				fn(cur.uio.Space.Bytes(seg.Addr, seg.Len))
+			}
 		case TWCAB:
 			if cur.wcab.ReadFn == nil {
 				panic("mbuf: WCAB mbuf has no read function")
 			}
-			copy(out, cur.wcab.ReadFn(cur.off+off, take))
+			fn(cur.wcab.ReadFn(cur.off+off, take)[:take])
 		}
-		done += take
 		n -= take
 		off = 0
 	}
 	if n > 0 {
-		panic(fmt.Sprintf("mbuf: ReadRange ran out of chain with %v left", n))
+		panic(fmt.Sprintf("mbuf: range runs past the end of the chain by %v", n))
 	}
+}
+
+// ReadRange copies n bytes starting at chain offset off into dst. This is
+// the materialization primitive used by integrity checks and by conversion
+// shims; the caller is responsible for charging the corresponding cost.
+func ReadRange(m *Mbuf, off, n units.Size, dst []byte) {
+	if units.Size(len(dst)) < n {
+		panic("mbuf: ReadRange destination too small")
+	}
+	done := 0
+	eachRun(m, off, n, func(b []byte) { done += copy(dst[done:], b) })
+}
+
+// SumRange returns the ones-complement partial sum of the n bytes starting
+// at chain offset off, read where they lie: each run is summed on its own
+// and the sums are joined by the concatenation rule (a run that starts on
+// an odd offset is byte-swapped in — the paper's Section 4.3 partial-sum
+// algebra). Only the folded value is specified, as for checksum.Sum. The
+// caller is responsible for charging the read.
+func SumRange(m *Mbuf, off, n units.Size) uint32 {
+	var sum uint32
+	done := 0
+	eachRun(m, off, n, func(b []byte) {
+		sum = checksum.Combine(sum, checksum.Sum(b), done)
+		done += len(b)
+	})
+	return sum
 }
 
 // Materialize returns the chain's full contents as a fresh byte slice.

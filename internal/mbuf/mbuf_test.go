@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/checksum"
 	"repro/internal/mem"
 	"repro/internal/units"
 )
@@ -249,6 +250,58 @@ func TestReadRangeOffsets(t *testing.T) {
 	want := append(seq(64)[60:], seq(256)[:12]...)
 	if !bytes.Equal(dst, want) {
 		t.Fatalf("got %v want %v", dst, want)
+	}
+}
+
+// TestSumRangeMatchesFlatSum: summing a chain where it lies (per-run sums
+// joined by the odd-offset concatenation rule) folds to the same value as
+// flattening it first, for random mixed chains — 1-byte and odd-length
+// segments, multi-iovec UIO regions, outboard data — and random ranges.
+// flat is assembled beside the chain, not read back out of it.
+func TestSumRangeMatchesFlatSum(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	sp := mem.NewAddrSpace("user", 4*units.MB, 8*units.KB)
+	for iter := 0; iter < 300; iter++ {
+		var chain *Mbuf
+		var flat []byte
+		for seg, nseg := 0, 1+r.Intn(8); seg < nseg; seg++ {
+			n := 1 + r.Intn(120)
+			if r.Intn(4) == 0 {
+				n = 1
+			}
+			data := make([]byte, n)
+			r.Read(data)
+			flat = append(flat, data...)
+			switch r.Intn(4) {
+			case 0:
+				chain = Cat(chain, NewData(data))
+			case 1:
+				chain = Cat(chain, NewCluster(data))
+			case 2:
+				// Two iovecs, split at a random (often odd) point.
+				cut := r.Intn(n + 1)
+				b1, b2 := sp.Alloc(units.Size(cut), 1), sp.Alloc(units.Size(n-cut), 1)
+				copy(b1.Bytes(), data[:cut])
+				copy(b2.Bytes(), data[cut:])
+				chain = Cat(chain, NewUIO(mem.NewUIO(b1, b2), 0, units.Size(n), nil))
+			case 3:
+				w := &WCAB{Valid: units.Size(n)}
+				w.ReadFn = func(off, n units.Size) []byte { return data[off : off+n] }
+				chain = Cat(chain, NewWCAB(w, 0, units.Size(n), nil))
+			}
+		}
+		if !bytes.Equal(Materialize(chain), flat) {
+			t.Fatalf("iter %d: Materialize disagrees with the bytes the chain was built from", iter)
+		}
+		for k := 0; k < 20; k++ {
+			off := r.Intn(len(flat) + 1)
+			n := r.Intn(len(flat) - off + 1)
+			got := checksum.Fold(SumRange(chain, units.Size(off), units.Size(n)))
+			if want := checksum.Fold(checksum.Sum(flat[off : off+n])); got != want {
+				t.Fatalf("iter %d: SumRange(%d,+%d) folds to %#04x, flat sum %#04x (types %v)",
+					iter, off, n, got, want, Types(chain))
+			}
+		}
 	}
 }
 

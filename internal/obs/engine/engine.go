@@ -6,7 +6,7 @@
 // obs layer, which measures the *simulated* system in virtual time.
 //
 // Two field classes come out of a run, and the split is load-bearing for
-// CI (see cmd/benchdiff):
+// CI (see internal/exp/compare.go):
 //
 //   - Deterministic: counts derived purely from the virtual event sequence
 //     (events by kind, pending-event high-waters, kernel charges). The

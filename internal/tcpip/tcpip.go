@@ -402,19 +402,26 @@ func (s *Stack) verifyTransportCsum(ctx kern.Ctx, m *mbuf.Mbuf, iph wire.IPHdr, 
 		return checksum.VerifySum(checksum.Add(ps, h.HWRxSum))
 	}
 	s.Stats.SWCsumVerified++
-	buf := make([]byte, segLen)
-	mbuf.ReadRange(m, 0, segLen, buf)
 	if pv := m.Prov(); pv != nil && ctx.K.Led != nil {
-		// The buffer starts at the transport header: payload byte 0 (stream
-		// byte pv.Off) sits at buffer offset segLen-pv.Len; the provenance
+		// The segment starts at the transport header: payload byte 0 (stream
+		// byte pv.Off) sits at segment offset segLen-pv.Len; the provenance
 		// window clips the header bytes out of the record.
 		ctx = ctx.OnStreamProv(pv, pv.Off-(segLen-pv.Len))
 	}
-	sum := ctx.ChecksumRead(buf, segLen)
+	sum := csumChain(ctx, m, segLen, segLen)
 	// Software verification read every payload byte: the data-touching CPU
 	// time the single-copy path eliminates.
 	m.Span().CritEv(obs.CauseCPUCsum, "tcp_in")
 	return checksum.VerifySum(checksum.Add(ps, sum))
+}
+
+// csumChain software-checksums the first n bytes of chain m where they lie,
+// charging ctx for the read (region is the cache working set, as for
+// cost.Machine.CsumTime).
+func csumChain(ctx kern.Ctx, m *mbuf.Mbuf, n, region units.Size) uint32 {
+	sum := mbuf.SumRange(m, 0, n)
+	ctx.ChecksumCharge(n, region)
+	return sum
 }
 
 // checksum helper aliases for files that build raw segments.

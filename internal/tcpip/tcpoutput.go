@@ -216,8 +216,6 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 		hdr.Marshal(hb)
 		sum := checksum.Add(ps, checksum.Sum(hb))
 		if seglen > 0 {
-			buf := make([]byte, seglen)
-			mbuf.ReadRange(data, 0, seglen, buf)
 			// The checksum read's cache working set is the retransmit
 			// queue the segment was cut from: with a large window the
 			// buffered kernel data cycles through the cache (the paper's
@@ -229,11 +227,11 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 			}
 			csCtx := ctx
 			if prov != nil {
-				// The buffer is payload only: offset 0 is stream byte
+				// The chain is payload only: offset 0 is stream byte
 				// prov.Off.
 				csCtx = ctx.OnStreamProv(prov, prov.Off)
 			}
-			sum = checksum.Combine(sum, csCtx.ChecksumRead(buf, region), int(wire.TCPHdrLen))
+			sum = checksum.Combine(sum, csumChain(csCtx, data, seglen, region), int(wire.TCPHdrLen))
 			// The CPU read every payload byte to checksum it — the
 			// data-touching edge absent from the single-copy sender.
 			span.CritEv(obs.CauseCPUCsum, "tcp_csum")

@@ -120,9 +120,7 @@ func (u *UDPSock) SendTo(ctx kern.Ctx, m *mbuf.Mbuf, n units.Size, dst wire.Addr
 		hdr.Marshal(hb)
 		sum := checksum.Add(ps, checksum.Sum(hb))
 		if n > 0 {
-			buf := make([]byte, n)
-			mbuf.ReadRange(m, 0, n, buf)
-			sum = checksum.Combine(sum, ctx.ChecksumRead(buf, n), int(wire.UDPHdrLen))
+			sum = checksum.Combine(sum, csumChain(ctx, m, n, n), int(wire.UDPHdrLen))
 		}
 		hdr.Csum = checksum.UDPWire(checksum.Finish(sum))
 		hdr.Marshal(hb)

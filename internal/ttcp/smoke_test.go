@@ -1,6 +1,7 @@
 package ttcp_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -54,5 +55,28 @@ func TestUDPSmoke(t *testing.T) {
 	}
 	if r := res.Throughput.Mbit(); r < 40 || r > 160 {
 		t.Fatalf("udp throughput %.1f out of plausible range", r)
+	}
+}
+
+// TestSingleCopyAllocationBudget pins the host-memory cost of moving a
+// payload byte on the single-copy path: packet and frame buffers are
+// recycled and the receiver adopts the frame, so what is left is
+// per-packet bookkeeping. Differencing a 32 MB against a 16 MB transfer
+// cancels testbed set-up (address spaces, socket buffers). The limit is
+// 0.25 bytes allocated per payload byte; three fresh buffers per packet
+// cost about 3.9.
+func TestSingleCopyAllocationBudget(t *testing.T) {
+	allocated := func(total units.Size) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(t, socket.ModeSingleCopy, total, 64*units.KB)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, big := allocated(16*units.MB), allocated(32*units.MB)
+	perByte := (float64(big) - float64(small)) / float64(16*units.MB)
+	t.Logf("16 MB: %d B allocated, 32 MB: %d B, marginal %.3f B per payload byte", small, big, perByte)
+	if perByte > 0.25 {
+		t.Fatalf("%.3f host bytes allocated per payload byte, budget 0.25", perByte)
 	}
 }
