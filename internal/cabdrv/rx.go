@@ -109,17 +109,16 @@ func (d *Driver) rxLegacy(ctx kern.Ctx, ev *cab.RxEvent, pktLen units.Size) {
 		d.Input(ctx, head, d)
 		return
 	}
+	// The rest is DMAed straight into the clusters the stack will get,
+	// chained behind the head now and handed up when the DMA is done.
 	rest := pktLen - ev.HdrLen
-	var scatter [][]byte
-	bufs := make([][]byte, 0, (rest+mbuf.MCLBYTES-1)/mbuf.MCLBYTES)
+	scatter := make([][]byte, 0, (rest+mbuf.MCLBYTES-1)/mbuf.MCLBYTES)
+	tail := head
 	for off := units.Size(0); off < rest; off += mbuf.MCLBYTES {
-		n := rest - off
-		if n > mbuf.MCLBYTES {
-			n = mbuf.MCLBYTES
-		}
-		b := make([]byte, n)
-		bufs = append(bufs, b)
-		scatter = append(scatter, b)
+		c := mbuf.AllocCluster(minSize(rest-off, mbuf.MCLBYTES))
+		scatter = append(scatter, c.Bytes())
+		tail.SetNext(c)
+		tail = c
 	}
 	pk := ev.Pkt
 	d.C.SDMA(&cab.SDMAReq{
@@ -131,12 +130,6 @@ func (d *Driver) rxLegacy(ctx kern.Ctx, ev *cab.RxEvent, pktLen units.Size) {
 		Done: func(*cab.SDMAReq) {
 			pk.Free()
 			d.K.PostIntr("cab-rx-dma", func(p *sim.Proc) {
-				tail := head
-				for _, b := range bufs {
-					c := mbuf.AdoptCluster(b, 0, units.Size(len(b)))
-					tail.SetNext(c)
-					tail = c
-				}
 				d.Input(d.K.IntrCtx(p).In("cabdrv_rx"), head, d)
 			})
 		},

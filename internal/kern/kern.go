@@ -313,6 +313,67 @@ func (k *Kernel) IntrWork(p *sim.Proc, d units.Time, cat Category) {
 	k.intrWorkAt(p, d, cat, nil, 0)
 }
 
+// soaker is the state of one Soak: a compute-bound task as a continuation
+// on the event loop. Its callbacks are bound once so that a slice
+// allocates nothing.
+type soaker struct {
+	k       *Kernel
+	t       *Task
+	cat     Category
+	stopped func() bool
+	slice   units.Time // length of the slice in progress
+
+	onGrant, onSliceEnd func()
+}
+
+// Soak keeps task t computing in cat, as user time, one Quantum after
+// another from the current instant until stopped reports true at a slice
+// boundary: the paper's `util` process, which takes every cycle nothing
+// else wants. It is `for !stopped() { k.Work(p, t, k.Quantum, cat, false) }`
+// without the process: a soaker never blocks on anything but the CPU, so
+// each step is a plain event-loop callback. The steps schedule exactly the
+// events that loop would — a start event now, a grant event when the CPU
+// was busy, one event per slice end — and do its accounting at the same
+// points, so virtual time and every observer count are those of the loop
+// (kern_test.go keeps the loop as the oracle).
+func (k *Kernel) Soak(t *Task, cat Category, stopped func() bool) {
+	s := &soaker{k: k, t: t, cat: cat, stopped: stopped}
+	s.onGrant, s.onSliceEnd = s.granted, s.sliceEnd
+	k.Eng.AfterKind(0, sim.KindProc, s.start)
+}
+
+// start charges the next quantum and asks for the CPU.
+func (s *soaker) start() {
+	if s.stopped() {
+		return
+	}
+	k := s.k
+	s.slice = k.Quantum
+	k.EngObs.KernCharge()
+	k.taskNode(s.t).Add(int(s.cat), 0, int64(s.slice))
+	k.EngObs.KernSlice()
+	if k.cpu.AcquireFunc(s.t.Prio, s.onGrant) {
+		s.granted()
+	}
+}
+
+// granted holds the CPU for the slice.
+func (s *soaker) granted() {
+	s.k.Eng.AfterKind(s.slice, sim.KindProc, s.onSliceEnd)
+}
+
+// sliceEnd accounts the finished slice, gives the CPU up — to a waiter of
+// higher priority, if there is one — and starts over.
+func (s *soaker) sliceEnd() {
+	k := s.k
+	k.byCat[s.cat] += s.slice
+	k.busy += s.slice
+	k.cur = s.t
+	s.t.UserTime += s.slice
+	k.cpu.Release()
+	s.start()
+}
+
 // CategoryTime returns the accumulated CPU time in category c.
 func (k *Kernel) CategoryTime(c Category) units.Time { return k.byCat[c] }
 

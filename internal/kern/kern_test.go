@@ -1,10 +1,15 @@
 package kern
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/mem"
+	"repro/internal/obs/engine"
+	"repro/internal/obs/prof"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -257,4 +262,168 @@ func TestResetAccounting(t *testing.T) {
 		t.Fatal("reset did not clear counters")
 	}
 	e.KillAll()
+}
+
+// procSoak is the idle soaker as ttcp ran it before Kernel.Soak: a process
+// looping on Work. It stays here as the oracle Soak is held to.
+func procSoak(k *Kernel, t *Task, cat Category, stopped func() bool) {
+	k.Eng.Go(k.Name+"/util", func(p *sim.Proc) {
+		for !stopped() {
+			k.Work(p, t, k.Quantum, cat, false)
+		}
+	})
+}
+
+// soakRun is everything observable about one run of the scenario below.
+type soakRun struct {
+	End        units.Time
+	Tasks      [3][2]units.Time // util, worker, daemon × user, sys
+	Busy       units.Time
+	Cats       map[string]units.Time
+	Engine     engine.Deterministic
+	Folded     string
+	Order      []string // (time, who ran, whom the kernel thinks is on the CPU)
+	StopChecks int      // stopped() calls once it reports true
+	StoppedAt  units.Time
+}
+
+// runSoakScenario runs one host — an interrupt source firing at
+// pseudo-random times, some exactly on quantum boundaries, with handlers
+// both shorter and longer than a quantum; a user-priority worker that ends
+// the run; a kernel-priority daemon — under the soaker soak starts.
+func runSoakScenario(t *testing.T, soak func(k *Kernel, t *Task, cat Category, stopped func() bool)) soakRun {
+	t.Helper()
+	e := sim.NewEngine(1)
+	o := engine.New()
+	o.Attach(e)
+	k := New("host", e, cost.Alpha400())
+	k.EngObs = o
+	pr := prof.New(CategoryNames())
+	k.Prof = pr.Host("host")
+	util := k.NewTask("util", PrioIdle, nil)
+	worker := k.NewTask("worker", PrioUser, nil)
+	daemon := k.NewTask("daemon", PrioKern, nil)
+
+	var r soakRun
+	log := func(who string) {
+		r.Order = append(r.Order, fmt.Sprintf("%d %s cur=%s", e.Now(), who, k.cur.Name))
+	}
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 60; i++ {
+		at := units.Time(rng.Int63n(int64(20 * units.Millisecond)))
+		if i%3 == 0 {
+			at -= at % k.Quantum
+		}
+		d := units.Time(5+rng.Int63n(150)) * units.Microsecond
+		e.At(at, func() {
+			k.PostIntr("dev", func(p *sim.Proc) {
+				log("intr")
+				k.IntrWork(p, d, CatDriver)
+			})
+		})
+	}
+	var work, rest [40]units.Time
+	for i := range work {
+		work[i] = units.Time(10+rng.Int63n(240)) * units.Microsecond
+		rest[i] = units.Time(rng.Int63n(400)) * units.Microsecond
+	}
+	stop := false
+	e.Go("worker", func(p *sim.Proc) {
+		for i := range work {
+			k.Work(p, worker, work[i], CatCopy, i%2 == 0)
+			log("worker")
+			p.Sleep(rest[i])
+		}
+		stop = true
+		r.StoppedAt = p.Now()
+	})
+	e.Go("daemon", func(p *sim.Proc) {
+		for i := 0; i < 12; i++ {
+			k.Work(p, daemon, 300*units.Microsecond, CatApp, false)
+			log("daemon")
+			p.Sleep(700 * units.Microsecond)
+		}
+	})
+	soak(k, util, CatApp, func() bool {
+		log("util")
+		if stop {
+			r.StopChecks++
+		}
+		return stop
+	})
+	e.Run()
+	if e.Pending() != 0 {
+		t.Errorf("%d events pending after the run", e.Pending())
+	}
+	e.KillAll()
+
+	r.End = e.Now()
+	for i, task := range []*Task{util, worker, daemon} {
+		r.Tasks[i] = [2]units.Time{task.UserTime, task.SysTime}
+	}
+	r.Busy, r.Cats = k.BusyTime(), k.CategoryBreakdown()
+	r.Engine = o.Snapshot().Det
+	r.Folded = string(pr.Folded())
+	return r
+}
+
+// TestSoakMatchesProcSoaker: the continuation is the process loop, event
+// for event.
+func TestSoakMatchesProcSoaker(t *testing.T) {
+	want := runSoakScenario(t, procSoak)
+	got := runSoakScenario(t, (*Kernel).Soak)
+
+	if want.Tasks[0][0] < units.Millisecond || want.Tasks[0][1] == 0 {
+		t.Fatalf("scenario too idle or too busy to tell: util user %v sys %v", want.Tasks[0][0], want.Tasks[0][1])
+	}
+	for i := range want.Order {
+		step := "(end)"
+		if i < len(got.Order) {
+			step = got.Order[i]
+		}
+		if step != want.Order[i] {
+			t.Fatalf("CPU order diverges at step %d of %d: proc %q, Soak %q", i, len(want.Order), want.Order[i], step)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Soak run differs from the proc soaker's\nproc: %+v\nSoak: %+v", brief(want), brief(got))
+	}
+	// It stops at the first slice boundary after the flag turns: one check
+	// sees it, within a quantum plus what higher priorities took meanwhile.
+	if got.StopChecks != 1 || got.End < got.StoppedAt {
+		t.Fatalf("stopped() saw true %d times; stop at %v, end %v", got.StopChecks, got.StoppedAt, got.End)
+	}
+}
+
+func brief(r soakRun) soakRun {
+	r.Order, r.Folded = r.Order[len(r.Order)-3:], ""
+	return r
+}
+
+// TestSoakSliceAllocatesNothing covers both ways a slice starts: the CPU
+// was free, and the CPU was held so the grant came as an event.
+func TestSoakSliceAllocatesNothing(t *testing.T) {
+	e, k := newTestKernel()
+	defer e.KillAll()
+	util := k.NewTask("util", PrioIdle, nil)
+	grabs := 0
+	e.Go("contender", func(p *sim.Proc) {
+		for {
+			k.cpu.Acquire(p, PrioUser)
+			grabs++
+			p.Sleep(30 * units.Microsecond)
+			k.cpu.Release()
+			p.Sleep(130 * units.Microsecond)
+		}
+	})
+	k.Soak(util, CatApp, func() bool { return false })
+	for i := 0; i < 64; i++ {
+		e.Step()
+	}
+	if n := testing.AllocsPerRun(500, func() { e.Step() }); n != 0 {
+		t.Errorf("%v allocs per event, want 0", n)
+	}
+	if grabs < 50 || util.UserTime < 10*units.Millisecond {
+		t.Fatalf("contender ran %d times, util %v: not the steady state meant", grabs, util.UserTime)
+	}
 }

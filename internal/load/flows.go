@@ -1,6 +1,7 @@
 package load
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -93,17 +94,50 @@ func patByte(flow, seq, off int) byte { return byte(flow*131 + seq*29 + off*3 + 
 // streamByte is the bulk-stream pattern at a stream offset.
 func streamByte(flow int, off units.Size) byte { return byte(flow*131 + int(off)*3 + 7) }
 
-func fillPat(b []byte, flow, seq, off int) {
-	for i := range b {
-		b[i] = patByte(flow, seq, off+i)
+// Both patterns step by 3 per byte, so every payload is a rotation of one
+// 256-byte ramp, and since 3·171 ≡ 1 (mod 256) the rotation that starts
+// with byte v begins at index 171·v. ramp holds two periods so that any
+// rotation is one contiguous slice.
+var ramp = func() (r [512]byte) {
+	for i := range r {
+		r[i] = byte(3 * i)
+	}
+	return
+}()
+
+func rampFrom(first byte) []byte {
+	start := int(first * 171)
+	return ramp[start : start+256]
+}
+
+// fillRamp writes b[i] = first + 3·i.
+func fillRamp(b []byte, first byte) {
+	n := copy(b, rampFrom(first))
+	for n < len(b) { // n is a whole number of periods here
+		n += copy(b[n:], b[:n])
 	}
 }
 
-func fillStream(b []byte, flow int, off units.Size) {
-	for i := range b {
-		b[i] = streamByte(flow, off+units.Size(i))
+// checkRamp returns the first index at which b[i] != first + 3·i, or -1.
+func checkRamp(b []byte, first byte) int {
+	pat := rampFrom(first)
+	for off := 0; off < len(b); off += len(pat) {
+		chunk := b[off:min(off+len(pat), len(b))]
+		if bytes.Equal(chunk, pat[:len(chunk)]) {
+			continue
+		}
+		for i, v := range chunk {
+			if v != pat[i] {
+				return off + i
+			}
+		}
 	}
+	return -1
 }
+
+func fillPat(b []byte, flow, seq, off int) { fillRamp(b, patByte(flow, seq, off)) }
+
+func fillStream(b []byte, flow int, off units.Size) { fillRamp(b, streamByte(flow, off)) }
 
 // --- TCP helpers ---
 
@@ -133,11 +167,9 @@ func readFull(p *sim.Proc, sock *socket.Socket, buf mem.Buf, n units.Size,
 
 func checkPat(f *flow, seq int) func(b []byte, off units.Size) error {
 	return func(b []byte, off units.Size) error {
-		for i, v := range b {
-			if want := patByte(f.id, seq, int(off)+i); v != want {
-				return fmt.Errorf("payload corrupt at seq %d off %d: got %#x want %#x",
-					seq, int(off)+i, v, want)
-			}
+		if i := checkRamp(b, patByte(f.id, seq, int(off))); i >= 0 {
+			return fmt.Errorf("payload corrupt at seq %d off %d: got %#x want %#x",
+				seq, int(off)+i, b[i], patByte(f.id, seq, int(off)+i))
 		}
 		return nil
 	}
@@ -309,12 +341,9 @@ func (r *runner) serveBulk(p *sim.Proc, f *flow, sock *socket.Socket, rbuf mem.B
 		if rd > 0 {
 			if !corrupt {
 				b := rbuf.Slice(0, rd).Bytes()
-				for i, v := range b {
-					if want := streamByte(f.id, off+units.Size(i)); v != want {
-						f.fail("bulk corrupt at %d: got %#x want %#x", int(off)+i, v, want)
-						corrupt = true
-						break
-					}
+				if i := checkRamp(b, streamByte(f.id, off)); i >= 0 {
+					f.fail("bulk corrupt at %d: got %#x want %#x", int(off)+i, b[i], streamByte(f.id, off+units.Size(i)))
+					corrupt = true
 				}
 			}
 			if now := p.Now(); now >= r.s.Warmup && now <= r.s.Duration {
@@ -361,15 +390,8 @@ func (r *runner) startUDPFlow(f *flow) {
 				continue
 			}
 			b := rbuf.Slice(hdrLen, hdr.reqLen).Bytes()
-			ok := true
-			for i, v := range b {
-				if want := patByte(f.id, hdr.seq, i); v != want {
-					f.fail("dgram %d corrupt at %d: got %#x want %#x", hdr.seq, i, v, want)
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if i := checkRamp(b, patByte(f.id, hdr.seq, 0)); i >= 0 {
+				f.fail("dgram %d corrupt at %d: got %#x want %#x", hdr.seq, i, b[i], patByte(f.id, hdr.seq, i))
 				continue
 			}
 			f.dgramsRcvd++

@@ -18,6 +18,7 @@ package mbuf
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -214,11 +215,31 @@ func (w *WCAB) Unref() {
 // Refs returns the current reference count.
 func (w *WCAB) Refs() int { return w.refs }
 
-// cluster is shared external storage with a reference count.
+// cluster is shared external storage with a reference count. pooled marks
+// storage that came from clusterPool and goes back to it when the last
+// reference drops; a buffer adopted from a driver never does (its owner may
+// still hold it). refs is 32 bits so that the flag fits the 32-byte size
+// class: one of these is allocated per received packet.
 type cluster struct {
-	data []byte
-	refs int
+	data   []byte
+	refs   int32
+	pooled bool
 }
+
+// clusterPool is the free list of MCLBYTES cluster storage: one size
+// class, shared by every host of every testbed in the process (a sync.Pool
+// because the constructors are package-level functions and tests run
+// testbeds in parallel). Clusters are handed out dirty — the holder of a
+// cluster mbuf can only reach its [off, off+ln) window, and whoever sets
+// the window fills it — and return when Free drops the last reference.
+var clusterPool = sync.Pool{
+	New: func() any { return &cluster{data: make([]byte, MCLBYTES), pooled: true} },
+}
+
+// poisonFreed, set only by tests, fills every cluster returned to the pool
+// with 0xDB so that a reader of released or never-written bytes sees
+// garbage instead of plausible old data.
+var poisonFreed bool
 
 // Mbuf is one buffer in a chain. The zero value is not useful; use the
 // New* constructors.
@@ -264,15 +285,22 @@ func NewData(b []byte) *Mbuf {
 // NewEmptyData returns a regular mbuf with zero length and header room.
 func NewEmptyData() *Mbuf { return NewData(nil) }
 
-// NewCluster returns a cluster mbuf holding a copy of b (≤ MCLBYTES).
-func NewCluster(b []byte) *Mbuf {
-	n := units.Size(len(b))
-	if n > MCLBYTES {
+// AllocCluster returns a cluster mbuf of length n (≤ MCLBYTES) whose
+// Bytes() the caller is about to fill: the contents are arbitrary.
+func AllocCluster(n units.Size) *Mbuf {
+	if n < 0 || n > MCLBYTES {
 		panic(fmt.Sprintf("mbuf: %v exceeds MCLBYTES %v", n, MCLBYTES))
 	}
-	cl := &cluster{data: make([]byte, MCLBYTES), refs: 1}
-	copy(cl.data, b)
+	cl := clusterPool.Get().(*cluster)
+	cl.refs = 1
 	return &Mbuf{typ: TCluster, cl: cl, off: 0, ln: n}
+}
+
+// NewCluster returns a cluster mbuf holding a copy of b (≤ MCLBYTES).
+func NewCluster(b []byte) *Mbuf {
+	m := AllocCluster(units.Size(len(b)))
+	copy(m.cl.data, b)
+	return m
 }
 
 // AdoptCluster wraps an existing buffer as external cluster storage
@@ -473,14 +501,27 @@ func (m *Mbuf) TrimBack(n units.Size) {
 }
 
 // Free releases one mbuf (dropping cluster/WCAB references) and returns
-// its successor.
+// its successor. A cluster mbuf gives up its storage with its reference —
+// a second Free or a later Bytes() panics instead of reaching a cluster
+// that may already belong to someone else — and the last reference returns
+// pooled storage to the free list.
 func (m *Mbuf) Free() *Mbuf {
 	next := m.next
 	switch m.typ {
 	case TCluster:
-		m.cl.refs--
-		if m.cl.refs < 0 {
+		cl := m.cl
+		m.cl = nil
+		cl.refs--
+		if cl.refs < 0 {
 			panic("mbuf: cluster over-release")
+		}
+		if cl.refs == 0 && cl.pooled {
+			if poisonFreed {
+				for i := range cl.data {
+					cl.data[i] = 0xdb
+				}
+			}
+			clusterPool.Put(cl)
 		}
 	case TWCAB:
 		m.wcab.Unref()

@@ -93,6 +93,91 @@ func TestClusterSharingRefs(t *testing.T) {
 	}
 }
 
+// poisoning makes a cluster's return to the free list visible through a
+// slice taken earlier, whether or not the pool then keeps the storage (under
+// the race detector sync.Pool drops items at random).
+func poisoning(t *testing.T) {
+	PoisonFreed(true)
+	t.Cleanup(func() { PoisonFreed(false) })
+}
+
+func allPoison(b []byte) bool {
+	return len(b) > 0 && bytes.Count(b, []byte{0xdb}) == len(b)
+}
+
+func TestAllocClusterWindow(t *testing.T) {
+	m := AllocCluster(3000)
+	if m.Type() != TCluster || m.Len() != 3000 || len(m.Bytes()) != 3000 {
+		t.Fatalf("AllocCluster(3000): type %v len %v window %d", m.Type(), m.Len(), len(m.Bytes()))
+	}
+	if len(m.cl.data) != int(MCLBYTES) || !m.cl.pooled || m.cl.refs != 1 {
+		t.Fatalf("storage %d bytes, pooled %v, refs %d", len(m.cl.data), m.cl.pooled, m.cl.refs)
+	}
+	// Whatever a previous owner left behind the window, a copy in shows
+	// only the new bytes.
+	poisoning(t)
+	m.Free()
+	n := NewCluster(seq(100))
+	if !bytes.Equal(n.Bytes(), seq(100)) {
+		t.Fatal("NewCluster window does not hold the copied bytes")
+	}
+	n.Free()
+}
+
+func TestSharedClusterReturnedByLastFree(t *testing.T) {
+	poisoning(t)
+	m := NewCluster(seq(4000))
+	storage := m.cl.data
+	c := CopyRange(m, 1000, 2000)
+	tail := CopyRange(c, 500, 100)
+	m.Free()
+	c.Free()
+	if !bytes.Equal(tail.Bytes(), seq(4000)[1500:1600]) {
+		t.Fatal("the cluster went back to the free list while a copy still referenced it")
+	}
+	tail.Free()
+	if !allPoison(storage) {
+		t.Fatal("the last Free did not return the cluster")
+	}
+}
+
+func TestAdoptedBufferNeverPooled(t *testing.T) {
+	poisoning(t)
+	buf := seq(int(MCLBYTES)) // cluster-sized, so only ownership keeps it out
+	m := AdoptCluster(buf, 64, 1000)
+	c := CopyRange(m, 0, 10)
+	m.Free()
+	c.Free()
+	if !bytes.Equal(buf, seq(int(MCLBYTES))) {
+		t.Fatal("a buffer adopted from a driver was released to the cluster free list")
+	}
+}
+
+// A freed cluster mbuf has given its reference up. Before, a second Free on
+// one holder of a shared cluster silently dropped the other holder's
+// reference, and Bytes() kept reading storage that was no longer its own.
+func TestFreedClusterMbufIsDead(t *testing.T) {
+	panics := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	m := NewCluster(seq(4000))
+	c := CopyRange(m, 0, 4000)
+	m.Free()
+	panics("second Free of a shared cluster", func() { m.Free() })
+	panics("Bytes() after Free", func() { _ = m.Bytes() })
+	if c.cl.refs != 1 || !bytes.Equal(c.Bytes(), seq(4000)) {
+		t.Fatalf("surviving holder: refs %d", c.cl.refs)
+	}
+	c.Free()
+	panics("second Free of the last holder", func() { c.Free() })
+}
+
 func TestWCABRefCounting(t *testing.T) {
 	freed := false
 	w := &WCAB{Valid: 100, FreeFn: func() { freed = true }}

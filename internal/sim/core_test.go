@@ -215,6 +215,36 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			t.Fatalf("resource queue reached %d, want contention", queued)
 		}
 	})
+	t.Run("Resource.AcquireFunc", func(t *testing.T) {
+		e := NewEngine(1)
+		defer e.KillAll()
+		r := NewResource(e, 1)
+		e.Go("contender", func(p *Proc) {
+			for {
+				r.Acquire(p, 0)
+				p.Sleep(3)
+				r.Release()
+				p.Sleep(1)
+			}
+		})
+		grants := 0
+		var ask, granted func()
+		ask = func() {
+			if r.AcquireFunc(1, granted) {
+				granted()
+			}
+		}
+		granted = func() {
+			grants++
+			r.Release()
+			e.After(2, ask)
+		}
+		ask()
+		zeroAllocs(t, func() { e.Step() })
+		if grants == 0 {
+			t.Fatal("the continuation never got the resource")
+		}
+	})
 }
 
 // The reference the event heap is checked against: the container/heap

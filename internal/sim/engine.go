@@ -4,7 +4,9 @@
 // (time, sequence) order. On top of raw events it offers blocking
 // *processes* (coroutines the event loop resumes and that hand control
 // back when they block, in the style of SimPy), counting semaphore
-// *resources* with priorities, condition *signals*, and FIFO *queues*. All
+// *resources* with priorities (a process waits for one by parking, a
+// callback chain on the event loop by AcquireFunc), condition *signals*,
+// and FIFO *queues*. All
 // scheduling is deterministic: ties are broken by insertion order and the
 // only source of randomness is an explicitly seeded generator.
 //
@@ -32,7 +34,7 @@ type Kind uint8
 // Event kinds. The order is part of the exported counter layout.
 const (
 	KindGeneric Kind = iota // untagged events
-	KindProc                // process wakeups (Sleep, Yield, handoffs)
+	KindProc                // process wake-ups and CPU grants to continuations
 	KindTimer               // protocol timers and retry pumps
 	KindWire                // network propagation and arrival
 	KindDMA                 // adaptor DMA completions

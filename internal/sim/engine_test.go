@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/units"
@@ -304,6 +305,115 @@ func TestTryAcquire(t *testing.T) {
 	r.Release()
 	if !r.TryAcquire() {
 		t.Fatal("TryAcquire after release should succeed")
+	}
+}
+
+func TestAcquireFuncTakesFreeUnit(t *testing.T) {
+	e := NewEngine(1)
+	r := NewResource(e, 1)
+	ran := false
+	if !r.AcquireFunc(3, func() { ran = true }) {
+		t.Fatal("AcquireFunc on a free resource should take the unit")
+	}
+	if r.InUse() != 1 || r.QueueLen() != 0 || e.Pending() != 0 {
+		t.Fatalf("inUse %d, queued %d, pending %d; want 1, 0, 0", r.InUse(), r.QueueLen(), e.Pending())
+	}
+	e.Run()
+	if ran {
+		t.Fatal("the continuation of an immediate take must not be scheduled: the caller goes on itself")
+	}
+	r.Release()
+	if r.InUse() != 0 {
+		t.Fatalf("inUse %d after release", r.InUse())
+	}
+}
+
+// Processes and continuations wait in one queue: priority first, then
+// arrival, whatever the waiter is.
+func TestAcquireFuncQueuesWithProcs(t *testing.T) {
+	e := NewEngine(1)
+	r := NewResource(e, 1)
+	var order []string
+	proc := func(name string, prio int) {
+		e.Go(name, func(p *Proc) {
+			r.Acquire(p, prio)
+			order = append(order, name)
+			p.Sleep(10)
+			r.Release()
+		})
+	}
+	cont := func(name string, prio int) {
+		var granted func()
+		granted = func() {
+			order = append(order, name)
+			e.After(10, r.Release)
+		}
+		if r.AcquireFunc(prio, granted) {
+			granted()
+		}
+	}
+	proc("first", 5)
+	e.At(1, func() { proc("procA", 5) })
+	e.At(2, func() { cont("contB", 5) })
+	e.At(3, func() { cont("contC", 1) })
+	e.At(4, func() { proc("procD", 5) })
+	e.At(5, func() { cont("contE", 1) })
+	e.At(6, func() { proc("procF", 1) })
+	e.Run()
+	want := []string{"first", "contC", "contE", "procF", "procA", "contB", "procD"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if r.InUse() != 0 || r.QueueLen() != 0 {
+		t.Fatalf("inUse %d, queued %d at the end", r.InUse(), r.QueueLen())
+	}
+}
+
+// kindLog records what the engine is told to schedule.
+type kindLog struct{ scheduled []Kind }
+
+func (l *kindLog) Scheduled(k Kind, pending int) { l.scheduled = append(l.scheduled, k) }
+func (l *kindLog) Dispatched(Kind, int)          {}
+
+// A grant is an event, not a call: Release returns before the continuation
+// runs, the continuation runs at the same instant as a KindProc event, and
+// it runs after whatever was already scheduled for that instant — the slot
+// a parked process's wake-up would have had.
+func TestAcquireFuncGrantIsAProcEvent(t *testing.T) {
+	e := NewEngine(1)
+	r := NewResource(e, 1)
+	var order []string
+	var grantedAt units.Time = -1
+	if !r.TryAcquire() {
+		t.Fatal("resource should be free")
+	}
+	if r.AcquireFunc(0, func() {
+		order = append(order, "granted")
+		grantedAt = e.Now()
+	}) {
+		t.Fatal("AcquireFunc on a held resource should queue")
+	}
+	log := &kindLog{}
+	e.At(50, func() {
+		e.After(0, func() { order = append(order, "earlier") })
+		e.SetMonitor(log)
+		r.Release()
+		e.SetMonitor(nil)
+		order = append(order, "released")
+		if r.InUse() != 1 {
+			t.Errorf("inUse %d right after the grant, want the unit passed on", r.InUse())
+		}
+		e.After(0, func() { order = append(order, "later") })
+	})
+	e.Run()
+	if want := "[released earlier granted later]"; fmt.Sprint(order) != want {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if grantedAt != 50 {
+		t.Fatalf("granted at %v, want 50", grantedAt)
+	}
+	if len(log.scheduled) != 1 || log.scheduled[0] != KindProc {
+		t.Fatalf("Release scheduled %v, want one KindProc event", log.scheduled)
 	}
 }
 

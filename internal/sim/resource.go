@@ -12,8 +12,11 @@ type Resource struct {
 	queue    []resWaiter // ordered by (prio, seq); the backing array is reused
 }
 
+// resWaiter is one queued request: a parked process (p) or a continuation
+// (fn) to schedule when the unit is granted.
 type resWaiter struct {
 	p    *Proc
+	fn   func()
 	prio int
 	seq  int64
 }
@@ -39,6 +42,23 @@ func (r *Resource) Acquire(p *Proc, prio int) {
 	// The releaser incremented inUse on our behalf before waking us.
 }
 
+// AcquireFunc is Acquire for a continuation running on the event loop,
+// which cannot park. If a unit is free it is taken and AcquireFunc reports
+// true: the caller goes on at once, as a process would. Otherwise the
+// request queues in the same (prio, seq) order as Acquire's and reports
+// false; Release then grants the unit by scheduling fn as a KindProc event
+// at the current time — the event that would have woken a parked process —
+// so which work runs first at that instant does not depend on whether the
+// waiter is a process or a continuation.
+func (r *Resource) AcquireFunc(prio int, fn func()) bool {
+	if r.TryAcquire() {
+		return true
+	}
+	r.seq++
+	r.insert(resWaiter{fn: fn, prio: prio, seq: r.seq})
+	return false
+}
+
 // TryAcquire acquires a unit without blocking; it reports success.
 func (r *Resource) TryAcquire() bool {
 	if r.inUse < r.capacity && len(r.queue) == 0 {
@@ -55,19 +75,23 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 	if len(r.queue) > 0 && r.inUse < r.capacity {
-		p := r.queue[0].p
+		w := r.queue[0]
 		n := copy(r.queue, r.queue[1:])
 		r.queue[n] = resWaiter{}
 		r.queue = r.queue[:n]
 		r.inUse++
-		p.wake()
+		if w.p != nil {
+			w.p.wake()
+		} else {
+			r.eng.schedule(event{at: r.eng.now, kind: KindProc, fn: w.fn})
+		}
 	}
 }
 
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes waiting.
+// QueueLen returns the number of waiters (processes and continuations).
 func (r *Resource) QueueLen() int { return len(r.queue) }
 
 // insert places w in the queue ordered by (prio, seq).

@@ -280,9 +280,8 @@ func (s *Socket) writeCopy(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, e
 				n = mbuf.MCLBYTES
 			}
 			s.K.WaitAlloc(ctx.P)
-			tmp := make([]byte, n)
-			ctx.CopyFromUIO(u, sent+off, n, tmp, total)
-			cl := mbuf.NewCluster(tmp)
+			cl := mbuf.AllocCluster(n)
+			ctx.CopyFromUIO(u, sent+off, n, cl.Bytes(), total)
 			if head == nil {
 				head = cl
 			} else {

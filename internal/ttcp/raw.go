@@ -133,8 +133,8 @@ func RunRaw(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 	})
 
 	if pr.WithUtil {
-		ss.startUtil(tb)
-		rs.startUtil(tb)
+		ss.startUtil()
+		rs.startUtil()
 	}
 	if pr.WithBackground {
 		ss.startBackground(tb)

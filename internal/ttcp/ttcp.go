@@ -101,12 +101,8 @@ type side struct {
 
 // startUtil runs the compute-bound low-priority soaker in quantum-sized
 // slices so higher-priority work preempts it.
-func (s *side) startUtil(tb *core.Testbed) {
-	tb.Eng.Go(s.h.Name+"/util", func(p *sim.Proc) {
-		for !s.stop {
-			s.h.K.Work(p, s.utilTask, s.h.K.Quantum, kern.CatApp, false)
-		}
-	})
+func (s *side) startUtil() {
+	s.h.K.Soak(s.utilTask, kern.CatApp, func() bool { return s.stop })
 }
 
 // startBackground runs the daemons responsible for the paper's 7-8% of
@@ -254,8 +250,8 @@ func Run(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 	})
 
 	if pr.WithUtil {
-		ss.startUtil(tb)
-		rs.startUtil(tb)
+		ss.startUtil()
+		rs.startUtil()
 	}
 	if pr.WithBackground {
 		ss.startBackground(tb)

@@ -85,8 +85,8 @@ func RunUDP(tb *core.Testbed, snd, rcv *core.Host, pr Params) UDPResult {
 	})
 
 	if pr.WithUtil {
-		ss.startUtil(tb)
-		rs.startUtil(tb)
+		ss.startUtil()
+		rs.startUtil()
 	}
 	if pr.WithBackground {
 		ss.startBackground(tb)
