@@ -1,8 +1,13 @@
 package repro_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -31,5 +36,64 @@ func TestWorkflowRunsCITargets(t *testing.T) {
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("workflow steps %v\n   != ci: targets %v", got, want)
+	}
+}
+
+// TestOnePacketRecorderHandle keeps the data path's carriers at one
+// per-packet recorder handle, the obs.Span: mbuf and tcpip do not import
+// the ledger at all, and no struct in them, hippi or cab holds a ledger
+// type other than the per-host *ledger.Hook. A second handle threaded
+// beside the span would have to break this test first.
+func TestOnePacketRecorderHandle(t *testing.T) {
+	const ledgerPath = "repro/internal/obs/ledger"
+	noImport := map[string]bool{"internal/mbuf": true, "internal/tcpip": true}
+	for _, dir := range []string{"internal/mbuf", "internal/tcpip", "internal/hippi", "internal/cab"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			local := ""
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == ledgerPath {
+					local = "ledger"
+					if imp.Name != nil {
+						local = imp.Name.Name
+					}
+				}
+			}
+			if local == "" {
+				continue
+			}
+			if noImport[dir] {
+				t.Errorf("%s imports %s: the packet's span is its only recorder handle", path, ledgerPath)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					ast.Inspect(field.Type, func(n ast.Node) bool {
+						sel, ok := n.(*ast.SelectorExpr)
+						if ok && sel.Sel.Name != "Hook" {
+							if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+								t.Errorf("%s: struct field of type %s.%s: carry the packet's obs.Span instead",
+									path, local, sel.Sel.Name)
+							}
+						}
+						return true
+					})
+				}
+				return true
+			})
+		}
 	}
 }

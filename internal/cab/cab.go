@@ -77,11 +77,8 @@ type RxEvent struct {
 	// soon as the packet is (Section 2.1).
 	BodySum uint32
 	// Span is the sender's data-path span carried across the wire (nil
-	// when telemetry is disabled).
+	// when telemetry and the ledger are disabled).
 	Span *obs.Span
-	// Prov is the sender's data-touch provenance carried across the wire
-	// (nil when the ledger is disabled).
-	Prov *ledger.Prov
 }
 
 // Stats counts adaptor activity.

@@ -227,7 +227,7 @@ func TestMediaTransmitAndReceive(t *testing.T) {
 
 	pk, _ := a.AllocPacket(units.Size(len(data)))
 	a.SDMA(&SDMAReq{Dir: ToCAB, Pkt: pk, Gather: [][]byte{data},
-		Done: func(*SDMAReq) { a.MDMATx(pk, 2, nil, nil, nil) }})
+		Done: func(*SDMAReq) { a.MDMATx(pk, 2, nil, nil) }})
 	e.Run()
 
 	if ev == nil {
@@ -266,7 +266,7 @@ func TestSmallPacketFitsAutoDMA(t *testing.T) {
 	data := make([]byte, 300) // < AutoDMALen
 	pk, _ := a.AllocPacket(300)
 	a.SDMA(&SDMAReq{Dir: ToCAB, Pkt: pk, Gather: [][]byte{data},
-		Done: func(*SDMAReq) { a.MDMATx(pk, 2, nil, nil, nil) }})
+		Done: func(*SDMAReq) { a.MDMATx(pk, 2, nil, nil) }})
 	e.Run()
 	if ev == nil || ev.HdrLen != 300 {
 		t.Fatalf("small packet auto-DMA: %+v", ev)
@@ -280,7 +280,7 @@ func TestRxDropNoBuf(t *testing.T) {
 	b.OnRx = func(*RxEvent) { got++ }
 	pk, _ := a.AllocPacket(1000)
 	a.SDMA(&SDMAReq{Dir: ToCAB, Pkt: pk, Gather: [][]byte{make([]byte, 1000)},
-		Done: func(*SDMAReq) { a.MDMATx(pk, 2, nil, nil, nil) }})
+		Done: func(*SDMAReq) { a.MDMATx(pk, 2, nil, nil) }})
 	e.Run()
 	if got != 0 || b.Stats.DropNoBuf != 1 {
 		t.Fatalf("got=%d dropNoBuf=%d, want 0/1", got, b.Stats.DropNoBuf)
@@ -306,7 +306,7 @@ func TestLogicalChannelRoundRobin(t *testing.T) {
 		for id := hippi.NodeID(2); id <= 4; id++ {
 			pk, _ := a.AllocPacket(1000)
 			a.SDMA(&SDMAReq{Dir: ToCAB, Pkt: pk, Gather: [][]byte{make([]byte, 1000)}})
-			a.MDMATx(pk, id, nil, nil, nil)
+			a.MDMATx(pk, id, nil, nil)
 		}
 	}
 	e.Run()
@@ -367,7 +367,7 @@ func TestPacketBufferRecycled(t *testing.T) {
 	b.ProvideRxBuf(make([]byte, b.Cfg.AutoDMALen))
 	var ev *RxEvent
 	b.OnRx = func(e *RxEvent) { ev = e }
-	a.MDMATx(pk2, 2, nil, nil, nil)
+	a.MDMATx(pk2, 2, nil, nil)
 	e.Run()
 	if ev == nil || !bytes.Equal(ev.Pkt.Bytes(), pk2.Bytes()) {
 		t.Fatal("receive mismatch")

@@ -14,7 +14,6 @@ type txEntry struct {
 	pkt  *Packet
 	dst  hippi.NodeID
 	span *obs.Span
-	prov *ledger.Prov
 	done func()
 }
 
@@ -22,10 +21,10 @@ type txEntry struct {
 // channel for that destination. done (optional) runs in hardware context
 // once the frame has fully left the adaptor. The packet is NOT freed: for
 // TCP it stays in network memory as retransmit data until the host frees
-// it (on acknowledgement). span (nil when telemetry is disabled) rides the
-// frame so the receiver continues the packet's data-path span; prov (nil
-// when the ledger is disabled) does the same for data-touch attribution.
-func (c *CAB) MDMATx(pk *Packet, dst hippi.NodeID, span *obs.Span, prov *ledger.Prov, done func()) {
+// it (on acknowledgement). span (nil when telemetry and the ledger are
+// disabled) rides the frame so the receiver continues the packet's
+// data-path span and attributes its data touches.
+func (c *CAB) MDMATx(pk *Packet, dst hippi.NodeID, span *obs.Span, done func()) {
 	if pk.zapped {
 		// Firmware reset wiped the packet between the host's decision to
 		// transmit and this posting; the frame is never sent.
@@ -36,7 +35,7 @@ func (c *CAB) MDMATx(pk *Packet, dst hippi.NodeID, span *obs.Span, prov *ledger.
 		panic("cab: MDMATx on freed packet")
 	}
 	ch := int(dst) % len(c.channels)
-	c.channels[ch].Put(&txEntry{pkt: pk, dst: dst, span: span, prov: prov, done: done})
+	c.channels[ch].Put(&txEntry{pkt: pk, dst: dst, span: span, done: done})
 	c.txPend.Signal()
 }
 
@@ -76,9 +75,9 @@ func (c *CAB) mdmaTxProc(p *sim.Proc) {
 		// is the frame's own: the receiving adaptor keeps it.
 		data := c.net.Bufs.Get(int(e.pkt.Len()))
 		copy(data, e.pkt.buf)
-		c.Led.TouchP(e.prov, 0, e.pkt.Len(), ledger.MDMATx, "mdma", 0)
+		c.Led.TouchP(e.span, 0, e.pkt.Len(), ledger.MDMATx, "mdma", 0)
 		sent := sim.NewSignal(c.eng)
-		c.net.SendFrame(hippi.Frame{Src: c.nodeID, Dst: e.dst, Data: data, Span: e.span, Prov: e.prov, Flow: e.pkt.flow},
+		c.net.SendFrame(hippi.Frame{Src: c.nodeID, Dst: e.dst, Data: data, Span: e.span, Flow: e.pkt.flow},
 			func() { sent.Broadcast() })
 		sent.Wait(p)
 		e.span.CritEv(obs.CauseWire, "mdma_xmit")
@@ -132,7 +131,7 @@ type heldRx struct {
 func (c *CAB) rxFrame(f hippi.Frame) {
 	f.Span.EnterOn(obs.StageMDMA, c.Host)
 	f.Span.CritEv(obs.CauseWire, "wire_rx")
-	c.Led.TouchP(f.Prov, 0, units.Size(len(f.Data)), ledger.MDMARx, "mdma", 0)
+	c.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.MDMARx, "mdma", 0)
 	if c.Arb != nil {
 		c.rxFrameArb(f)
 		return
@@ -296,21 +295,19 @@ func (c *CAB) tryRx(f hippi.Frame) bool {
 		l = n
 	}
 	span := f.Span
-	prov := f.Prov
 	c.SDMA(&SDMAReq{
 		Dir:     ToHost,
 		Pkt:     pk,
 		PktOff:  0,
 		Scatter: [][]byte{buf[:l]},
-		Prov:    prov,
-		AutoDMA: true,
 		Span:    span,
 		Done: func(*SDMAReq) {
+			c.Led.TouchP(span, 0, l, ledger.SDMAToHost, "sdma", ledger.FlagAutoDMA)
 			if c.OnRx == nil {
 				pk.Free()
 				return
 			}
-			c.OnRx(&RxEvent{Pkt: pk, Buf: buf, HdrLen: l, Len: n, BodySum: bodySum, Span: span, Prov: prov})
+			c.OnRx(&RxEvent{Pkt: pk, Buf: buf, HdrLen: l, Len: n, BodySum: bodySum, Span: span})
 		},
 	})
 	return true
@@ -336,13 +333,12 @@ func (c *CAB) rxDeliverDirect(f hippi.Frame) {
 	c.Stats.RxPackets++
 	c.Stats.RxHdrDeliveries++
 	span := f.Span
-	prov := f.Prov
 	c.eng.AfterKind(c.Mach.DMATime(n), sim.KindDMA, func() {
-		c.Led.TouchP(prov, 0, n, ledger.SDMAToHost, "sdma", ledger.FlagAutoDMA)
+		c.Led.TouchP(span, 0, n, ledger.SDMAToHost, "sdma", ledger.FlagAutoDMA)
 		span.CritEv(obs.CauseDMA, "auto_dma")
 		if c.OnRx == nil {
 			return
 		}
-		c.OnRx(&RxEvent{Pkt: nil, Buf: buf, HdrLen: n, Len: n, BodySum: bodySum, Span: span, Prov: prov})
+		c.OnRx(&RxEvent{Pkt: nil, Buf: buf, HdrLen: n, Len: n, BodySum: bodySum, Span: span})
 	})
 }

@@ -60,14 +60,12 @@ type SDMAReq struct {
 	// already-wiped packet). Exactly one of Done/Fail fires per request.
 	Fail func(*SDMAReq)
 
-	// Prov attributes the transfer's data touches in the ledger (nil when
-	// the ledger is off); AutoDMA marks a ToHost transfer as the adaptor's
-	// automatic head delivery rather than a host-requested copy-out.
-	Prov    *ledger.Prov
-	AutoDMA bool
-
-	// Span, when set, receives the transfer's critical-path events
-	// (engine-queue wait, then DMA occupancy) on the packet's causal chain.
+	// Span, when set, attributes a ToCAB transfer's data touch in the
+	// ledger and receives the transfer's critical-path events (engine-queue
+	// wait, then DMA occupancy) on the packet's causal chain. A ToHost
+	// transfer's touch is its requester's to record, in Done: only the
+	// requester knows whether the bytes are the adaptor's automatic head
+	// delivery or a host copy-out.
 	Span *obs.Span
 
 	// retries counts consecutive failed attempts under fault injection.
@@ -147,15 +145,10 @@ func (c *CAB) sdmaProc(p *sim.Proc) {
 				if req.Csum {
 					fl = ledger.FlagCsumFlight
 				}
-				c.Led.TouchP(req.Prov, 0, req.Pkt.Len(), ledger.SDMAToNet, "sdma", fl)
+				c.Led.TouchP(req.Span, 0, req.Pkt.Len(), ledger.SDMAToNet, "sdma", fl)
 			}
 		case ToHost:
 			c.performToHost(req)
-			var fl ledger.Flags
-			if req.AutoDMA {
-				fl = ledger.FlagAutoDMA
-			}
-			c.Led.TouchP(req.Prov, req.PktOff, n, ledger.SDMAToHost, "sdma", fl)
 		}
 		req.Span.CritEv(obs.CauseDMA, "sdma_done")
 		if req.Done != nil {

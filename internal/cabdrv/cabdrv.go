@@ -302,13 +302,13 @@ func (d *Driver) sendSingleCopy(p *sim.Proc, job *txJob) {
 			d.Stats.TxFallbackReads++
 			b := make([]byte, cur.Len())
 			copy(b, w.ReadFn(cur.Off(), cur.Len()))
-			d.K.Led.TouchP(m.Prov(), pkOff, cur.Len(), ledger.CPUCopy, "cabdrv", 0)
+			d.K.Led.TouchP(m.Span(), pkOff, cur.Len(), ledger.CPUCopy, "cabdrv", 0)
 			gather = append(gather, b)
 		}
 		pkOff += cur.Len()
 	}
 
-	req := &cab.SDMAReq{Dir: cab.ToCAB, Pkt: pk, Gather: gather, Prov: m.Prov(), Span: m.Span()}
+	req := &cab.SDMAReq{Dir: cab.ToCAB, Pkt: pk, Gather: gather, Span: m.Span()}
 	if hdrH != nil && hdrH.NeedCsum {
 		req.Csum = true
 		req.CsumOff = wire.LinkHdrLen + wire.IPHdrLen + hdrH.CsumOff
@@ -339,7 +339,7 @@ func (d *Driver) txSDMADone(job *txJob, pk *cab.Packet, hdrH *mbuf.Hdr) {
 	}
 	sp := job.m.Span()
 	sp.Enter(obs.StageWire)
-	d.C.MDMATx(pk, hippi.NodeID(job.dst), sp, job.m.Prov(), mdmaDone)
+	d.C.MDMATx(pk, hippi.NodeID(job.dst), sp, mdmaDone)
 
 	m := job.m
 	d.completeTx(func(ctx kern.Ctx) {
@@ -487,7 +487,6 @@ func (d *Driver) sendOverlay(job *txJob, op *outPkt, prefixLen units.Size) {
 		Dir: cab.ToCAB, Pkt: op.pk,
 		Gather:     [][]byte{lh, hb},
 		HeaderOnly: true,
-		Prov:       m.Prov(),
 		Span:       m.Span(),
 	}
 	if hdrH != nil && hdrH.NeedCsum {
@@ -500,7 +499,7 @@ func (d *Driver) sendOverlay(job *txJob, op *outPkt, prefixLen units.Size) {
 		d.Stats.TxPackets++
 		sp := m.Span()
 		sp.Enter(obs.StageWire)
-		d.C.MDMATx(op.pk, hippi.NodeID(job.dst), sp, m.Prov(), nil)
+		d.C.MDMATx(op.pk, hippi.NodeID(job.dst), sp, nil)
 		d.completeTx(func(kern.Ctx) { mbuf.FreeChain(m) })
 	}
 	req.Fail = func(*cab.SDMAReq) {
@@ -569,12 +568,12 @@ func (d *Driver) sendLegacy(p *sim.Proc, job *txJob) {
 	d.pendingTxSDMA++
 	m.Span().Enter(obs.StageSDMA)
 	d.C.SDMA(&cab.SDMAReq{
-		Dir: cab.ToCAB, Pkt: pk, Gather: gather, Prov: m.Prov(), Span: m.Span(),
+		Dir: cab.ToCAB, Pkt: pk, Gather: gather, Span: m.Span(),
 		Done: func(*cab.SDMAReq) {
 			d.Stats.TxPackets++
 			sp := m.Span()
 			sp.Enter(obs.StageWire)
-			d.C.MDMATx(pk, hippi.NodeID(job.dst), sp, m.Prov(), func() { pk.Free() })
+			d.C.MDMATx(pk, hippi.NodeID(job.dst), sp, func() { pk.Free() })
 			d.completeTx(func(kern.Ctx) { mbuf.FreeChain(m) })
 		},
 		Fail: func(*cab.SDMAReq) {

@@ -5,6 +5,7 @@ import (
 	"repro/internal/kern"
 	"repro/internal/mbuf"
 	"repro/internal/obs"
+	"repro/internal/obs/ledger"
 	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/wire"
@@ -54,7 +55,7 @@ func (d *Driver) rxIntr(ctx kern.Ctx, ev *cab.RxEvent) {
 		d.Stats.RxSmall++
 		m := mbuf.AdoptCluster(ev.Buf, wire.LinkHdrLen, pktLen-wire.LinkHdrLen)
 		m.MarkPktHdr(pktLen - wire.LinkHdrLen)
-		m.SetHdr(&mbuf.Hdr{HWRxValid: true, HWRxSum: ev.BodySum, Span: ev.Span, Prov: ev.Prov})
+		m.SetHdr(&mbuf.Hdr{HWRxValid: true, HWRxSum: ev.BodySum, Span: ev.Span})
 		if ev.Pkt != nil {
 			ev.Pkt.Free()
 		}
@@ -76,20 +77,24 @@ func (d *Driver) rxIntr(ctx kern.Ctx, ev *cab.RxEvent) {
 		FreeFn: func() { pk.Free() },
 		Dead:   func() bool { return pk.Zapped() },
 	}
+	// The copy-out carries no span: the socket's read_dma causal event
+	// covers it, so it records no sdma_start/sdma_done of its own.
 	w.CopyOut = func(off, n units.Size, dst [][]byte, done func(error)) {
 		d.C.SDMA(&cab.SDMAReq{
 			Dir: cab.ToHost, Pkt: pk,
 			PktOff:  base + off,
 			Scatter: dst,
-			Prov:    ev.Prov,
-			Done:    func(*cab.SDMAReq) { done(nil) },
-			Fail:    func(*cab.SDMAReq) { done(ErrReset) },
+			Done: func(*cab.SDMAReq) {
+				d.C.Led.TouchP(ev.Span, base+off, n, ledger.SDMAToHost, "sdma", 0)
+				done(nil)
+			},
+			Fail: func(*cab.SDMAReq) { done(ErrReset) },
 		})
 	}
 
 	head := mbuf.AdoptCluster(ev.Buf, wire.LinkHdrLen, ev.HdrLen-wire.LinkHdrLen)
 	head.MarkPktHdr(pktLen - wire.LinkHdrLen)
-	head.SetHdr(&mbuf.Hdr{HWRxValid: true, HWRxSum: ev.BodySum, Span: ev.Span, Prov: ev.Prov})
+	head.SetHdr(&mbuf.Hdr{HWRxValid: true, HWRxSum: ev.BodySum, Span: ev.Span})
 	head.SetNext(mbuf.NewWCAB(w, 0, pktLen-base, nil))
 	d.Input(ctx, head, d)
 }
@@ -101,7 +106,6 @@ func (d *Driver) rxLegacy(ctx kern.Ctx, ev *cab.RxEvent, pktLen units.Size) {
 	head := mbuf.AdoptCluster(ev.Buf, wire.LinkHdrLen, minSize(pktLen, ev.HdrLen)-wire.LinkHdrLen)
 	head.MarkPktHdr(pktLen - wire.LinkHdrLen)
 	head.AttachSpan(ev.Span)
-	head.AttachProv(ev.Prov)
 	if pktLen <= ev.HdrLen {
 		if ev.Pkt != nil {
 			ev.Pkt.Free()
@@ -125,9 +129,9 @@ func (d *Driver) rxLegacy(ctx kern.Ctx, ev *cab.RxEvent, pktLen units.Size) {
 		Dir: cab.ToHost, Pkt: pk,
 		PktOff:  ev.HdrLen,
 		Scatter: scatter,
-		Prov:    ev.Prov,
 		Span:    ev.Span,
 		Done: func(*cab.SDMAReq) {
+			d.C.Led.TouchP(ev.Span, ev.HdrLen, rest, ledger.SDMAToHost, "sdma", 0)
 			pk.Free()
 			d.K.PostIntr("cab-rx-dma", func(p *sim.Proc) {
 				d.Input(d.K.IntrCtx(p).In("cabdrv_rx"), head, d)

@@ -90,13 +90,16 @@ func (d *Driver) txd(p *sim.Proc) {
 			Type: wire.EtherTypeIP, Len: uint32(len(frame)),
 		}.Marshal(frame)
 		mbuf.ReadRange(job.m, 0, ipLen, frame[wire.LinkHdrLen:])
-		prov := job.m.Prov()
+		// The frame leaves the CAB data path: its span goes on for the
+		// ledger only (see obs.Span.DropTrace).
+		sp := job.m.Span()
+		sp.DropTrace()
 		mbuf.FreeChain(job.m)
 		// Device DMA from kernel buffers occupies the bus.
 		p.Sleep(d.K.Mach.DMATime(units.Size(len(frame))))
-		d.K.Led.TouchP(prov, 0, units.Size(len(frame)), ledger.SDMAToNet, "ethdev", 0)
+		d.K.Led.TouchP(sp, 0, units.Size(len(frame)), ledger.SDMAToNet, "ethdev", 0)
 		sent := sim.NewSignal(d.K.Eng)
-		d.net.SendFrame(hippi.Frame{Src: d.id, Dst: hippi.NodeID(job.dst), Data: frame, Prov: prov},
+		d.net.SendFrame(hippi.Frame{Src: d.id, Dst: hippi.NodeID(job.dst), Data: frame, Span: sp},
 			func() { sent.Broadcast() })
 		sent.Wait(p)
 		d.TxPackets++
@@ -141,8 +144,9 @@ func (d *Driver) hwRx(f hippi.Frame) {
 		}
 		head.MarkPktHdr(units.Size(len(payload)))
 		// The device DMAed the frame into the kernel buffers just built.
-		d.K.Led.TouchP(f.Prov, 0, units.Size(len(f.Data)), ledger.SDMAToHost, "ethdev", 0)
-		head.AttachProv(f.Prov)
+		f.Span.DropTrace()
+		d.K.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.SDMAToHost, "ethdev", 0)
+		head.AttachSpan(f.Span)
 		d.Input(ctx, head, d)
 	})
 }

@@ -217,7 +217,7 @@ func (n *Network) hop(f *Frame, txTime units.Time, sw, dstSw SwitchID, extra uni
 	n.nobs.Trunk(trunkPortBase+2*t.id+dir, trunkPortName(t.name, dir),
 		len(f.Data), stall, start, end)
 	n.eng.AtKind(end, sim.KindWire, func() {
-		n.Led.TouchP(f.Prov, 0, units.Size(len(f.Data)), ledger.WireTransit, "wire", 0)
+		n.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.WireTransit, "wire", 0)
 		if next == dstSw {
 			n.deliverAt(f, txTime, extra)
 		} else {

@@ -23,8 +23,10 @@ const LineRate = 100 * units.MBytePerSec
 // NodeID identifies a host port on the switch.
 type NodeID int
 
-// Frame is one media frame: a fully formed packet. Span, when telemetry is
-// enabled, carries the sender's data-path span across the wire.
+// Frame is one media frame: a fully formed packet. Span, when telemetry or
+// the data-touch ledger is enabled, carries the sender's data-path span
+// across the wire, so the receiver continues it and its touches stay
+// attributed.
 //
 // Ownership of Data moves with the frame. The sender gives it up at
 // SendFrame (a CAB sends a private copy of the packet, never its network
@@ -39,10 +41,6 @@ type Frame struct {
 	Src, Dst NodeID
 	Data     []byte
 	Span     *obs.Span
-	// Prov carries the data-touch provenance across the wire so the
-	// receiving driver's touches stay attributed (nil when the ledger is
-	// off).
-	Prov *ledger.Prov
 	// Flow identifies the transport flow (data sender's local port) so the
 	// receiving CAB's netmem arbiter can account staging pages per flow.
 	// Zero means unattributed.
@@ -259,7 +257,7 @@ func (n *Network) arrive(f *Frame, dp *port, txTime, extra units.Time, fabric bo
 	n.nobs.Rx(int(f.Dst), len(f.Data), rxStall, arriveStart, arriveStart+txTime)
 	n.eng.AtKind(arriveStart+txTime, sim.KindWire, func() {
 		n.Delivered++
-		n.Led.TouchP(f.Prov, 0, units.Size(len(f.Data)), ledger.WireTransit, "wire", 0)
+		n.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.WireTransit, "wire", 0)
 		dp.recv(*f)
 	})
 }

@@ -100,7 +100,7 @@ func TestPoisonedDirectDelivery(t *testing.T) {
 	data := bytes.Repeat([]byte{0x5a}, 300)
 	pk, _ := a.AllocPacket(300)
 	a.SDMA(&cab.SDMAReq{Dir: cab.ToCAB, Pkt: pk, Gather: [][]byte{data},
-		Done: func(*cab.SDMAReq) { a.MDMATx(pk, 2, nil, nil, nil) }})
+		Done: func(*cab.SDMAReq) { a.MDMATx(pk, 2, nil, nil) }})
 	eng.Run()
 
 	if ev == nil || ev.Pkt != nil || b.Stats.RxHdrDeliveries != 1 {

@@ -2,6 +2,7 @@ package kern
 
 import (
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/obs/ledger"
 	"repro/internal/obs/prof"
 	"repro/internal/sim"
@@ -26,20 +27,15 @@ type Ctx struct {
 	node *prof.Node
 	flow int
 
-	// Data-touch ledger attribution (see OnStream/OnStreamProv): when
-	// ledOK is set, the copy/checksum primitives record their byte ranges
-	// against ledFlow, mapping a buffer offset o to stream byte ledBase+o
-	// and clipping to the stream window [ledLo, ledHi). layer is the most
-	// recent In frame, carried even when profiling is off so ledger
-	// records name the layer that touched the bytes.
-	layer   string
-	ledFlow int
-	ledBase units.Size
-	ledLo   units.Size
-	ledHi   units.Size
-	ledRtx  bool
-	ledDesc int64
-	ledOK   bool
+	// Data-touch ledger attribution (see OnStream/OnStreamProv): the
+	// copy/checksum primitives record their byte ranges through seg the
+	// way a device maps a packet through its span's Seg, with buffer
+	// offsets in place of packet offsets. Its zero value (Len 0) counts
+	// every touch as unattributed. layer is the most recent In frame,
+	// carried even when profiling is off so ledger records name the layer
+	// that touched the bytes.
+	layer string
+	seg   obs.Seg
 }
 
 // TaskCtx returns a process-context Ctx for task t running in p.
@@ -101,50 +97,25 @@ func (c Ctx) Charge(d units.Time, cat Category) {
 // stream byte base. Without it (or with the ledger disabled) unmappable
 // touches are counted as unattributed rather than silently lost.
 func (c Ctx) OnStream(flow int, base units.Size) Ctx {
-	c.ledFlow, c.ledBase, c.ledOK = flow, base, true
-	c.ledLo, c.ledHi = 0, units.Size(1)<<62
-	c.ledRtx, c.ledDesc = false, 0
+	c.seg = obs.Seg{Flow: flow, Len: units.Size(1) << 62, PayloadOff: -base}
 	return c
 }
 
-// OnStreamProv is OnStream driven by packet provenance: buffer offset 0
-// maps to stream byte base, records clip to the segment's payload window
-// [p.Off, p.Off+p.Len), and p's retransmit flag and descriptor id carry
+// OnStreamProv is OnStream driven by the segment sp carries: buffer
+// offset 0 maps to stream byte base, records clip to the segment's payload
+// window [Off, Off+Len), and its retransmit flag and descriptor id carry
 // into the records. Used where a primitive's buffer spans more than the
 // payload (e.g. a checksum over transport header + payload).
-func (c Ctx) OnStreamProv(p *ledger.Prov, base units.Size) Ctx {
-	c.ledFlow, c.ledBase, c.ledOK = p.Flow, base, true
-	c.ledLo, c.ledHi = p.Off, p.Off+p.Len
-	c.ledRtx, c.ledDesc = p.Rtx, p.Desc
+func (c Ctx) OnStreamProv(sp *obs.Span, base units.Size) Ctx {
+	c.seg = sp.Seg()
+	c.seg.PayloadOff = c.seg.Off - base
 	return c
 }
 
 // touch records a data touch at buffer offset off, length n, mapped to
 // stream coordinates. Free (one nil check) when the ledger is off.
 func (c Ctx) touch(kind ledger.Kind, off, n units.Size) {
-	led := c.K.Led
-	if led == nil {
-		return
-	}
-	if !c.ledOK {
-		led.Unattributed(kind, n)
-		return
-	}
-	lo, hi := c.ledBase+off, c.ledBase+off+n
-	if lo < c.ledLo {
-		lo = c.ledLo
-	}
-	if hi > c.ledHi {
-		hi = c.ledHi
-	}
-	if hi <= lo {
-		return
-	}
-	var flags ledger.Flags
-	if c.ledRtx {
-		flags = ledger.FlagRtx
-	}
-	led.Touch(c.ledFlow, lo, hi-lo, kind, c.layer, flags, c.ledDesc)
+	c.K.Led.TouchSeg(c.seg, off, n, kind, c.layer, 0)
 }
 
 // CopyBytes copies src to dst charging copy time in this context.

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/obs/ledger"
 	"repro/internal/units"
 )
 
@@ -134,8 +133,11 @@ type Hdr struct {
 	HWRxValid bool
 	HWRxSum   uint32
 
-	// Span, when telemetry is enabled, follows the packet through the
-	// data path (obs.Span); nil otherwise. Drivers hand it across the
+	// Span, when telemetry or the data-touch ledger is enabled, is the
+	// packet's one recorder handle (obs.Span): it follows the packet
+	// through the data path and carries its segment identity (flow, stream
+	// byte range, retransmit flag) so drivers and devices can attribute
+	// their data touches; nil otherwise. Drivers hand it across the
 	// hardware boundary so receive processing continues the same span.
 	Span *obs.Span
 
@@ -146,10 +148,6 @@ type Hdr struct {
 	// causal chain.
 	CritEv int32
 
-	// Prov, when the data-touch ledger is enabled, identifies the stream
-	// byte range this packet carries (flow, offset, retransmit flag) so
-	// drivers and devices can attribute their data touches; nil otherwise.
-	Prov *ledger.Prov
 	// DescID is the sosend descriptor id the data came from (0 when the
 	// ledger is off or the data did not arrive via a descriptor write).
 	DescID int64
@@ -367,26 +365,6 @@ func (m *Mbuf) AttachSpan(sp *obs.Span) {
 		m.hdr = &Hdr{}
 	}
 	m.hdr.Span = sp
-}
-
-// Prov returns the data-touch provenance attached to m's header, or nil.
-func (m *Mbuf) Prov() *ledger.Prov {
-	if m == nil || m.hdr == nil {
-		return nil
-	}
-	return m.hdr.Prov
-}
-
-// AttachProv stores p on m's header, creating an empty header if needed.
-// A nil p is a no-op, so the call is free when the ledger is off.
-func (m *Mbuf) AttachProv(p *ledger.Prov) {
-	if p == nil {
-		return
-	}
-	if m.hdr == nil {
-		m.hdr = &Hdr{}
-	}
-	m.hdr.Prov = p
 }
 
 // CritEv returns the causal writer-event id recorded on m's header (0 when

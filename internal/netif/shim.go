@@ -31,7 +31,8 @@ func ConvertForLegacy(ctx kern.Ctx, m *mbuf.Mbuf) *mbuf.Mbuf {
 	ctx.Charge(ctx.K.Mach.CopyTime(total, total), kern.CatCopy)
 	// The chain is a network-layer packet: its byte 0 sits at the link
 	// header's end in wire coordinates.
-	ctx.K.Led.TouchP(m.Prov(), wire.LinkHdrLen, total, ledger.CPUCopy, "shim", 0)
+	sp := m.Span()
+	ctx.K.Led.TouchP(sp, wire.LinkHdrLen, total, ledger.CPUCopy, "shim", 0)
 
 	// Rebuild as cluster mbufs.
 	var head, tail *mbuf.Mbuf
@@ -51,7 +52,10 @@ func ConvertForLegacy(ctx kern.Ctx, m *mbuf.Mbuf) *mbuf.Mbuf {
 	if m.IsPktHdr() {
 		head.MarkPktHdr(m.PktLen())
 	}
-	head.AttachProv(m.Prov())
+	// The rebuilt packet keeps its span for the ledger but leaves the CAB
+	// data path, whose stages its trace and causal events describe.
+	sp.DropTrace()
+	head.AttachSpan(sp)
 
 	if h := m.Hdr(); h != nil && h.OnConverted != nil {
 		h.OnConverted(head)

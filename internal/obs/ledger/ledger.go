@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/units"
 )
 
@@ -91,27 +92,6 @@ func (f Flags) String() string {
 		s += "R"
 	}
 	return s
-}
-
-// Prov is per-packet provenance: it rides a segment from the sender's TCP
-// output through the driver, SDMA, wire frames, and receive delivery, so
-// every layer can map its packet-relative byte ranges back to stream
-// coordinates. A nil *Prov means the bytes are unattributable (control
-// traffic, UDP), and hooks count them as such.
-type Prov struct {
-	// Flow is the data sender's local port.
-	Flow int
-	// Off is the stream offset of the segment payload's first byte; Len is
-	// the payload length.
-	Off, Len units.Size
-	// PayloadOff is the payload's offset within the full wire packet
-	// (link + IP + transport headers), so packet-relative ranges clip and
-	// translate to stream ranges.
-	PayloadOff units.Size
-	// Desc is the sosend descriptor id the payload came from (0 if none).
-	Desc int64
-	// Rtx marks a retransmitted segment.
-	Rtx bool
 }
 
 // Record is one data-touch interval in stream coordinates.
@@ -221,31 +201,40 @@ func (h *Hook) Touch(flow int, off, n units.Size, kind Kind, layer string, flags
 }
 
 // TouchP records a packet-relative byte range [pktOff, pktOff+n) against
-// prov's flow, clipping to the payload and translating to stream
-// coordinates. Header-only ranges record nothing; a nil prov counts the
-// bytes as unattributed. prov.Rtx folds into the flags.
-func (h *Hook) TouchP(prov *Prov, pktOff, n units.Size, kind Kind, layer string, flags Flags) {
+// the flow of the segment sp carries, clipping to the payload and
+// translating to stream coordinates. Header-only ranges record nothing;
+// bytes on a packet without a payload-carrying span (nil, or a pure-ACK
+// carrier with Len 0) count as unattributed. The segment's Rtx folds into
+// the flags.
+func (h *Hook) TouchP(sp *obs.Span, pktOff, n units.Size, kind Kind, layer string, flags Flags) {
+	if h != nil {
+		h.TouchSeg(sp.Seg(), pktOff, n, kind, layer, flags)
+	}
+}
+
+// TouchSeg is TouchP for a bare segment identity.
+func (h *Hook) TouchSeg(g obs.Seg, pktOff, n units.Size, kind Kind, layer string, flags Flags) {
 	if h == nil || n <= 0 {
 		return
 	}
-	if prov == nil {
+	if g.Len == 0 {
 		h.Unattributed(kind, n)
 		return
 	}
 	lo, hi := pktOff, pktOff+n
-	if lo < prov.PayloadOff {
-		lo = prov.PayloadOff
+	if lo < g.PayloadOff {
+		lo = g.PayloadOff
 	}
-	if end := prov.PayloadOff + prov.Len; hi > end {
+	if end := g.PayloadOff + g.Len; hi > end {
 		hi = end
 	}
 	if hi <= lo {
 		return
 	}
-	if prov.Rtx {
+	if g.Rtx {
 		flags |= FlagRtx
 	}
-	h.Touch(prov.Flow, prov.Off+(lo-prov.PayloadOff), hi-lo, kind, layer, flags, prov.Desc)
+	h.Touch(g.Flow, g.Off+(lo-g.PayloadOff), hi-lo, kind, layer, flags, g.Desc)
 }
 
 // Unattributed counts bytes touched by kind that could not be mapped to a

@@ -2,11 +2,13 @@ package ledger_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/mbuf"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/obs/ledger"
 	"repro/internal/socket"
 	"repro/internal/ttcp"
@@ -19,10 +21,10 @@ import (
 // record, no virtual-time charge.
 func TestDisabledLedgerZeroAlloc(t *testing.T) {
 	var h *ledger.Hook
-	prov := &ledger.Prov{Flow: 1, Off: 0, Len: 100, PayloadOff: 40}
+	sp := seg(obs.Seg{Flow: 1, Off: 0, Len: 100, PayloadOff: 40})
 	if n := testing.AllocsPerRun(1000, func() {
 		h.Touch(1, 0, 100, ledger.CPUCopy, "test", 0, 0)
-		h.TouchP(prov, 40, 60, ledger.SDMAToNet, "test", ledger.FlagCsumFlight)
+		h.TouchP(sp, 40, 60, ledger.SDMAToNet, "test", ledger.FlagCsumFlight)
 		h.TouchP(nil, 0, 100, ledger.MDMATx, "test", 0)
 		h.Unattributed(ledger.CPUCsum, 100)
 		_ = h.NextDesc()
@@ -30,6 +32,81 @@ func TestDisabledLedgerZeroAlloc(t *testing.T) {
 		_ = h.Enabled()
 	}); n != 0 {
 		t.Fatalf("disabled ledger allocated %.1f times per run, want 0", n)
+	}
+}
+
+// seg returns a trace-less span carrying g: the ledger-only handle.
+func seg(g obs.Seg) *obs.Span { return (*obs.Trace)(nil).StartSeg("", 0, g) }
+
+// unattributed returns the ledger's exported unattributed totals.
+func unattributed(t *testing.T, led *ledger.Ledger) []map[string]any {
+	t.Helper()
+	var v struct {
+		Unattributed []map[string]any `json:"unattributed"`
+	}
+	if err := json.Unmarshal(led.JSON(), &v); err != nil {
+		t.Fatal(err)
+	}
+	return v.Unattributed
+}
+
+// TestTouchPZeroAlloc pins the enabled hot path: mapping a packet range
+// through a span — nil, trace-less, or live on a trace — allocates nothing
+// beyond the records it appends.
+func TestTouchPZeroAlloc(t *testing.T) {
+	now := units.Time(0)
+	clock := func() units.Time { return now }
+	h := ledger.New(clock).Hook("A")
+	tr := obs.NewTrace(clock)
+	live := tr.StartSeg("A", 0, obs.Seg{Flow: 1, Len: 100, PayloadOff: 40})
+	dark := seg(obs.Seg{Flow: 1, Len: 100, PayloadOff: 40})
+	if n := testing.AllocsPerRun(1000, func() {
+		h.TouchP(nil, 0, 100, ledger.MDMATx, "test", 0)
+		h.TouchP(live, 0, 40, ledger.MDMATx, "test", 0) // header only
+		h.TouchP(dark, 0, 40, ledger.MDMATx, "test", 0)
+	}); n != 0 {
+		t.Fatalf("TouchP allocated %.1f times per run, want 0", n)
+	}
+}
+
+// TestTouchPClipsAndAttributes pins the span-to-stream mapping: header
+// bytes record nothing, payload bytes translate to stream offsets with the
+// segment's flags and descriptor, a pure-ACK carrier (Len 0) and a missing
+// span both count as unattributed, and a span whose trace was dropped on a
+// legacy path still attributes.
+func TestTouchPClipsAndAttributes(t *testing.T) {
+	now := units.Time(0)
+	clock := func() units.Time { return now }
+	led := ledger.New(clock)
+	h := led.Hook("A")
+	tr := obs.NewTrace(clock)
+	tr.EnableCrit()
+	data := tr.StartSeg("A", 0, obs.Seg{Flow: 9, Off: 1000, Len: 60, PayloadOff: 40, Desc: 5, Rtx: true})
+
+	h.TouchP(data, 0, 40, ledger.SDMAToNet, "sdma", 0) // header only
+	if n := len(led.Records()); n != 0 {
+		t.Fatalf("header-only range recorded %d touches", n)
+	}
+	if u := unattributed(t, led); len(u) != 0 {
+		t.Fatalf("header-only range counted unattributed: %v", u)
+	}
+
+	data.DropTrace()
+	h.TouchP(data, 30, 40, ledger.SDMAToNet, "sdma", ledger.FlagCsumFlight)
+	want := ledger.Record{Flow: 9, Off: 1000, Len: 30, Kind: ledger.SDMAToNet, Layer: "sdma",
+		Host: "A", Flags: ledger.FlagCsumFlight | ledger.FlagRtx, Desc: 5}
+	if got := led.Records(); len(got) != 1 || got[0] != want {
+		t.Fatalf("records = %+v, want [%+v]", got, want)
+	}
+
+	h.TouchP(tr.StartCarrier("A", 9), 0, 54, ledger.MDMATx, "mdma", 0)
+	h.TouchP(nil, 0, 6, ledger.MDMATx, "mdma", 0)
+	if n := len(led.Records()); n != 1 {
+		t.Fatalf("carrier or nil span recorded a touch (%d records)", n)
+	}
+	u := unattributed(t, led)
+	if len(u) != 1 || u[0]["kind"] != ledger.MDMATx.String() || u[0]["events"] != 2.0 || u[0]["bytes"] != 60.0 {
+		t.Fatalf("unattributed = %v, want 2 mdma-tx events of 60 bytes", u)
 	}
 }
 
@@ -80,7 +157,7 @@ func TestCopyRangeRecordsNoTouches(t *testing.T) {
 	chain := mbuf.Cat(
 		mbuf.Cat(mbuf.NewData(make([]byte, 50)), mbuf.NewUIO(u, 0, 300, nil)),
 		mbuf.NewWCAB(w, 0, 200, nil))
-	chain.AttachProv(&ledger.Prov{Flow: 7, Off: 0, Len: 550, PayloadOff: 0})
+	chain.AttachSpan(seg(obs.Seg{Flow: 7, Off: 0, Len: 550, PayloadOff: 0}))
 
 	before := led.JSON()
 	for off := units.Size(0); off < 500; off += 37 {

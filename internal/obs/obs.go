@@ -3,6 +3,13 @@
 // histograms, and packet-scoped data-path spans, with deterministic
 // exporters (human-readable table, JSON, Chrome trace-event JSON).
 //
+// A span is also its packet's one recorder handle: it carries the data
+// segment's identity (Seg: flow, stream byte range, payload offset,
+// descriptor, retransmit flag), which the trace, the causal critical-path
+// recorder and the data-touch ledger (obs/ledger) all read. With the trace
+// off a span still carries its Seg for the ledger, and its stage, latency
+// and causal methods are no-ops.
+//
 // Two properties shape the design:
 //
 //   - Determinism. The simulation is a deterministic discrete-event system,

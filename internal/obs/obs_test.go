@@ -37,7 +37,10 @@ func TestNilSinksAreNoOps(t *testing.T) {
 	if sp != nil {
 		t.Fatal("nil trace returned a live span")
 	}
-	sp.MarkRetransmit()
+	sp.DropTrace()
+	if sp.Seg() != (Seg{}) {
+		t.Fatal("nil span has a segment identity")
+	}
 	sp.Enter(StageSDMA)
 	sp.EnterAt(StageWire, 5)
 	sp.End()
@@ -339,6 +342,66 @@ func TestDroppedSpanLeavesNoLatency(t *testing.T) {
 	if len(st.Stages) != 1 || st.Stages[0].Stage != "wire" {
 		t.Fatalf("stages = %+v, want wire only", st.Stages)
 	}
+}
+
+// TestDropTraceSilencesSpan pins the legacy-path switch: after DropTrace a
+// span's stage, latency and causal methods emit nothing and count toward
+// no statistic, while it keeps the segment identity the ledger reads.
+func TestDropTraceSilencesSpan(t *testing.T) {
+	now := units.Time(0)
+	tel := New(func() units.Time { return now })
+	tel.EnableCritPath()
+	tr := tel.Trace()
+	seg := Seg{Flow: 7, Off: 100, Len: 50, PayloadOff: 40, Desc: 3, Rtx: true}
+	sp := tr.StartSeg("h", 0, seg)
+	sp.Enter(StagePacketize)
+	sp.DropTrace()
+	now = units.Millisecond
+	sp.Enter(StageSDMA) // would close packetize
+	sp.EnterOn(StageMDMA, "g")
+	if id := sp.CritEv(CauseCPU, "x"); id != 0 {
+		t.Fatalf("CritEv after DropTrace = %d, want 0", id)
+	}
+	sp.CritEvJoin(CauseCPU, 0, CauseQueue, "y")
+	sp.End()
+	if st := tr.Stats(); st.Spans != 0 || len(st.Stages) != 0 || st.Latency.Count != 0 {
+		t.Fatalf("silenced span counted: %+v", st)
+	}
+	if n := len(tr.Crit().Events()); n != 0 {
+		t.Fatalf("silenced span recorded %d causal events", n)
+	}
+	var f struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(tel.Chrome(), &f); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.TraceEvents) != 0 {
+		t.Fatalf("silenced span emitted %d trace events", len(f.TraceEvents))
+	}
+	if sp.Seg() != seg {
+		t.Fatalf("Seg() = %+v, want %+v", sp.Seg(), seg)
+	}
+}
+
+// TestTracelessSpanCarriesSeg pins the ledger-only handle: a span started
+// on a nil trace carries its segment and nothing else, so every stage and
+// causal method (End included) is a safe no-op.
+func TestTracelessSpanCarriesSeg(t *testing.T) {
+	var tr *Trace
+	seg := Seg{Flow: 1, Len: 10}
+	sp := tr.StartSeg("h", 5, seg)
+	if sp == nil || sp.Seg() != seg {
+		t.Fatalf("traceless span = %+v, want one carrying %+v", sp, seg)
+	}
+	sp.EnterAt(StageSocket, 5)
+	sp.Enter(StagePacketize)
+	sp.EnterOn(StageMDMA, "g")
+	if sp.CritEv(CauseCPU, "x") != 0 {
+		t.Fatal("traceless span recorded a causal event")
+	}
+	sp.End()
+	sp.End()
 }
 
 func TestFormatRendersTableAndHistogram(t *testing.T) {

@@ -123,10 +123,32 @@ func (t *Trace) Event(pid, tid, name string) {
 	t.emit(chromeEvent{Name: name, Ph: "i", TS: micros(t.now()), PID: pid, TID: tid})
 }
 
+// Seg is the identity of the data segment a span carries. It is the
+// packet's one recorder handle: the trace labels its events with it, the
+// causal recorder its chain, and the data-touch ledger maps packet-relative
+// byte ranges back to stream bytes through it.
+type Seg struct {
+	// Flow is the data sender's local port.
+	Flow int
+	// Off is the stream offset of the payload's first byte; Len is the
+	// payload length (0 for a pure-ACK carrier, whose bytes the ledger
+	// counts as unattributed).
+	Off, Len units.Size
+	// PayloadOff is the payload's offset within the full wire packet
+	// (link + IP + transport headers).
+	PayloadOff units.Size
+	// Desc is the sosend descriptor id the payload came from (0 if none).
+	Desc int64
+	// Rtx marks a retransmitted segment.
+	Rtx bool
+}
+
 // Span follows one packet through the data path. Exactly one stage is open
 // at a time; Enter closes the current stage (emitting its trace event) and
 // opens the next. A nil *Span is a valid no-op, which is how uninstrumented
-// paths (UDP, raw, disabled telemetry) flow through the same code.
+// paths (UDP, raw, disabled recorders) flow through the same code. A span
+// without a trace carries only its Seg: its stage, latency and causal
+// methods are no-ops.
 type Span struct {
 	tr       *Trace
 	id       int64
@@ -135,12 +157,9 @@ type Span struct {
 	cur      Stage
 	curStart units.Time
 	open     bool
-	rtx      bool
 	done     bool
 	silent   bool
-	flow     int
-	desc     int64
-	off, len int64
+	seg      Seg
 	crit     *CritRec
 	critCur  int32
 }
@@ -163,55 +182,58 @@ func (t *Trace) StartSpanAt(host string, at units.Time) *Span {
 	return &Span{tr: t, id: t.nextID, host: host, start: at, crit: t.crit}
 }
 
-// StartCarrier opens a causal carrier span on host: a silent span that
-// rides a packet which carries no traced payload (a pure ACK) solely so
-// its critical-path events cross the wire with it. It emits no Chrome
+// StartSeg opens the span of data segment seg on host, its life begun at
+// at. On a nil trace it still returns a span — one that carries seg alone,
+// for the data-touch ledger.
+func (t *Trace) StartSeg(host string, at units.Time, seg Seg) *Span {
+	if t == nil {
+		return &Span{seg: seg}
+	}
+	sp := t.StartSpanAt(host, at)
+	sp.seg = seg
+	return sp
+}
+
+// StartCarrier opens a causal carrier span for flow on host: a silent span
+// that rides a packet which carries no traced payload (a pure ACK) solely
+// so its critical-path events cross the wire with it. It emits no Chrome
 // events and counts toward no stage or latency statistics — baselines stay
 // byte-identical — and exists only when the causal recorder is enabled.
-func (t *Trace) StartCarrier(host string) *Span {
+func (t *Trace) StartCarrier(host string, flow int) *Span {
 	if t == nil || t.crit == nil {
 		return nil
 	}
 	sp := t.StartSpanAt(host, t.now())
 	sp.silent = true
+	sp.seg.Flow = flow
 	return sp
 }
 
-// MarkRetransmit tags the span as a retransmission (carried into its trace
-// events).
-func (s *Span) MarkRetransmit() {
+// Seg returns the segment identity the span carries (zero for nil).
+func (s *Span) Seg() Seg {
+	if s == nil {
+		return Seg{}
+	}
+	return s.seg
+}
+
+// DropTrace switches off the span's trace and causal side, keeping its
+// Seg for the ledger. Legacy devices (the driver-entry shim, ethdev) call
+// it where a packet leaves the CAB data path: the stages are CAB-path
+// concepts, and such a packet never reaches the stage that would end its
+// span, so nothing after this point may emit or count.
+func (s *Span) DropTrace() {
 	if s != nil {
-		s.rtx = true
+		s.tr, s.crit = nil, nil
 	}
 }
 
-// SetFlow tags the span (and all its subsequent trace events) with the
-// data flow id — the sender's local port.
-func (s *Span) SetFlow(flow int) {
-	if s != nil {
-		s.flow = flow
-	}
-}
-
-// SetDesc tags the span with the sosend descriptor id its payload came
-// from.
-func (s *Span) SetDesc(desc int64) {
-	if s != nil {
-		s.desc = desc
-	}
-}
-
-// SetRange tags the span with the stream byte range [off, off+n) the
-// packet carries.
-func (s *Span) SetRange(off, n int64) {
-	if s != nil {
-		s.off, s.len = off, n
-	}
-}
+// traced reports whether stage methods act on s.
+func (s *Span) traced() bool { return s != nil && s.tr != nil && !s.done }
 
 // EnterAt closes the currently open stage at instant at and opens stage.
 func (s *Span) EnterAt(stage Stage, at units.Time) {
-	if s == nil || s.done {
+	if !s.traced() {
 		return
 	}
 	s.closeStage(at)
@@ -220,7 +242,7 @@ func (s *Span) EnterAt(stage Stage, at units.Time) {
 
 // Enter is EnterAt at the trace's current virtual time.
 func (s *Span) Enter(stage Stage) {
-	if s == nil || s.done {
+	if !s.traced() {
 		return
 	}
 	s.EnterAt(stage, s.tr.now())
@@ -233,7 +255,7 @@ func (s *Span) Enter(stage Stage) {
 // so Perfetto draws the cross-host arrow, and the new stage opens under
 // the new host's pid. With an empty or unchanged host it is plain Enter.
 func (s *Span) EnterOn(stage Stage, host string) {
-	if s == nil || s.done {
+	if !s.traced() {
 		return
 	}
 	at := s.tr.now()
@@ -258,7 +280,8 @@ func (s *Span) EnterOn(stage Stage, host string) {
 }
 
 func (s *Span) args() evArgs {
-	return evArgs{Span: s.id, Rtx: s.rtx, Flow: s.flow, Desc: s.desc, Off: s.off, Len: s.len}
+	g := &s.seg
+	return evArgs{Span: s.id, Rtx: g.Rtx, Flow: g.Flow, Desc: g.Desc, Off: int64(g.Off), Len: int64(g.Len)}
 }
 
 func (s *Span) closeStage(end units.Time) {
@@ -287,7 +310,7 @@ func (s *Span) closeStage(end units.Time) {
 // their completed stage events remain in the trace, but they do not count
 // toward the latency histogram.
 func (s *Span) End() {
-	if s == nil || s.done {
+	if !s.traced() {
 		return
 	}
 	end := s.tr.now()
@@ -310,7 +333,7 @@ func (s *Span) CritEv(cause Cause, kind string) int32 {
 	if s == nil || s.crit == nil {
 		return 0
 	}
-	s.critCur = s.crit.Ev(s.critCur, cause, kind, s.host, s.flow, s.off, s.len)
+	s.critCur = s.crit.Ev(s.critCur, cause, kind, s.host, s.seg.Flow, int64(s.seg.Off), int64(s.seg.Len))
 	return s.critCur
 }
 
@@ -321,7 +344,7 @@ func (s *Span) CritEvJoin(c1 Cause, p2 int32, c2 Cause, kind string) int32 {
 	if s == nil || s.crit == nil {
 		return 0
 	}
-	s.critCur = s.crit.EvJoin(s.critCur, c1, p2, c2, kind, s.host, s.flow, s.off, s.len)
+	s.critCur = s.crit.EvJoin(s.critCur, c1, p2, c2, kind, s.host, s.seg.Flow, int64(s.seg.Off), int64(s.seg.Len))
 	return s.critCur
 }
 

@@ -1,6 +1,7 @@
 package tcpip
 
 import (
+	"repro/internal/checksum"
 	"repro/internal/kern"
 	"repro/internal/mbuf"
 	"repro/internal/obs"
@@ -30,7 +31,6 @@ func (s *Stack) tcpInput(ctx kern.Ctx, m *mbuf.Mbuf, iph wire.IPHdr) {
 	// single-copy path this touches only the header: the CAB computed the
 	// sum during the media transfer (Section 4.3).
 	if !s.verifyTransportCsum(ctx, m, iph, wire.ProtoTCP) {
-		debugCsumFailure(m, iph, wire.ProtoTCP)
 		s.Stats.TCPCsumErrors++
 		mbuf.FreeChain(m)
 		return
@@ -151,11 +151,12 @@ func (c *TCPConn) segInput(ctx kern.Ctx, hdr wire.TCPHdr, payload *mbuf.Mbuf, se
 
 	if crit := c.stk.crit; crit != nil && hdr.Flags&wire.FlagACK != 0 &&
 		seqGT(hdr.Ack, c.sndUna) && seqLEQ(hdr.Ack, c.sndMax) {
-		if sp := payload.Span(); sp != nil {
-			// A new-data acknowledgement arrived: the sender's ACK clock
-			// ticks. Segments (and writer wakeups) it releases bind here.
-			c.critAck = sp.CritEv(obs.CauseCPU, "ack_in")
-			c.critTrig, c.critTrigC = c.critAck, obs.CauseAckClock
+		// A new-data acknowledgement arrived: the sender's ACK clock ticks.
+		// Segments (and writer wakeups) it releases bind here. An untraced
+		// packet (no span, or one off the CAB path) records no event.
+		if id := payload.Span().CritEv(obs.CauseCPU, "ack_in"); id != 0 {
+			c.critAck = id
+			c.critTrig, c.critTrigC = id, obs.CauseAckClock
 		}
 	}
 
@@ -302,10 +303,10 @@ func (c *TCPConn) processData(ctx kern.Ctx, seq uint32, payload *mbuf.Mbuf, segl
 			return
 		}
 		if c.stk.crit != nil {
-			if sp := payload.Span(); sp != nil {
-				// In-order data reached the receive buffer; read wakeups
-				// and the ACK it provokes hang off this event.
-				c.critRcv = sp.CritEv(obs.CauseCPU, "rcv_enq")
+			// In-order data reached the receive buffer; read wakeups and
+			// the ACK it provokes hang off this event.
+			if id := payload.Span().CritEv(obs.CauseCPU, "rcv_enq"); id != 0 {
+				c.critRcv = id
 			}
 		}
 		c.enqueueRcv(payload, seglen)
@@ -349,10 +350,10 @@ func (c *TCPConn) pullReassembly(ctx kern.Ctx) {
 			if seg.seq == c.rcvNxt {
 				c.reass = append(c.reass[:i], c.reass[i+1:]...)
 				if c.stk.crit != nil {
-					if sp := seg.chain.Span(); sp != nil {
-						// Held out-of-order data became readable only once
-						// the gap filled: a reassembly-queue wait.
-						c.critRcv = sp.CritEv(obs.CauseQueue, "reass_pull")
+					// Held out-of-order data became readable only once the
+					// gap filled: a reassembly-queue wait.
+					if id := seg.chain.Span().CritEv(obs.CauseQueue, "reass_pull"); id != 0 {
+						c.critRcv = id
 					}
 				}
 				c.enqueueRcv(seg.chain, seg.len)
@@ -421,7 +422,7 @@ func (s *Stack) sendRst(ctx kern.Ctx, key connKey, in wire.TCPHdr, seglen units.
 	hb := make([]byte, wire.TCPHdrLen)
 	hdr.Marshal(hb)
 	ps := pseudoSum(s.Addr, key.raddr, wire.ProtoTCP, wire.TCPHdrLen)
-	hdr.Csum = checksumFinish(checksumAdd(ps, checksumSum(hb)))
+	hdr.Csum = checksum.Finish(checksum.Add(ps, checksum.Sum(hb)))
 	hdr.Marshal(hb)
 	hm := mbuf.NewData(hb)
 	hm.MarkPktHdr(wire.TCPHdrLen)

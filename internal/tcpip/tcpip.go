@@ -319,11 +319,7 @@ func (s *Stack) Input(ctx kern.Ctx, m *mbuf.Mbuf, from netif.Interface) {
 	}
 
 	// Trim any link-layer padding and strip the IP header.
-	if have := mbuf.ChainLen(m); have > iph.TotLen {
-		if DebugCsum && have > iph.TotLen+4 {
-			fmt.Printf("IPTRIM have=%v totlen=%v proto=%d %v->%v\n",
-				have, iph.TotLen, iph.Proto, iph.Src, iph.Dst)
-		}
+	if mbuf.ChainLen(m) > iph.TotLen {
 		m, _ = mbuf.SplitAt(m, iph.TotLen)
 	}
 	first.TrimFront(wire.IPHdrLen)
@@ -402,11 +398,11 @@ func (s *Stack) verifyTransportCsum(ctx kern.Ctx, m *mbuf.Mbuf, iph wire.IPHdr, 
 		return checksum.VerifySum(checksum.Add(ps, h.HWRxSum))
 	}
 	s.Stats.SWCsumVerified++
-	if pv := m.Prov(); pv != nil && ctx.K.Led != nil {
+	if g := m.Span().Seg(); g.Len > 0 && ctx.K.Led != nil {
 		// The segment starts at the transport header: payload byte 0 (stream
-		// byte pv.Off) sits at segment offset segLen-pv.Len; the provenance
+		// byte g.Off) sits at segment offset segLen-g.Len; the segment's
 		// window clips the header bytes out of the record.
-		ctx = ctx.OnStreamProv(pv, pv.Off-(segLen-pv.Len))
+		ctx = ctx.OnStreamProv(m.Span(), g.Off-(segLen-g.Len))
 	}
 	sum := csumChain(ctx, m, segLen, segLen)
 	// Software verification read every payload byte: the data-touching CPU
@@ -424,12 +420,14 @@ func csumChain(ctx kern.Ctx, m *mbuf.Mbuf, n, region units.Size) uint32 {
 	return sum
 }
 
-// checksum helper aliases for files that build raw segments.
-var (
-	checksumFinish = checksum.Finish
-	checksumAdd    = checksum.Add
-	checksumSum    = checksum.Sum
-)
+// Conns returns the live connections (diagnostics).
+func (s *Stack) Conns() []*TCPConn {
+	var out []*TCPConn
+	for _, c := range s.conns {
+		out = append(out, c)
+	}
+	return out
+}
 
 func (s *Stack) String() string {
 	return fmt.Sprintf("stack(%v)", s.Addr)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/kern"
 	"repro/internal/mbuf"
 	"repro/internal/obs"
-	"repro/internal/obs/ledger"
 	"repro/internal/units"
 	"repro/internal/wire"
 )
@@ -114,38 +113,31 @@ func (c *TCPConn) sendSegment(ctx kern.Ctx, seq uint32, seglen units.Size, flags
 // packet to IP.
 func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, flags uint16, data *mbuf.Mbuf) {
 	ctx = ctx.In("tcp_output").WithFlow(int(c.key.lport))
-	// Data-touch provenance for data segments: the stream byte range this
-	// packet carries (data byte 0 is sequence iss+1), the retransmit flag,
-	// and the sosend descriptor the bytes came from.
-	var prov *ledger.Prov
-	if c.stk.K.Led != nil && seglen > 0 {
-		prov = &ledger.Prov{
+	// A data segment's span is its one recorder handle, made when the
+	// trace or the ledger is on: the stream byte range it carries (data
+	// byte 0 is sequence iss+1), the retransmit flag, and the sosend
+	// descriptor the bytes came from. A fresh segment's span is backdated
+	// to when its first byte was enqueued (the socket stage); a
+	// retransmission starts now.
+	var span *obs.Span
+	if seglen > 0 && (c.stk.tr != nil || c.stk.K.Led != nil) {
+		rtx := seqLT(seq, c.sndMax)
+		at, queued := c.enqueueTime(seq)
+		queued = queued && !rtx
+		if !queued {
+			at = c.stk.K.Eng.Now()
+		}
+		span = c.stk.tr.StartSeg(c.stk.K.Name, at, obs.Seg{
 			Flow:       int(c.key.lport),
 			Off:        seqDiff(seq, c.iss) - 1,
 			Len:        seglen,
 			PayloadOff: wire.LinkHdrLen + wire.IPHdrLen + wire.TCPHdrLen,
 			Desc:       firstDescID(data),
-			Rtx:        seqLT(seq, c.sndMax),
+			Rtx:        rtx,
+		})
+		if queued {
+			span.EnterAt(obs.StageSocket, at)
 		}
-	}
-	// Open a data-path span for data segments. A fresh segment's span is
-	// backdated to when its first byte was enqueued (the socket stage); a
-	// retransmission starts now and is tagged.
-	var span *obs.Span
-	if tr := c.stk.tr; tr != nil && seglen > 0 {
-		rtx := seqLT(seq, c.sndMax)
-		if t, ok := c.enqueueTime(seq); ok && !rtx {
-			span = tr.StartSpanAt(c.stk.K.Name, t)
-			span.EnterAt(obs.StageSocket, t)
-		} else {
-			span = tr.StartSpan(c.stk.K.Name)
-		}
-		if rtx {
-			span.MarkRetransmit()
-		}
-		span.SetFlow(int(c.key.lport))
-		span.SetRange(int64(seqDiff(seq, c.iss))-1, int64(seglen))
-		span.SetDesc(firstDescID(data))
 		span.Enter(obs.StagePacketize)
 	}
 	if crit := c.stk.crit; crit != nil {
@@ -159,8 +151,7 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 		} else {
 			// Data-less segment (pure ACK, control): open a silent carrier
 			// span so the ACK's causal chain rides the wire with it.
-			span = c.stk.tr.StartCarrier(c.stk.K.Name)
-			span.SetFlow(int(c.key.lport))
+			span = c.stk.tr.StartCarrier(c.stk.K.Name, int(c.key.lport))
 			span.SetCritCur(c.critTrig)
 			span.CritEv(c.critTrigC, "ack_gen")
 		}
@@ -226,10 +217,10 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 				region = seglen
 			}
 			csCtx := ctx
-			if prov != nil {
-				// The chain is payload only: offset 0 is stream byte
-				// prov.Off.
-				csCtx = ctx.OnStreamProv(prov, prov.Off)
+			if c.stk.K.Led != nil {
+				// The chain is payload only: offset 0 is the segment's
+				// first stream byte.
+				csCtx = ctx.OnStreamProv(span, span.Seg().Off)
 			}
 			sum = checksum.Combine(sum, csumChain(csCtx, data, seglen, region), int(wire.TCPHdrLen))
 			// The CPU read every payload byte to checksum it — the
@@ -261,7 +252,6 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 		hm.SetHdr(phdr)
 	}
 	hm.AttachSpan(span)
-	hm.AttachProv(prov)
 	ctx.Charge(c.stk.K.Mach.TCPPerPacket, kern.CatProto)
 	c.stk.Stats.TCPSegsOut++
 	var ecn uint8

@@ -121,7 +121,7 @@ func RunRaw(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 				Dir: cab.ToCAB, Pkt: pk,
 				Gather: [][]byte{buf.Bytes()},
 				Done: func(*cab.SDMAReq) {
-					snd.CAB.MDMATx(pk, hippi.NodeID(rcv.Cfg.CABNode), nil, nil, func() {
+					snd.CAB.MDMATx(pk, hippi.NodeID(rcv.Cfg.CABNode), nil, func() {
 						pk.Free()
 						inflight--
 						window.Broadcast()
