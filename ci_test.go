@@ -97,3 +97,145 @@ func TestOnePacketRecorderHandle(t *testing.T) {
 		}
 	}
 }
+
+// TestNoMapOrderInSimulation keeps the simulation deterministic. Go
+// randomizes map iteration order, so a `for ... range x.f` over a
+// map-typed struct field in a simulation package wakes, frees or
+// schedules things in a different order on every run unless its result
+// cannot depend on the order. Each such loop must be listed here, by
+// file and function, with the reason it is order-free; anything else
+// ranges over a sorted copy instead.
+func TestNoMapOrderInSimulation(t *testing.T) {
+	allowed := map[string]string{
+		"internal/sim/engine.go:Engine.LiveProcNames":     "collect-then-sort",
+		"internal/sim/engine.go:Engine.KillAll":           "teardown after Run: no simulated time follows",
+		"internal/tcpip/tcpip.go:Stack.portInUse":         "membership test",
+		"internal/tcpip/tcpip.go:Stack.Conns":             "collect-then-sort",
+		"internal/tcpip/tcpip.go:Stack.udpSocks":          "collect-then-sort",
+		"internal/cab/cab.go:CAB.liveByAlloc":             "collect-then-sort",
+		"internal/obs/netobs/analyze.go:Recorder.Analyze": "r.flows is the registration-order slice; the map of that name is a wire's",
+		"internal/obs/netobs/netobs.go:Recorder.Snapshot": "r.flows is the registration-order slice; w.flows keys are collected then sorted",
+		"internal/obs/prof/prof.go:Node.Total":            "sum",
+		"internal/obs/prof/prof.go:Profiler.Folded":       "collect-then-sort",
+		"internal/obs/prof/prof.go:Profiler.Snapshot":     "collect-then-sort",
+	}
+	dirs := []string{"sim", "kern", "tcpip", "socket", "cab", "cabdrv", "hippi", "mbuf", "fabric", "fault", "load"}
+	err := filepath.WalkDir("internal/obs", func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() {
+			dirs = append(dirs, strings.TrimPrefix(path, "internal/"))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, dir := range dirs {
+		paths, err := filepath.Glob(filepath.Join("internal", dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []*ast.File
+		var names []string
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files, names = append(files, f), append(names, filepath.ToSlash(path))
+		}
+		fields := mapFields(files)
+		for i, f := range files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				key := names[i] + ":" + funcName(fd)
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					rs, ok := n.(*ast.RangeStmt)
+					if !ok {
+						return true
+					}
+					sel, ok := rs.X.(*ast.SelectorExpr)
+					if !ok || !fields[sel.Sel.Name] {
+						return true
+					}
+					seen[key] = true
+					if allowed[key] == "" {
+						t.Errorf("%s ranges over map field .%s: iterate a sorted copy, or allowlist the loop with why its order cannot matter",
+							key, sel.Sel.Name)
+					}
+					return true
+				})
+			}
+		}
+	}
+	for key := range allowed {
+		if !seen[key] {
+			t.Errorf("allowlist entry %s matches no map range: delete it", key)
+		}
+	}
+}
+
+// funcName is fd's name, qualified by its receiver's type for a method.
+func funcName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	typ := fd.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	if idx, ok := typ.(*ast.IndexExpr); ok {
+		typ = idx.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name + "." + fd.Name.Name
+	}
+	return fd.Name.Name
+}
+
+// mapFields returns the names of the package's struct fields whose type is
+// a map, directly or through a named map type declared in the package.
+func mapFields(files []*ast.File) map[string]bool {
+	mapTypes := map[string]bool{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				if _, ok := ts.Type.(*ast.MapType); ok {
+					mapTypes[ts.Name.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	fields := map[string]bool{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				isMap := false
+				switch typ := field.Type.(type) {
+				case *ast.MapType:
+					isMap = true
+				case *ast.Ident:
+					isMap = mapTypes[typ.Name]
+				}
+				for _, name := range field.Names {
+					if isMap {
+						fields[name.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	return fields
+}

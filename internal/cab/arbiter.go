@@ -1,11 +1,13 @@
 // Netmem arbiter: per-flow accounting of network-memory pages with
-// weighted elastic quotas, so one elephant flow cannot monopolize the
+// equal elastic quotas, so one elephant flow cannot monopolize the
 // adaptor's outboard buffering (the seed policy is first-come global, and
 // the rx hold queue only bounds the receive side).
 //
 // Policy. Each active flow f has a share
 //
-//	share(f) = max(MinSharePages, reserve(f), totalPages·w(f)/Σw(active))
+//	share(f) = max(MinSharePages, totalPages/active)
+//
+// where active is the number of flows currently holding a share.
 //
 // A flow may allocate freely while its usage (pages held in network memory
 // plus pages admitted but not yet staged) stays within its share; beyond
@@ -28,9 +30,9 @@
 // toward stop-and-wait rather than starving any of them.
 //
 // Reclaim. A flow that holds no pages and has not allocated for
-// IdleExpiry of virtual time is deactivated on a lazy periodic sweep: its
-// weight leaves the share denominator and any reservation is released, so
-// the memory flows back to the live flows without explicit teardown.
+// IdleExpiry of virtual time is deactivated on a lazy periodic sweep: it
+// leaves the share denominator, so the memory flows back to the live flows
+// without explicit teardown.
 package cab
 
 import (
@@ -49,17 +51,12 @@ type ArbConfig struct {
 	// over-share (borrowed) allocation (default totalPages/8).
 	BorrowHeadroomPages int
 	// IdleExpiry is how long a flow may sit with zero pages held before
-	// its registration (weight, reservation) is reclaimed (default 10ms).
+	// its share is reclaimed (default 10ms).
 	IdleExpiry units.Time
-	// DefaultWeight is the weight assigned to flows on first touch
-	// (default 1).
-	DefaultWeight int
 }
 
 type flowAcct struct {
 	id       int
-	weight   int
-	reserve  int
 	held     int // pages currently allocated in network memory
 	inflight int // pages admitted by AdmitTx but not yet allocated
 	lastUse  units.Time
@@ -81,12 +78,9 @@ type Arbiter struct {
 	c   *CAB
 	cfg ArbConfig
 
-	flows map[int]*flowAcct
-	order []*flowAcct // registration order: deterministic iteration
-	// sumWeight is Σ weight over active flows; unmet is Σ max(0,
-	// reserve-usage) over active flows (pages withheld from borrowers).
-	sumWeight int
-	unmet     int
+	flows  map[int]*flowAcct
+	order  []*flowAcct // registration order: deterministic iteration
+	active int         // flows currently holding a share
 
 	waiters      []*arbWaiter
 	reclaimArmed bool
@@ -103,9 +97,6 @@ func NewArbiter(c *CAB, cfg ArbConfig) *Arbiter {
 	if cfg.IdleExpiry <= 0 {
 		cfg.IdleExpiry = 10 * units.Millisecond
 	}
-	if cfg.DefaultWeight <= 0 {
-		cfg.DefaultWeight = 1
-	}
 	a := &Arbiter{c: c, cfg: cfg, flows: make(map[int]*flowAcct)}
 	c.Arb = a
 	if c.rxHoldQ == nil {
@@ -115,15 +106,7 @@ func NewArbiter(c *CAB, cfg ArbConfig) *Arbiter {
 }
 
 // ActiveFlows returns the number of flows currently holding a share.
-func (a *Arbiter) ActiveFlows() int {
-	n := 0
-	for _, f := range a.order {
-		if f.active {
-			n++
-		}
-	}
-	return n
-}
+func (a *Arbiter) ActiveFlows() int { return a.active }
 
 // Share returns flow's current share in pages (diagnostics and tests).
 func (a *Arbiter) Share(flow int) int {
@@ -131,7 +114,7 @@ func (a *Arbiter) Share(flow int) int {
 	if !ok || !f.active {
 		return 0
 	}
-	return a.share(f)
+	return a.share()
 }
 
 // Held returns the pages currently allocated to flow.
@@ -140,37 +123,6 @@ func (a *Arbiter) Held(flow int) int {
 		return f.held
 	}
 	return 0
-}
-
-// SetWeight sets flow's arbitration weight (default 1). Larger weights
-// earn proportionally larger shares.
-func (a *Arbiter) SetWeight(flow int, w int) {
-	if flow == 0 || w <= 0 {
-		return
-	}
-	f := a.touch(flow)
-	a.adjustUnmet(f, func() {
-		a.sumWeight += w - f.weight
-		f.weight = w
-	})
-	a.grantScan()
-}
-
-// Reserve sets a floor of pages held back for flow: its share never drops
-// below the reservation, and unmet reservations shrink the slack other
-// flows may borrow from. The reservation is released when the flow goes
-// idle (IdleExpiry). Reservations are soft floors — they do not gate other
-// flows' within-share allocations, only their borrowing.
-func (a *Arbiter) Reserve(flow int, pages int) {
-	if flow == 0 || pages < 0 {
-		return
-	}
-	if pages > a.c.totalPages {
-		pages = a.c.totalPages
-	}
-	f := a.touch(flow)
-	a.adjustUnmet(f, func() { f.reserve = pages })
-	a.grantScan()
 }
 
 // AdmitTx gates n bytes of transmit staging for flow, blocking p until the
@@ -203,10 +155,10 @@ func (a *Arbiter) rxAdmit(flow int, n units.Size) bool {
 	}
 	f := a.touch(flow)
 	pages := a.pagesFor(n)
-	if f.usage()+pages <= a.share(f) {
+	if f.usage()+pages <= a.share() {
 		return true
 	}
-	if a.borrowOK(f, pages) {
+	if a.borrowOK(pages) {
 		a.c.Stats.ArbBorrows++
 		return true
 	}
@@ -217,29 +169,20 @@ func (a *Arbiter) pagesFor(n units.Size) int {
 	return int((n + a.c.Cfg.PageSize - 1) / a.c.Cfg.PageSize)
 }
 
-func (a *Arbiter) share(f *flowAcct) int {
-	s := 0
-	if a.sumWeight > 0 {
-		s = a.c.totalPages * f.weight / a.sumWeight
+// share is an active flow's equal split of the memory, floored at
+// MinSharePages. A waiter whose flow was reclaimed while it queued can be
+// the only flow left, with none active: it gets the floor.
+func (a *Arbiter) share() int {
+	if a.active == 0 {
+		return a.cfg.MinSharePages
 	}
-	if s < a.cfg.MinSharePages {
-		s = a.cfg.MinSharePages
-	}
-	if s < f.reserve {
-		s = f.reserve
-	}
-	return s
+	return max(a.cfg.MinSharePages, a.c.totalPages/a.active)
 }
 
-// borrowOK reports whether an over-share allocation of pages for f may be
-// served from slack: enough headroom stays free and no other flow's
-// reservation would be eaten.
-func (a *Arbiter) borrowOK(f *flowAcct, pages int) bool {
-	unmetOthers := a.unmet
-	if f.reserve > f.usage() {
-		unmetOthers -= f.reserve - f.usage()
-	}
-	return a.c.freePages-a.c.reserved-pages >= a.cfg.BorrowHeadroomPages+unmetOthers
+// borrowOK reports whether an over-share allocation of pages may be served
+// from slack: enough headroom stays free afterwards.
+func (a *Arbiter) borrowOK(pages int) bool {
+	return a.c.freePages-a.c.reserved-pages >= a.cfg.BorrowHeadroomPages
 }
 
 // admit charges pages to f if the policy allows it. borrowPriv grants the
@@ -247,13 +190,13 @@ func (a *Arbiter) borrowOK(f *flowAcct, pages int) bool {
 // waiter during a grant scan).
 func (a *Arbiter) admit(f *flowAcct, pages int, borrowPriv bool) bool {
 	switch {
-	case f.usage()+pages <= a.share(f):
-	case borrowPriv && a.borrowOK(f, pages):
+	case f.usage()+pages <= a.share():
+	case borrowPriv && a.borrowOK(pages):
 		a.c.Stats.ArbBorrows++
 	default:
 		return false
 	}
-	a.adjustUnmet(f, func() { f.inflight += pages })
+	f.inflight += pages
 	f.lastUse = a.c.eng.Now()
 	return true
 }
@@ -262,30 +205,17 @@ func (a *Arbiter) admit(f *flowAcct, pages int, borrowPriv bool) bool {
 func (a *Arbiter) touch(flow int) *flowAcct {
 	f, ok := a.flows[flow]
 	if !ok {
-		f = &flowAcct{id: flow, weight: a.cfg.DefaultWeight}
+		f = &flowAcct{id: flow}
 		a.flows[flow] = f
 		a.order = append(a.order, f)
 	}
 	if !f.active {
 		f.active = true
-		a.sumWeight += f.weight
-		a.unmet += max(0, f.reserve-f.usage())
+		a.active++
 	}
 	f.lastUse = a.c.eng.Now()
 	a.armReclaim()
 	return f
-}
-
-// adjustUnmet runs mutate (which may change f's usage, reserve, or weight)
-// keeping the aggregate unmet-reservation total consistent.
-func (a *Arbiter) adjustUnmet(f *flowAcct, mutate func()) {
-	if f.active {
-		a.unmet -= max(0, f.reserve-f.usage())
-	}
-	mutate()
-	if f.active {
-		a.unmet += max(0, f.reserve-f.usage())
-	}
 }
 
 // allocNotify transfers an admitted allocation from inflight to held
@@ -295,14 +225,8 @@ func (a *Arbiter) allocNotify(flow int, pages int) {
 		return
 	}
 	f := a.touch(flow)
-	a.adjustUnmet(f, func() {
-		f.held += pages
-		if f.inflight > pages {
-			f.inflight -= pages
-		} else {
-			f.inflight = 0
-		}
-	})
+	f.held += pages
+	f.inflight = max(0, f.inflight-pages)
 }
 
 // freeNotify returns pages to flow's budget and re-evaluates admission
@@ -310,12 +234,7 @@ func (a *Arbiter) allocNotify(flow int, pages int) {
 func (a *Arbiter) freeNotify(flow int, pages int) {
 	if flow != 0 {
 		if f, ok := a.flows[flow]; ok {
-			a.adjustUnmet(f, func() {
-				f.held -= pages
-				if f.held < 0 {
-					f.held = 0
-				}
-			})
+			f.held = max(0, f.held-pages)
 			f.lastUse = a.c.eng.Now()
 			if f.active && f.held == 0 && f.inflight == 0 {
 				// The account just drained: arm the timer that will
@@ -357,7 +276,7 @@ func (a *Arbiter) armReclaim() {
 }
 
 // reclaimTick deactivates flows idle for at least IdleExpiry, returning
-// their weight and reservation to the live flows.
+// their share to the live flows.
 func (a *Arbiter) reclaimTick() {
 	a.reclaimArmed = false
 	now := a.c.eng.Now()
@@ -368,10 +287,8 @@ func (a *Arbiter) reclaimTick() {
 		}
 		if f.held == 0 && f.inflight == 0 {
 			if now-f.lastUse >= a.cfg.IdleExpiry {
-				a.unmet -= max(0, f.reserve-f.usage())
 				f.active = false
-				f.reserve = 0
-				a.sumWeight -= f.weight
+				a.active--
 				a.c.Stats.ArbReclaims++
 				continue
 			}

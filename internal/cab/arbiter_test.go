@@ -1,6 +1,7 @@
 package cab
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -32,25 +33,17 @@ func TestArbShareMath(t *testing.T) {
 	if got := a.Share(1); got != total/2 {
 		t.Fatalf("equal share = %d, want %d", got, total/2)
 	}
-	// Weights skew the split proportionally.
-	a.SetWeight(1, 3)
-	if got := a.Share(1); got != total*3/4 {
-		t.Fatalf("weighted share = %d, want %d", got, total*3/4)
-	}
-	if got := a.Share(2); got != total/4 {
-		t.Fatalf("light share = %d, want %d", got, total/4)
+	// A third flow takes an equal third, rounded down.
+	a.touch(3)
+	if got := a.Share(2); got != total/3 {
+		t.Fatalf("three-way share = %d, want %d", got, total/3)
 	}
 	// MinSharePages floors the share no matter how crowded.
-	for f := 3; f < 3+4*total; f++ {
+	for f := 4; f < 4+4*total; f++ {
 		a.touch(f)
 	}
 	if got := a.Share(2); got != 2 {
 		t.Fatalf("crowded share = %d, want MinSharePages floor 2", got)
-	}
-	// A reservation lifts the floor further.
-	a.Reserve(2, 7)
-	if got := a.Share(2); got != 7 {
-		t.Fatalf("reserved share = %d, want 7", got)
 	}
 	// Inactive flows have no share.
 	if got := a.Share(9999); got != 0 {
@@ -123,39 +116,6 @@ func TestArbRxAdmitAndBorrow(t *testing.T) {
 		// the physical pool is enforced by AllocPacket.
 		if !a.rxAdmit(2, ps) {
 			t.Error("under-share admission denied by borrow rules")
-		}
-	})
-	e.Run()
-}
-
-func TestArbReserveBlocksBorrowers(t *testing.T) {
-	e, c, a := arbRig(ArbConfig{MinSharePages: 1, BorrowHeadroomPages: 1})
-	defer e.KillAll()
-	ps := c.Cfg.PageSize
-	total := c.TotalPages()
-
-	e.Go("seq", func(p *sim.Proc) {
-		a.touch(1)
-		a.touch(2)
-		// Flow 1 fills its share with real pages.
-		share := a.Share(1)
-		a.AdmitTx(p, 1, units.Size(share)*ps)
-		pk, ok := c.AllocPacketFlow(units.Size(share)*ps, 1)
-		if !ok {
-			t.Error("share-sized alloc failed")
-			return
-		}
-		defer pk.Free()
-		// Control: with no reservations outstanding the over-share page is
-		// borrowable from slack.
-		if !a.rxAdmit(1, ps) {
-			t.Error("borrow denied with free slack and no reservations")
-		}
-		// Flow 2 reserves (but hasn't used) most of the remaining memory:
-		// the unmet reservation is withheld from flow 1's borrowing.
-		a.Reserve(2, total-share)
-		if a.rxAdmit(1, ps) {
-			t.Error("borrow granted out of another flow's unmet reservation")
 		}
 	})
 	e.Run()
@@ -250,5 +210,47 @@ func TestArbReclaimLiveness(t *testing.T) {
 	e.Run()
 	if a.ActiveFlows() != 0 {
 		t.Fatalf("active after drain+expiry = %d, want 0", a.ActiveFlows())
+	}
+}
+
+// TestResetWakesWaitersInAllocationOrder: a firmware reset frees every
+// live packet, and each free may grant a blocked AdmitTx. Six flows each
+// hold their full share and wait for one page more; the reset must wake
+// them in packet allocation order on every run, not in map order.
+func TestResetWakesWaitersInAllocationOrder(t *testing.T) {
+	const flows = 6
+	want := []int{1, 2, 3, 4, 5, 6}
+	for run := 0; run < 20; run++ {
+		e, c, a := arbRig(ArbConfig{MinSharePages: 1, BorrowHeadroomPages: 1 << 20})
+		ps := c.Cfg.PageSize
+		var woke []int
+		e.Go("setup", func(p *sim.Proc) {
+			for f := 1; f <= flows; f++ {
+				a.touch(f)
+			}
+			share := units.Size(a.Share(1)) * ps
+			for f := 1; f <= flows; f++ {
+				a.AdmitTx(p, f, share)
+				if _, ok := c.AllocPacketFlow(share, f); !ok {
+					t.Error("share-sized alloc failed")
+					return
+				}
+			}
+			for f := 1; f <= flows; f++ {
+				e.Go("writer", func(p *sim.Proc) {
+					a.AdmitTx(p, f, ps)
+					woke = append(woke, f)
+				})
+			}
+		})
+		e.At(units.Millisecond, c.Reset)
+		e.Run()
+		e.KillAll()
+		if c.Stats.ArbWaits != flows {
+			t.Fatalf("run %d: waits = %d, want %d", run, c.Stats.ArbWaits, flows)
+		}
+		if !slices.Equal(woke, want) {
+			t.Fatalf("run %d: writers woke in order %v, want %v", run, woke, want)
+		}
 	}
 }

@@ -19,6 +19,7 @@ package cab
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/hippi"
@@ -322,16 +323,6 @@ func (pk *Packet) Free() {
 	pk.cab.freeSig.Broadcast()
 }
 
-// LivePackets returns the sizes of packets currently allocated in network
-// memory (diagnostics and leak tests).
-func (c *CAB) LivePackets() []units.Size {
-	var out []units.Size
-	for _, pk := range c.live {
-		out = append(out, pk.Len())
-	}
-	return out
-}
-
 // AllocPacket reserves network memory for an n-byte packet. It fails (nil,
 // false) when memory is exhausted; callers in process context can use
 // AllocPacketWait.
@@ -417,9 +408,11 @@ func (c *CAB) SetReserve(n int) {
 // OnReset so it can re-arm receive and sweep dead connections.
 func (c *CAB) Reset() {
 	c.Stats.Resets++
-	// Network memory: bulk-reclaim every page. Host-side holders keep their
-	// Packet references but the data is gone.
-	for _, pk := range c.live {
+	// Network memory: bulk-reclaim every page, in allocation order: each
+	// free may wake arbiter waiters, and they must wake in the same order
+	// on every run. Host-side holders keep their Packet references but the
+	// data is gone.
+	for _, pk := range c.liveByAlloc() {
 		pk.freed = true
 		pk.zapped = true
 		for i := range pk.buf {
@@ -458,8 +451,8 @@ func (c *CAB) Reset() {
 		c.Stats.RxKilled += n
 		c.rxHold = nil
 	}
-	for _, q := range c.rxHoldQ {
-		c.Stats.RxKilled += len(q)
+	for _, flow := range c.rxHoldFlows {
+		c.Stats.RxKilled += len(c.rxHoldQ[flow])
 	}
 	if c.rxHoldQ != nil {
 		c.rxHoldQ = make(map[int][]heldRx)
@@ -471,6 +464,16 @@ func (c *CAB) Reset() {
 	if c.OnReset != nil {
 		c.OnReset()
 	}
+}
+
+// liveByAlloc returns the packets in network memory in allocation order.
+func (c *CAB) liveByAlloc() []*Packet {
+	pks := make([]*Packet, 0, len(c.live))
+	for _, pk := range c.live {
+		pks = append(pks, pk)
+	}
+	slices.SortFunc(pks, func(a, b *Packet) int { return a.ID - b.ID })
+	return pks
 }
 
 // killSDMA fails one descriptor killed by a firmware reset.

@@ -230,9 +230,6 @@ func (in *Injector) Add(r Rule) *Injector {
 	return in
 }
 
-// Rules returns how many rules the plan holds.
-func (in *Injector) Rules() int { return len(in.rules) }
-
 func (in *Injector) has(k Kind) bool {
 	for _, r := range in.rules {
 		if r.Kind == k {

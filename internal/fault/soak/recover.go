@@ -1,16 +1,12 @@
 package soak
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
-	"repro/internal/cab"
 	"repro/internal/cabdrv"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/kern"
-	"repro/internal/sim"
 	"repro/internal/socket"
 	"repro/internal/tcpip"
 	"repro/internal/units"
@@ -63,6 +59,8 @@ type RecoverFlow struct {
 	// Complete: the full total arrived byte-exact and both ends finished
 	// cleanly.
 	Complete bool
+
+	sndOp string // the sender's failed step: "dial", "header" or "write at <offset>"
 }
 
 // RecoverOutcome is a finished recovery case.
@@ -125,27 +123,15 @@ func RunRecover(c RecoverCase) RecoverOutcome {
 	if c.RWSize == 0 {
 		c.RWSize = 64 * units.KB
 	}
-	o := RecoverOutcome{Case: c, Flows: make([]RecoverFlow, c.Flows)}
-
-	tb := core.NewTestbed(c.Seed)
-	tb.EnableTelemetry()
-	tb.EnableLedger()
-	inj := fault.New(tb.Eng, c.Seed)
-	if err := inj.AddPlan(c.Plan); err != nil {
+	o := RecoverOutcome{Case: c}
+	r, err := newRig("recover", c.Seed, c.Plan, c.Mode, c.Arbiter, nil)
+	if err != nil {
 		o.failf("plan: %v", err)
 		return o
 	}
-	tb.EnableFaults(inj)
-	var arb *cab.ArbConfig
-	if c.Arbiter {
-		arb = &cab.ArbConfig{}
-	}
-	a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mode: c.Mode, CABNode: 1, Arbiter: arb})
-	b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mode: c.Mode, CABNode: 2, Arbiter: arb})
-	tb.RouteCAB(a, b)
-	o.A, o.B = a, b
+	o.A, o.B = r.a, r.b
 
-	for _, w := range inj.Windows() {
+	for _, w := range r.inj.Windows() {
 		if o.HealAt == 0 || w.Until > o.HealAt {
 			o.HealAt = w.Until
 		}
@@ -162,121 +148,23 @@ func RunRecover(c RecoverCase) RecoverOutcome {
 		}
 	}
 
-	st := a.NewUserTask("recover-snd", 0)
-	rt := b.NewUserTask("recover-rcv", 0)
-
-	var (
-		got, sent    units.Size
-		flowsLeft    = 2 * c.Flows // reader + writer per flow
-		done, stuck  bool
-		firstGoodput units.Time
-	)
-	finish := func() {
-		if flowsLeft--; flowsLeft == 0 {
-			done = true
-			o.EndTime = tb.Eng.Now()
-		}
+	w := &flows{n: c.Flows, total: c.Total, rw: c.RWSize,
+		keepAlive: c.KeepAlive, userTimeout: c.UserTimeout, healAt: o.HealAt, failf: o.failf}
+	w.start(r)
+	flightRec := r.run(o.failf)
+	o.Flows = w.fates
+	o.EndTime = w.endTime
+	o.Delivered = r.got
+	o.Report = r.inj.Report()
+	o.FirstGoodputAt = w.firstGoodput
+	if w.firstGoodput > o.HealAt {
+		o.RecoveryTime = w.firstGoodput - o.HealAt
 	}
+	o.Resets = r.a.CAB.Stats.Resets + r.b.CAB.Stats.Resets
+	o.PartitionDrops = r.inj.Fired[fault.Partition]
 
-	lis := b.Stk.ListenBacklog(port, c.Flows+8)
-	tb.Eng.Go("recover-accept", func(p *sim.Proc) {
-		for i := 0; i < c.Flows; i++ {
-			s := b.Accept(p, rt, lis)
-			if s == nil {
-				return
-			}
-			if c.KeepAlive {
-				s.Conn.SetKeepAlive(p, kaIdle, kaIntvl, kaCount)
-			}
-			tb.Eng.Go(fmt.Sprintf("recover-rcv%d", i), func(p *sim.Proc) {
-				runRecoverReader(p, tb, b, rt, s, c, &o, &got, &firstGoodput, finish)
-			})
-		}
-	})
-
-	for f := 0; f < c.Flows; f++ {
-		f := f
-		tb.Eng.Go(fmt.Sprintf("recover-snd%d", f), func(p *sim.Proc) {
-			defer finish()
-			s, err := a.Dial(p, st, addrB, port)
-			if err != nil {
-				o.Flows[f].SndErr = err
-				return
-			}
-			if c.KeepAlive {
-				s.Conn.SetKeepAlive(p, kaIdle, kaIntvl, kaCount)
-			}
-			if c.UserTimeout > 0 {
-				s.Conn.SetUserTimeout(c.UserTimeout)
-			}
-			buf := st.Space.Alloc(flowHdrLen+c.RWSize, 8)
-			binary.BigEndian.PutUint64(buf.Bytes()[:flowHdrLen], uint64(f))
-			if err := s.WriteAll(p, buf.Slice(0, flowHdrLen)); err != nil {
-				o.Flows[f].SndErr = err
-				s.Conn.Abort(a.K.TaskCtx(p, st))
-				return
-			}
-			var off units.Size
-			for off < c.Total {
-				n := c.RWSize
-				if n > c.Total-off {
-					n = c.Total - off
-				}
-				w := buf.Slice(flowHdrLen, n)
-				for i := range w.Bytes() {
-					w.Bytes()[i] = patternF(f, off+units.Size(i))
-				}
-				if err := s.WriteAll(p, w); err != nil {
-					o.Flows[f].SndErr = err
-					// Tear the connection down hard so the peer's reader
-					// sees a RST instead of waiting out its own liveness
-					// bound.
-					s.Conn.Abort(a.K.TaskCtx(p, st))
-					return
-				}
-				off += n
-				sent += n
-			}
-			s.Close(p)
-		})
-	}
-
-	// Progress watchdog (see Run): a full quiet window while flows are
-	// still outstanding is a wedge — recovery must end in bytes or in a
-	// clean error, never in silence.
-	tb.Eng.Go("recover-watchdog", func(p *sim.Proc) {
-		last := units.Size(0)
-		for {
-			p.Sleep(watchWindow)
-			if done {
-				return
-			}
-			if cur := got + sent; cur != last {
-				last = cur
-				continue
-			}
-			stuck = true
-			tb.Eng.Stop()
-			return
-		}
-	})
-
-	tb.Eng.Run()
-	parked := tb.Eng.LiveProcNames()
-	tb.Eng.KillAll()
-	o.Delivered = got
-	o.Report = inj.Report()
-	o.FirstGoodputAt = firstGoodput
-	if firstGoodput > o.HealAt {
-		o.RecoveryTime = firstGoodput - o.HealAt
-	}
-	o.Resets = a.CAB.Stats.Resets + b.CAB.Stats.Resets
-	o.PartitionDrops = inj.Fired[fault.Partition]
-
-	if stuck {
-		o.FlightRec = tb.FlightDump()
-		o.failf("progress: no forward progress in %v of virtual time (parked: %v)",
-			watchWindow, parked)
+	if flightRec != nil {
+		o.FlightRec = flightRec
 		return o
 	}
 
@@ -300,37 +188,13 @@ func RunRecover(c RecoverCase) RecoverOutcome {
 		}
 	}
 
-	// Invariant: zero resource leaks — no netmem page may stay allocated
-	// and no user page pinned once the run drains, even though the reset
-	// wiped descriptors mid-flight.
-	for _, h := range []*core.Host{a, b} {
-		if free, tot := h.CAB.FreePages(), h.CAB.TotalPages(); free != tot {
-			o.failf("leak: host %s holds %d netmem pages after drain", h.Name, tot-free)
-		}
-	}
-	for _, t := range []*kern.Task{st, rt} {
-		if n := t.Space.PinnedPages(); n != 0 {
-			o.failf("leak: task %s holds %d pinned pages after drain", t.Name, n)
-		}
-	}
-
-	// Invariant: conservation. Partitioned frames are wire drops accounted
-	// to the partition window.
-	net := tb.Net
-	if net.Sent+net.Duped != net.Delivered+net.Dropped {
-		o.failf("conservation: frames sent %d + duped %d != delivered %d + dropped %d",
-			net.Sent, net.Duped, net.Delivered, net.Dropped)
-	}
-	if int64(net.Dropped) != inj.Fired[fault.Drop]+inj.Fired[fault.Partition] {
-		o.failf("conservation: wire dropped %d frames, drop faults %d + partition %d",
-			net.Dropped, inj.Fired[fault.Drop], inj.Fired[fault.Partition])
-	}
-	if net.DroppedInj+net.DroppedUnattached+net.DroppedFull != net.Dropped {
-		o.failf("conservation: drop split inj %d + unattached %d != dropped %d",
-			net.DroppedInj, net.DroppedUnattached, net.Dropped)
-	}
+	// Invariant: zero leaks, even though a reset wiped descriptors
+	// mid-flight; and the wire conserves frames, partitioned ones counted
+	// as drops of the partition window.
+	r.checkLeaks(o.failf)
+	r.checkWire(o.failf)
 	if c.WantResets {
-		if inj.Fired[fault.CABReset] == 0 {
+		if r.inj.Fired[fault.CABReset] == 0 {
 			o.failf("vacuous: no cabreset fired")
 		}
 		if o.Resets == 0 {
@@ -341,64 +205,6 @@ func RunRecover(c RecoverCase) RecoverOutcome {
 		o.failf("vacuous: partition window scheduled but no frame was partitioned")
 	}
 	return o
-}
-
-// runRecoverReader drains one accepted flow, verifying the per-flow byte
-// pattern and recording the first post-heal goodput instant.
-func runRecoverReader(proc *sim.Proc, tb *core.Testbed, b *core.Host, rt *kern.Task,
-	s *socket.Socket, c RecoverCase, o *RecoverOutcome, got *units.Size,
-	firstGoodput *units.Time, finish func()) {
-	defer finish()
-	buf := rt.Space.Alloc(c.RWSize, 8)
-	var hdr [flowHdrLen]byte
-	hb := rt.Space.Alloc(flowHdrLen, 8)
-	for hoff := units.Size(0); hoff < flowHdrLen; {
-		n, err := s.Read(proc, hb.Slice(hoff, flowHdrLen-hoff))
-		copy(hdr[hoff:], hb.Slice(hoff, n).Bytes())
-		hoff += n
-		if err != nil && hoff < flowHdrLen {
-			// The connection died before the 8-byte flow header arrived
-			// (an early fault can beat the first data segment). With one
-			// flow the attribution is unambiguous — record the error
-			// against flow 0 and let the allow-list judge it; with many
-			// flows the identity is lost, which is itself a failure.
-			if c.Flows == 1 {
-				o.Flows[0].RcvErr = err
-			} else {
-				o.failf("flow header read: %v", err)
-			}
-			s.Conn.Abort(b.K.TaskCtx(proc, rt))
-			return
-		}
-	}
-	flow := int(binary.BigEndian.Uint64(hdr[:]))
-	fl := &o.Flows[flow]
-	off := units.Size(0)
-	for {
-		n, err := s.Read(proc, buf)
-		for i := units.Size(0); i < n; i++ {
-			if w := patternF(flow, off+i); buf.Bytes()[i] != w {
-				o.failf("bytes: flow %d offset %d = %#x, want %#x", flow, off+i, buf.Bytes()[i], w)
-				tb.Eng.Stop()
-				return
-			}
-		}
-		off += n
-		*got += n
-		fl.Delivered = off
-		if n > 0 && *firstGoodput == 0 && tb.Eng.Now() >= o.HealAt {
-			*firstGoodput = tb.Eng.Now()
-		}
-		if err != nil {
-			if !errors.Is(err, socket.ErrEOF) {
-				fl.RcvErr = err
-				// Release the connection so a still-writing sender gets a
-				// RST promptly rather than filling a dead window.
-				s.Conn.Abort(b.K.TaskCtx(proc, rt))
-			}
-			return
-		}
-	}
 }
 
 // RecoverMatrix is the fault-domain recovery suite: link partitions across

@@ -2,6 +2,7 @@ package soak
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -35,11 +36,13 @@ func TestRecoverMatrix(t *testing.T) {
 	}
 }
 
-// TestRecoverDeterminism replays one partition and one reset case and
-// demands identical flow fates and timing — recovery is part of the
+// TestRecoverDeterminism replays a partition case and the reset cases
+// (one side, both sides, and four flows under the arbiter, where a reset
+// frees many flows' pages at once) and demands identical flow fates,
+// timing, fault reports and failures — recovery is part of the
 // simulation, not a race against it.
 func TestRecoverDeterminism(t *testing.T) {
-	for _, name := range []string{"partition-steady", "cabreset-sender"} {
+	for _, name := range []string{"partition-steady", "cabreset-sender", "cabreset-both", "cabreset-multiflow"} {
 		var pick RecoverCase
 		for _, c := range RecoverMatrix() {
 			if c.Name == name {
@@ -55,6 +58,15 @@ func TestRecoverDeterminism(t *testing.T) {
 			o1.EndTime != o2.EndTime || o1.Delivered != o2.Delivered ||
 			o1.Resets != o2.Resets || o1.PartitionDrops != o2.PartitionDrops {
 			t.Errorf("%s: replay diverged: %+v vs %+v", name, o1, o2)
+		}
+		if o1.Report != o2.Report {
+			t.Errorf("%s: fault report diverged: %q vs %q", name, o1.Report, o2.Report)
+		}
+		if !slices.Equal(o1.Failures, o2.Failures) {
+			t.Errorf("%s: failures diverged: %q vs %q", name, o1.Failures, o2.Failures)
+		}
+		if len(o1.Flows) != len(o2.Flows) {
+			t.Fatalf("%s: %d flows vs %d", name, len(o1.Flows), len(o2.Flows))
 		}
 		for i := range o1.Flows {
 			if o1.Flows[i] != o2.Flows[i] {

@@ -9,10 +9,8 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/cab"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/kern"
 	"repro/internal/obs/engine"
 	"repro/internal/obs/ledger"
 	"repro/internal/sim"
@@ -73,10 +71,6 @@ type Outcome struct {
 	// A (sender) and B (receiver) stay readable after the run so callers
 	// can assert on protocol and hardware counters.
 	A, B *core.Host
-
-	// flowPorts holds each many-flow sender's local port (= ledger flow
-	// id), in flow order, for the per-flow audit.
-	flowPorts []uint16
 }
 
 func (o *Outcome) failf(format string, args ...any) {
@@ -100,100 +94,35 @@ func Run(c Case) Outcome {
 		}
 	}
 	o := Outcome{Case: c}
-
-	tb := core.NewTestbed(c.Seed)
-	if c.EngObs != nil {
-		tb.EnableEngineObs(c.EngObs)
-	}
-	tb.EnableTelemetry()
-	led := tb.EnableLedger()
-	inj := fault.New(tb.Eng, c.Seed)
-	if c.Plan != "" {
-		if err := inj.AddPlan(c.Plan); err != nil {
-			o.failf("plan: %v", err)
-			return o
-		}
-	}
-	tb.EnableFaults(inj)
-	var arb *cab.ArbConfig
-	if c.Arbiter {
-		arb = &cab.ArbConfig{}
-	}
-	a := tb.AddHost(core.HostConfig{Name: "A", Addr: addrA, Mode: c.Mode, CABNode: 1, Arbiter: arb})
-	b := tb.AddHost(core.HostConfig{Name: "B", Addr: addrB, Mode: c.Mode, CABNode: 2, Arbiter: arb})
-	tb.RouteCAB(a, b)
-	o.A, o.B = a, b
-
-	st := a.NewUserTask("soak-snd", 0)
-	rt := b.NewUserTask("soak-rcv", 0)
-
-	var (
-		got       units.Size // receiver progress, in bytes
-		sent      units.Size // sender progress, in bytes
-		senderRun = true
-		done      bool
-		stuck     bool
-	)
-	switch {
-	case c.Proto == "udp":
-		runUDP(tb, a, b, st, rt, c, inj, &o, &got, &sent, &senderRun)
-	case c.Flows > 1:
-		runTCPMany(tb, a, b, st, rt, c, &o, &got, &sent, &senderRun, &done)
-	default:
-		runTCP(tb, a, b, st, rt, c, &o, &got, &sent, &senderRun, &done)
-	}
-
-	// Progress watchdog: a full window with no byte-level progress while
-	// the workload is still running means a stuck connection. For UDP a
-	// quiet window after the sender finished is normal drain.
-	tb.Eng.Go("soak-watchdog", func(p *sim.Proc) {
-		last := units.Size(0)
-		for {
-			p.Sleep(watchWindow)
-			if done {
-				return
-			}
-			cur := got + sent
-			if cur == last {
-				if !senderRun && c.Proto == "udp" {
-					return
-				}
-				stuck = true
-				tb.Eng.Stop()
-				return
-			}
-			last = cur
-		}
-	})
-
-	tb.Eng.Run()
-	tb.Eng.KillAll()
-	o.Delivered = got
-	o.Report = inj.Report()
-	o.MetricsJSON = tb.Tel.Snapshot().JSON()
-
-	// Invariant: progress. Everything below assumes a drained run. A
-	// wedge dumps the flight recorder so the stall is diagnosable from
-	// the outcome alone.
-	if stuck {
-		o.FlightRec = tb.FlightDump()
-		o.failf("progress: no forward progress in %v of virtual time", watchWindow)
+	r, err := newRig("soak", c.Seed, c.Plan, c.Mode, c.Arbiter, c.EngObs)
+	if err != nil {
+		o.failf("plan: %v", err)
 		return o
 	}
+	o.A, o.B = r.a, r.b
 
-	// Invariant: zero resource leaks.
-	for _, h := range []*core.Host{a, b} {
-		if free, tot := h.CAB.FreePages(), h.CAB.TotalPages(); free != tot {
-			o.failf("leak: host %s holds %d netmem pages after drain", h.Name, tot-free)
-		}
+	var w *flows
+	switch {
+	case c.Proto == "udp":
+		r.runUDP(c, &o)
+	case c.Flows > 1:
+		w = &flows{n: c.Flows, total: c.Total, rw: c.RWSize, failf: o.failf}
+		w.start(r)
+	default:
+		r.runTCP(c, &o)
 	}
-	for _, t := range []*kern.Task{st, rt} {
-		if n := t.Space.PinnedPages(); n != 0 {
-			o.failf("leak: task %s holds %d pinned pages after drain", t.Name, n)
-		}
+	flightRec := r.run(o.failf)
+	o.Delivered = r.got
+	o.Report = r.inj.Report()
+	o.MetricsJSON = r.tb.Tel.Snapshot().JSON()
+	// Invariant: progress. Everything below assumes a drained run.
+	if flightRec != nil {
+		o.FlightRec = flightRec
+		return o
 	}
-
-	checkConservation(&o, tb, a, b, inj)
+	r.checkLeaks(o.failf)
+	r.checkWire(o.failf)
+	r.checkConservation(&o)
 
 	// Invariant: no path silently gains or loses a data touch during
 	// recovery. The clean single-copy run must show the exact paper
@@ -201,43 +130,39 @@ func Run(c Case) Outcome {
 	// (loose mode); the unmodified stack must still copy and checksum
 	// every byte on both hosts. UDP transfers tolerate loss by design,
 	// so per-byte stream coverage does not apply.
-	if c.Proto == "tcp" && c.Flows <= 1 {
-		cfg := ledger.AuditConfig{
-			Flow: led.MainFlow(), Total: c.Total,
-			SndHost: "A", RcvHost: "B", Strict: c.Plan == "",
-		}
-		var err error
+	audit := func(cfg ledger.AuditConfig) error {
 		if c.Mode == socket.ModeSingleCopy {
-			err = led.AssertSingleCopy(cfg)
-		} else {
-			err = led.AssertMultiCopy(cfg)
+			return r.led.AssertSingleCopy(cfg)
 		}
+		return r.led.AssertMultiCopy(cfg)
+	}
+	if c.Proto == "tcp" && w == nil {
+		err := audit(ledger.AuditConfig{
+			Flow: r.led.MainFlow(), Total: c.Total,
+			SndHost: "A", RcvHost: "B", Strict: c.Plan == "",
+		})
 		if err != nil {
-			o.FlightRec = tb.FlightDump()
+			o.FlightRec = r.tb.FlightDump()
 			o.failf("audit: %v", err)
 		}
 	}
-	// Many-flow runs audit every flow separately, always in loose mode:
-	// concurrent flows contend for netmem, so any flow may retransmit
-	// even on a clean plan. Each sender's local port is its ledger flow.
-	if c.Proto == "tcp" && c.Flows > 1 {
-		if len(o.flowPorts) != c.Flows {
-			o.failf("audit: only %d of %d flows dialed", len(o.flowPorts), c.Flows)
+	if w == nil {
+		return o
+	}
+	// Many-flow runs hold every flow to its fate and audit each one
+	// separately, always in loose mode: concurrent flows contend for
+	// netmem, so any flow may retransmit even on a clean plan. Each
+	// sender's local port is its ledger flow.
+	for f, fl := range w.fates {
+		if fl.SndErr != nil {
+			o.failf("progress: flow %d %s: %v", f, fl.sndOp, fl.SndErr)
 		}
-		for i, fp := range o.flowPorts {
-			cfg := ledger.AuditConfig{
-				Flow: int(fp), Total: c.Total + flowHdrLen,
-				SndHost: "A", RcvHost: "B", Strict: false,
-			}
-			var err error
-			if c.Mode == socket.ModeSingleCopy {
-				err = led.AssertSingleCopy(cfg)
-			} else {
-				err = led.AssertMultiCopy(cfg)
-			}
-			if err != nil {
-				o.failf("audit: flow %d (port %d): %v", i, fp, err)
-			}
+		if fl.Delivered != c.Total {
+			o.failf("bytes: flow %d delivered %d of %d", f, fl.Delivered, c.Total)
+		}
+		fp := w.ports[f]
+		if err := audit(ledger.AuditConfig{Flow: int(fp), Total: c.Total + flowHdrLen, SndHost: "A", RcvHost: "B"}); err != nil {
+			o.failf("audit: flow %d (port %d): %v", f, fp, err)
 		}
 	}
 	return o
@@ -248,161 +173,50 @@ func Run(c Case) Outcome {
 // value.
 func pattern(off units.Size) byte { return byte(3*off + 7) }
 
-func runTCP(tb *core.Testbed, a, b *core.Host, st, rt *kern.Task, c Case,
-	o *Outcome, got, sent *units.Size, senderRun *bool, done *bool) {
+// runTCP is the single-flow TCP workload: one unframed patterned stream.
+func (r *rig) runTCP(c Case, o *Outcome) {
+	a, b, st, rt := r.a, r.b, r.st, r.rt
 	lis := b.Stk.Listen(port)
-	tb.Eng.Go("soak-rcv", func(p *sim.Proc) {
+	r.tb.Eng.Go("soak-rcv", func(p *sim.Proc) {
 		s := b.Accept(p, rt, lis)
 		buf := rt.Space.Alloc(c.RWSize, 8)
 		for {
 			n, err := s.Read(p, buf)
 			for i := units.Size(0); i < n; i++ {
-				if w := pattern(*got + i); buf.Bytes()[i] != w {
-					o.failf("bytes: offset %d = %#x, want %#x", *got+i, buf.Bytes()[i], w)
-					tb.Eng.Stop()
+				if w := pattern(r.got + i); buf.Bytes()[i] != w {
+					o.failf("bytes: offset %d = %#x, want %#x", r.got+i, buf.Bytes()[i], w)
+					r.tb.Eng.Stop()
 					return
 				}
 			}
-			*got += n
+			r.got += n
 			if err != nil {
-				*done = true
+				r.done = true
 				return
 			}
 		}
 	})
-	tb.Eng.Go("soak-snd", func(p *sim.Proc) {
-		defer func() { *senderRun = false }()
+	r.tb.Eng.Go("soak-snd", func(p *sim.Proc) {
 		s, err := a.Dial(p, st, addrB, port)
 		if err != nil {
 			o.failf("progress: dial: %v", err)
 			return
 		}
 		buf := st.Space.Alloc(c.RWSize, 8)
-		for *sent < c.Total {
-			n := c.RWSize
-			if n > c.Total-*sent {
-				n = c.Total - *sent
-			}
+		for r.sent < c.Total {
+			n := min(c.RWSize, c.Total-r.sent)
 			w := buf.Slice(0, n)
 			for i := range w.Bytes() {
-				w.Bytes()[i] = pattern(*sent + units.Size(i))
+				w.Bytes()[i] = pattern(r.sent + units.Size(i))
 			}
 			if err := s.WriteAll(p, w); err != nil {
-				o.failf("progress: write at %v: %v", *sent, err)
+				o.failf("progress: write at %v: %v", r.sent, err)
 				return
 			}
-			*sent += n
+			r.sent += n
 		}
 		s.Close(p)
 	})
-}
-
-// flowHdrLen prefixes each many-flow TCP stream with its flow id, so the
-// accept loop can pair a connection with its expected byte pattern
-// without relying on accept order.
-const flowHdrLen = 8
-
-// patternF is flow f's stream pattern — distinct per flow, so cross-flow
-// data mixups surface as corruption, not coincidence.
-func patternF(f int, off units.Size) byte { return byte(f*131 + 3*int(off) + 7) }
-
-// runTCPMany is runTCP at Case.Flows concurrent connections: every flow
-// moves c.Total patterned bytes over its own connection, byte-exactness
-// is checked per flow, and the aggregate progress feeds the watchdog.
-func runTCPMany(tb *core.Testbed, a, b *core.Host, st, rt *kern.Task, c Case,
-	o *Outcome, got, sent *units.Size, senderRun *bool, done *bool) {
-	lis := b.Stk.ListenBacklog(port, c.Flows+8)
-	readersLeft, sendersLeft := c.Flows, c.Flows
-	o.flowPorts = make([]uint16, c.Flows)
-
-	tb.Eng.Go("soak-accept", func(p *sim.Proc) {
-		for i := 0; i < c.Flows; i++ {
-			s := b.Accept(p, rt, lis)
-			if s == nil {
-				return
-			}
-			tb.Eng.Go(fmt.Sprintf("soak-rcv%d", i), func(p *sim.Proc) {
-				buf := rt.Space.Alloc(c.RWSize, 8)
-				// The stream leads with the flow id.
-				var hdr [flowHdrLen]byte
-				hb := rt.Space.Alloc(flowHdrLen, 8)
-				for hoff := units.Size(0); hoff < flowHdrLen; {
-					n, err := s.Read(p, hb.Slice(hoff, flowHdrLen-hoff))
-					copy(hdr[hoff:], hb.Slice(hoff, n).Bytes())
-					hoff += n
-					if err != nil && hoff < flowHdrLen {
-						o.failf("progress: flow header read: %v", err)
-						return
-					}
-				}
-				flow := int(binary.BigEndian.Uint64(hdr[:]))
-				off := units.Size(0)
-				for {
-					n, err := s.Read(p, buf)
-					for i := units.Size(0); i < n; i++ {
-						if w := patternF(flow, off+i); buf.Bytes()[i] != w {
-							o.failf("bytes: flow %d offset %d = %#x, want %#x",
-								flow, off+i, buf.Bytes()[i], w)
-							tb.Eng.Stop()
-							return
-						}
-					}
-					off += n
-					*got += n
-					if err != nil {
-						break
-					}
-				}
-				if off != c.Total {
-					o.failf("bytes: flow %d delivered %d of %d", flow, off, c.Total)
-				}
-				if readersLeft--; readersLeft == 0 && sendersLeft == 0 {
-					*done = true
-				}
-			})
-		}
-	})
-
-	for f := 0; f < c.Flows; f++ {
-		f := f
-		tb.Eng.Go(fmt.Sprintf("soak-snd%d", f), func(p *sim.Proc) {
-			defer func() {
-				if sendersLeft--; sendersLeft == 0 {
-					*senderRun = false
-				}
-			}()
-			s, err := a.Dial(p, st, addrB, port)
-			if err != nil {
-				o.failf("progress: flow %d dial: %v", f, err)
-				return
-			}
-			o.flowPorts[f] = s.Conn.LocalPort()
-			buf := st.Space.Alloc(flowHdrLen+c.RWSize, 8)
-			binary.BigEndian.PutUint64(buf.Bytes()[:flowHdrLen], uint64(f))
-			if err := s.WriteAll(p, buf.Slice(0, flowHdrLen)); err != nil {
-				o.failf("progress: flow %d header: %v", f, err)
-				return
-			}
-			var off units.Size
-			for off < c.Total {
-				n := c.RWSize
-				if n > c.Total-off {
-					n = c.Total - off
-				}
-				w := buf.Slice(flowHdrLen, n)
-				for i := range w.Bytes() {
-					w.Bytes()[i] = patternF(f, off+units.Size(i))
-				}
-				if err := s.WriteAll(p, w); err != nil {
-					o.failf("progress: flow %d write at %v: %v", f, off, err)
-					return
-				}
-				off += n
-				*sent += n
-			}
-			s.Close(p)
-		})
-	}
 }
 
 // udpSeqLen prefixes each datagram with its sequence number, so the
@@ -410,12 +224,14 @@ func runTCPMany(tb *core.Testbed, a, b *core.Host, st, rt *kern.Task, c Case,
 // duplicates, without relying on ordered or complete delivery.
 const udpSeqLen = 8
 
-func runUDP(tb *core.Testbed, a, b *core.Host, st, rt *kern.Task, c Case,
-	inj *fault.Injector, o *Outcome, got, sent *units.Size, senderRun *bool) {
+// runUDP is the UDP workload: a blast of sequence-numbered patterned
+// datagrams.
+func (r *rig) runUDP(c Case, o *Outcome) {
+	a, b, st, rt := r.a, r.b, r.st, r.rt
 	nDg := int(c.Total / c.RWSize)
 	seen := make(map[uint64]int)
 	rx := socket.MustDGram(b.K, b.VM, rt, b.Stk, port, b.SocketConfig())
-	tb.Eng.Go("soak-udp-rcv", func(p *sim.Proc) {
+	r.tb.Eng.Go("soak-udp-rcv", func(p *sim.Proc) {
 		buf := rt.Space.Alloc(c.RWSize, 8)
 		for {
 			n, _, _ := rx.RecvFrom(p, buf)
@@ -432,7 +248,7 @@ func runUDP(tb *core.Testbed, a, b *core.Host, st, rt *kern.Task, c Case,
 				o.failf("bytes: datagram seq %d out of range [0,%d)", seq, nDg)
 				continue
 			}
-			if seen[seq]++; seen[seq] > 1 && inj.Fired[fault.Dup] == 0 {
+			if seen[seq]++; seen[seq] > 1 && r.inj.Fired[fault.Dup] == 0 {
 				o.failf("bytes: datagram %d delivered twice without a dup fault", seq)
 			}
 			ok := true
@@ -442,11 +258,11 @@ func runUDP(tb *core.Testbed, a, b *core.Host, st, rt *kern.Task, c Case,
 					ok = false
 				}
 			}
-			*got += n
+			r.got += n
 		}
 	})
-	tb.Eng.Go("soak-udp-snd", func(p *sim.Proc) {
-		defer func() { *senderRun = false }()
+	r.tb.Eng.Go("soak-udp-snd", func(p *sim.Proc) {
+		defer func() { r.quiet = true }()
 		tx := socket.MustDGram(a.K, a.VM, st, a.Stk, 0, a.SocketConfig())
 		buf := st.Space.Alloc(c.RWSize, 8)
 		for seq := 0; seq < nDg; seq++ {
@@ -456,7 +272,7 @@ func runUDP(tb *core.Testbed, a, b *core.Host, st, rt *kern.Task, c Case,
 				data[i] = pattern(units.Size(seq)*c.RWSize + units.Size(i))
 			}
 			tx.SendTo(p, buf, addrB, port)
-			*sent += c.RWSize
+			r.sent += c.RWSize
 		}
 	})
 }
@@ -464,26 +280,9 @@ func runUDP(tb *core.Testbed, a, b *core.Host, st, rt *kern.Task, c Case,
 // checkConservation cross-checks the fault ledger against protocol and
 // hardware counters: every injected fault must be visible in, and
 // consistent with, what the stacks observed.
-func checkConservation(o *Outcome, tb *core.Testbed, a, b *core.Host, inj *fault.Injector) {
-	net := tb.Net
-	if net.Sent+net.Duped != net.Delivered+net.Dropped {
-		o.failf("conservation: frames sent %d + duped %d != delivered %d + dropped %d",
-			net.Sent, net.Duped, net.Delivered, net.Dropped)
-	}
-	if int64(net.Dropped) != inj.Fired[fault.Drop]+inj.Fired[fault.Partition] {
-		// Partitioned frames are wire drops too, but they are accounted to
-		// the partition window, never to the per-packet drop schedule (the
-		// partition pre-pass returns before per-packet rules advance).
-		o.failf("conservation: wire dropped %d frames but drop faults fired %d and partition ate %d",
-			net.Dropped, inj.Fired[fault.Drop], inj.Fired[fault.Partition])
-	}
-	if net.DroppedInj+net.DroppedUnattached+net.DroppedFull != net.Dropped {
-		// The drop taxonomy must partition the total: every wire drop is
-		// either injected (fault/partition) or a detached destination port.
-		o.failf("conservation: drop split inj %d + unattached %d != dropped %d",
-			net.DroppedInj, net.DroppedUnattached, net.Dropped)
-	}
-	if inj.Fired[fault.Dup] > 0 && net.Duped == 0 {
+func (r *rig) checkConservation(o *Outcome) {
+	a, b, inj := r.a, r.b, r.inj
+	if inj.Fired[fault.Dup] > 0 && r.tb.Net.Duped == 0 {
 		o.failf("conservation: dup faults fired %d but no frame was duplicated", inj.Fired[fault.Dup])
 	}
 

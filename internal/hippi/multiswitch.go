@@ -96,19 +96,6 @@ func (n *Network) SetRoute(r RouteFunc) { n.route = r }
 // SetLinkInjector installs the trunk partition hook.
 func (n *Network) SetLinkInjector(li LinkInjector) { n.linkInj = li }
 
-// SetFIFO selects the queueing discipline at each switch's trunk outputs.
-// false (the default) is VOQ-like: each trunk direction serializes
-// independently, so a hot uplink never blocks a cold one. true is a single
-// shared FIFO per switch: all trunk transmissions out of one switch are
-// coupled through one busy horizon, reproducing head-of-line blocking at
-// fabric scale (the hol.go analysis, one level up).
-func (n *Network) SetFIFO(fifo bool) {
-	n.fifoHOL = fifo
-	if fifo && n.fifoUntil == nil {
-		n.fifoUntil = make(map[SwitchID]units.Time)
-	}
-}
-
 // SetECN installs queue-threshold CE marking on fabric hops: when a frame
 // queues behind threshold bytes or more of backlog (measured as stall time
 // at the hop's serializer), mark is asked to CE-mark the frame in place.
@@ -158,8 +145,10 @@ func (n *Network) forward(f *Frame, txTime units.Time, v Verdict, sw, dstSw Swit
 }
 
 // hop moves the frame one trunk closer to dstSw: route lookup, partition
-// check, switch delay, serialization onto the trunk (with optional FIFO
-// coupling and ECN marking), then either the next hop or final delivery.
+// check, switch delay, serialization onto the trunk (each trunk direction
+// serializes independently, VOQ-like, so a hot uplink never blocks a cold
+// one) with optional ECN marking, then either the next hop or final
+// delivery.
 func (n *Network) hop(f *Frame, txTime units.Time, sw, dstSw SwitchID, extra units.Time) {
 	var t *trunk
 	if n.route != nil {
@@ -184,11 +173,6 @@ func (n *Network) hop(f *Frame, txTime units.Time, sw, dstSw SwitchID, extra uni
 		dir, next = 1, t.a
 	}
 	start := now + n.delay
-	if n.fifoHOL {
-		if bu := n.fifoUntil[sw]; bu > start {
-			start = bu
-		}
-	}
 	var stall units.Time
 	if t.busyUntil[dir] > start {
 		stall = t.busyUntil[dir] - start
@@ -206,9 +190,6 @@ func (n *Network) hop(f *Frame, txTime units.Time, sw, dstSw SwitchID, extra uni
 	}
 	end := start + txTime
 	t.busyUntil[dir] = end
-	if n.fifoHOL {
-		n.fifoUntil[sw] = end
-	}
 	t.bytes[dir] += units.Size(len(f.Data))
 	t.frames[dir]++
 	if n.markECN != nil && stall >= n.markDelay && n.markECN(f.Data) {

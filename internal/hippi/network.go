@@ -113,8 +113,6 @@ type Network struct {
 	trunkList []*trunk
 	route     RouteFunc
 	linkInj   LinkInjector
-	fifoHOL   bool
-	fifoUntil map[SwitchID]units.Time
 	markECN   func([]byte) bool
 	markDelay units.Time
 	capDelay  units.Time
@@ -260,10 +258,4 @@ func (n *Network) arrive(f *Frame, dp *port, txTime, extra units.Time, fabric bo
 		n.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.WireTransit, "wire", 0)
 		dp.recv(*f)
 	})
-}
-
-// TxBusy reports whether src's transmit port is mid-frame.
-func (n *Network) TxBusy(src NodeID) bool {
-	p, ok := n.ports[src]
-	return ok && p.txBusyUntil > n.eng.Now()
 }

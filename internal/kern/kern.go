@@ -88,12 +88,11 @@ type Kernel struct {
 	// sliced so higher-priority work (interrupts) gets in between slices.
 	Quantum units.Time
 
-	cpu     *sim.Resource
-	cur     *Task // task most recently running on the CPU
-	byCat   [numCategories]units.Time
-	busy    units.Time
-	intrQ   *sim.Queue[intrWork]
-	started units.Time
+	cpu   *sim.Resource
+	cur   *Task // task most recently running on the CPU
+	byCat [numCategories]units.Time
+	busy  units.Time
+	intrQ *sim.Queue[intrWork]
 
 	// Obs is the host's telemetry registry (nil when disabled). Set by
 	// the assembler (core.AddHost) before subsystems are built, so each
@@ -387,11 +386,7 @@ func (k *Kernel) ResetAccounting() {
 		k.byCat[i] = 0
 	}
 	k.busy = 0
-	k.started = k.Eng.Now()
 }
-
-// AccountingWindow returns the time ResetAccounting was last called.
-func (k *Kernel) AccountingWindow() units.Time { return k.started }
 
 // CategoryBreakdown returns a copy of the per-category CPU time table.
 func (k *Kernel) CategoryBreakdown() map[string]units.Time {

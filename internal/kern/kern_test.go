@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/checksum"
 	"repro/internal/cost"
 	"repro/internal/mem"
 	"repro/internal/obs/engine"
@@ -204,8 +205,10 @@ func TestCopyAndChecksumCharges(t *testing.T) {
 	dst := make([]byte, len(src))
 	var sum uint32
 	e.Go("w", func(p *sim.Proc) {
-		k.CopyBytes(p, task, dst, src, 1*units.MB)
-		sum = k.ChecksumRead(p, task, dst, 1*units.MB)
+		c := k.TaskCtx(p, task)
+		c.CopyBytes(dst, src, 1*units.MB)
+		c.ChecksumCharge(units.Size(len(dst)), 1*units.MB)
+		sum = checksum.Sum(dst)
 	})
 	e.Run()
 	if dst[100] != src[100] {
@@ -236,8 +239,9 @@ func TestUIOCopyHelpers(t *testing.T) {
 	}
 	dst := make([]byte, 500)
 	e.Go("w", func(p *sim.Proc) {
-		k.CopyFromUIO(p, task, u, 100, 500, dst, 1000)
-		k.CopyToUIO(p, task, u, 0, dst, 1000)
+		c := k.TaskCtx(p, task)
+		c.CopyFromUIO(u, 100, 500, dst, 1000)
+		c.CopyToUIO(u, 0, dst, 1000)
 	})
 	e.Run()
 	want := byte(100 * 3 % 256)

@@ -124,17 +124,6 @@ func (v *VM) findDeferred(space *mem.AddrSpace, addr, n units.Size) int {
 	return -1
 }
 
-// FlushDeferred really unpins everything in the lazy cache (teardown).
-func (v *VM) FlushDeferred(p *sim.Proc, t *Task) {
-	c := v.k.TaskCtx(p, t)
-	for _, r := range v.deferred {
-		r.space.Unpin(r.addr, r.n)
-		c.Charge(v.k.Mach.UnpinTime(r.pages), CatVM)
-	}
-	v.deferred = nil
-	v.deferredPages = 0
-}
-
 // MapBuf maps [addr, addr+n) of a user space into kernel space, charging
 // Table 2's map cost. The socket layer performs this incrementally, one
 // socket-buffer's worth at a time, because OSF/1 drivers lack the

@@ -22,7 +22,6 @@ type flow struct {
 	client *host
 	server *host
 	rng    *rand.Rand
-	weight int
 	port   uint16     // data sender's local port once known (= arbiter/ledger flow id)
 	start  units.Time // when the flow began sending (after start jitter)
 
@@ -199,7 +198,7 @@ func (r *runner) startTCPClient(f *flow) {
 			return
 		}
 		r.setWindow(sock)
-		r.applyWeight(f, sock.Conn.LocalPort())
+		f.port = sock.Conn.LocalPort()
 		if r.s.Bulk {
 			r.runBulkClient(p, f, sock)
 		} else {
@@ -416,7 +415,7 @@ func (r *runner) startUDPFlow(f *flow) {
 			f.fail("udp client bind: %v", err)
 			return
 		}
-		r.applyWeight(f, cli.Sock.Port())
+		f.port = cli.Sock.Port()
 		if d := r.startDelay(f); d > 0 {
 			p.Sleep(d)
 		}

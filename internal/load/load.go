@@ -64,10 +64,6 @@ type Scenario struct {
 	// classic single switch). Servers rack behind edge switch 0; clients
 	// spread round-robin over the remaining edge switches.
 	Topology string
-	// FabricFIFO couples each fabric switch's trunk outputs through one
-	// shared FIFO (head-of-line blocking at fabric scale) instead of the
-	// default independent per-trunk VOQ serialization.
-	FabricFIFO bool
 	// CC selects every host's TCP congestion control: "" or "reno" for
 	// the classic 4.3BSD-Reno behavior, "dctcp" for the ECN variant.
 	CC string
@@ -121,9 +117,6 @@ type Scenario struct {
 	// Arbiter, when set, installs the per-flow netmem arbiter on every
 	// host.
 	Arbiter *cab.ArbConfig
-	// Weights holds optional per-flow arbiter weights (index = flow id;
-	// missing or zero entries default to the arbiter's DefaultWeight).
-	Weights []int
 	// Ledger enables the data-touch ledger (used by audit-mode runs).
 	Ledger bool
 	// EngObs, when set, attaches the simulator meta-observer to the run's
@@ -218,6 +211,25 @@ func (s Scenario) maxSizes() (req, resp units.Size) {
 		resp = max(resp, c.Resp)
 	}
 	return req, resp
+}
+
+// spaceNeed is what one flow allocates in its client's and its server's
+// address space: the buffers runRRClient or runBulkClient, serveTCP and
+// startUDPFlow carve, each padded for its 8-byte alignment. Spaces are
+// sized to exactly this because their backing is live heap: idle slack
+// raises the collector's goal, and with it how far touched garbage grows
+// before a cycle, by an amount that varies with when the pacer fires.
+func (s Scenario) spaceNeed(udp bool) (client, server units.Size) {
+	maxReq, maxResp := s.maxSizes()
+	if udp {
+		pay := hdrLen + max(maxReq, s.BulkWrite) + 8
+		return pay, pay
+	}
+	server = hdrLen + max(maxReq, 64*units.KB) + max(maxResp, hdrLen) + 3*8
+	if s.Bulk {
+		return hdrLen + s.BulkWrite + 2*8, server
+	}
+	return hdrLen + maxReq + max(maxResp, 16*units.KB) + 2*8, server
 }
 
 // pick draws a size class from the mix.
@@ -353,8 +365,8 @@ func (r *runner) build() {
 		}
 	}
 
-	// Fabric assembly: trunks, ECMP routing, rack placement, queueing
-	// discipline, and (when enabled) the CE marker.
+	// Fabric assembly: trunks, ECMP routing, rack placement, and (when
+	// enabled) the CE marker and the trunk queue cap.
 	if s.Topology != "" {
 		tp := fabric.MustParse(s.Topology) // validated by normalized
 		tp.Install(r.tb.Net, uint64(s.Seed))
@@ -366,9 +378,6 @@ func (r *runner) build() {
 			cliNodes = append(cliNodes, c.h.Cfg.CABNode)
 		}
 		r.tb.Net.SetPlacement(tp.PlaceRacked(srvNodes, cliNodes))
-		if s.FabricFIFO {
-			r.tb.Net.SetFIFO(true)
-		}
 		if s.ECNThreshold > 0 {
 			r.tb.Net.SetECN(s.ECNThreshold, fabric.MarkCE)
 		}
@@ -379,7 +388,6 @@ func (r *runner) build() {
 
 	// Flow table: flow i is UDP iff i < udpCount; hosts round-robin.
 	udpCount := int(math.Round(s.UDPFrac * float64(s.Flows)))
-	maxReq, maxResp := s.maxSizes()
 	for i := 0; i < s.Flows; i++ {
 		f := &flow{
 			id:     i,
@@ -389,25 +397,24 @@ func (r *runner) build() {
 			rng:    rand.New(rand.NewSource(s.Seed*1000003 + int64(i))),
 			lat:    &obs.Histogram{},
 		}
-		if i < len(s.Weights) {
-			f.weight = s.Weights[i]
-		}
 		r.flows = append(r.flows, f)
 	}
 
 	// One task per host; space sized for that host's flow buffers.
-	perFlow := hdrLen + maxReq + maxResp + s.BulkWrite + 64*units.KB
 	for _, hosts := range [][]*host{r.servers, r.clients} {
 		for _, h := range hosts {
-			n := 0
+			var size units.Size
 			for _, f := range r.flows {
-				if f.client == h || f.server == h {
-					n++
+				cli, srv := s.spaceNeed(f.udp)
+				if f.client == h {
+					size += cli
+				}
+				if f.server == h {
+					size += srv
 				}
 			}
-			size := units.Size(n)*perFlow + units.MB
 			page := h.h.K.Mach.PageSize
-			size = (size + page - 1) / page * page
+			size = max(page, (size+page-1)/page*page) // a flowless host still gets a space
 			h.task = h.h.NewUserTask("load", size)
 		}
 	}
@@ -461,23 +468,6 @@ func (r *runner) startDelay(f *flow) units.Time {
 		return 0
 	}
 	return units.Time(f.rng.Int63n(int64(r.s.Stagger)))
-}
-
-// applyWeight registers the flow's arbiter weight on both ends once its
-// sender port is known. The sender's own CAB accounts transmit staging by
-// local port; the receiving CAB accounts the same flow under the
-// (sender node, port) key.
-func (r *runner) applyWeight(f *flow, port uint16) {
-	f.port = port
-	if f.weight <= 0 {
-		return
-	}
-	if a := f.client.h.CAB.Arb; a != nil {
-		a.SetWeight(int(port), f.weight)
-	}
-	if a := f.server.h.CAB.Arb; a != nil {
-		a.SetWeight(cab.FlowKey(f.client.h.Cfg.CABNode, int(port)), f.weight)
-	}
 }
 
 // auditSingleCopy checks every TCP bulk stream against the ledger's

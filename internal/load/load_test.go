@@ -259,7 +259,7 @@ func TestNetObsSameSeedByteIdentical(t *testing.T) {
 	}
 }
 
-// fairnessScenario is a netmem-starved incast: 8 same-weight TCP bulk
+// fairnessScenario is a netmem-starved incast: 8 TCP bulk
 // elephants plus 3 uncontrolled UDP blasters, each on its own client
 // host, converge on one server whose adaptor has 256 KB of network
 // memory. The blaster datagrams land in receivers that take 60 ms per
@@ -309,7 +309,7 @@ func fairnessScenario(arb bool) Scenario {
 }
 
 // TestLoadFairnessArbiter is the headline acceptance check: under netmem
-// starvation the arbiter keeps same-weight bulk flows at Jain >= 0.9 with
+// starvation the arbiter keeps the bulk flows at Jain >= 0.9 with
 // no starved flow, while the unarbitrated baseline demonstrably violates
 // that.
 func TestLoadFairnessArbiter(t *testing.T) {

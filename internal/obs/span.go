@@ -366,15 +366,6 @@ func (s *Span) SetCritCur(id int32) {
 	}
 }
 
-// CritHost returns the host label the span currently runs on, for causal
-// events recorded off-span.
-func (s *Span) CritHost() string {
-	if s == nil {
-		return ""
-	}
-	return s.host
-}
-
 // StageStat is one stage's exported aggregate.
 type StageStat struct {
 	Stage   string `json:"stage"`

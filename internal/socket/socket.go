@@ -49,10 +49,6 @@ type Config struct {
 	// (Section 4.4.3). Zero means always (the paper's measured
 	// configuration).
 	UIOThreshold units.Size
-	// ChunkSize is how much is mapped/pinned and appended per iteration —
-	// "one socket buffer worth at a time" (Section 4.4.1). Defaults to
-	// the connection's maximum segment size.
-	ChunkSize units.Size
 	// AlignFirstPacket enables the Section 4.5 optimization the paper
 	// describes but did not implement: for a large but misaligned write,
 	// send a short first chunk through the copy path so the bulk of the
@@ -178,14 +174,6 @@ func (t *tracker) wait(p *sim.Proc) {
 	}
 }
 
-// chunkSize resolves the per-iteration unit.
-func (s *Socket) chunkSize() units.Size {
-	if s.Cfg.ChunkSize > 0 {
-		return s.Cfg.ChunkSize
-	}
-	return s.Conn.MaxSeg
-}
-
 // Write sends the whole buffer, blocking until it may be reused (copy
 // semantics): on the traditional path when the last byte is copied into
 // kernel buffers, on the single-copy path when the last byte is secured
@@ -246,7 +234,7 @@ func (s *Socket) alignable(buf mem.Buf) bool {
 func (s *Socket) writeCopy(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, error) {
 	c := s.Conn
 	total := buf.Len
-	chunkMax := s.chunkSize()
+	chunkMax := c.MaxSeg
 	// Ledger attribution: this write's byte 0 lands at the current append
 	// stream offset (stable across the loop: ACKs shift sndUna and sndLen
 	// in lockstep). The copies below address the UIO at write offsets, so
@@ -314,7 +302,9 @@ func (s *Socket) writeCopy(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, e
 func (s *Socket) writeUIO(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, error) {
 	c := s.Conn
 	total := buf.Len
-	chunkMax := s.chunkSize()
+	// Map, pin and append "one socket buffer worth at a time" (Section
+	// 4.4.1): one maximum-size segment per iteration.
+	chunkMax := c.MaxSeg
 	trk := newTracker(s.K.Eng)
 	var pinned []mem.Iovec
 	boundary := true

@@ -13,7 +13,9 @@
 package tcpip
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/checksum"
 	"repro/internal/kern"
@@ -420,12 +422,28 @@ func csumChain(ctx kern.Ctx, m *mbuf.Mbuf, n, region units.Size) uint32 {
 	return sum
 }
 
-// Conns returns the live connections (diagnostics).
+// Conns returns the live connections in connection-key order (remote
+// address, local port, remote port), so a sweep over them runs the same
+// way every time.
 func (s *Stack) Conns() []*TCPConn {
-	var out []*TCPConn
+	out := make([]*TCPConn, 0, len(s.conns))
 	for _, c := range s.conns {
 		out = append(out, c)
 	}
+	slices.SortFunc(out, func(a, b *TCPConn) int {
+		return cmp.Or(cmp.Compare(a.key.raddr, b.key.raddr),
+			cmp.Compare(a.key.lport, b.key.lport), cmp.Compare(a.key.rport, b.key.rport))
+	})
+	return out
+}
+
+// udpSocks returns the bound UDP sockets in port order.
+func (s *Stack) udpSocks() []*UDPSock {
+	out := make([]*UDPSock, 0, len(s.udps))
+	for _, u := range s.udps {
+		out = append(out, u)
+	}
+	slices.SortFunc(out, func(a, b *UDPSock) int { return cmp.Compare(a.port, b.port) })
 	return out
 }
 

@@ -28,6 +28,12 @@ import (
 	"repro/internal/units"
 )
 
+// The receiver's ports: Run listens on tcpPort, RunUDP binds udpPort.
+const (
+	tcpPort = 5010
+	udpPort = 5011
+)
+
 // Params configures one transfer.
 type Params struct {
 	// Total is the byte count to move.
@@ -38,8 +44,6 @@ type Params struct {
 	// Window overrides the TCP window / socket buffer size (default the
 	// experiment's 512 KB).
 	Window units.Size
-	// Port is the server port (default 5010).
-	Port uint16
 	// WithUtil runs the util methodology (else only ground-truth
 	// accounting is reported).
 	WithUtil bool
@@ -160,9 +164,6 @@ func (s *side) times() taskTimes {
 // stacks and returns the measurements. The testbed engine is driven to
 // completion.
 func Run(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
-	if pr.Port == 0 {
-		pr.Port = 5010
-	}
 	if pr.Window == 0 {
 		pr.Window = 512 * units.KB
 	}
@@ -176,7 +177,7 @@ func Run(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 	rs.utilTask = rcv.K.NewTask("util", kern.PrioIdle, nil)
 	rs.bgdTask = rcv.K.NewTask("bgd", kern.PrioKern, nil)
 
-	lis := rcv.Stk.Listen(pr.Port)
+	lis := rcv.Stk.Listen(tcpPort)
 
 	var (
 		t0, t1         units.Time
@@ -212,7 +213,7 @@ func Run(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 	tb.Eng.Go("ttcp-snd", func(p *sim.Proc) {
 		cfg := snd.SocketConfig()
 		cfg.UIOThreshold = pr.UIOThreshold
-		conn, err := snd.Stk.Connect(snd.K.TaskCtx(p, ss.ttcpTask), rcv.Cfg.Addr, pr.Port)
+		conn, err := snd.Stk.Connect(snd.K.TaskCtx(p, ss.ttcpTask), rcv.Cfg.Addr, tcpPort)
 		if err != nil {
 			if pr.Tolerant {
 				sndErr = err.Error()

@@ -28,9 +28,6 @@ type UDPResult struct {
 
 // RunUDP performs a UDP blast from snd to rcv.
 func RunUDP(tb *core.Testbed, snd, rcv *core.Host, pr Params) UDPResult {
-	if pr.Port == 0 {
-		pr.Port = 5011
-	}
 	ss := &side{h: snd}
 	ss.ttcpTask = snd.NewUserTask("ttcp-snd", 16*units.MB)
 	ss.utilTask = snd.K.NewTask("util", kern.PrioIdle, nil)
@@ -46,7 +43,7 @@ func RunUDP(tb *core.Testbed, snd, rcv *core.Host, pr Params) UDPResult {
 	)
 	snd0, rcv0 := ss.times(), rs.times()
 
-	rx := socket.MustDGram(rcv.K, rcv.VM, rs.ttcpTask, rcv.Stk, pr.Port, rcv.SocketConfig())
+	rx := socket.MustDGram(rcv.K, rcv.VM, rs.ttcpTask, rcv.Stk, udpPort, rcv.SocketConfig())
 	tb.Eng.Go("ttcp-udp-rcv", func(p *sim.Proc) {
 		buf := rs.ttcpTask.Space.Alloc(pr.RWSize, 8)
 		for {
@@ -74,12 +71,12 @@ func RunUDP(tb *core.Testbed, snd, rcv *core.Host, pr Params) UDPResult {
 		}
 		for sent := units.Size(0); sent < pr.Total; sent += pr.RWSize {
 			snd.K.Work(p, ss.ttcpTask, 2*units.Microsecond, kern.CatApp, false)
-			tx.SendTo(p, buf, rcv.Cfg.Addr, pr.Port)
+			tx.SendTo(p, buf, rcv.Cfg.Addr, udpPort)
 		}
 		// EOT sentinels (several, in case some are lost).
 		eot := ss.ttcpTask.Space.Alloc(eotLen, 8)
 		for i := 0; i < 5; i++ {
-			tx.SendTo(p, eot, rcv.Cfg.Addr, pr.Port)
+			tx.SendTo(p, eot, rcv.Cfg.Addr, udpPort)
 			p.Sleep(500 * units.Microsecond)
 		}
 	})
