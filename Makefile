@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke benchsmoke bench benchcheck gate audit soak obs-race load load-race ci
+.PHONY: all build vet test race allocs bench-smoke benchsmoke bench benchcheck gate audit soak obs-race load load-race ci
 
 all: build
 
@@ -15,6 +15,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The allocation pins (tests named *Alloc* or *Budget*: zero-allocation
+# walks, mallocs per event and per segment, bytes per payload byte) without
+# the race detector. Under -race they skip — the detector allocates on its
+# own and sync.Pool drops items at random — so `race` never runs them.
+allocs:
+	$(GO) test -count 1 -run 'Alloc|Budget' ./...
 
 # One pass over the Figure 5 sweep; the simulation is deterministic, so a
 # single iteration gives the full virtual-time result set.
@@ -82,4 +89,4 @@ load-race:
 	$(GO) test -race -count 1 ./internal/load/...
 
 # The GitHub workflow runs exactly these, one step each, in this order.
-ci: vet build race bench-smoke benchsmoke audit benchcheck
+ci: vet build race allocs bench-smoke benchsmoke audit benchcheck

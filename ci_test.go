@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,7 +15,9 @@ import (
 
 // TestWorkflowRunsCITargets holds the GitHub workflow to the Makefile: its
 // steps are exactly the prerequisites of `ci:`, in order, so a check
-// cannot live in one and be missing from the other.
+// cannot live in one and be missing from the other. Beside the race run,
+// ci must run the allocation budgets without the detector, since under it
+// they skip.
 func TestWorkflowRunsCITargets(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -25,6 +28,14 @@ func TestWorkflowRunsCITargets(t *testing.T) {
 		t.Fatal("Makefile has no ci: target")
 	}
 	want := strings.Fields(string(m[1]))
+	for _, step := range []string{"race", "allocs"} {
+		if !slices.Contains(want, step) {
+			t.Errorf("ci: targets %v lack %s", want, step)
+		}
+	}
+	if !regexp.MustCompile(`(?m)^allocs:\n\t\$\(GO\) test -count 1 -run 'Alloc\|Budget' \./\.\.\.$`).Match(mk) {
+		t.Error("the allocs target no longer runs the Alloc|Budget tests across ./... without -race")
+	}
 
 	yml, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {

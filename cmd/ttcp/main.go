@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ttcp [-mode single|unmodified|raw] [-size 64K] [-total 16M]
+//	ttcp [-mode single|unmodified|raw] [-proto tcp|udp] [-size 64K] [-total 16M]
 //	     [-machine alpha400|alpha300] [-window 512K] [-lazy]
 //	     [-stats] [-trace out.json] [-metrics out.json]
 //	     [-profile] [-profile-out out.folded] [-profile-json out.json]
@@ -13,6 +13,8 @@
 //	     [-audit] [-ledger out.json] [-flightrec out.json]
 //	     [-critpath] [-critpath-chrome out.json]
 //	     [-netobs] [-netobs-json out.json] [-netobs-chrome out.json]
+//
+// An unknown -mode, -proto or -machine value is refused with exit status 2.
 //
 // -audit enables the data-touch ledger and prints the per-flow audit
 // table (one row per host × touch kind with per-byte min/max); for TCP it
@@ -56,10 +58,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -92,40 +96,75 @@ func parseSize(s string) (units.Size, error) {
 }
 
 func main() {
-	mode := flag.String("mode", "single", "stack: single, unmodified, raw")
-	proto := flag.String("proto", "tcp", "transport: tcp, udp")
-	sizeS := flag.String("size", "64K", "read/write size")
-	totalS := flag.String("total", "16M", "bytes to transfer")
-	windowS := flag.String("window", "512K", "TCP window / socket buffer")
-	machine := flag.String("machine", "alpha400", "host model: alpha400, alpha300")
-	lazy := flag.Bool("lazy", false, "enable the lazy-unpin buffer cache")
-	stats := flag.Bool("stats", false, "print telemetry counters and the per-packet latency histogram")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file to this path")
-	metricsOut := flag.String("metrics", "", "write the JSON metrics snapshot to this path")
-	profile := flag.Bool("profile", false, "print folded-stacks CPU profile to stdout")
-	profileOut := flag.String("profile-out", "", "write the folded-stacks CPU profile to this path")
-	profileJSON := flag.String("profile-json", "", "write the CPU profile JSON snapshot to this path")
-	seriesOut := flag.String("series", "", "write the utilization time-series JSON to this path")
-	seriesCSV := flag.String("series-csv", "", "write the utilization time-series CSV to this path")
-	seriesIntervalUS := flag.Int64("series-interval-us", 100, "series sampling interval, µs of virtual time")
-	faultPlan := flag.String("fault", "", "fault plan, e.g. 'drop:every=13,min=1000;corrupt:p=0.01' (see internal/fault)")
-	faultSeed := flag.Int64("fault-seed", 1, "fault injector seed")
-	auditFlag := flag.Bool("audit", false, "enable the data-touch ledger and print the per-flow audit table; fails if the stack's copy-count oracle does not hold")
-	ledgerOut := flag.String("ledger", "", "with -audit, also write the full ledger JSON to this path")
-	flightRec := flag.String("flightrec", "", "write the flight-recorder image (recent ledger + trace events) to this path")
-	critFlag := flag.Bool("critpath", false, "record per-transfer happens-before graphs and print the critical-path latency attribution")
-	critChrome := flag.String("critpath-chrome", "", "with -critpath, also write the critical paths as a Chrome trace-event file to this path")
-	netobsFlag := flag.Bool("netobs", false, "record per-flow TCP dynamics and wire-port telemetry and print the congestion postmortem")
-	netobsJSON := flag.String("netobs-json", "", "write the full transport-dynamics recorder dump to this path")
-	netobsChrome := flag.String("netobs-chrome", "", "write the transport-dynamics series as Chrome-trace counter tracks to this path")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its process edges as parameters; it returns the exit
+// status: 2 for bad flags, 1 for a failed run or audit.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ttcp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	mode := fs.String("mode", "single", "stack: single, unmodified, raw")
+	proto := fs.String("proto", "tcp", "transport: tcp, udp")
+	sizeS := fs.String("size", "64K", "read/write size")
+	totalS := fs.String("total", "16M", "bytes to transfer")
+	windowS := fs.String("window", "512K", "TCP window / socket buffer")
+	machine := fs.String("machine", "alpha400", "host model: alpha400, alpha300")
+	lazy := fs.Bool("lazy", false, "enable the lazy-unpin buffer cache")
+	stats := fs.Bool("stats", false, "print telemetry counters and the per-packet latency histogram")
+	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file to this path")
+	metricsOut := fs.String("metrics", "", "write the JSON metrics snapshot to this path")
+	profile := fs.Bool("profile", false, "print folded-stacks CPU profile to stdout")
+	profileOut := fs.String("profile-out", "", "write the folded-stacks CPU profile to this path")
+	profileJSON := fs.String("profile-json", "", "write the CPU profile JSON snapshot to this path")
+	seriesOut := fs.String("series", "", "write the utilization time-series JSON to this path")
+	seriesCSV := fs.String("series-csv", "", "write the utilization time-series CSV to this path")
+	seriesIntervalUS := fs.Int64("series-interval-us", 100, "series sampling interval, µs of virtual time")
+	faultPlan := fs.String("fault", "", "fault plan, e.g. 'drop:every=13,min=1000;corrupt:p=0.01' (see internal/fault)")
+	faultSeed := fs.Int64("fault-seed", 1, "fault injector seed")
+	auditFlag := fs.Bool("audit", false, "enable the data-touch ledger and print the per-flow audit table; fails if the stack's copy-count oracle does not hold")
+	ledgerOut := fs.String("ledger", "", "with -audit, also write the full ledger JSON to this path")
+	flightRec := fs.String("flightrec", "", "write the flight-recorder image (recent ledger + trace events) to this path")
+	critFlag := fs.Bool("critpath", false, "record per-transfer happens-before graphs and print the critical-path latency attribution")
+	critChrome := fs.String("critpath-chrome", "", "with -critpath, also write the critical paths as a Chrome trace-event file to this path")
+	netobsFlag := fs.Bool("netobs", false, "record per-flow TCP dynamics and wire-port telemetry and print the congestion postmortem")
+	netobsJSON := fs.String("netobs-json", "", "write the full transport-dynamics recorder dump to this path")
+	netobsChrome := fs.String("netobs-chrome", "", "write the transport-dynamics series as Chrome-trace counter tracks to this path")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(status int, err error) int {
+		fmt.Fprintln(stderr, "ttcp:", err)
+		return status
+	}
+	for _, e := range []struct {
+		name, val string
+		want      []string
+	}{
+		{"mode", *mode, []string{"single", "unmodified", "raw"}},
+		{"proto", *proto, []string{"tcp", "udp"}},
+		{"machine", *machine, []string{"alpha400", "alpha300"}},
+	} {
+		if !slices.Contains(e.want, e.val) {
+			return fail(2, fmt.Errorf("unknown -%s %q (want %s)", e.name, e.val, strings.Join(e.want, ", ")))
+		}
+	}
 
 	size, err := parseSize(*sizeS)
-	die(err)
+	if err != nil {
+		return fail(1, err)
+	}
 	total, err := parseSize(*totalS)
-	die(err)
+	if err != nil {
+		return fail(1, err)
+	}
 	window, err := parseSize(*windowS)
-	die(err)
+	if err != nil {
+		return fail(1, err)
+	}
 
 	mach := cost.Alpha400
 	if *machine == "alpha300" {
@@ -155,7 +194,9 @@ func main() {
 	var inj *fault.Injector
 	if *faultPlan != "" {
 		inj = fault.New(tb.Eng, *faultSeed)
-		die(inj.AddPlan(*faultPlan))
+		if err := inj.AddPlan(*faultPlan); err != nil {
+			return fail(1, err)
+		}
 		tb.EnableFaults(inj)
 	}
 	params := ttcp.Params{
@@ -168,19 +209,24 @@ func main() {
 	}
 	// With -profile, stdout carries only the folded stacks (pipeable into
 	// flamegraph.pl); the human report moves to stderr.
-	report := io.Writer(os.Stdout)
+	report := stdout
 	if *profile {
-		report = os.Stderr
+		report = stderr
 	}
-	emitTelemetry := func() {
+	write := func(path string, b []byte) error { return os.WriteFile(path, b, 0o644) }
+	emitTelemetry := func() error {
 		if *flightRec != "" {
-			die(os.WriteFile(*flightRec, tb.FlightDump(), 0o644))
+			if err := write(*flightRec, tb.FlightDump()); err != nil {
+				return err
+			}
 		}
 		if tb.Led != nil {
 			led := tb.Led
 			flow := led.MainFlow()
 			if *ledgerOut != "" {
-				die(os.WriteFile(*ledgerOut, led.JSON(), 0o644))
+				if err := write(*ledgerOut, led.JSON()); err != nil {
+					return err
+				}
 			}
 			if *auditFlag {
 				fmt.Fprint(report, "\n"+led.Summary(flow, total, []string{"snd", "wire", "rcv"}).Format())
@@ -196,8 +242,7 @@ func main() {
 					err = led.AssertSingleCopy(cfg)
 				}
 				if err != nil {
-					fmt.Fprintln(os.Stderr, "ttcp: audit:", err)
-					os.Exit(1)
+					return fmt.Errorf("audit: %w", err)
 				} else if *proto == "tcp" && *mode != "raw" {
 					fmt.Fprintln(report, "  oracle: ok")
 				}
@@ -213,18 +258,24 @@ func main() {
 				rep.WriteText(report, false)
 			}
 			if *critChrome != "" {
-				die(os.WriteFile(*critChrome, rep.ChromeJSON(), 0o644))
+				if err := write(*critChrome, rep.ChromeJSON()); err != nil {
+					return err
+				}
 			}
 		}
 		if tb.Prof != nil {
 			if *profile {
-				fmt.Print(tb.Prof.Folded())
+				fmt.Fprint(stdout, tb.Prof.Folded())
 			}
 			if *profileOut != "" {
-				die(os.WriteFile(*profileOut, []byte(tb.Prof.Folded()), 0o644))
+				if err := write(*profileOut, []byte(tb.Prof.Folded())); err != nil {
+					return err
+				}
 			}
 			if *profileJSON != "" {
-				die(os.WriteFile(*profileJSON, tb.Prof.Snapshot().JSON(), 0o644))
+				if err := write(*profileJSON, tb.Prof.Snapshot().JSON()); err != nil {
+					return err
+				}
 			}
 		}
 		if tb.NetObs != nil {
@@ -232,33 +283,50 @@ func main() {
 				fmt.Fprint(report, "\n"+tb.NetObsPostmortem(0).Format())
 			}
 			if *netobsJSON != "" {
-				die(os.WriteFile(*netobsJSON, tb.NetObs.Snapshot().JSON(), 0o644))
+				if err := write(*netobsJSON, tb.NetObs.Snapshot().JSON()); err != nil {
+					return err
+				}
 			}
 			if *netobsChrome != "" {
-				die(os.WriteFile(*netobsChrome, tb.NetObs.Chrome(), 0o644))
+				if err := write(*netobsChrome, tb.NetObs.Chrome()); err != nil {
+					return err
+				}
 			}
 		}
 		if tb.Series != nil {
 			snap := tb.Series.Snapshot()
 			if *seriesOut != "" {
-				die(os.WriteFile(*seriesOut, snap.JSON(), 0o644))
+				if err := write(*seriesOut, snap.JSON()); err != nil {
+					return err
+				}
 			}
 			if *seriesCSV != "" {
-				die(os.WriteFile(*seriesCSV, []byte(snap.CSV()), 0o644))
+				if err := write(*seriesCSV, []byte(snap.CSV())); err != nil {
+					return err
+				}
 			}
 		}
 		if tb.Tel == nil {
-			return
+			return nil
 		}
 		if *stats {
 			fmt.Fprint(report, "\n"+tb.Tel.Snapshot().Format())
 		}
 		if *metricsOut != "" {
-			die(os.WriteFile(*metricsOut, tb.Tel.Snapshot().JSON(), 0o644))
+			if err := write(*metricsOut, tb.Tel.Snapshot().JSON()); err != nil {
+				return err
+			}
 		}
 		if *traceOut != "" {
-			die(os.WriteFile(*traceOut, tb.Tel.Chrome(), 0o644))
+			return write(*traceOut, tb.Tel.Chrome())
 		}
+		return nil
+	}
+	finish := func() int {
+		if err := emitTelemetry(); err != nil {
+			return fail(1, err)
+		}
+		return 0
 	}
 
 	var res ttcp.Result
@@ -281,8 +349,7 @@ func main() {
 			ur.Snd.Utilization, ur.Snd.Efficiency.Mbit())
 		fmt.Fprintf(report, "  receiver     util %.2f  efficiency %.1f Mb/s\n",
 			ur.Rcv.Utilization, ur.Rcv.Efficiency.Mbit())
-		emitTelemetry()
-		return
+		return finish()
 	}
 	if *mode == "raw" {
 		a := tb.AddHost(core.HostConfig{Name: "snd", Addr: wire.Addr(0x0a000001),
@@ -320,12 +387,5 @@ func main() {
 			fmt.Fprintf(report, "    %-8s %v\n", cat, d)
 		}
 	}
-	emitTelemetry()
-}
-
-func die(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ttcp:", err)
-		os.Exit(1)
-	}
+	return finish()
 }

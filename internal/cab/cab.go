@@ -58,7 +58,8 @@ func DefaultConfig() Config {
 }
 
 // RxEvent is delivered to the host (driver) when a packet has arrived and
-// its first L bytes have been auto-DMAed into a host buffer.
+// its first L bytes have been auto-DMAed into a host buffer. The adaptor
+// builds one per received packet; the host may keep it.
 type RxEvent struct {
 	// Pkt is the packet resident in network memory. For packets that fit
 	// entirely within the auto-DMA buffer the driver typically frees it
@@ -121,9 +122,13 @@ type CAB struct {
 
 	sdmaQ *sim.Queue[*SDMAReq]
 
-	channels []*sim.Queue[*txEntry]
+	channels []*sim.Queue[txEntry]
 	txPend   *sim.Signal
-	txSent   *sim.Signal
+	// txSent is broadcast when the frame on the wire has left the adaptor:
+	// the MDMA engine serializes one frame at a time, so one signal (and
+	// one callback bound to it, sentFn) serves every frame.
+	txSent *sim.Signal
+	sentFn func()
 
 	rxBufs [][]byte
 
@@ -230,8 +235,9 @@ func New(eng *sim.Engine, mach *cost.Machine, net *hippi.Network, id hippi.NodeI
 		live:      make(map[int]*Packet),
 	}
 	c.totalPages = c.freePages
+	c.sentFn = c.txSent.Broadcast
 	for i := 0; i < cfg.Channels; i++ {
-		c.channels = append(c.channels, sim.NewQueue[*txEntry](eng))
+		c.channels = append(c.channels, sim.NewQueue[txEntry](eng))
 	}
 	net.Attach(id, c.rxFrame)
 	eng.Go(fmt.Sprintf("cab%d/sdma", id), c.sdmaProc)
@@ -403,7 +409,8 @@ func (c *CAB) SetReserve(n int) {
 // MDMA descriptors, posted auto-DMA buffers, and all WCAB state (saved body
 // sums live inside the wiped packets) vanish at once. Every live packet is
 // zapped — host-side references see Freed()==true and a no-op Free — and
-// every queued descriptor is killed (its Fail hook runs instead of Done).
+// every queued descriptor is killed (its owner hears SDMAFail, never
+// SDMADone).
 // Runs in hardware/event context; finishes by notifying the driver through
 // OnReset so it can re-arm receive and sweep dead connections.
 func (c *CAB) Reset() {
@@ -426,7 +433,7 @@ func (c *CAB) Reset() {
 	c.freePages = c.totalPages
 	c.pagesUsed.Set(0)
 	// SDMA engine: the descriptor queue is wiped. Each killed request's
-	// Fail hook (if any) runs so host-side waiters are unblocked; Done
+	// owner hears SDMAFail so host-side waiters are unblocked; SDMADone
 	// never fires for a killed transfer. The in-service transfer (if any)
 	// is caught by sdmaProc's zapped check when its bus time expires.
 	for {
@@ -479,8 +486,8 @@ func (c *CAB) liveByAlloc() []*Packet {
 // killSDMA fails one descriptor killed by a firmware reset.
 func (c *CAB) killSDMA(req *SDMAReq) {
 	c.Stats.SDMAKilled++
-	if req.Fail != nil {
-		req.Fail(req)
+	if req.Owner != nil {
+		req.Owner.SDMAFail(req)
 	}
 }
 

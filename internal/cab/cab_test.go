@@ -12,6 +12,12 @@ import (
 	"repro/internal/units"
 )
 
+// onDone is a test SDMA owner: it runs on completion and ignores a kill.
+type onDone func(*SDMAReq)
+
+func (f onDone) SDMADone(r *SDMAReq) { f(r) }
+func (onDone) SDMAFail(*SDMAReq)     {}
+
 func testRig() (*sim.Engine, *hippi.Network, *CAB, *CAB) {
 	e := sim.NewEngine(1)
 	n := hippi.NewNetwork(e, hippi.LineRate, 5*units.Microsecond)
@@ -103,7 +109,7 @@ func TestSDMATxChecksumSeedProtocol(t *testing.T) {
 		Csum:     true,
 		CsumOff:  csumOff,
 		CsumSkip: hdrLen,
-		Done:     func(*SDMAReq) { done = true },
+		Owner:    onDone(func(*SDMAReq) { done = true }),
 	})
 	e.Run()
 	if !done {
@@ -194,7 +200,7 @@ func TestSDMATiming(t *testing.T) {
 	data := make([]byte, 32*units.KB)
 	var doneAt units.Time
 	a.SDMA(&SDMAReq{Dir: ToCAB, Pkt: pk, Gather: [][]byte{data},
-		Done: func(*SDMAReq) { doneAt = e.Now() }})
+		Owner: onDone(func(*SDMAReq) { doneAt = e.Now() })})
 	e.Run()
 	want := a.Mach.DMATime(32 * units.KB)
 	if doneAt != want {
@@ -205,7 +211,7 @@ func TestSDMATiming(t *testing.T) {
 	pk2, _ := a.AllocPacket(32 * units.KB)
 	a.SDMA(&SDMAReq{Dir: ToCAB, Pkt: pk, Gather: [][]byte{data}})
 	a.SDMA(&SDMAReq{Dir: ToCAB, Pkt: pk2, Gather: [][]byte{data},
-		Done: func(*SDMAReq) { secondAt = e.Now() }})
+		Owner: onDone(func(*SDMAReq) { secondAt = e.Now() })})
 	e.Run()
 	if secondAt != doneAt+2*want {
 		t.Fatalf("second SDMA at %v, want %v", secondAt, doneAt+2*want)
@@ -227,7 +233,7 @@ func TestMediaTransmitAndReceive(t *testing.T) {
 
 	pk, _ := a.AllocPacket(units.Size(len(data)))
 	a.SDMA(&SDMAReq{Dir: ToCAB, Pkt: pk, Gather: [][]byte{data},
-		Done: func(*SDMAReq) { a.MDMATx(pk, 2, nil, nil) }})
+		Owner: onDone(func(*SDMAReq) { a.MDMATx(pk, 2, nil, nil) })})
 	e.Run()
 
 	if ev == nil {
@@ -266,7 +272,7 @@ func TestSmallPacketFitsAutoDMA(t *testing.T) {
 	data := make([]byte, 300) // < AutoDMALen
 	pk, _ := a.AllocPacket(300)
 	a.SDMA(&SDMAReq{Dir: ToCAB, Pkt: pk, Gather: [][]byte{data},
-		Done: func(*SDMAReq) { a.MDMATx(pk, 2, nil, nil) }})
+		Owner: onDone(func(*SDMAReq) { a.MDMATx(pk, 2, nil, nil) })})
 	e.Run()
 	if ev == nil || ev.HdrLen != 300 {
 		t.Fatalf("small packet auto-DMA: %+v", ev)
@@ -280,7 +286,7 @@ func TestRxDropNoBuf(t *testing.T) {
 	b.OnRx = func(*RxEvent) { got++ }
 	pk, _ := a.AllocPacket(1000)
 	a.SDMA(&SDMAReq{Dir: ToCAB, Pkt: pk, Gather: [][]byte{make([]byte, 1000)},
-		Done: func(*SDMAReq) { a.MDMATx(pk, 2, nil, nil) }})
+		Owner: onDone(func(*SDMAReq) { a.MDMATx(pk, 2, nil, nil) })})
 	e.Run()
 	if got != 0 || b.Stats.DropNoBuf != 1 {
 		t.Fatalf("got=%d dropNoBuf=%d, want 0/1", got, b.Stats.DropNoBuf)

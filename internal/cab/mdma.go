@@ -9,22 +9,25 @@ import (
 	"repro/internal/units"
 )
 
-// txEntry is one media-transmit request on a logical channel.
+// txEntry is one media-transmit request on a logical channel, queued by
+// value.
 type txEntry struct {
 	pkt  *Packet
 	dst  hippi.NodeID
 	span *obs.Span
-	done func()
+	done func(*Packet)
 }
 
 // MDMATx queues packet pk for media transmission to dst on the logical
-// channel for that destination. done (optional) runs in hardware context
-// once the frame has fully left the adaptor. The packet is NOT freed: for
-// TCP it stays in network memory as retransmit data until the host frees
-// it (on acknowledgement). span (nil when telemetry and the ledger are
-// disabled) rides the frame so the receiver continues the packet's
-// data-path span and attributes its data touches.
-func (c *CAB) MDMATx(pk *Packet, dst hippi.NodeID, span *obs.Span, done func()) {
+// channel for that destination. done (optional) runs with pk in hardware
+// context once the frame has fully left the adaptor; it is called with the
+// packet so that one function, bound once — (*Packet).Free for a packet
+// that is not retransmit state — serves every frame. The packet is NOT
+// freed otherwise: for TCP it stays in network memory as retransmit data
+// until the host frees it (on acknowledgement). span (nil when telemetry
+// and the ledger are disabled) rides the frame so the receiver continues
+// the packet's data-path span and attributes its data touches.
+func (c *CAB) MDMATx(pk *Packet, dst hippi.NodeID, span *obs.Span, done func(*Packet)) {
 	if pk.zapped {
 		// Firmware reset wiped the packet between the host's decision to
 		// transmit and this posting; the frame is never sent.
@@ -35,7 +38,7 @@ func (c *CAB) MDMATx(pk *Packet, dst hippi.NodeID, span *obs.Span, done func()) 
 		panic("cab: MDMATx on freed packet")
 	}
 	ch := int(dst) % len(c.channels)
-	c.channels[ch].Put(&txEntry{pkt: pk, dst: dst, span: span, done: done})
+	c.channels[ch].Put(txEntry{pkt: pk, dst: dst, span: span, done: done})
 	c.txPend.Signal()
 }
 
@@ -47,15 +50,12 @@ func (c *CAB) MDMATx(pk *Packet, dst hippi.NodeID, span *obs.Span, done func()) 
 func (c *CAB) mdmaTxProc(p *sim.Proc) {
 	next := 0
 	for {
-		var e *txEntry
-		for e == nil {
-			found := false
+		var e txEntry
+		for found := false; !found; {
 			for i := 0; i < len(c.channels); i++ {
 				ch := (next + i) % len(c.channels)
-				if v, ok := c.channels[ch].TryGet(); ok {
-					e = v
+				if e, found = c.channels[ch].TryGet(); found {
 					next = ch + 1
-					found = true
 					break
 				}
 			}
@@ -76,14 +76,13 @@ func (c *CAB) mdmaTxProc(p *sim.Proc) {
 		data := c.net.Bufs.Get(int(e.pkt.Len()))
 		copy(data, e.pkt.buf)
 		c.Led.TouchP(e.span, 0, e.pkt.Len(), ledger.MDMATx, "mdma", 0)
-		sent := sim.NewSignal(c.eng)
 		c.net.SendFrame(hippi.Frame{Src: c.nodeID, Dst: e.dst, Data: data, Span: e.span, Flow: e.pkt.flow},
-			func() { sent.Broadcast() })
-		sent.Wait(p)
+			c.sentFn)
+		c.txSent.Wait(p)
 		e.span.CritEv(obs.CauseWire, "mdma_xmit")
 		c.Stats.TxPackets++
 		if e.done != nil {
-			e.done()
+			e.done(e.pkt)
 		}
 	}
 }
@@ -294,24 +293,37 @@ func (c *CAB) tryRx(f hippi.Frame) bool {
 	if l > n {
 		l = n
 	}
-	span := f.Span
-	c.SDMA(&SDMAReq{
-		Dir:     ToHost,
-		Pkt:     pk,
-		PktOff:  0,
-		Scatter: [][]byte{buf[:l]},
-		Span:    span,
-		Done: func(*SDMAReq) {
-			c.Led.TouchP(span, 0, l, ledger.SDMAToHost, "sdma", ledger.FlagAutoDMA)
-			if c.OnRx == nil {
-				pk.Free()
-				return
-			}
-			c.OnRx(&RxEvent{Pkt: pk, Buf: buf, HdrLen: l, Len: n, BodySum: bodySum, Span: span})
-		},
-	})
+	st := &rxState{c: c, ev: RxEvent{Pkt: pk, Buf: buf, HdrLen: l, Len: n, BodySum: bodySum, Span: f.Span}}
+	st.scatter[0] = buf[:l]
+	st.req = SDMAReq{Dir: ToHost, Pkt: pk, Scatter: st.scatter[:], Span: f.Span, Owner: st}
+	c.SDMA(&st.req)
 	return true
 }
+
+// rxState is the adaptor's state for one admitted packet, built once: the
+// event the host will be handed and the auto-DMA request that delivers the
+// packet's head.
+type rxState struct {
+	ev      RxEvent
+	c       *CAB
+	req     SDMAReq
+	scatter [1][]byte
+}
+
+// SDMADone: the head is in the host buffer; notify the host.
+func (st *rxState) SDMADone(*SDMAReq) {
+	c, ev := st.c, &st.ev
+	c.Led.TouchP(ev.Span, 0, ev.HdrLen, ledger.SDMAToHost, "sdma", ledger.FlagAutoDMA)
+	if c.OnRx == nil {
+		ev.Pkt.Free()
+		return
+	}
+	c.OnRx(ev)
+}
+
+// SDMAFail: a firmware reset killed the auto-DMA; the packet died with the
+// adaptor and the host never hears of it.
+func (*rxState) SDMAFail(*SDMAReq) {}
 
 // rxDeliverDirect streams a frame that fits in the auto-DMA buffer through
 // to the host without staging it in network memory (the netmem-pressure

@@ -23,9 +23,13 @@ const (
 )
 
 // SDMAReq is one system-DMA request queued through the register file.
-// Completion is signaled by calling Done in hardware (event) context; the
+// Completion is signaled to its Owner in hardware (event) context; the
 // paper's convention is that only the final request of a burst is flagged
-// to raise a host interrupt — raising it is the driver's job inside Done.
+// to raise a host interrupt — raising it is the driver's job in SDMADone.
+//
+// A request is the owner's storage, usually a field of its per-packet
+// state: the engine holds it from SDMA until the owner hears the outcome,
+// and the owner may reuse it from inside SDMADone or SDMAFail on.
 type SDMAReq struct {
 	Dir Dir
 	Pkt *Packet
@@ -52,24 +56,28 @@ type SDMAReq struct {
 	PktOff  units.Size
 	Scatter [][]byte
 
-	// Done runs at completion, in hardware context.
-	Done func(*SDMAReq)
-
-	// Fail runs instead of Done, in hardware context, when a firmware
-	// reset kills the descriptor (queued, in service, or posted against an
-	// already-wiped packet). Exactly one of Done/Fail fires per request.
-	Fail func(*SDMAReq)
+	// Owner hears how the request ended (nil: nobody listens).
+	Owner SDMAOwner
 
 	// Span, when set, attributes a ToCAB transfer's data touch in the
 	// ledger and receives the transfer's critical-path events (engine-queue
 	// wait, then DMA occupancy) on the packet's causal chain. A ToHost
-	// transfer's touch is its requester's to record, in Done: only the
-	// requester knows whether the bytes are the adaptor's automatic head
+	// transfer's touch is its owner's to record, in SDMADone: only the
+	// owner knows whether the bytes are the adaptor's automatic head
 	// delivery or a host copy-out.
 	Span *obs.Span
 
 	// retries counts consecutive failed attempts under fault injection.
 	retries int
+}
+
+// SDMAOwner is told, in hardware context, how each of its requests ended:
+// SDMADone at completion, or SDMAFail when a firmware reset killed the
+// descriptor (queued, in service, or posted against an already-wiped
+// packet). Exactly one of the two runs per request.
+type SDMAOwner interface {
+	SDMADone(req *SDMAReq)
+	SDMAFail(req *SDMAReq)
 }
 
 // maxSDMARetries bounds consecutive failed attempts of one request; a
@@ -151,8 +159,8 @@ func (c *CAB) sdmaProc(p *sim.Proc) {
 			c.performToHost(req)
 		}
 		req.Span.CritEv(obs.CauseDMA, "sdma_done")
-		if req.Done != nil {
-			req.Done(req)
+		if req.Owner != nil {
+			req.Owner.SDMADone(req)
 		}
 	}
 }

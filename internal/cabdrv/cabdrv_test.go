@@ -187,14 +187,11 @@ func TestUIOGatherWithOutboardChecksum(t *testing.T) {
 		hm.SetNext(mbuf.NewUIO(u, 0, 6000, nil))
 		hm.MarkPktHdr(segTotal)
 		hm.SetHdr(&mbuf.Hdr{
-			NeedCsum: true,
-			CsumOff:  wire.TCPCsumOff,
-			CsumSkip: wire.TCPHdrLen,
-			CsumSeed: uint32(seed),
-			OnOutboard: func(got *mbuf.WCAB) {
-				w = got
-				got.Ref()
-			},
+			NeedCsum:   true,
+			CsumOff:    wire.TCPCsumOff,
+			CsumSkip:   wire.TCPHdrLen,
+			CsumSeed:   uint32(seed),
+			OnOutboard: keepWCAB{&w},
 		})
 		r.da.Output(ctx, ipPacket(t, hm, wire.ProtoTCP), 2)
 	})
@@ -217,7 +214,7 @@ func TestUIOGatherWithOutboardChecksum(t *testing.T) {
 	if w.Valid != 6000 {
 		t.Fatalf("WCAB valid = %v, want 6000", w.Valid)
 	}
-	if !bytes.Equal(w.ReadFn(0, 6000), buf.Bytes()) {
+	if !bytes.Equal(w.Handle.Read(0, 6000), buf.Bytes()) {
 		t.Fatal("outboard payload mismatch")
 	}
 	w.Unref() // frees the outboard packet
@@ -241,4 +238,75 @@ func TestMismatchedPktLenPanics(t *testing.T) {
 		r.da.Output(ctx, m, 2)
 	})
 	r.eng.Run()
+}
+
+// keepWCAB is a transport stand-in that keeps the outboard packet it is
+// handed (taking a reference).
+type keepWCAB struct{ w **mbuf.WCAB }
+
+func (k keepWCAB) Outboard(w *mbuf.WCAB) {
+	*k.w = w
+	w.Ref()
+}
+
+// copyLog records copy-out outcomes in completion order.
+type copyLog []error
+
+func (l *copyLog) CopyDone(n units.Size, err error) { *l = append(*l, err) }
+
+// receiveBody sends a payload-byte packet from A to B and returns the M_WCAB
+// body B's driver passed up, with the payload bytes it must hold.
+func receiveBody(t *testing.T, r *rig, payload []byte) (*mbuf.WCAB, []byte) {
+	t.Helper()
+	r.rxB = nil
+	r.eng.Go("send", func(p *sim.Proc) {
+		r.da.Output(r.ka.TaskCtx(p, r.ka.KernelTask), ipPacket(t, mbuf.NewCluster(payload), 99), 2)
+	})
+	r.eng.Run()
+	if len(r.rxB) != 1 || r.rxB[0].Next() == nil || r.rxB[0].Next().Type() != mbuf.TWCAB {
+		t.Fatalf("want one packet with an M_WCAB body, got %d", len(r.rxB))
+	}
+	// The auto-DMA head holds the IP header and the payload's first bytes.
+	headPayload := int(r.rxB[0].Len() - wire.IPHdrLen)
+	return r.rxB[0].Next().WCABRef(), payload[headPayload:]
+}
+
+// TestTwoCopyOutsInFlight: one received packet copied out in two pieces
+// within one read — two copy-outs in flight on the same outboard packet,
+// the second scattered over two segments — delivers both ranges byte-exact,
+// and an adaptor reset between the two pieces fails both.
+func TestTwoCopyOutsInFlight(t *testing.T) {
+	r := newRig(t, true)
+	defer r.eng.KillAll()
+	payload := make([]byte, 8000)
+	for i := range payload {
+		payload[i] = byte(i*7 + i>>8)
+	}
+
+	w, body := receiveBody(t, r, payload)
+	n := w.Valid
+	if n != units.Size(len(body)) {
+		t.Fatalf("body valid %v, want %d", n, len(body))
+	}
+	a, b := make([]byte, 3000), make([]byte, n-3000)
+	var log copyLog
+	w.Handle.CopyOut(0, 3000, [][]byte{a}, &log)
+	w.Handle.CopyOut(3000, n-3000, [][]byte{b[:1000], b[1000:]}, &log)
+	r.eng.Run()
+	if len(log) != 2 || log[0] != nil || log[1] != nil {
+		t.Fatalf("copy-out outcomes %v, want two successes", log)
+	}
+	if !bytes.Equal(a, body[:3000]) || !bytes.Equal(b, body[3000:]) {
+		t.Fatal("a piece of the copy-out does not match the payload")
+	}
+
+	w, _ = receiveBody(t, r, payload)
+	log = nil
+	w.Handle.CopyOut(0, 3000, [][]byte{a}, &log)
+	r.cb.Reset()
+	w.Handle.CopyOut(3000, w.Valid-3000, [][]byte{b}, &log)
+	r.eng.Run()
+	if len(log) != 2 || log[0] != ErrReset || log[1] != ErrReset {
+		t.Fatalf("copy-out outcomes %v across a reset, want two ErrReset", log)
+	}
 }

@@ -17,7 +17,15 @@ import (
 func (d *Driver) hwRx(ev *cab.RxEvent) {
 	// Keep the auto-DMA pool topped up.
 	d.C.ProvideRxBuf(make([]byte, d.C.Cfg.AutoDMALen))
-	d.K.PostIntr("cab-rx", func(p *sim.Proc) { d.rxIntr(d.K.IntrCtx(p).In("cabdrv_rx"), ev) })
+	d.rxEvents.Put(ev)
+	d.K.PostIntr("cab-rx", d.rxIntrNext)
+}
+
+// rxIntrQueued is the cab-rx interrupt: it handles the oldest event hwRx
+// queued.
+func (d *Driver) rxIntrQueued(p *sim.Proc) {
+	ev, _ := d.rxEvents.TryGet()
+	d.rxIntr(d.K.IntrCtx(p).In("cabdrv_rx"), ev)
 }
 
 // rxIntr is the receive interrupt handler: it parses the link header from
@@ -65,37 +73,15 @@ func (d *Driver) rxIntr(ctx kern.Ctx, ev *cab.RxEvent) {
 
 	// Large packet: head from the auto-DMA buffer, body as M_WCAB.
 	d.Stats.RxLarge++
-	pk := ev.Pkt
 	base := ev.HdrLen
-	w := &mbuf.WCAB{
-		Handle:  &rxPkt{pk: pk},
-		BodySum: ev.BodySum,
-		Valid:   pktLen - base,
-		ReadFn: func(off, n units.Size) []byte {
-			return pk.Bytes()[base+off : base+off+n]
-		},
-		FreeFn: func() { pk.Free() },
-		Dead:   func() bool { return pk.Zapped() },
-	}
-	// The copy-out carries no span: the socket's read_dma causal event
-	// covers it, so it records no sdma_start/sdma_done of its own.
-	w.CopyOut = func(off, n units.Size, dst [][]byte, done func(error)) {
-		d.C.SDMA(&cab.SDMAReq{
-			Dir: cab.ToHost, Pkt: pk,
-			PktOff:  base + off,
-			Scatter: dst,
-			Done: func(*cab.SDMAReq) {
-				d.C.Led.TouchP(ev.Span, base+off, n, ledger.SDMAToHost, "sdma", 0)
-				done(nil)
-			},
-			Fail: func(*cab.SDMAReq) { done(ErrReset) },
-		})
-	}
+	rp := &rxPkt{pktRef: pktRef{d: d, pk: ev.Pkt, base: base, span: ev.Span}}
+	rp.Handle, rp.BodySum, rp.Valid = rp, ev.BodySum, pktLen-base
+	rp.hdr = mbuf.Hdr{HWRxValid: true, HWRxSum: ev.BodySum, Span: ev.Span}
 
 	head := mbuf.AdoptCluster(ev.Buf, wire.LinkHdrLen, ev.HdrLen-wire.LinkHdrLen)
 	head.MarkPktHdr(pktLen - wire.LinkHdrLen)
-	head.SetHdr(&mbuf.Hdr{HWRxValid: true, HWRxSum: ev.BodySum, Span: ev.Span})
-	head.SetNext(mbuf.NewWCAB(w, 0, pktLen-base, nil))
+	head.SetHdr(&rp.hdr)
+	head.SetNext(mbuf.NewWCAB(&rp.WCAB, 0, pktLen-base, nil))
 	d.Input(ctx, head, d)
 }
 
@@ -116,7 +102,8 @@ func (d *Driver) rxLegacy(ctx kern.Ctx, ev *cab.RxEvent, pktLen units.Size) {
 	// The rest is DMAed straight into the clusters the stack will get,
 	// chained behind the head now and handed up when the DMA is done.
 	rest := pktLen - ev.HdrLen
-	scatter := make([][]byte, 0, (rest+mbuf.MCLBYTES-1)/mbuf.MCLBYTES)
+	body := &legacyRx{d: d, head: head, span: ev.Span, off: ev.HdrLen, n: rest}
+	scatter := body.scatter[:0]
 	tail := head
 	for off := units.Size(0); off < rest; off += mbuf.MCLBYTES {
 		c := mbuf.AllocCluster(minSize(rest-off, mbuf.MCLBYTES))
@@ -124,20 +111,41 @@ func (d *Driver) rxLegacy(ctx kern.Ctx, ev *cab.RxEvent, pktLen units.Size) {
 		tail.SetNext(c)
 		tail = c
 	}
-	pk := ev.Pkt
-	d.C.SDMA(&cab.SDMAReq{
-		Dir: cab.ToHost, Pkt: pk,
-		PktOff:  ev.HdrLen,
-		Scatter: scatter,
-		Span:    ev.Span,
-		Done: func(*cab.SDMAReq) {
-			d.C.Led.TouchP(ev.Span, ev.HdrLen, rest, ledger.SDMAToHost, "sdma", 0)
-			pk.Free()
-			d.K.PostIntr("cab-rx-dma", func(p *sim.Proc) {
-				d.Input(d.K.IntrCtx(p).In("cabdrv_rx"), head, d)
-			})
-		},
-	})
+	body.req = cab.SDMAReq{Dir: cab.ToHost, Pkt: ev.Pkt, PktOff: ev.HdrLen, Scatter: scatter,
+		Span: ev.Span, Owner: body}
+	d.C.SDMA(&body.req)
+}
+
+// legacyRx is one packet whose body the legacy personality is DMAing into
+// kernel clusters: the chain the stack will get and the request that
+// fills it.
+type legacyRx struct {
+	d       *Driver
+	head    *mbuf.Mbuf
+	span    *obs.Span
+	off, n  units.Size // the body's range in the packet
+	req     cab.SDMAReq
+	scatter [5][]byte // a full-MTU body's clusters
+}
+
+// SDMADone implements cab.SDMAOwner: the chain is complete; pass it up.
+func (b *legacyRx) SDMADone(req *cab.SDMAReq) {
+	d := b.d
+	d.C.Led.TouchP(b.span, b.off, b.n, ledger.SDMAToHost, "sdma", 0)
+	req.Pkt.Free()
+	d.rxBodies.Put(b.head)
+	d.K.PostIntr("cab-rx-dma", d.rxBodyIntr)
+}
+
+// SDMAFail implements cab.SDMAOwner: the packet died with the adaptor; the
+// stack never sees it and TCP retransmits.
+func (*legacyRx) SDMAFail(*cab.SDMAReq) {}
+
+// rxBodyQueued is the cab-rx-dma interrupt: it passes up the oldest chain
+// whose body DMA finished.
+func (d *Driver) rxBodyQueued(p *sim.Proc) {
+	head, _ := d.rxBodies.TryGet()
+	d.Input(d.K.IntrCtx(p).In("cabdrv_rx"), head, d)
 }
 
 func minSize(a, b units.Size) units.Size {

@@ -134,25 +134,38 @@ func (tp Topology) Edges() int {
 // "leaf0-spine1.0" / ".1" for a fat tree's parallel pair, "sw0-sw1" for
 // chain segments.
 func (tp Topology) Install(net *hippi.Network, seed uint64) {
-	switch tp.Kind {
-	case Single:
+	if tp.Kind == Single {
 		return
+	}
+	net.SetRoute(tp.router(seed, tp.addTrunks(net)))
+}
+
+// addTrunks adds the topology's trunks to net and returns their ids: chain
+// segment i at index i, leaf i's trunk to spine j (parallel copy p) at
+// trunkIndex(i, j, p).
+func (tp Topology) addTrunks(net *hippi.Network) []hippi.TrunkID {
+	var ids []hippi.TrunkID
+	switch tp.Kind {
 	case Linear:
 		for i := 0; i < tp.N-1; i++ {
-			net.AddTrunk(chainTrunk(i), hippi.SwitchID(i), hippi.SwitchID(i+1))
+			ids = append(ids, net.AddTrunk(chainTrunk(i), hippi.SwitchID(i), hippi.SwitchID(i+1)))
 		}
 	case LeafSpine, FatTree:
 		for i := 0; i < tp.Leaves; i++ {
 			for j := 0; j < tp.Spines; j++ {
 				for p := 0; p < tp.Parallel; p++ {
-					net.AddTrunk(tp.TrunkName(i, j, p),
-						hippi.SwitchID(i), hippi.SwitchID(tp.Leaves+j))
+					ids = append(ids, net.AddTrunk(tp.TrunkName(i, j, p),
+						hippi.SwitchID(i), hippi.SwitchID(tp.Leaves+j)))
 				}
 			}
 		}
 	}
-	net.SetRoute(tp.router(seed))
+	return ids
 }
+
+// trunkIndex is where addTrunks puts the trunk between leaf i and spine j
+// (parallel copy p).
+func (tp Topology) trunkIndex(i, j, p int) int { return (i*tp.Spines+j)*tp.Parallel + p }
 
 // TrunkName names the trunk between leaf i and spine j (parallel copy p).
 func (tp Topology) TrunkName(i, j, p int) string {
@@ -164,33 +177,33 @@ func (tp Topology) TrunkName(i, j, p int) string {
 
 func chainTrunk(i int) string { return fmt.Sprintf("sw%d-sw%d", i, i+1) }
 
-// router builds the per-hop route function. Chains walk toward the
-// destination; leaf/spine fabrics hash each flow onto one of the
-// equal-cost uplinks (seeded FNV-1a over the 5-tuple, so the same seed
-// reproduces the same path assignment exactly) and take the direct
-// downlink from the spine. Routing is static: a partitioned trunk keeps
-// eating its flows until the window heals — the blast radius the
-// partition experiments measure.
-func (tp Topology) router(seed uint64) hippi.RouteFunc {
+// router builds the per-hop route function over the trunk ids addTrunks
+// returned. Chains walk toward the destination; leaf/spine fabrics hash
+// each flow onto one of the equal-cost uplinks (seeded FNV-1a over the
+// 5-tuple, so the same seed reproduces the same path assignment exactly)
+// and take the direct downlink from the spine. Routing is static: a
+// partitioned trunk keeps eating its flows until the window heals — the
+// blast radius the partition experiments measure.
+func (tp Topology) router(seed uint64, ids []hippi.TrunkID) hippi.RouteFunc {
 	switch tp.Kind {
 	case Linear:
-		return func(f *hippi.Frame, at, dstSw hippi.SwitchID) string {
+		return func(f *hippi.Frame, at, dstSw hippi.SwitchID) hippi.TrunkID {
 			if dstSw > at {
-				return chainTrunk(int(at))
+				return ids[at]
 			}
-			return chainTrunk(int(at) - 1)
+			return ids[at-1]
 		}
 	case LeafSpine, FatTree:
 		uplinks := uint64(tp.Spines * tp.Parallel)
-		return func(f *hippi.Frame, at, dstSw hippi.SwitchID) string {
+		return func(f *hippi.Frame, at, dstSw hippi.SwitchID) hippi.TrunkID {
 			u := int(flowHash(seed, f) % uplinks)
 			if int(at) >= tp.Leaves {
 				// Spine: one direct downlink per parallel copy; keep the
 				// flow's copy so both directions of a parallel pair stay
 				// flow-consistent.
-				return tp.TrunkName(int(dstSw), int(at)-tp.Leaves, u%tp.Parallel)
+				return ids[tp.trunkIndex(int(dstSw), int(at)-tp.Leaves, u%tp.Parallel)]
 			}
-			return tp.TrunkName(int(at), u/tp.Parallel, u%tp.Parallel)
+			return ids[tp.trunkIndex(int(at), u/tp.Parallel, u%tp.Parallel)]
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/hippi"
+	"repro/internal/race"
 	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/wire"
@@ -72,18 +73,27 @@ func TestMarkCE(t *testing.T) {
 	}
 }
 
+// routed returns a network holding tp's trunks and tp's route function
+// over them for seed.
+func routed(tp Topology, seed uint64) (*hippi.Network, hippi.RouteFunc) {
+	net := hippi.NewNetwork(sim.NewEngine(1), hippi.LineRate, 0)
+	return net, tp.router(seed, tp.addTrunks(net))
+}
+
 // TestECMPDeterminism pins the hashing contract: the same seed assigns
 // every flow the same uplink (run to run), and different seeds produce a
 // measurably different assignment.
 func TestECMPDeterminism(t *testing.T) {
 	tp := MustParse("leafspine:4x2")
-	r1, r1b, r2 := tp.router(7), tp.router(7), tp.router(8)
+	net, r1 := routed(tp, 7)
+	_, r1b := routed(tp, 7)
+	_, r2 := routed(tp, 8)
 	diff := 0
 	for port := uint16(0); port < 64; port++ {
 		f := frame(2, 9, 40000+port, 5001, 0)
 		a, b, c := r1(f, 1, 0), r1b(f, 1, 0), r2(f, 1, 0)
 		if a != b {
-			t.Fatalf("same seed diverged: %q vs %q", a, b)
+			t.Fatalf("same seed diverged: %q vs %q", net.TrunkName(a), net.TrunkName(b))
 		}
 		if a != c {
 			diff++
@@ -101,21 +111,45 @@ func TestECMPDeterminism(t *testing.T) {
 	fr2 := frame(2, 9, 41111, 5001, 0)
 	fr2.Data[wire.LinkHdrLen+6] |= 0x20
 	if got := r1(fr2, 1, 0); got != wantFrag {
-		t.Fatalf("fragments of one src/dst pair split paths: %q vs %q", got, wantFrag)
+		t.Fatalf("fragments of one src/dst pair split paths: %q vs %q", net.TrunkName(got), net.TrunkName(wantFrag))
 	}
 }
 
 func TestLinearRoute(t *testing.T) {
-	r := MustParse("linear:4").router(1)
+	net, r := routed(MustParse("linear:4"), 1)
 	f := frame(1, 9, 1, 2, 0)
-	if got := r(f, 0, 3); got != "sw0-sw1" {
+	if got := net.TrunkName(r(f, 0, 3)); got != "sw0-sw1" {
 		t.Fatalf("0→3 first hop %q", got)
 	}
-	if got := r(f, 2, 3); got != "sw2-sw3" {
+	if got := net.TrunkName(r(f, 2, 3)); got != "sw2-sw3" {
 		t.Fatalf("2→3 hop %q", got)
 	}
-	if got := r(f, 3, 0); got != "sw2-sw3" {
+	if got := net.TrunkName(r(f, 3, 0)); got != "sw2-sw3" {
 		t.Fatalf("3→0 first hop %q", got)
+	}
+}
+
+// TestRouteAllocBudget pins a hop's route and trunk lookup at zero
+// allocations: trunk names are made once, when the trunk is added.
+func TestRouteAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	// Linear: two chain hops. Fat tree: a leaf uplink, then a spine
+	// downlink.
+	for spec, at := range map[string][2]hippi.SwitchID{"linear:4": {1, 3}, "fattree:4x2": {1, 4}} {
+		net, r := routed(MustParse(spec), 7)
+		f := frame(2, 9, 40000, 5001, 0)
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, sw := range at {
+				if net.TrunkName(r(f, sw, 0)) == "" {
+					t.Fatal("unnamed trunk")
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: route + trunk lookup allocates %v objects per run, want 0", spec, allocs)
+		}
 	}
 }
 
@@ -187,11 +221,11 @@ func TestFabricPartitionDropsOnlyHashedFlows(t *testing.T) {
 	delivered := 0
 	net.Attach(1, func(hippi.Frame) { delivered++ })
 	net.Attach(2, func(hippi.Frame) {})
-	r := tp.router(42)
+	names, r := routed(tp, 42)
 	viaDown := 0
 	for i := 0; i < 16; i++ {
 		f := frame(2, 1, uint16(40000+i), 5001, 0)
-		if r(f, 1, 0) == "leaf1-spine0" {
+		if names.TrunkName(r(f, 1, 0)) == "leaf1-spine0" {
 			viaDown++
 		}
 		net.SendFrame(*f, nil)

@@ -3,9 +3,10 @@
 // destination. This file removes that single-switch assumption without
 // touching the single-switch path: nodes are placed on switches, switches
 // are joined by named trunks, and a route function picks the next trunk
-// for each (frame, switch) pair. Topology assembly, ECMP hashing, and ECN
-// marking policy live in internal/fabric; this file is only the per-hop
-// mechanics (serialization, HOL coupling, telemetry, ledger charges).
+// (by its TrunkID) for each (frame, switch) pair. Topology assembly, ECMP
+// hashing, and ECN marking policy live in internal/fabric; this file is
+// only the per-hop mechanics (serialization, HOL coupling, telemetry,
+// ledger charges).
 package hippi
 
 import (
@@ -22,10 +23,16 @@ import (
 // switch 0 and no frame ever crosses a trunk.
 type SwitchID int
 
+// TrunkID identifies a trunk: its index in AddTrunk order.
+type TrunkID int
+
+// NoTrunk is the route answer for an unrouteable frame.
+const NoTrunk TrunkID = -1
+
 // RouteFunc picks the trunk a frame leaves switch at on, given the frame
-// and the destination's switch. Returning "" drops the frame as
+// and the destination's switch. Returning NoTrunk drops the frame as
 // unrouteable (counted under DroppedUnattached).
-type RouteFunc func(f *Frame, at, dstSw SwitchID) string
+type RouteFunc func(f *Frame, at, dstSw SwitchID) TrunkID
 
 // LinkInjector is the fault-injection hook for fabric trunks: it is asked,
 // per frame, whether the named link is partitioned at time now. The
@@ -41,7 +48,10 @@ type LinkInjector interface {
 type trunk struct {
 	name string
 	a, b SwitchID
-	id   int // dense index for telemetry port-id assignment
+	id   TrunkID
+	// port names the two directions for telemetry (name+">" for a→b,
+	// name+"<" for b→a).
+	port [2]string
 
 	busyUntil [2]units.Time // per direction: 0 = a→b, 1 = b→a
 	bytes     [2]units.Size
@@ -77,18 +87,22 @@ func (n *Network) switchOf(id NodeID) SwitchID {
 	return n.placement(id)
 }
 
-// AddTrunk joins switches a and b with a named bidirectional link.
-func (n *Network) AddTrunk(name string, a, b SwitchID) {
-	if n.trunks == nil {
-		n.trunks = make(map[string]*trunk)
+// AddTrunk joins switches a and b with a named bidirectional link and
+// returns the id route functions name it by.
+func (n *Network) AddTrunk(name string, a, b SwitchID) TrunkID {
+	for _, t := range n.trunks {
+		if t.name == name {
+			panic(fmt.Sprintf("hippi: duplicate trunk %q", name))
+		}
 	}
-	if _, dup := n.trunks[name]; dup {
-		panic(fmt.Sprintf("hippi: duplicate trunk %q", name))
-	}
-	t := &trunk{name: name, a: a, b: b, id: len(n.trunkList)}
-	n.trunks[name] = t
-	n.trunkList = append(n.trunkList, t)
+	t := &trunk{name: name, a: a, b: b, id: TrunkID(len(n.trunks)),
+		port: [2]string{name + ">", name + "<"}}
+	n.trunks = append(n.trunks, t)
+	return t.id
 }
+
+// TrunkName returns the name trunk id was added under.
+func (n *Network) TrunkName(id TrunkID) string { return n.trunks[id].name }
 
 // SetRoute installs the per-hop routing function.
 func (n *Network) SetRoute(r RouteFunc) { n.route = r }
@@ -117,8 +131,8 @@ func (n *Network) SetQueueCap(cap units.Size) {
 
 // TrunkStats returns the per-trunk byte/frame counters, sorted by name.
 func (n *Network) TrunkStats() []TrunkStat {
-	out := make([]TrunkStat, 0, len(n.trunkList))
-	for _, t := range n.trunkList {
+	out := make([]TrunkStat, 0, len(n.trunks))
+	for _, t := range n.trunks {
 		out = append(out, TrunkStat{
 			Name: t.name,
 			AB:   t.bytes[0], BA: t.bytes[1],
@@ -132,16 +146,16 @@ func (n *Network) TrunkStats() []TrunkStat {
 
 // forward carries a frame that must cross switches. Runs in event context
 // at the moment the frame has fully left the source port (where the
-// single-switch path would deliver); v is the injector's verdict, already
-// checked for Drop. Each dup copy is forwarded independently with bytes of
-// its own (hops mark ECN in place). The original travels last, so every
-// copy is taken before a hop can mark it.
-func (n *Network) forward(f *Frame, txTime units.Time, v Verdict, sw, dstSw SwitchID) {
-	for i := 0; i < v.Dup; i++ {
+// single-switch path would deliver), after the injector's verdict. Each of
+// the injector's dups extra copies is forwarded independently with bytes
+// of its own (hops mark ECN in place). The original travels last, so
+// every copy is taken before a hop can mark it.
+func (n *Network) forward(fl *flight, dups int, sw, dstSw SwitchID) {
+	for i := 0; i < dups; i++ {
 		n.Duped++
-		n.hop(f.dup(), txTime, sw, dstSw, v.Delay)
+		n.hop(fl.dup(), sw, dstSw)
 	}
-	n.hop(f, txTime, sw, dstSw, v.Delay)
+	n.hop(fl, sw, dstSw)
 }
 
 // hop moves the frame one trunk closer to dstSw: route lookup, partition
@@ -149,17 +163,19 @@ func (n *Network) forward(f *Frame, txTime units.Time, v Verdict, sw, dstSw Swit
 // serializes independently, VOQ-like, so a hot uplink never blocks a cold
 // one) with optional ECN marking, then either the next hop or final
 // delivery.
-func (n *Network) hop(f *Frame, txTime units.Time, sw, dstSw SwitchID, extra units.Time) {
-	var t *trunk
+func (n *Network) hop(fl *flight, sw, dstSw SwitchID) {
+	f := &fl.f
+	id := NoTrunk
 	if n.route != nil {
-		t = n.trunks[n.route(f, sw, dstSw)]
+		id = n.route(f, sw, dstSw)
 	}
-	if t == nil {
+	if id == NoTrunk {
 		n.Dropped++
 		n.DroppedUnattached++
 		n.nobs.Drop(false)
 		return
 	}
+	t := n.trunks[id]
 	now := n.eng.Now()
 	if n.linkInj != nil && n.linkInj.LinkDown(t.name, now) {
 		n.Dropped++
@@ -188,42 +204,33 @@ func (n *Network) hop(f *Frame, txTime units.Time, sw, dstSw SwitchID, extra uni
 		start = t.busyUntil[dir]
 		n.txStalls.Inc()
 	}
-	end := start + txTime
+	end := start + fl.txTime
 	t.busyUntil[dir] = end
 	t.bytes[dir] += units.Size(len(f.Data))
 	t.frames[dir]++
 	if n.markECN != nil && stall >= n.markDelay && n.markECN(f.Data) {
 		n.ECNMarked++
 	}
-	n.nobs.Trunk(trunkPortBase+2*t.id+dir, trunkPortName(t.name, dir),
-		len(f.Data), stall, start, end)
-	n.eng.AtKind(end, sim.KindWire, func() {
-		n.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.WireTransit, "wire", 0)
-		if next == dstSw {
-			n.deliverAt(f, txTime, extra)
-		} else {
-			n.hop(f, txTime, next, dstSw, extra)
-		}
-	})
+	n.nobs.Trunk(trunkPortBase+2*int(t.id)+dir, t.port[dir], len(f.Data), stall, start, end)
+	fl.stage, fl.at, fl.dstSw = stageTrunk, next, dstSw
+	n.eng.AtKind(end, sim.KindWire, fl.next)
 }
 
-// deliverAt is the last hop: the frame has reached the destination's
-// switch and now crosses to the host port, exactly as the single-switch
-// tail does.
-func (n *Network) deliverAt(f *Frame, txTime, extra units.Time) {
-	dp, ok := n.ports[f.Dst]
+// crossedTrunk runs when the frame has left a trunk: the next hop, or the
+// last one to the host port once the frame has reached the destination's
+// switch, exactly as the single-switch tail does.
+func (n *Network) crossedTrunk(fl *flight) {
+	n.Led.TouchP(fl.f.Span, 0, units.Size(len(fl.f.Data)), ledger.WireTransit, "wire", 0)
+	if fl.at != fl.dstSw {
+		n.hop(fl, fl.at, fl.dstSw)
+		return
+	}
+	dp, ok := n.ports[fl.f.Dst]
 	if !ok {
 		n.Dropped++
 		n.DroppedUnattached++
 		n.nobs.Drop(false)
 		return
 	}
-	n.arrive(f, dp, txTime, extra, true)
-}
-
-func trunkPortName(name string, dir int) string {
-	if dir == 0 {
-		return name + ">"
-	}
-	return name + "<"
+	n.arrive(fl, dp, true)
 }

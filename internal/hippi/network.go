@@ -109,8 +109,7 @@ type Network struct {
 	// with a nil placement every node lives on switch 0 and SendFrame
 	// never takes the forwarding branch.
 	placement func(NodeID) SwitchID
-	trunks    map[string]*trunk
-	trunkList []*trunk
+	trunks    []*trunk // by TrunkID
 	route     RouteFunc
 	linkInj   LinkInjector
 	markECN   func([]byte) bool
@@ -193,55 +192,114 @@ func (n *Network) SendFrame(f Frame, sent func()) {
 	n.BytesSent += units.Size(len(f.Data))
 	n.nobs.Tx(int(f.Src), int(f.Dst), f.Flow, len(f.Data), start-now, start, end)
 
-	n.eng.AtKind(end, sim.KindWire, func() {
-		if sent != nil {
-			sent()
-		}
-		var v Verdict
-		if n.Inj != nil {
-			v = n.Inj.Frame(&f)
-		}
-		if v.Drop {
-			n.Dropped++
-			n.DroppedInj++
-			n.nobs.Drop(true)
-			return
-		}
-		if asw, bsw := n.switchOf(f.Src), n.switchOf(f.Dst); asw != bsw {
-			n.forward(&f, txTime, v, asw, bsw)
-			return
-		}
-		dp, ok := n.ports[f.Dst]
-		if !ok {
-			n.Dropped++
-			n.DroppedUnattached++
-			n.nobs.Drop(false)
-			return
-		}
-		for i := 0; i < v.Dup; i++ {
-			n.Duped++
-			n.arrive(f.dup(), dp, txTime, v.Delay, false)
-		}
-		n.arrive(&f, dp, txTime, v.Delay, false)
-	})
+	fl := n.newFlight(f, txTime)
+	fl.sent = sent
+	n.eng.AtKind(end, sim.KindWire, fl.next)
 }
 
-// dup returns a copy of f with bytes of its own: each receiver keeps the
-// Data it is handed, and must not see its twin rewritten under it.
-func (f *Frame) dup() *Frame {
-	d := *f
-	d.Data = bytes.Clone(f.Data)
-	return &d
+// flight is one frame in transit, from SendFrame until it is delivered
+// or dropped. Every wire event of the
+// frame runs the record's next, bound once when the record is made; the
+// stage says which event that is. The record holds the one copy of the
+// frame the network rewrites in flight (injected corruption, ECN marks).
+type flight struct {
+	n      *Network
+	f      Frame
+	stage  flightStage
+	txTime units.Time
+	// extra is the injector's added delay, carried to the last hop.
+	extra units.Time
+	sent  func()
+	// at is the switch the trunk being crossed leads to, dstSw the
+	// destination's switch (stageTrunk); dp the destination port
+	// (stageArrive).
+	at, dstSw SwitchID
+	dp        *port
+	next      func()
 }
 
-// arrive schedules f's delivery at port dp: switch delay, receive-side
-// serialization unless the injector delayed the frame off the fast path,
-// final wire-transit charge. fabric is true for a frame that crossed
-// trunks: its last hop is then subject to ECN marking like the others.
-func (n *Network) arrive(f *Frame, dp *port, txTime, extra units.Time, fabric bool) {
-	arriveStart := n.eng.Now() + n.delay + extra
+type flightStage uint8
+
+const (
+	stageSource flightStage = iota // serializing at the source port
+	stageTrunk                     // crossing a trunk
+	stageArrive                    // serializing into the destination port
+)
+
+func (n *Network) newFlight(f Frame, txTime units.Time) *flight {
+	fl := &flight{n: n, f: f, txTime: txTime}
+	fl.next = fl.step
+	return fl
+}
+
+// dup returns a record for a copy of fl's frame with bytes of its own:
+// each receiver keeps the Data it is handed, and must not see its twin
+// rewritten under it.
+func (fl *flight) dup() *flight {
+	f := fl.f
+	f.Data = bytes.Clone(f.Data)
+	d := fl.n.newFlight(f, fl.txTime)
+	d.extra = fl.extra
+	return d
+}
+
+func (fl *flight) step() {
+	switch fl.stage {
+	case stageSource:
+		fl.n.leftSource(fl)
+	case stageTrunk:
+		fl.n.crossedTrunk(fl)
+	case stageArrive:
+		fl.n.delivered(fl)
+	}
+}
+
+// leftSource runs when the frame has fully left the source port: the
+// sender's completion, the injector's verdict, then the same-switch
+// delivery or the first trunk hop.
+func (n *Network) leftSource(fl *flight) {
+	if fl.sent != nil {
+		fl.sent()
+	}
+	var v Verdict
+	if n.Inj != nil {
+		v = n.Inj.Frame(&fl.f)
+	}
+	if v.Drop {
+		n.Dropped++
+		n.DroppedInj++
+		n.nobs.Drop(true)
+		return
+	}
+	fl.extra = v.Delay
+	if asw, bsw := n.switchOf(fl.f.Src), n.switchOf(fl.f.Dst); asw != bsw {
+		n.forward(fl, v.Dup, asw, bsw)
+		return
+	}
+	dp, ok := n.ports[fl.f.Dst]
+	if !ok {
+		n.Dropped++
+		n.DroppedUnattached++
+		n.nobs.Drop(false)
+		return
+	}
+	for i := 0; i < v.Dup; i++ {
+		n.Duped++
+		n.arrive(fl.dup(), dp, false)
+	}
+	n.arrive(fl, dp, false)
+}
+
+// arrive schedules the frame's delivery at port dp: switch delay,
+// receive-side serialization unless the injector delayed the frame off the
+// fast path, final wire-transit charge. fabric is true for a frame that
+// crossed trunks: its last hop is then subject to ECN marking like the
+// others.
+func (n *Network) arrive(fl *flight, dp *port, fabric bool) {
+	f, txTime := &fl.f, fl.txTime
+	arriveStart := n.eng.Now() + n.delay + fl.extra
 	var rxStall units.Time
-	if extra == 0 {
+	if fl.extra == 0 {
 		if dp.rxBusyUntil > arriveStart {
 			rxStall = dp.rxBusyUntil - arriveStart
 			arriveStart = dp.rxBusyUntil
@@ -253,9 +311,13 @@ func (n *Network) arrive(f *Frame, dp *port, txTime, extra units.Time, fabric bo
 		n.ECNMarked++
 	}
 	n.nobs.Rx(int(f.Dst), len(f.Data), rxStall, arriveStart, arriveStart+txTime)
-	n.eng.AtKind(arriveStart+txTime, sim.KindWire, func() {
-		n.Delivered++
-		n.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.WireTransit, "wire", 0)
-		dp.recv(*f)
-	})
+	fl.stage, fl.dp = stageArrive, dp
+	n.eng.AtKind(arriveStart+txTime, sim.KindWire, fl.next)
+}
+
+// delivered hands the frame to its receiver.
+func (n *Network) delivered(fl *flight) {
+	n.Delivered++
+	n.Led.TouchP(fl.f.Span, 0, units.Size(len(fl.f.Data)), ledger.WireTransit, "wire", 0)
+	fl.dp.recv(fl.f)
 }

@@ -99,8 +99,7 @@ func TestPoisonedDirectDelivery(t *testing.T) {
 
 	data := bytes.Repeat([]byte{0x5a}, 300)
 	pk, _ := a.AllocPacket(300)
-	a.SDMA(&cab.SDMAReq{Dir: cab.ToCAB, Pkt: pk, Gather: [][]byte{data},
-		Done: func(*cab.SDMAReq) { a.MDMATx(pk, 2, nil, nil) }})
+	a.SDMA(&cab.SDMAReq{Dir: cab.ToCAB, Pkt: pk, Gather: [][]byte{data}, Owner: sendWhenFormed{a}})
 	eng.Run()
 
 	if ev == nil || ev.Pkt != nil || b.Stats.RxHdrDeliveries != 1 {
@@ -110,3 +109,9 @@ func TestPoisonedDirectDelivery(t *testing.T) {
 		t.Fatal("direct delivery handed the host a released buffer's bytes")
 	}
 }
+
+// sendWhenFormed puts a packet on the wire to node 2 once its SDMA is done.
+type sendWhenFormed struct{ c *cab.CAB }
+
+func (s sendWhenFormed) SDMADone(req *cab.SDMAReq) { s.c.MDMATx(req.Pkt, 2, nil, nil) }
+func (sendWhenFormed) SDMAFail(*cab.SDMAReq)       {}

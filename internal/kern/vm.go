@@ -150,21 +150,24 @@ func (v *VM) UnmapBuf(space *mem.AddrSpace, addr, n units.Size) {
 
 // PinUIO pins every segment of [off, off+n) of u, charging in c.
 func (v *VM) PinUIO(c Ctx, u *mem.UIO, off, n units.Size) {
-	for _, seg := range u.Segments(off, n) {
+	var sb mem.SegBuf
+	for _, seg := range u.Segments(off, n, sb[:0]) {
 		v.pin(c, u.Space, seg.Addr, seg.Len)
 	}
 }
 
 // UnpinUIO undoes PinUIO.
 func (v *VM) UnpinUIO(c Ctx, u *mem.UIO, off, n units.Size) {
-	for _, seg := range u.Segments(off, n) {
+	var sb mem.SegBuf
+	for _, seg := range u.Segments(off, n, sb[:0]) {
 		v.unpin(c, u.Space, seg.Addr, seg.Len)
 	}
 }
 
 // MapUIO maps every segment of [off, off+n) of u into kernel space.
 func (v *VM) MapUIO(c Ctx, u *mem.UIO, off, n units.Size) {
-	for _, seg := range u.Segments(off, n) {
+	var sb mem.SegBuf
+	for _, seg := range u.Segments(off, n, sb[:0]) {
 		v.mapKernel(c, u.Space, seg.Addr, seg.Len)
 	}
 }

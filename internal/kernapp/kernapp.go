@@ -43,11 +43,28 @@ type KConn struct {
 	Converted int
 	// ConvertedBytes counts bytes moved by those conversions.
 	ConvertedBytes units.Size
+
+	copies copyWait
+}
+
+// copyWait counts a conversion's DMA copy-outs still in flight.
+type copyWait struct {
+	pending int
+	done    *sim.Signal
+}
+
+// CopyDone implements mbuf.CopyNotifier. An adaptor reset surfaces as
+// zeroed buffers here; the UDP datagram path has no retransmission to lean
+// on, so the wiped payload is simply delivered short of its checksum (and
+// dropped upstream).
+func (w *copyWait) CopyDone(units.Size, error) {
+	w.pending--
+	w.done.Broadcast()
 }
 
 // NewKConn wraps an established connection.
 func NewKConn(k *kern.Kernel, c *tcpip.TCPConn) *KConn {
-	return &KConn{K: k, Conn: c}
+	return &KConn{K: k, Conn: c, copies: copyWait{done: sim.NewSignal(k.Eng)}}
 }
 
 // Send transmits an mbuf chain with share semantics: ownership of the
@@ -102,7 +119,6 @@ func (kc *KConn) convert(p *sim.Proc, ctx kern.Ctx, chain *mbuf.Mbuf) *mbuf.Mbuf
 		}
 		tail = m
 	}
-	done := sim.NewSignal(kc.K.Eng)
 	for m := chain; m != nil; {
 		next := m.Next()
 		m.SetNext(nil)
@@ -114,41 +130,27 @@ func (kc *KConn) convert(p *sim.Proc, ctx kern.Ctx, chain *mbuf.Mbuf) *mbuf.Mbuf
 			ln := m.Len()
 			kc.Converted++
 			kc.ConvertedBytes += ln
-			if w.CopyOut != nil {
-				// Asynchronous DMA copy; resynchronize with the driver on
-				// its end-of-DMA notification (Section 5).
-				var bufs [][]byte
-				var ms []*mbuf.Mbuf
-				for off := units.Size(0); off < ln; off += mbuf.MCLBYTES {
-					sz := ln - off
-					if sz > mbuf.MCLBYTES {
-						sz = mbuf.MCLBYTES
-					}
-					b := make([]byte, sz)
-					bufs = append(bufs, b)
-					ms = append(ms, mbuf.AdoptCluster(b, 0, sz))
+			// Asynchronous DMA copy; resynchronize with the driver on its
+			// end-of-DMA notification (Section 5).
+			var bufs [][]byte
+			var ms []*mbuf.Mbuf
+			for off := units.Size(0); off < ln; off += mbuf.MCLBYTES {
+				sz := ln - off
+				if sz > mbuf.MCLBYTES {
+					sz = mbuf.MCLBYTES
 				}
-				fired := false
-				w.CopyOut(m.Off(), ln, bufs, func(error) {
-					// An adaptor reset surfaces as zeroed buffers here; the
-					// UDP datagram path has no retransmission to lean on, so
-					// the wiped payload is simply delivered short of its
-					// checksum (and dropped upstream).
-					fired = true
-					done.Broadcast()
-				})
-				for !fired {
-					done.Wait(p)
-				}
-				ctx.Charge(kc.K.Mach.InterruptCost, kern.CatIntr)
-				for _, cm := range ms {
-					appendM(cm)
-				}
-			} else {
-				// No DMA path available: CPU copy.
-				b := make([]byte, ln)
-				ctx.CopyBytes(b, w.ReadFn(m.Off(), ln), ln)
-				appendM(mbuf.AdoptCluster(b, 0, ln))
+				b := make([]byte, sz)
+				bufs = append(bufs, b)
+				ms = append(ms, mbuf.AdoptCluster(b, 0, sz))
+			}
+			kc.copies.pending++
+			w.Handle.CopyOut(m.Off(), ln, bufs, &kc.copies)
+			for kc.copies.pending > 0 {
+				kc.copies.done.Wait(p)
+			}
+			ctx.Charge(kc.K.Mach.InterruptCost, kern.CatIntr)
+			for _, cm := range ms {
+				appendM(cm)
 			}
 			m.Free()
 		case mbuf.TUIO:

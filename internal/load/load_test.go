@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/cab"
+	"repro/internal/obs/engine"
+	"repro/internal/race"
 	"repro/internal/socket"
 	"repro/internal/units"
 )
@@ -341,5 +343,36 @@ func TestLoadFairnessArbiter(t *testing.T) {
 	}
 	if base.Jain >= 0.9 && base.Starved == 0 {
 		t.Errorf("baseline unexpectedly fair (jain=%.4f, starved=%d): contention too weak to demonstrate the arbiter", base.Jain, base.Starved)
+	}
+}
+
+// TestFabricIncastMallocBudget pins the host allocation rate of the
+// repository benchmark's fabric_incast workload, at its smoke-test shape:
+// every data segment crosses two trunks, so closures per wire event or per
+// SDMA request, trunk names built per hop, and iovec slices per UIO walk
+// all show here. The budget is one heap object per engine event
+// (it was 1.9).
+func TestFabricIncastMallocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	obs := engine.New()
+	rep, err := Run(Scenario{
+		Name: "fabric_incast", Seed: 7, Clients: 8, Servers: 8, Flows: 32,
+		Mode: socket.ModeSingleCopy, Topology: "leafspine:4x1", QueueCap: 256 * units.KB,
+		Bulk: true, Duration: 60 * units.Millisecond, Warmup: 10 * units.Millisecond,
+		BulkWrite: 16 * units.KB, Window: 128 * units.KB, MTU: 8*units.KB + 64,
+		CABConfig: &cab.Config{MemSize: 1024 * units.KB, PageSize: 8 * units.KB,
+			AutoDMALen: 784, RxCsumSkip: 80, Channels: 8},
+		EngObs: obs,
+	})
+	if err != nil || rep.Errors != 0 || rep.TotalBytes == 0 {
+		t.Fatalf("run: err=%v errors=%d delivered=%d", err, rep.Errors, rep.TotalBytes)
+	}
+	snap := obs.Snapshot()
+	perEv := float64(snap.Adv.Allocs) / float64(snap.Det.EventsTotal)
+	t.Logf("%d heap objects over %d events: %.3f per event", snap.Adv.Allocs, snap.Det.EventsTotal, perEv)
+	if perEv > 1.0 {
+		t.Fatalf("%.3f heap objects per engine event, budget 1.0", perEv)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/checksum"
+	"repro/internal/mem"
 	"repro/internal/units"
 )
 
@@ -167,8 +168,8 @@ func SplitAt(m *Mbuf, n units.Size) (front, back *Mbuf) {
 
 // eachRun calls fn, in order, on each contiguous run of the chain's bytes
 // [off, off+n) where they lie, for byte-holding and descriptor mbufs alike
-// (descriptors are dereferenced through their UIO region or outboard read
-// function). fn must not keep or write the slice.
+// (descriptors are dereferenced through their UIO region or outboard
+// handle). fn must not keep or write the slice.
 func eachRun(m *Mbuf, off, n units.Size, fn func(b []byte)) {
 	for cur := m; cur != nil && n > 0; cur = cur.next {
 		if off >= cur.ln {
@@ -183,14 +184,12 @@ func eachRun(m *Mbuf, off, n units.Size, fn func(b []byte)) {
 		case TData, TCluster:
 			fn(cur.Bytes()[off : off+take])
 		case TUIO:
-			for _, seg := range cur.uio.Segments(cur.off+off, take) {
+			var sb mem.SegBuf
+			for _, seg := range cur.uio.Segments(cur.off+off, take, sb[:0]) {
 				fn(cur.uio.Space.Bytes(seg.Addr, seg.Len))
 			}
 		case TWCAB:
-			if cur.wcab.ReadFn == nil {
-				panic("mbuf: WCAB mbuf has no read function")
-			}
-			fn(cur.wcab.ReadFn(cur.off+off, take)[:take])
+			fn(cur.wcab.Handle.Read(cur.off+off, take)[:take])
 		}
 		n -= take
 		off = 0

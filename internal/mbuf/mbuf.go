@@ -110,12 +110,12 @@ type Hdr struct {
 	// that the released writer has since unpinned.
 	Abandoned bool
 
-	// OnOutboard, set by the transport on a transmit packet, is invoked
-	// (in interrupt context) once the packet's data resides in network
-	// memory, passing the WCAB descriptor so the transport can convert
-	// the corresponding socket-buffer range to M_WCAB for retransmission
+	// OnOutboard, set by the transport on a transmit packet, is told (in
+	// interrupt context) once the packet's data resides in network memory,
+	// and handed the WCAB descriptor so the transport can convert the
+	// corresponding socket-buffer range to M_WCAB for retransmission
 	// (Section 4.2).
-	OnOutboard func(w *WCAB)
+	OnOutboard OutboardSink
 	// FreeAfterSend tells the driver the outboard packet is not
 	// retransmittable state (UDP, raw sends): free it once the media
 	// transmission completes.
@@ -159,13 +159,22 @@ type Hdr struct {
 	Flow int
 }
 
+// OutboardSink takes ownership of a transmitted packet once its data
+// resides in network memory (see Hdr.OnOutboard). A transport implements
+// it on the per-segment state it builds the packet header into, so the
+// header and the callback are one allocation.
+type OutboardSink interface {
+	Outboard(w *WCAB)
+}
+
 // WCAB is the paper's wCAB structure: the handle of a packet resident in
 // network memory, its hardware-computed body checksum, and how much of the
-// outboard data is valid.
+// outboard data is valid. A driver embeds it in its own per-packet handle
+// and points Handle back at that, so one allocation carries both.
 type WCAB struct {
-	// Handle identifies the packet in network memory (opaque to the
-	// stack; owned by the CAB driver).
-	Handle any
+	// Handle is the driver's handle on the outboard packet (opaque to the
+	// stack): every access to the outboard bytes goes through it.
+	Handle Outboard
 	// BodySum is the unfolded partial checksum of the packet body
 	// (everything past CsumSkip) saved when the data first crossed into
 	// network memory; it is what makes retransmission without re-reading
@@ -173,40 +182,55 @@ type WCAB struct {
 	BodySum uint32
 	// Valid is how many bytes of the outboard packet hold valid data.
 	Valid units.Size
-	// ReadFn returns outboard bytes [off, off+n); installed by the
-	// driver, used for copy-out and integrity checks.
-	ReadFn func(off, n units.Size) []byte
-	// FreeFn releases the outboard packet when the last mbuf reference
-	// drops (e.g. when TCP's acknowledgements free retransmit data).
-	FreeFn func()
-	// CopyOut, installed by the driver, DMAs outboard bytes [off, off+n)
-	// into the host memory segments dst, invoking done in hardware
-	// context when the transfer finishes. done receives nil on success, or
-	// the reason the transfer could not complete (the adaptor was reset
-	// mid-transfer and the outboard data is gone) — the destination bytes
-	// are then undefined and the caller must not deliver them. This is the
-	// driver "copy out" routine the paper's software architecture requires
-	// (Section 3).
-	CopyOut func(off, n units.Size, dst [][]byte, done func(error))
-	// Dead, installed by the driver, reports that the outboard packet no
-	// longer exists (the adaptor's firmware was reset): ReadFn yields
-	// wiped bytes and CopyOut fails. nil means always live.
-	Dead func() bool
 
 	refs int
+}
+
+// Outboard is a driver's handle on one packet in network memory, in the
+// coordinates of the WCAB that carries it (byte 0 is the first byte an
+// M_WCAB window can cover).
+type Outboard interface {
+	// Read returns outboard bytes [off, off+n), for copy-out by the CPU
+	// and integrity checks. After a firmware reset it returns the wiped
+	// bytes.
+	Read(off, n units.Size) []byte
+	// CopyOut DMAs outboard bytes [off, off+n) into the host memory
+	// segments dst — the driver "copy out" routine the paper's software
+	// architecture requires (Section 3). The driver copies the segment
+	// list during the call, so the caller may reuse dst at once. to hears
+	// how the transfer ended, once, in hardware context: a nil error, or
+	// the reason it could not complete (the adaptor was reset mid-transfer
+	// and the outboard data is gone), in which case the destination bytes
+	// are undefined and must not be delivered.
+	CopyOut(off, n units.Size, dst [][]byte, to CopyNotifier)
+	// Dead reports that the outboard packet no longer exists (the
+	// adaptor's firmware was reset): Read yields wiped bytes and CopyOut
+	// fails.
+	Dead() bool
+	// Free releases the outboard packet. Unref calls it when the last mbuf
+	// reference drops (e.g. when TCP's acknowledgements free retransmit
+	// data).
+	Free()
+}
+
+// CopyNotifier receives the outcome of an Outboard.CopyOut of n bytes:
+// err is nil on success.
+type CopyNotifier interface {
+	CopyDone(n units.Size, err error)
 }
 
 // Ref increments the reference count.
 func (w *WCAB) Ref() { w.refs++ }
 
-// Unref decrements the reference count, invoking FreeFn at zero.
+// Unref decrements the reference count, freeing the outboard packet at
+// zero.
 func (w *WCAB) Unref() {
 	if w.refs <= 0 {
 		panic("mbuf: WCAB over-release")
 	}
 	w.refs--
-	if w.refs == 0 && w.FreeFn != nil {
-		w.FreeFn()
+	if w.refs == 0 {
+		w.Handle.Free()
 	}
 }
 

@@ -178,20 +178,43 @@ func TestFreedClusterMbufIsDead(t *testing.T) {
 	panics("second Free of the last holder", func() { c.Free() })
 }
 
+// hostPkt is a test outboard packet whose bytes live in host memory.
+type hostPkt struct {
+	WCAB
+	data  []byte
+	freed int
+}
+
+func newHostPkt(data []byte) *hostPkt {
+	p := &hostPkt{data: data}
+	p.Handle, p.Valid = p, units.Size(len(data))
+	return p
+}
+
+func (p *hostPkt) Read(off, n units.Size) []byte { return p.data[off : off+n] }
+func (p *hostPkt) Dead() bool                    { return false }
+func (p *hostPkt) Free()                         { p.freed++ }
+func (p *hostPkt) CopyOut(off, n units.Size, dst [][]byte, to CopyNotifier) {
+	for _, d := range dst {
+		off += units.Size(copy(d, p.data[off:]))
+	}
+	to.CopyDone(n, nil)
+}
+
 func TestWCABRefCounting(t *testing.T) {
-	freed := false
-	w := &WCAB{Valid: 100, FreeFn: func() { freed = true }}
+	p := newHostPkt(make([]byte, 100))
+	w := &p.WCAB
 	m := NewWCAB(w, 0, 100, nil)
 	c := CopyRange(m, 50, 25)
 	if w.Refs() != 2 {
 		t.Fatalf("refs = %d, want 2", w.Refs())
 	}
 	FreeChain(m)
-	if freed {
+	if p.freed != 0 {
 		t.Fatal("freed too early")
 	}
 	FreeChain(c)
-	if !freed {
+	if p.freed != 1 {
 		t.Fatal("outboard packet not freed at last reference")
 	}
 }
@@ -214,12 +237,11 @@ func TestCopyRangeAcrossMixedChain(t *testing.T) {
 	copy(ub.Bytes(), seq(300))
 	u := mem.NewUIO(ub)
 
-	w := &WCAB{Valid: 200}
 	wdata := seq(200)
 	for i := range wdata {
 		wdata[i] ^= 0xaa
 	}
-	w.ReadFn = func(off, n units.Size) []byte { return wdata[off : off+n] }
+	w := &newHostPkt(wdata).WCAB
 	w.Ref() // baseline reference held by the "socket buffer"
 
 	chain := Cat(Cat(NewData(seq(50)), NewUIO(u, 0, 300, nil)), NewWCAB(w, 0, 200, nil))
@@ -259,12 +281,11 @@ func TestAdjFront(t *testing.T) {
 }
 
 func TestAdjFrontFreesWCABRefs(t *testing.T) {
-	freed := 0
-	w := &WCAB{Valid: 100, FreeFn: func() { freed++ }}
-	chain := Cat(NewWCAB(w, 0, 100, nil), NewData(seq(10)))
+	p := newHostPkt(make([]byte, 100))
+	chain := Cat(NewWCAB(&p.WCAB, 0, 100, nil), NewData(seq(10)))
 	chain = AdjFront(chain, 100)
-	if freed != 1 {
-		t.Fatalf("freed = %d, want 1", freed)
+	if p.freed != 1 {
+		t.Fatalf("freed = %d, want 1", p.freed)
 	}
 	if ChainLen(chain) != 10 {
 		t.Fatalf("remaining = %v, want 10", ChainLen(chain))
@@ -370,9 +391,7 @@ func TestSumRangeMatchesFlatSum(t *testing.T) {
 				copy(b2.Bytes(), data[cut:])
 				chain = Cat(chain, NewUIO(mem.NewUIO(b1, b2), 0, units.Size(n), nil))
 			case 3:
-				w := &WCAB{Valid: units.Size(n)}
-				w.ReadFn = func(off, n units.Size) []byte { return data[off : off+n] }
-				chain = Cat(chain, NewWCAB(w, 0, units.Size(n), nil))
+				chain = Cat(chain, NewWCAB(&newHostPkt(data).WCAB, 0, units.Size(n), nil))
 			}
 		}
 		if !bytes.Equal(Materialize(chain), flat) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/units"
 )
 
@@ -145,12 +146,43 @@ func TestUIOSegments(t *testing.T) {
 		t.Fatalf("total = %v, want 150", u.Total())
 	}
 	// A range spanning the buffer boundary yields two segments.
-	segs := u.Segments(90, 30)
+	segs := u.Segments(90, 30, nil)
 	if len(segs) != 2 || segs[0].Len != 10 || segs[1].Len != 20 {
 		t.Fatalf("segments = %+v", segs)
 	}
 	if segs[0].Addr != a.Addr+90 || segs[1].Addr != b.Addr {
 		t.Fatalf("segment addrs wrong: %+v", segs)
+	}
+	// Segments appends: what the caller passed in stays in front.
+	head := []Iovec{{Addr: 1, Len: 1}}
+	if got := u.Segments(0, 150, head); len(got) != 3 || got[0] != head[0] || got[2].Len != 50 {
+		t.Fatalf("appended segments = %+v", got)
+	}
+}
+
+// TestUIOWalkAllocBudget pins the walks the data path makes per packet —
+// Segments into a stack SegBuf and everything built on it — at zero
+// allocations.
+func TestUIOWalkAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s := space(t)
+	a := s.Alloc(100, 4)
+	u := NewUIO(a, s.Alloc(50, 4))
+	dst := make([]byte, 150)
+	allocs := testing.AllocsPerRun(100, func() {
+		var sb SegBuf
+		for _, seg := range u.Segments(90, 30, sb[:0]) {
+			s.Pinned(seg.Addr, seg.Len)
+		}
+		u.ReadAt(dst, 0, 150)
+		u.WriteAt(dst[:40], 80)
+		u.AlignedTo(0, 150, 4)
+		u.PageSpan(0, 150)
+	})
+	if allocs != 0 {
+		t.Fatalf("UIO walks allocate %v objects per run, want 0", allocs)
 	}
 }
 

@@ -21,6 +21,9 @@ type UIO struct {
 	iov   []Iovec
 	total units.Size
 	done  units.Size // bytes consumed from the front
+	// iov0 is iov's storage for the common single-buffer UIO, so building
+	// one is one allocation.
+	iov0 [1]Iovec
 }
 
 // NewUIO builds a UIO over bufs, which must all belong to the same space.
@@ -29,6 +32,7 @@ func NewUIO(bufs ...Buf) *UIO {
 		panic("mem: UIO needs at least one buffer")
 	}
 	u := &UIO{Space: bufs[0].Space}
+	u.iov = u.iov0[:0]
 	for _, b := range bufs {
 		if b.Space != u.Space {
 			panic("mem: UIO buffers must share one address space")
@@ -59,13 +63,20 @@ func (u *UIO) Advance(n units.Size) {
 	u.done += n
 }
 
-// Segments returns the iovec segments covering [off, off+n) in the UIO's
-// original (un-consumed) coordinates.
-func (u *UIO) Segments(off, n units.Size) []Iovec {
+// SegBuf is caller-side room for one range's segments: a range of a UIO
+// built from one buffer is one segment, and Segments appending into a
+// stack-held SegBuf walks it without allocating.
+type SegBuf [4]Iovec
+
+// Segments appends to dst the iovec segments covering [off, off+n) in the
+// UIO's original (un-consumed) coordinates and returns the extended slice.
+// Callers pass a SegBuf's empty slice (sb[:0]) so the walk allocates only
+// for ranges of more than four segments.
+func (u *UIO) Segments(off, n units.Size, dst []Iovec) []Iovec {
 	if off < 0 || n < 0 || off+n > u.total {
 		panic(fmt.Sprintf("mem: UIO segments [%v,+%v) outside %v", off, n, u.total))
 	}
-	var out []Iovec
+	out := dst
 	pos := units.Size(0)
 	for _, v := range u.iov {
 		if n == 0 {
@@ -98,7 +109,8 @@ func (u *UIO) Segments(off, n units.Size) []Iovec {
 // dst, which must be at least n long. It returns the bytes copied.
 func (u *UIO) ReadAt(dst []byte, off, n units.Size) units.Size {
 	var copied units.Size
-	for _, seg := range u.Segments(off, n) {
+	var sb SegBuf
+	for _, seg := range u.Segments(off, n, sb[:0]) {
 		copied += units.Size(copy(dst[copied:], u.Space.Bytes(seg.Addr, seg.Len)))
 	}
 	return copied
@@ -108,7 +120,8 @@ func (u *UIO) ReadAt(dst []byte, off, n units.Size) units.Size {
 func (u *UIO) WriteAt(src []byte, off units.Size) units.Size {
 	var written units.Size
 	n := units.Size(len(src))
-	for _, seg := range u.Segments(off, n) {
+	var sb SegBuf
+	for _, seg := range u.Segments(off, n, sb[:0]) {
 		written += units.Size(copy(u.Space.Bytes(seg.Addr, seg.Len), src[written:]))
 	}
 	return written
@@ -118,7 +131,8 @@ func (u *UIO) WriteAt(src []byte, off units.Size) units.Size {
 // a-byte boundary. The CAB's SDMA engine requires 32-bit word alignment of
 // host addresses (Section 4.5).
 func (u *UIO) AlignedTo(off, n, a units.Size) bool {
-	for _, seg := range u.Segments(off, n) {
+	var sb SegBuf
+	for _, seg := range u.Segments(off, n, sb[:0]) {
 		if seg.Addr%a != 0 {
 			return false
 		}
@@ -129,7 +143,8 @@ func (u *UIO) AlignedTo(off, n, a units.Size) bool {
 // PageSpan returns the number of pages covered by [off, off+n).
 func (u *UIO) PageSpan(off, n units.Size) int {
 	pages := 0
-	for _, seg := range u.Segments(off, n) {
+	var sb SegBuf
+	for _, seg := range u.Segments(off, n, sb[:0]) {
 		pages += u.Space.PageSpan(seg.Addr, seg.Len)
 	}
 	return pages

@@ -150,9 +150,9 @@ func TestCopyRangeRecordsNoTouches(t *testing.T) {
 	sp := mem.NewAddrSpace("user", 1*units.MB, 8*units.KB)
 	ub := sp.Alloc(300, 4)
 	u := mem.NewUIO(ub)
+	// CopyRange never reads outboard data and the baseline reference keeps
+	// the packet alive, so the WCAB needs no handle.
 	w := &mbuf.WCAB{Valid: 200}
-	wdata := make([]byte, 200)
-	w.ReadFn = func(off, n units.Size) []byte { return wdata[off : off+n] }
 	w.Ref()
 	chain := mbuf.Cat(
 		mbuf.Cat(mbuf.NewData(make([]byte, 50)), mbuf.NewUIO(u, 0, 300, nil)),

@@ -1,0 +1,9 @@
+//go:build race
+
+// Package race reports whether the binary was built with the race
+// detector. Tests that pin allocation counts skip under it: the detector
+// allocates on its own, and sync.Pool drops a share of what it is given.
+package race
+
+// Enabled is true in a -race build.
+const Enabled = true

@@ -17,6 +17,11 @@ type DGram struct {
 	Task *kern.Task
 	Sock *tcpip.UDPSock
 	Cfg  Config
+
+	// rcv does RecvFrom's copy-out under Cfg; wtrk is SendTo's parked
+	// tracker.
+	rcv  *Socket
+	wtrk *tracker
 }
 
 // NewDGram binds a UDP socket (port 0 selects an ephemeral port). It fails
@@ -26,7 +31,8 @@ func NewDGram(k *kern.Kernel, vm *kern.VM, task *kern.Task, stk *tcpip.Stack, po
 	if err != nil {
 		return nil, err
 	}
-	return &DGram{K: k, VM: vm, Task: task, Sock: u, Cfg: cfg}, nil
+	return &DGram{K: k, VM: vm, Task: task, Sock: u, Cfg: cfg,
+		rcv: &Socket{K: k, VM: vm, Task: task}}, nil
 }
 
 // MustDGram is NewDGram for callers whose bind cannot fail (fixed free
@@ -78,13 +84,15 @@ func (d *DGram) SendTo(p *sim.Proc, buf mem.Buf, dst wire.Addr, dport uint16) er
 	d.K.WaitAlloc(p)
 	d.VM.MapUIO(ctx, u, 0, buf.Len)
 	d.VM.PinUIO(ctx, u, 0, buf.Len)
-	trk := newTracker(d.K.Eng)
+	trk := take(&d.wtrk, d.K.Eng)
+	defer park(&d.wtrk, trk)
 	trk.add(buf.Len)
 	m := mbuf.NewUIO(u, 0, buf.Len, &mbuf.Hdr{Owner: trk})
 	d.Sock.SendTo(ctx, m, buf.Len, dst, dport)
 	trk.wait(p)
 	d.VM.UnpinUIO(ctx, u, 0, buf.Len)
-	for _, seg := range u.Segments(0, buf.Len) {
+	var sb mem.SegBuf
+	for _, seg := range u.Segments(0, buf.Len, sb[:0]) {
 		d.VM.UnmapBuf(u.Space, seg.Addr, seg.Len)
 	}
 	return nil
@@ -105,10 +113,10 @@ func (d *DGram) RecvFrom(p *sim.Proc, buf mem.Buf) (units.Size, wire.Addr, uint1
 			n = buf.Len
 		}
 		u := mem.NewUIO(buf)
-		take, rest := mbuf.SplitAt(dg.Chain, n)
-		s := &Socket{K: d.K, VM: d.VM, Task: d.Task, Cfg: d.Cfg}
-		err := s.copyOut(ctx, u, take, n)
-		mbuf.FreeChain(take)
+		head, rest := mbuf.SplitAt(dg.Chain, n)
+		d.rcv.Cfg = d.Cfg
+		err := d.rcv.copyOut(ctx, u, head, n)
+		mbuf.FreeChain(head)
 		mbuf.FreeChain(rest)
 		if err != nil {
 			// The datagram's outboard payload died (adaptor reset) between

@@ -88,6 +88,10 @@ type Socket struct {
 	crit       *obs.CritRec
 	critHost   string
 	wCur, rCur int32
+
+	// The writer's and the reader's trackers, parked between system calls
+	// (see take).
+	wtrk, rtrk *tracker
 }
 
 // NewSocket wraps an established connection.
@@ -147,15 +151,60 @@ func (s *Socket) critSndAdmit(t0 units.Time, chunk units.Size) {
 }
 
 // tracker is the outstanding-DMA (UIO) counter that synchronizes
-// application wakeup with the driver (Section 4.4.2).
+// application wakeup with the driver (Section 4.4.2), with the rest of one
+// system call's DMA bookkeeping: the first copy-out error and the ranges
+// pinned for the DMAs. A socket keeps one per direction and reuses it
+// across system calls.
 type tracker struct {
 	pending units.Size
+	err     error
 	sig     *sim.Signal
+	pinned  []mem.Iovec // UIO ranges to unpin when the call ends
+	scatter [][]byte    // one copy-out's destination segments
 }
 
 func newTracker(e *sim.Engine) *tracker { return &tracker{sig: sim.NewSignal(e)} }
 
+// take hands a system call the tracker parked in *slot, or a fresh one
+// when the slot is empty: on first use, or while another call on the same
+// socket holds it.
+func take(slot **tracker, e *sim.Engine) *tracker {
+	t := *slot
+	if t == nil {
+		return newTracker(e)
+	}
+	*slot = nil
+	return t
+}
+
+// park returns t to *slot for the next system call — unless DMAs it
+// counted are still outstanding (a call abandoned by a connection error),
+// since their late completions must not land on the next call's count.
+func park(slot **tracker, t *tracker) {
+	if t.pending != 0 {
+		return
+	}
+	t.err = nil
+	t.pinned = t.pinned[:0]
+	*slot = t
+}
+
 func (t *tracker) add(n units.Size) { t.pending += n }
+
+// fail records err unless an earlier error is already recorded.
+func (t *tracker) fail(err error) {
+	if t.err == nil {
+		t.err = err
+	}
+}
+
+// CopyDone implements mbuf.CopyNotifier.
+func (t *tracker) CopyDone(n units.Size, err error) {
+	if err != nil {
+		t.fail(err)
+	}
+	t.DMADone(n)
+}
 
 // DMAStarted implements mbuf.Notifier.
 func (t *tracker) DMAStarted(units.Size) {}
@@ -305,13 +354,13 @@ func (s *Socket) writeUIO(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, er
 	// Map, pin and append "one socket buffer worth at a time" (Section
 	// 4.4.1): one maximum-size segment per iteration.
 	chunkMax := c.MaxSeg
-	trk := newTracker(s.K.Eng)
-	var pinned []mem.Iovec
+	trk := take(&s.wtrk, s.K.Eng)
+	defer park(&s.wtrk, trk)
 	boundary := true
 	for sent := units.Size(0); sent < total; {
 		t0 := s.critNow()
 		if err := c.WaitSndSpace(ctx.P); err != nil {
-			s.unpinAll(ctx, u, pinned)
+			s.unpinAll(ctx, u, trk.pinned)
 			return sent, err
 		}
 		s.critSndWake(t0)
@@ -333,7 +382,7 @@ func (s *Socket) writeUIO(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, er
 		s.K.WaitAlloc(ctx.P)
 		s.VM.MapUIO(ctx, u, sent, chunk)
 		s.VM.PinUIO(ctx, u, sent, chunk)
-		pinned = append(pinned, mem.Iovec{Addr: sent, Len: chunk})
+		trk.pinned = append(trk.pinned, mem.Iovec{Addr: sent, Len: chunk})
 		trk.add(chunk)
 		ctx.Charge(s.K.Mach.SocketPerPacket, kern.CatProto)
 		if s.crit != nil {
@@ -346,7 +395,7 @@ func (s *Socket) writeUIO(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, er
 		m := mbuf.NewUIO(u, sent, chunk, &mbuf.Hdr{Owner: trk, DescID: s.K.Led.NextDesc(), CritEv: s.wCur})
 		if err := c.Append(ctx, m, chunk, boundary); err != nil {
 			trk.DMADone(chunk) // never issued
-			s.unpinAll(ctx, u, pinned)
+			s.unpinAll(ctx, u, trk.pinned)
 			return sent, err
 		}
 		if s.crit != nil {
@@ -366,7 +415,7 @@ func (s *Socket) writeUIO(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, er
 		// The connection died while DMAs were outstanding (adaptor reset,
 		// RST): the teardown released the tracker, but the data was never
 		// secured outboard. Surface the teardown error to the writer.
-		s.unpinAll(ctx, u, pinned)
+		s.unpinAll(ctx, u, trk.pinned)
 		return total, c.Err
 	}
 	if s.crit != nil {
@@ -375,7 +424,7 @@ func (s *Socket) writeUIO(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, er
 		s.wCur = s.critEv(s.wCur, obs.CauseDMA, "write_ret",
 			int(c.LocalPort()), c.AppendStreamOff(), total)
 	}
-	s.unpinAll(ctx, u, pinned)
+	s.unpinAll(ctx, u, trk.pinned)
 	return total, nil
 }
 
@@ -383,7 +432,8 @@ func (s *Socket) writeUIO(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, er
 func (s *Socket) unpinAll(ctx kern.Ctx, u *mem.UIO, pinned []mem.Iovec) {
 	for _, r := range pinned {
 		s.VM.UnpinUIO(ctx, u, r.Addr, r.Len)
-		for _, seg := range u.Segments(r.Addr, r.Len) {
+		var sb mem.SegBuf
+		for _, seg := range u.Segments(r.Addr, r.Len, sb[:0]) {
 			s.VM.UnmapBuf(u.Space, seg.Addr, seg.Len)
 		}
 	}
@@ -450,12 +500,11 @@ func (s *Socket) Read(p *sim.Proc, buf mem.Buf) (units.Size, error) {
 // word-aligned (the paper's receive-side single-copy; unaligned reads fall
 // back to the copy path, Section 4.5).
 func (s *Socket) copyOut(ctx kern.Ctx, u *mem.UIO, chain *mbuf.Mbuf, n units.Size) error {
-	trk := newTracker(s.K.Eng)
-	var pinned []mem.Iovec
+	trk := take(&s.rtrk, s.K.Eng)
+	defer park(&s.rtrk, trk)
 	off := units.Size(0)
 	sawDMA := false
 	didCopy := false
-	var dmaErr error
 	for m := chain; m != nil; m = m.Next() {
 		ln := m.Len()
 		switch m.Type() {
@@ -464,39 +513,33 @@ func (s *Socket) copyOut(ctx kern.Ctx, u *mem.UIO, chain *mbuf.Mbuf, n units.Siz
 			ctx.CopyToUIO(u, off, m.Bytes(), n)
 		case mbuf.TWCAB:
 			w := m.WCABRef()
-			if w.Dead != nil && w.Dead() {
+			if w.Handle.Dead() {
 				// The outboard packet was wiped by an adaptor reset after
 				// the data was sequenced but before this read drained it.
-				if dmaErr == nil {
-					dmaErr = tcpip.ErrDeviceReset
-				}
+				trk.fail(tcpip.ErrDeviceReset)
 				off += ln
 				continue
 			}
-			if s.Cfg.Mode == ModeSingleCopy && w.CopyOut != nil && u.AlignedTo(off, ln, 4) {
+			if s.Cfg.Mode == ModeSingleCopy && u.AlignedTo(off, ln, 4) {
 				s.UIOReads++
 				s.ctrUIOReads.Inc()
 				sawDMA = true
 				s.VM.PinUIO(ctx, u, off, ln)
-				pinned = append(pinned, mem.Iovec{Addr: off, Len: ln})
-				var scatter [][]byte
-				for _, seg := range u.Segments(off, ln) {
+				trk.pinned = append(trk.pinned, mem.Iovec{Addr: off, Len: ln})
+				scatter := trk.scatter[:0]
+				var sb mem.SegBuf
+				for _, seg := range u.Segments(off, ln, sb[:0]) {
 					scatter = append(scatter, u.Space.Bytes(seg.Addr, seg.Len))
 				}
+				trk.scatter = scatter
 				trk.add(ln)
-				ln := ln
-				w.CopyOut(m.Off(), ln, scatter, func(err error) {
-					if err != nil && dmaErr == nil {
-						dmaErr = err
-					}
-					trk.DMADone(ln)
-				})
+				w.Handle.CopyOut(m.Off(), ln, scatter, trk)
 			} else {
 				// Fallback: read outboard data with the CPU.
 				s.CopyReads++
 				s.ctrCopyReads.Inc()
 				didCopy = true
-				ctx.CopyToUIO(u, off, w.ReadFn(m.Off(), ln), n)
+				ctx.CopyToUIO(u, off, w.Handle.Read(m.Off(), ln), n)
 			}
 		case mbuf.TUIO:
 			panic("socket: M_UIO mbuf in receive buffer")
@@ -520,11 +563,11 @@ func (s *Socket) copyOut(ctx kern.Ctx, u *mem.UIO, chain *mbuf.Mbuf, n units.Siz
 			s.rCur = s.critEv(s.rCur, obs.CauseDMA, "read_dma",
 				int(s.Conn.RemotePort()), 0, n)
 		}
-		for _, r := range pinned {
+		for _, r := range trk.pinned {
 			s.VM.UnpinUIO(ctx, u, r.Addr, r.Len)
 		}
 	}
-	return dmaErr
+	return trk.err
 }
 
 // WriteAll writes buf fully and returns an error only on connection

@@ -192,14 +192,15 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 		seed := checksum.Fold(checksum.Add(ps, checksum.Sum(hb)))
 		hdr.Csum = seed
 		hdr.Marshal(hb)
-		phdr = &mbuf.Hdr{
-			NeedCsum: true,
-			CsumOff:  wire.TCPCsumOff,
-			CsumSkip: wire.TCPHdrLen,
-			CsumSeed: uint32(seed),
+		hs := &hwSeg{c: c, seq: seq, n: seglen}
+		hs.hdr = mbuf.Hdr{
+			NeedCsum:   true,
+			CsumOff:    wire.TCPCsumOff,
+			CsumSkip:   wire.TCPHdrLen,
+			CsumSeed:   uint32(seed),
+			OnOutboard: hs,
 		}
-		seqCopy, lenCopy := seq, seglen
-		phdr.OnOutboard = func(w *mbuf.WCAB) { c.onOutboard(seqCopy, lenCopy, w) }
+		phdr = &hs.hdr
 	} else {
 		// Software checksum: the CPU reads the segment (this is the
 		// per-byte cost the single-copy path eliminates).
@@ -260,6 +261,18 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 	}
 	c.stk.IPOutputECN(ctx, hm, wire.ProtoTCP, c.key.raddr, ecn)
 }
+
+// hwSeg is an outboard-checksummed segment's packet header together with
+// the send-buffer range the driver's completion hands back as M_WCAB.
+type hwSeg struct {
+	hdr mbuf.Hdr
+	c   *TCPConn
+	seq uint32
+	n   units.Size
+}
+
+// Outboard implements mbuf.OutboardSink.
+func (s *hwSeg) Outboard(w *mbuf.WCAB) { s.c.onOutboard(s.seq, s.n, w) }
 
 // onOutboard runs in interrupt context once a transmitted packet's data
 // resides in network memory: the corresponding range of the send buffer is

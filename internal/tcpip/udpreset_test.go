@@ -9,15 +9,26 @@ import (
 	"repro/internal/wire"
 )
 
+// fakePkt is an outboard packet on a fake adaptor; dead says whether that
+// adaptor has since reset.
+type fakePkt struct {
+	mbuf.WCAB
+	dead *bool
+}
+
+func (p *fakePkt) Read(off, n units.Size) []byte { return make([]byte, n) }
+func (p *fakePkt) Dead() bool                    { return *p.dead }
+func (p *fakePkt) Free()                         {}
+func (p *fakePkt) CopyOut(off, n units.Size, dst [][]byte, to mbuf.CopyNotifier) {
+	panic("fakePkt: copy-out")
+}
+
 // wcabDatagram builds a queued datagram whose payload is one outboard
 // (M_WCAB) mbuf; dead controls whether the fake adaptor has since reset.
 func wcabDatagram(n units.Size, dead *bool) *UDPDatagram {
-	w := &mbuf.WCAB{
-		Valid:  n,
-		ReadFn: func(off, ln units.Size) []byte { return make([]byte, ln) },
-		Dead:   func() bool { return *dead },
-	}
-	return &UDPDatagram{Src: wire.Addr(2), SPort: 9, Chain: mbuf.NewWCAB(w, 0, n, nil), Len: n}
+	p := &fakePkt{dead: dead}
+	p.Handle, p.Valid = p, n
+	return &UDPDatagram{Src: wire.Addr(2), SPort: 9, Chain: mbuf.NewWCAB(&p.WCAB, 0, n, nil), Len: n}
 }
 
 // TestDeviceResetSweepsDeadUDPDatagrams pins the data-integrity contract

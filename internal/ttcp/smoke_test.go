@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/race"
 	"repro/internal/socket"
 	"repro/internal/ttcp"
 	"repro/internal/units"
@@ -58,25 +59,26 @@ func TestUDPSmoke(t *testing.T) {
 	}
 }
 
-// raceDetector is set by race_test.go in a -race build.
-var raceDetector bool
-
-// marginalAlloc returns the host bytes allocated per payload byte moved:
-// differencing a 32 MB against a 16 MB transfer cancels testbed set-up
-// (address spaces, socket buffers).
-func marginalAlloc(t *testing.T, mode socket.Mode) float64 {
+// marginal returns what moving payload costs the host in allocation:
+// bytes allocated per payload byte, and heap objects per 32 KB data
+// segment. Differencing a 32 MB against a 16 MB transfer cancels testbed
+// set-up (address spaces, socket buffers).
+func marginal(t *testing.T, mode socket.Mode) (perByte, perSeg float64) {
 	t.Helper()
-	allocated := func(total units.Size) uint64 {
+	allocated := func(total units.Size) (bytes, objects uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		run(t, mode, total, 64*units.KB)
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
-	small, big := allocated(16*units.MB), allocated(32*units.MB)
-	perByte := (float64(big) - float64(small)) / float64(16*units.MB)
-	t.Logf("16 MB: %d B allocated, 32 MB: %d B, marginal %.3f B per payload byte", small, big, perByte)
-	return perByte
+	sb, so := allocated(16 * units.MB)
+	bb, bo := allocated(32 * units.MB)
+	perByte = (float64(bb) - float64(sb)) / float64(16*units.MB)
+	perSeg = (float64(bo) - float64(so)) / float64(16*units.MB/(32*units.KB))
+	t.Logf("16 MB: %d B in %d objects, 32 MB: %d B in %d objects; marginal %.3f B per payload byte, %.1f objects per 32 KB segment",
+		sb, so, bb, bo, perByte, perSeg)
+	return perByte, perSeg
 }
 
 // TestSingleCopyAllocationBudget pins the host-memory cost of moving a
@@ -85,8 +87,24 @@ func marginalAlloc(t *testing.T, mode socket.Mode) float64 {
 // per-packet bookkeeping. The limit is 0.25 bytes allocated per payload
 // byte; three fresh buffers per packet cost about 3.9.
 func TestSingleCopyAllocationBudget(t *testing.T) {
-	if perByte := marginalAlloc(t, socket.ModeSingleCopy); perByte > 0.25 {
+	if perByte, _ := marginal(t, socket.ModeSingleCopy); perByte > 0.25 {
 		t.Fatalf("%.3f host bytes allocated per payload byte, budget 0.25", perByte)
+	}
+}
+
+// TestSingleCopyMallocBudget pins the heap objects one 32 KB data segment
+// costs end to end on the single-copy path — socket, transport, driver,
+// adaptor and wire on both hosts, with its ACK — at the 28.5 that
+// descriptors built once per packet per layer need, plus 10 %. With a
+// closure per SDMA request and per wire event, an iovec slice per UIO walk
+// and a signal per frame it was 93. Any of those coming back breaks it.
+func TestSingleCopyMallocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const budget = 28.5 * 1.1
+	if _, perSeg := marginal(t, socket.ModeSingleCopy); perSeg > budget {
+		t.Fatalf("%.1f heap objects per 32 KB data segment, budget %.1f", perSeg, budget)
 	}
 }
 
@@ -96,10 +114,10 @@ func TestSingleCopyAllocationBudget(t *testing.T) {
 // headers, gather lists). A staging buffer and a cluster per 8 KB written
 // plus a receive buffer per cluster cost about 3.2.
 func TestUnmodifiedAllocationBudget(t *testing.T) {
-	if raceDetector {
+	if race.Enabled {
 		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
 	}
-	if perByte := marginalAlloc(t, socket.ModeUnmodified); perByte > 0.5 {
+	if perByte, _ := marginal(t, socket.ModeUnmodified); perByte > 0.5 {
 		t.Fatalf("%.3f host bytes allocated per payload byte, budget 0.5", perByte)
 	}
 }
