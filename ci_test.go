@@ -109,6 +109,35 @@ func TestOnePacketRecorderHandle(t *testing.T) {
 	}
 }
 
+// TestNoProcsInCAB keeps the adaptor's engines continuations (DESIGN
+// §11): each blocks only at its own top level, so the SDMA and MDMA
+// engines run as event-loop steps, and no non-test file in internal/cab
+// spawns a process.
+func TestNoProcsInCAB(t *testing.T) {
+	paths, err := filepath.Glob("internal/cab/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Go" {
+					t.Errorf("%s: a process in the adaptor model; make it a continuation", fset.Position(call.Pos()))
+				}
+			}
+			return true
+		})
+	}
+}
+
 // TestNoMapOrderInSimulation keeps the simulation deterministic. Go
 // randomizes map iteration order, so a `for ... range x.f` over a
 // map-typed struct field in a simulation package wakes, frees or

@@ -18,7 +18,6 @@
 package cab
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/cost"
@@ -120,15 +119,21 @@ type CAB struct {
 	freeSig    *sim.Signal
 	live       map[int]*Packet
 
-	sdmaQ *sim.Queue[*SDMAReq]
+	// The SDMA engine (sdma.go): its request queue and the transfer
+	// occupying the bus.
+	sdmaQ   *sim.Queue[*SDMAReq]
+	sdmaCur *SDMAReq
 
+	// The MDMA transmit engine (mdma.go): the logical channels, the signal
+	// a post raises, the round-robin position and the frame on the wire.
 	channels []*sim.Queue[txEntry]
 	txPend   *sim.Signal
-	// txSent is broadcast when the frame on the wire has left the adaptor:
-	// the MDMA engine serializes one frame at a time, so one signal (and
-	// one callback bound to it, sentFn) serves every frame.
-	txSent *sim.Signal
-	sentFn func()
+	txNext   int
+	txCur    txEntry
+
+	// The engines' steps, bound once so that a transfer or a frame
+	// allocates nothing.
+	sdmaNextFn, sdmaDoneFn, mdmaNextFn, mdmaSentFn, sentFn func()
 
 	rxBufs [][]byte
 
@@ -231,17 +236,19 @@ func New(eng *sim.Engine, mach *cost.Machine, net *hippi.Network, id hippi.NodeI
 		freeSig:   sim.NewSignal(eng),
 		sdmaQ:     sim.NewQueue[*SDMAReq](eng),
 		txPend:    sim.NewSignal(eng),
-		txSent:    sim.NewSignal(eng),
 		live:      make(map[int]*Packet),
 	}
 	c.totalPages = c.freePages
-	c.sentFn = c.txSent.Broadcast
+	c.sdmaNextFn, c.sdmaDoneFn = c.sdmaNext, c.sdmaDone
+	c.mdmaNextFn, c.mdmaSentFn, c.sentFn = c.mdmaNext, c.mdmaSent, c.frameSent
 	for i := 0; i < cfg.Channels; i++ {
 		c.channels = append(c.channels, sim.NewQueue[txEntry](eng))
 	}
 	net.Attach(id, c.rxFrame)
-	eng.Go(fmt.Sprintf("cab%d/sdma", id), c.sdmaProc)
-	eng.Go(fmt.Sprintf("cab%d/mdma-tx", id), c.mdmaTxProc)
+	// Each engine starts with a KindProc event now, the first wake-up a
+	// process would have had.
+	eng.AfterKind(0, sim.KindProc, c.sdmaNextFn)
+	eng.AfterKind(0, sim.KindProc, c.mdmaNextFn)
 	return c
 }
 
@@ -435,7 +442,7 @@ func (c *CAB) Reset() {
 	// SDMA engine: the descriptor queue is wiped. Each killed request's
 	// owner hears SDMAFail so host-side waiters are unblocked; SDMADone
 	// never fires for a killed transfer. The in-service transfer (if any)
-	// is caught by sdmaProc's zapped check when its bus time expires.
+	// is caught by sdmaDone's zapped check when its bus time expires.
 	for {
 		req, ok := c.sdmaQ.TryGet()
 		if !ok {

@@ -297,38 +297,6 @@ func TestRxDropNoBuf(t *testing.T) {
 	}
 }
 
-func TestLogicalChannelRoundRobin(t *testing.T) {
-	e := sim.NewEngine(1)
-	n := hippi.NewNetwork(e, hippi.LineRate, 0)
-	a := New(e, cost.Alpha400(), n, 1, DefaultConfig())
-	var order []hippi.NodeID
-	for id := hippi.NodeID(2); id <= 4; id++ {
-		id := id
-		n.Attach(id, func(f hippi.Frame) { order = append(order, id) })
-	}
-	defer e.KillAll()
-	// Queue 2 packets per destination; round-robin should interleave.
-	for i := 0; i < 2; i++ {
-		for id := hippi.NodeID(2); id <= 4; id++ {
-			pk, _ := a.AllocPacket(1000)
-			a.SDMA(&SDMAReq{Dir: ToCAB, Pkt: pk, Gather: [][]byte{make([]byte, 1000)}})
-			a.MDMATx(pk, id, nil, nil)
-		}
-	}
-	e.Run()
-	if len(order) != 6 {
-		t.Fatalf("delivered %d, want 6", len(order))
-	}
-	// First three deliveries should cover all three destinations.
-	seen := map[hippi.NodeID]bool{}
-	for _, id := range order[:3] {
-		seen[id] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("round-robin failed: first three went to %v", order[:3])
-	}
-}
-
 // TestPacketBufferRecycled: a freed packet's network memory is the next
 // same-class allocation's, handed out dirty; the full-gather SDMA that is
 // the only way to fill a packet leaves none of the old bytes behind; and

@@ -42,26 +42,21 @@ func (c *CAB) MDMATx(pk *Packet, dst hippi.NodeID, span *obs.Span, done func(*Pa
 	c.txPend.Signal()
 }
 
-// mdmaTxProc drains the logical channels round-robin and serializes frames
-// onto the media. With multiple channels a busy destination would only
-// stall its own channel; the functional network model never blocks a
-// destination, so round-robin service is sufficient here (the head-of-line
-// effect itself is quantified by the hol.go study).
-func (c *CAB) mdmaTxProc(p *sim.Proc) {
-	next := 0
+// mdmaNext is the MDMA transmit engine as a continuation on the event
+// loop: it takes the next frame from the logical channels, round-robin,
+// or waits for one to be posted, and serializes it onto the media;
+// mdmaSent finishes the frame once it has left the adaptor and takes the
+// next. With multiple channels a busy destination would only stall its
+// own channel; the functional network model never blocks a destination,
+// so round-robin service is sufficient here (the head-of-line effect
+// itself is quantified by the hol.go study). The steps schedule the
+// events a process waiting on txPend and on the frame's departure would.
+func (c *CAB) mdmaNext() {
 	for {
-		var e txEntry
-		for found := false; !found; {
-			for i := 0; i < len(c.channels); i++ {
-				ch := (next + i) % len(c.channels)
-				if e, found = c.channels[ch].TryGet(); found {
-					next = ch + 1
-					break
-				}
-			}
-			if !found {
-				c.txPend.Wait(p)
-			}
+		e, ok := c.nextTx()
+		if !ok {
+			c.txPend.WaitFunc(c.mdmaNextFn)
+			return
 		}
 		if e.pkt.freed {
 			// The host freed the packet (e.g. connection teardown) while
@@ -76,15 +71,41 @@ func (c *CAB) mdmaTxProc(p *sim.Proc) {
 		data := c.net.Bufs.Get(int(e.pkt.Len()))
 		copy(data, e.pkt.buf)
 		c.Led.TouchP(e.span, 0, e.pkt.Len(), ledger.MDMATx, "mdma", 0)
+		c.txCur = e
 		c.net.SendFrame(hippi.Frame{Src: c.nodeID, Dst: e.dst, Data: data, Span: e.span, Flow: e.pkt.flow},
 			c.sentFn)
-		c.txSent.Wait(p)
-		e.span.CritEv(obs.CauseWire, "mdma_xmit")
-		c.Stats.TxPackets++
-		if e.done != nil {
-			e.done(e.pkt)
+		return
+	}
+}
+
+// nextTx takes the oldest entry of the first non-empty channel at or after
+// the round-robin position.
+func (c *CAB) nextTx() (txEntry, bool) {
+	for i := range c.channels {
+		ch := (c.txNext + i) % len(c.channels)
+		if e, ok := c.channels[ch].TryGet(); ok {
+			c.txNext = ch + 1
+			return e, true
 		}
 	}
+	return txEntry{}, false
+}
+
+// frameSent runs when the frame on the wire has left the adaptor; the
+// engine goes on in an event of its own, where the wake-up of a process
+// waiting for the frame would have run.
+func (c *CAB) frameSent() { c.eng.AfterKind(0, sim.KindProc, c.mdmaSentFn) }
+
+// mdmaSent finishes the frame that has left the adaptor and takes the next.
+func (c *CAB) mdmaSent() {
+	e := c.txCur
+	c.txCur = txEntry{}
+	e.span.CritEv(obs.CauseWire, "mdma_xmit")
+	c.Stats.TxPackets++
+	if e.done != nil {
+		e.done(e.pkt)
+	}
+	c.mdmaNext()
 }
 
 // Bounded receive backpressure: when network memory or auto-DMA buffers

@@ -117,34 +117,46 @@ func (c *CAB) SDMA(req *SDMAReq) {
 	c.sdmaQ.Put(req)
 }
 
-// sdmaProc is the SDMA engine: one transfer at a time, charging bus time.
-func (c *CAB) sdmaProc(p *sim.Proc) {
-	for {
-		req := c.sdmaQ.Get(p)
-		req.Span.CritEv(obs.CauseQueue, "sdma_start")
-		n := req.bytes()
-		p.Sleep(c.Mach.DMATime(n))
-		if req.Pkt.zapped {
-			// A firmware reset wiped the packet while the transfer occupied
-			// the bus: the descriptor dies with the adaptor state.
-			c.killSDMA(req)
-			continue
+// sdmaNext is the SDMA engine, one transfer at a time, as a continuation
+// on the event loop: it starts the oldest queued request, or waits for
+// one. A transfer occupies the IO bus for the machine's DMA time, after
+// which sdmaDone ends it and starts the next. The two steps schedule the
+// events a process looping on Queue.Get and Sleep would, at the same
+// points, so every transfer keeps its time and sequence number.
+func (c *CAB) sdmaNext() {
+	req, ok := c.sdmaQ.TryGet()
+	if !ok {
+		c.sdmaQ.WaitFunc(c.sdmaNextFn)
+		return
+	}
+	req.Span.CritEv(obs.CauseQueue, "sdma_start")
+	c.sdmaCur = req
+	c.eng.AfterKind(c.Mach.DMATime(req.bytes()), sim.KindProc, c.sdmaDoneFn)
+}
+
+// sdmaDone ends the transfer in service once its bus time has elapsed.
+func (c *CAB) sdmaDone() {
+	req := c.sdmaCur
+	c.sdmaCur = nil
+	switch {
+	case req.Pkt.zapped:
+		// A firmware reset wiped the packet while the transfer occupied
+		// the bus: the descriptor dies with the adaptor state.
+		c.killSDMA(req)
+	case c.FaultSDMA != nil && c.FaultSDMA():
+		// The transfer failed after occupying the bus; requeue it.
+		// Completion (Done) fires only on success, so owners never see
+		// a half-finished transfer.
+		c.Stats.SDMAFails++
+		req.retries++
+		if req.retries > maxSDMARetries {
+			panic("cab: SDMA fault persisted past retry limit")
 		}
-		if c.FaultSDMA != nil && c.FaultSDMA() {
-			// The transfer failed after occupying the bus; requeue it.
-			// Completion (Done) fires only on success, so owners never see
-			// a half-finished transfer.
-			c.Stats.SDMAFails++
-			req.retries++
-			if req.retries > maxSDMARetries {
-				panic("cab: SDMA fault persisted past retry limit")
-			}
-			c.sdmaQ.Put(req)
-			continue
-		}
+		c.sdmaQ.Put(req)
+	default:
 		req.retries = 0
 		c.Stats.SDMAOps++
-		c.Stats.SDMABytes += n
+		c.Stats.SDMABytes += req.bytes()
 		switch req.Dir {
 		case ToCAB:
 			c.performToCAB(req)
@@ -163,6 +175,7 @@ func (c *CAB) sdmaProc(p *sim.Proc) {
 			req.Owner.SDMADone(req)
 		}
 	}
+	c.sdmaNext()
 }
 
 func (c *CAB) performToCAB(req *SDMAReq) {

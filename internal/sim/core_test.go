@@ -2,8 +2,10 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/units"
@@ -137,6 +139,29 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			t.Fatal("no event fired")
 		}
 	})
+	t.Run("Lane", func(t *testing.T) {
+		e := NewEngine(1)
+		fired := 0
+		fn := func() { fired++ }
+		for i := 0; i < 100; i++ {
+			e.After(units.Time(1_000_000+i), fn)
+		}
+		var chain func()
+		chain = func() { // schedules at the instant it runs in
+			fired++
+			e.AfterKind(0, KindTimer, fn)
+		}
+		zeroAllocs(t, func() {
+			e.At(e.Now(), chain)
+			e.AfterKind(0, KindProc, fn)
+			e.Step()
+			e.Step()
+			e.Step()
+		})
+		if fired == 0 || e.Pending() != 100 {
+			t.Fatalf("fired %d, pending %d", fired, e.Pending())
+		}
+	})
 	t.Run("Proc.Sleep", func(t *testing.T) {
 		e := NewEngine(1)
 		defer e.KillAll()
@@ -150,6 +175,28 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		zeroAllocs(t, func() { e.Step() })
 		if wakes == 0 {
 			t.Fatal("sleeper never woke")
+		}
+	})
+	t.Run("Proc.Sleep in place", func(t *testing.T) {
+		e := NewEngine(1)
+		defer e.KillAll()
+		wakes := 0
+		e.Go("sleeper", func(p *Proc) {
+			for {
+				for i := 0; i < 10; i++ {
+					p.Sleep(7) // nothing else is due: resumes in place
+				}
+				wakes++
+				e.Stop()
+				p.Sleep(7) // after Stop: parks, and Run returns
+			}
+		})
+		zeroAllocs(t, e.Run)
+		mon := &sleepLog{}
+		e.SetMonitor(mon)
+		e.Run()
+		if wakes == 0 || mon.inPlace != 10 {
+			t.Fatalf("wakes %d; one Run resumed %d sleeps in place, want 10", wakes, mon.inPlace)
 		}
 	})
 	t.Run("Signal", func(t *testing.T) {
@@ -171,6 +218,24 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			e.Step()
 		})
 		if wakes == 0 || s.Waiting() != 3 {
+			t.Fatalf("wakes %d, waiting %d", wakes, s.Waiting())
+		}
+	})
+	t.Run("Signal.WaitFunc", func(t *testing.T) {
+		e := NewEngine(1)
+		s := NewSignal(e)
+		wakes := 0
+		var woken func()
+		woken = func() {
+			wakes++
+			s.WaitFunc(woken)
+		}
+		s.WaitFunc(woken)
+		zeroAllocs(t, func() {
+			s.Signal()
+			e.Step()
+		})
+		if wakes == 0 || s.Waiting() != 1 {
 			t.Fatalf("wakes %d, waiting %d", wakes, s.Waiting())
 		}
 	})
@@ -274,17 +339,20 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// refSim is the engine's scheduling contract restated over refHeap.
+// refSim is the engine's scheduling contract restated over refHeap: one
+// heap for everything, with the Monitor calls the engine must make.
 type refSim struct {
 	now   units.Time
 	seq   int64
 	h     refHeap
 	fired []refEvent
+	mon   []monCall
 }
 
 func (r *refSim) at(t units.Time, k Kind) {
 	r.seq++
 	heap.Push(&r.h, &refEvent{t, r.seq, k})
+	r.mon = append(r.mon, monCall{false, k, len(r.h)})
 }
 
 func (r *refSim) step() bool {
@@ -295,6 +363,7 @@ func (r *refSim) step() bool {
 	r.now = ev.at
 	r.fired = append(r.fired, *ev)
 	r.spawn(ev.seq)
+	r.mon = append(r.mon, monCall{true, ev.kind, len(r.h)})
 	return true
 }
 
@@ -322,12 +391,21 @@ func (r *refSim) spawn(seq int64) {
 	}
 }
 
+// TestEventHeapMatchesContainerHeap holds the engine's two queues — the
+// 4-ary heap and the lane for the current instant — to one container/heap
+// ordered by (time, sequence): the same events fire in the same order, and
+// the monitor sees the same calls with the same pending counts. Events
+// are scheduled at Now() both from outside and from inside callbacks,
+// between Step calls and RunUntil boundaries that events sit on.
 func TestEventHeapMatchesContainerHeap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine(seed)
+		mon := &monLog{}
+		e.SetMonitor(mon)
 		ref := &refSim{}
 		var got []refEvent
+		nowOutside, nowInside := 0, 0
 		var schedule func(t units.Time, k Kind)
 		schedule = func(at units.Time, k Kind) {
 			seq := e.seq + 1
@@ -335,6 +413,9 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 				got = append(got, refEvent{e.Now(), seq, k})
 				n, d, ck := childOf(seq)
 				for i := 0; i < n && e.seq < 4000; i++ {
+					if d == 0 {
+						nowInside++
+					}
 					schedule(e.Now()+d, ck)
 				}
 			})
@@ -343,6 +424,9 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 			switch x := rng.Intn(10); {
 			case x < 5: // few distinct times, so many ties
 				at, k := e.Now()+units.Time(rng.Intn(6)), Kind(rng.Intn(int(NumKinds)))
+				if at == e.Now() {
+					nowOutside++
+				}
 				schedule(at, k)
 				ref.at(at, k)
 			case x < 8:
@@ -365,6 +449,10 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 		if len(got) < 1500 {
 			t.Fatalf("seed %d: only %d events fired, the schedule is too thin to prove anything", seed, len(got))
 		}
+		if nowOutside < 100 || nowInside < 100 {
+			t.Fatalf("seed %d: %d events scheduled at Now() from outside and %d from callbacks; the lane is barely used",
+				seed, nowOutside, nowInside)
+		}
 		if len(got) != len(ref.fired) {
 			t.Fatalf("seed %d: fired %d events, reference %d", seed, len(got), len(ref.fired))
 		}
@@ -372,6 +460,141 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 			if got[i] != ref.fired[i] {
 				t.Fatalf("seed %d: event %d is (at, seq, kind) = %v, reference %v", seed, i, got[i], ref.fired[i])
 			}
+		}
+		if d := diffCalls(mon.calls, ref.mon); d != "" {
+			t.Fatalf("seed %d: monitor %s", seed, d)
+		}
+	}
+}
+
+// diffCalls describes the first Monitor call in which got and want
+// differ, or returns "" when they are equal.
+func diffCalls(got, want []monCall) string {
+	for i := 0; i < max(len(got), len(want)); i++ {
+		if i >= len(got) || i >= len(want) || got[i] != want[i] {
+			at := func(l []monCall) string {
+				if i < len(l) {
+					return fmt.Sprintf("%+v", l[i])
+				}
+				return "none"
+			}
+			return fmt.Sprintf("call %d of %d/%d differs: got %s, want %s", i, len(got), len(want), at(got), at(want))
+		}
+	}
+	return ""
+}
+
+// sleepLog is a monitor that also counts the dispatches a Sleep ended in
+// place: Dispatched called by Proc.Sleep rather than by Step.
+type sleepLog struct {
+	monLog
+	inPlace int
+}
+
+func (l *sleepLog) Dispatched(k Kind, n int) {
+	l.monLog.Dispatched(k, n)
+	if calledBySleep() {
+		l.inPlace++
+	}
+}
+
+// calledBySleep reports whether the monitor's caller is Proc.Sleep.
+func calledBySleep() bool {
+	var pc [4]uintptr
+	frames := runtime.CallersFrames(pc[:runtime.Callers(3, pc[:])])
+	f, _ := frames.Next()
+	return strings.HasSuffix(f.Function, ".(*Proc).Sleep")
+}
+
+// sleepScenario runs six random processes that sleep 0–3, signal, wait
+// with a timeout, and hold a resource, beside a generic event that signals
+// every 3 time units; one process calls Stop twice. drive runs the engine
+// to the end; progress tells it the time and the number of process steps
+// so far. The scenario returns each process step as time and name, the
+// monitor's record, and the progress at each Stop.
+func sleepScenario(seed int64, drive func(e *Engine, progress func() string)) (steps []string, mon *sleepLog, stops []string) {
+	e := NewEngine(seed)
+	defer e.KillAll()
+	mon = &sleepLog{}
+	e.SetMonitor(mon)
+	progress := func() string { return fmt.Sprintf("%v after %d steps", e.Now(), len(steps)) }
+	r := NewResource(e, 1)
+	s := NewSignal(e)
+	live := 0
+	var tick func()
+	tick = func() {
+		s.Signal()
+		if live > 0 {
+			e.After(3, tick)
+		}
+	}
+	e.After(3, tick)
+	for i := 0; i < 6; i++ {
+		name := fmt.Sprintf("p%d", i)
+		live++
+		e.Go(name, func(p *Proc) {
+			defer func() { live-- }()
+			for n := 0; n < 150; n++ {
+				op := e.Rand().Intn(6)
+				switch op {
+				case 0, 1, 2:
+					p.Sleep(units.Time(e.Rand().Intn(4)))
+				case 3:
+					s.Broadcast()
+					p.Sleep(units.Time(e.Rand().Intn(4)))
+				case 4:
+					s.WaitTimeout(p, units.Time(1+e.Rand().Intn(5)))
+				case 5:
+					r.Acquire(p, e.Rand().Intn(2))
+					p.Sleep(units.Time(e.Rand().Intn(4)))
+					r.Release()
+				}
+				steps = append(steps, fmt.Sprintf("%v %s %d", p.Now(), name, op))
+				if name == "p0" && (n == 40 || n == 100) {
+					e.Stop()
+					stops = append(stops, progress())
+				}
+			}
+		})
+	}
+	drive(e, progress)
+	return steps, mon, stops
+}
+
+// TestSleepInPlaceMatchesStepLoop: a Sleep resumed in place under Run is
+// indistinguishable from the coroutine round trip a bare Step loop (which
+// never resumes in place) makes — the same process steps at the same
+// times, and the same Monitor calls with the same pending counts — and a
+// Stop from a process still ends Run with the event that called it.
+func TestSleepInPlaceMatchesStepLoop(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		var returns []string
+		got, gotMon, stops := sleepScenario(seed, func(e *Engine, progress func() string) {
+			for e.Pending() > 0 {
+				e.Run()
+				returns = append(returns, progress())
+			}
+		})
+		want, wantMon, _ := sleepScenario(seed, func(e *Engine, _ func() string) {
+			for e.Step() {
+			}
+		})
+		if len(got) != 6*150 || len(got) != len(want) {
+			t.Fatalf("seed %d: %d process steps under Run, %d under Step, want %d", seed, len(got), len(want), 6*150)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: step %d is %q under Run, %q under Step", seed, i, got[i], want[i])
+			}
+		}
+		if d := diffCalls(gotMon.calls, wantMon.calls); d != "" {
+			t.Fatalf("seed %d: monitor %s", seed, d)
+		}
+		if len(returns) != 3 || fmt.Sprint(returns[:2]) != fmt.Sprint(stops) {
+			t.Fatalf("seed %d: Run returned at %q; want once at each Stop, %q, then at the end", seed, returns, stops)
+		}
+		if wantMon.inPlace != 0 || gotMon.inPlace < 30 {
+			t.Fatalf("seed %d: %d sleeps resumed in place under Step, %d under Run; want none and many", seed, wantMon.inPlace, gotMon.inPlace)
 		}
 	}
 }

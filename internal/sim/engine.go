@@ -4,17 +4,22 @@
 // (time, sequence) order. On top of raw events it offers blocking
 // *processes* (coroutines the event loop resumes and that hand control
 // back when they block, in the style of SimPy), counting semaphore
-// *resources* with priorities (a process waits for one by parking, a
-// callback chain on the event loop by AcquireFunc), condition *signals*,
-// and FIFO *queues*. All
-// scheduling is deterministic: ties are broken by insertion order and the
-// only source of randomness is an explicitly seeded generator.
+// *resources* with priorities, condition *signals*, and FIFO *queues*. A
+// process waits on any of them by parking; a continuation — a callback
+// chain on the event loop — by Resource.AcquireFunc, Signal.WaitFunc or
+// Queue.WaitFunc, and is then resumed by the same event that would have
+// woken a process. All scheduling is deterministic: ties are broken by
+// insertion order and the only source of randomness is an explicitly
+// seeded generator.
 //
 // The engine is single-threaded: the event loop and every process share
 // one thread of control, passed by a direct coroutine switch, so events
 // and process steps never run concurrently and simulation code needs no
 // locks. Scheduling an event, dispatching it and resuming a process
-// allocate nothing.
+// allocate nothing. Two shortcuts keep that order while doing less work
+// per event: an event due at the current instant waits in a FIFO lane
+// instead of the heap, and under Run a Sleep whose wake-up would be the
+// very next event goes on in place, with no coroutine switch (Proc.Sleep).
 package sim
 
 import (
@@ -34,7 +39,7 @@ type Kind uint8
 // Event kinds. The order is part of the exported counter layout.
 const (
 	KindGeneric Kind = iota // untagged events
-	KindProc                // process wake-ups and CPU grants to continuations
+	KindProc                // process wake-ups and continuation steps that stand in for them
 	KindTimer               // protocol timers and retry pumps
 	KindWire                // network propagation and arrival
 	KindDMA                 // adaptor DMA completions
@@ -54,20 +59,37 @@ func (k Kind) String() string {
 // the scheduling and dispatch inner loops, so implementations must be
 // cheap (integer arithmetic; no allocation). When no monitor is set the
 // engine pays exactly one nil check per event.
+//
+// The calls describe the schedule, not the data structures behind it: a
+// Sleep resumed in place (Proc.Sleep) makes the Scheduled and Dispatched
+// calls its wake-up event would have caused, with the same pending counts,
+// although no event is queued.
 type Monitor interface {
-	// Scheduled runs after an event is pushed; pending is the heap size
-	// including the new event.
+	// Scheduled runs after an event is queued; pending is the number of
+	// events pending, the new one included.
 	Scheduled(kind Kind, pending int)
 	// Dispatched runs after an event's callback returns; pending is the
-	// heap size at that instant.
+	// number of events pending at that instant.
 	Dispatched(kind Kind, pending int)
 }
 
 // Engine is a discrete-event simulator instance.
 type Engine struct {
-	now     units.Time
-	events  eventHeap
-	seq     int64
+	now units.Time
+	// events holds what is due after now, and lane what is due at now. An
+	// event scheduled while the clock stands at its own time goes to the
+	// lane; one already in the heap for that instant was scheduled earlier,
+	// when the clock stood before it, so it comes first, and the lane is
+	// in sequence order by construction.
+	events eventHeap
+	lane   fifo[event]
+	seq    int64
+	// kind is the kind of the event being dispatched; a Sleep resumed in
+	// place turns the rest of the dispatch into a KindProc one.
+	kind Kind
+	// running is true inside Run, the one loop under which a Sleep may
+	// resume in place (Step and RunUntil return after a bounded amount of
+	// work, which a lone sleeper resuming in place would never allow).
 	running bool
 	stopped bool
 	live    map[*Proc]struct{}
@@ -75,27 +97,29 @@ type Engine struct {
 	mon     Monitor
 }
 
-// event is one heap entry. A process wake-up carries the process itself
-// (proc != nil) so the hot Sleep/wake path needs no closure; every other
-// event carries its callback in fn.
+// event is one queued entry, 32 bytes. A process wake-up carries the
+// process itself (proc != nil) so the hot Sleep/wake path needs no
+// closure; every other event carries its callback in fn. key packs the
+// sequence number above the kind's byte, so comparing keys compares
+// sequence numbers.
 type event struct {
 	at   units.Time
-	seq  int64
-	kind Kind
+	key  uint64
 	proc *Proc
 	fn   func()
 }
 
-// eventHeap is a binary min-heap of events ordered by (at, seq), held by
+func (ev *event) kind() Kind { return Kind(ev.key) }
+
+// eventHeap is a 4-ary min-heap of events ordered by (at, seq), held by
 // value so a push or pop moves structs inside one backing array and never
-// allocates once the array has grown to the run's high-water mark.
+// allocates once the array has grown to the run's high-water mark. Four
+// children per node halve the depth of a binary heap, and a node's
+// children share a cache line or two.
 type eventHeap []event
 
 func (a *event) before(b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+	return a.at < b.at || a.at == b.at && a.key < b.key
 }
 
 func (h *eventHeap) push(ev event) {
@@ -103,7 +127,7 @@ func (h *eventHeap) push(ev event) {
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
+		parent := (i - 1) / 4
 		if !ev.before(&s[parent]) {
 			break
 		}
@@ -126,12 +150,15 @@ func (h *eventHeap) pop() event {
 	}
 	i := 0
 	for {
-		child := 2*i + 1
-		if child >= n {
+		first := 4*i + 1
+		if first >= n {
 			break
 		}
-		if r := child + 1; r < n && s[r].before(&s[child]) {
-			child = r
+		child := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if s[c].before(&s[child]) {
+				child = c
+			}
 		}
 		if !s[child].before(&ev) {
 			break
@@ -175,16 +202,21 @@ func (e *Engine) AtKind(t units.Time, kind Kind, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	e.schedule(event{at: t, kind: kind, fn: fn})
+	e.schedule(t, kind, nil, fn)
 }
 
-// schedule stamps ev with the next sequence number and queues it.
-func (e *Engine) schedule(ev event) {
+// schedule queues a wake-up of p, or a call of fn, at t under the next
+// sequence number.
+func (e *Engine) schedule(t units.Time, kind Kind, p *Proc, fn func()) {
 	e.seq++
-	ev.seq = e.seq
-	e.events.push(ev)
+	ev := event{at: t, key: uint64(e.seq)<<8 | uint64(kind), proc: p, fn: fn}
+	if t == e.now {
+		e.lane.push(ev)
+	} else {
+		e.events.push(ev)
+	}
 	if e.mon != nil {
-		e.mon.Scheduled(ev.kind, len(e.events))
+		e.mon.Scheduled(kind, e.Pending())
 	}
 }
 
@@ -204,18 +236,24 @@ func (e *Engine) AfterKind(d units.Time, kind Kind, fn func()) {
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	var ev event
+	switch {
+	case e.lane.len() > 0 && (len(e.events) == 0 || e.events[0].at != e.now):
+		ev = e.lane.pop()
+	case len(e.events) > 0:
+		ev = e.events.pop()
+		e.now = ev.at
+	default:
 		return false
 	}
-	ev := e.events.pop()
-	e.now = ev.at
+	e.kind = ev.kind()
 	if ev.proc != nil {
 		e.deliver(ev.proc)
 	} else {
 		ev.fn()
 	}
 	if e.mon != nil {
-		e.mon.Dispatched(ev.kind, len(e.events))
+		e.mon.Dispatched(e.kind, e.Pending())
 	}
 	return true
 }
@@ -233,9 +271,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with time ≤ t, then sets the clock to t.
 func (e *Engine) RunUntil(t units.Time) {
 	e.stopped = false
-	e.running = true
-	defer func() { e.running = false }()
-	for !e.stopped && len(e.events) > 0 && e.events[0].at <= t {
+	for !e.stopped && (e.lane.len() > 0 && e.now <= t || len(e.events) > 0 && e.events[0].at <= t) {
 		e.Step()
 	}
 	if !e.stopped && t > e.now {
@@ -247,7 +283,7 @@ func (e *Engine) RunUntil(t units.Time) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.events) + e.lane.len() }
 
 // LiveProcs returns the number of processes that have been spawned and have
 // not yet finished (they may be runnable or parked).

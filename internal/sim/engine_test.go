@@ -369,11 +369,19 @@ func TestAcquireFuncQueuesWithProcs(t *testing.T) {
 	}
 }
 
-// kindLog records what the engine is told to schedule.
-type kindLog struct{ scheduled []Kind }
+// monCall is one Monitor call, as the engine made it or as a reference
+// says it must have.
+type monCall struct {
+	dispatched bool
+	kind       Kind
+	pending    int
+}
 
-func (l *kindLog) Scheduled(k Kind, pending int) { l.scheduled = append(l.scheduled, k) }
-func (l *kindLog) Dispatched(Kind, int)          {}
+// monLog records every Monitor call in order.
+type monLog struct{ calls []monCall }
+
+func (l *monLog) Scheduled(k Kind, n int)  { l.calls = append(l.calls, monCall{false, k, n}) }
+func (l *monLog) Dispatched(k Kind, n int) { l.calls = append(l.calls, monCall{true, k, n}) }
 
 // A grant is an event, not a call: Release returns before the continuation
 // runs, the continuation runs at the same instant as a KindProc event, and
@@ -393,7 +401,7 @@ func TestAcquireFuncGrantIsAProcEvent(t *testing.T) {
 	}) {
 		t.Fatal("AcquireFunc on a held resource should queue")
 	}
-	log := &kindLog{}
+	log := &monLog{}
 	e.At(50, func() {
 		e.After(0, func() { order = append(order, "earlier") })
 		e.SetMonitor(log)
@@ -412,8 +420,125 @@ func TestAcquireFuncGrantIsAProcEvent(t *testing.T) {
 	if grantedAt != 50 {
 		t.Fatalf("granted at %v, want 50", grantedAt)
 	}
-	if len(log.scheduled) != 1 || log.scheduled[0] != KindProc {
-		t.Fatalf("Release scheduled %v, want one KindProc event", log.scheduled)
+	if len(log.calls) != 1 || log.calls[0].dispatched || log.calls[0].kind != KindProc {
+		t.Fatalf("Release made monitor calls %v, want one KindProc event scheduled", log.calls)
+	}
+}
+
+// A Signal's or Queue's wake of a continuation is an event, as a grant
+// is (above): Signal and Put return before the continuation runs, and it
+// runs at the same instant as one KindProc event, after whatever was
+// already scheduled for that instant.
+func TestWaitFuncWakeIsAProcEvent(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		// wait queues fn and returns the call that wakes it.
+		wait func(e *Engine, fn func()) (wake func())
+	}{
+		{"Signal", func(e *Engine, fn func()) func() {
+			s := NewSignal(e)
+			s.WaitFunc(fn)
+			return s.Signal
+		}},
+		{"Queue", func(e *Engine, fn func()) func() {
+			q := NewQueue[int](e)
+			q.WaitFunc(func() {
+				if v, ok := q.TryGet(); !ok || v != 7 {
+					t.Errorf("woken continuation took %v, %v; want the item put", v, ok)
+				}
+				fn()
+			})
+			return func() { q.Put(7) }
+		}},
+	} {
+		e := NewEngine(1)
+		var order []string
+		var wokenAt units.Time = -1
+		wake := c.wait(e, func() {
+			order = append(order, "woken")
+			wokenAt = e.Now()
+		})
+		log := &monLog{}
+		e.At(50, func() {
+			e.After(0, func() { order = append(order, "earlier") })
+			e.SetMonitor(log)
+			wake()
+			e.SetMonitor(nil)
+			order = append(order, "signaled")
+			e.After(0, func() { order = append(order, "later") })
+		})
+		e.Run()
+		if want := "[signaled earlier woken later]"; fmt.Sprint(order) != want {
+			t.Errorf("%s: order = %v, want %v", c.name, order, want)
+		}
+		if wokenAt != 50 {
+			t.Errorf("%s: woken at %v, want 50", c.name, wokenAt)
+		}
+		if len(log.calls) != 1 || log.calls[0].dispatched || log.calls[0].kind != KindProc {
+			t.Errorf("%s: the wake made monitor calls %v, want one KindProc event scheduled", c.name, log.calls)
+		}
+	}
+}
+
+// Processes and continuations wait in one FIFO: Signal wakes the longest
+// waiter, whatever it is, and Broadcast the rest in arrival order; a
+// Queue hands its items out the same way.
+func TestWaitFuncQueuesWithProcs(t *testing.T) {
+	e := NewEngine(1)
+	s := NewSignal(e)
+	q := NewQueue[string](e)
+	var order []string
+	proc := func(name string) {
+		e.Go(name, func(p *Proc) {
+			s.Wait(p)
+			order = append(order, fmt.Sprintf("%s@%v", name, p.Now()))
+			order = append(order, name+":"+q.Get(p))
+		})
+	}
+	cont := func(name string) {
+		s.WaitFunc(func() {
+			order = append(order, fmt.Sprintf("%s@%v", name, e.Now()))
+			var got func()
+			got = func() {
+				if v, ok := q.TryGet(); ok {
+					order = append(order, name+":"+v)
+					return
+				}
+				q.WaitFunc(got)
+			}
+			got()
+		})
+	}
+	proc("procA")
+	e.At(1, func() { cont("contB") })
+	e.At(2, func() { proc("procC") })
+	e.At(3, func() { cont("contD") })
+	e.At(4, func() { proc("procE") })
+	e.At(10, func() {
+		if got := s.Waiting(); got != 5 {
+			t.Errorf("Waiting = %d, want 5", got)
+		}
+		s.Signal()
+		s.Signal()
+	})
+	e.At(20, func() {
+		if got := s.Waiting(); got != 3 {
+			t.Errorf("Waiting after two signals = %d, want 3", got)
+		}
+		s.Broadcast()
+	})
+	e.At(30, func() {
+		for _, v := range []string{"1", "2", "3", "4", "5"} {
+			q.Put(v)
+		}
+	})
+	e.Run()
+	want := "[procA@10ns contB@10ns procC@20ns contD@20ns procE@20ns procA:1 contB:2 procC:3 contD:4 procE:5]"
+	if fmt.Sprint(order) != want {
+		t.Fatalf("order = %v\n   want %v", order, want)
+	}
+	if s.Waiting() != 0 || e.LiveProcs() != 0 {
+		t.Fatalf("%d waiting, %d procs live at the end", s.Waiting(), e.LiveProcs())
 	}
 }
 

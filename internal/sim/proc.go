@@ -15,6 +15,7 @@ import (
 // Sleep, Signal.Wait, Resource.Acquire, or Queue.Get, and is resumed by a
 // KindProc event. The switch in each direction is the runtime's coroutine
 // switch (iter.Pull): no channel, no scheduler round trip, no other thread.
+// A Sleep whose wake-up is the next event skips both switches (see Sleep).
 //
 // Proc methods that block must only be called from the process itself.
 // Methods that wake other processes (Signal.Broadcast and friends) may be
@@ -74,8 +75,9 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Now() units.Time { return p.eng.now }
 
 // deliver switches to p and returns when it parks or finishes. It must be
-// called from event context (never from inside a process). A panic in the
-// process surfaces here.
+// called from event context (never from inside a process), as the event's
+// last act: a Sleep may end the event in place. A panic in the process
+// surfaces here.
 func (e *Engine) deliver(p *Proc) {
 	if p.done {
 		return
@@ -106,18 +108,41 @@ func (p *Proc) kill() {
 }
 
 // wake schedules the engine to resume p at the current time.
-func (p *Proc) wake() { p.wakeAt(p.eng.now) }
-
-func (p *Proc) wakeAt(t units.Time) {
-	p.eng.schedule(event{at: t, kind: KindProc, proc: p})
-}
+func (p *Proc) wake() { p.eng.schedule(p.eng.now, KindProc, p, nil) }
 
 // Sleep blocks the process for d of virtual time.
+//
+// Under Run, when nothing else is due before the wake-up — the lane is
+// empty and the heap's earliest event is later than now+d — the wake-up
+// would be the very next event, so the process resumes in place: it takes
+// the wake-up's sequence number, the monitor sees the wake-up scheduled
+// and the current event end with the pending counts they would have had,
+// the clock moves to now+d, and the process goes on, its run now
+// dispatched as KindProc, with no push, pop or coroutine switch. Every
+// event keeps its time, kind and sequence number, and every Monitor call
+// its arguments. An equal-time event in the heap comes first (it was
+// scheduled earlier), so it rules the shortcut out; so does Stop, so that
+// Run still returns after the current event. Ending the current event here
+// is exact because every event that resumes a process (its wake-up, or
+// WaitTimeout's timer) does so as its last act.
 func (p *Proc) Sleep(d units.Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v in %s", d, p.name))
 	}
-	p.wakeAt(p.eng.now + d)
+	e := p.eng
+	t := e.now + d
+	if e.running && !e.stopped && e.lane.len() == 0 && (len(e.events) == 0 || e.events[0].at > t) {
+		e.seq++
+		if e.mon != nil {
+			n := len(e.events) + 1
+			e.mon.Scheduled(KindProc, n)
+			e.mon.Dispatched(e.kind, n)
+		}
+		e.now = t
+		e.kind = KindProc
+		return
+	}
+	e.schedule(t, KindProc, p, nil)
 	p.park()
 }
 

@@ -1,8 +1,8 @@
 package sim
 
-// Queue is an unbounded FIFO for passing items to consuming processes.
-// Put may be called from any simulation context; Get blocks the calling
-// process until an item is available.
+// Queue is an unbounded FIFO for passing items to consumers. Put may be
+// called from any simulation context; Get blocks the calling process until
+// an item is available, and a continuation waits for one with WaitFunc.
 type Queue[T any] struct {
 	items  fifo[T]
 	signal *Signal
@@ -26,6 +26,12 @@ func (q *Queue[T]) Get(p *Proc) T {
 	}
 	return q.items.pop()
 }
+
+// WaitFunc is Get's wait for a continuation: fn is scheduled, as a
+// KindProc event in the same FIFO as waiting processes, by the next Put
+// that reaches it. The caller waits only on an empty queue, and takes the
+// item with TryGet when fn runs.
+func (q *Queue[T]) WaitFunc(fn func()) { q.signal.WaitFunc(fn) }
 
 // TryGet removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryGet() (T, bool) {

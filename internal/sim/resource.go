@@ -83,7 +83,7 @@ func (r *Resource) Release() {
 		if w.p != nil {
 			w.p.wake()
 		} else {
-			r.eng.schedule(event{at: r.eng.now, kind: KindProc, fn: w.fn})
+			r.eng.schedule(r.eng.now, KindProc, nil, w.fn)
 		}
 	}
 }

@@ -2,38 +2,50 @@ package sim
 
 import "repro/internal/units"
 
-// Signal is a broadcast/signal condition variable for processes.
-// The zero value is not usable; create one with NewSignal.
+// Signal is a broadcast/signal condition variable for processes and
+// continuations. The zero value is not usable; create one with NewSignal.
 type Signal struct {
 	eng     *Engine
 	waiters fifo[sigWaiter]
 }
 
-// sigWaiter is one queued wait. A process is in at most one wait at a
-// time, so the wait's state lives in the Proc: the entry is live while
-// gen equals the process's waitGen, and whoever ends the wait (a signal
-// or the timeout) advances waitGen, which retires the entry wherever it
-// still sits in the queue.
+// sigWaiter is one queued wait: a parked process (p) or a continuation
+// (fn). A process is in at most one wait at a time, so the wait's state
+// lives in the Proc: the entry is live while gen equals the process's
+// waitGen, and whoever ends the wait (a signal or the timeout) advances
+// waitGen, which retires the entry wherever it still sits in the queue. A
+// continuation's wait has no timeout and is live until it is woken.
 type sigWaiter struct {
 	p   *Proc
+	fn  func()
 	gen uint64
 }
 
-func (w sigWaiter) live() bool { return w.gen == w.p.waitGen }
+func (w sigWaiter) live() bool { return w.p == nil || w.gen == w.p.waitGen }
 
 // NewSignal returns a signal bound to e.
 func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 
 // Wait blocks p until the signal is signaled or broadcast.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters.push(sigWaiter{p, p.waitGen})
+	s.waiters.push(sigWaiter{p: p, gen: p.waitGen})
 	p.park()
+}
+
+// WaitFunc is Wait for a continuation running on the event loop, which
+// cannot park: fn joins the same FIFO as waiting processes, and the
+// Signal or Broadcast that reaches it schedules fn as a KindProc event at
+// the current time — the event that would have woken a parked process —
+// so which work runs first at that instant does not depend on whether
+// the waiter is a process or a continuation.
+func (s *Signal) WaitFunc(fn func()) {
+	s.waiters.push(sigWaiter{fn: fn})
 }
 
 // WaitTimeout blocks p until the signal fires or d elapses. It reports
 // whether the signal fired (false means timeout).
 func (s *Signal) WaitTimeout(p *Proc, d units.Time) bool {
-	w := sigWaiter{p, p.waitGen}
+	w := sigWaiter{p: p, gen: p.waitGen}
 	s.waiters.push(w)
 	p.timedOut = false
 	s.eng.AfterKind(d, KindTimer, func() {
@@ -48,10 +60,10 @@ func (s *Signal) WaitTimeout(p *Proc, d units.Time) bool {
 	return !p.timedOut
 }
 
-// Signal wakes the longest-waiting process, if any.
+// Signal wakes the longest waiter, if any.
 func (s *Signal) Signal() { s.wakeNext() }
 
-// Broadcast wakes every waiting process.
+// Broadcast wakes every waiter.
 func (s *Signal) Broadcast() {
 	for s.wakeNext() {
 	}
@@ -61,16 +73,23 @@ func (s *Signal) Broadcast() {
 // it; it reports false when the queue held none.
 func (s *Signal) wakeNext() bool {
 	for s.waiters.len() > 0 {
-		if w := s.waiters.pop(); w.live() {
+		w := s.waiters.pop()
+		switch {
+		case w.p == nil:
+			s.eng.schedule(s.eng.now, KindProc, nil, w.fn)
+		case w.live():
 			w.p.waitGen++
 			w.p.wake()
-			return true
+		default:
+			continue
 		}
+		return true
 	}
 	return false
 }
 
-// Waiting returns the number of processes currently waiting.
+// Waiting returns the number of processes and continuations currently
+// waiting.
 func (s *Signal) Waiting() int {
 	n := 0
 	for i := 0; i < s.waiters.len(); i++ {
