@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race allocs bench-smoke benchsmoke bench benchcheck gate audit soak obs-race load load-race ci
+.PHONY: all build vet test race allocs fuzz bench-smoke benchsmoke bench benchcheck gate audit soak obs-race load load-race ci
 
 all: build
 
@@ -22,6 +22,19 @@ race:
 # own and sync.Pool drops items at random — so `race` never runs them.
 allocs:
 	$(GO) test -count 1 -run 'Alloc|Budget' ./...
+
+# Every Fuzz* target for ten seconds on top of its committed seed corpus
+# (testdata/fuzz next to the test): the fault-plan and topology grammars
+# never panic and reject bad specs with positional errors, and the mbuf
+# chain operations agree with a flat-slice model on a pool in check mode.
+# A failing input is written to that corpus; commit it with the fix.
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzz $$t ($$(dirname $$f))"; \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s ./$$(dirname $$f); \
+		done; \
+	done
 
 # One pass over the Figure 5 sweep; the simulation is deterministic, so a
 # single iteration gives the full virtual-time result set.
@@ -89,4 +102,4 @@ load-race:
 	$(GO) test -race -count 1 ./internal/load/...
 
 # The GitHub workflow runs exactly these, one step each, in this order.
-ci: vet build race allocs bench-smoke benchsmoke audit benchcheck
+ci: vet build race allocs fuzz bench-smoke benchsmoke audit benchcheck

@@ -279,3 +279,71 @@ func mapFields(files []*ast.File) map[string]bool {
 	}
 	return fields
 }
+
+// TestOneFreeListPrimitive keeps internal/pool the only free list in the
+// simulator. Every list there has a per-instance check mode that the
+// ownership harness (the TestPoisoned…ChangeNothing tests) turns on for a
+// whole testbed, so a hand-rolled list — a slice field named free…, a
+// sync.Pool, or a package-level switch to poison one — would escape the
+// harness, and a package-level switch is state that testbeds run side by
+// side in one process would share.
+func TestOneFreeListPrimitive(t *testing.T) {
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		inPool := filepath.ToSlash(filepath.Dir(path)) == "internal/pool"
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				boolVar := false
+				if id, ok := vs.Type.(*ast.Ident); ok && id.Name == "bool" {
+					boolVar = true
+				}
+				for i, name := range vs.Names {
+					if i < len(vs.Values) {
+						if id, ok := vs.Values[i].(*ast.Ident); ok && (id.Name == "true" || id.Name == "false") {
+							boolVar = true
+						}
+					}
+					if boolVar || strings.Contains(strings.ToLower(name.Name), "poison") {
+						t.Errorf("%s: package-level switch %s: make it a field of the instance it configures",
+							fset.Position(name.Pos()), name.Name)
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok && id.Name == "sync" && n.Sel.Name == "Pool" {
+					t.Errorf("%s: sync.Pool in the simulator: use a per-testbed pool.List", fset.Position(n.Pos()))
+				}
+			case *ast.Field:
+				if _, ok := n.Type.(*ast.ArrayType); !ok || inPool {
+					return true
+				}
+				for _, name := range n.Names {
+					if strings.Contains(strings.ToLower(name.Name), "free") {
+						t.Errorf("%s: slice field %s looks like a free list: use pool.List or pool.Bytes",
+							fset.Position(name.Pos()), name.Name)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"repro/internal/hippi"
 	"repro/internal/obs"
 	"repro/internal/obs/ledger"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -58,7 +59,8 @@ func DefaultConfig() Config {
 
 // RxEvent is delivered to the host (driver) when a packet has arrived and
 // its first L bytes have been auto-DMAed into a host buffer. The adaptor
-// builds one per received packet; the host may keep it.
+// builds one per received packet from its free list; the host may keep it
+// until it calls Done.
 type RxEvent struct {
 	// Pkt is the packet resident in network memory. For packets that fit
 	// entirely within the auto-DMA buffer the driver typically frees it
@@ -80,6 +82,18 @@ type RxEvent struct {
 	// Span is the sender's data-path span carried across the wire (nil
 	// when telemetry and the ledger are disabled).
 	Span *obs.Span
+
+	// st is the receive state the event lives in (nil for a frame
+	// delivered straight from the auto-DMA buffer).
+	st *rxState
+}
+
+// Done releases the event: the host has taken what it keeps (the packet,
+// the buffer, the span) and will not read the event again.
+func (ev *RxEvent) Done() {
+	if st := ev.st; st != nil {
+		st.c.rxStates.Put(st)
+	}
 }
 
 // Stats counts adaptor activity.
@@ -118,6 +132,10 @@ type CAB struct {
 	nextPktID  int
 	freeSig    *sim.Signal
 	live       map[int]*Packet
+
+	// The free lists of packets and of receive states (see internal/pool).
+	pkts     pool.List[Packet]
+	rxStates pool.List[rxState]
 
 	// The SDMA engine (sdma.go): its request queue and the transfer
 	// occupying the bus.
@@ -261,7 +279,9 @@ func (c *CAB) FreePages() int { return c.freePages }
 // TotalPages returns the network memory size in pages.
 func (c *CAB) TotalPages() int { return c.totalPages }
 
-// Packet is a packet resident in network memory.
+// Packet is a packet resident in network memory. Packets come from the
+// adaptor's free list and go back to it on Free; a zapped packet is retired
+// instead, never recycled, because the host may still hold it.
 type Packet struct {
 	cab *CAB
 	ID  int
@@ -273,6 +293,11 @@ type Packet struct {
 	pages int
 	flow  int
 	freed bool
+	// gen counts the lives of this record: Free ends one. A handle kept
+	// beyond the packet's own life (a queued engine entry, a driver's
+	// outboard handle) records gen when taken and compares it instead of
+	// reading freed, which a recycled record has cleared.
+	gen uint32
 	// zapped marks a packet wiped by a firmware reset: its pages were
 	// bulk-reclaimed, so a later host-side Free is a no-op rather than a
 	// double free — the host's reference outlived the hardware state.
@@ -286,11 +311,16 @@ type Packet struct {
 	HasBodySum bool
 }
 
-// Len returns the packet length in bytes; it stays valid after Free.
+// Len returns the packet length in bytes; after Free it answers until the
+// record is reused.
 func (pk *Packet) Len() units.Size { return pk.n }
 
-// Freed reports whether the packet's pages have been returned.
-func (pk *Packet) Freed() bool { return pk.freed }
+// Gen returns the packet's generation (see Live).
+func (pk *Packet) Gen() uint32 { return pk.gen }
+
+// Live reports whether pk is still the packet whose Gen was gen: not freed,
+// and not recycled into another packet since.
+func (pk *Packet) Live(gen uint32) bool { return pk.gen == gen && !pk.freed }
 
 // Owner returns the adaptor holding this packet.
 func (pk *Packet) Owner() *CAB { return pk.cab }
@@ -311,7 +341,7 @@ func (pk *Packet) Bytes() []byte {
 }
 
 // Zapped reports whether the packet was wiped by a firmware reset (its
-// contents are gone; Bytes panics, Free is a no-op).
+// contents are gone; Bytes reads zeros, Free is a no-op).
 func (pk *Packet) Zapped() bool { return pk.zapped }
 
 // Free returns the packet's pages to the pool and its buffer to the
@@ -324,16 +354,27 @@ func (pk *Packet) Free() {
 	if pk.freed {
 		panic("cab: double free of packet")
 	}
+	c := pk.cab
 	pk.freed = true
-	pk.cab.net.Bufs.Put(pk.buf)
+	pk.gen++
+	c.net.Bufs.Put(pk.buf)
 	pk.buf = nil
-	pk.cab.freePages += pk.pages
-	delete(pk.cab.live, pk.ID)
-	pk.cab.pagesUsed.Set(int64(pk.cab.totalPages - pk.cab.freePages))
-	if pk.cab.Arb != nil {
-		pk.cab.Arb.freeNotify(pk.flow, pk.pages)
+	c.freePages += pk.pages
+	delete(c.live, pk.ID)
+	c.pagesUsed.Set(int64(c.totalPages - c.freePages))
+	if c.Arb != nil {
+		c.Arb.freeNotify(pk.flow, pk.pages)
 	}
-	pk.cab.freeSig.Broadcast()
+	c.pkts.Put(pk)
+	c.freeSig.Broadcast()
+}
+
+// CheckPools puts the adaptor's free lists in check mode (tests; see
+// internal/pool). A released packet stays freed, with no memory and no
+// adaptor, so a stale Free panics and a stale read fails.
+func (c *CAB) CheckPools() {
+	c.pkts.Check(func(pk *Packet) { *pk = Packet{ID: -1, n: -1, freed: true, gen: pk.gen} })
+	c.rxStates.Check(nil)
 }
 
 // AllocPacket reserves network memory for an n-byte packet. It fails (nil,
@@ -370,7 +411,8 @@ func (c *CAB) allocPacket(n units.Size, flow int, buf []byte) (*Packet, bool) {
 	if buf == nil {
 		buf = c.net.Bufs.Get(int(n))
 	}
-	pk := &Packet{cab: c, ID: c.nextPktID, buf: buf, n: n, pages: pages, flow: flow}
+	pk := c.pkts.Get()
+	*pk = Packet{cab: c, ID: c.nextPktID, buf: buf, n: n, pages: pages, flow: flow, gen: pk.gen}
 	c.live[pk.ID] = pk
 	c.pagesUsed.Set(int64(c.totalPages - c.freePages))
 	if c.Arb != nil {
@@ -415,7 +457,7 @@ func (c *CAB) SetReserve(n int) {
 // Reset models a CAB firmware reset: network memory, in-flight SDMA and
 // MDMA descriptors, posted auto-DMA buffers, and all WCAB state (saved body
 // sums live inside the wiped packets) vanish at once. Every live packet is
-// zapped — host-side references see Freed()==true and a no-op Free — and
+// zapped — host-side references see Zapped() and a no-op Free — and
 // every queued descriptor is killed (its owner hears SDMAFail, never
 // SDMADone).
 // Runs in hardware/event context; finishes by notifying the driver through

@@ -13,6 +13,7 @@ import (
 // value.
 type txEntry struct {
 	pkt  *Packet
+	gen  uint32 // pkt's generation when the entry was posted
 	dst  hippi.NodeID
 	span *obs.Span
 	done func(*Packet)
@@ -38,7 +39,7 @@ func (c *CAB) MDMATx(pk *Packet, dst hippi.NodeID, span *obs.Span, done func(*Pa
 		panic("cab: MDMATx on freed packet")
 	}
 	ch := int(dst) % len(c.channels)
-	c.channels[ch].Put(txEntry{pkt: pk, dst: dst, span: span, done: done})
+	c.channels[ch].Put(txEntry{pkt: pk, gen: pk.gen, dst: dst, span: span, done: done})
 	c.txPend.Signal()
 }
 
@@ -58,9 +59,10 @@ func (c *CAB) mdmaNext() {
 			c.txPend.WaitFunc(c.mdmaNextFn)
 			return
 		}
-		if e.pkt.freed {
+		if !e.pkt.Live(e.gen) {
 			// The host freed the packet (e.g. connection teardown) while
-			// the request sat on its channel; drop the frame.
+			// the request sat on its channel; drop the frame. The record
+			// may already be another packet's.
 			continue
 		}
 		e.span.CritEv(obs.CauseQueue, "mdma_start")
@@ -314,7 +316,9 @@ func (c *CAB) tryRx(f hippi.Frame) bool {
 	if l > n {
 		l = n
 	}
-	st := &rxState{c: c, ev: RxEvent{Pkt: pk, Buf: buf, HdrLen: l, Len: n, BodySum: bodySum, Span: f.Span}}
+	st := c.rxStates.Get()
+	*st = rxState{c: c, ev: RxEvent{Pkt: pk, Buf: buf, HdrLen: l, Len: n, BodySum: bodySum, Span: f.Span}}
+	st.ev.st = st
 	st.scatter[0] = buf[:l]
 	st.req = SDMAReq{Dir: ToHost, Pkt: pk, Scatter: st.scatter[:], Span: f.Span, Owner: st}
 	c.SDMA(&st.req)
@@ -323,7 +327,9 @@ func (c *CAB) tryRx(f hippi.Frame) bool {
 
 // rxState is the adaptor's state for one admitted packet, built once: the
 // event the host will be handed and the auto-DMA request that delivers the
-// packet's head.
+// packet's head. It comes from the adaptor's free list and goes back when
+// the host is done with the event, or at once when the auto-DMA dies in a
+// reset or no host listens.
 type rxState struct {
 	ev      RxEvent
 	c       *CAB
@@ -337,6 +343,7 @@ func (st *rxState) SDMADone(*SDMAReq) {
 	c.Led.TouchP(ev.Span, 0, ev.HdrLen, ledger.SDMAToHost, "sdma", ledger.FlagAutoDMA)
 	if c.OnRx == nil {
 		ev.Pkt.Free()
+		ev.Done()
 		return
 	}
 	c.OnRx(ev)
@@ -344,7 +351,7 @@ func (st *rxState) SDMADone(*SDMAReq) {
 
 // SDMAFail: a firmware reset killed the auto-DMA; the packet died with the
 // adaptor and the host never hears of it.
-func (*rxState) SDMAFail(*SDMAReq) {}
+func (st *rxState) SDMAFail(*SDMAReq) { st.ev.Done() }
 
 // rxDeliverDirect streams a frame that fits in the auto-DMA buffer through
 // to the host without staging it in network memory (the netmem-pressure

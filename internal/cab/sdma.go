@@ -69,6 +69,8 @@ type SDMAReq struct {
 
 	// retries counts consecutive failed attempts under fault injection.
 	retries int
+	// gen is Pkt's generation when the request was queued.
+	gen uint32
 }
 
 // SDMAOwner is told, in hardware context, how each of its requests ended:
@@ -114,6 +116,7 @@ func (c *CAB) SDMA(req *SDMAReq) {
 	if req.Pkt.freed {
 		panic("cab: SDMA on freed packet")
 	}
+	req.gen = req.Pkt.gen
 	c.sdmaQ.Put(req)
 }
 
@@ -143,6 +146,11 @@ func (c *CAB) sdmaDone() {
 		// A firmware reset wiped the packet while the transfer occupied
 		// the bus: the descriptor dies with the adaptor state.
 		c.killSDMA(req)
+	case !req.Pkt.Live(req.gen):
+		// The packet's owner released it under a queued transfer: an
+		// ownership bug, caught before the engine writes a recycled
+		// packet's memory.
+		panic("cab: packet freed while its SDMA was queued")
 	case c.FaultSDMA != nil && c.FaultSDMA():
 		// The transfer failed after occupying the bus; requeue it.
 		// Completion (Done) fires only on success, so owners never see

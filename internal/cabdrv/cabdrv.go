@@ -32,6 +32,7 @@ import (
 	"repro/internal/netif"
 	"repro/internal/obs"
 	"repro/internal/obs/ledger"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/wire"
@@ -93,8 +94,15 @@ type Driver struct {
 	rxEvents *sim.Queue[*cab.RxEvent]
 	rxBodies *sim.Queue[*mbuf.Mbuf]
 
-	// copyFree is the free list of copy-out requests (copyReq).
-	copyFree []*copyReq
+	// The driver's free lists (see internal/pool): per-packet transmit
+	// jobs, outboard handles, copy-out requests and legacy receive bodies,
+	// and the auto-DMA head buffers posted to the adaptor.
+	txJobs    pool.List[txJob]
+	outPkts   pool.List[outPkt]
+	rxPkts    pool.List[rxPkt]
+	copyReqs  pool.List[copyReq]
+	legacyRxs pool.List[legacyRx]
+	heads     heads
 
 	// The interrupt handlers, bound once.
 	txDoneIntr, rxIntrNext, rxBodyIntr func(*sim.Proc)
@@ -104,7 +112,8 @@ type Driver struct {
 // link destination, and the SDMA request that forms the packet outboard
 // together with what the request points at — the link header and the
 // gather list — so forming, sending and completing the packet allocate
-// nothing more. The job is the request's owner.
+// nothing more. The job is the request's owner. It comes from the driver's
+// free list and goes back where the chain is freed: finishTx, or a drop.
 type txJob struct {
 	d   *Driver
 	m   *mbuf.Mbuf
@@ -132,11 +141,14 @@ const (
 
 // pktRef is what the driver's two outboard handles share: one of its
 // adaptor's packets, and where byte 0 of the WCAB embedded here sits in
-// it. It implements mbuf.Outboard.
+// it. It implements mbuf.Outboard. A handle goes back to the driver's
+// free list with its packet, when the last mbuf reference drops (an rxPkt
+// also waits for its head buffer).
 type pktRef struct {
 	mbuf.WCAB
 	d    *Driver
 	pk   *cab.Packet
+	gen  uint32 // pk's generation when the handle was made
 	base units.Size
 	// span attributes copy-outs in the ledger (nil for transmit packets,
 	// which are never copied out).
@@ -151,16 +163,13 @@ func (r *pktRef) Read(off, n units.Size) []byte {
 // Dead implements mbuf.Outboard.
 func (r *pktRef) Dead() bool { return r.pk.Zapped() }
 
-// Free implements mbuf.Outboard.
-func (r *pktRef) Free() { r.pk.Free() }
-
 // CopyOut implements mbuf.Outboard with a ToHost SDMA. The request comes
 // from the driver's free list: one packet may have several copy-outs in
 // flight (a read that takes it in two pieces), so it cannot live in the
 // packet.
 func (r *pktRef) CopyOut(off, n units.Size, dst [][]byte, to mbuf.CopyNotifier) {
-	cr := r.d.getCopyReq()
-	cr.span, cr.off, cr.n, cr.to = r.span, r.base+off, n, to
+	cr := r.d.copyReqs.Get()
+	cr.d, cr.span, cr.off, cr.n, cr.to = r.d, r.span, r.base+off, n, to
 	// The copy-out carries no span: the socket's read_dma causal event
 	// covers it, so it records no sdma_start/sdma_done of its own.
 	cr.req = cab.SDMAReq{Dir: cab.ToHost, Pkt: r.pk, PktOff: r.base + off,
@@ -181,16 +190,68 @@ type outPkt struct {
 	overlays int
 }
 
+// Free implements mbuf.Outboard.
+func (op *outPkt) Free() {
+	op.pk.Free()
+	op.d.outPkts.Put(op)
+}
+
 // maxOverlaysPerPacket bounds header-only retransmissions per outboard
 // packet before the driver falls back to re-reading the data.
 const maxOverlaysPerPacket = 3
 
 // rxPkt is the WCAB handle for a received packet's body (byte 0 is the
 // first byte past the auto-DMA head), built together with the packet
-// header of the head mbuf passed up beside it.
+// header of the head mbuf passed up beside it. The head's auto-DMA buffer
+// comes home here too: the record is released once both the body (Free)
+// and the head (Release) are gone, since the head mbuf and its copies
+// point at hdr. A small packet's rxPkt holds only the head.
 type rxPkt struct {
 	pktRef
-	hdr mbuf.Hdr
+	hdr   mbuf.Hdr
+	holds int
+}
+
+// Free implements mbuf.Outboard.
+func (rp *rxPkt) Free() {
+	rp.pk.Free()
+	rp.drop()
+}
+
+// Release implements mbuf.Home: the head buffer goes back on the driver's
+// list.
+func (rp *rxPkt) Release(b []byte) {
+	rp.d.heads.Put(b)
+	rp.drop()
+}
+
+func (rp *rxPkt) drop() {
+	if rp.holds--; rp.holds == 0 {
+		rp.d.rxPkts.Put(rp)
+	}
+}
+
+// heads is the free list of auto-DMA head buffers; it is the home of the
+// buffers the legacy personality adopts.
+type heads struct{ pool.Bytes }
+
+// Release implements mbuf.Home.
+func (h *heads) Release(b []byte) { h.Put(b) }
+
+// provideRxBuf posts one auto-DMA buffer to the adaptor.
+func (d *Driver) provideRxBuf() {
+	d.C.ProvideRxBuf(d.heads.Get(int(d.C.Cfg.AutoDMALen)))
+}
+
+// CheckPools puts the driver's free lists in check mode (tests; see
+// internal/pool).
+func (d *Driver) CheckPools() {
+	d.txJobs.Check(nil)
+	d.outPkts.Check(nil)
+	d.rxPkts.Check(nil)
+	d.copyReqs.Check(nil)
+	d.legacyRxs.Check(nil)
+	d.heads.Check()
 }
 
 // copyReq is one copy-out in flight: a ToHost SDMA out of an outboard
@@ -218,37 +279,8 @@ func (r *copyReq) SDMAFail(*cab.SDMAReq) { r.d.endCopy(r, ErrReset) }
 // endCopy releases r and then tells its requester how the copy ended.
 func (d *Driver) endCopy(r *copyReq, err error) {
 	to, n := r.to, r.n
-	d.putCopyReq(r)
+	d.copyReqs.Put(r)
 	to.CopyDone(n, err)
-}
-
-// poisonFreed, set only by tests, overwrites every copy-out request
-// released to the free list: a completion that still reaches it panics,
-// and a stale reader sees no packet. Unpoisoned, a released request keeps
-// its old contents until CopyOut overwrites all of it.
-var poisonFreed bool
-
-func (d *Driver) getCopyReq() *copyReq {
-	if k := len(d.copyFree); k > 0 {
-		r := d.copyFree[k-1]
-		d.copyFree = d.copyFree[:k-1]
-		return r
-	}
-	return &copyReq{d: d}
-}
-
-func (d *Driver) putCopyReq(r *copyReq) {
-	if poisonFreed {
-		*r = copyReq{d: d, off: -1, n: -1, to: releasedCopy{}}
-	}
-	d.copyFree = append(d.copyFree, r)
-}
-
-// releasedCopy is the notifier of a poisoned free copy-out request.
-type releasedCopy struct{}
-
-func (releasedCopy) CopyDone(units.Size, error) {
-	panic("cabdrv: completion of a released copy-out request")
 }
 
 // Default geometry: the paper's MTU is 32 KBytes.
@@ -281,7 +313,7 @@ func New(name string, k *kern.Kernel, c *cab.CAB, singleCopy bool) *Driver {
 	d.rxIntrNext = d.rxIntrQueued
 	d.rxBodyIntr = d.rxBodyQueued
 	for i := 0; i < rxBufCount; i++ {
-		c.ProvideRxBuf(make([]byte, c.Cfg.AutoDMALen))
+		d.provideRxBuf()
 	}
 	c.OnRx = d.hwRx
 	c.OnReset = d.hwReset
@@ -309,7 +341,7 @@ func New(name string, k *kern.Kernel, c *cab.CAB, singleCopy bool) *Driver {
 func (d *Driver) hwReset() {
 	d.Stats.Resets++
 	for i := 0; i < rxBufCount; i++ {
-		d.C.ProvideRxBuf(make([]byte, d.C.Cfg.AutoDMALen))
+		d.provideRxBuf()
 	}
 	d.K.PostIntr("cab-reset", func(p *sim.Proc) {
 		ctx := d.K.IntrCtx(p).In("cabdrv_reset")
@@ -367,7 +399,9 @@ func (d *Driver) Output(ctx kern.Ctx, m *mbuf.Mbuf, dst netif.LinkAddr) {
 		m = netif.ConvertForLegacy(ctx, m)
 	}
 	m.Span().CritEv(obs.CauseCPU, "txq_put")
-	d.txQ.Put(&txJob{d: d, m: m, dst: dst})
+	job := d.txJobs.Get()
+	*job = txJob{d: d, m: m, dst: dst}
+	d.txQ.Put(job)
 }
 
 // txd is the transmit daemon: it forms complete packets in network memory
@@ -534,7 +568,8 @@ func (d *Driver) finishTx(job *txJob) {
 	case transportOwns(h):
 		if !job.failed {
 			pk := job.req.Pkt
-			op := &outPkt{pktRef: pktRef{d: d, pk: pk, base: wire.LinkHdrLen + wire.IPHdrLen + h.CsumSkip}}
+			op := d.outPkts.Get()
+			*op = outPkt{pktRef: pktRef{d: d, pk: pk, gen: pk.Gen(), base: wire.LinkHdrLen + wire.IPHdrLen + h.CsumSkip}}
 			op.Handle, op.BodySum, op.Valid = op, pk.BodySum, pk.Len()-op.base
 			h.OnOutboard.Outboard(&op.WCAB)
 		}
@@ -547,7 +582,18 @@ func (d *Driver) finishTx(job *txJob) {
 			}
 		}
 	}
-	mbuf.FreeChain(m)
+	d.release(job)
+}
+
+// release frees a finished job's chain, tells the transport it is done
+// with the packet's header, and returns the job to the free list.
+func (d *Driver) release(job *txJob) {
+	h := job.m.Hdr()
+	mbuf.FreeChain(job.m)
+	if h != nil && h.OnOutboard != nil {
+		h.OnOutboard.Done()
+	}
+	d.txJobs.Put(job)
 }
 
 // txAbandoned reports whether any descriptor in the chain was released by
@@ -584,7 +630,7 @@ func (d *Driver) dropAbandoned(job *txJob, pk *cab.Packet) {
 	if pk != nil {
 		pk.Free()
 	}
-	mbuf.FreeChain(job.m)
+	d.release(job)
 }
 
 // txStale reports whether the chain references user pages that are no
@@ -614,7 +660,7 @@ func (d *Driver) dropStale(job *txJob, pk *cab.Packet) {
 	if pk != nil {
 		pk.Free()
 	}
-	mbuf.FreeChain(job.m)
+	d.release(job)
 }
 
 // sendOverlay retransmits an outboard packet by DMAing only the fresh
@@ -648,7 +694,7 @@ func (d *Driver) overlayCandidate(m *mbuf.Mbuf) (*outPkt, units.Size, bool) {
 	}
 	w := cur.WCABRef()
 	op, ok := w.Handle.(*outPkt)
-	if !ok || op.pk.Freed() || op.pk.Owner() != d.C {
+	if !ok || !op.pk.Live(op.gen) || op.pk.Owner() != d.C {
 		return nil, 0, false
 	}
 	if op.overlays >= maxOverlaysPerPacket {

@@ -244,6 +244,8 @@ func TestMismatchedPktLenPanics(t *testing.T) {
 // handed (taking a reference).
 type keepWCAB struct{ w **mbuf.WCAB }
 
+func (keepWCAB) Done() {}
+
 func (k keepWCAB) Outboard(w *mbuf.WCAB) {
 	*k.w = w
 	w.Ref()

@@ -16,7 +16,7 @@ import (
 // happens in interrupt context.
 func (d *Driver) hwRx(ev *cab.RxEvent) {
 	// Keep the auto-DMA pool topped up.
-	d.C.ProvideRxBuf(make([]byte, d.C.Cfg.AutoDMALen))
+	d.provideRxBuf()
 	d.rxEvents.Put(ev)
 	d.K.PostIntr("cab-rx", d.rxIntrNext)
 }
@@ -26,6 +26,7 @@ func (d *Driver) hwRx(ev *cab.RxEvent) {
 func (d *Driver) rxIntrQueued(p *sim.Proc) {
 	ev, _ := d.rxEvents.TryGet()
 	d.rxIntr(d.K.IntrCtx(p).In("cabdrv_rx"), ev)
+	ev.Done()
 }
 
 // rxIntr is the receive interrupt handler: it parses the link header from
@@ -43,6 +44,7 @@ func (d *Driver) rxIntr(ctx kern.Ctx, ev *cab.RxEvent) {
 		if ev.Pkt != nil {
 			ev.Pkt.Free()
 		}
+		d.heads.Put(ev.Buf)
 		return
 	}
 	// ev.Pkt is nil when the adaptor delivered the frame straight from the
@@ -61,12 +63,15 @@ func (d *Driver) rxIntr(ctx kern.Ctx, ev *cab.RxEvent) {
 		// 4.4.3: the auto-DMA buffer size sets the smallest packet for
 		// which copy avoidance is used).
 		d.Stats.RxSmall++
-		m := mbuf.AdoptCluster(ev.Buf, wire.LinkHdrLen, pktLen-wire.LinkHdrLen)
-		m.MarkPktHdr(pktLen - wire.LinkHdrLen)
-		m.SetHdr(&mbuf.Hdr{HWRxValid: true, HWRxSum: ev.BodySum, Span: ev.Span})
 		if ev.Pkt != nil {
 			ev.Pkt.Free()
 		}
+		rp := d.rxPkts.Get()
+		*rp = rxPkt{pktRef: pktRef{d: d}, holds: 1,
+			hdr: mbuf.Hdr{HWRxValid: true, HWRxSum: ev.BodySum, Span: ev.Span}}
+		m := d.K.Mbufs.AdoptCluster(ev.Buf, wire.LinkHdrLen, pktLen-wire.LinkHdrLen, rp)
+		m.MarkPktHdr(pktLen - wire.LinkHdrLen)
+		m.SetHdr(&rp.hdr)
 		d.Input(ctx, m, d)
 		return
 	}
@@ -74,14 +79,15 @@ func (d *Driver) rxIntr(ctx kern.Ctx, ev *cab.RxEvent) {
 	// Large packet: head from the auto-DMA buffer, body as M_WCAB.
 	d.Stats.RxLarge++
 	base := ev.HdrLen
-	rp := &rxPkt{pktRef: pktRef{d: d, pk: ev.Pkt, base: base, span: ev.Span}}
+	rp := d.rxPkts.Get()
+	*rp = rxPkt{pktRef: pktRef{d: d, pk: ev.Pkt, gen: ev.Pkt.Gen(), base: base, span: ev.Span}, holds: 2,
+		hdr: mbuf.Hdr{HWRxValid: true, HWRxSum: ev.BodySum, Span: ev.Span}}
 	rp.Handle, rp.BodySum, rp.Valid = rp, ev.BodySum, pktLen-base
-	rp.hdr = mbuf.Hdr{HWRxValid: true, HWRxSum: ev.BodySum, Span: ev.Span}
 
-	head := mbuf.AdoptCluster(ev.Buf, wire.LinkHdrLen, ev.HdrLen-wire.LinkHdrLen)
+	head := d.K.Mbufs.AdoptCluster(ev.Buf, wire.LinkHdrLen, ev.HdrLen-wire.LinkHdrLen, rp)
 	head.MarkPktHdr(pktLen - wire.LinkHdrLen)
 	head.SetHdr(&rp.hdr)
-	head.SetNext(mbuf.NewWCAB(&rp.WCAB, 0, pktLen-base, nil))
+	head.SetNext(d.K.Mbufs.NewWCAB(&rp.WCAB, 0, pktLen-base, nil))
 	d.Input(ctx, head, d)
 }
 
@@ -89,7 +95,7 @@ func (d *Driver) rxIntr(ctx kern.Ctx, ev *cab.RxEvent) {
 // DMAed into kernel buffers before the stack sees it, and the hardware
 // checksum is ignored (the unmodified stack verifies in software).
 func (d *Driver) rxLegacy(ctx kern.Ctx, ev *cab.RxEvent, pktLen units.Size) {
-	head := mbuf.AdoptCluster(ev.Buf, wire.LinkHdrLen, minSize(pktLen, ev.HdrLen)-wire.LinkHdrLen)
+	head := d.K.Mbufs.AdoptCluster(ev.Buf, wire.LinkHdrLen, minSize(pktLen, ev.HdrLen)-wire.LinkHdrLen, &d.heads)
 	head.MarkPktHdr(pktLen - wire.LinkHdrLen)
 	head.AttachSpan(ev.Span)
 	if pktLen <= ev.HdrLen {
@@ -102,11 +108,12 @@ func (d *Driver) rxLegacy(ctx kern.Ctx, ev *cab.RxEvent, pktLen units.Size) {
 	// The rest is DMAed straight into the clusters the stack will get,
 	// chained behind the head now and handed up when the DMA is done.
 	rest := pktLen - ev.HdrLen
-	body := &legacyRx{d: d, head: head, span: ev.Span, off: ev.HdrLen, n: rest}
+	body := d.legacyRxs.Get()
+	*body = legacyRx{d: d, head: head, span: ev.Span, off: ev.HdrLen, n: rest}
 	scatter := body.scatter[:0]
 	tail := head
 	for off := units.Size(0); off < rest; off += mbuf.MCLBYTES {
-		c := mbuf.AllocCluster(minSize(rest-off, mbuf.MCLBYTES))
+		c := d.K.Mbufs.AllocCluster(minSize(rest-off, mbuf.MCLBYTES))
 		scatter = append(scatter, c.Bytes())
 		tail.SetNext(c)
 		tail = c
@@ -118,7 +125,7 @@ func (d *Driver) rxLegacy(ctx kern.Ctx, ev *cab.RxEvent, pktLen units.Size) {
 
 // legacyRx is one packet whose body the legacy personality is DMAing into
 // kernel clusters: the chain the stack will get and the request that
-// fills it.
+// fills it. It goes back to the driver's free list when the DMA ends.
 type legacyRx struct {
 	d       *Driver
 	head    *mbuf.Mbuf
@@ -134,12 +141,13 @@ func (b *legacyRx) SDMADone(req *cab.SDMAReq) {
 	d.C.Led.TouchP(b.span, b.off, b.n, ledger.SDMAToHost, "sdma", 0)
 	req.Pkt.Free()
 	d.rxBodies.Put(b.head)
+	d.legacyRxs.Put(b)
 	d.K.PostIntr("cab-rx-dma", d.rxBodyIntr)
 }
 
 // SDMAFail implements cab.SDMAOwner: the packet died with the adaptor; the
 // stack never sees it and TCP retransmits.
-func (*legacyRx) SDMAFail(*cab.SDMAReq) {}
+func (b *legacyRx) SDMAFail(*cab.SDMAReq) { b.d.legacyRxs.Put(b) }
 
 // rxBodyQueued is the cab-rx-dma interrupt: it passes up the oldest chain
 // whose body DMA finished.

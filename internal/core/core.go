@@ -111,6 +111,7 @@ type Testbed struct {
 	NetObs *netobs.Recorder
 
 	seriesStop bool
+	checkPools bool
 }
 
 // EthRate is the legacy medium's line rate (FDDI-class, so the legacy
@@ -316,6 +317,20 @@ func (tb *Testbed) EnableEngineObs(o *engine.Observer) *engine.Observer {
 	return o
 }
 
+// CheckPools puts every free list of the testbed in check mode (see
+// internal/pool): the networks' at once, each host's as AddHost builds it.
+// Released objects are then poisoned and never reused, so a use after
+// release fails where it happens and a double release panics. Tests only;
+// must run before AddHost.
+func (tb *Testbed) CheckPools() {
+	if len(tb.Hosts) > 0 {
+		panic("core: CheckPools must be called before AddHost")
+	}
+	tb.checkPools = true
+	tb.Net.CheckPools()
+	tb.EthNet.CheckPools()
+}
+
 // EnableFaults installs a fault injector on every fabric and every host
 // added afterwards: the wire surfaces immediately, the CAB and kernel
 // surfaces as each host is assembled. Add the plan's rules to inj before
@@ -394,6 +409,14 @@ func (tb *Testbed) AddHost(cfg HostConfig) *Host {
 	}
 	if tb.Series != nil {
 		tb.registerSeries(h)
+	}
+	if tb.checkPools {
+		h.K.Mbufs.Check()
+		h.Stk.CheckPools()
+		h.CAB.CheckPools()
+		if h.Drv != nil {
+			h.Drv.CheckPools()
+		}
 	}
 	tb.Hosts = append(tb.Hosts, h)
 	return h

@@ -381,3 +381,25 @@ func TestUDPTransfer(t *testing.T) {
 		t.Fatal("sender CAB pages leaked (UDP should free after send)")
 	}
 }
+
+// TestCheckPoolsReachesEveryHost is the harness's vacuity guard: after
+// CheckPools, the lists of hosts added later are in check mode, so a
+// released mbuf reads as freed and a released packet loses its memory.
+func TestCheckPoolsReachesEveryHost(t *testing.T) {
+	tb := NewTestbed(1)
+	tb.CheckPools()
+	h := tb.AddHost(HostConfig{Name: "A", Addr: addrA, Mode: socket.ModeSingleCopy, CABNode: 1})
+	m := h.K.Mbufs.NewData([]byte{1, 2, 3})
+	m.Free()
+	if m.Len() >= 0 {
+		t.Fatalf("released mbuf still reads %v bytes", m.Len())
+	}
+	pk, _ := h.CAB.AllocPacket(100)
+	pk.Free()
+	if pk.Len() >= 0 || pk.Owner() != nil {
+		t.Fatalf("released packet still reads as %v bytes on adaptor %p", pk.Len(), pk.Owner())
+	}
+	if b := tb.Net.Bufs.Get(10); b[0] != 0xdb {
+		t.Fatal("the network's buffers are not in check mode")
+	}
+}

@@ -131,7 +131,7 @@ func (d *Driver) hwRx(f hippi.Frame) {
 			if n > int(mbuf.MCLBYTES) {
 				n = int(mbuf.MCLBYTES)
 			}
-			c := mbuf.NewCluster(payload[off : off+n])
+			c := d.K.Mbufs.NewCluster(payload[off : off+n])
 			if head == nil {
 				head = c
 			} else {

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -296,7 +297,7 @@ func parseDur(s string) (units.Time, error) {
 		return 0, fmt.Errorf("bad duration %q (want <int>ns|us|ms|s)", s)
 	}
 	n, err := strconv.ParseInt(num, 10, 64)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt64/int64(mult) {
 		return 0, fmt.Errorf("bad duration %q", s)
 	}
 	return units.Time(n) * mult, nil
@@ -311,7 +312,7 @@ func parseSize(s string) (units.Size, error) {
 		mult, s = units.MB, s[:len(s)-1]
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt64/int64(mult) {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
 	return units.Size(n) * mult, nil

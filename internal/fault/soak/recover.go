@@ -50,6 +50,9 @@ type RecoverCase struct {
 	// must actually have fired.
 	WantResets    bool
 	WantPartition bool
+	// CheckPools runs the case with every free list in check mode (the
+	// ownership harness; see core.Testbed.CheckPools).
+	CheckPools bool
 }
 
 // RecoverFlow is one flow's fate.
@@ -124,7 +127,7 @@ func RunRecover(c RecoverCase) RecoverOutcome {
 		c.RWSize = 64 * units.KB
 	}
 	o := RecoverOutcome{Case: c}
-	r, err := newRig("recover", c.Seed, c.Plan, c.Mode, c.Arbiter, nil)
+	r, err := newRig("recover", c.Seed, c.Plan, c.Mode, c.Arbiter, c.CheckPools, nil)
 	if err != nil {
 		o.failf("plan: %v", err)
 		return o

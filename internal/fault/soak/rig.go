@@ -35,10 +35,13 @@ type rig struct {
 }
 
 // newRig builds the testbed for one case; only a bad fault plan fails it.
-func newRig(name string, seed int64, plan string, mode socket.Mode, arbiter bool, eo *engine.Observer) (*rig, error) {
+func newRig(name string, seed int64, plan string, mode socket.Mode, arbiter, checkPools bool, eo *engine.Observer) (*rig, error) {
 	tb := core.NewTestbed(seed)
 	if eo != nil {
 		tb.EnableEngineObs(eo)
+	}
+	if checkPools {
+		tb.CheckPools()
 	}
 	tb.EnableTelemetry()
 	r := &rig{name: name, tb: tb, led: tb.EnableLedger(), inj: fault.New(tb.Eng, seed)}

@@ -52,6 +52,9 @@ type Case struct {
 	// EngObs, when set, attaches the simulator meta-observer to the
 	// case's engine (simbench runs the whole matrix through one observer).
 	EngObs *engine.Observer
+	// CheckPools runs the case with every free list in check mode (the
+	// ownership harness; see core.Testbed.CheckPools).
+	CheckPools bool
 }
 
 // Outcome is a finished soak case. Failures lists every violated
@@ -94,7 +97,7 @@ func Run(c Case) Outcome {
 		}
 	}
 	o := Outcome{Case: c}
-	r, err := newRig("soak", c.Seed, c.Plan, c.Mode, c.Arbiter, c.EngObs)
+	r, err := newRig("soak", c.Seed, c.Plan, c.Mode, c.Arbiter, c.CheckPools, c.EngObs)
 	if err != nil {
 		o.failf("plan: %v", err)
 		return o

@@ -170,17 +170,13 @@ func (n *Network) hop(fl *flight, sw, dstSw SwitchID) {
 		id = n.route(f, sw, dstSw)
 	}
 	if id == NoTrunk {
-		n.Dropped++
-		n.DroppedUnattached++
-		n.nobs.Drop(false)
+		n.drop(fl, false)
 		return
 	}
 	t := n.trunks[id]
 	now := n.eng.Now()
 	if n.linkInj != nil && n.linkInj.LinkDown(t.name, now) {
-		n.Dropped++
-		n.DroppedInj++
-		n.nobs.Drop(true)
+		n.drop(fl, true)
 		return
 	}
 	dir := 0
@@ -198,6 +194,7 @@ func (n *Network) hop(fl *flight, sw, dstSw SwitchID) {
 		n.Dropped++
 		n.DroppedFull++
 		n.nobs.DropFull()
+		n.flights.Put(fl)
 		return
 	}
 	if stall > 0 {
@@ -227,9 +224,7 @@ func (n *Network) crossedTrunk(fl *flight) {
 	}
 	dp, ok := n.ports[fl.f.Dst]
 	if !ok {
-		n.Dropped++
-		n.DroppedUnattached++
-		n.nobs.Drop(false)
+		n.drop(fl, false)
 		return
 	}
 	n.arrive(fl, dp, true)

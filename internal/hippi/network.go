@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/ledger"
 	"repro/internal/obs/netobs"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -81,8 +82,16 @@ type Network struct {
 	Inj Injector
 
 	// Bufs is the free list the attached adaptors draw packet and frame
-	// buffers from and release them to.
-	Bufs BufPool
+	// buffers from and release them to. It lives here because the network
+	// is the one object every adaptor of a testbed shares, so a buffer
+	// released by the receiver is the next one the sender takes; hippi
+	// itself only carries it (see Frame). Buffers are handed out dirty:
+	// every taker overwrites all of one — a full-gather SDMA into a fresh
+	// packet, or the MDMA engine's copy of a packet into a frame.
+	Bufs pool.Bytes
+
+	// flights is the free list of in-transit frame records.
+	flights pool.List[flight]
 
 	// Counters. Dropped is the total; DroppedInj (fault-injector drops),
 	// DroppedUnattached (frames addressed to a node with no attached
@@ -198,10 +207,13 @@ func (n *Network) SendFrame(f Frame, sent func()) {
 }
 
 // flight is one frame in transit, from SendFrame until it is delivered
-// or dropped. Every wire event of the
-// frame runs the record's next, bound once when the record is made; the
-// stage says which event that is. The record holds the one copy of the
-// frame the network rewrites in flight (injected corruption, ECN marks).
+// or dropped: it comes from the network's free list and goes back at every
+// terminal path (delivery, an injected or partition drop, a trunk tail
+// drop, an unattached or unrouteable destination). Every wire event of the
+// frame runs the record's next, bound once when the record is first made
+// and kept across reuse; the stage says which event that is. The record
+// holds the one copy of the frame the network rewrites in flight (injected
+// corruption, ECN marks).
 type flight struct {
 	n      *Network
 	f      Frame
@@ -227,9 +239,32 @@ const (
 )
 
 func (n *Network) newFlight(f Frame, txTime units.Time) *flight {
-	fl := &flight{n: n, f: f, txTime: txTime}
-	fl.next = fl.step
+	fl := n.flights.Get()
+	*fl = flight{n: n, f: f, txTime: txTime, next: fl.next}
+	if fl.next == nil {
+		fl.next = fl.step
+	}
 	return fl
+}
+
+// drop ends a frame lost in the network: counted under the total and, by
+// cause, injected (fault or partition) or not (unattached, unrouteable).
+func (n *Network) drop(fl *flight, injected bool) {
+	n.Dropped++
+	if injected {
+		n.DroppedInj++
+	} else {
+		n.DroppedUnattached++
+	}
+	n.nobs.Drop(injected)
+	n.flights.Put(fl)
+}
+
+// CheckPools puts the network's free lists in check mode (tests; see
+// internal/pool).
+func (n *Network) CheckPools() {
+	n.Bufs.Check()
+	n.flights.Check(nil)
 }
 
 // dup returns a record for a copy of fl's frame with bytes of its own:
@@ -266,9 +301,7 @@ func (n *Network) leftSource(fl *flight) {
 		v = n.Inj.Frame(&fl.f)
 	}
 	if v.Drop {
-		n.Dropped++
-		n.DroppedInj++
-		n.nobs.Drop(true)
+		n.drop(fl, true)
 		return
 	}
 	fl.extra = v.Delay
@@ -278,9 +311,7 @@ func (n *Network) leftSource(fl *flight) {
 	}
 	dp, ok := n.ports[fl.f.Dst]
 	if !ok {
-		n.Dropped++
-		n.DroppedUnattached++
-		n.nobs.Drop(false)
+		n.drop(fl, false)
 		return
 	}
 	for i := 0; i < v.Dup; i++ {
@@ -318,6 +349,8 @@ func (n *Network) arrive(fl *flight, dp *port, fabric bool) {
 // delivered hands the frame to its receiver.
 func (n *Network) delivered(fl *flight) {
 	n.Delivered++
-	n.Led.TouchP(fl.f.Span, 0, units.Size(len(fl.f.Data)), ledger.WireTransit, "wire", 0)
-	fl.dp.recv(fl.f)
+	f, dp := fl.f, fl.dp
+	n.flights.Put(fl)
+	n.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.WireTransit, "wire", 0)
+	dp.recv(f)
 }

@@ -16,26 +16,17 @@ import (
 )
 
 // TestPoisonedBuffersChangeNothing is the use-after-release check for the
-// recycled packet and frame buffers. Every buffer handed back to the free
-// list is overwritten with 0xDB, so anything still reading it — a frame
-// delivered twice, a header overlay racing the frame, a copy-out from a
-// freed packet — or reading a dirty hand-out before writing it would
-// deliver garbage. The soak cases check every delivered byte against the
-// pattern themselves; on top of that each poisoned run must reproduce the
-// clean run's telemetry snapshot, fault report and per-flow fates, which
-// pin the order of events.
+// recycled network and adaptor buffers (hippi.Network.Bufs) and the wire
+// flights, adaptor packets and receive states around them. Each case runs
+// twice, once as built and once with every free list of its testbed in
+// check mode, where a released buffer is overwritten with 0xDB and never
+// reused: a frame delivered twice, a header overlay racing the frame, a
+// copy-out from a freed packet, or a reader of a dirty hand-out before it
+// was written would then deliver garbage, which the soak oracles catch
+// (every delivered byte is checked against the pattern). The checked run
+// must also reproduce the plain run's telemetry snapshot, fault report and
+// per-flow fates, which pin the order of events.
 func TestPoisonedBuffersChangeNothing(t *testing.T) {
-	twice := func(name string, run func() string) {
-		t.Helper()
-		clean := run()
-		hippi.PoisonFreed(true)
-		defer hippi.PoisonFreed(false)
-		if poisoned := run(); poisoned != clean {
-			t.Errorf("%s: poisoning released buffers changed the run\nclean:    %.400s\npoisoned: %.400s",
-				name, clean, poisoned)
-		}
-	}
-
 	cases := []soak.Case{{Name: "tcp-unmod-clean", Seed: 1, Proto: "tcp", Mode: socket.ModeUnmodified}}
 	for _, c := range soak.Matrix() {
 		switch c.Name {
@@ -47,12 +38,15 @@ func TestPoisonedBuffersChangeNothing(t *testing.T) {
 		t.Fatalf("soak matrix no longer has the cases this test names: got %d of 8", len(cases))
 	}
 	for _, c := range cases {
-		twice(c.Name, func() string {
-			o := soak.Run(c)
-			if len(o.Failures) > 0 {
-				t.Errorf("%s: %v", c.Name, o.Failures)
-			}
-			return fmt.Sprint(o.Delivered, o.Report, string(o.MetricsJSON))
+		t.Run("soak/"+c.Name, func(t *testing.T) {
+			sameInCheckMode(t, func(check bool) string {
+				c.CheckPools = check
+				o := soak.Run(c)
+				if len(o.Failures) > 0 {
+					t.Errorf("check=%v: %v", check, o.Failures)
+				}
+				return fmt.Sprint(o.Delivered, o.Report, string(o.MetricsJSON))
+			})
 		})
 	}
 
@@ -62,17 +56,20 @@ func TestPoisonedBuffersChangeNothing(t *testing.T) {
 			continue
 		}
 		resets++
-		twice(c.Name, func() string {
-			o := soak.RunRecover(c)
-			if len(o.Failures) > 0 {
-				t.Errorf("%s: %v", c.Name, o.Failures)
-			}
-			var b bytes.Buffer
-			fmt.Fprint(&b, o.Delivered, o.Resets, o.EndTime, o.FirstGoodputAt, o.Report)
-			for _, f := range o.Flows {
-				fmt.Fprint(&b, f.Delivered, f.Complete, f.SndErr, f.RcvErr)
-			}
-			return b.String()
+		t.Run("recover/"+c.Name, func(t *testing.T) {
+			sameInCheckMode(t, func(check bool) string {
+				c.CheckPools = check
+				o := soak.RunRecover(c)
+				if len(o.Failures) > 0 {
+					t.Errorf("check=%v: %v", check, o.Failures)
+				}
+				var b bytes.Buffer
+				fmt.Fprint(&b, o.Delivered, o.Resets, o.EndTime, o.FirstGoodputAt, o.Report)
+				for _, f := range o.Flows {
+					fmt.Fprint(&b, f.Delivered, f.Complete, f.SndErr, f.RcvErr)
+				}
+				return b.String()
+			})
 		})
 	}
 	if resets == 0 {
@@ -80,16 +77,26 @@ func TestPoisonedBuffersChangeNothing(t *testing.T) {
 	}
 }
 
+// sameInCheckMode runs a case as built and then with its free lists in
+// check mode, and fails if the two results differ.
+func sameInCheckMode(t *testing.T, run func(check bool) string) {
+	t.Helper()
+	plain := run(false)
+	if checked := run(true); checked != plain {
+		t.Errorf("check mode changed the run\nplain:   %.400s\nchecked: %.400s", plain, checked)
+	}
+}
+
 // TestPoisonedDirectDelivery covers the one receive path no soak case
 // reaches: under network-memory pressure a small frame is streamed to the
 // host from the auto-DMA buffer and its bytes go straight back to the free
-// list — after the copy, not before.
+// list — after the copy, not before. In check mode the released frame is
+// overwritten with 0xDB at once.
 func TestPoisonedDirectDelivery(t *testing.T) {
-	hippi.PoisonFreed(true)
-	defer hippi.PoisonFreed(false)
 	eng := sim.NewEngine(1)
 	defer eng.KillAll()
 	net := hippi.NewNetwork(eng, hippi.LineRate, 5*units.Microsecond)
+	net.CheckPools()
 	a := cab.New(eng, cost.Alpha400(), net, 1, cab.DefaultConfig())
 	b := cab.New(eng, cost.Alpha400(), net, 2, cab.DefaultConfig())
 	b.SetReserve(b.TotalPages())

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
+	"repro/internal/mbuf"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/obs/engine"
@@ -130,6 +131,10 @@ type Kernel struct {
 
 	// KernelTask absorbs kernel work with no better owner.
 	KernelTask *Task
+
+	// Mbufs is the host's mbuf allocator: every layer on the host takes
+	// its mbuf headers and clusters from it.
+	Mbufs *mbuf.Pool
 }
 
 // Allocation-failure backoff: exponential from allocBackoffBase, capped at
@@ -173,6 +178,7 @@ func New(name string, eng *sim.Engine, mach *cost.Machine) *Kernel {
 		Quantum: 100 * units.Microsecond,
 		cpu:     sim.NewResource(eng, 1),
 		intrQ:   sim.NewQueue[intrWork](eng),
+		Mbufs:   new(mbuf.Pool),
 	}
 	k.KernelTask = k.NewTask("kernel", PrioKern, nil)
 	k.cur = k.KernelTask

@@ -57,7 +57,7 @@ func (bs *BlockServer) blockChain(id uint32) *mbuf.Mbuf {
 		if n > mbuf.MCLBYTES {
 			n = mbuf.MCLBYTES
 		}
-		m := mbuf.NewCluster(data[off : off+n])
+		m := bs.K.Mbufs.NewCluster(data[off : off+n])
 		if head == nil {
 			head = m
 		} else {

@@ -133,6 +133,9 @@ type Scenario struct {
 	// interval; the sampler stops when the last client proc finishes and
 	// the set comes back as Report.Series.
 	Series units.Time
+	// CheckPools runs the scenario with every free list in check mode (the
+	// ownership harness; see core.Testbed.CheckPools).
+	CheckPools bool
 	// FaultPlan is an optional fault-injection plan (fault.ParsePlan
 	// grammar, e.g. "partition:at=5ms,dur=20ms" or "cabreset:at=8ms")
 	// applied to the run's shared network and every adaptor. The plan is
@@ -316,6 +319,9 @@ func newRunner(s Scenario) *runner {
 func (r *runner) build() {
 	s := r.s
 	r.tb = core.NewTestbed(s.Seed)
+	if s.CheckPools {
+		r.tb.CheckPools()
+	}
 	if s.Ledger {
 		r.tb.EnableLedger()
 	}

@@ -47,27 +47,33 @@ func Cat(a, b *Mbuf) *Mbuf {
 }
 
 // clone returns a copy of a single mbuf restricted to [off, off+n) of its
-// data window, sharing external storage (cluster, UIO region, outboard
-// packet) and copying internal storage. This is the m_copy behaviour the
+// data window, from m's pool, sharing external storage (cluster, UIO
+// region, outboard packet) and copying internal storage. This is the m_copy behaviour the
 // transmit path depends on: copies are symbolic for everything external.
 func (m *Mbuf) clone(off, n units.Size) *Mbuf {
 	if off < 0 || n < 0 || off+n > m.ln {
 		panic(fmt.Sprintf("mbuf: clone [%v,+%v) outside %v", off, n, m.ln))
 	}
+	var c *Mbuf
 	switch m.typ {
 	case TData:
-		return NewData(m.Bytes()[off : off+n])
+		return m.pool.NewData(m.Bytes()[off : off+n])
 	case TCluster:
 		m.cl.refs++
-		return &Mbuf{typ: TCluster, cl: m.cl, off: m.off + off, ln: n, hdr: m.hdr}
+		c = m.pool.header(TCluster)
+		c.cl = m.cl
 	case TUIO:
-		return &Mbuf{typ: TUIO, uio: m.uio, off: m.off + off, ln: n, hdr: m.hdr}
+		c = m.pool.header(TUIO)
+		c.uio = m.uio
 	case TWCAB:
 		m.wcab.Ref()
-		return &Mbuf{typ: TWCAB, wcab: m.wcab, off: m.off + off, ln: n, hdr: m.hdr}
+		c = m.pool.header(TWCAB)
+		c.wcab = m.wcab
 	default:
-		panic("mbuf: unknown type")
+		panic(fmt.Sprintf("mbuf: clone of a %v mbuf", m.typ))
 	}
+	c.off, c.ln, c.hdr = m.off+off, n, m.hdr
+	return c
 }
 
 // CopyRange returns a new chain referencing bytes [off, off+n) of the

@@ -18,10 +18,10 @@ package mbuf
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/units"
 )
 
@@ -65,6 +65,8 @@ func (t Type) String() string {
 		return "uio"
 	case TWCAB:
 		return "wcab"
+	case freed:
+		return "freed"
 	default:
 		return fmt.Sprintf("Type(%d)", int(t))
 	}
@@ -162,9 +164,12 @@ type Hdr struct {
 // OutboardSink takes ownership of a transmitted packet once its data
 // resides in network memory (see Hdr.OnOutboard). A transport implements
 // it on the per-segment state it builds the packet header into, so the
-// header and the callback are one allocation.
+// header and the callback are one allocation. The driver calls Outboard at
+// most once, and Done once in every case, after it has freed the packet's
+// chain: the header may then be reused.
 type OutboardSink interface {
 	Outboard(w *WCAB)
+	Done()
 }
 
 // WCAB is the paper's wCAB structure: the handle of a packet resident in
@@ -237,37 +242,109 @@ func (w *WCAB) Unref() {
 // Refs returns the current reference count.
 func (w *WCAB) Refs() int { return w.refs }
 
-// cluster is shared external storage with a reference count. pooled marks
-// storage that came from clusterPool and goes back to it when the last
-// reference drops; a buffer adopted from a driver never does (its owner may
-// still hold it). refs is 32 bits so that the flag fits the 32-byte size
-// class: one of these is allocated per received packet.
+// cluster is shared external storage with a reference count. A cluster
+// from a Pool's free list owns its MCLBYTES storage and returns to the list
+// with it when the last reference drops. An adopted cluster wraps a buffer
+// some driver owns: its record returns to the pool's adopted list, and the
+// buffer to its home, the driver it came from (nil: it goes to the garbage
+// collector, or stays with an owner that may still hold it). A
+// cluster with a nil pool came from a package-level constructor and is
+// left to the garbage collector.
 type cluster struct {
-	data   []byte
-	refs   int32
-	pooled bool
+	data    []byte
+	refs    int32
+	adopted bool
+	pool    *Pool
+	home    Home
 }
 
-// clusterPool is the free list of MCLBYTES cluster storage: one size
-// class, shared by every host of every testbed in the process (a sync.Pool
-// because the constructors are package-level functions and tests run
-// testbeds in parallel). Clusters are handed out dirty — the holder of a
-// cluster mbuf can only reach its [off, off+ln) window, and whoever sets
-// the window fills it — and return when Free drops the last reference.
-var clusterPool = sync.Pool{
-	New: func() any { return &cluster{data: make([]byte, MCLBYTES), pooled: true} },
+// Home takes an adopted buffer back once no mbuf references it.
+type Home interface {
+	Release(b []byte)
 }
 
-// poisonFreed, set only by tests, fills every cluster returned to the pool
-// with 0xDB so that a reader of released or never-written bytes sees
-// garbage instead of plausible old data.
-var poisonFreed bool
+// unref drops one reference, releasing the storage with the last.
+func (cl *cluster) unref() {
+	cl.refs--
+	if cl.refs < 0 {
+		panic("mbuf: cluster over-release")
+	}
+	if cl.refs > 0 || cl.pool == nil {
+		return
+	}
+	if !cl.adopted {
+		cl.pool.clusters.Put(cl)
+		return
+	}
+	if cl.home != nil {
+		cl.home.Release(cl.data)
+	}
+	cl.pool.adopted.Put(cl)
+}
+
+// Pool is one host's mbuf allocator: free lists of mbuf headers (those of
+// regular mbufs keep their MLEN storage across reuse), of cluster storage
+// and of adopted-cluster records. Every mbuf records the pool it came from,
+// so Free returns it there and CopyRange, SplitAt and Prepend take new
+// headers from the same place. Objects are handed out dirty (see
+// internal/pool): the constructors set every field, and whoever sets a
+// cluster's window fills it — the holder of a cluster mbuf can only reach
+// its [off, off+ln) window.
+//
+// A nil *Pool is valid and allocates every object new: the package-level
+// constructors are its methods.
+type Pool struct {
+	mbufs, data pool.List[Mbuf]
+	clusters    pool.List[cluster]
+	adopted     pool.List[cluster]
+}
+
+// Check puts the pool's lists in check mode (tests; see internal/pool). A
+// released header reads as freed — Free and Bytes on it panic, and its
+// length is negative — and released or new storage is filled with 0xDB, so
+// a reader of stale or never-written bytes sees garbage instead of
+// plausible old data.
+func (p *Pool) Check() {
+	poison := func(m *Mbuf) { *m = Mbuf{typ: freed, off: -1, ln: -1} }
+	p.mbufs.Check(poison)
+	p.data.Check(func(m *Mbuf) {
+		buf := m.buf
+		if buf == nil {
+			buf = make([]byte, MLEN)
+		}
+		pool.Fill(buf)
+		poison(m)
+		m.buf = buf
+	})
+	p.clusters.Check(func(cl *cluster) {
+		if cl.data == nil {
+			cl.data = make([]byte, MCLBYTES)
+		}
+		pool.Fill(cl.data)
+		cl.refs = -1
+	})
+	p.adopted.Check(nil)
+}
+
+// header returns a blank mbuf header of type t.
+func (p *Pool) header(t Type) *Mbuf {
+	if p == nil {
+		return &Mbuf{typ: t}
+	}
+	m := p.mbufs.Get()
+	*m = Mbuf{typ: t, pool: p}
+	return m
+}
+
+// freed is the type of a released header: nothing may use it again.
+const freed Type = -1
 
 // Mbuf is one buffer in a chain. The zero value is not useful; use the
 // New* constructors.
 type Mbuf struct {
 	typ  Type
 	next *Mbuf
+	pool *Pool
 
 	// Internal/cluster storage: the data window is buf[off : off+ln].
 	buf []byte
@@ -288,12 +365,25 @@ type Mbuf struct {
 
 // NewData returns a regular mbuf holding a copy of b (which must fit in
 // MLEN minus header room if pktHdr).
-func NewData(b []byte) *Mbuf {
+func NewData(b []byte) *Mbuf { return (*Pool)(nil).NewData(b) }
+
+// NewData is the pool's NewData.
+func (p *Pool) NewData(b []byte) *Mbuf {
 	n := units.Size(len(b))
 	if n > MLEN {
 		panic(fmt.Sprintf("mbuf: %v exceeds MLEN %v", n, MLEN))
 	}
-	m := &Mbuf{typ: TData, buf: make([]byte, MLEN)}
+	var m *Mbuf
+	if p == nil {
+		m = new(Mbuf)
+	} else {
+		m = p.data.Get()
+	}
+	buf := m.buf
+	if buf == nil {
+		buf = make([]byte, MLEN)
+	}
+	*m = Mbuf{typ: TData, pool: p, buf: buf}
 	// Leave header room so Prepend can extend in place.
 	m.off = HeaderRoom
 	if m.off+n > MLEN {
@@ -304,23 +394,36 @@ func NewData(b []byte) *Mbuf {
 	return m
 }
 
-// NewEmptyData returns a regular mbuf with zero length and header room.
-func NewEmptyData() *Mbuf { return NewData(nil) }
-
 // AllocCluster returns a cluster mbuf of length n (≤ MCLBYTES) whose
 // Bytes() the caller is about to fill: the contents are arbitrary.
-func AllocCluster(n units.Size) *Mbuf {
+func AllocCluster(n units.Size) *Mbuf { return (*Pool)(nil).AllocCluster(n) }
+
+// AllocCluster is the pool's AllocCluster.
+func (p *Pool) AllocCluster(n units.Size) *Mbuf {
 	if n < 0 || n > MCLBYTES {
 		panic(fmt.Sprintf("mbuf: %v exceeds MCLBYTES %v", n, MCLBYTES))
 	}
-	cl := clusterPool.Get().(*cluster)
-	cl.refs = 1
-	return &Mbuf{typ: TCluster, cl: cl, off: 0, ln: n}
+	var cl *cluster
+	if p == nil {
+		cl = new(cluster)
+	} else {
+		cl = p.clusters.Get()
+	}
+	if cl.data == nil {
+		cl.data = make([]byte, MCLBYTES)
+	}
+	*cl = cluster{data: cl.data, refs: 1, pool: p}
+	m := p.header(TCluster)
+	m.cl, m.ln = cl, n
+	return m
 }
 
 // NewCluster returns a cluster mbuf holding a copy of b (≤ MCLBYTES).
-func NewCluster(b []byte) *Mbuf {
-	m := AllocCluster(units.Size(len(b)))
+func NewCluster(b []byte) *Mbuf { return (*Pool)(nil).NewCluster(b) }
+
+// NewCluster is the pool's NewCluster.
+func (p *Pool) NewCluster(b []byte) *Mbuf {
+	m := p.AllocCluster(units.Size(len(b)))
 	copy(m.cl.data, b)
 	return m
 }
@@ -328,28 +431,55 @@ func NewCluster(b []byte) *Mbuf {
 // AdoptCluster wraps an existing buffer as external cluster storage
 // without copying, exposing the window [off, off+n). Drivers use it to
 // loan receive buffers (e.g. the CAB's auto-DMA buffers) directly to the
-// stack.
+// stack. The buffer is never released anywhere: its owner may still hold
+// it.
 func AdoptCluster(b []byte, off, n units.Size) *Mbuf {
+	return (*Pool)(nil).AdoptCluster(b, off, n, nil)
+}
+
+// AdoptCluster is the pool's AdoptCluster. When the last reference drops,
+// b goes back to home (nil: nowhere).
+func (p *Pool) AdoptCluster(b []byte, off, n units.Size, home Home) *Mbuf {
 	if off < 0 || n < 0 || off+n > units.Size(len(b)) {
 		panic(fmt.Sprintf("mbuf: adopt window [%v,+%v) outside %d", off, n, len(b)))
 	}
-	cl := &cluster{data: b, refs: 1}
-	return &Mbuf{typ: TCluster, cl: cl, off: off, ln: n}
+	var cl *cluster
+	if p == nil {
+		cl = new(cluster)
+	} else {
+		cl = p.adopted.Get()
+	}
+	*cl = cluster{data: b, refs: 1, adopted: true, pool: p, home: home}
+	m := p.header(TCluster)
+	m.cl, m.off, m.ln = cl, off, n
+	return m
 }
 
 // NewUIO returns an M_UIO descriptor mbuf covering [off, off+n) of u.
 func NewUIO(u *mem.UIO, off, n units.Size, hdr *Hdr) *Mbuf {
+	return (*Pool)(nil).NewUIO(u, off, n, hdr)
+}
+
+// NewUIO is the pool's NewUIO.
+func (p *Pool) NewUIO(u *mem.UIO, off, n units.Size, hdr *Hdr) *Mbuf {
 	if off < 0 || n < 0 || off+n > u.Total() {
 		panic(fmt.Sprintf("mbuf: UIO window [%v,+%v) outside %v", off, n, u.Total()))
 	}
-	return &Mbuf{typ: TUIO, uio: u, off: off, ln: n, hdr: hdr}
+	m := p.header(TUIO)
+	m.uio, m.off, m.ln, m.hdr = u, off, n, hdr
+	return m
 }
 
 // NewWCAB returns an M_WCAB descriptor mbuf covering [off, off+n) of the
 // outboard packet w, taking a reference.
-func NewWCAB(w *WCAB, off, n units.Size, hdr *Hdr) *Mbuf {
+func NewWCAB(w *WCAB, off, n units.Size, hdr *Hdr) *Mbuf { return (*Pool)(nil).NewWCAB(w, off, n, hdr) }
+
+// NewWCAB is the pool's NewWCAB.
+func (p *Pool) NewWCAB(w *WCAB, off, n units.Size, hdr *Hdr) *Mbuf {
 	w.Ref()
-	return &Mbuf{typ: TWCAB, wcab: w, off: off, ln: n, hdr: hdr}
+	m := p.header(TWCAB)
+	m.wcab, m.off, m.ln, m.hdr = w, off, n, hdr
+	return m
 }
 
 // Type returns the mbuf's storage format.
@@ -454,7 +584,7 @@ func (m *Mbuf) Bytes() []byte {
 	case TCluster:
 		return m.cl.data[m.off : m.off+m.ln]
 	default:
-		panic(fmt.Sprintf("mbuf: Bytes() on %v descriptor mbuf", m.typ))
+		panic(fmt.Sprintf("mbuf: Bytes() on a %v mbuf", m.typ))
 	}
 }
 
@@ -470,7 +600,7 @@ func (m *Mbuf) Prepend(n units.Size) *Mbuf {
 		}
 		return m
 	}
-	nm := NewEmptyData()
+	nm := m.pool.NewData(nil)
 	nm.off = HeaderRoom - n
 	if nm.off < 0 {
 		panic(fmt.Sprintf("mbuf: prepend %v exceeds header room", n))
@@ -502,33 +632,31 @@ func (m *Mbuf) TrimBack(n units.Size) {
 	m.ln -= n
 }
 
-// Free releases one mbuf (dropping cluster/WCAB references) and returns
-// its successor. A cluster mbuf gives up its storage with its reference —
-// a second Free or a later Bytes() panics instead of reaching a cluster
-// that may already belong to someone else — and the last reference returns
-// pooled storage to the free list.
+// Free releases one mbuf (dropping cluster/WCAB references) to the pool
+// it came from and returns its successor. A freed mbuf is dead: a second
+// Free or a later Bytes() panics instead of reaching storage that may
+// already belong to someone else, and a double release cannot push one
+// header onto the free list twice. The last reference to pooled cluster
+// storage returns it to the free list.
 func (m *Mbuf) Free() *Mbuf {
 	next := m.next
 	switch m.typ {
+	case freed:
+		panic("mbuf: double free")
 	case TCluster:
-		cl := m.cl
-		m.cl = nil
-		cl.refs--
-		if cl.refs < 0 {
-			panic("mbuf: cluster over-release")
-		}
-		if cl.refs == 0 && cl.pooled {
-			if poisonFreed {
-				for i := range cl.data {
-					cl.data[i] = 0xdb
-				}
-			}
-			clusterPool.Put(cl)
-		}
+		m.cl.unref()
 	case TWCAB:
 		m.wcab.Unref()
 	}
-	m.next = nil
+	typ := m.typ
+	m.typ, m.next, m.cl, m.uio, m.wcab, m.hdr = freed, nil, nil, nil, nil, nil
+	if p := m.pool; p != nil {
+		if typ == TData {
+			p.data.Put(m)
+		} else {
+			p.mbufs.Put(m)
+		}
+	}
 	return next
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/checksum"
 	"repro/internal/mem"
+	"repro/internal/pool"
 	"repro/internal/units"
 )
 
@@ -93,12 +94,13 @@ func TestClusterSharingRefs(t *testing.T) {
 	}
 }
 
-// poisoning makes a cluster's return to the free list visible through a
-// slice taken earlier, whether or not the pool then keeps the storage (under
-// the race detector sync.Pool drops items at random).
-func poisoning(t *testing.T) {
-	PoisonFreed(true)
-	t.Cleanup(func() { PoisonFreed(false) })
+// checkedPool returns a pool in check mode: released storage is filled
+// with 0xDB and never handed out again, so its release is visible through a
+// slice taken earlier.
+func checkedPool() *Pool {
+	p := new(Pool)
+	p.Check()
+	return p
 }
 
 func allPoison(b []byte) bool {
@@ -106,18 +108,21 @@ func allPoison(b []byte) bool {
 }
 
 func TestAllocClusterWindow(t *testing.T) {
-	m := AllocCluster(3000)
+	p := checkedPool()
+	m := p.AllocCluster(3000)
 	if m.Type() != TCluster || m.Len() != 3000 || len(m.Bytes()) != 3000 {
 		t.Fatalf("AllocCluster(3000): type %v len %v window %d", m.Type(), m.Len(), len(m.Bytes()))
 	}
-	if len(m.cl.data) != int(MCLBYTES) || !m.cl.pooled || m.cl.refs != 1 {
-		t.Fatalf("storage %d bytes, pooled %v, refs %d", len(m.cl.data), m.cl.pooled, m.cl.refs)
+	if len(m.cl.data) != int(MCLBYTES) || m.cl.pool != p || m.cl.adopted || m.cl.refs != 1 {
+		t.Fatalf("storage %d bytes, pool %p, adopted %v, refs %d", len(m.cl.data), m.cl.pool, m.cl.adopted, m.cl.refs)
 	}
 	// Whatever a previous owner left behind the window, a copy in shows
 	// only the new bytes.
-	poisoning(t)
+	if !allPoison(m.Bytes()) {
+		t.Fatal("check mode handed out clean storage")
+	}
 	m.Free()
-	n := NewCluster(seq(100))
+	n := p.NewCluster(seq(100))
 	if !bytes.Equal(n.Bytes(), seq(100)) {
 		t.Fatal("NewCluster window does not hold the copied bytes")
 	}
@@ -125,8 +130,8 @@ func TestAllocClusterWindow(t *testing.T) {
 }
 
 func TestSharedClusterReturnedByLastFree(t *testing.T) {
-	poisoning(t)
-	m := NewCluster(seq(4000))
+	p := checkedPool()
+	m := p.NewCluster(seq(4000))
 	storage := m.cl.data
 	c := CopyRange(m, 1000, 2000)
 	tail := CopyRange(c, 500, 100)
@@ -142,15 +147,72 @@ func TestSharedClusterReturnedByLastFree(t *testing.T) {
 }
 
 func TestAdoptedBufferNeverPooled(t *testing.T) {
-	poisoning(t)
+	p := checkedPool()
 	buf := seq(int(MCLBYTES)) // cluster-sized, so only ownership keeps it out
-	m := AdoptCluster(buf, 64, 1000)
+	m := p.AdoptCluster(buf, 64, 1000, nil)
 	c := CopyRange(m, 0, 10)
 	m.Free()
 	c.Free()
 	if !bytes.Equal(buf, seq(int(MCLBYTES))) {
 		t.Fatal("a buffer adopted from a driver was released to the cluster free list")
 	}
+}
+
+// An adopted buffer with a home goes back there with its last reference,
+// and only then.
+func TestAdoptedBufferReturnsHome(t *testing.T) {
+	var home bytesHome
+	home.Check()
+	buf := home.Get(784)
+	copy(buf, seq(784))
+	m := checkedPool().AdoptCluster(buf, 16, 700, &home)
+	c := CopyRange(m, 0, 10)
+	m.Free()
+	if !bytes.Equal(c.Bytes(), seq(784)[16:26]) {
+		t.Fatal("the buffer went home while a copy still referenced it")
+	}
+	c.Free()
+	if !allPoison(buf) {
+		t.Fatal("the last Free did not send the buffer home")
+	}
+}
+
+type bytesHome struct{ pool.Bytes }
+
+func (h *bytesHome) Release(b []byte) { h.Put(b) }
+
+// Pooled headers are reused LIFO, and a regular mbuf keeps its storage.
+func TestPoolReusesHeaders(t *testing.T) {
+	p := new(Pool)
+	m := p.NewData(seq(10))
+	buf := &m.buf[0]
+	m.Free()
+	n := p.NewData(seq(20))
+	if n != m || &n.buf[0] != buf || !bytes.Equal(n.Bytes(), seq(20)) {
+		t.Fatal("a released regular mbuf was not reused with its storage")
+	}
+	u := p.NewUIO(mem.NewUIO(testSpace().Alloc(100, 4)), 0, 100, nil)
+	c := CopyRange(u, 10, 20)
+	FreeChain(c)
+	if d := CopyRange(u, 0, 5); d != c {
+		t.Fatal("CopyRange did not take its header from the source's pool")
+	}
+}
+
+// Check mode makes every use of a released header fail at the access.
+func TestCheckedPoolFailsStaleUse(t *testing.T) {
+	p := checkedPool()
+	m := p.NewData(seq(10))
+	m.Free()
+	if m.Len() >= 0 || m.Type().String() != "freed" {
+		t.Fatalf("released header reads as live: len %v type %v", m.Len(), m.Type())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Free of a released header did not panic")
+		}
+	}()
+	m.Free()
 }
 
 // A freed cluster mbuf has given its reference up. Before, a second Free on

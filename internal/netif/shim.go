@@ -41,7 +41,7 @@ func ConvertForLegacy(ctx kern.Ctx, m *mbuf.Mbuf) *mbuf.Mbuf {
 		if n > mbuf.MCLBYTES {
 			n = mbuf.MCLBYTES
 		}
-		c := mbuf.NewCluster(buf[off : off+n])
+		c := ctx.K.Mbufs.NewCluster(buf[off : off+n])
 		if head == nil {
 			head = c
 		} else {

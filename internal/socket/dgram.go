@@ -70,7 +70,7 @@ func (d *DGram) SendTo(p *sim.Proc, buf mem.Buf, dst wire.Addr, dport uint16) er
 				n = mbuf.MCLBYTES
 			}
 			d.K.WaitAlloc(p)
-			cl := mbuf.NewCluster(tmp[off : off+n])
+			cl := d.K.Mbufs.NewCluster(tmp[off : off+n])
 			if head == nil {
 				head = cl
 			} else {
@@ -87,7 +87,7 @@ func (d *DGram) SendTo(p *sim.Proc, buf mem.Buf, dst wire.Addr, dport uint16) er
 	trk := take(&d.wtrk, d.K.Eng)
 	defer park(&d.wtrk, trk)
 	trk.add(buf.Len)
-	m := mbuf.NewUIO(u, 0, buf.Len, &mbuf.Hdr{Owner: trk})
+	m := d.K.Mbufs.NewUIO(u, 0, buf.Len, &mbuf.Hdr{Owner: trk})
 	d.Sock.SendTo(ctx, m, buf.Len, dst, dport)
 	trk.wait(p)
 	d.VM.UnpinUIO(ctx, u, 0, buf.Len)

@@ -317,7 +317,7 @@ func (s *Socket) writeCopy(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, e
 				n = mbuf.MCLBYTES
 			}
 			s.K.WaitAlloc(ctx.P)
-			cl := mbuf.AllocCluster(n)
+			cl := s.K.Mbufs.AllocCluster(n)
 			ctx.CopyFromUIO(u, sent+off, n, cl.Bytes(), total)
 			if head == nil {
 				head = cl
@@ -392,7 +392,7 @@ func (s *Socket) writeUIO(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, er
 			s.wCur = s.critEv(s.wCur, obs.CauseCPU, "sock_pin",
 				int(c.LocalPort()), c.AppendStreamOff(), chunk)
 		}
-		m := mbuf.NewUIO(u, sent, chunk, &mbuf.Hdr{Owner: trk, DescID: s.K.Led.NextDesc(), CritEv: s.wCur})
+		m := s.K.Mbufs.NewUIO(u, sent, chunk, &mbuf.Hdr{Owner: trk, DescID: s.K.Led.NextDesc(), CritEv: s.wCur})
 		if err := c.Append(ctx, m, chunk, boundary); err != nil {
 			trk.DMADone(chunk) // never issued
 			s.unpinAll(ctx, u, trk.pinned)

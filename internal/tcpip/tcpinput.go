@@ -424,7 +424,7 @@ func (s *Stack) sendRst(ctx kern.Ctx, key connKey, in wire.TCPHdr, seglen units.
 	ps := pseudoSum(s.Addr, key.raddr, wire.ProtoTCP, wire.TCPHdrLen)
 	hdr.Csum = checksum.Finish(checksum.Add(ps, checksum.Sum(hb)))
 	hdr.Marshal(hb)
-	hm := mbuf.NewData(hb)
+	hm := s.K.Mbufs.NewData(hb)
 	hm.MarkPktHdr(wire.TCPHdrLen)
 	s.IPOutput(ctx, hm, wire.ProtoTCP, key.raddr)
 }

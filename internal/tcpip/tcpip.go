@@ -23,6 +23,7 @@ import (
 	"repro/internal/netif"
 	"repro/internal/obs"
 	"repro/internal/obs/netobs"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/wire"
@@ -110,6 +111,18 @@ type Stack struct {
 	// FlowRecs then stay nil and every hook is a nil no-op.
 	nrec  *netobs.Recorder
 	nnode int
+
+	// The free lists of armed timers and of outboard-checksummed segment
+	// headers (see internal/pool).
+	timers pool.List[tcpTimer]
+	hwSegs pool.List[hwSeg]
+}
+
+// CheckPools puts the stack's free lists in check mode (tests; see
+// internal/pool).
+func (s *Stack) CheckPools() {
+	s.timers.Check(nil)
+	s.hwSegs.Check(nil)
 }
 
 // SetNetObs attaches the transport-dynamics recorder. node is the host's

@@ -192,7 +192,8 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 		seed := checksum.Fold(checksum.Add(ps, checksum.Sum(hb)))
 		hdr.Csum = seed
 		hdr.Marshal(hb)
-		hs := &hwSeg{c: c, seq: seq, n: seglen}
+		hs := c.stk.hwSegs.Get()
+		*hs = hwSeg{c: c, seq: seq, n: seglen}
 		hs.hdr = mbuf.Hdr{
 			NeedCsum:   true,
 			CsumOff:    wire.TCPCsumOff,
@@ -245,7 +246,7 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 		}
 	}
 
-	hm := mbuf.NewData(hb)
+	hm := c.stk.K.Mbufs.NewData(hb)
 	hm.SetNext(data)
 	hm.MarkPktHdr(segTotal)
 	if phdr != nil {
@@ -263,7 +264,9 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 }
 
 // hwSeg is an outboard-checksummed segment's packet header together with
-// the send-buffer range the driver's completion hands back as M_WCAB.
+// the send-buffer range the driver's completion hands back as M_WCAB. It
+// comes from the stack's free list and goes back when the driver is done
+// with the packet.
 type hwSeg struct {
 	hdr mbuf.Hdr
 	c   *TCPConn
@@ -273,6 +276,9 @@ type hwSeg struct {
 
 // Outboard implements mbuf.OutboardSink.
 func (s *hwSeg) Outboard(w *mbuf.WCAB) { s.c.onOutboard(s.seq, s.n, w) }
+
+// Done implements mbuf.OutboardSink.
+func (s *hwSeg) Done() { s.c.stk.hwSegs.Put(s) }
 
 // onOutboard runs in interrupt context once a transmitted packet's data
 // resides in network memory: the corresponding range of the send buffer is
@@ -314,7 +320,7 @@ func (c *TCPConn) onOutboard(seq uint32, n units.Size, w *mbuf.WCAB) {
 			}
 		}
 	}
-	wm := mbuf.NewWCAB(w, skip, n, nil)
+	wm := c.stk.K.Mbufs.NewWCAB(w, skip, n, nil)
 	mbuf.FreeChain(mid)
 	c.sndBuf = mbuf.Cat(mbuf.Cat(front, wm), back)
 	c.stk.ctrWCABConv.Inc()

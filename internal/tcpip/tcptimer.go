@@ -12,26 +12,112 @@ import (
 // TCP timers. Timer expirations are hardware (clock) events; the handlers
 // run in interrupt context via the kernel's interrupt daemon, like the
 // softclock-driven tcp_slowtimo of the original stack.
+//
+// Each timer kind has a generation on the connection: arming or cancelling
+// bumps it, and an expiry armed under an older generation does nothing.
+// An armed timer is a tcpTimer record from the stack's free list, carrying
+// the generation it was armed under. Both of its callbacks are bound once
+// per record and kept across reuse, so arming allocates nothing; the
+// record goes back to the list when its expiry finds it stale, or once its
+// interrupt handler has run.
+
+type timerKind uint8
+
+const (
+	timerRtx timerKind = iota
+	timerPersist
+	timerDelAck
+	timerKeepAlive
+)
+
+// intrName is each timer's interrupt name.
+var intrName = [...]string{"tcp-rtx", "tcp-persist", "tcp-delack", "tcp-keepalive"}
+
+type tcpTimer struct {
+	c    *TCPConn
+	kind timerKind
+	gen  int
+
+	expire func()
+	intr   func(*sim.Proc)
+}
+
+// gen returns the connection's generation counter for timer kind k.
+func (c *TCPConn) gen(k timerKind) *int {
+	switch k {
+	case timerRtx:
+		return &c.rtxGen
+	case timerPersist:
+		return &c.persistGen
+	case timerDelAck:
+		return &c.delAckGen
+	default:
+		return &c.kaGen
+	}
+}
+
+// arm bumps timer k's generation and schedules its expiry after d.
+func (c *TCPConn) arm(k timerKind, d units.Time) {
+	g := c.gen(k)
+	*g++
+	t := c.stk.timers.Get()
+	t.c, t.kind, t.gen = c, k, *g
+	if t.expire == nil {
+		t.expire, t.intr = t.onExpire, t.onIntr
+	}
+	c.stk.K.Eng.AfterKind(d, sim.KindTimer, t.expire)
+}
+
+// stale reports whether the timer was cancelled or re-armed since, or
+// (except for the persist and delayed-ACK expiries, which post regardless)
+// its connection closed.
+func (t *tcpTimer) stale(inIntr bool) bool {
+	c := t.c
+	if t.gen != *c.gen(t.kind) {
+		return true
+	}
+	if !inIntr && (t.kind == timerPersist || t.kind == timerDelAck) {
+		return false
+	}
+	return c.state == StateClosed
+}
+
+// onExpire is the clock event: a live timer posts its handler.
+func (t *tcpTimer) onExpire() {
+	if t.stale(false) {
+		t.c.stk.timers.Put(t)
+		return
+	}
+	t.c.stk.K.PostIntr(intrName[t.kind], t.intr)
+}
+
+// onIntr is the timer's interrupt handler, under splnet.
+func (t *tcpTimer) onIntr(p *sim.Proc) {
+	c := t.c
+	c.stk.Splnet(p)
+	if !t.stale(true) {
+		ctx := c.stk.K.IntrCtx(p).In("tcp_timer")
+		switch t.kind {
+		case timerRtx:
+			c.rtxTimeout(ctx)
+		case timerPersist:
+			c.persistOn = false
+			c.persistProbe(ctx)
+		case timerDelAck:
+			c.delAckTimeout(ctx)
+		case timerKeepAlive:
+			c.keepAliveTimeout(ctx)
+		}
+	}
+	c.stk.Splx()
+	c.stk.timers.Put(t)
+}
 
 // armRtx (re)starts the retransmission timer for the oldest outstanding
 // data.
 func (c *TCPConn) armRtx() {
-	c.rtxGen++
-	gen := c.rtxGen
 	c.rtxArmed = true
-	c.stk.K.Eng.AfterKind(c.rto, sim.KindTimer, func() {
-		if gen != c.rtxGen || c.state == StateClosed {
-			return
-		}
-		c.stk.K.PostIntr("tcp-rtx", func(p *sim.Proc) {
-			c.stk.Splnet(p)
-			defer c.stk.Splx()
-			if gen != c.rtxGen || c.state == StateClosed {
-				return
-			}
-			c.rtxTimeout(c.stk.K.IntrCtx(p).In("tcp_timer"))
-		})
-	})
+	c.arm(timerRtx, c.rto)
 }
 
 // cancelRtx stops the retransmission timer.
@@ -89,22 +175,7 @@ func (c *TCPConn) armPersist() {
 	}
 	c.stk.ctrWindowStalls.Inc()
 	c.persistOn = true
-	c.persistGen++
-	gen := c.persistGen
-	c.stk.K.Eng.AfterKind(persistInterval, sim.KindTimer, func() {
-		if gen != c.persistGen {
-			return
-		}
-		c.stk.K.PostIntr("tcp-persist", func(p *sim.Proc) {
-			c.stk.Splnet(p)
-			defer c.stk.Splx()
-			if gen != c.persistGen || c.state == StateClosed {
-				return
-			}
-			c.persistOn = false
-			c.persistProbe(c.stk.K.IntrCtx(p).In("tcp_timer"))
-		})
-	})
+	c.arm(timerPersist, persistInterval)
 }
 
 // cancelPersist stops the probe timer.
@@ -161,28 +232,20 @@ func (c *TCPConn) persistProbe(ctx kern.Ctx) {
 }
 
 // armDelAck bounds how long an acknowledgement may be withheld.
-func (c *TCPConn) armDelAck() {
-	c.delAckGen++
-	gen := c.delAckGen
-	c.stk.K.Eng.AfterKind(delAckTimeout, sim.KindTimer, func() {
-		if gen != c.delAckGen {
-			return
-		}
-		c.stk.K.PostIntr("tcp-delack", func(p *sim.Proc) {
-			c.stk.Splnet(p)
-			defer c.stk.Splx()
-			if gen != c.delAckGen || c.state == StateClosed || c.ackPending == 0 {
-				return
-			}
-			c.ackNow = true
-			if c.stk.crit != nil {
-				// The ACK was withheld by the delayed-ACK policy; charge
-				// the wait since the data that earned it arrived.
-				c.critTrig, c.critTrigC = c.critRcv, obs.CauseDelAck
-			}
-			c.Output(c.stk.K.IntrCtx(p).In("tcp_timer"))
-		})
-	})
+func (c *TCPConn) armDelAck() { c.arm(timerDelAck, delAckTimeout) }
+
+// delAckTimeout sends the withheld acknowledgement, if one still is.
+func (c *TCPConn) delAckTimeout(ctx kern.Ctx) {
+	if c.ackPending == 0 {
+		return
+	}
+	c.ackNow = true
+	if c.stk.crit != nil {
+		// The ACK was withheld by the delayed-ACK policy; charge the wait
+		// since the data that earned it arrived.
+		c.critTrig, c.critTrigC = c.critRcv, obs.CauseDelAck
+	}
+	c.Output(ctx)
 }
 
 // persistInterval is the zero-window probe period.
@@ -195,27 +258,13 @@ func (c *TCPConn) armKeepAlive() {
 	if c.kaIdle <= 0 || c.state == StateClosed {
 		return
 	}
-	c.kaGen++
-	gen := c.kaGen
 	d := c.kaIntvl
 	if c.kaProbes == 0 {
 		if idle := c.stk.K.Eng.Now() - c.lastRcvd; idle < c.kaIdle {
 			d = c.kaIdle - idle
 		}
 	}
-	c.stk.K.Eng.AfterKind(d, sim.KindTimer, func() {
-		if gen != c.kaGen || c.state == StateClosed {
-			return
-		}
-		c.stk.K.PostIntr("tcp-keepalive", func(p *sim.Proc) {
-			c.stk.Splnet(p)
-			defer c.stk.Splx()
-			if gen != c.kaGen || c.state == StateClosed {
-				return
-			}
-			c.keepAliveTimeout(c.stk.K.IntrCtx(p).In("tcp_timer"))
-		})
-	})
+	c.arm(timerKeepAlive, d)
 }
 
 // keepAliveTimeout probes an idle peer or declares it dead. The probe is a

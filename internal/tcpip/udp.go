@@ -131,7 +131,7 @@ func (u *UDPSock) SendTo(ctx kern.Ctx, m *mbuf.Mbuf, n units.Size, dst wire.Addr
 		// accounting in the driver).
 		phdr = &mbuf.Hdr{}
 	}
-	hm := mbuf.NewData(hb)
+	hm := u.stk.K.Mbufs.NewData(hb)
 	hm.SetNext(m)
 	hm.MarkPktHdr(segTotal)
 	if phdr != nil {

@@ -80,6 +80,7 @@ func RunRaw(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 			Scatter: [][]byte{rbuf.Bytes()[:pk.Len()]},
 			Owner:   copied,
 		})
+		ev.Done()
 	}
 	for i := 0; i < 16; i++ {
 		rcv.CAB.ProvideRxBuf(make([]byte, rcv.CAB.Cfg.AutoDMALen))
