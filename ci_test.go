@@ -109,6 +109,103 @@ func TestOnePacketRecorderHandle(t *testing.T) {
 	}
 }
 
+// TestOneCausalPath keeps the obs.Chain cursor the only way the data path
+// records a happens-before event. Outside internal/obs no struct holds a
+// *obs.CritRec beside the chains (a result carrier is listed with its
+// reason), no file calls the recorder's raw CritRec.Ev (the only
+// Ev taking a parent id and a host: seven arguments) or CritRec.EvJoin,
+// and no mbuf header carries a causal event id.
+func TestOneCausalPath(t *testing.T) {
+	const obsPath = "repro/internal/obs"
+	allowed := map[string]string{
+		"internal/load/report.go:Crit": "Report hands the finished recorder to the critpath analyzer; nothing records through it",
+	}
+	seen := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if d.IsDir() {
+			if path == "bench" || path == "internal/obs" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		local := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == obsPath {
+				local = "obs"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.StructType:
+				for _, field := range n.Fields.List {
+					star, ok := field.Type.(*ast.StarExpr)
+					if !ok {
+						continue
+					}
+					sel, ok := star.X.(*ast.SelectorExpr)
+					if !ok || sel.Sel.Name != "CritRec" {
+						continue
+					}
+					if x, ok := sel.X.(*ast.Ident); !ok || local == "" || x.Name != local {
+						continue
+					}
+					for _, name := range field.Names {
+						key := path + ":" + name.Name
+						seen[key] = true
+						if allowed[key] == "" {
+							t.Errorf("%s: field %s of type *%s.CritRec: record through an obs.Chain",
+								fset.Position(name.Pos()), name.Name, local)
+						}
+					}
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if ok && (sel.Sel.Name == "EvJoin" || sel.Sel.Name == "Ev" && len(n.Args) == 7) {
+					t.Errorf("%s: raw CritRec.%s call: record through an obs.Chain", fset.Position(n.Pos()), sel.Sel.Name)
+				}
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || path != "internal/mbuf/mbuf.go" || n.Name.Name != "Hdr" {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						if name.Name == "CritEv" {
+							t.Errorf("%s: mbuf.Hdr carries a causal event id: the connection's chains hold it",
+								fset.Position(name.Pos()))
+						}
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := range allowed {
+		if !seen[key] {
+			t.Errorf("allowlist entry %s matches no field: delete it", key)
+		}
+	}
+}
+
 // TestNoProcsInCAB keeps the adaptor's engines continuations (DESIGN
 // §11): each blocks only at its own top level, so the SDMA and MDMA
 // engines run as event-loop steps, and no non-test file in internal/cab

@@ -143,13 +143,6 @@ type Hdr struct {
 	// hardware boundary so receive processing continues the same span.
 	Span *obs.Span
 
-	// CritEv, when the causal critical-path recorder is enabled, is the id
-	// of the happens-before event that produced this chain's data (the
-	// socket writer's enqueue event); 0 otherwise. The transport reads it
-	// in Append so the segment spans it later cuts hang off the writer's
-	// causal chain.
-	CritEv int32
-
 	// DescID is the sosend descriptor id the data came from (0 when the
 	// ledger is off or the data did not arrive via a descriptor write).
 	DescID int64
@@ -519,28 +512,6 @@ func (m *Mbuf) AttachSpan(sp *obs.Span) {
 		m.hdr = &Hdr{}
 	}
 	m.hdr.Span = sp
-}
-
-// CritEv returns the causal writer-event id recorded on m's header (0 when
-// the critical-path recorder is off).
-func (m *Mbuf) CritEv() int32 {
-	if m == nil || m.hdr == nil {
-		return 0
-	}
-	return m.hdr.CritEv
-}
-
-// SetCritEv stamps the causal writer-event id on m's header, creating an
-// empty header if needed. Id 0 is a no-op, so the call is free when the
-// recorder is off.
-func (m *Mbuf) SetCritEv(id int32) {
-	if id == 0 {
-		return
-	}
-	if m.hdr == nil {
-		m.hdr = &Hdr{}
-	}
-	m.hdr.CritEv = id
 }
 
 // DescID returns the sosend descriptor id recorded on m's header (0 when

@@ -137,13 +137,20 @@ func TestZeroAllocDisabled(t *testing.T) {
 		t.Fatalf("disabled recorder allocates %.1f/op, want 0", allocs)
 	}
 	var sp *obs.Span
+	var ch obs.Chain
 	allocs = testing.AllocsPerRun(100, func() {
 		sp.CritEv(obs.CauseCPU, "x")
 		sp.CritEvJoin(obs.CauseCPU, 0, obs.CauseQueue, "y")
-		sp.SetCritCur(7)
+		ch.Seed(7)
+		ch.Ev(obs.CauseApp, "x", 0, 64)
+		ch.Join(obs.CauseApp, 7, obs.CauseCPU, "y", 0, 64)
+		ch.MarkDone()
 	})
 	if allocs != 0 {
-		t.Fatalf("nil span stamping allocates %.1f/op, want 0", allocs)
+		t.Fatalf("nil span or zero chain stamping allocates %.1f/op, want 0", allocs)
+	}
+	if ch.Cur() != 0 {
+		t.Fatalf("zero chain cursor moved to %d", ch.Cur())
 	}
 }
 

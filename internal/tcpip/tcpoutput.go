@@ -122,8 +122,9 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 	var span *obs.Span
 	if seglen > 0 && (c.stk.tr != nil || c.stk.K.Led != nil) {
 		rtx := seqLT(seq, c.sndMax)
-		at, queued := c.enqueueTime(seq)
+		st, queued := c.stampAt(seq)
 		queued = queued && !rtx
+		at := st.t
 		if !queued {
 			at = c.stk.K.Eng.Now()
 		}
@@ -139,24 +140,21 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 			span.EnterAt(obs.StageSocket, at)
 		}
 		span.Enter(obs.StagePacketize)
+		// The segment could be cut once its data was enqueued (the writer's
+		// event, via the queue edge: time the bytes sat in the send buffer)
+		// AND its trigger fired (append, ACK, window open, timer); the
+		// later of the two binds.
+		span.Seed(st.ev)
+		span.CritEvJoin(obs.CauseQueue, c.trig.Cur(), c.trigC, "tcp_output")
+	} else if span = c.stk.tr.StartCarrier(c.stk.K.Name, int(c.key.lport)); span != nil {
+		// Data-less segment (pure ACK, control) with the causal recorder
+		// on: a silent carrier span lets the ACK's chain ride the wire.
+		span.Seed(c.trig.Cur())
+		span.CritEv(c.trigC, "ack_gen")
 	}
-	if crit := c.stk.crit; crit != nil {
-		if span != nil {
-			// The segment could be cut once its data was enqueued (the
-			// writer's event, via the queue edge: time the bytes sat in the
-			// send buffer) AND its trigger fired (append, ACK, window open,
-			// timer); the later of the two binds.
-			span.SetCritCur(c.critEvFor(seq))
-			span.CritEvJoin(obs.CauseQueue, c.critTrig, c.critTrigC, "tcp_output")
-		} else {
-			// Data-less segment (pure ACK, control): open a silent carrier
-			// span so the ACK's causal chain rides the wire with it.
-			span = c.stk.tr.StartCarrier(c.stk.K.Name, int(c.key.lport))
-			span.SetCritCur(c.critTrig)
-			span.CritEv(c.critTrigC, "ack_gen")
-		}
+	if span != nil {
 		// Later segments of the same burst queue behind this one's CPU.
-		c.critTrig, c.critTrigC = span.CritCur(), obs.CauseCPU
+		c.trigger(span.Cur(), obs.CauseCPU)
 	}
 	if c.ceSeen {
 		// Echo the current congestion-experienced state back to the sender;

@@ -131,12 +131,7 @@ func (c *TCPConn) cancelRtx() {
 func (c *TCPConn) rtxTimeout(ctx kern.Ctx) {
 	c.stk.ctrRtoFires.Inc()
 	c.nobs.Rtx(netobs.RtxRTO)
-	if crit := c.stk.crit; crit != nil {
-		// The dead time since the last forward progress (the previous
-		// ACK, or connection start) is charged to the RTO.
-		ev := crit.Ev(c.critAck, obs.CauseRTO, "rto_fire", c.stk.K.Name, int(c.key.lport), 0, 0)
-		c.critTrig, c.critTrigC = ev, obs.CauseCPU
-	}
+	c.timerEv(obs.CauseRTO, "rto_fire")
 	if c.userTimedOut() {
 		return
 	}
@@ -204,10 +199,7 @@ func (c *TCPConn) userTimedOut() bool {
 // persistProbe forces one byte into a zero window so a lost window update
 // cannot deadlock the connection.
 func (c *TCPConn) persistProbe(ctx kern.Ctx) {
-	if crit := c.stk.crit; crit != nil {
-		ev := crit.Ev(c.critAck, obs.CausePersist, "persist_probe", c.stk.K.Name, int(c.key.lport), 0, 0)
-		c.critTrig, c.critTrigC = ev, obs.CauseCPU
-	}
+	c.timerEv(obs.CausePersist, "persist_probe")
 	if c.userTimedOut() {
 		return
 	}
@@ -240,12 +232,18 @@ func (c *TCPConn) delAckTimeout(ctx kern.Ctx) {
 		return
 	}
 	c.ackNow = true
-	if c.stk.crit != nil {
-		// The ACK was withheld by the delayed-ACK policy; charge the wait
-		// since the data that earned it arrived.
-		c.critTrig, c.critTrigC = c.critRcv, obs.CauseDelAck
-	}
+	// The ACK was withheld by the delayed-ACK policy; charge the wait since
+	// the data that earned it arrived.
+	c.trigger(c.critRcv, obs.CauseDelAck)
 	c.Output(ctx)
+}
+
+// timerEv records a retransmission or persist timer firing as the trigger
+// of the next Output: the dead time since the last forward progress (the
+// previous ACK, or connection start) is charged to cause.
+func (c *TCPConn) timerEv(cause obs.Cause, kind string) {
+	c.trigger(c.critAck, obs.CauseCPU)
+	c.trig.Ev(cause, kind, 0, 0)
 }
 
 // persistInterval is the zero-window probe period.
