@@ -2,6 +2,7 @@ package tcpip
 
 import (
 	"repro/internal/kern"
+	"repro/internal/obs"
 	"repro/internal/obs/netobs"
 	"repro/internal/units"
 	"repro/internal/wire"
@@ -105,9 +106,10 @@ func (c *TCPConn) openCwnd(acked units.Size) {
 	}
 }
 
-// onDupAck handles a duplicate acknowledgement; at the threshold it fast
-// retransmits the missing segment and halves the window.
-func (c *TCPConn) onDupAck(ctx kern.Ctx) {
+// onDupAck handles a duplicate acknowledgement, which arrived on span sp;
+// at the threshold it fast retransmits the missing segment and halves the
+// window.
+func (c *TCPConn) onDupAck(ctx kern.Ctx, sp *obs.Span) {
 	c.stk.ctrDupAcks.Inc()
 	c.dupAcks++
 	if c.dupAcks != dupAckThreshold {
@@ -124,6 +126,10 @@ func (c *TCPConn) onDupAck(ctx kern.Ctx) {
 	}
 	seglen = c.capAtBoundary(c.sndUna, seglen)
 	if seglen > 0 {
+		if sp != nil {
+			// This acknowledgement is what resends the segment.
+			c.trigger(sp.Cur(), obs.CauseAckClock)
+		}
 		c.sendSegment(ctx, c.sndUna, seglen, wire.FlagACK)
 		c.armRtx()
 	}
