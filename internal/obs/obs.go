@@ -144,14 +144,6 @@ type Registry struct {
 	byName  map[string]int
 }
 
-// Host returns the registry's host label.
-func (r *Registry) Host() string {
-	if r == nil {
-		return ""
-	}
-	return r.host
-}
-
 // Counter returns the named counter, creating it on first use. Re-requests
 // of the same name share one counter (transient objects like sockets
 // accumulate into a host-lifetime count).
