@@ -206,6 +206,51 @@ func TestOneCausalPath(t *testing.T) {
 	}
 }
 
+// TestOneRecordLog keeps obs.Log the one bounded record store of the
+// recorders: its bound and drop count replace the "append, check the max,
+// bump dropped" pairs each recorder used to roll by hand, each growing a
+// slice that copied its records on every doubling. No struct in a non-test
+// file under internal/obs other than obs.Log declares a field named
+// dropped.
+func TestOneRecordLog(t *testing.T) {
+	err := filepath.WalkDir("internal/obs", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		var logType *ast.StructType
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "Log" && filepath.ToSlash(path) == "internal/obs/log.go" {
+					logType = st
+				}
+			case *ast.StructType:
+				if n == logType {
+					return true
+				}
+				for _, field := range n.Fields.List {
+					for _, name := range field.Names {
+						if name.Name == "dropped" {
+							t.Errorf("%s: field dropped: keep the records in an obs.Log, which bounds them and counts the drops",
+								fset.Position(name.Pos()))
+						}
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestNoProcsInCAB keeps the adaptor's engines continuations (DESIGN
 // §11): each blocks only at its own top level, so the SDMA and MDMA
 // engines run as event-loop steps, and no non-test file in internal/cab

@@ -189,12 +189,22 @@ func (tb *Testbed) EnableSeries(interval units.Time) *obs.SeriesSet {
 	if tb.Series == nil {
 		tb.Series = obs.NewSeriesSet(interval, obs.DefaultSeriesCapacity)
 		tb.Series.SetLatencySource(tb.Tel.Trace().Latency())
-		tb.Eng.Go("series-sampler", func(p *sim.Proc) {
-			for !tb.seriesStop {
-				p.Sleep(interval)
-				tb.Series.Sample(p.Now())
+		// The sampler blocks only between its own ticks, so it is an
+		// event-loop continuation (DESIGN §11), not a process: a start
+		// event where a process's first wake-up would be, then one
+		// KindProc event per tick at its wake-up's slot, so every event
+		// keeps its time, kind and sequence number.
+		var tick func()
+		next := func() {
+			if !tb.seriesStop {
+				tb.Eng.AfterKind(interval, sim.KindProc, tick)
 			}
-		})
+		}
+		tick = func() {
+			tb.Series.Sample(tb.Eng.Now())
+			next()
+		}
+		tb.Eng.AtKind(tb.Eng.Now(), sim.KindProc, next)
 	}
 	return tb.Series
 }
@@ -244,7 +254,8 @@ func (tb *Testbed) NetObsPostmortem(after units.Time) *netobs.Postmortem {
 }
 
 // StopSeries retires the sampler: it takes one final row at the next tick
-// and exits, letting Eng.Run drain. Harmless when series are disabled.
+// and schedules no more, letting Eng.Run drain. Harmless when series are
+// disabled.
 func (tb *Testbed) StopSeries() { tb.seriesStop = true }
 
 // EnableLedger turns on the data-touch ledger: every event where a

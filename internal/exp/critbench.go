@@ -66,7 +66,7 @@ func critCell(name, mode string, rw units.Size, flows int, rec *obs.CritRec) Cri
 		Name: name, Mode: mode,
 		RWSizeBytes: int64(rw), Flows: flows,
 		Transfers: len(rep.Paths),
-		Events:    len(rec.Events()),
+		Events:    rec.Len(),
 		TotalNs:   int64(rep.Total),
 		ByCause:   critpath.Causes(rep.ByCause),
 	}

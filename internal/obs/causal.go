@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math"
+
 	"repro/internal/units"
 )
 
@@ -83,32 +85,37 @@ type CritAlt struct {
 
 // CritRec records the happens-before graph of a run. Events are appended in
 // virtual-time order (the simulation engine is single-threaded, so no
-// locking is needed); ids are 1-based indices into the event slice. A nil
-// *CritRec is a valid no-op sink, which is the disabled fast path. The data
-// path records through a Chain, never through Ev or EvJoin directly.
+// locking is needed); ids are 1-based indices into the event log, which
+// is bounded at math.MaxInt32 so every id fits its int32. A nil *CritRec
+// is a valid no-op sink, which is the disabled fast path. The data path
+// records through a Chain, never through Ev or EvJoin directly.
 type CritRec struct {
 	now func() units.Time
-	ev  []CritEvent
-	alt []CritAlt
+	ev  Log[CritEvent]
+	alt Log[CritAlt]
 }
 
 // NewCritRec returns a recorder clocked by now.
 func NewCritRec(now func() units.Time) *CritRec {
-	return &CritRec{now: now}
+	return newCritRec(now, math.MaxInt32)
+}
+
+func newCritRec(now func() units.Time, max int) *CritRec {
+	return &CritRec{now: now, ev: NewLog[CritEvent](max), alt: NewLog[CritAlt](max)}
 }
 
 // Ev records an event occurring now with binding parent parent (0 for a
-// root) under cause, returning its id. A nil receiver returns 0, the
-// "no event" id, which flows harmlessly through later calls.
+// root) under cause, returning its id. A nil receiver, or a recorder whose
+// log is full, returns 0, the "no event" id, which flows harmlessly
+// through later calls; the full recorder counts the event as dropped.
 func (r *CritRec) Ev(parent int32, cause Cause, kind, host string, flow int, off, n int64) int32 {
-	if r == nil {
-		return 0
-	}
-	r.ev = append(r.ev, CritEvent{
+	if r == nil || !r.ev.Append(CritEvent{
 		Parent: parent, Cause: cause, Kind: kind, Host: host,
 		Flow: flow, Off: off, Len: n, T: r.now(),
-	})
-	return int32(len(r.ev))
+	}) {
+		return 0
+	}
+	return int32(r.ev.Len())
 }
 
 // EvJoin records an event that waited on two dependencies: p1 under cause
@@ -127,8 +134,8 @@ func (r *CritRec) EvJoin(p1 int32, c1 Cause, p2 int32, c2 Cause, kind, host stri
 		ap, ac = p1, c1
 	}
 	id := r.Ev(bp, bc, kind, host, flow, off, n)
-	if ap != 0 && ap != bp {
-		r.alt = append(r.alt, CritAlt{From: ap, To: id, Cause: ac})
+	if id != 0 && ap != 0 && ap != bp {
+		r.alt.Append(CritAlt{From: ap, To: id, Cause: ac})
 	}
 	return id
 }
@@ -136,35 +143,55 @@ func (r *CritRec) EvJoin(p1 int32, c1 Cause, p2 int32, c2 Cause, kind, host stri
 // MarkDone flags the event as a completion point (message fully delivered
 // to the application). The analyzer back-walks from completion points.
 func (r *CritRec) MarkDone(id int32) {
-	if r == nil || id <= 0 || int(id) > len(r.ev) {
+	if r == nil || id <= 0 || int(id) > r.ev.Len() {
 		return
 	}
-	r.ev[id-1].Done = true
+	r.ev.At(int(id) - 1).Done = true
 }
 
 func (r *CritRec) t(id int32) units.Time {
-	if id <= 0 || int(id) > len(r.ev) {
+	if id <= 0 || int(id) > r.ev.Len() {
 		return 0
 	}
-	return r.ev[id-1].T
+	return r.ev.At(int(id) - 1).T
 }
 
-// Events returns the recorded events in creation (virtual-time) order.
-// Event id i is Events()[i-1]. The slice is the recorder's own; callers
-// must not mutate it.
+// Len returns the number of recorded events: ids run from 1 to Len().
+func (r *CritRec) Len() int {
+	if r == nil {
+		return 0
+	}
+	return r.ev.Len()
+}
+
+// Event returns event id (1 ≤ id ≤ Len()).
+func (r *CritRec) Event(id int32) CritEvent { return *r.ev.At(int(id) - 1) }
+
+// Events returns a copy of the recorded events in creation (virtual-time)
+// order. Event id i is Events()[i-1].
 func (r *CritRec) Events() []CritEvent {
 	if r == nil {
 		return nil
 	}
-	return r.ev
+	return r.ev.Slice()
 }
 
-// Alts returns the recorded non-binding (slack) edges.
+// Alts returns a copy of the recorded non-binding (slack) edges.
 func (r *CritRec) Alts() []CritAlt {
 	if r == nil {
 		return nil
 	}
-	return r.alt
+	return r.alt.Slice()
+}
+
+// Dropped returns how many events the recorder refused once its log was
+// full. A graph with drops is truncated: a dropped event is missing from
+// every path through it.
+func (r *CritRec) Dropped() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.ev.Dropped()
 }
 
 // Chain is a causal-chain cursor, the one way the data path records a
@@ -230,7 +257,7 @@ func (c *Chain) Seed(id int32) {
 
 // MarkDone flags the cursor event as a completion point.
 func (c *Chain) MarkDone() {
-	if c != nil {
+	if c != nil && c.rec != nil {
 		c.rec.MarkDone(c.cur)
 	}
 }

@@ -79,15 +79,18 @@ type Report struct {
 	Paths   []Path
 	ByCause [obs.NumCauses]units.Time
 	Total   units.Time
+	// Dropped counts the events the recorder refused once its log was
+	// full: the graph is truncated, and a path through a dropped event
+	// ends early at a root that was not the transfer's start.
+	Dropped int64
 }
 
 // Analyze extracts the critical path of every completion point in r. Paths
 // appear in completion (virtual-time) order. A nil or empty recorder yields
 // an empty report.
 func Analyze(r *obs.CritRec) *Report {
-	rep := &Report{}
-	ev := r.Events()
-	if len(ev) == 0 {
+	rep := &Report{Dropped: r.Dropped()}
+	if r.Len() == 0 {
 		return rep
 	}
 	// Slack edges keyed by their on-path endpoint, preserving record order.
@@ -95,11 +98,10 @@ func Analyze(r *obs.CritRec) *Report {
 	for _, a := range r.Alts() {
 		altTo[a.To] = append(altTo[a.To], a)
 	}
-	for i, e := range ev {
-		if !e.Done {
-			continue
+	for id := int32(1); int(id) <= r.Len(); id++ {
+		if r.Event(id).Done {
+			rep.Paths = append(rep.Paths, walk(r, altTo, id))
 		}
-		rep.Paths = append(rep.Paths, walk(ev, altTo, int32(i+1)))
 	}
 	for i := range rep.Paths {
 		p := &rep.Paths[i]
@@ -113,11 +115,11 @@ func Analyze(r *obs.CritRec) *Report {
 
 // walk back-walks the binding-parent chain from done to its root and
 // reverses it into a Path.
-func walk(ev []obs.CritEvent, altTo map[int32][]obs.CritAlt, done int32) Path {
+func walk(r *obs.CritRec, altTo map[int32][]obs.CritAlt, done int32) Path {
 	var rev []int32
 	for id := done; id > 0; {
 		rev = append(rev, id)
-		p := ev[id-1].Parent
+		p := r.Event(id).Parent
 		if p >= id {
 			// Defensive: parents are always recorded before children; a
 			// forward edge would loop.
@@ -125,14 +127,14 @@ func walk(ev []obs.CritEvent, altTo map[int32][]obs.CritAlt, done int32) Path {
 		}
 		id = p
 	}
-	d := ev[done-1]
+	d := r.Event(done)
 	path := Path{
 		Done: done, Kind: d.Kind, Host: d.Host, Flow: d.Flow,
 		Bytes: d.Len, End: d.T,
 	}
 	for i := len(rev) - 1; i >= 0; i-- {
 		id := rev[i]
-		e := ev[id-1]
+		e := r.Event(id)
 		s := Step{
 			Ev: id, Kind: e.Kind, Host: e.Host, Flow: e.Flow,
 			Off: e.Off, Len: e.Len, Cause: e.Cause, T: e.T,
@@ -140,15 +142,16 @@ func walk(ev []obs.CritEvent, altTo map[int32][]obs.CritAlt, done int32) Path {
 		if i == len(rev)-1 { // root
 			path.Start = e.T
 		} else {
-			prev := ev[rev[i+1]-1]
+			prev := r.Event(rev[i+1])
 			s.Dur = e.T - prev.T
 			path.ByCause[e.Cause] += s.Dur
 			for _, a := range altTo[id] {
-				if int(a.From) <= len(ev) {
+				if int(a.From) <= r.Len() {
+					from := r.Event(a.From)
 					path.Slack = append(path.Slack, SlackEdge{
 						From: a.From, To: id,
-						FromKind: ev[a.From-1].Kind, ToKind: e.Kind,
-						Cause: a.Cause, Slack: prev.T - ev[a.From-1].T,
+						FromKind: from.Kind, ToKind: e.Kind,
+						Cause: a.Cause, Slack: prev.T - from.T,
 					})
 				}
 			}

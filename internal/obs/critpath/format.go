@@ -50,6 +50,9 @@ func WriteWaterfall(w io.Writer, p *Path) {
 func (r *Report) WriteText(w io.Writer, full bool) {
 	fmt.Fprintf(w, "critical-path analysis: %d completed transfers, %v total latency\n",
 		len(r.Paths), r.Total)
+	if r.Dropped > 0 {
+		fmt.Fprintf(w, "  graph truncated: %d events dropped past the recorder's bound; paths through them end early\n", r.Dropped)
+	}
 	if r.Total > 0 {
 		fmt.Fprintf(w, "  %-9s %14s %8s\n", "cause", "ns", "share")
 		for _, c := range Causes(r.ByCause) {

@@ -135,8 +135,8 @@ type chromeFile struct {
 // virtual time, pid is the originating host, tid the stage.
 func (t *Telemetry) Chrome() []byte {
 	f := chromeFile{TraceEvents: []chromeEvent{}}
-	if t.trace != nil {
-		f.TraceEvents = append(f.TraceEvents, t.trace.events...)
+	if t.trace != nil && t.trace.events.Len() > 0 {
+		f.TraceEvents = t.trace.events.Slice()
 	}
 	return marshalChrome(f)
 }
@@ -147,9 +147,10 @@ func (t *Telemetry) Chrome() []byte {
 func (t *Telemetry) ChromeFlow(flow int) []byte {
 	f := chromeFile{TraceEvents: []chromeEvent{}}
 	if t.trace != nil {
-		for _, ev := range t.trace.events {
-			if ev.Args.Flow == flow {
-				f.TraceEvents = append(f.TraceEvents, ev)
+		evs := &t.trace.events
+		for i := 0; i < evs.Len(); i++ {
+			if ev := evs.At(i); ev.Args.Flow == flow {
+				f.TraceEvents = append(f.TraceEvents, *ev)
 			}
 		}
 	}
@@ -161,11 +162,10 @@ func (t *Telemetry) ChromeFlow(flow int) []byte {
 func (t *Telemetry) ChromeTail(n int) []byte {
 	f := chromeFile{TraceEvents: []chromeEvent{}}
 	if t.trace != nil {
-		evs := t.trace.events
-		if len(evs) > n {
-			evs = evs[len(evs)-n:]
+		evs := &t.trace.events
+		for i := max(evs.Len()-n, 0); i < evs.Len(); i++ {
+			f.TraceEvents = append(f.TraceEvents, *evs.At(i))
 		}
-		f.TraceEvents = append(f.TraceEvents, evs...)
 	}
 	return marshalChrome(f)
 }

@@ -26,10 +26,10 @@ type Audit struct {
 
 // Audit selects one flow's records for per-byte analysis over [0, total).
 func (l *Ledger) Audit(flow int, total units.Size) *Audit {
-	a := &Audit{Flow: flow, Total: total, Dropped: l.dropped}
-	for _, r := range l.records {
-		if r.Flow == flow {
-			a.recs = append(a.recs, r)
+	a := &Audit{Flow: flow, Total: total, Dropped: l.Dropped()}
+	for i := 0; i < l.records.Len(); i++ {
+		if r := l.records.At(i); r.Flow == flow {
+			a.recs = append(a.recs, *r)
 		}
 	}
 	return a

@@ -122,8 +122,7 @@ const flightRingSize = 2048
 type Ledger struct {
 	now      func() units.Time
 	hooks    []*Hook
-	records  []Record
-	dropped  int64
+	records  obs.Log[Record]
 	unattrEv [numKinds]int64
 	unattrB  [numKinds]units.Size
 	nextDesc int64
@@ -131,7 +130,7 @@ type Ledger struct {
 
 // New returns a ledger timestamped by now — the engine's virtual clock.
 func New(now func() units.Time) *Ledger {
-	return &Ledger{now: now}
+	return &Ledger{now: now, records: obs.NewLog[Record](maxRecords)}
 }
 
 // Hook returns the recording hook labeled host, creating it on first use.
@@ -147,19 +146,11 @@ func (l *Ledger) Hook(host string) *Hook {
 	return h
 }
 
-// Records returns the recorded touches in event order.
-func (l *Ledger) Records() []Record { return l.records }
+// Records returns a copy of the recorded touches in event order.
+func (l *Ledger) Records() []Record { return l.records.Slice() }
 
 // Dropped returns how many records overflowed the bound.
-func (l *Ledger) Dropped() int64 { return l.dropped }
-
-func (l *Ledger) append(r Record) {
-	if len(l.records) >= maxRecords {
-		l.dropped++
-		return
-	}
-	l.records = append(l.records, r)
-}
+func (l *Ledger) Dropped() int64 { return l.records.Dropped() }
 
 // Hook records touches for one host (or "wire"). A nil *Hook is a valid
 // no-op sink: the disabled-ledger fast path is a single nil check with no
@@ -192,7 +183,7 @@ func (h *Hook) Touch(flow int, off, n units.Size, kind Kind, layer string, flags
 		Flow: flow, Off: off, Len: n, Kind: kind, Layer: layer,
 		Host: h.host, VTime: h.led.now(), Flags: flags, Desc: desc,
 	}
-	h.led.append(r)
+	h.led.records.Append(r)
 	h.ring[h.head] = r
 	h.head = (h.head + 1) % flightRingSize
 	if h.n < flightRingSize {
@@ -306,9 +297,9 @@ func (l *Ledger) unattributed() []jsonUnattr {
 // JSON exports the full ledger deterministically: records in event order,
 // then the drop count and unattributed totals.
 func (l *Ledger) JSON() []byte {
-	jl := jsonLedger{Records: []jsonRecord{}, Dropped: l.dropped, Unattributed: l.unattributed()}
-	for _, r := range l.records {
-		jl.Records = append(jl.Records, toJSONRecord(r))
+	jl := jsonLedger{Records: make([]jsonRecord, 0, l.records.Len()), Dropped: l.Dropped(), Unattributed: l.unattributed()}
+	for i := 0; i < l.records.Len(); i++ {
+		jl.Records = append(jl.Records, toJSONRecord(*l.records.At(i)))
 	}
 	b, err := json.MarshalIndent(jl, "", "  ")
 	if err != nil {
@@ -336,7 +327,7 @@ type flightDump struct {
 // the run's final moments even on a truncated ledger. Dump it when a
 // watchdog fires to capture what the data path was doing at the wedge.
 func (l *Ledger) FlightDump() []byte {
-	d := flightDump{NS: int64(l.now()), Dropped: l.dropped, Unattributed: l.unattributed()}
+	d := flightDump{NS: int64(l.now()), Dropped: l.Dropped(), Unattributed: l.unattributed()}
 	for _, h := range l.hooks {
 		fh := flightHost{Host: h.host, Records: []jsonRecord{}}
 		for i := 0; i < h.n; i++ {
@@ -357,7 +348,8 @@ func (l *Ledger) FlightDump() []byte {
 // Deterministic: ties break toward the lower flow id.
 func (l *Ledger) MainFlow() int {
 	totals := map[int]units.Size{}
-	for _, r := range l.records {
+	for i := 0; i < l.records.Len(); i++ {
+		r := l.records.At(i)
 		totals[r.Flow] += r.Len
 	}
 	best, bestN := 0, units.Size(-1)
@@ -373,5 +365,5 @@ func (l *Ledger) MainFlow() int {
 }
 
 func (l *Ledger) String() string {
-	return fmt.Sprintf("ledger{%d records, %d dropped}", len(l.records), l.dropped)
+	return fmt.Sprintf("ledger{%d records, %d dropped}", l.records.Len(), l.Dropped())
 }

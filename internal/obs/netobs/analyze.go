@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/units"
 )
 
@@ -153,11 +154,11 @@ func busyOver(busy []units.Time, window, after units.Time) int64 {
 
 // zeroWndTime sums the virtual time the series spent with SndWnd == 0
 // while data was pending (flight or the sample after shows activity).
-func zeroWndTime(samples []FlowSample) int64 {
+func zeroWndTime(samples *obs.Log[FlowSample]) int64 {
 	var total int64
-	for i := 0; i+1 < len(samples); i++ {
-		if samples[i].SndWnd == 0 {
-			total += samples[i+1].TNs - samples[i].TNs
+	for i := 0; i+1 < samples.Len(); i++ {
+		if s := samples.At(i); s.SndWnd == 0 {
+			total += samples.At(i+1).TNs - s.TNs
 		}
 	}
 	return total
@@ -194,11 +195,12 @@ func (r *Recorder) Analyze(mem []HostMem, opt Options) *Postmortem {
 			Node:    f.Node,
 			Port:    f.Port,
 			RPort:   f.RPort,
-			Samples: len(f.samples),
+			Samples: f.samples.Len(),
 			Digest:  f.digest(),
 			DstNode: -1,
 		}
-		for _, e := range f.rtxEvents {
+		for i := 0; i < f.rtxEvents.Len(); i++ {
+			e := f.rtxEvents.At(i)
 			if units.Time(e.TNs) < after {
 				continue
 			}
@@ -213,11 +215,11 @@ func (r *Recorder) Analyze(mem []HostMem, opt Options) *Postmortem {
 				v.Keepalives++
 			}
 		}
-		if n := len(f.samples); n > 0 {
-			v.LastCwnd = f.samples[n-1].Cwnd
-			v.LastRtoNs = f.samples[n-1].RtoNs
+		if n := f.samples.Len(); n > 0 {
+			v.LastCwnd = f.samples.At(n - 1).Cwnd
+			v.LastRtoNs = f.samples.At(n - 1).RtoNs
 		}
-		v.ZeroWndNs = zeroWndTime(f.samples)
+		v.ZeroWndNs = zeroWndTime(&f.samples)
 
 		// Wire join: the flow tag on tx frames is the sender's local
 		// port, so (node, port) finds this flow's bytes and its

@@ -155,11 +155,9 @@ type FlowRec struct {
 	Port  int // local port: the flow id carried in Frame.Flow on tx
 	RPort int // remote port
 
-	samples   []FlowSample
-	dropped   int64 // samples beyond maxFlowSamples
+	samples   obs.Log[FlowSample] // at most maxFlowSamples
 	rtx       [numRtxKinds]int64
-	rtxEvents []RtxEvent
-	rtxDrop   int64
+	rtxEvents obs.Log[RtxEvent] // at most maxRtxEvents
 }
 
 // Note records the connection state if it differs from the last recorded
@@ -171,8 +169,8 @@ func (f *FlowRec) Note(st FlowState) {
 		return
 	}
 	now := int64(f.rec.now())
-	if n := len(f.samples); n > 0 {
-		last := &f.samples[n-1]
+	if n := f.samples.Len(); n > 0 {
+		last := f.samples.At(n - 1)
 		if last.FlowState == st {
 			return
 		}
@@ -181,11 +179,7 @@ func (f *FlowRec) Note(st FlowState) {
 			return
 		}
 	}
-	if len(f.samples) >= maxFlowSamples {
-		f.dropped++
-		return
-	}
-	f.samples = append(f.samples, FlowSample{TNs: now, FlowState: st})
+	f.samples.Append(FlowSample{TNs: now, FlowState: st})
 }
 
 // Rtx records a retransmission-taxonomy event.
@@ -194,11 +188,7 @@ func (f *FlowRec) Rtx(kind RtxKind) {
 		return
 	}
 	f.rtx[kind]++
-	if len(f.rtxEvents) >= maxRtxEvents {
-		f.rtxDrop++
-		return
-	}
-	f.rtxEvents = append(f.rtxEvents, RtxEvent{TNs: int64(f.rec.now()), Kind: kind.String()})
+	f.rtxEvents.Append(RtxEvent{TNs: int64(f.rec.now()), Kind: kind.String()})
 }
 
 // digest is an FNV-1a hash over the sample rows, used by the postmortem to
@@ -212,8 +202,8 @@ func (f *FlowRec) digest() string {
 		}
 		h.Write(b[:])
 	}
-	for i := range f.samples {
-		s := &f.samples[i]
+	for i := 0; i < f.samples.Len(); i++ {
+		s := f.samples.At(i)
 		word(s.TNs)
 		word(s.Cwnd)
 		word(s.Ssthresh)
@@ -421,7 +411,8 @@ func (r *Recorder) Flow(host string, node, lport, rport int) *FlowRec {
 	if r == nil {
 		return nil
 	}
-	f := &FlowRec{rec: r, Host: host, Node: node, Port: lport, RPort: rport}
+	f := &FlowRec{rec: r, Host: host, Node: node, Port: lport, RPort: rport,
+		samples: obs.NewLog[FlowSample](maxFlowSamples), rtxEvents: obs.NewLog[RtxEvent](maxRtxEvents)}
 	r.flows = append(r.flows, f)
 	return f
 }
@@ -528,10 +519,10 @@ func (r *Recorder) Snapshot() *Dump {
 			Node:           f.Node,
 			Port:           f.Port,
 			RPort:          f.RPort,
-			Samples:        f.samples,
-			DroppedSamples: f.dropped,
-			Rtx:            f.rtxEvents,
-			DroppedRtx:     f.rtxDrop,
+			Samples:        f.samples.Slice(),
+			DroppedSamples: f.samples.Dropped(),
+			Rtx:            f.rtxEvents.Slice(),
+			DroppedRtx:     f.rtxEvents.Dropped(),
 			Digest:         f.digest(),
 		}
 		if fd.Samples == nil {

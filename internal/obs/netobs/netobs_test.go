@@ -72,8 +72,8 @@ func TestNetObsOnChangeSampling(t *testing.T) {
 	f.Note(st) // identical: deduped
 	c.t = 5 * units.Microsecond
 	f.Note(st) // still identical, even at a later time
-	if len(f.samples) != 1 {
-		t.Fatalf("unchanged state resampled: %d samples, want 1", len(f.samples))
+	if f.samples.Len() != 1 {
+		t.Fatalf("unchanged state resampled: %d samples, want 1", f.samples.Len())
 	}
 
 	// Two changes at the same instant coalesce into the final state.
@@ -81,10 +81,10 @@ func TestNetObsOnChangeSampling(t *testing.T) {
 	f.Note(st)
 	st.Cwnd = 3000
 	f.Note(st)
-	if len(f.samples) != 2 {
-		t.Fatalf("same-instant updates did not coalesce: %d samples, want 2", len(f.samples))
+	if f.samples.Len() != 2 {
+		t.Fatalf("same-instant updates did not coalesce: %d samples, want 2", f.samples.Len())
 	}
-	if got := f.samples[1]; got.TNs != int64(c.t) || got.Cwnd != 3000 {
+	if got := *f.samples.At(1); got.TNs != int64(c.t) || got.Cwnd != 3000 {
 		t.Fatalf("coalesced sample = %+v, want t=%d cwnd=3000", got, c.t)
 	}
 
@@ -92,8 +92,8 @@ func TestNetObsOnChangeSampling(t *testing.T) {
 	c.t = 9 * units.Microsecond
 	st.Flight = 42
 	f.Note(st)
-	if len(f.samples) != 3 || f.samples[2].Flight != 42 {
-		t.Fatalf("later change not appended: %+v", f.samples)
+	if f.samples.Len() != 3 || f.samples.At(2).Flight != 42 {
+		t.Fatalf("later change not appended: %+v", f.samples.Slice())
 	}
 }
 
@@ -105,11 +105,11 @@ func TestNetObsSampleCapCountsDrops(t *testing.T) {
 		c.t = units.Time(i+1) * units.Microsecond
 		f.Note(FlowState{Cwnd: int64(i + 1)})
 	}
-	if len(f.samples) != maxFlowSamples {
-		t.Fatalf("%d samples, want cap %d", len(f.samples), maxFlowSamples)
+	if f.samples.Len() != maxFlowSamples {
+		t.Fatalf("%d samples, want cap %d", f.samples.Len(), maxFlowSamples)
 	}
-	if f.dropped != 10 {
-		t.Fatalf("dropped=%d, want 10 (overflow must be counted, never silent)", f.dropped)
+	if f.samples.Dropped() != 10 {
+		t.Fatalf("dropped=%d, want 10 (overflow must be counted, never silent)", f.samples.Dropped())
 	}
 	if d := r.Snapshot(); d.Flows[0].DroppedSamples != 10 {
 		t.Fatalf("snapshot dropped_samples=%d, want 10", d.Flows[0].DroppedSamples)

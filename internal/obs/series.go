@@ -39,95 +39,120 @@ type column struct {
 // Series is one host's ring-buffered utilization time-series: a fixed set
 // of columns sampled together on a virtual-time tick. A nil *Series is a
 // valid no-op sink.
+//
+// The ring is flat: sample i is times[i] and the row vals[i*w:(i+1)*w],
+// w = len(cols), so a tick writes its row in place and allocates nothing.
+// The ring grows by doubling up to the set's capacity, then overwrites
+// the oldest sample; a short run never pays for the whole capacity.
 type Series struct {
 	host string
 	set  *SeriesSet
-	cols []*column
+	cols []column
 
-	// Ring buffer of samples, oldest first once wrapped.
 	times  []units.Time
-	vals   [][]int64
-	start  int
-	count  int
-	filled int64 // total samples ever taken (ring may have dropped some)
+	vals   []int64
+	start  int   // index of the oldest sample once the ring is full
+	filled int64 // total samples ever taken (the ring may have dropped some)
+}
+
+// seriesFirstRing is the number of samples a series makes room for at its
+// first tick.
+const seriesFirstRing = 64
+
+func (s *Series) add(c column) {
+	if s == nil {
+		return
+	}
+	if s.filled > 0 {
+		panic("obs: series column " + c.name + " registered after sampling began")
+	}
+	s.cols = append(s.cols, c)
 }
 
 // Level registers a column recording fn's value as-is at each tick.
 func (s *Series) Level(name string, fn func() int64) {
-	if s == nil {
-		return
-	}
-	s.cols = append(s.cols, &column{name: name, kind: KindLevel, fn: fn})
+	s.add(column{name: name, kind: KindLevel, fn: fn})
 }
 
 // Delta registers a column recording fn's advance since the previous tick.
 func (s *Series) Delta(name string, fn func() int64) {
-	if s == nil {
-		return
-	}
-	s.cols = append(s.cols, &column{name: name, kind: KindDelta, fn: fn})
+	s.add(column{name: name, kind: KindDelta, fn: fn})
 }
 
 // UtilPerMille registers a column recording the per-mille share of each
 // interval that the cumulative virtual-time counter fn advanced — the CPU
 // utilization shape (fn == busy ns ⇒ 1000 means fully busy).
 func (s *Series) UtilPerMille(name string, fn func() int64) {
-	if s == nil {
-		return
-	}
-	s.cols = append(s.cols, &column{name: name, kind: KindUtilPerMille, fn: fn})
+	s.add(column{name: name, kind: KindUtilPerMille, fn: fn})
 }
 
 // Peak registers a column recording g's per-interval high-water mark; each
 // tick reads the mark and Resets it.
 func (s *Series) Peak(name string, g *Gauge) {
-	if s == nil {
-		return
-	}
-	s.cols = append(s.cols, &column{name: name, kind: KindPeak, g: g})
+	s.add(column{name: name, kind: KindPeak, g: g})
 }
 
-// sample takes one row at virtual time now.
+// sample takes one row at virtual time now, into the next free ring slot
+// or over the oldest sample. Every column is written: a reused slot holds
+// an old row.
 func (s *Series) sample(now units.Time, interval units.Time) {
-	row := make([]int64, len(s.cols))
-	for i, c := range s.cols {
+	w := len(s.cols)
+	var row []int64
+	if n := len(s.times); n < s.set.capacity {
+		if n == cap(s.times) {
+			s.grow()
+		}
+		s.times = append(s.times, now)
+		s.vals = s.vals[:(n+1)*w]
+		row = s.vals[n*w:]
+	} else {
+		s.times[s.start] = now
+		row = s.vals[s.start*w : (s.start+1)*w]
+		s.start = (s.start + 1) % n
+	}
+	for i := range s.cols {
+		c := &s.cols[i]
+		var v int64
 		switch c.kind {
 		case KindLevel:
-			row[i] = c.fn()
+			v = c.fn()
 		case KindDelta:
-			v := c.fn()
-			row[i] = v - c.prev
-			c.prev = v
+			cur := c.fn()
+			v = cur - c.prev
+			c.prev = cur
 		case KindUtilPerMille:
-			v := c.fn()
-			d := v - c.prev
-			c.prev = v
+			cur := c.fn()
+			d := cur - c.prev
+			c.prev = cur
 			if interval > 0 {
-				row[i] = d * 1000 / int64(interval)
+				v = d * 1000 / int64(interval)
 			}
 			// CPU accounting posts in scheduler-quantum chunks, so one
 			// interval can observe more accrual than its own span (the
 			// next observes correspondingly less). Clamp: the column is a
 			// utilization, not a conservation ledger.
-			if row[i] > 1000 {
-				row[i] = 1000
+			if v > 1000 {
+				v = 1000
 			}
 		case KindPeak:
-			row[i] = c.g.IntervalHighWater()
+			v = c.g.IntervalHighWater()
 			c.g.Reset()
 		}
-	}
-	if len(s.times) < cap(s.times) {
-		s.times = append(s.times, now)
-		s.vals = append(s.vals, row)
-		s.count++
-	} else {
-		// Ring full: overwrite the oldest sample.
-		s.times[s.start] = now
-		s.vals[s.start] = row
-		s.start = (s.start + 1) % len(s.times)
+		row[i] = v
 	}
 	s.filled++
+}
+
+// grow doubles the ring's room (seriesFirstRing at first), up to the
+// set's capacity. It runs only while the ring has not yet wrapped, so the
+// samples stay in order.
+func (s *Series) grow() {
+	n := min(max(2*cap(s.times), seriesFirstRing), s.set.capacity)
+	times := make([]units.Time, len(s.times), n)
+	copy(times, s.times)
+	vals := make([]int64, len(s.vals), n*len(s.cols))
+	copy(vals, s.vals)
+	s.times, s.vals = times, vals
 }
 
 // SeriesSet owns the per-host series of one testbed, all sampled on the
@@ -172,9 +197,7 @@ func (ss *SeriesSet) Series(host string) *Series {
 			return s
 		}
 	}
-	s := &Series{host: host, set: ss,
-		times: make([]units.Time, 0, ss.capacity),
-		vals:  make([][]int64, 0, ss.capacity)}
+	s := &Series{host: host, set: ss}
 	ss.series = append(ss.series, s)
 	return s
 }
@@ -232,17 +255,22 @@ func (ss *SeriesSet) Snapshot() SeriesSnapshot {
 	}
 	snap := SeriesSnapshot{IntervalNs: int64(ss.interval)}
 	for _, s := range ss.series {
-		hs := HostSeries{Host: s.host, Dropped: s.filled - int64(s.count)}
+		n, w := len(s.times), len(s.cols)
+		hs := HostSeries{Host: s.host, Dropped: s.filled - int64(n)}
 		for _, c := range s.cols {
 			hs.Columns = append(hs.Columns, c.name)
 		}
-		n := len(s.times)
-		for i := 0; i < n; i++ {
+		if n > 0 {
+			hs.Samples = make([]SeriesSample, n)
+		}
+		vals := make([]int64, 0, len(s.vals))
+		for i := range hs.Samples {
 			j := (s.start + i) % n
-			hs.Samples = append(hs.Samples, SeriesSample{
-				TNs: int64(s.times[j]),
-				V:   append([]int64(nil), s.vals[j]...),
-			})
+			hs.Samples[i].TNs = int64(s.times[j])
+			if w > 0 {
+				vals = append(vals, s.vals[j*w:(j+1)*w]...)
+				hs.Samples[i].V = vals[i*w : (i+1)*w : (i+1)*w]
+			}
 		}
 		snap.Hosts = append(snap.Hosts, hs)
 	}

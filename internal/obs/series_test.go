@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/units"
 )
 
@@ -191,4 +192,104 @@ func TestSeriesSnapshotDeterministicAndCSV(t *testing.T) {
 	if !strings.Contains(csv, "A,10000,1\n") || !strings.Contains(csv, "B,20000,1\n") {
 		t.Fatalf("csv rows:\n%s", csv)
 	}
+}
+
+// allKinds registers one column of every kind on host h of ss.
+func allKinds(ss *SeriesSet, h string, v *int64, g *Gauge) {
+	s := ss.Series(h)
+	s.Level("level", func() int64 { return *v })
+	s.Delta("delta", func() int64 { return *v })
+	s.UtilPerMille("util", func() int64 { return *v })
+	s.Peak("peak", g)
+}
+
+// TestSeriesSampleAllocNothing pins the sampler's tick: after the first
+// row a tick writes in place and allocates nothing, also once the ring has
+// wrapped, and a ring grows by doubling, so filling a 4096-sample ring
+// allocates seven times per slice (64, 128, …, 4096), not once per tick.
+func TestSeriesSampleAllocNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	var v int64
+	var g Gauge
+	ss := NewSeriesSet(units.Microsecond, seriesFirstRing)
+	allKinds(ss, "A", &v, &g)
+	allKinds(ss, "B", &v, &g)
+	now := units.Time(0)
+	tick := func() {
+		now += units.Microsecond
+		v += 37
+		g.Set(v % 11)
+		ss.Sample(now)
+	}
+	tick()
+	if n := testing.AllocsPerRun(3*seriesFirstRing, tick); n != 0 {
+		t.Fatalf("a tick allocated %v times, want 0", n)
+	}
+	if h := ss.Snapshot().Hosts[0]; h.Dropped == 0 || len(h.Samples) != seriesFirstRing {
+		t.Fatalf("ring never wrapped: %d samples, %d dropped", len(h.Samples), h.Dropped)
+	}
+
+	const capacity = 4096
+	sets := make([]*SeriesSet, 3) // AllocsPerRun's warm-up run and two measured ones
+	for i := range sets {
+		sets[i] = NewSeriesSet(units.Microsecond, capacity)
+		allKinds(sets[i], "A", &v, &g)
+	}
+	k := 0
+	if n := testing.AllocsPerRun(2, func() {
+		for i := 1; i <= 2*capacity; i++ {
+			sets[k].Sample(units.Time(i))
+		}
+		k++
+	}); n != 14 {
+		t.Fatalf("filling a %d-sample ring allocated %v times, want 14 (7 rings × times and values)", capacity, n)
+	}
+}
+
+// TestSeriesRingStartsSmall: a series makes room for 64 samples at its
+// first tick, not for the set's whole capacity.
+func TestSeriesRingStartsSmall(t *testing.T) {
+	ss := NewSeriesSet(units.Microsecond, 0)
+	s := ss.Series("A")
+	s.Level("x", func() int64 { return 1 })
+	ss.Sample(units.Microsecond)
+	if cap(s.times) != seriesFirstRing || cap(s.vals) != seriesFirstRing {
+		t.Fatalf("first tick reserved %d samples (%d values), want %d", cap(s.times), cap(s.vals), seriesFirstRing)
+	}
+}
+
+// TestSeriesWrappedRowsFullyWritten: a wrapped ring reuses the oldest
+// row's storage, so every column must be written on every tick — also a
+// utilization column on a zero interval, which reads 0.
+func TestSeriesWrappedRowsFullyWritten(t *testing.T) {
+	ss := NewSeriesSet(0, 2)
+	s := ss.Series("A")
+	v := int64(0)
+	s.Level("x", func() int64 { return v })
+	s.UtilPerMille("u", func() int64 { return v * 1000 })
+	s.Level("y", func() int64 { return -v })
+	for v = 1; v <= 5; v++ {
+		ss.Sample(units.Time(v))
+	}
+	got := ss.Snapshot().CSV()
+	if want := "host,t_ns,x,u,y\nA,4,4,0,-4\nA,5,5,0,-5\n"; got != want {
+		t.Fatalf("wrapped rows:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestSeriesColumnAfterSamplingPanics: a row's width is fixed by the first
+// tick.
+func TestSeriesColumnAfterSamplingPanics(t *testing.T) {
+	ss := NewSeriesSet(units.Microsecond, 0)
+	s := ss.Series("A")
+	s.Level("x", func() int64 { return 1 })
+	ss.Sample(units.Microsecond)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a column registered after the first tick was accepted")
+		}
+	}()
+	s.Level("late", func() int64 { return 2 })
 }

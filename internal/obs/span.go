@@ -43,8 +43,7 @@ const maxTraceEvents = 1 << 20
 type Trace struct {
 	now       func() units.Time
 	nextID    int64
-	events    []chromeEvent
-	dropped   int64
+	events    Log[chromeEvent]
 	spans     int64
 	latency   Histogram
 	stageTime [numStages]units.Time
@@ -71,7 +70,7 @@ func (t *Trace) Crit() *CritRec {
 
 // NewTrace returns a trace clocked by now.
 func NewTrace(now func() units.Time) *Trace {
-	return &Trace{now: now}
+	return &Trace{now: now, events: NewLog[chromeEvent](maxTraceEvents)}
 }
 
 // chromeEvent is one Chrome trace-event: "X" complete events for stages,
@@ -105,14 +104,6 @@ type evArgs struct {
 
 func micros(t units.Time) float64 { return float64(t) / float64(units.Microsecond) }
 
-func (t *Trace) emit(ev chromeEvent) {
-	if len(t.events) >= maxTraceEvents {
-		t.dropped++
-		return
-	}
-	t.events = append(t.events, ev)
-}
-
 // Event emits an instant event (Chrome "i" phase) on pid's timeline —
 // point occurrences like injected faults that have no duration. A nil
 // *Trace is a no-op.
@@ -120,7 +111,7 @@ func (t *Trace) Event(pid, tid, name string) {
 	if t == nil {
 		return
 	}
-	t.emit(chromeEvent{Name: name, Ph: "i", TS: micros(t.now()), PID: pid, TID: tid})
+	t.events.Append(chromeEvent{Name: name, Ph: "i", TS: micros(t.now()), PID: pid, TID: tid})
 }
 
 // Seg is the identity of the data segment a span carries. It is the
@@ -266,12 +257,12 @@ func (s *Span) EnterOn(stage Stage, host string) {
 		} else {
 			s.closeStage(at)
 			ts := micros(at)
-			s.tr.emit(chromeEvent{
+			s.tr.events.Append(chromeEvent{
 				Name: "xfer", Ph: "s", Cat: "dataflow", ID: s.id, TS: ts,
 				PID: s.host, TID: stageNames[s.cur], Args: s.args(),
 			})
 			s.host = host
-			s.tr.emit(chromeEvent{
+			s.tr.events.Append(chromeEvent{
 				Name: "xfer", Ph: "f", Cat: "dataflow", ID: s.id, BP: "e", TS: ts,
 				PID: s.host, TID: stageNames[stage], Args: s.args(),
 			})
@@ -297,7 +288,7 @@ func (s *Span) closeStage(end units.Time) {
 	t := s.tr
 	t.stageTime[s.cur] += d
 	t.stageN[s.cur]++
-	t.emit(chromeEvent{
+	t.events.Append(chromeEvent{
 		Name: stageNames[s.cur], Ph: "X",
 		TS: micros(s.curStart), Dur: micros(d),
 		PID: s.host, TID: stageNames[s.cur],
@@ -374,7 +365,7 @@ func (t *Trace) Stats() SpanStats {
 	if t == nil {
 		return SpanStats{}
 	}
-	s := SpanStats{Spans: t.spans, Latency: t.latency.Snapshot(), DroppedEvents: t.dropped}
+	s := SpanStats{Spans: t.spans, Latency: t.latency.Snapshot(), DroppedEvents: t.events.Dropped()}
 	for st := Stage(0); st < numStages; st++ {
 		if t.stageN[st] == 0 {
 			continue

@@ -12,9 +12,14 @@ import (
 	"repro/internal/wire"
 )
 
-func run(t *testing.T, mode socket.Mode, total, rw units.Size) ttcp.Result {
+// run moves total bytes in rw-sized writes between two hosts; enable,
+// when set, turns recorders on before the hosts are added.
+func run(t *testing.T, mode socket.Mode, total, rw units.Size, enable func(*core.Testbed)) ttcp.Result {
 	t.Helper()
 	tb := core.NewTestbed(7)
+	if enable != nil {
+		enable(tb)
+	}
 	a := tb.AddHost(core.HostConfig{Name: "A", Addr: wire.Addr(0x0a000001), Mode: mode, CABNode: 1})
 	b := tb.AddHost(core.HostConfig{Name: "B", Addr: wire.Addr(0x0a000002), Mode: mode, CABNode: 2})
 	tb.RouteCAB(a, b)
@@ -24,8 +29,8 @@ func run(t *testing.T, mode socket.Mode, total, rw units.Size) ttcp.Result {
 }
 
 func TestSmoke(t *testing.T) {
-	un := run(t, socket.ModeUnmodified, 8*units.MB, 64*units.KB)
-	sc := run(t, socket.ModeSingleCopy, 8*units.MB, 64*units.KB)
+	un := run(t, socket.ModeUnmodified, 8*units.MB, 64*units.KB, nil)
+	sc := run(t, socket.ModeSingleCopy, 8*units.MB, 64*units.KB, nil)
 	t.Logf("unmod: %v", un)
 	t.Logf("  breakdown: %v", un.Snd.Breakdown)
 	t.Logf("single: %v", sc)
@@ -62,13 +67,13 @@ func TestUDPSmoke(t *testing.T) {
 // marginal returns what moving payload costs the host in allocation:
 // bytes allocated per payload byte, and heap objects per 32 KB data
 // segment. Differencing a 32 MB against a 16 MB transfer cancels testbed
-// set-up (address spaces, socket buffers).
-func marginal(t *testing.T, mode socket.Mode) (perByte, perSeg float64) {
+// set-up (address spaces, socket buffers). enable is passed on to run.
+func marginal(t *testing.T, mode socket.Mode, enable func(*core.Testbed)) (perByte, perSeg float64) {
 	t.Helper()
 	allocated := func(total units.Size) (bytes, objects uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		run(t, mode, total, 64*units.KB)
+		run(t, mode, total, 64*units.KB, enable)
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
@@ -87,7 +92,7 @@ func marginal(t *testing.T, mode socket.Mode) (perByte, perSeg float64) {
 // per-packet bookkeeping. The limit is 0.25 bytes allocated per payload
 // byte; three fresh buffers per packet cost about 3.9.
 func TestSingleCopyAllocationBudget(t *testing.T) {
-	if perByte, _ := marginal(t, socket.ModeSingleCopy); perByte > 0.25 {
+	if perByte, _ := marginal(t, socket.ModeSingleCopy, nil); perByte > 0.25 {
 		t.Fatalf("%.3f host bytes allocated per payload byte, budget 0.25", perByte)
 	}
 }
@@ -105,7 +110,7 @@ func TestSingleCopyMallocBudget(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	const budget = 2.53 * 1.1
-	if _, perSeg := marginal(t, socket.ModeSingleCopy); perSeg > budget {
+	if _, perSeg := marginal(t, socket.ModeSingleCopy, nil); perSeg > budget {
 		t.Fatalf("%.1f heap objects per 32 KB data segment, budget %.1f", perSeg, budget)
 	}
 }
@@ -119,7 +124,37 @@ func TestUnmodifiedAllocationBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	if perByte, _ := marginal(t, socket.ModeUnmodified); perByte > 0.5 {
+	if perByte, _ := marginal(t, socket.ModeUnmodified, nil); perByte > 0.5 {
 		t.Fatalf("%.3f host bytes allocated per payload byte, budget 0.5", perByte)
+	}
+}
+
+// allRecorders turns on every recorder the bulk_recorders benchmark runs:
+// telemetry, the causal recorder, the profiler, the ledger, netobs and the
+// utilization series.
+func allRecorders(tb *core.Testbed) {
+	tb.EnableTelemetry()
+	tb.EnableCritPath()
+	tb.EnableProfiling()
+	tb.EnableLedger()
+	tb.EnableNetObs()
+	tb.EnableSeries(0)
+}
+
+// TestRecordersMallocBudget pins the heap objects one 32 KB data segment
+// costs on the single-copy path with every recorder on, at the measured
+// 4.8 plus 10 %. That is the bare path's 2.53 plus the trace's per-packet
+// objects (the spans, and the mbuf headers that carry some of them); the
+// records themselves cost next to nothing:
+// the recorders' logs grow in chunks that are never copied, and the
+// series sampler writes each tick into its ring in place. With logs that
+// were slices grown by append and a fresh row per tick it was 57.
+func TestRecordersMallocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const budget = 4.8 * 1.1
+	if _, perSeg := marginal(t, socket.ModeSingleCopy, allRecorders); perSeg > budget {
+		t.Fatalf("%.1f heap objects per 32 KB data segment with every recorder on, budget %.1f", perSeg, budget)
 	}
 }
