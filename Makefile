@@ -19,15 +19,16 @@ race:
 # The allocation pins (tests named *Alloc* or *Budget*: zero-allocation
 # walks, mallocs per event and per segment, bytes per payload byte) without
 # the race detector. Under -race they skip — the detector allocates on its
-# own and sync.Pool drops items at random — so `race` never runs them.
+# own — so `race` never runs them.
 allocs:
 	$(GO) test -count 1 -run 'Alloc|Budget' ./...
 
-# Every Fuzz* target for ten seconds on top of its committed seed corpus
-# (testdata/fuzz next to the test): the fault-plan and topology grammars
-# never panic and reject bad specs with positional errors, and the mbuf
-# chain operations agree with a flat-slice model on a pool in check mode.
-# A failing input is written to that corpus; commit it with the fix.
+# Every Fuzz* target under internal/ for ten seconds on top of its
+# committed seed corpus (testdata/fuzz next to the test). The targets are
+# found by name, so a new one runs without an edit here: parsers must
+# reject bad input with an error and never panic, data-path operations
+# must agree with a simple model on pools in check mode and leak no
+# buffer. A failing input is written to that corpus; commit it with the fix.
 fuzz:
 	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal); do \
 		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \

@@ -65,14 +65,14 @@ func (c *CAB) mdmaNext() {
 			// may already be another packet's.
 			continue
 		}
-		e.span.CritEv(obs.CauseQueue, "mdma_start")
+		e.span.CritEv(obs.CauseQueue, obs.EvMDMAStart)
 		// The MDMA engine reads the packet out of network memory as the
 		// frame serializes; copy the bytes so the host may overlay a new
 		// header (retransmit) without racing the in-flight frame. The copy
 		// is the frame's own: the receiving adaptor keeps it.
 		data := c.net.Bufs.Get(int(e.pkt.Len()))
 		copy(data, e.pkt.buf)
-		c.Led.TouchP(e.span, 0, e.pkt.Len(), ledger.MDMATx, "mdma", 0)
+		c.Led.TouchP(e.span, 0, e.pkt.Len(), ledger.MDMATx, ledger.LayerMDMA, 0)
 		c.txCur = e
 		c.net.SendFrame(hippi.Frame{Src: c.nodeID, Dst: e.dst, Data: data, Span: e.span, Flow: e.pkt.flow},
 			c.sentFn)
@@ -102,7 +102,7 @@ func (c *CAB) frameSent() { c.eng.AfterKind(0, sim.KindProc, c.mdmaSentFn) }
 func (c *CAB) mdmaSent() {
 	e := c.txCur
 	c.txCur = txEntry{}
-	e.span.CritEv(obs.CauseWire, "mdma_xmit")
+	e.span.CritEv(obs.CauseWire, obs.EvMDMAXmit)
 	c.Stats.TxPackets++
 	if e.done != nil {
 		e.done(e.pkt)
@@ -152,8 +152,8 @@ type heldRx struct {
 // and the host is notified (Section 2.2).
 func (c *CAB) rxFrame(f hippi.Frame) {
 	f.Span.EnterOn(obs.StageMDMA, c.Host)
-	f.Span.CritEv(obs.CauseWire, "wire_rx")
-	c.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.MDMARx, "mdma", 0)
+	f.Span.CritEv(obs.CauseWire, obs.EvWireRx)
+	c.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.MDMARx, ledger.LayerMDMA, 0)
 	if c.Arb != nil {
 		c.rxFrameArb(f)
 		return
@@ -200,7 +200,7 @@ func (c *CAB) rxHoldPump() {
 		h := &c.rxHold[0]
 		if c.tryRx(h.f) {
 			// The frame was held on the link waiting for adaptor memory.
-			h.f.Span.CritEv(obs.CauseNetmem, "rx_admit")
+			h.f.Span.CritEv(obs.CauseNetmem, obs.EvRxAdmit)
 			c.rxHold = c.rxHold[1:]
 			continue
 		}
@@ -239,7 +239,7 @@ func (c *CAB) rxHoldPumpArb() {
 			}
 			h := &q[0]
 			if c.tryRx(h.f) {
-				h.f.Span.CritEv(obs.CauseNetmem, "rx_admit")
+				h.f.Span.CritEv(obs.CauseNetmem, obs.EvRxAdmit)
 			} else {
 				c.Stats.RxRetries++
 				if h.attempts++; h.attempts < rxRetryLimit {
@@ -340,7 +340,7 @@ type rxState struct {
 // SDMADone: the head is in the host buffer; notify the host.
 func (st *rxState) SDMADone(*SDMAReq) {
 	c, ev := st.c, &st.ev
-	c.Led.TouchP(ev.Span, 0, ev.HdrLen, ledger.SDMAToHost, "sdma", ledger.FlagAutoDMA)
+	c.Led.TouchP(ev.Span, 0, ev.HdrLen, ledger.SDMAToHost, ledger.LayerSDMA, ledger.FlagAutoDMA)
 	if c.OnRx == nil {
 		ev.Pkt.Free()
 		ev.Done()
@@ -374,8 +374,8 @@ func (c *CAB) rxDeliverDirect(f hippi.Frame) {
 	c.Stats.RxHdrDeliveries++
 	span := f.Span
 	c.eng.AfterKind(c.Mach.DMATime(n), sim.KindDMA, func() {
-		c.Led.TouchP(span, 0, n, ledger.SDMAToHost, "sdma", ledger.FlagAutoDMA)
-		span.CritEv(obs.CauseDMA, "auto_dma")
+		c.Led.TouchP(span, 0, n, ledger.SDMAToHost, ledger.LayerSDMA, ledger.FlagAutoDMA)
+		span.CritEv(obs.CauseDMA, obs.EvAutoDMA)
 		if c.OnRx == nil {
 			return
 		}

@@ -132,7 +132,7 @@ func (c *CAB) sdmaNext() {
 		c.sdmaQ.WaitFunc(c.sdmaNextFn)
 		return
 	}
-	req.Span.CritEv(obs.CauseQueue, "sdma_start")
+	req.Span.CritEv(obs.CauseQueue, obs.EvSDMAStart)
 	c.sdmaCur = req
 	c.eng.AfterKind(c.Mach.DMATime(req.bytes()), sim.KindProc, c.sdmaDoneFn)
 }
@@ -173,12 +173,12 @@ func (c *CAB) sdmaDone() {
 				if req.Csum {
 					fl = ledger.FlagCsumFlight
 				}
-				c.Led.TouchP(req.Span, 0, req.Pkt.Len(), ledger.SDMAToNet, "sdma", fl)
+				c.Led.TouchP(req.Span, 0, req.Pkt.Len(), ledger.SDMAToNet, ledger.LayerSDMA, fl)
 			}
 		case ToHost:
 			c.performToHost(req)
 		}
-		req.Span.CritEv(obs.CauseDMA, "sdma_done")
+		req.Span.CritEv(obs.CauseDMA, obs.EvSDMADone)
 		if req.Owner != nil {
 			req.Owner.SDMADone(req)
 		}

@@ -269,7 +269,7 @@ type copyReq struct {
 
 // SDMADone implements cab.SDMAOwner.
 func (r *copyReq) SDMADone(*cab.SDMAReq) {
-	r.d.C.Led.TouchP(r.span, r.off, r.n, ledger.SDMAToHost, "sdma", 0)
+	r.d.C.Led.TouchP(r.span, r.off, r.n, ledger.SDMAToHost, ledger.LayerSDMA, 0)
 	r.d.endCopy(r, nil)
 }
 
@@ -398,7 +398,7 @@ func (d *Driver) Output(ctx kern.Ctx, m *mbuf.Mbuf, dst netif.LinkAddr) {
 		d.Stats.Converted++
 		m = netif.ConvertForLegacy(ctx, m)
 	}
-	m.Span().CritEv(obs.CauseCPU, "txq_put")
+	m.Span().CritEv(obs.CauseCPU, obs.EvTxqPut)
 	job := d.txJobs.Get()
 	*job = txJob{d: d, m: m, dst: dst}
 	d.txQ.Put(job)
@@ -410,7 +410,7 @@ func (d *Driver) Output(ctx kern.Ctx, m *mbuf.Mbuf, dst netif.LinkAddr) {
 func (d *Driver) txd(p *sim.Proc) {
 	for {
 		job := d.txQ.Get(p)
-		job.m.Span().CritEv(obs.CauseQueue, "txq_get")
+		job.m.Span().CritEv(obs.CauseQueue, obs.EvTxqGet)
 		if d.SingleCopy {
 			d.sendSingleCopy(p, job)
 		} else {
@@ -443,7 +443,7 @@ func (d *Driver) sendSingleCopy(p *sim.Proc, job *txJob) {
 	pk := d.C.AllocPacketWaitFlow(p, pktLen, hdrFlow(hdrH))
 	if d.K.Eng.Now() > t0 {
 		// The allocation blocked on network memory (or its arbiter).
-		m.Span().CritEv(obs.CauseNetmem, "netmem_tx")
+		m.Span().CritEv(obs.CauseNetmem, obs.EvNetmemTx)
 	}
 	// The allocation may have blocked; the connection can tear down (or a
 	// firmware reset can wipe referenced outboard packets) in the meantime.
@@ -481,7 +481,7 @@ func (d *Driver) sendSingleCopy(p *sim.Proc, job *txJob) {
 			d.Stats.TxFallbackReads++
 			b := make([]byte, cur.Len())
 			copy(b, w.Handle.Read(cur.Off(), cur.Len()))
-			d.K.Led.TouchP(m.Span(), pkOff, cur.Len(), ledger.CPUCopy, "cabdrv", 0)
+			d.K.Led.TouchP(m.Span(), pkOff, cur.Len(), ledger.CPUCopy, ledger.LayerCabdrv, 0)
 			gather = append(gather, b)
 		}
 		pkOff += cur.Len()
@@ -720,7 +720,7 @@ func (d *Driver) sendLegacy(p *sim.Proc, job *txJob) {
 	t0 := d.K.Eng.Now()
 	pk := d.C.AllocPacketWaitFlow(p, pktLen, hdrFlow(m.Hdr()))
 	if d.K.Eng.Now() > t0 {
-		m.Span().CritEv(obs.CauseNetmem, "netmem_tx")
+		m.Span().CritEv(obs.CauseNetmem, obs.EvNetmemTx)
 	}
 
 	gather := d.linkHdr(job, pktLen)

@@ -37,7 +37,7 @@ func (d *Driver) rxIntr(ctx kern.Ctx, ev *cab.RxEvent) {
 	ctx.Charge(d.K.Mach.DriverPerPacket, kern.CatDriver)
 	d.Stats.RxPackets++
 	ev.Span.Enter(obs.StageDeliver)
-	ev.Span.CritEv(obs.CauseIntr, "rx_intr")
+	ev.Span.CritEv(obs.CauseIntr, obs.EvRxIntr)
 
 	lh, err := wire.ParseLinkHdr(ev.Buf[:wire.LinkHdrLen])
 	if err != nil || lh.Type != wire.EtherTypeIP {
@@ -138,7 +138,7 @@ type legacyRx struct {
 // SDMADone implements cab.SDMAOwner: the chain is complete; pass it up.
 func (b *legacyRx) SDMADone(req *cab.SDMAReq) {
 	d := b.d
-	d.C.Led.TouchP(b.span, b.off, b.n, ledger.SDMAToHost, "sdma", 0)
+	d.C.Led.TouchP(b.span, b.off, b.n, ledger.SDMAToHost, ledger.LayerSDMA, 0)
 	req.Pkt.Free()
 	d.rxBodies.Put(b.head)
 	d.legacyRxs.Put(b)

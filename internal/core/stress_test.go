@@ -144,7 +144,7 @@ func TestRxHoldRetryPreservesProvenance(t *testing.T) {
 	// byte ranges uncovered.
 	audit := led.Audit(flow, total)
 	for _, tc := range audit.PerByte(func(r ledger.Record) bool {
-		return r.Host == "B" && (r.Kind == ledger.SDMAToHost || r.Kind == ledger.CPUCopy)
+		return led.Name(r.Host) == "B" && (r.Kind == ledger.SDMAToHost || r.Kind == ledger.CPUCopy)
 	}) {
 		if tc.N == 0 {
 			t.Fatalf("bytes [%d,%d) were delivered with no attributed record: provenance lost across the rx-hold retry",

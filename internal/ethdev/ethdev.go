@@ -97,7 +97,7 @@ func (d *Driver) txd(p *sim.Proc) {
 		mbuf.FreeChain(job.m)
 		// Device DMA from kernel buffers occupies the bus.
 		p.Sleep(d.K.Mach.DMATime(units.Size(len(frame))))
-		d.K.Led.TouchP(sp, 0, units.Size(len(frame)), ledger.SDMAToNet, "ethdev", 0)
+		d.K.Led.TouchP(sp, 0, units.Size(len(frame)), ledger.SDMAToNet, ledger.LayerEthdev, 0)
 		sent := sim.NewSignal(d.K.Eng)
 		d.net.SendFrame(hippi.Frame{Src: d.id, Dst: hippi.NodeID(job.dst), Data: frame, Span: sp},
 			func() { sent.Broadcast() })
@@ -145,7 +145,7 @@ func (d *Driver) hwRx(f hippi.Frame) {
 		head.MarkPktHdr(units.Size(len(payload)))
 		// The device DMAed the frame into the kernel buffers just built.
 		f.Span.DropTrace()
-		d.K.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.SDMAToHost, "ethdev", 0)
+		d.K.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.SDMAToHost, ledger.LayerEthdev, 0)
 		head.AttachSpan(f.Span)
 		d.Input(ctx, head, d)
 	})

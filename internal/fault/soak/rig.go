@@ -283,8 +283,9 @@ func (w *flows) send(p *sim.Proc, r *rig, f int) {
 	for off := units.Size(0); off < w.total; {
 		n := min(w.rw, w.total-off)
 		chunk := buf.Slice(flowHdrLen, n)
-		for i := range chunk.Bytes() {
-			chunk.Bytes()[i] = patternF(f, off+units.Size(i))
+		b := chunk.Bytes()
+		for i := range b {
+			b[i] = patternF(f, off+units.Size(i))
 		}
 		if err := s.WriteAll(p, chunk); err != nil {
 			fail(fmt.Sprintf("write at %v", off), err)

@@ -209,8 +209,9 @@ func (r *rig) runTCP(c Case, o *Outcome) {
 		for r.sent < c.Total {
 			n := min(c.RWSize, c.Total-r.sent)
 			w := buf.Slice(0, n)
-			for i := range w.Bytes() {
-				w.Bytes()[i] = pattern(r.sent + units.Size(i))
+			b := w.Bytes()
+			for i := range b {
+				b[i] = pattern(r.sent + units.Size(i))
 			}
 			if err := s.WriteAll(p, w); err != nil {
 				o.failf("progress: write at %v: %v", r.sent, err)

@@ -217,7 +217,7 @@ func (n *Network) hop(fl *flight, sw, dstSw SwitchID) {
 // last one to the host port once the frame has reached the destination's
 // switch, exactly as the single-switch tail does.
 func (n *Network) crossedTrunk(fl *flight) {
-	n.Led.TouchP(fl.f.Span, 0, units.Size(len(fl.f.Data)), ledger.WireTransit, "wire", 0)
+	n.Led.TouchP(fl.f.Span, 0, units.Size(len(fl.f.Data)), ledger.WireTransit, ledger.LayerWire, 0)
 	if fl.at != fl.dstSw {
 		n.hop(fl, fl.at, fl.dstSw)
 		return

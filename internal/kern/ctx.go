@@ -31,10 +31,10 @@ type Ctx struct {
 	// copy/checksum primitives record their byte ranges through seg the
 	// way a device maps a packet through its span's Seg, with buffer
 	// offsets in place of packet offsets. Its zero value (Len 0) counts
-	// every touch as unattributed. layer is the most recent In frame,
-	// carried even when profiling is off so ledger records name the layer
-	// that touched the bytes.
-	layer string
+	// every touch as unattributed. layer is the most recent In frame as
+	// bound in the ledger's name table, carried even when profiling is off
+	// so ledger records name the layer that touched the bytes.
+	layer obs.Name
 	seg   obs.Seg
 }
 
@@ -62,7 +62,7 @@ func (c Ctx) base() *prof.Node {
 // result is attributed to layer under this context's stack. Free (nil
 // node chain) when profiling is disabled.
 func (c Ctx) In(layer string) Ctx {
-	c.layer = layer
+	c.layer = c.K.Led.Layer(layer)
 	n := c.node
 	if n == nil {
 		if c.K.Prof == nil {

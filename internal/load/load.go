@@ -222,6 +222,7 @@ func (s Scenario) maxSizes() (req, resp units.Size) {
 // sized to exactly this because their backing is live heap: idle slack
 // raises the collector's goal, and with it how far touched garbage grows
 // before a cycle, by an amount that varies with when the pacer fires.
+// ttcp sizes its task spaces the same way (DESIGN §6).
 func (s Scenario) spaceNeed(udp bool) (client, server units.Size) {
 	maxReq, maxResp := s.maxSizes()
 	if udp {

@@ -44,7 +44,7 @@ func (l *Loopback) Output(ctx kern.Ctx, m *mbuf.Mbuf, dst netif.LinkAddr) {
 		m = netif.ConvertForLegacy(ctx, m)
 	}
 	l.TxPackets++
-	l.K.Led.TouchP(m.Span(), wire.LinkHdrLen, mbuf.ChainLen(m), ledger.WireTransit, "loop", 0)
+	l.K.Led.TouchP(m.Span(), wire.LinkHdrLen, mbuf.ChainLen(m), ledger.WireTransit, ledger.LayerLoop, 0)
 	l.K.PostIntr("lo-rx", func(p *sim.Proc) {
 		l.Input(l.K.IntrCtx(p).In("loop"), m, l)
 	})

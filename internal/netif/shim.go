@@ -32,7 +32,7 @@ func ConvertForLegacy(ctx kern.Ctx, m *mbuf.Mbuf) *mbuf.Mbuf {
 	// The chain is a network-layer packet: its byte 0 sits at the link
 	// header's end in wire coordinates.
 	sp := m.Span()
-	ctx.K.Led.TouchP(sp, wire.LinkHdrLen, total, ledger.CPUCopy, "shim", 0)
+	ctx.K.Led.TouchP(sp, wire.LinkHdrLen, total, ledger.CPUCopy, ledger.LayerShim, 0)
 
 	// Rebuild as cluster mbufs.
 	var head, tail *mbuf.Mbuf

@@ -129,14 +129,14 @@ func walk(r *obs.CritRec, altTo map[int32][]obs.CritAlt, done int32) Path {
 	}
 	d := r.Event(done)
 	path := Path{
-		Done: done, Kind: d.Kind, Host: d.Host, Flow: d.Flow,
+		Done: done, Kind: d.Kind.String(), Host: r.Name(d.Host), Flow: d.Flow,
 		Bytes: d.Len, End: d.T,
 	}
 	for i := len(rev) - 1; i >= 0; i-- {
 		id := rev[i]
 		e := r.Event(id)
 		s := Step{
-			Ev: id, Kind: e.Kind, Host: e.Host, Flow: e.Flow,
+			Ev: id, Kind: e.Kind.String(), Host: r.Name(e.Host), Flow: e.Flow,
 			Off: e.Off, Len: e.Len, Cause: e.Cause, T: e.T,
 		}
 		if i == len(rev)-1 { // root
@@ -150,7 +150,7 @@ func walk(r *obs.CritRec, altTo map[int32][]obs.CritAlt, done int32) Path {
 					from := r.Event(a.From)
 					path.Slack = append(path.Slack, SlackEdge{
 						From: a.From, To: id,
-						FromKind: from.Kind, ToKind: e.Kind,
+						FromKind: from.Kind.String(), ToKind: e.Kind.String(),
 						Cause: a.Cause, Slack: prev.T - from.T,
 					})
 				}

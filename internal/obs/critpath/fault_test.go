@@ -45,12 +45,22 @@ func faultRun(t *testing.T, mode socket.Mode, plan string) (*obs.CritRec, *core.
 	return rec, tb
 }
 
-// causalDigest hashes every event (with its Done flag) and every slack
-// edge of a recorded graph.
+// causalDigest hashes every event (with its Done flag, its kind and host
+// by name) and every slack edge of a recorded graph.
 func causalDigest(rec *obs.CritRec) string {
+	type event struct {
+		Parent     int32
+		Cause      obs.Cause
+		Done       bool
+		Kind, Host string
+		Flow       int
+		Off, Len   int64
+		T          units.Time
+	}
 	h := sha256.New()
 	for i, ev := range rec.Events() {
-		fmt.Fprintf(h, "%d %+v\n", i+1, ev)
+		fmt.Fprintf(h, "%d %+v\n", i+1, event{ev.Parent, ev.Cause, ev.Done,
+			ev.Kind.String(), rec.Name(ev.Host), ev.Flow, ev.Off, ev.Len, ev.T})
 	}
 	for _, a := range rec.Alts() {
 		fmt.Fprintf(h, "alt %+v\n", a)
@@ -76,7 +86,7 @@ func TestFaultedCausalGraph(t *testing.T) {
 			if tc.plan == reorderPlan {
 				seen := map[string]bool{}
 				for _, ev := range rec.Events() {
-					seen[ev.Kind] = true
+					seen[ev.Kind.String()] = true
 					if ev.Cause == obs.CauseDelAck {
 						seen["delack"] = true
 					}
@@ -112,7 +122,7 @@ func TestRetransmitWriterLinks(t *testing.T) {
 		}
 		checked, bad := 0, 0
 		for i, e := range ev {
-			if e.Kind != "tcp_output" || e.Len == 0 {
+			if e.Kind != obs.EvTCPOutput || e.Len == 0 {
 				continue
 			}
 			id := int32(i + 1)
@@ -121,7 +131,7 @@ func TestRetransmitWriterLinks(t *testing.T) {
 					continue
 				}
 				w := ev[p-1]
-				if w.Kind != "sock_pin" && w.Kind != "sock_copy" {
+				if w.Kind != obs.EvSockPin && w.Kind != obs.EvSockCopy {
 					continue
 				}
 				checked++
@@ -148,20 +158,20 @@ func TestRetransmitWriterLinks(t *testing.T) {
 func TestReadEventOffsets(t *testing.T) {
 	for _, tc := range []struct {
 		mode socket.Mode
-		kind string
+		kind obs.EvKind
 	}{
-		{socket.ModeUnmodified, "read_copy"},
-		{socket.ModeSingleCopy, "read_dma"},
+		{socket.ModeUnmodified, obs.EvReadCopy},
+		{socket.ModeSingleCopy, obs.EvReadDMA},
 	} {
 		ev := critRun(tc.mode, 42).Events()
 		checked := 0
 		for _, e := range ev {
-			if e.Kind != "read_done" {
+			if e.Kind != obs.EvReadDone {
 				continue
 			}
 			for p := e.Parent; p != 0; p = ev[p-1].Parent {
 				r := ev[p-1]
-				if r.Kind != "read_copy" && r.Kind != "read_dma" {
+				if r.Kind != obs.EvReadCopy && r.Kind != obs.EvReadDMA {
 					break
 				}
 				if r.Kind == tc.kind {

@@ -127,50 +127,47 @@ func (s Snapshot) Format() string {
 
 // chromeFile is the Chrome trace-event JSON envelope.
 type chromeFile struct {
-	TraceEvents []chromeEvent `json:"traceEvents"`
+	TraceEvents []chromeJSON `json:"traceEvents"`
 }
 
 // Chrome renders the collected stage events as Chrome trace-event JSON
 // (load in Perfetto or chrome://tracing); timestamps are microseconds of
 // virtual time, pid is the originating host, tid the stage.
 func (t *Telemetry) Chrome() []byte {
-	f := chromeFile{TraceEvents: []chromeEvent{}}
-	if t.trace != nil && t.trace.events.Len() > 0 {
-		f.TraceEvents = t.trace.events.Slice()
-	}
-	return marshalChrome(f)
+	return t.chromeWhere(0, nil)
 }
 
 // ChromeFlow renders only the events of one data flow (args.flow == flow,
 // plus that flow's cross-host "s"/"f" binding pairs) — the journey of one
 // connection's bytes, ready for Perfetto.
 func (t *Telemetry) ChromeFlow(flow int) []byte {
-	f := chromeFile{TraceEvents: []chromeEvent{}}
-	if t.trace != nil {
-		evs := &t.trace.events
-		for i := 0; i < evs.Len(); i++ {
-			if ev := evs.At(i); ev.Args.Flow == flow {
-				f.TraceEvents = append(f.TraceEvents, *ev)
-			}
-		}
-	}
-	return marshalChrome(f)
+	return t.chromeWhere(0, func(ev *chromeEvent) bool { return ev.args.Flow == flow })
 }
 
 // ChromeTail renders the most recent n trace events — the trace half of a
 // flight-recorder dump.
 func (t *Telemetry) ChromeTail(n int) []byte {
-	f := chromeFile{TraceEvents: []chromeEvent{}}
+	from := 0
 	if t.trace != nil {
-		evs := &t.trace.events
-		for i := max(evs.Len()-n, 0); i < evs.Len(); i++ {
-			f.TraceEvents = append(f.TraceEvents, *evs.At(i))
-		}
+		from = max(t.trace.events.Len()-n, 0)
 	}
-	return marshalChrome(f)
+	return t.chromeWhere(from, nil)
 }
 
-func marshalChrome(f chromeFile) []byte {
+// chromeWhere renders the trace events from index from on that keep
+// accepts (all of them for a nil keep), resolved into Chrome's form.
+func (t *Telemetry) chromeWhere(from int, keep func(*chromeEvent) bool) []byte {
+	f := chromeFile{TraceEvents: []chromeJSON{}}
+	if tr := t.trace; tr != nil {
+		if keep == nil {
+			f.TraceEvents = make([]chromeJSON, 0, tr.events.Len()-from)
+		}
+		for i := from; i < tr.events.Len(); i++ {
+			if ev := tr.events.At(i); keep == nil || keep(ev) {
+				f.TraceEvents = append(f.TraceEvents, tr.chrome(ev))
+			}
+		}
+	}
 	b, err := json.Marshal(f)
 	if err != nil {
 		panic("obs: chrome trace marshal: " + err.Error())

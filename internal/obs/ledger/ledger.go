@@ -94,18 +94,36 @@ func (f Flags) String() string {
 	return s
 }
 
-// Record is one data-touch interval in stream coordinates.
+// Record is one data-touch interval in stream coordinates. Layer and Host
+// are Names in the ledger's table (see Ledger.Name).
 type Record struct {
 	Flow  int
 	Off   units.Size
 	Len   units.Size
 	Kind  Kind
-	Layer string
-	Host  string
-	VTime units.Time
 	Flags Flags
+	Layer obs.Name
+	Host  obs.Name
+	VTime units.Time
 	Desc  int64
 }
+
+// The layers that record touches directly — the devices and the wire —
+// have the same Name in every ledger; a protocol layer's Name is bound
+// when a context enters it (Hook.Layer). LayerNone is a touch outside any
+// layer.
+const (
+	LayerNone obs.Name = iota
+	LayerEthdev
+	LayerSDMA
+	LayerCabdrv
+	LayerMDMA
+	LayerWire
+	LayerShim
+	LayerLoop
+)
+
+var layerNames = []string{"ethdev", "sdma", "cabdrv", "mdma", "wire", "shim", "loop"}
 
 // maxRecords bounds the ledger; beyond it records are counted as dropped
 // (Audit refuses to certify a truncated ledger — no silent loss).
@@ -121,6 +139,7 @@ const flightRingSize = 2048
 // under the simulation engine, like the rest of the testbed.
 type Ledger struct {
 	now      func() units.Time
+	names    *obs.Names
 	hooks    []*Hook
 	records  obs.Log[Record]
 	unattrEv [numKinds]int64
@@ -130,18 +149,22 @@ type Ledger struct {
 
 // New returns a ledger timestamped by now — the engine's virtual clock.
 func New(now func() units.Time) *Ledger {
-	return &Ledger{now: now, records: obs.NewLog[Record](maxRecords)}
+	return &Ledger{now: now, names: obs.NewNames(layerNames...), records: obs.NewLog[Record](maxRecords)}
 }
+
+// Name returns the string a record's Layer or Host stands for.
+func (l *Ledger) Name(id obs.Name) string { return l.names.String(id) }
 
 // Hook returns the recording hook labeled host, creating it on first use.
 // Hooks appear in dumps in creation order.
 func (l *Ledger) Hook(host string) *Hook {
+	id := l.names.Bind(host)
 	for _, h := range l.hooks {
-		if h.host == host {
+		if h.host == id {
 			return h
 		}
 	}
-	h := &Hook{led: l, host: host}
+	h := &Hook{led: l, host: id}
 	l.hooks = append(l.hooks, h)
 	return h
 }
@@ -157,7 +180,7 @@ func (l *Ledger) Dropped() int64 { return l.records.Dropped() }
 // allocation and no simulated-time charge.
 type Hook struct {
 	led  *Ledger
-	host string
+	host obs.Name
 	ring [flightRingSize]Record
 	head int
 	n    int
@@ -168,17 +191,32 @@ func (h *Hook) Host() string {
 	if h == nil {
 		return ""
 	}
-	return h.host
+	return h.led.Name(h.host)
+}
+
+// Layer binds a layer's name in the ledger's table and returns its id, the
+// Layer a touch recorded under it carries (LayerNone for nil).
+func (h *Hook) Layer(name string) obs.Name {
+	if h == nil {
+		return LayerNone
+	}
+	return h.led.names.Bind(name)
 }
 
 // Enabled reports whether the hook records (false for nil).
 func (h *Hook) Enabled() bool { return h != nil }
 
-// Touch records one data-touch interval in stream coordinates.
+// Touch records one data-touch interval in stream coordinates under the
+// layer named layer, binding the name on the way.
 func (h *Hook) Touch(flow int, off, n units.Size, kind Kind, layer string, flags Flags, desc int64) {
 	if h == nil || n <= 0 {
 		return
 	}
+	h.touch(flow, off, n, kind, h.Layer(layer), flags, desc)
+}
+
+// touch is Touch with the layer already bound.
+func (h *Hook) touch(flow int, off, n units.Size, kind Kind, layer obs.Name, flags Flags, desc int64) {
 	r := Record{
 		Flow: flow, Off: off, Len: n, Kind: kind, Layer: layer,
 		Host: h.host, VTime: h.led.now(), Flags: flags, Desc: desc,
@@ -197,14 +235,14 @@ func (h *Hook) Touch(flow int, off, n units.Size, kind Kind, layer string, flags
 // bytes on a packet without a payload-carrying span (nil, or a pure-ACK
 // carrier with Len 0) count as unattributed. The segment's Rtx folds into
 // the flags.
-func (h *Hook) TouchP(sp *obs.Span, pktOff, n units.Size, kind Kind, layer string, flags Flags) {
+func (h *Hook) TouchP(sp *obs.Span, pktOff, n units.Size, kind Kind, layer obs.Name, flags Flags) {
 	if h != nil {
 		h.TouchSeg(sp.Seg(), pktOff, n, kind, layer, flags)
 	}
 }
 
 // TouchSeg is TouchP for a bare segment identity.
-func (h *Hook) TouchSeg(g obs.Seg, pktOff, n units.Size, kind Kind, layer string, flags Flags) {
+func (h *Hook) TouchSeg(g obs.Seg, pktOff, n units.Size, kind Kind, layer obs.Name, flags Flags) {
 	if h == nil || n <= 0 {
 		return
 	}
@@ -225,7 +263,7 @@ func (h *Hook) TouchSeg(g obs.Seg, pktOff, n units.Size, kind Kind, layer string
 	if g.Rtx {
 		flags |= FlagRtx
 	}
-	h.Touch(g.Flow, g.Off+(lo-g.PayloadOff), hi-lo, kind, layer, flags, g.Desc)
+	h.touch(g.Flow, g.Off+(lo-g.PayloadOff), hi-lo, kind, layer, flags, g.Desc)
 }
 
 // Unattributed counts bytes touched by kind that could not be mapped to a
@@ -262,10 +300,10 @@ type jsonRecord struct {
 	Desc  int64  `json:"desc,omitempty"`
 }
 
-func toJSONRecord(r Record) jsonRecord {
+func (l *Ledger) jsonRecord(r *Record) jsonRecord {
 	return jsonRecord{
 		Flow: r.Flow, Off: int64(r.Off), Len: int64(r.Len),
-		Kind: r.Kind.String(), Layer: r.Layer, Host: r.Host,
+		Kind: r.Kind.String(), Layer: l.Name(r.Layer), Host: l.Name(r.Host),
 		NS: int64(r.VTime), Flags: r.Flags.String(), Desc: r.Desc,
 	}
 }
@@ -299,7 +337,7 @@ func (l *Ledger) unattributed() []jsonUnattr {
 func (l *Ledger) JSON() []byte {
 	jl := jsonLedger{Records: make([]jsonRecord, 0, l.records.Len()), Dropped: l.Dropped(), Unattributed: l.unattributed()}
 	for i := 0; i < l.records.Len(); i++ {
-		jl.Records = append(jl.Records, toJSONRecord(*l.records.At(i)))
+		jl.Records = append(jl.Records, l.jsonRecord(l.records.At(i)))
 	}
 	b, err := json.MarshalIndent(jl, "", "  ")
 	if err != nil {
@@ -329,10 +367,10 @@ type flightDump struct {
 func (l *Ledger) FlightDump() []byte {
 	d := flightDump{NS: int64(l.now()), Dropped: l.Dropped(), Unattributed: l.unattributed()}
 	for _, h := range l.hooks {
-		fh := flightHost{Host: h.host, Records: []jsonRecord{}}
+		fh := flightHost{Host: l.Name(h.host), Records: []jsonRecord{}}
 		for i := 0; i < h.n; i++ {
 			idx := (h.head - h.n + i + flightRingSize) % flightRingSize
-			fh.Records = append(fh.Records, toJSONRecord(h.ring[idx]))
+			fh.Records = append(fh.Records, l.jsonRecord(&h.ring[idx]))
 		}
 		d.Hosts = append(d.Hosts, fh)
 	}

@@ -205,13 +205,13 @@ func (r *Recorder) Analyze(mem []HostMem, opt Options) *Postmortem {
 				continue
 			}
 			switch e.Kind {
-			case rtxNames[RtxRTO]:
+			case RtxRTO:
 				v.RtoFires++
-			case rtxNames[RtxFast]:
+			case RtxFast:
 				v.FastRtx++
-			case rtxNames[RtxPersist]:
+			case RtxPersist:
 				v.Persists++
-			case rtxNames[RtxKeepalive]:
+			case RtxKeepalive:
 				v.Keepalives++
 			}
 		}

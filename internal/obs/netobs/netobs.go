@@ -78,6 +78,20 @@ func (k RtxKind) String() string {
 	return rtxNames[k]
 }
 
+// MarshalText writes the kind's name, the form dumps carry.
+func (k RtxKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads a kind's name back, refusing any other string.
+func (k *RtxKind) UnmarshalText(b []byte) error {
+	for i, n := range rtxNames {
+		if string(b) == n {
+			*k = RtxKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("netobs: unknown rtx kind %q", b)
+}
+
 // FlowState is the congestion-relevant slice of a TCP connection's state,
 // passed by value so a disabled hook allocates nothing.
 type FlowState struct {
@@ -142,8 +156,8 @@ func (s *FlowSample) UnmarshalJSON(b []byte) error {
 
 // RtxEvent is one entry of a flow's retransmission-event log.
 type RtxEvent struct {
-	TNs  int64  `json:"t_ns"`
-	Kind string `json:"kind"`
+	TNs  int64   `json:"t_ns"`
+	Kind RtxKind `json:"kind"`
 }
 
 // FlowRec records one connection's state series.  All methods are nil-safe
@@ -188,7 +202,7 @@ func (f *FlowRec) Rtx(kind RtxKind) {
 		return
 	}
 	f.rtx[kind]++
-	f.rtxEvents.Append(RtxEvent{TNs: int64(f.rec.now()), Kind: kind.String()})
+	f.rtxEvents.Append(RtxEvent{TNs: int64(f.rec.now()), Kind: kind})
 }
 
 // digest is an FNV-1a hash over the sample rows, used by the postmortem to

@@ -359,10 +359,10 @@ func TestDropTraceSilencesSpan(t *testing.T) {
 	now = units.Millisecond
 	sp.Enter(StageSDMA) // would close packetize
 	sp.EnterOn(StageMDMA, "g")
-	if id := sp.CritEv(CauseCPU, "x"); id != 0 {
+	if id := sp.CritEv(CauseCPU, EvTCPIn); id != 0 {
 		t.Fatalf("CritEv after DropTrace = %d, want 0", id)
 	}
-	sp.CritEvJoin(CauseCPU, 0, CauseQueue, "y")
+	sp.CritEvJoin(CauseCPU, 0, CauseQueue, EvTCPOutput)
 	sp.End()
 	if st := tr.Stats(); st.Spans != 0 || len(st.Stages) != 0 || st.Latency.Count != 0 {
 		t.Fatalf("silenced span counted: %+v", st)
@@ -397,7 +397,7 @@ func TestTracelessSpanCarriesSeg(t *testing.T) {
 	sp.EnterAt(StageSocket, 5)
 	sp.Enter(StagePacketize)
 	sp.EnterOn(StageMDMA, "g")
-	if sp.CritEv(CauseCPU, "x") != 0 {
+	if sp.CritEv(CauseCPU, EvTCPIn) != 0 {
 		t.Fatal("traceless span recorded a causal event")
 	}
 	sp.End()

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math"
+
 	"repro/internal/units"
 )
 
@@ -42,6 +44,7 @@ const maxTraceEvents = 1 << 20
 // *Trace is a valid no-op sink.
 type Trace struct {
 	now       func() units.Time
+	names     *Names
 	nextID    int64
 	events    Log[chromeEvent]
 	spans     int64
@@ -56,7 +59,7 @@ type Trace struct {
 // every chain is a no-op.
 func (t *Trace) EnableCrit() {
 	if t != nil && t.crit == nil {
-		t.crit = NewCritRec(t.now)
+		t.crit = newCritRec(t.now, math.MaxInt32, t.names)
 	}
 }
 
@@ -70,14 +73,45 @@ func (t *Trace) Crit() *CritRec {
 
 // NewTrace returns a trace clocked by now.
 func NewTrace(now func() units.Time) *Trace {
-	return &Trace{now: now, events: NewLog[chromeEvent](maxTraceEvents)}
+	return &Trace{now: now, names: NewNames(append(stageNames[:], "xfer")...),
+		events: NewLog[chromeEvent](maxTraceEvents)}
 }
+
+// A trace's name table starts with the stage names, then "xfer", the name
+// of the cross-host flow events.
+const nameXfer = Name(numStages + 1)
+
+// name returns stage's id in a trace's name table.
+func (s Stage) name() Name { return Name(s + 1) }
 
 // chromeEvent is one Chrome trace-event: "X" complete events for stages,
 // "i" instants, and "s"/"f" flow events that draw the cross-host arrow
 // when a span migrates from the sender's timeline to the receiver's.
-// Timestamps and durations are microseconds of virtual time.
+// Timestamps and durations are microseconds of virtual time. Its name, pid
+// and tid are ids in the trace's name table; chromeJSON is its exported
+// form.
 type chromeEvent struct {
+	ts, dur        float64
+	id             int64
+	args           evArgs
+	name, pid, tid Name
+	ph             phase
+}
+
+// phase is a Chrome event's "ph".
+type phase uint8
+
+const (
+	phComplete  phase = iota // "X": a stage
+	phInstant                // "i"
+	phFlowStart              // "s": a span leaves a host
+	phFlowEnd                // "f": it arrives on the next, binding to the enclosing slice
+)
+
+var phaseNames = [...]string{"X", "i", "s", "f"}
+
+// chromeJSON is a chromeEvent as Chrome reads it.
+type chromeJSON struct {
 	Name string  `json:"name"`
 	Ph   string  `json:"ph"`
 	Cat  string  `json:"cat,omitempty"`
@@ -88,6 +122,22 @@ type chromeEvent struct {
 	PID  string  `json:"pid"`
 	TID  string  `json:"tid"`
 	Args evArgs  `json:"args"`
+}
+
+// chrome resolves ev's ids into its exported form.
+func (t *Trace) chrome(ev *chromeEvent) chromeJSON {
+	j := chromeJSON{
+		Name: t.names.String(ev.name), Ph: phaseNames[ev.ph], ID: ev.id,
+		TS: ev.ts, Dur: ev.dur,
+		PID: t.names.String(ev.pid), TID: t.names.String(ev.tid), Args: ev.args,
+	}
+	if ev.ph == phFlowStart || ev.ph == phFlowEnd {
+		j.Cat = "dataflow"
+	}
+	if ev.ph == phFlowEnd {
+		j.BP = "e"
+	}
+	return j
 }
 
 type evArgs struct {
@@ -111,7 +161,10 @@ func (t *Trace) Event(pid, tid, name string) {
 	if t == nil {
 		return
 	}
-	t.events.Append(chromeEvent{Name: name, Ph: "i", TS: micros(t.now()), PID: pid, TID: tid})
+	t.events.Append(chromeEvent{
+		name: t.names.Bind(name), ph: phInstant, ts: micros(t.now()),
+		pid: t.names.Bind(pid), tid: t.names.Bind(tid),
+	})
 }
 
 // Seg is the identity of the data segment a span carries. It is the
@@ -171,7 +224,7 @@ func (t *Trace) StartSpanAt(host string, at units.Time) *Span {
 		return nil
 	}
 	t.nextID++
-	return &Span{Chain: Chain{rec: t.crit, host: host}, tr: t, id: t.nextID, start: at}
+	return &Span{Chain: Chain{rec: t.crit, host: t.names.Bind(host)}, tr: t, id: t.nextID, start: at}
 }
 
 // StartSeg opens the span of data segment seg on host, its life begun at
@@ -251,20 +304,20 @@ func (s *Span) EnterOn(stage Stage, host string) {
 		return
 	}
 	at := s.tr.now()
-	if host != "" && host != s.host {
+	if id := s.tr.names.Bind(host); host != "" && id != s.host {
 		if s.silent {
-			s.host = host
+			s.host = id
 		} else {
 			s.closeStage(at)
 			ts := micros(at)
 			s.tr.events.Append(chromeEvent{
-				Name: "xfer", Ph: "s", Cat: "dataflow", ID: s.id, TS: ts,
-				PID: s.host, TID: stageNames[s.cur], Args: s.args(),
+				name: nameXfer, ph: phFlowStart, id: s.id, ts: ts,
+				pid: s.host, tid: s.cur.name(), args: s.args(),
 			})
-			s.host = host
+			s.host = id
 			s.tr.events.Append(chromeEvent{
-				Name: "xfer", Ph: "f", Cat: "dataflow", ID: s.id, BP: "e", TS: ts,
-				PID: s.host, TID: stageNames[stage], Args: s.args(),
+				name: nameXfer, ph: phFlowEnd, id: s.id, ts: ts,
+				pid: s.host, tid: stage.name(), args: s.args(),
 			})
 		}
 	}
@@ -289,10 +342,10 @@ func (s *Span) closeStage(end units.Time) {
 	t.stageTime[s.cur] += d
 	t.stageN[s.cur]++
 	t.events.Append(chromeEvent{
-		Name: stageNames[s.cur], Ph: "X",
-		TS: micros(s.curStart), Dur: micros(d),
-		PID: s.host, TID: stageNames[s.cur],
-		Args: s.args(),
+		name: s.cur.name(), ph: phComplete,
+		ts: micros(s.curStart), dur: micros(d),
+		pid: s.host, tid: s.cur.name(),
+		args: s.args(),
 	})
 	s.open = false
 }
@@ -319,7 +372,7 @@ func (s *Span) End() {
 // the segment's byte range. Valid after End — receive-side processing
 // continues a packet's chain after the data-path span has closed. A nil
 // span, or one whose trace has no recorder, is a free no-op.
-func (s *Span) CritEv(cause Cause, kind string) int32 {
+func (s *Span) CritEv(cause Cause, kind EvKind) int32 {
 	if s == nil {
 		return 0
 	}
@@ -327,7 +380,7 @@ func (s *Span) CritEv(cause Cause, kind string) int32 {
 }
 
 // CritEvJoin is CritEv with a second dependency p2 (see Chain.Join).
-func (s *Span) CritEvJoin(c1 Cause, p2 int32, c2 Cause, kind string) int32 {
+func (s *Span) CritEvJoin(c1 Cause, p2 int32, c2 Cause, kind EvKind) int32 {
 	if s == nil {
 		return 0
 	}

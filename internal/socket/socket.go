@@ -185,7 +185,7 @@ func (s *Socket) Write(p *sim.Proc, buf mem.Buf) (units.Size, error) {
 	ctx.Charge(s.K.Mach.SyscallCost, kern.CatSyscall)
 	// The gap since the writer's previous event is the application's own
 	// time (or, for the first write, the chain root).
-	s.Conn.WriteChain().Ev(obs.CauseApp, "write_start", s.Conn.AppendStreamOff(), buf.Len)
+	s.Conn.WriteChain().Ev(obs.CauseApp, obs.EvWriteStart, s.Conn.AppendStreamOff(), buf.Len)
 
 	u := mem.NewUIO(buf)
 	aligned := u.AlignedTo(0, buf.Len, 4) // word alignment (Section 4.5)
@@ -276,11 +276,11 @@ func (s *Socket) writeCopy(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, e
 		// The chunk's bytes became sendable when the CPU finished copying
 		// them into kernel clusters: a data-touching CPU edge. Append links
 		// the chunk to the writer's latest event, so this one comes last.
-		w.Ev(obs.CauseCPUCopy, "sock_copy", c.AppendStreamOff(), chunk)
+		w.Ev(obs.CauseCPUCopy, obs.EvSockCopy, c.AppendStreamOff(), chunk)
 		if err := c.Append(ctx, head, chunk, boundary); err != nil {
 			return sent, err
 		}
-		w.Ev(obs.CauseCPU, "sock_append", c.AppendStreamOff(), chunk)
+		w.Ev(obs.CauseCPU, obs.EvSockAppend, c.AppendStreamOff(), chunk)
 		boundary = false
 		sent += chunk
 	}
@@ -327,14 +327,14 @@ func (s *Socket) writeUIO(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, er
 		// plain cpu edge, not cpu-copy — the sender-side difference the
 		// single-copy critical path exists to show. As in writeCopy, it is
 		// the event Append links the chunk to.
-		w.Ev(obs.CauseCPU, "sock_pin", c.AppendStreamOff(), chunk)
+		w.Ev(obs.CauseCPU, obs.EvSockPin, c.AppendStreamOff(), chunk)
 		m := s.K.Mbufs.NewUIO(u, sent, chunk, &mbuf.Hdr{Owner: trk, DescID: s.K.Led.NextDesc()})
 		if err := c.Append(ctx, m, chunk, boundary); err != nil {
 			trk.DMADone(chunk) // never issued
 			s.unpinAll(ctx, u, trk.pinned)
 			return sent, err
 		}
-		w.Ev(obs.CauseCPU, "sock_append", c.AppendStreamOff(), chunk)
+		w.Ev(obs.CauseCPU, obs.EvSockAppend, c.AppendStreamOff(), chunk)
 		boundary = false
 		sent += chunk
 	}
@@ -353,7 +353,7 @@ func (s *Socket) writeUIO(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, er
 	}
 	// The write returned once the last outstanding SDMA secured the data
 	// outboard: the blocked span is DMA time.
-	w.Ev(obs.CauseDMA, "write_ret", c.AppendStreamOff(), total)
+	w.Ev(obs.CauseDMA, obs.EvWriteRet, c.AppendStreamOff(), total)
 	s.unpinAll(ctx, u, trk.pinned)
 	return total, nil
 }
@@ -376,7 +376,7 @@ func (s *Socket) Read(p *sim.Proc, buf mem.Buf) (units.Size, error) {
 	ctx.Charge(s.K.Mach.SyscallCost, kern.CatSyscall)
 	c := s.Conn
 	r := c.ReadChain()
-	r.Ev(obs.CauseApp, "read_start", c.RcvDequeued(), buf.Len)
+	r.Ev(obs.CauseApp, obs.EvReadStart, c.RcvDequeued(), buf.Len)
 	if !c.WaitRcvData(p) {
 		if c.Err != nil {
 			return 0, c.Err
@@ -405,7 +405,7 @@ func (s *Socket) Read(p *sim.Proc, buf mem.Buf) (units.Size, error) {
 	}
 	// The message is in the application's buffer: a completion point the
 	// critical-path analyzer back-walks from.
-	r.Ev(obs.CauseCPU, "read_done", base, n)
+	r.Ev(obs.CauseCPU, obs.EvReadDone, base, n)
 	r.MarkDone()
 	c.WindowUpdate(ctx)
 	return n, nil
@@ -465,7 +465,7 @@ func (s *Socket) copyOut(ctx kern.Ctx, u *mem.UIO, chain *mbuf.Mbuf, n units.Siz
 		off += ln
 	}
 	if didCopy {
-		r.Ev(obs.CauseCPUCopy, "read_copy", base, n)
+		r.Ev(obs.CauseCPUCopy, obs.EvReadCopy, base, n)
 	}
 	if sawDMA {
 		// The last SDMA is flagged to interrupt so the process can be
@@ -476,7 +476,7 @@ func (s *Socket) copyOut(ctx kern.Ctx, u *mem.UIO, chain *mbuf.Mbuf, n units.Siz
 		}
 		trk.wait(ctx.P)
 		// The read's outboard ranges landed in the user buffer by SDMA.
-		r.Ev(obs.CauseDMA, "read_dma", base, n)
+		r.Ev(obs.CauseDMA, obs.EvReadDMA, base, n)
 		for _, iov := range trk.pinned {
 			s.VM.UnpinUIO(ctx, u, iov.Addr, iov.Len)
 		}

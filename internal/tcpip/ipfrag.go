@@ -55,6 +55,7 @@ type fragPart struct {
 type fragQueue struct {
 	parts []fragPart
 	total units.Size // set when the final fragment arrives; 0 = unknown
+	end   units.Size // the furthest byte a held fragment reaches
 	gen   int
 }
 
@@ -130,9 +131,20 @@ func (s *Stack) reassemble(ctx kern.Ctx, m *mbuf.Mbuf, iph wire.IPHdr) *mbuf.Mbu
 			return nil
 		}
 	}
+	// So is a fragment that contradicts the datagram's end: one past the
+	// final fragment's end, or a final fragment short of bytes already
+	// held or ending elsewhere than an earlier final one. Every held byte
+	// then lies below the total, and the held lengths adding up to it
+	// means no hole is left.
+	end := part.off + part.ln
+	if q.total != 0 && end > q.total || !iph.MF && (q.total != 0 && end != q.total || end < q.end) {
+		mbuf.FreeChain(m)
+		return nil
+	}
+	q.end = max(q.end, end)
 	q.parts = append(q.parts, part)
 	if !iph.MF {
-		q.total = iph.FragOff + ln
+		q.total = end
 	}
 
 	if q.total == 0 {

@@ -132,6 +132,46 @@ func TestReassemblyDuplicateFragmentIgnored(t *testing.T) {
 	}
 }
 
+// TestReassemblyFragmentPastEndCannotFillHole: held fragment lengths
+// adding up to the total must mean the datagram is covered. A fragment
+// lying past the final fragment's end used to stand in for a missing
+// middle, and the stack delivered the wrong bytes with a packet header
+// shorter than its chain.
+func TestReassemblyFragmentPastEndCannotFillHole(t *testing.T) {
+	r := newRig(t, 66)
+	rx, _ := r.sb.UDPBind(9000)
+	delivered := false
+	r.eng.Go("rx", func(p *sim.Proc) {
+		rx.RecvFrom(p)
+		delivered = true
+	})
+	seg := make([]byte, 80)
+	uh := wire.UDPHdr{SPort: 7, DPort: 9000, Len: 40}
+	uh.Marshal(seg)
+	base := wire.IPHdr{ID: 45, TTL: 9, Proto: wire.ProtoUDP, Src: r.sa.Addr, Dst: r.sb.Addr}
+	frag := func(off, end int, mf bool) (wire.IPHdr, []byte) {
+		h := base
+		h.FragOff, h.MF = units.Size(off), mf
+		return h, seg[off:end]
+	}
+	r.eng.Go("inject", func(p *sim.Proc) {
+		h, b := frag(32, 40, false) // the final fragment: 40 bytes in all
+		injectFragment(p, r.sb, r.ib, h, b)
+		h, b = frag(0, 16, true) // [16, 32) never arrives
+		injectFragment(p, r.sb, r.ib, h, b)
+		h, b = frag(64, 80, true) // past the end, as long as the hole
+		injectFragment(p, r.sb, r.ib, h, b)
+	})
+	r.eng.Run()
+	defer r.eng.KillAll()
+	if delivered {
+		t.Fatal("a datagram with a hole was delivered")
+	}
+	if r.sb.Stats.IPReassTimeouts != 1 || len(r.sb.frags) != 0 {
+		t.Fatalf("timeouts = %d, queues left = %d; want the incomplete datagram evicted", r.sb.Stats.IPReassTimeouts, len(r.sb.frags))
+	}
+}
+
 func TestReassemblyTimeoutEvicts(t *testing.T) {
 	r := newRig(t, 63)
 	r.sb.UDPBind(9000)

@@ -153,7 +153,7 @@ func (c *TCPConn) segInput(ctx kern.Ctx, hdr wire.TCPHdr, payload *mbuf.Mbuf, se
 		// A new-data acknowledgement arrived: the sender's ACK clock ticks.
 		// Segments (and writer wakeups) it releases bind here. An untraced
 		// packet (no span, or one off the CAB path) records no event.
-		if id := payload.Span().CritEv(obs.CauseCPU, "ack_in"); id != 0 {
+		if id := payload.Span().CritEv(obs.CauseCPU, obs.EvAckIn); id != 0 {
 			c.critAck = id
 			c.trigger(id, obs.CauseAckClock)
 		}
@@ -301,7 +301,7 @@ func (c *TCPConn) processData(ctx kern.Ctx, seq uint32, payload *mbuf.Mbuf, segl
 		}
 		// In-order data reached the receive buffer; read wakeups and the
 		// ACK it provokes hang off this event.
-		if id := payload.Span().CritEv(obs.CauseCPU, "rcv_enq"); id != 0 {
+		if id := payload.Span().CritEv(obs.CauseCPU, obs.EvRcvEnq); id != 0 {
 			c.critRcv = id
 		}
 		c.enqueueRcv(payload, seglen)
@@ -346,7 +346,7 @@ func (c *TCPConn) pullReassembly(ctx kern.Ctx) {
 				c.reass = append(c.reass[:i], c.reass[i+1:]...)
 				// Held out-of-order data became readable only once the gap
 				// filled: a reassembly-queue wait.
-				if id := seg.chain.Span().CritEv(obs.CauseQueue, "reass_pull"); id != 0 {
+				if id := seg.chain.Span().CritEv(obs.CauseQueue, obs.EvReassPull); id != 0 {
 					c.critRcv = id
 				}
 				c.enqueueRcv(seg.chain, seg.len)

@@ -411,7 +411,7 @@ func (s *Stack) verifyTransportCsum(ctx kern.Ctx, m *mbuf.Mbuf, iph wire.IPHdr, 
 		s.Stats.HWCsumVerified++
 		// The hardware summed the body in flight: the host touched only
 		// the header — a plain cpu edge on the segment's causal chain.
-		m.Span().CritEv(obs.CauseCPU, "tcp_in")
+		m.Span().CritEv(obs.CauseCPU, obs.EvTCPIn)
 		return checksum.VerifySum(checksum.Add(ps, h.HWRxSum))
 	}
 	s.Stats.SWCsumVerified++
@@ -424,7 +424,7 @@ func (s *Stack) verifyTransportCsum(ctx kern.Ctx, m *mbuf.Mbuf, iph wire.IPHdr, 
 	sum := csumChain(ctx, m, segLen, segLen)
 	// Software verification read every payload byte: the data-touching CPU
 	// time the single-copy path eliminates.
-	m.Span().CritEv(obs.CauseCPUCsum, "tcp_in")
+	m.Span().CritEv(obs.CauseCPUCsum, obs.EvTCPIn)
 	return checksum.VerifySum(checksum.Add(ps, sum))
 }
 

@@ -145,12 +145,12 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 		// AND its trigger fired (append, ACK, window open, timer); the
 		// later of the two binds.
 		span.Seed(st.ev)
-		span.CritEvJoin(obs.CauseQueue, c.trig.Cur(), c.trigC, "tcp_output")
+		span.CritEvJoin(obs.CauseQueue, c.trig.Cur(), c.trigC, obs.EvTCPOutput)
 	} else if span = c.stk.tr.StartCarrier(c.stk.K.Name, int(c.key.lport)); span != nil {
 		// Data-less segment (pure ACK, control) with the causal recorder
 		// on: a silent carrier span lets the ACK's chain ride the wire.
 		span.Seed(c.trig.Cur())
-		span.CritEv(c.trigC, "ack_gen")
+		span.CritEv(c.trigC, obs.EvAckGen)
 	}
 	if span != nil {
 		// Later segments of the same burst queue behind this one's CPU.
@@ -225,7 +225,7 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 			sum = checksum.Combine(sum, csumChain(csCtx, data, seglen, region), int(wire.TCPHdrLen))
 			// The CPU read every payload byte to checksum it — the
 			// data-touching edge absent from the single-copy sender.
-			span.CritEv(obs.CauseCPUCsum, "tcp_csum")
+			span.CritEv(obs.CauseCPUCsum, obs.EvTCPCsum)
 		}
 		hdr.Csum = checksum.Finish(sum)
 		hdr.Marshal(hb)

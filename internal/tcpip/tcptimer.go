@@ -131,7 +131,7 @@ func (c *TCPConn) cancelRtx() {
 func (c *TCPConn) rtxTimeout(ctx kern.Ctx) {
 	c.stk.ctrRtoFires.Inc()
 	c.nobs.Rtx(netobs.RtxRTO)
-	c.timerEv(obs.CauseRTO, "rto_fire")
+	c.timerEv(obs.CauseRTO, obs.EvRTOFire)
 	if c.userTimedOut() {
 		return
 	}
@@ -199,7 +199,7 @@ func (c *TCPConn) userTimedOut() bool {
 // persistProbe forces one byte into a zero window so a lost window update
 // cannot deadlock the connection.
 func (c *TCPConn) persistProbe(ctx kern.Ctx) {
-	c.timerEv(obs.CausePersist, "persist_probe")
+	c.timerEv(obs.CausePersist, obs.EvPersistProbe)
 	if c.userTimedOut() {
 		return
 	}
@@ -241,7 +241,7 @@ func (c *TCPConn) delAckTimeout(ctx kern.Ctx) {
 // timerEv records a retransmission or persist timer firing as the trigger
 // of the next Output: the dead time since the last forward progress (the
 // previous ACK, or connection start) is charged to cause.
-func (c *TCPConn) timerEv(cause obs.Cause, kind string) {
+func (c *TCPConn) timerEv(cause obs.Cause, kind obs.EvKind) {
 	c.trigger(c.critAck, obs.CauseCPU)
 	c.trig.Ev(cause, kind, 0, 0)
 }

@@ -32,8 +32,8 @@ func RunRaw(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 		pktSize = rawMaxPacket
 	}
 
-	sndTask := snd.NewUserTask("raw-snd", 16*units.MB)
-	rcvTask := rcv.NewUserTask("raw-rcv", 16*units.MB)
+	sndTask := userTask(snd, "raw-snd", pktSize)
+	rcvTask := userTask(rcv, "raw-rcv", pktSize)
 	ss := &side{h: snd, ttcpTask: sndTask,
 		utilTask: snd.K.NewTask("util", kern.PrioIdle, nil),
 		bgdTask:  snd.K.NewTask("bgd", kern.PrioKern, nil)}
@@ -99,9 +99,7 @@ func RunRaw(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 	tb.Eng.Go("raw-snd", func(p *sim.Proc) {
 		ctx := snd.K.TaskCtx(p, sndTask)
 		buf := sndTask.Space.Alloc(pktSize, 8)
-		for i := range buf.Bytes() {
-			buf.Bytes()[i] = byte(i)
-		}
+		fill(buf.Bytes())
 		snd.VM.PinBuf(p, sndTask, sndTask.Space, buf.Addr, buf.Len)
 		t0 = p.Now()
 		snd0, rcv0 = ss.times(), rs.times()

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cab"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/socket"
 	"repro/internal/ttcp"
@@ -96,8 +97,9 @@ func noSpanEnds(t *testing.T, tb *core.Testbed) {
 func copyOutUntraced(t *testing.T, tb *core.Testbed) {
 	b := tb.Hosts[1]
 	done := 0
-	for _, ev := range tb.Tel.Crit().Events() {
-		if ev.Host == b.Cfg.Name && ev.Kind == "sdma_done" {
+	rec := tb.Tel.Crit()
+	for _, ev := range rec.Events() {
+		if rec.Name(ev.Host) == b.Cfg.Name && ev.Kind == obs.EvSDMADone {
 			done++
 		}
 	}

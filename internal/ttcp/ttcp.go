@@ -160,6 +160,23 @@ func (s *side) times() taskTimes {
 	}
 }
 
+// userTask creates a user task on h whose address space holds need bytes
+// of buffers, rounded up to whole pages (at least one). The space's
+// backing is zeroed live heap, so it is sized to what the run carves: idle
+// slack is memory cleared for nothing that also raises the collector's
+// goal.
+func userTask(h *core.Host, name string, need units.Size) *kern.Task {
+	page := h.K.Mach.PageSize
+	return h.NewUserTask(name, max(page, (need+page-1)/page*page))
+}
+
+// fill writes the sender's test pattern into b.
+func fill(b []byte) {
+	for i := range b {
+		b[i] = byte(i)
+	}
+}
+
 // Run performs one ttcp transfer from snd to rcv over their configured
 // stacks and returns the measurements. The testbed engine is driven to
 // completion.
@@ -169,11 +186,11 @@ func Run(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 	}
 
 	ss := &side{h: snd}
-	ss.ttcpTask = snd.NewUserTask("ttcp-snd", 16*units.MB)
+	ss.ttcpTask = userTask(snd, "ttcp-snd", pr.RWSize)
 	ss.utilTask = snd.K.NewTask("util", kern.PrioIdle, nil)
 	ss.bgdTask = snd.K.NewTask("bgd", kern.PrioKern, nil)
 	rs := &side{h: rcv}
-	rs.ttcpTask = rcv.NewUserTask("ttcp-rcv", 16*units.MB)
+	rs.ttcpTask = userTask(rcv, "ttcp-rcv", pr.RWSize)
 	rs.utilTask = rcv.K.NewTask("util", kern.PrioIdle, nil)
 	rs.bgdTask = rcv.K.NewTask("bgd", kern.PrioKern, nil)
 
@@ -230,9 +247,7 @@ func Run(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 		snd0, rcv0 = ss.times(), rs.times()
 
 		buf := ss.ttcpTask.Space.Alloc(pr.RWSize, 8)
-		for i := range buf.Bytes() {
-			buf.Bytes()[i] = byte(i)
-		}
+		fill(buf.Bytes())
 		for sent := units.Size(0); sent < pr.Total; sent += pr.RWSize {
 			snd.K.Work(p, ss.ttcpTask, 2*units.Microsecond, kern.CatApp, false)
 			if err := s.WriteAll(p, buf); err != nil {

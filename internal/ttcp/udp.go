@@ -29,11 +29,12 @@ type UDPResult struct {
 // RunUDP performs a UDP blast from snd to rcv.
 func RunUDP(tb *core.Testbed, snd, rcv *core.Host, pr Params) UDPResult {
 	ss := &side{h: snd}
-	ss.ttcpTask = snd.NewUserTask("ttcp-snd", 16*units.MB)
+	// The sender carves its write buffer, then the 8-aligned sentinel.
+	ss.ttcpTask = userTask(snd, "ttcp-snd", (pr.RWSize+7)&^7+eotLen)
 	ss.utilTask = snd.K.NewTask("util", kern.PrioIdle, nil)
 	ss.bgdTask = snd.K.NewTask("bgd", kern.PrioKern, nil)
 	rs := &side{h: rcv}
-	rs.ttcpTask = rcv.NewUserTask("ttcp-rcv", 16*units.MB)
+	rs.ttcpTask = userTask(rcv, "ttcp-rcv", pr.RWSize)
 	rs.utilTask = rcv.K.NewTask("util", kern.PrioIdle, nil)
 	rs.bgdTask = rcv.K.NewTask("bgd", kern.PrioKern, nil)
 
@@ -66,9 +67,7 @@ func RunUDP(tb *core.Testbed, snd, rcv *core.Host, pr Params) UDPResult {
 		t0 = p.Now()
 		snd0, rcv0 = ss.times(), rs.times()
 		buf := ss.ttcpTask.Space.Alloc(pr.RWSize, 8)
-		for i := range buf.Bytes() {
-			buf.Bytes()[i] = byte(i)
-		}
+		fill(buf.Bytes())
 		for sent := units.Size(0); sent < pr.Total; sent += pr.RWSize {
 			snd.K.Work(p, ss.ttcpTask, 2*units.Microsecond, kern.CatApp, false)
 			tx.SendTo(p, buf, rcv.Cfg.Addr, udpPort)
