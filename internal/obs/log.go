@@ -4,13 +4,33 @@ import "math/bits"
 
 // Chunk sizes of a Log: the first chunk holds 1<<logFirstShift records,
 // each next one twice as many up to 1<<logChunkShift, and every chunk from
-// there on that many. logGrowing is how many records the growing chunks
-// hold together.
+// there on that many.
 const (
 	logFirstShift = 3
 	logChunkShift = 12
-	logGrowing    = 1<<logChunkShift - 1<<logFirstShift
 )
+
+// chunkLen is the chunk geometry a Log and a Series ring share: chunk k
+// holds 1<<min(first+k, last) items, so chunks double from 1<<first up to
+// 1<<last and stay that size. A store that starts small pays for a few
+// items only, and one that grows large never copies.
+func chunkLen(k int, first, last uint) int {
+	return 1 << min(first+uint(k), last)
+}
+
+// chunkAt returns the chunk and the offset in it that hold item i of a
+// store with chunkLen's geometry. It needs no table, and with constant
+// shifts it inlines to a few instructions.
+func chunkAt(i int, first, last uint) (k, off int) {
+	growing := 1<<last - 1<<first // the items the growing chunks hold
+	if i < growing {
+		j := i + 1<<first
+		s := uint(bits.Len(uint(j)) - 1)
+		return int(s - first), j - 1<<s
+	}
+	j := i - growing
+	return int(last-first) + j>>last, j & (1<<last - 1)
+}
 
 // Log is the recorders' append-only record store: the trace's Chrome
 // events, the causal recorder's events, the ledger's touches and netobs's
@@ -48,8 +68,7 @@ func (l *Log[T]) Append(v T) bool {
 		if l.tail != nil {
 			l.full = append(l.full, l.tail)
 		}
-		shift := min(logFirstShift+len(l.full), logChunkShift)
-		l.tail = make([]T, 0, 1<<shift)
+		l.tail = make([]T, 0, chunkLen(len(l.full), logFirstShift, logChunkShift))
 	}
 	l.tail = append(l.tail, v)
 	l.n++
@@ -69,15 +88,7 @@ func (l *Log[T]) At(i int) *T {
 	if uint(i) >= uint(l.n) {
 		panic("obs: log index out of range")
 	}
-	var k, off int
-	if i < logGrowing {
-		j := i + 1<<logFirstShift
-		s := bits.Len(uint(j)) - 1
-		k, off = s-logFirstShift, j-1<<s
-	} else {
-		j := i - logGrowing
-		k, off = logChunkShift-logFirstShift+j>>logChunkShift, j&(1<<logChunkShift-1)
-	}
+	k, off := chunkAt(i, logFirstShift, logChunkShift)
 	if k == len(l.full) {
 		return &l.tail[off]
 	}

@@ -10,7 +10,7 @@ import (
 // so a log's first records cost what a slice of them would.
 func TestLogChunkSizes(t *testing.T) {
 	l := NewLog[int](1 << 20)
-	const n = logGrowing + 2<<logChunkShift + 5
+	const n = 1<<logChunkShift - 1<<logFirstShift + 2<<logChunkShift + 5
 	for i := 0; i < n; i++ {
 		l.Append(i)
 	}
