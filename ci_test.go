@@ -422,6 +422,55 @@ func mapFields(files []*ast.File) map[string]bool {
 	return fields
 }
 
+// TestSocketCallsReuseDescriptors keeps a socket system call from building
+// its own descriptors: the call's UIO is its tracker's, reset per call, and
+// its uiowCABhdrs come from the host's mbuf pool through the tracker, which
+// releases them when the call's DMAs are done. A mem.NewUIO call or an
+// &mbuf.Hdr{…} literal in non-test internal/socket would be a per-call
+// descriptor coming back.
+func TestSocketCallsReuseDescriptors(t *testing.T) {
+	files, err := filepath.Glob("internal/socket/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no files in internal/socket")
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if isSelector(n.Fun, "mem", "NewUIO") {
+					t.Errorf("%s: mem.NewUIO in a socket call: reset the tracker's UIO", fset.Position(n.Pos()))
+				}
+			case *ast.UnaryExpr:
+				if lit, ok := n.X.(*ast.CompositeLit); ok && n.Op == token.AND && isSelector(lit.Type, "mbuf", "Hdr") {
+					t.Errorf("%s: &mbuf.Hdr{…} in a socket call: take it with the tracker's hdr", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	}
+}
+
+// isSelector reports whether e is the qualified identifier pkg.name.
+func isSelector(e ast.Expr, pkg, name string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	return ok && id.Name == pkg
+}
+
 // TestOneFreeListPrimitive keeps internal/pool the only free list in the
 // simulator. Every list there has a per-instance check mode that the
 // ownership harness (the TestPoisoned…ChangeNothing tests) turns on for a

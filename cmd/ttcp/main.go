@@ -341,6 +341,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Mach: mach(), Mode: m, CABNode: 2, LazyUnpin: *lazy})
 		tb.RouteCAB(a, b)
 		ur := ttcp.RunUDP(tb, a, b, params)
+		if ur.SndErr != "" {
+			return fail(1, fmt.Errorf("udp send of %v datagrams: %s", size, ur.SndErr))
+		}
 		fmt.Fprintf(report, "ttcp -u (%s stack, %s, %v datagrams)\n", *mode, mach().Name, size)
 		fmt.Fprintf(report, "  sent %v, received %v (loss %.2f%%) in %v\n",
 			ur.Sent, ur.Received, 100*ur.LossFraction, ur.Elapsed)

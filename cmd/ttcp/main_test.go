@@ -42,7 +42,9 @@ func TestEnumFlagsAccepted(t *testing.T) {
 		{[]string{"-mode", "single", "-proto", "tcp", "-machine", "alpha400"}, "ttcp (single stack, Alpha 3000/400"},
 		{[]string{"-mode", "unmodified", "-machine", "alpha300"}, "ttcp (unmodified stack, Alpha 3000/300"},
 		{[]string{"-mode", "raw"}, "ttcp (raw stack"},
-		{[]string{"-proto", "udp", "-mode", "unmodified"}, "ttcp -u (unmodified stack"},
+		// The default 64K write is too long for one datagram (see
+		// TestOversizeUDPFails).
+		{[]string{"-proto", "udp", "-mode", "unmodified", "-size", "32K"}, "ttcp -u (unmodified stack"},
 	} {
 		var out, errb bytes.Buffer
 		args := append([]string{"-total", "256K"}, tc.args...)
@@ -51,6 +53,22 @@ func TestEnumFlagsAccepted(t *testing.T) {
 		}
 		if !strings.Contains(out.String(), tc.want) {
 			t.Errorf("%v: output %q, want it to start a %q report", tc.args, out.String(), tc.want)
+		}
+	}
+}
+
+// TestOversizeUDPFails: a 64 KB UDP write is longer than one IPv4 datagram
+// carries. The run used to hang, its sender waiting on a datagram the
+// stack had refused; now it exits with status 1 and the refusal.
+func TestOversizeUDPFails(t *testing.T) {
+	for _, mode := range []string{"single", "unmodified"} {
+		var out, errb bytes.Buffer
+		args := []string{"-proto", "udp", "-mode", mode, "-size", "64K", "-total", "256K"}
+		if status := run(args, &out, &errb); status != 1 {
+			t.Errorf("%v: status %d, want 1", args, status)
+		}
+		if want := "udp send of 64KB datagrams: tcpip: datagram too long"; !strings.Contains(errb.String(), want) {
+			t.Errorf("%v: stderr %q, want it to say %s", args, errb.String(), want)
 		}
 	}
 }

@@ -149,9 +149,9 @@ type CAB struct {
 	txNext   int
 	txCur    txEntry
 
-	// The engines' steps, bound once so that a transfer or a frame
-	// allocates nothing.
-	sdmaNextFn, sdmaDoneFn, mdmaNextFn, mdmaSentFn, sentFn func()
+	// The engines' steps and the hold-queue pump, bound once so that a
+	// transfer, a frame or a receive retry allocates nothing.
+	sdmaNextFn, sdmaDoneFn, mdmaNextFn, mdmaSentFn, sentFn, rxHoldPumpFn func()
 
 	rxBufs [][]byte
 
@@ -159,12 +159,14 @@ type CAB struct {
 	// pressure (see mdma.go); rxHoldArmed is true while a pump event is
 	// pending. With the arbiter installed the hold becomes one FIFO per
 	// flow (rxHoldQ), served round-robin from rxRR over the arrival-order
-	// flow list rxHoldFlows.
+	// flow list rxHoldFlows; rxOrder is a tick's visit order, kept for the
+	// next tick's.
 	rxHold      []heldRx
 	rxHoldArmed bool
 	rxHoldQ     map[int][]heldRx
 	rxHoldFlows []int
 	rxRR        int
+	rxOrder     []int
 
 	// OnRx is the host's receive notification (installed by the driver;
 	// runs in hardware/event context — the driver is responsible for
@@ -259,6 +261,7 @@ func New(eng *sim.Engine, mach *cost.Machine, net *hippi.Network, id hippi.NodeI
 	c.totalPages = c.freePages
 	c.sdmaNextFn, c.sdmaDoneFn = c.sdmaNext, c.sdmaDone
 	c.mdmaNextFn, c.mdmaSentFn, c.sentFn = c.mdmaNext, c.mdmaSent, c.frameSent
+	c.rxHoldPumpFn = c.rxHoldPump
 	for i := 0; i < cfg.Channels; i++ {
 		c.channels = append(c.channels, sim.NewQueue[txEntry](eng))
 	}

@@ -165,7 +165,7 @@ func (c *CAB) rxFrame(f hippi.Frame) {
 	c.rxHold = append(c.rxHold, heldRx{f: f})
 	if !c.rxHoldArmed {
 		c.rxHoldArmed = true
-		c.eng.AfterKind(rxRetryDelay, sim.KindTimer, c.rxHoldPump)
+		c.eng.AfterKind(rxRetryDelay, sim.KindTimer, c.rxHoldPumpFn)
 	}
 }
 
@@ -186,7 +186,7 @@ func (c *CAB) rxFrameArb(f hippi.Frame) {
 	c.rxHoldQ[key] = append(q, heldRx{f: f})
 	if !c.rxHoldArmed {
 		c.rxHoldArmed = true
-		c.eng.AfterKind(rxRetryDelay, sim.KindTimer, c.rxHoldPump)
+		c.eng.AfterKind(rxRetryDelay, sim.KindTimer, c.rxHoldPumpFn)
 	}
 }
 
@@ -214,7 +214,7 @@ func (c *CAB) rxHoldPump() {
 			c.rxHold = c.rxHold[1:]
 			continue
 		}
-		c.eng.AfterKind(rxRetryDelay, sim.KindTimer, c.rxHoldPump)
+		c.eng.AfterKind(rxRetryDelay, sim.KindTimer, c.rxHoldPumpFn)
 		return
 	}
 	c.rxHoldArmed = false
@@ -222,15 +222,18 @@ func (c *CAB) rxHoldPump() {
 
 // rxHoldPumpArb services the per-flow hold queues: one attempt per flow
 // head per tick, visiting flows in circular order from a rotating start so
-// freed memory is offered to each flow in turn.
+// freed memory is offered to each flow in turn. The order is a snapshot,
+// since served flows leave rxHoldFlows during the visit; it lives in
+// rxOrder, which nothing else touches: tryRx never runs a pump, which only
+// ever runs as its own timer event.
 func (c *CAB) rxHoldPumpArb() {
 	if n := len(c.rxHoldFlows); n > 0 {
 		if c.rxRR >= n {
 			c.rxRR %= n
 		}
-		order := make([]int, 0, n)
-		order = append(order, c.rxHoldFlows[c.rxRR:]...)
+		order := append(c.rxOrder[:0], c.rxHoldFlows[c.rxRR:]...)
 		order = append(order, c.rxHoldFlows[:c.rxRR]...)
+		c.rxOrder = order
 		c.rxRR++
 		for _, flow := range order {
 			q := c.rxHoldQ[flow]
@@ -266,7 +269,7 @@ func (c *CAB) rxHoldPumpArb() {
 		}
 	}
 	if len(c.rxHoldFlows) > 0 {
-		c.eng.AfterKind(rxRetryDelay, sim.KindTimer, c.rxHoldPump)
+		c.eng.AfterKind(rxRetryDelay, sim.KindTimer, c.rxHoldPumpFn)
 		return
 	}
 	c.rxHoldArmed = false

@@ -276,10 +276,10 @@ func (cl *cluster) unref() {
 }
 
 // Pool is one host's mbuf allocator: free lists of mbuf headers (those of
-// regular mbufs keep their MLEN storage across reuse), of cluster storage
-// and of adopted-cluster records. Every mbuf records the pool it came from,
-// so Free returns it there and CopyRange, SplitAt and Prepend take new
-// headers from the same place. Objects are handed out dirty (see
+// regular mbufs keep their MLEN storage across reuse), of cluster storage,
+// of adopted-cluster records and of the socket layer's uiowCABhdrs. Every
+// mbuf records the pool it came from, so Free returns it there and
+// CopyRange, SplitAt and Prepend take new headers from the same place. Objects are handed out dirty (see
 // internal/pool): the constructors set every field, and whoever sets a
 // cluster's window fills it — the holder of a cluster mbuf can only reach
 // its [off, off+ln) window.
@@ -290,13 +290,15 @@ type Pool struct {
 	mbufs, data pool.List[Mbuf]
 	clusters    pool.List[cluster]
 	adopted     pool.List[cluster]
+	hdrs        pool.List[Hdr]
 }
 
 // Check puts the pool's lists in check mode (tests; see internal/pool). A
 // released header reads as freed — Free and Bytes on it panic, and its
 // length is negative — and released or new storage is filled with 0xDB, so
 // a reader of stale or never-written bytes sees garbage instead of
-// plausible old data.
+// plausible old data. A released uiowCABhdr has an owner that panics when
+// notified.
 func (p *Pool) Check() {
 	poison := func(m *Mbuf) { *m = Mbuf{typ: freed, off: -1, ln: -1} }
 	p.mbufs.Check(poison)
@@ -317,6 +319,35 @@ func (p *Pool) Check() {
 		cl.refs = -1
 	})
 	p.adopted.Check(nil)
+	p.hdrs.Check(func(h *Hdr) { *h = Hdr{Owner: releasedOwner{}, DescID: -1} })
+}
+
+// Checking reports whether the pool is in check mode.
+func (p *Pool) Checking() bool { return p != nil && p.hdrs.Checking() }
+
+// releasedOwner is a released uiowCABhdr's owner in check mode: a DMA
+// completion that still reaches the header panics.
+type releasedOwner struct{}
+
+func (releasedOwner) DMAStarted(units.Size) { panic("mbuf: uiowCABhdr used after release") }
+func (releasedOwner) DMADone(units.Size)    { panic("mbuf: uiowCABhdr used after release") }
+
+// AllocHdr returns a uiowCABhdr with arbitrary contents: the taker sets
+// every field, with one composite literal. It goes back through FreeHdr
+// once no descriptor mbuf or copy of one can reach it.
+func (p *Pool) AllocHdr() *Hdr {
+	if p == nil {
+		return new(Hdr)
+	}
+	return p.hdrs.Get()
+}
+
+// FreeHdr releases h, which came from AllocHdr. The caller must hold the
+// last reference.
+func (p *Pool) FreeHdr(h *Hdr) {
+	if p != nil {
+		p.hdrs.Put(h)
+	}
 }
 
 // header returns a blank mbuf header of type t.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/fault/soak"
 	"repro/internal/socket"
 	"repro/internal/ttcp"
@@ -90,6 +91,50 @@ func TestPoisonedClustersChangeNothing(t *testing.T) {
 			return fmt.Sprintf("%+v", res)
 		})
 	})
+
+	// The single-copy path's descriptors: each write's uiowCABhdrs go back
+	// to the host's pool, and its tracker (which holds the write's UIO) is
+	// parked, once the write's DMAs are all done. In check mode a released
+	// header's owner panics when notified, and a parked tracker's UIO is
+	// zeroed, so a descriptor or segment copy that outlived its write fails
+	// at the access. Wire drops make the sender retransmit out of the send
+	// buffer; a network-memory window longer than the retransmission limit
+	// times the connection out with segment copies still queued at the
+	// driver, which must find their headers marked abandoned and drop.
+	for _, tc := range []struct {
+		name, plan string
+		abandon    bool
+	}{
+		{"ttcp-single-drop", "drop:every=13,min=1000", false},
+		{"ttcp-single-abandon", "netmem:at=5ms,dur=25s", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sameInCheckMode(t, func(check bool) string {
+				tb := core.NewTestbed(7)
+				if check {
+					tb.CheckPools()
+				}
+				inj := fault.New(tb.Eng, 1)
+				if err := inj.AddPlan(tc.plan); err != nil {
+					t.Fatal(err)
+				}
+				tb.EnableFaults(inj)
+				a := tb.AddHost(core.HostConfig{Name: "A", Addr: wire.Addr(0x0a000001), Mode: socket.ModeSingleCopy, CABNode: 1})
+				b := tb.AddHost(core.HostConfig{Name: "B", Addr: wire.Addr(0x0a000002), Mode: socket.ModeSingleCopy, CABNode: 2})
+				tb.RouteCAB(a, b)
+				res := ttcp.Run(tb, a, b, ttcp.Params{
+					Total: 1 * units.MB, RWSize: 64 * units.KB, WithUtil: true, WithBackground: true, Tolerant: true,
+				})
+				if a.Stk.Stats.TCPRetransmits == 0 {
+					t.Error("no retransmissions: the fault missed the data path")
+				}
+				if tc.abandon && a.Drv.Stats.TxAbandoned == 0 {
+					t.Error("no queued segment copy outlived the connection")
+				}
+				return fmt.Sprintf("%+v %+v %+v", res, a.Stk.Stats, a.Drv.Stats)
+			})
+		})
+	}
 }
 
 // sameInCheckMode runs a case as built and then with its free lists in

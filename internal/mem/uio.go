@@ -22,7 +22,7 @@ type UIO struct {
 	total units.Size
 	done  units.Size // bytes consumed from the front
 	// iov0 is iov's storage for the common single-buffer UIO, so building
-	// one is one allocation.
+	// one is one allocation and resetting one is none.
 	iov0 [1]Iovec
 }
 
@@ -31,9 +31,9 @@ func NewUIO(bufs ...Buf) *UIO {
 	if len(bufs) == 0 {
 		panic("mem: UIO needs at least one buffer")
 	}
-	u := &UIO{Space: bufs[0].Space}
-	u.iov = u.iov0[:0]
-	for _, b := range bufs {
+	u := new(UIO)
+	u.Reset(bufs[0])
+	for _, b := range bufs[1:] {
 		if b.Space != u.Space {
 			panic("mem: UIO buffers must share one address space")
 		}
@@ -44,6 +44,19 @@ func NewUIO(bufs ...Buf) *UIO {
 		u.total += b.Len
 	}
 	return u
+}
+
+// Reset makes u describe the single buffer b, nothing consumed, in u's own
+// storage: a socket keeps one UIO per direction and resets it for each
+// system call instead of building one (a UIO must not be copied after
+// Reset, since its iovec list points into it).
+func (u *UIO) Reset(b Buf) {
+	*u = UIO{Space: b.Space}
+	u.iov = u.iov0[:0]
+	if b.Len != 0 {
+		u.iov = append(u.iov, Iovec{Addr: b.Addr, Len: b.Len})
+		u.total = b.Len
+	}
 }
 
 // Total returns the full byte count the UIO described initially.

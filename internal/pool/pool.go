@@ -76,6 +76,9 @@ func (l *List[T]) Check(poison func(*T)) {
 	l.chk = &checker[T]{poison: poison, released: make(map[*T]struct{})}
 }
 
+// Checking reports whether l is in check mode.
+func (l *List[T]) Checking() bool { return l.chk != nil }
+
 // Bytes is the byte-buffer form of List: buffers size-classed by capacity
 // in whole kilobytes — fine enough that a buffer is never much larger than
 // what it holds (with 8 KB classes an 8 KB + 64 B packet doubled every

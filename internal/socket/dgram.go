@@ -47,16 +47,23 @@ func MustDGram(k *kern.Kernel, vm *kern.VM, task *kern.Task, stk *tcpip.Stack, p
 
 // SendTo transmits buf as one datagram. On the single-copy path the call
 // blocks until the data is outboard; the driver frees the outboard packet
-// after the media send (UDP has no retransmission state).
+// after the media send (UDP has no retransmission state). A buffer too
+// long for one datagram is refused with tcpip.ErrMsgSize before anything
+// is copied, mapped or pinned.
 func (d *DGram) SendTo(p *sim.Proc, buf mem.Buf, dst wire.Addr, dport uint16) error {
 	ctx := d.K.TaskCtx(p, d.Task).In("socket").WithFlow(int(d.Sock.Port()))
 	ctx.Charge(d.K.Mach.SyscallCost, kern.CatSyscall)
+	if err := d.Sock.CheckLen(buf.Len); err != nil {
+		return err
+	}
 	ctx.Charge(d.K.Mach.SocketPerPacket, kern.CatProto)
 	// Per-flow netmem admission (no-op without an arbiter on the route).
 	if adm := d.Sock.TxAdmitter(dst); adm != nil {
 		adm.AdmitTx(p, int(d.Sock.Port()), buf.Len+wire.IPHdrLen+wire.UDPHdrLen)
 	}
-	u := mem.NewUIO(buf)
+	trk := take(&d.wtrk, d.K.Eng, d.K.Mbufs, buf)
+	defer park(&d.wtrk, trk)
+	u := &trk.uio
 	useUIO := d.Cfg.Mode == ModeSingleCopy &&
 		buf.Len >= d.Cfg.UIOThreshold &&
 		u.AlignedTo(0, buf.Len, 4)
@@ -78,24 +85,24 @@ func (d *DGram) SendTo(p *sim.Proc, buf mem.Buf, dst wire.Addr, dport uint16) er
 			}
 			tail = cl
 		}
-		d.Sock.SendTo(ctx, head, buf.Len, dst, dport)
-		return nil
+		return d.Sock.SendTo(ctx, head, buf.Len, dst, dport)
 	}
 	d.K.WaitAlloc(p)
 	d.VM.MapUIO(ctx, u, 0, buf.Len)
 	d.VM.PinUIO(ctx, u, 0, buf.Len)
-	trk := take(&d.wtrk, d.K.Eng)
-	defer park(&d.wtrk, trk)
 	trk.add(buf.Len)
-	m := d.K.Mbufs.NewUIO(u, 0, buf.Len, &mbuf.Hdr{Owner: trk})
-	d.Sock.SendTo(ctx, m, buf.Len, dst, dport)
+	m := d.K.Mbufs.NewUIO(u, 0, buf.Len, trk.hdr(0))
+	err := d.Sock.SendTo(ctx, m, buf.Len, dst, dport)
+	if err != nil {
+		trk.DMADone(buf.Len) // never issued
+	}
 	trk.wait(p)
 	d.VM.UnpinUIO(ctx, u, 0, buf.Len)
 	var sb mem.SegBuf
 	for _, seg := range u.Segments(0, buf.Len, sb[:0]) {
 		d.VM.UnmapBuf(u.Space, seg.Addr, seg.Len)
 	}
-	return nil
+	return err
 }
 
 // RecvFrom receives one datagram into buf, returning the byte count and
@@ -112,10 +119,9 @@ func (d *DGram) RecvFrom(p *sim.Proc, buf mem.Buf) (units.Size, wire.Addr, uint1
 		if n > buf.Len {
 			n = buf.Len
 		}
-		u := mem.NewUIO(buf)
 		head, rest := mbuf.SplitAt(dg.Chain, n)
 		d.rcv.Cfg = d.Cfg
-		err := d.rcv.copyOut(ctx, u, head, n, nil, 0)
+		err := d.rcv.copyOut(ctx, buf, head, n, nil, 0)
 		mbuf.FreeChain(head)
 		mbuf.FreeChain(rest)
 		if err != nil {

@@ -105,41 +105,74 @@ func NewSocket(k *kern.Kernel, vm *kern.VM, task *kern.Task, conn *tcpip.TCPConn
 
 // tracker is the outstanding-DMA (UIO) counter that synchronizes
 // application wakeup with the driver (Section 4.4.2), with the rest of one
-// system call's DMA bookkeeping: the first copy-out error and the ranges
-// pinned for the DMAs. A socket keeps one per direction and reuses it
-// across system calls.
+// system call's descriptors and DMA bookkeeping: the call's user region,
+// the uiowCABhdrs of its M_UIO descriptors, the first copy-out error and
+// the ranges pinned for the DMAs. A socket keeps one per direction and
+// reuses it across system calls, so a call allocates none of these.
 type tracker struct {
 	pending units.Size
 	err     error
 	sig     *sim.Signal
+	mbufs   *mbuf.Pool  // where hdrs come from and go back to
+	uio     mem.UIO     // the call's user region, reset per call
+	hdrs    []*mbuf.Hdr // the call's uiowCABhdrs, released at park
 	pinned  []mem.Iovec // UIO ranges to unpin when the call ends
 	scatter [][]byte    // one copy-out's destination segments
 }
 
-func newTracker(e *sim.Engine) *tracker { return &tracker{sig: sim.NewSignal(e)} }
-
 // take hands a system call the tracker parked in *slot, or a fresh one
 // when the slot is empty: on first use, or while another call on the same
-// socket holds it.
-func take(slot **tracker, e *sim.Engine) *tracker {
+// socket holds it. The tracker's UIO describes buf.
+func take(slot **tracker, e *sim.Engine, mbufs *mbuf.Pool, buf mem.Buf) *tracker {
 	t := *slot
 	if t == nil {
-		return newTracker(e)
+		t = &tracker{sig: sim.NewSignal(e), mbufs: mbufs}
+	} else {
+		*slot = nil
 	}
-	*slot = nil
+	t.uio.Reset(buf)
 	return t
 }
 
-// park returns t to *slot for the next system call — unless DMAs it
-// counted are still outstanding (a call abandoned by a connection error),
-// since their late completions must not land on the next call's count.
+// park ends t's system call and returns t to *slot for the next one —
+// unless DMAs it counted are still outstanding (a call abandoned by a
+// connection error), since their late completions must not land on the
+// next call's count, and its descriptors may still be queued at a driver.
+//
+// With nothing outstanding every M_UIO byte of the call has been secured
+// outboard, acknowledged or dropped with its connection, so copy semantics
+// end and the call's uiowCABhdrs go back to the pool. A header a teardown
+// marked abandoned is the exception: segment copies still queued at the
+// driver read the mark, so it is left to them.
 func park(slot **tracker, t *tracker) {
 	if t.pending != 0 {
+		return
+	}
+	for _, h := range t.hdrs {
+		if !h.Abandoned {
+			t.mbufs.FreeHdr(h)
+		}
+	}
+	t.hdrs = t.hdrs[:0]
+	if t.mbufs.Checking() {
+		// Check mode (see internal/pool): the tracker is poisoned and
+		// never parked, so a descriptor still pointing at its UIO panics
+		// at the access instead of reading the next call's region.
+		t.uio = mem.UIO{}
 		return
 	}
 	t.err = nil
 	t.pinned = t.pinned[:0]
 	*slot = t
+}
+
+// hdr takes a uiowCABhdr from the pool for one of the call's M_UIO
+// descriptors, owned by t and tagged with sosend descriptor id desc.
+func (t *tracker) hdr(desc int64) *mbuf.Hdr {
+	h := t.mbufs.AllocHdr()
+	*h = mbuf.Hdr{Owner: t, DescID: desc}
+	t.hdrs = append(t.hdrs, h)
+	return h
 }
 
 func (t *tracker) add(n units.Size) { t.pending += n }
@@ -187,7 +220,9 @@ func (s *Socket) Write(p *sim.Proc, buf mem.Buf) (units.Size, error) {
 	// time (or, for the first write, the chain root).
 	s.Conn.WriteChain().Ev(obs.CauseApp, obs.EvWriteStart, s.Conn.AppendStreamOff(), buf.Len)
 
-	u := mem.NewUIO(buf)
+	trk := take(&s.wtrk, s.K.Eng, s.K.Mbufs, buf)
+	defer park(&s.wtrk, trk)
+	u := &trk.uio
 	aligned := u.AlignedTo(0, buf.Len, 4) // word alignment (Section 4.5)
 	useUIO := s.Cfg.Mode == ModeSingleCopy &&
 		buf.Len >= s.Cfg.UIOThreshold &&
@@ -195,7 +230,7 @@ func (s *Socket) Write(p *sim.Proc, buf mem.Buf) (units.Size, error) {
 	if useUIO {
 		s.UIOWrites++
 		s.ctrUIOWrites.Inc()
-		return s.writeUIO(ctx, u, buf)
+		return s.writeUIO(ctx, trk, buf)
 	}
 	if !aligned && s.alignable(buf) {
 		// Section 4.5 extension: peel off a short misaligned prefix via
@@ -208,8 +243,11 @@ func (s *Socket) Write(p *sim.Proc, buf mem.Buf) (units.Size, error) {
 		if err != nil {
 			return n1, err
 		}
+		// The copy is done with the prefix: the rest gets a region of its
+		// own, as the single-copy path addresses it from offset 0.
 		rest := buf.Slice(prefix, buf.Len-prefix)
-		n2, err := s.writeUIO(ctx, mem.NewUIO(rest), rest)
+		u.Reset(rest)
+		n2, err := s.writeUIO(ctx, trk, rest)
 		return n1 + n2, err
 	}
 	s.CopyWrites++
@@ -287,16 +325,16 @@ func (s *Socket) writeCopy(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, e
 	return total, nil
 }
 
-// writeUIO is the single-copy sosend: map and pin incrementally, append
-// M_UIO descriptors, and wait for the outstanding DMAs.
-func (s *Socket) writeUIO(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, error) {
+// writeUIO is the single-copy sosend of buf, which trk's UIO describes:
+// map and pin incrementally, append M_UIO descriptors, and wait for the
+// outstanding DMAs.
+func (s *Socket) writeUIO(ctx kern.Ctx, trk *tracker, buf mem.Buf) (units.Size, error) {
 	c := s.Conn
+	u := &trk.uio
 	total := buf.Len
 	// Map, pin and append "one socket buffer worth at a time" (Section
 	// 4.4.1): one maximum-size segment per iteration.
 	chunkMax := c.MaxSeg
-	trk := take(&s.wtrk, s.K.Eng)
-	defer park(&s.wtrk, trk)
 	w := c.WriteChain()
 	boundary := true
 	for sent := units.Size(0); sent < total; {
@@ -328,7 +366,7 @@ func (s *Socket) writeUIO(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, er
 		// single-copy critical path exists to show. As in writeCopy, it is
 		// the event Append links the chunk to.
 		w.Ev(obs.CauseCPU, obs.EvSockPin, c.AppendStreamOff(), chunk)
-		m := s.K.Mbufs.NewUIO(u, sent, chunk, &mbuf.Hdr{Owner: trk, DescID: s.K.Led.NextDesc()})
+		m := s.K.Mbufs.NewUIO(u, sent, chunk, trk.hdr(s.K.Led.NextDesc()))
 		if err := c.Append(ctx, m, chunk, boundary); err != nil {
 			trk.DMADone(chunk) // never issued
 			s.unpinAll(ctx, u, trk.pinned)
@@ -391,8 +429,7 @@ func (s *Socket) Read(p *sim.Proc, buf mem.Buf) (units.Size, error) {
 	if n == 0 {
 		return 0, ErrEOF
 	}
-	u := mem.NewUIO(buf)
-	err := s.copyOut(ctx.OnStream(int(c.RemotePort()), base), u, chain, n, r, base)
+	err := s.copyOut(ctx.OnStream(int(c.RemotePort()), base), buf, chain, n, r, base)
 	mbuf.FreeChain(chain)
 	if err != nil {
 		// The outboard data vanished mid-copy-out (adaptor reset); the
@@ -411,15 +448,16 @@ func (s *Socket) Read(p *sim.Proc, buf mem.Buf) (units.Size, error) {
 	return n, nil
 }
 
-// copyOut moves a dequeued chain into the user buffer: CPU copies for
+// copyOut moves a dequeued chain into the user buffer buf: CPU copies for
 // resident mbufs, SDMA for M_WCAB descriptors when the destination is
 // word-aligned (the paper's receive-side single-copy; unaligned reads fall
 // back to the copy path, Section 4.5). Its copy and DMA events go on the
 // reader's causal chain r (nil for a datagram), labelled with the read's
 // stream range [base, base+n).
-func (s *Socket) copyOut(ctx kern.Ctx, u *mem.UIO, chain *mbuf.Mbuf, n units.Size, r *obs.Chain, base units.Size) error {
-	trk := take(&s.rtrk, s.K.Eng)
+func (s *Socket) copyOut(ctx kern.Ctx, buf mem.Buf, chain *mbuf.Mbuf, n units.Size, r *obs.Chain, base units.Size) error {
+	trk := take(&s.rtrk, s.K.Eng, s.K.Mbufs, buf)
 	defer park(&s.rtrk, trk)
+	u := &trk.uio
 	off := units.Size(0)
 	sawDMA := false
 	didCopy := false

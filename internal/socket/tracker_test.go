@@ -3,6 +3,7 @@ package socket
 import (
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/race"
 	"repro/internal/sim"
 	"repro/internal/tcpip"
@@ -22,7 +23,7 @@ func TestTrackerReuseAllocBudget(t *testing.T) {
 	cycles := 0
 	eng.Go("syscall", func(p *sim.Proc) {
 		for {
-			cur = take(&slot, eng)
+			cur = take(&slot, eng, nil, mem.Buf{})
 			cur.add(2)
 			cur.wait(p)
 			park(&slot, cur)
@@ -58,13 +59,13 @@ func TestTrackerReuseAllocBudget(t *testing.T) {
 func TestTrackerParkKeepsOnlyIdle(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var slot *tracker
-	busy := take(&slot, eng)
+	busy := take(&slot, eng, nil, mem.Buf{})
 	busy.add(5)
 	park(&slot, busy)
 	if slot != nil {
 		t.Fatal("a tracker with DMAs outstanding was parked")
 	}
-	idle := take(&slot, eng)
+	idle := take(&slot, eng, nil, mem.Buf{})
 	idle.add(5)
 	idle.CopyDone(5, tcpip.ErrDeviceReset)
 	idle.CopyDone(0, tcpip.ErrConnClosed)
@@ -75,7 +76,7 @@ func TestTrackerParkKeepsOnlyIdle(t *testing.T) {
 	if slot != idle || idle.err != nil {
 		t.Fatalf("idle tracker not parked clean: slot=%p err=%v", slot, idle.err)
 	}
-	if again := take(&slot, eng); again != idle || slot != nil {
+	if again := take(&slot, eng, nil, mem.Buf{}); again != idle || slot != nil {
 		t.Fatal("take did not hand out the parked tracker")
 	}
 }

@@ -2,6 +2,7 @@ package tcpip
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/mbuf"
@@ -249,7 +250,9 @@ func TestUDPOversizeDatagramRejected(t *testing.T) {
 			}
 			chain = mbuf.Cat(chain, mbuf.NewCluster(big[off:e]))
 		}
-		tx.SendTo(ctx, chain, units.Size(len(big)), r.sb.Addr, 9000)
+		if err := tx.SendTo(ctx, chain, units.Size(len(big)), r.sb.Addr, 9000); !errors.Is(err, ErrMsgSize) {
+			t.Errorf("SendTo of %d bytes: %v, want ErrMsgSize", len(big), err)
+		}
 	})
 	r.eng.Run()
 	defer r.eng.KillAll()

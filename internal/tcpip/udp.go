@@ -1,6 +1,8 @@
 package tcpip
 
 import (
+	"errors"
+
 	"repro/internal/checksum"
 	"repro/internal/kern"
 	"repro/internal/mbuf"
@@ -80,18 +82,30 @@ func (u *UDPSock) Close() {
 	u.rcvSig.Broadcast()
 }
 
+// ErrMsgSize refuses a datagram longer than IPv4 can carry (EMSGSIZE).
+var ErrMsgSize = errors.New("tcpip: datagram too long")
+
+// CheckLen refuses, with ErrMsgSize, an n-byte payload that cannot be one
+// datagram: IPv4's 16-bit total length (and 13-bit fragment offset) cannot
+// represent it. SendTo refuses such a payload; a socket layer asks first,
+// so it neither copies nor maps, pins or tracks what would be refused.
+func (u *UDPSock) CheckLen(n units.Size) error {
+	if wire.IPHdrLen+wire.UDPHdrLen+n > maxDatagram {
+		u.stk.Stats.UDPOversize++
+		return ErrMsgSize
+	}
+	return nil
+}
+
 // SendTo transmits an n-byte chain as one datagram to dst:dport. The chain
 // may hold M_UIO descriptors on the single-copy path; the driver frees the
 // outboard packet after the media send (UDP keeps no retransmit state), as
-// directed by FreeAfterSend.
-func (u *UDPSock) SendTo(ctx kern.Ctx, m *mbuf.Mbuf, n units.Size, dst wire.Addr, dport uint16) {
+// directed by FreeAfterSend. A refused datagram's chain is freed.
+func (u *UDPSock) SendTo(ctx kern.Ctx, m *mbuf.Mbuf, n units.Size, dst wire.Addr, dport uint16) error {
 	ctx = ctx.In("udp_output").WithFlow(int(u.port))
-	if wire.IPHdrLen+wire.UDPHdrLen+n > maxDatagram {
-		// IPv4's 16-bit total length (and 13-bit fragment offset) cannot
-		// represent it: EMSGSIZE in a real stack.
-		u.stk.Stats.UDPOversize++
+	if err := u.CheckLen(n); err != nil {
 		mbuf.FreeChain(m)
-		return
+		return err
 	}
 	singleCopy, mtu := u.stk.RouteCaps(dst)
 	segTotal := wire.UDPHdrLen + n
@@ -141,6 +155,7 @@ func (u *UDPSock) SendTo(ctx kern.Ctx, m *mbuf.Mbuf, n units.Size, dst wire.Addr
 	ctx.Charge(u.stk.K.Mach.TCPPerPacket/2, kern.CatProto) // UDP is cheaper than TCP
 	u.stk.Stats.UDPOut++
 	u.stk.IPOutput(ctx, hm, wire.ProtoUDP, dst)
+	return nil
 }
 
 // RecvFrom blocks until a datagram arrives (nil once the socket closes).

@@ -83,7 +83,8 @@ type Result struct {
 	Throughput units.Rate
 	Snd, Rcv   HostStats
 	// SndErr / RcvErr are the errors that ended each side early ("" for
-	// a clean run; only possible with Params.Tolerant).
+	// a clean run; only possible with Params.Tolerant, or from a refused
+	// UDP send).
 	SndErr, RcvErr string
 }
 

@@ -26,7 +26,9 @@ type UDPResult struct {
 	LossFraction   float64
 }
 
-// RunUDP performs a UDP blast from snd to rcv.
+// RunUDP performs a UDP blast from snd to rcv. A send the stack refuses
+// (a datagram longer than IPv4 carries) ends the run at once, its error in
+// SndErr: the receiver would otherwise wait for sentinels that never come.
 func RunUDP(tb *core.Testbed, snd, rcv *core.Host, pr Params) UDPResult {
 	ss := &side{h: snd}
 	// The sender carves its write buffer, then the 8-aligned sentinel.
@@ -41,8 +43,16 @@ func RunUDP(tb *core.Testbed, snd, rcv *core.Host, pr Params) UDPResult {
 	var (
 		t0, t1   units.Time
 		received units.Size
+		sndErr   string
 	)
 	snd0, rcv0 := ss.times(), rs.times()
+	// end closes the measurement window and stops the soakers and the
+	// series, so the engine runs dry.
+	end := func(p *sim.Proc) {
+		t1 = p.Now()
+		ss.stop, rs.stop = true, true
+		tb.StopSeries()
+	}
 
 	rx := socket.MustDGram(rcv.K, rcv.VM, rs.ttcpTask, rcv.Stk, udpPort, rcv.SocketConfig())
 	tb.Eng.Go("ttcp-udp-rcv", func(p *sim.Proc) {
@@ -55,9 +65,7 @@ func RunUDP(tb *core.Testbed, snd, rcv *core.Host, pr Params) UDPResult {
 			received += n
 			rcv.K.Work(p, rs.ttcpTask, 2*units.Microsecond, kern.CatApp, false)
 		}
-		t1 = p.Now()
-		ss.stop, rs.stop = true, true
-		tb.StopSeries()
+		end(p)
 	})
 
 	tb.Eng.Go("ttcp-udp-snd", func(p *sim.Proc) {
@@ -70,7 +78,11 @@ func RunUDP(tb *core.Testbed, snd, rcv *core.Host, pr Params) UDPResult {
 		fill(buf.Bytes())
 		for sent := units.Size(0); sent < pr.Total; sent += pr.RWSize {
 			snd.K.Work(p, ss.ttcpTask, 2*units.Microsecond, kern.CatApp, false)
-			tx.SendTo(p, buf, rcv.Cfg.Addr, udpPort)
+			if err := tx.SendTo(p, buf, rcv.Cfg.Addr, udpPort); err != nil {
+				sndErr = err.Error()
+				end(p)
+				return
+			}
 		}
 		// EOT sentinels (several, in case some are lost).
 		eot := ss.ttcpTask.Space.Alloc(eotLen, 8)
@@ -107,5 +119,6 @@ func RunUDP(tb *core.Testbed, snd, rcv *core.Host, pr Params) UDPResult {
 	}
 	res.Snd = ss.snapshot(elapsed, res.Throughput, snd0)
 	res.Rcv = rs.snapshot(elapsed, res.Throughput, rcv0)
+	res.SndErr = sndErr
 	return res
 }
