@@ -65,6 +65,9 @@ func (m *Mbuf) clone(off, n units.Size) *Mbuf {
 	case TUIO:
 		c = m.pool.header(TUIO)
 		c.uio = m.uio
+		if m.hdr != nil {
+			m.hdr.refs++
+		}
 	case TWCAB:
 		m.wcab.Ref()
 		c = m.pool.header(TWCAB)

@@ -111,6 +111,10 @@ type Hdr struct {
 	// the flag must drop the packet instead of DMAing from user pages
 	// that the released writer has since unpinned.
 	Abandoned bool
+	// refs counts the M_UIO mbufs pointing at the header: the descriptor
+	// in a send buffer, the pieces it splits into, and the segment copies
+	// cut from them (see Refs).
+	refs int32
 
 	// OnOutboard, set by the transport on a transmit packet, is told (in
 	// interrupt context) once the packet's data resides in network memory,
@@ -153,6 +157,13 @@ type Hdr struct {
 	// Zero means "unattributed" (control traffic, fragments).
 	Flow int
 }
+
+// Refs returns how many live M_UIO mbufs point at h: NewUIO, CopyRange
+// and SplitAt take a reference, Free drops it. While it is not zero some
+// mbuf may still reach h and the user region it describes — a segment copy
+// queued at a driver outlives the write it was cut from when its first
+// copy's DMA ended the write — so the owner may reuse neither.
+func (h *Hdr) Refs() int { return int(h.refs) }
 
 // OutboardSink takes ownership of a transmitted packet once its data
 // resides in network memory (see Hdr.OnOutboard). A transport implements
@@ -298,7 +309,8 @@ type Pool struct {
 // length is negative — and released or new storage is filled with 0xDB, so
 // a reader of stale or never-written bytes sees garbage instead of
 // plausible old data. A released uiowCABhdr has an owner that panics when
-// notified.
+// notified and no references, so freeing an M_UIO mbuf that still points
+// at it panics too.
 func (p *Pool) Check() {
 	poison := func(m *Mbuf) { *m = Mbuf{typ: freed, off: -1, ln: -1} }
 	p.mbufs.Check(poison)
@@ -334,7 +346,7 @@ func (releasedOwner) DMADone(units.Size)    { panic("mbuf: uiowCABhdr used after
 
 // AllocHdr returns a uiowCABhdr with arbitrary contents: the taker sets
 // every field, with one composite literal. It goes back through FreeHdr
-// once no descriptor mbuf or copy of one can reach it.
+// once no descriptor mbuf or copy of one can reach it (Refs is zero).
 func (p *Pool) AllocHdr() *Hdr {
 	if p == nil {
 		return new(Hdr)
@@ -488,6 +500,9 @@ func NewUIO(u *mem.UIO, off, n units.Size, hdr *Hdr) *Mbuf {
 func (p *Pool) NewUIO(u *mem.UIO, off, n units.Size, hdr *Hdr) *Mbuf {
 	if off < 0 || n < 0 || off+n > u.Total() {
 		panic(fmt.Sprintf("mbuf: UIO window [%v,+%v) outside %v", off, n, u.Total()))
+	}
+	if hdr != nil {
+		hdr.refs++
 	}
 	m := p.header(TUIO)
 	m.uio, m.off, m.ln, m.hdr = u, off, n, hdr
@@ -647,6 +662,12 @@ func (m *Mbuf) Free() *Mbuf {
 		panic("mbuf: double free")
 	case TCluster:
 		m.cl.unref()
+	case TUIO:
+		if h := m.hdr; h != nil {
+			if h.refs--; h.refs < 0 {
+				panic("mbuf: uiowCABhdr over-release")
+			}
+		}
 	case TWCAB:
 		m.wcab.Unref()
 	}

@@ -281,6 +281,36 @@ func TestWCABRefCounting(t *testing.T) {
 	}
 }
 
+// TestUIOHdrRefCounting: every M_UIO mbuf pointing at a uiowCABhdr — the
+// descriptor, the pieces SplitAt leaves, the copies CopyRange cuts — holds
+// one reference, and freeing one more than were taken panics.
+func TestUIOHdrRefCounting(t *testing.T) {
+	var p Pool
+	h := &Hdr{}
+	m := p.NewUIO(mem.NewUIO(testSpace().Alloc(100, 4)), 0, 100, h)
+	front, back := SplitAt(m, 40)
+	c := CopyRange(Cat(front, back), 30, 20) // straddles the split: two mbufs
+	if h.Refs() != 4 {
+		t.Fatalf("refs = %d, want 4", h.Refs())
+	}
+	FreeChain(front)
+	if h.Refs() != 2 {
+		t.Fatalf("refs = %d after the descriptor went, want the copy's 2", h.Refs())
+	}
+	FreeChain(c)
+	if h.Refs() != 0 {
+		t.Fatalf("refs = %d after every M_UIO mbuf went, want 0", h.Refs())
+	}
+	m = p.NewUIO(mem.NewUIO(testSpace().Alloc(100, 4)), 0, 100, h)
+	h.refs = 0 // as if its owner had released the header under it
+	defer func() {
+		if recover() == nil {
+			t.Fatal("freeing an M_UIO mbuf whose header holds no reference did not panic")
+		}
+	}()
+	m.Free()
+}
+
 func TestChainLenAndCat(t *testing.T) {
 	a := NewData(seq(10))
 	b := NewData(seq(20))

@@ -94,7 +94,8 @@ func TestPoisonedClustersChangeNothing(t *testing.T) {
 
 	// The single-copy path's descriptors: each write's uiowCABhdrs go back
 	// to the host's pool, and its tracker (which holds the write's UIO) is
-	// parked, once the write's DMAs are all done. In check mode a released
+	// parked, once the write's DMAs are all done and no M_UIO mbuf points
+	// at the headers any more. In check mode a released
 	// header's owner panics when notified, and a parked tracker's UIO is
 	// zeroed, so a descriptor or segment copy that outlived its write fails
 	// at the access. Wire drops make the sender retransmit out of the send

@@ -135,23 +135,30 @@ func take(slot **tracker, e *sim.Engine, mbufs *mbuf.Pool, buf mem.Buf) *tracker
 }
 
 // park ends t's system call and returns t to *slot for the next one —
-// unless DMAs it counted are still outstanding (a call abandoned by a
-// connection error), since their late completions must not land on the
-// next call's count, and its descriptors may still be queued at a driver.
+// unless the call's descriptors are still in use. DMAs it counted may be
+// outstanding (a call abandoned by a connection error): their late
+// completions must not land on the next call's count. Or an M_UIO mbuf
+// cut from the call may still point at its headers and its UIO: a
+// retransmitted segment copy still queued at the driver when the first
+// copy's DMA ended the call, which the driver drops once it sees the
+// call's pages unpinned. Such a tracker is left to those holders and the
+// garbage collector, and the next call takes a fresh one.
 //
-// With nothing outstanding every M_UIO byte of the call has been secured
-// outboard, acknowledged or dropped with its connection, so copy semantics
-// end and the call's uiowCABhdrs go back to the pool. A header a teardown
-// marked abandoned is the exception: segment copies still queued at the
-// driver read the mark, so it is left to them.
+// Otherwise every M_UIO byte of the call has been secured outboard,
+// acknowledged or dropped with its connection, and no mbuf describes it
+// any more: copy semantics end, and the call's uiowCABhdrs go back to the
+// pool.
 func park(slot **tracker, t *tracker) {
 	if t.pending != 0 {
 		return
 	}
 	for _, h := range t.hdrs {
-		if !h.Abandoned {
-			t.mbufs.FreeHdr(h)
+		if h.Refs() != 0 {
+			return
 		}
+	}
+	for _, h := range t.hdrs {
+		t.mbufs.FreeHdr(h)
 	}
 	t.hdrs = t.hdrs[:0]
 	if t.mbufs.Checking() {

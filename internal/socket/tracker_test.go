@@ -3,6 +3,7 @@ package socket
 import (
 	"testing"
 
+	"repro/internal/mbuf"
 	"repro/internal/mem"
 	"repro/internal/race"
 	"repro/internal/sim"
@@ -54,8 +55,9 @@ func TestTrackerReuseAllocBudget(t *testing.T) {
 
 // TestTrackerParkKeepsOnlyIdle: a tracker that still counts outstanding
 // DMAs (its system call was abandoned by a connection error) is not parked
-// for the next call, whose count its late completions would corrupt; an
-// idle one is parked with its error cleared.
+// for the next call, whose count its late completions would corrupt, and
+// neither is one an M_UIO mbuf still points at; an idle one is parked with
+// its error cleared.
 func TestTrackerParkKeepsOnlyIdle(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var slot *tracker
@@ -78,5 +80,20 @@ func TestTrackerParkKeepsOnlyIdle(t *testing.T) {
 	}
 	if again := take(&slot, eng, nil, mem.Buf{}); again != idle || slot != nil {
 		t.Fatal("take did not hand out the parked tracker")
+	}
+
+	// Idle, but a segment copy cut from the call's descriptor is still
+	// queued: the tracker keeps its UIO and headers until the copy goes.
+	cut := take(&slot, eng, nil, mem.Buf{Len: 8})
+	m := mbuf.NewUIO(&cut.uio, 0, 8, cut.hdr(1))
+	cp := mbuf.CopyRange(m, 0, 4)
+	m.Free()
+	park(&slot, cut)
+	if slot != nil || cut.uio.Total() != 8 || len(cut.hdrs) != 1 {
+		t.Fatal("a tracker whose descriptor a segment copy still points at was parked")
+	}
+	cp.Free()
+	if n := cut.hdrs[0].Refs(); n != 0 {
+		t.Fatalf("header refs = %d after every M_UIO mbuf was freed", n)
 	}
 }
