@@ -538,3 +538,41 @@ func TestOneFreeListPrimitive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOneTouchOracle keeps ledger.AssertCell the one data-touch oracle: it
+// reads each flow's expected touches from its stack's Table 1 cells, so a
+// hand-coded second copy of the table cannot come back. No non-test file
+// under internal/ or cmd/ declares or uses AssertMultiCopy, and none uses
+// AssertSingleCopy, the alias kept for the bench module.
+func TestOneTouchOracle(t *testing.T) {
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n.Name.Name == "AssertMultiCopy" {
+						t.Errorf("%s: AssertMultiCopy declared: audit with AssertCell", fset.Position(n.Pos()))
+					}
+				case *ast.SelectorExpr:
+					if name := n.Sel.Name; name == "AssertMultiCopy" || name == "AssertSingleCopy" {
+						t.Errorf("%s: %s used: audit with AssertCell on the stack mode's cells",
+							fset.Position(n.Pos()), name)
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

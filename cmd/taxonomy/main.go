@@ -27,10 +27,7 @@ func main() {
 		fmt.Printf("  %-12v %d configurations\n", cl, counts[cl])
 	}
 	fmt.Println()
-	cab := taxonomy.Derive(taxonomy.Config{
-		API: taxonomy.APICopy, Csum: taxonomy.CsumHeader,
-		Buf: taxonomy.BufOutboard, Move: taxonomy.MoveDMACsum,
-	})
+	cab := taxonomy.Derive(taxonomy.CAB)
 	fmt.Printf("The CAB (copy API, header checksum, outboard buffering, DMA+csum): %v → %v\n",
 		cab.Ops, cab.Class)
 	fmt.Println("\nReceive path (mirror of Table 1; checksum placement is immaterial on receive):")

@@ -18,11 +18,12 @@
 //
 // -audit enables the data-touch ledger and prints the per-flow audit
 // table (one row per host × touch kind with per-byte min/max); for TCP it
-// then checks the stack's copy-count oracle — single-copy mode must show
-// exactly one checksum-in-flight host-bus DMA and zero CPU touches per
-// sender byte — and exits nonzero on violation. -ledger writes the full
-// interval-record ledger; -flightrec writes the bounded flight-recorder
-// image (recent ledger + trace events per host).
+// then audits the flow against the stack's Table 1 cells — single-copy
+// mode must show exactly one checksum-in-flight host-bus DMA and zero CPU
+// touches per sender byte, unmodified mode one CPU copy and one CPU
+// checksum per byte on each host — and exits nonzero on violation.
+// -ledger writes the full interval-record ledger; -flightrec writes the
+// bounded flight-recorder image (recent ledger + trace events per host).
 //
 // -fault injects a deterministic fault plan (grammar in internal/fault's
 // ParsePlan) on the wire, the adaptor, and the kernel; the run then also
@@ -171,6 +172,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mach = cost.Alpha300
 	}
 
+	stack := socket.ModeSingleCopy
+	if *mode == "unmodified" {
+		stack = socket.ModeUnmodified
+	}
+	tx, rx := stack.Cells()
+
 	tb := core.NewTestbed(1)
 	if *stats || *traceOut != "" || *metricsOut != "" || *flightRec != "" {
 		tb.EnableTelemetry()
@@ -232,18 +239,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprint(report, "\n"+led.Summary(flow, total, []string{"snd", "wire", "rcv"}).Format())
 				cfg := ledger.AuditConfig{Flow: flow, Total: total,
 					SndHost: "snd", RcvHost: "rcv", Strict: *faultPlan == ""}
-				var err error
-				switch {
-				case *proto != "tcp" || *mode == "raw":
+				if *proto != "tcp" || *mode == "raw" {
 					fmt.Fprintln(report, "  oracle: skipped (TCP flows only)")
-				case *mode == "unmodified":
-					err = led.AssertMultiCopy(cfg)
-				default:
-					err = led.AssertSingleCopy(cfg)
-				}
-				if err != nil {
+				} else if err := led.AssertCell(tx, rx, cfg); err != nil {
 					return fmt.Errorf("audit: %w", err)
-				} else if *proto == "tcp" && *mode != "raw" {
+				} else {
 					fmt.Fprintln(report, "  oracle: ok")
 				}
 			}
@@ -331,14 +331,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var res ttcp.Result
 	if *proto == "udp" && *mode != "raw" {
-		m := socket.ModeSingleCopy
-		if *mode == "unmodified" {
-			m = socket.ModeUnmodified
-		}
 		a := tb.AddHost(core.HostConfig{Name: "snd", Addr: wire.Addr(0x0a000001),
-			Mach: mach(), Mode: m, CABNode: 1, LazyUnpin: *lazy})
+			Mach: mach(), Mode: stack, CABNode: 1, LazyUnpin: *lazy})
 		b := tb.AddHost(core.HostConfig{Name: "rcv", Addr: wire.Addr(0x0a000002),
-			Mach: mach(), Mode: m, CABNode: 2, LazyUnpin: *lazy})
+			Mach: mach(), Mode: stack, CABNode: 2, LazyUnpin: *lazy})
 		tb.RouteCAB(a, b)
 		ur := ttcp.RunUDP(tb, a, b, params)
 		if ur.SndErr != "" {
@@ -361,14 +357,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Mach: mach(), CABNode: 2, NoDriver: true})
 		res = ttcp.RunRaw(tb, a, b, params)
 	} else {
-		m := socket.ModeSingleCopy
-		if *mode == "unmodified" {
-			m = socket.ModeUnmodified
-		}
 		a := tb.AddHost(core.HostConfig{Name: "snd", Addr: wire.Addr(0x0a000001),
-			Mach: mach(), Mode: m, CABNode: 1, LazyUnpin: *lazy})
+			Mach: mach(), Mode: stack, CABNode: 1, LazyUnpin: *lazy})
 		b := tb.AddHost(core.HostConfig{Name: "rcv", Addr: wire.Addr(0x0a000002),
-			Mach: mach(), Mode: m, CABNode: 2, LazyUnpin: *lazy})
+			Mach: mach(), Mode: stack, CABNode: 2, LazyUnpin: *lazy})
 		tb.RouteCAB(a, b)
 		res = ttcp.Run(tb, a, b, params)
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/obs/ledger"
 	"repro/internal/socket"
-	"repro/internal/taxonomy"
 	"repro/internal/ttcp"
 	"repro/internal/units"
 )
@@ -55,55 +54,31 @@ func touchRun(mode socket.Mode, seed int64) (*ledger.Ledger, int) {
 	return led, led.MainFlow()
 }
 
-// opsString renders a cell's op sequence.
-func opsString(c taxonomy.Cell) string {
-	ops := make([]string, len(c.Ops))
-	for i, op := range c.Ops {
-		ops[i] = string(op)
-	}
-	return strings.Join(ops, " ")
-}
-
 // RunTouches measures the data-touch tables for the single-copy and
-// unmodified stacks and checks each against its audit oracle. The report
-// is returned even when an oracle fails; err aggregates the failures.
+// unmodified stacks and audits each, strictly, against its stack's Table 1
+// cells. The report is returned even when an audit fails; err aggregates
+// the failures.
 func RunTouches(seed int64) (TouchReport, error) {
 	var rep TouchReport
 	var errs []string
 	for _, v := range []struct {
-		dst    *TouchMode
-		mode   socket.Mode
-		cell   taxonomy.Config
-		strict bool
-		assert func(*ledger.Ledger, ledger.AuditConfig) error
+		dst  *TouchMode
+		mode socket.Mode
 	}{
-		// The CAB cell: copy API, header checksum, outboard buffering,
-		// DMA with checksum in flight → zero host data accesses.
-		{&rep.SingleCopy, socket.ModeSingleCopy, taxonomy.Config{
-			API: taxonomy.APICopy, Csum: taxonomy.CsumHeader,
-			Buf: taxonomy.BufOutboard, Move: taxonomy.MoveDMACsum,
-		}, true, (*ledger.Ledger).AssertSingleCopy},
-		// The unmodified cell: copy API, header checksum, no outboard
-		// buffering, plain DMA → the copy-semantics copy is unavoidable.
-		// (The simulated original stack takes the separate-checksum
-		// variant: a plain copy at the socket layer plus a checksum read
-		// in TCP, the same per-byte access count Table 1 charges the cell.)
-		{&rep.Unmodified, socket.ModeUnmodified, taxonomy.Config{
-			API: taxonomy.APICopy, Csum: taxonomy.CsumHeader,
-			Buf: taxonomy.BufNone, Move: taxonomy.MoveDMA,
-		}, false, (*ledger.Ledger).AssertMultiCopy},
+		{&rep.SingleCopy, socket.ModeSingleCopy},
+		{&rep.Unmodified, socket.ModeUnmodified},
 	} {
-		cell := taxonomy.Derive(v.cell)
+		tx, rx := v.mode.Cells()
 		led, flow := touchRun(v.mode, seed)
 		*v.dst = TouchMode{
-			Cell:    cell.Config.String(),
-			Ops:     opsString(cell),
-			Class:   cell.Class.String(),
+			Cell:    tx.Config.String(),
+			Ops:     tx.OpString(),
+			Class:   tx.Class.String(),
 			Audit:   "ok",
 			Summary: led.Summary(flow, touchTotal, []string{"A", "wire", "B"}),
 		}
-		if err := v.assert(led, ledger.AuditConfig{
-			Flow: flow, Total: touchTotal, SndHost: "A", RcvHost: "B", Strict: v.strict,
+		if err := led.AssertCell(tx, rx, ledger.AuditConfig{
+			Flow: flow, Total: touchTotal, SndHost: "A", RcvHost: "B", Strict: true,
 		}); err != nil {
 			v.dst.Audit = err.Error()
 			errs = append(errs, err.Error())

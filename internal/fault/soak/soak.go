@@ -128,19 +128,13 @@ func Run(c Case) Outcome {
 	r.checkConservation(&o)
 
 	// Invariant: no path silently gains or loses a data touch during
-	// recovery. The clean single-copy run must show the exact paper
-	// counts; faulted runs get the documented retransmit allowance
-	// (loose mode); the unmodified stack must still copy and checksum
-	// every byte on both hosts. UDP transfers tolerate loss by design,
-	// so per-byte stream coverage does not apply.
-	audit := func(cfg ledger.AuditConfig) error {
-		if c.Mode == socket.ModeSingleCopy {
-			return r.led.AssertSingleCopy(cfg)
-		}
-		return r.led.AssertMultiCopy(cfg)
-	}
+	// recovery. A clean run must show exactly its stack's Table 1 cells;
+	// faulted runs get the documented retransmit allowance (loose mode).
+	// UDP transfers tolerate loss by design, so per-byte stream coverage
+	// does not apply.
+	tx, rx := c.Mode.Cells()
 	if c.Proto == "tcp" && w == nil {
-		err := audit(ledger.AuditConfig{
+		err := r.led.AssertCell(tx, rx, ledger.AuditConfig{
 			Flow: r.led.MainFlow(), Total: c.Total,
 			SndHost: "A", RcvHost: "B", Strict: c.Plan == "",
 		})
@@ -164,7 +158,7 @@ func Run(c Case) Outcome {
 			o.failf("bytes: flow %d delivered %d of %d", f, fl.Delivered, c.Total)
 		}
 		fp := w.ports[f]
-		if err := audit(ledger.AuditConfig{Flow: int(fp), Total: c.Total + flowHdrLen, SndHost: "A", RcvHost: "B"}); err != nil {
+		if err := r.led.AssertCell(tx, rx, ledger.AuditConfig{Flow: int(fp), Total: c.Total + flowHdrLen, SndHost: "A", RcvHost: "B"}); err != nil {
 			o.failf("audit: flow %d (port %d): %v", f, fp, err)
 		}
 	}

@@ -477,26 +477,27 @@ func (r *runner) startDelay(f *flow) units.Time {
 	return units.Time(f.rng.Int63n(int64(r.s.Stagger)))
 }
 
-// auditSingleCopy checks every TCP bulk stream against the ledger's
-// single-copy oracle: each delivered byte crossed each host bus exactly
-// once by DMA with the checksum computed in flight, and no CPU ever
-// copied or checksummed payload. Loose mode grants the documented
-// retransmission allowance — congested fabrics drop and retransmit, and
-// a retransmitted byte legitimately recrosses the sender's bus. Returns
-// "" when the ledger was off (or the run has no audited flows), "ok"
-// when every flow passed, else the first failure.
-func (r *runner) auditSingleCopy() string {
+// auditCells checks every TCP bulk stream against its stack's Table 1
+// cells (on the single-copy stack: each delivered byte crossed each host
+// bus exactly once by DMA with the checksum computed in flight, and no
+// CPU ever copied or checksummed payload). Loose mode grants the
+// documented retransmission allowance — congested fabrics drop and
+// retransmit, and a retransmitted byte legitimately recrosses the
+// sender's bus. Returns "" when the ledger was off (or the run has no
+// audited flows), "ok" when every flow passed, else the first failure.
+func (r *runner) auditCells() string {
 	led := r.tb.Led
-	if led == nil || !r.s.Bulk || r.s.Mode != socket.ModeSingleCopy {
+	if led == nil || !r.s.Bulk {
 		return ""
 	}
+	tx, rx := r.s.Mode.Cells()
 	audited := false
 	for _, f := range r.flows {
 		if f.udp || f.port == 0 || f.streamed == 0 {
 			continue
 		}
 		audited = true
-		if err := led.AssertSingleCopy(ledger.AuditConfig{
+		if err := led.AssertCell(tx, rx, ledger.AuditConfig{
 			Flow:    int(f.port),
 			Total:   hdrLen + f.streamed,
 			SndHost: f.client.h.Name,

@@ -73,28 +73,35 @@ func TestLoadOpenLoop(t *testing.T) {
 }
 
 // TestLoadBulk checks the bulk-streaming mode delivers byte-exact
-// streams on every flow.
+// streams on every flow, on both stacks, and that every stream audits
+// clean against its stack's Table 1 cells.
 func TestLoadBulk(t *testing.T) {
-	rep, err := Run(Scenario{
-		Name:      "bulk",
-		Seed:      3,
-		Flows:     4,
-		Mode:      socket.ModeSingleCopy,
-		Bulk:      true,
-		Duration:  30 * units.Millisecond,
-		BulkWrite: 32 * units.KB,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("errors: %d (%s)", rep.Errors, rep.FirstError)
-	}
-	if rep.Starved != 0 {
-		t.Fatalf("starved flows: %d", rep.Starved)
-	}
-	if rep.GoodputMinMbps <= 0 {
-		t.Fatalf("zero min goodput: %+v", rep)
+	for _, mode := range []socket.Mode{socket.ModeSingleCopy, socket.ModeUnmodified} {
+		rep, err := Run(Scenario{
+			Name:      "bulk",
+			Seed:      3,
+			Flows:     4,
+			Mode:      mode,
+			Bulk:      true,
+			Duration:  30 * units.Millisecond,
+			BulkWrite: 32 * units.KB,
+			Ledger:    true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Errors != 0 {
+			t.Fatalf("mode %d: errors: %d (%s)", mode, rep.Errors, rep.FirstError)
+		}
+		if rep.Starved != 0 {
+			t.Fatalf("mode %d: starved flows: %d", mode, rep.Starved)
+		}
+		if rep.GoodputMinMbps <= 0 {
+			t.Fatalf("mode %d: zero min goodput: %+v", mode, rep)
+		}
+		if rep.Audit != "ok" {
+			t.Fatalf("mode %d: audit = %q, want ok", mode, rep.Audit)
+		}
 	}
 }
 

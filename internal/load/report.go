@@ -104,9 +104,9 @@ type Report struct {
 
 	Errors     int    `json:"errors"`
 	FirstError string `json:"first_error,omitempty"`
-	// Audit is the single-copy ledger verdict when Scenario.Ledger was
-	// set on a single-copy bulk run: "ok", or the first flow's oracle
-	// failure. Empty when the ledger was off.
+	// Audit is the ledger's verdict on a bulk run with Scenario.Ledger
+	// set: "ok", or the first flow's failure against its stack's Table 1
+	// cells. Empty when the ledger was off.
 	Audit string `json:"audit,omitempty"`
 	// FaultReport summarizes fault-injector activity ("" when the
 	// scenario ran clean).
@@ -192,7 +192,7 @@ func (r *runner) report() *Report {
 	if r.inj != nil {
 		rep.FaultReport = r.inj.Report()
 	}
-	rep.Audit = r.auditSingleCopy()
+	rep.Audit = r.auditCells()
 	rep.VTimeSec = round(r.tb.Eng.Now().Seconds(), 9)
 	window := r.tb.Eng.Now()
 	if s.Bulk {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/obs"
+	"repro/internal/taxonomy"
 	"repro/internal/units"
 )
 
@@ -156,16 +157,16 @@ type AuditConfig struct {
 	// SndHost and RcvHost are the hook labels of the data sender and
 	// receiver.
 	SndHost, RcvHost string
-	// Strict demands the exact clean-run counts (no faults, no
-	// retransmissions). Loose mode — for fault soaks — grants the
-	// documented retransmit allowance: retransmit-flagged touches are
-	// excluded from the "no CPU copy" checks, DMA touch counts relax from
-	// "exactly one" to "at least one" (counting retransmissions, since a
-	// lost original leaves only retransmit-flagged coverage), and the
-	// receiver CPU-copy allowance widens from the auto-DMA head to any
-	// DMA-delivered byte, because recovery can trim a segment to an
-	// unaligned stream offset and force the descriptor-window copy-out
-	// fallback.
+	// Strict demands the exact clean-run counts. Loose mode — for fault
+	// soaks — grants the documented retransmit allowance:
+	// retransmit-flagged touches are left out of the "must be zero"
+	// checks, and expected counts relax from "exactly n" to "at least n"
+	// (counting retransmissions, since a lost original leaves only
+	// retransmit-flagged coverage). The receiver is held to delivery
+	// conservation instead of a DMA count: recovery can trim a segment
+	// to an unaligned stream offset and force the descriptor-window
+	// copy-out fallback, a CPU read of outboard memory that is itself the
+	// bus crossing.
 	Strict bool
 }
 
@@ -192,133 +193,162 @@ func checkEach(errs *[]string, what string, h []Touches, ok func(int) bool, want
 	}
 }
 
-// AssertSingleCopy verifies the paper's single-copy claim for one flow:
+// Want is what a Table 1 cell predicts per payload byte on one host: CPU
+// copies, CPU checksum passes and host-bus DMAs, and whether each DMA
+// computes the transport checksum in flight.
+type Want struct {
+	Copy, Csum, DMA int
+	Flight          bool
+}
+
+// CellWant reads a cell's ops as touches per payload byte on the sending
+// (send) or receiving host:
 //
-//   - every payload byte crosses the sender's host bus exactly once, by
-//     SDMA with the checksum computed in flight — and is never touched by
-//     the sender's CPU (no copy, no checksum pass);
-//   - every payload byte crosses the receiver's host bus exactly once by
-//     SDMA; the receiver's CPU copies a byte only when the adaptor
-//     auto-DMAed it into a host receive buffer (the bounded per-packet
-//     head), and never checksums any byte.
+//	Copy    one cpu_copy
+//	Read_C  one cpu_csum
+//	Copy_C  one cpu_copy and one cpu_csum
+//	DMA     one host-bus SDMA, not checksum-in-flight
+//	DMA_C   one host-bus SDMA: checksum-in-flight on transmit; on
+//	        receive the adaptor verified the sum on arrival, so no
+//	        CPU checksum
 //
-// In loose mode (Strict false) retransmitted bytes get the documented
-// extra-touch allowance described on AuditConfig. A truncated ledger
-// always fails: a dropped record could hide an extra touch.
-func (l *Ledger) AssertSingleCopy(cfg AuditConfig) error {
+// PIO has no touch kind in the ledger (no simulated adaptor does PIO), so
+// a cell with a PIO op cannot be audited.
+func CellWant(c taxonomy.Cell, send bool) (Want, error) {
+	var w Want
+	for _, op := range c.Ops {
+		switch op {
+		case taxonomy.OpCopy:
+			w.Copy++
+		case taxonomy.OpReadC:
+			w.Csum++
+		case taxonomy.OpCopyC:
+			w.Copy++
+			w.Csum++
+		case taxonomy.OpDMA:
+			w.DMA++
+		case taxonomy.OpDMAC:
+			w.DMA++
+			w.Flight = send
+		default:
+			return w, fmt.Errorf("cell %v: %s has no ledger touch", c.Config, op)
+		}
+	}
+	return w, nil
+}
+
+// AssertCell verifies one flow against the Table 1 cells its stack
+// realizes: every payload byte takes exactly the touches CellWant reads
+// from tx on the sender and from rx on the receiver, and no kind the cell
+// has no op for. Two allowances come from the paper's hardware, not from
+// the table:
+//
+//   - Auto-DMA heads: the adaptor DMAs each arriving packet's first bytes
+//     into a host receive buffer, from which the receiver's CPU copies
+//     them. When the receive cell has no copy, strict mode lets receiver
+//     copies touch only auto-DMAed bytes, once each; loose mode leaves
+//     them to delivery conservation.
+//   - Loose mode (Strict false): the retransmit allowance on AuditConfig.
+//
+// A truncated ledger always fails: a dropped record could hide an extra
+// touch.
+func (l *Ledger) AssertCell(tx, rx taxonomy.Cell, cfg AuditConfig) error {
 	a := l.Audit(cfg.Flow, cfg.Total)
-	snd, rcv := l.names.Lookup(cfg.SndHost), l.names.Lookup(cfg.RcvHost)
 	var errs []string
 	if a.Dropped > 0 {
 		errs = append(errs, fmt.Sprintf("ledger truncated: %d records dropped", a.Dropped))
 	}
-
-	// Sender: one checksum-in-flight SDMA per byte, zero CPU touches. In
-	// loose mode a byte whose original transmission was lost may exist
-	// only as retransmit-flagged records, so the coverage count includes
-	// them.
-	if cfg.Strict {
-		checkEach(&errs, "sender host-bus DMA touches",
-			a.PerByte(onHost(snd, SDMAToNet, true)),
-			func(n int) bool { return n == 1 }, "exactly 1 per byte")
-	} else {
-		checkEach(&errs, "sender host-bus DMA touches",
-			a.PerByte(onHost(snd, SDMAToNet, false)),
-			func(n int) bool { return n >= 1 }, "at least 1 per byte")
-	}
-	for _, r := range a.recs {
-		if r.Host == snd && r.Kind == SDMAToNet && r.Flags&FlagCsumFlight == 0 {
-			errs = append(errs, fmt.Sprintf(
-				"sender SDMA without checksum-in-flight at [%d,%d)", int64(r.Off), int64(r.Off+r.Len)))
-			break
-		}
-	}
-	checkEach(&errs, "sender CPU copy touches", a.PerByte(onHost(snd, CPUCopy, !cfg.Strict)),
-		func(n int) bool { return n == 0 }, "0 per byte")
-	checkEach(&errs, "sender CPU checksum touches", a.PerByte(onHost(snd, CPUCsum, !cfg.Strict)),
-		func(n int) bool { return n == 0 }, "0 per byte")
-
-	// Receiver: one SDMA per byte; CPU copies only inside auto-DMA head
-	// coverage; no CPU checksum.
-	if cfg.Strict {
-		checkEach(&errs, "receiver host-bus DMA touches",
-			a.PerByte(onHost(rcv, SDMAToHost, true)),
-			func(n int) bool { return n == 1 }, "exactly 1 per byte")
-		// CPU copies stay inside the auto-DMA head allowance, one each.
-		autoCover := coverage(a.PerByte(func(r Record) bool {
-			return r.Host == rcv && r.Kind == SDMAToHost && r.Flags&FlagAutoDMA != 0
-		}))
-		for _, t := range a.PerByte(onHost(rcv, CPUCopy, false)) {
-			if t.N == 0 {
-				continue
-			}
-			if !covered(autoCover, t.Off, t.Off+t.Len) {
-				errs = append(errs, fmt.Sprintf(
-					"receiver CPU copy outside the auto-DMA head allowance: %s",
-					describe([]Touches{t}, "copies only on auto-DMAed bytes")))
-				break
-			}
-			if t.N != 1 {
-				errs = append(errs, fmt.Sprintf(
-					"receiver CPU copies on auto-DMAed bytes: %s",
-					describe([]Touches{t}, "exactly 1 per head byte")))
-				break
-			}
-		}
-	} else {
-		// Loose: recovery may trim a segment to an unaligned stream
-		// offset, and the descriptor-window copy-out then falls back to a
-		// CPU read of outboard memory — the copy is the bus crossing, so
-		// those bytes have no SDMA record. The invariant that survives
-		// faults is delivery conservation: every byte reached the host by
-		// SDMA or by that documented CPU fallback, at least once.
-		deliver := a.PerByte(func(r Record) bool {
-			return r.Host == rcv && (r.Kind == SDMAToHost || r.Kind == CPUCopy)
-		})
-		checkEach(&errs, "receiver delivery touches", deliver,
-			func(n int) bool { return n >= 1 }, "at least 1 per byte")
-	}
-	checkEach(&errs, "receiver CPU checksum touches", a.PerByte(onHost(rcv, CPUCsum, !cfg.Strict)),
-		func(n int) bool { return n == 0 }, "0 per byte")
-
+	a.checkHost(&errs, "sender", l.names.Lookup(cfg.SndHost), tx, true, cfg.Strict)
+	a.checkHost(&errs, "receiver", l.names.Lookup(cfg.RcvHost), rx, false, cfg.Strict)
 	if len(errs) > 0 {
-		return fmt.Errorf("single-copy audit (flow %d, %d bytes): %s",
-			cfg.Flow, int64(cfg.Total), strings.Join(errs, "; "))
+		return fmt.Errorf("audit of cells [%s]/[%s] (flow %d, %d bytes): %s",
+			tx.OpString(), rx.OpString(), cfg.Flow, int64(cfg.Total), strings.Join(errs, "; "))
 	}
 	return nil
 }
 
-// AssertMultiCopy verifies the unmodified-stack cost model for one flow:
-// every payload byte is CPU-copied and CPU-checksummed on both hosts
-// (≥2 copies + ≥2 checksum reads end to end), and no byte's checksum was
-// computed in flight by the adaptor.
-func (l *Ledger) AssertMultiCopy(cfg AuditConfig) error {
-	a := l.Audit(cfg.Flow, cfg.Total)
-	snd, rcv := l.names.Lookup(cfg.SndHost), l.names.Lookup(cfg.RcvHost)
-	var errs []string
-	if a.Dropped > 0 {
-		errs = append(errs, fmt.Sprintf("ledger truncated: %d records dropped", a.Dropped))
+// AssertSingleCopy is AssertCell on the CAB's cells, kept for the bench module.
+func (l *Ledger) AssertSingleCopy(cfg AuditConfig) error {
+	return l.AssertCell(taxonomy.Derive(taxonomy.CAB), taxonomy.DeriveReceive(taxonomy.CAB), cfg)
+}
+
+// checkHost checks one host's touches against its cell.
+func (a *Audit) checkHost(errs *[]string, role string, host obs.Name, c taxonomy.Cell, send, strict bool) {
+	w, err := CellWant(c, send)
+	if err != nil {
+		*errs = append(*errs, fmt.Sprintf("%s: %v", role, err))
+		return
 	}
-	atLeastOne := func(n int) bool { return n >= 1 }
-	checkEach(&errs, "sender CPU copy touches",
-		a.PerByte(onHost(snd, CPUCopy, false)), atLeastOne, "at least 1 per byte")
-	checkEach(&errs, "sender CPU checksum touches",
-		a.PerByte(onHost(snd, CPUCsum, false)), atLeastOne, "at least 1 per byte")
-	checkEach(&errs, "receiver CPU copy touches",
-		a.PerByte(onHost(rcv, CPUCopy, false)), atLeastOne, "at least 1 per byte")
-	checkEach(&errs, "receiver CPU checksum touches",
-		a.PerByte(onHost(rcv, CPUCsum, false)), atLeastOne, "at least 1 per byte")
+	dma := SDMAToHost
+	if send {
+		dma = SDMAToNet
+	}
+	if !send && !strict {
+		// Every byte reached the host by SDMA or by the CPU copy-out
+		// fallback, at least once.
+		checkEach(errs, role+" delivery touches", a.PerByte(func(r Record) bool {
+			return r.Host == host && (r.Kind == dma || r.Kind == CPUCopy)
+		}), func(n int) bool { return n >= 1 }, "at least 1 per byte")
+	} else {
+		a.expect(errs, role+" host-bus DMA touches", host, dma, w.DMA, strict)
+	}
 	for _, r := range a.recs {
-		if r.Flags&FlagCsumFlight != 0 {
-			errs = append(errs, "checksum-in-flight DMA on the unmodified path")
+		if r.Host == host && r.Kind == dma && (r.Flags&FlagCsumFlight != 0) != w.Flight {
+			*errs = append(*errs, fmt.Sprintf("%s SDMA at [%d,%d): checksum-in-flight %v, want %v",
+				role, int64(r.Off), int64(r.Off+r.Len), !w.Flight, w.Flight))
 			break
 		}
 	}
-	if len(errs) > 0 {
-		return fmt.Errorf("multi-copy audit (flow %d, %d bytes): %s",
-			cfg.Flow, int64(cfg.Total), strings.Join(errs, "; "))
+	// A copy-free receive cell's CPU copies are the auto-DMA heads' or,
+	// in loose mode, the copy-out fallback already counted as delivery.
+	switch {
+	case send || w.Copy > 0:
+		a.expect(errs, role+" CPU copy touches", host, CPUCopy, w.Copy, strict)
+	case strict:
+		a.autoDMAHeads(errs, host)
 	}
-	return nil
+	a.expect(errs, role+" CPU checksum touches", host, CPUCsum, w.Csum, strict)
+}
+
+// expect checks that every byte took n touches of kind on host. Strict:
+// exactly n not counting retransmissions, and none at all when n is 0.
+// Loose: at least n counting retransmissions, and none but
+// retransmissions when n is 0.
+func (a *Audit) expect(errs *[]string, what string, host obs.Name, kind Kind, n int, strict bool) {
+	switch {
+	case n == 0:
+		checkEach(errs, what, a.PerByte(onHost(host, kind, !strict)),
+			func(m int) bool { return m == 0 }, "0 per byte")
+	case strict:
+		checkEach(errs, what, a.PerByte(onHost(host, kind, true)),
+			func(m int) bool { return m == n }, fmt.Sprintf("exactly %d per byte", n))
+	default:
+		checkEach(errs, what, a.PerByte(onHost(host, kind, false)),
+			func(m int) bool { return m >= n }, fmt.Sprintf("at least %d per byte", n))
+	}
+}
+
+// autoDMAHeads holds a copy-free receiver's CPU copies to the auto-DMA
+// head allowance: only auto-DMAed bytes, once each.
+func (a *Audit) autoDMAHeads(errs *[]string, host obs.Name) {
+	autoCover := coverage(a.PerByte(func(r Record) bool {
+		return r.Host == host && r.Kind == SDMAToHost && r.Flags&FlagAutoDMA != 0
+	}))
+	for _, t := range a.PerByte(onHost(host, CPUCopy, false)) {
+		if t.N == 0 {
+			continue
+		}
+		if !covered(autoCover, t.Off, t.Off+t.Len) {
+			*errs = append(*errs, "receiver CPU copy outside the auto-DMA head allowance: "+
+				describe([]Touches{t}, "copies only on auto-DMAed bytes"))
+			return
+		}
+		if t.N != 1 {
+			*errs = append(*errs, "receiver CPU copies on auto-DMAed bytes: "+
+				describe([]Touches{t}, "exactly 1 per head byte"))
+			return
+		}
+	}
 }
 
 // coverage reduces a histogram to the intervals with nonzero count.

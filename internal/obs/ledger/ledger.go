@@ -6,8 +6,8 @@
 // host, vtime) interval. The ledger turns the paper's central claim
 // ("each payload byte crosses the host memory bus once") into a
 // machine-checked oracle: Audit folds the intervals into per-byte touch
-// histograms and AssertSingleCopy/AssertMultiCopy verify the copy counts
-// of Table 1's taxonomy cells against what the simulator actually did.
+// histograms and AssertCell verifies them against the touches Table 1's
+// taxonomy cells predict (internal/taxonomy derives the cells).
 //
 // Like the rest of internal/obs, the ledger follows two rules:
 //
@@ -72,8 +72,8 @@ type Flags uint8
 // packet's first AutoDMALen bytes into a host receive buffer (the one
 // place the single-copy receive path legitimately CPU-copies payload,
 // bounded per packet); Rtx marks a touch caused by a retransmitted
-// segment, which the strict oracles exclude under the documented
-// retransmit allowance.
+// segment, which AssertCell's retransmit allowance (AuditConfig.Strict)
+// accounts for.
 const (
 	FlagCsumFlight Flags = 1 << iota
 	FlagAutoDMA

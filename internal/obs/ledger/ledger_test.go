@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/ledger"
 	"repro/internal/socket"
+	"repro/internal/taxonomy"
 	"repro/internal/ttcp"
 	"repro/internal/units"
 	"repro/internal/wire"
@@ -186,8 +187,10 @@ func TestAuditsBindNoName(t *testing.T) {
 	first := h.Layer("first")
 
 	cfg := ledger.AuditConfig{Flow: 1, Total: 100, SndHost: "A", RcvHost: "nowhere"}
-	if led.AssertSingleCopy(cfg) == nil || led.AssertMultiCopy(cfg) == nil {
-		t.Fatal("an audit passed with no receiver records")
+	for _, c := range []taxonomy.Config{taxonomy.CAB, taxonomy.Unmodified} {
+		if led.AssertCell(taxonomy.Derive(c), taxonomy.DeriveReceive(c), cfg) == nil {
+			t.Fatalf("the %v audit passed with no receiver records", c)
+		}
 	}
 	fs := led.Summary(1, 100, []string{"A", "ghost"})
 	if len(fs.Hosts) != 2 || len(fs.Hosts[0].Kinds) != 1 || len(fs.Hosts[1].Kinds) != 0 {

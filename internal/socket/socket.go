@@ -21,6 +21,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/taxonomy"
 	"repro/internal/tcpip"
 	"repro/internal/units"
 	"repro/internal/wire"
@@ -38,6 +39,16 @@ const (
 	// outboard checksumming.
 	ModeSingleCopy
 )
+
+// Cells returns the Table 1 cells the stack variant realizes on transmit
+// and on receive: the data-touch ledger audits a flow against them.
+func (m Mode) Cells() (tx, rx taxonomy.Cell) {
+	c := taxonomy.Unmodified
+	if m == ModeSingleCopy {
+		c = taxonomy.CAB
+	}
+	return taxonomy.Derive(c), taxonomy.DeriveReceive(c)
+}
 
 // ErrEOF is returned by Read at orderly end of stream.
 var ErrEOF = errors.New("socket: end of stream")

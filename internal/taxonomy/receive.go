@@ -1,10 +1,5 @@
 package taxonomy
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Receive-side taxonomy: the mirror of Table 1 for the read path, derived
 // from the corresponding constraints (Section 2.2's receive walk-through
 // and the host-interface design space of [19]):
@@ -23,8 +18,7 @@ import (
 //     staging copy.
 //  3. Single-packet adaptor buffering does not change the receive
 //     structure: it cannot hold data until an arbitrary later read.
-type _ = struct{} // (documentation anchor)
-
+//
 // DeriveReceive computes the receive-path operation sequence for one
 // configuration.
 func DeriveReceive(cfg Config) Cell {
@@ -62,53 +56,11 @@ func DeriveReceive(cfg Config) Cell {
 		ops = append(ops, OpReadC)
 	}
 
-	cell := Cell{Config: cfg, Ops: ops}
-	for _, op := range ops {
-		switch op {
-		case OpCopy, OpCopyC:
-			cell.HostDataAccesses += 2
-		case OpReadC, OpPIO, OpPIOC:
-			cell.HostDataAccesses++
-		}
-	}
-	cell.Class = classify(ops)
-	return cell
+	return newCell(cfg, ops)
 }
 
-// AllReceive enumerates the receive-side table. Checksum placement does
-// not matter on receive, so rows collapse to API × buffering × movement.
-func AllReceive() []Cell {
-	var cells []Cell
-	for _, api := range []API{APICopy, APIShared} {
-		for _, buf := range []Buffering{BufNone, BufPacket, BufOutboard} {
-			for _, mv := range []Movement{MovePIO, MoveDMA, MoveDMACsum} {
-				cells = append(cells, DeriveReceive(Config{api, CsumHeader, buf, mv}))
-			}
-		}
-	}
-	return cells
-}
-
-// FormatReceive renders the receive-side grid.
+// FormatReceive renders the receive-side grid. Checksum placement does not
+// matter on receive, so rows collapse to API × movement.
 func FormatReceive() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s | %-22s | %-22s | %-22s\n",
-		"API", "no buffering", "packet buffering", "outboard buffering")
-	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 88))
-	for _, api := range []API{APICopy, APIShared} {
-		for _, mv := range []Movement{MovePIO, MoveDMA, MoveDMACsum} {
-			cols := make([]string, 3)
-			for i, buf := range []Buffering{BufNone, BufPacket, BufOutboard} {
-				cell := DeriveReceive(Config{api, CsumHeader, buf, mv})
-				parts := make([]string, len(cell.Ops))
-				for j, op := range cell.Ops {
-					parts[j] = string(op)
-				}
-				cols[i] = strings.Join(parts, " ")
-			}
-			fmt.Fprintf(&b, "%-8s | %-22s | %-22s | %-22s  (%s)\n",
-				api, cols[0], cols[1], cols[2], mv)
-		}
-	}
-	return b.String()
+	return grid(DeriveReceive, csumLocs[:1], 88)
 }

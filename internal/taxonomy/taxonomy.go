@@ -164,6 +164,26 @@ func (c Config) String() string {
 	return fmt.Sprintf("%v/%v/%v/%v", c.API, c.Csum, c.Buf, c.Move)
 }
 
+// The two configurations the simulated stacks realize.
+var (
+	// CAB is the paper's interface: copy API, header checksum, outboard
+	// buffering, DMA with the checksum computed in flight.
+	CAB = Config{APICopy, CsumHeader, BufOutboard, MoveDMACsum}
+	// Unmodified is the original stack's: copy API, header checksum, no
+	// outboard buffering, plain DMA. The simulated stack takes the cell's
+	// separate-checksum variant (a plain copy at the socket layer, a
+	// checksum pass in TCP), which touches each byte as Copy_C does.
+	Unmodified = Config{APICopy, CsumHeader, BufNone, MoveDMA}
+)
+
+// Table 1's axes, in row-major order.
+var (
+	apis       = []API{APICopy, APIShared}
+	csumLocs   = []CsumLoc{CsumHeader, CsumTrailer}
+	bufferings = []Buffering{BufNone, BufPacket, BufOutboard}
+	movements  = []Movement{MovePIO, MoveDMA, MoveDMACsum}
+)
+
 // Cell is the derived result for one configuration.
 type Cell struct {
 	Config Config
@@ -227,19 +247,31 @@ func Derive(cfg Config) Cell {
 		}
 	}
 
-	cell := Cell{Config: cfg, Ops: ops}
+	return newCell(cfg, ops)
+}
+
+// newCell counts a derived op sequence's host data accesses and classifies
+// it.
+func newCell(cfg Config, ops []Op) Cell {
+	cell := Cell{Config: cfg, Ops: ops, Class: classify(ops)}
 	for _, op := range ops {
 		switch op {
 		case OpCopy, OpCopyC:
 			cell.HostDataAccesses += 2 // read + write
-		case OpReadC:
-			cell.HostDataAccesses++
-		case OpPIO, OpPIOC:
+		case OpReadC, OpPIO, OpPIOC:
 			cell.HostDataAccesses++
 		}
 	}
-	cell.Class = classify(ops)
 	return cell
+}
+
+// OpString renders the cell's op sequence, space-separated.
+func (c Cell) OpString() string {
+	ops := make([]string, len(c.Ops))
+	for i, op := range c.Ops {
+		ops[i] = string(op)
+	}
+	return strings.Join(ops, " ")
 }
 
 // classify maps an op sequence to Table 1's three regimes.
@@ -268,10 +300,10 @@ func classify(ops []Op) Class {
 // rows; buffering × movement columns).
 func All() []Cell {
 	var cells []Cell
-	for _, api := range []API{APICopy, APIShared} {
-		for _, cs := range []CsumLoc{CsumHeader, CsumTrailer} {
-			for _, buf := range []Buffering{BufNone, BufPacket, BufOutboard} {
-				for _, mv := range []Movement{MovePIO, MoveDMA, MoveDMACsum} {
+	for _, api := range apis {
+		for _, cs := range csumLocs {
+			for _, buf := range bufferings {
+				for _, mv := range movements {
 					cells = append(cells, Derive(Config{api, cs, buf, mv}))
 				}
 			}
@@ -281,25 +313,29 @@ func All() []Cell {
 }
 
 // Format renders the taxonomy as a Table 1-style grid.
-func Format() string {
+func Format() string { return grid(Derive, csumLocs, 96) }
+
+// grid renders one side of the table under a rule of the given width: a
+// row per API, checksum placement and movement, a column per buffering
+// class. Given one placement (the receive side, where it does not matter)
+// it leaves out the checksum column.
+func grid(derive func(Config) Cell, csums []CsumLoc, rule int) string {
+	lead, head := "%-8s %-8s | ", []any{"API", "csum"}
+	if len(csums) == 1 {
+		lead, head = "%-8s | ", head[:1]
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-8s | %-22s | %-22s | %-22s\n",
-		"API", "csum", "no buffering", "packet buffering", "outboard buffering")
-	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 96))
-	for _, api := range []API{APICopy, APIShared} {
-		for _, cs := range []CsumLoc{CsumHeader, CsumTrailer} {
-			for _, mv := range []Movement{MovePIO, MoveDMA, MoveDMACsum} {
-				cols := make([]string, 3)
-				for i, buf := range []Buffering{BufNone, BufPacket, BufOutboard} {
-					cell := Derive(Config{api, cs, buf, mv})
-					parts := make([]string, len(cell.Ops))
-					for j, op := range cell.Ops {
-						parts[j] = string(op)
-					}
-					cols[i] = strings.Join(parts, " ")
+	row := lead + "%-22s | %-22s | %-22s"
+	fmt.Fprintf(&b, row+"\n", append(head, "no buffering", "packet buffering", "outboard buffering")...)
+	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", rule))
+	for _, api := range apis {
+		for _, cs := range csums {
+			for _, mv := range movements {
+				cols := []any{api, cs}[:len(head)]
+				for _, buf := range bufferings {
+					cols = append(cols, derive(Config{api, cs, buf, mv}).OpString())
 				}
-				fmt.Fprintf(&b, "%-8s %-8s | %-22s | %-22s | %-22s  (%s)\n",
-					api, cs, cols[0], cols[1], cols[2], mv)
+				fmt.Fprintf(&b, row+"  (%s)\n", append(cols, mv)...)
 			}
 		}
 	}

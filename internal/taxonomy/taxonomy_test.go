@@ -216,20 +216,27 @@ func TestReceiveSharedDMANeedsRead(t *testing.T) {
 }
 
 func TestReceiveChecksumOnceAndOneTransfer(t *testing.T) {
-	for _, c := range AllReceive() {
-		csums, xfers := 0, 0
-		for _, op := range c.Ops {
-			switch op {
-			case OpCopyC, OpReadC, OpPIOC, OpDMAC:
-				csums++
+	// Checksum placement does not matter on receive, so the configurations
+	// are API × buffering × movement.
+	for _, api := range apis {
+		for _, buf := range bufferings {
+			for _, mv := range movements {
+				c := DeriveReceive(Config{api, CsumHeader, buf, mv})
+				csums, xfers := 0, 0
+				for _, op := range c.Ops {
+					switch op {
+					case OpCopyC, OpReadC, OpPIOC, OpDMAC:
+						csums++
+					}
+					switch op {
+					case OpPIO, OpPIOC, OpDMA, OpDMAC:
+						xfers++
+					}
+				}
+				if csums != 1 || xfers != 1 {
+					t.Errorf("%v: csums=%d xfers=%d (ops %v)", c.Config, csums, xfers, c.Ops)
+				}
 			}
-			switch op {
-			case OpPIO, OpPIOC, OpDMA, OpDMAC:
-				xfers++
-			}
-		}
-		if csums != 1 || xfers != 1 {
-			t.Errorf("%v: csums=%d xfers=%d (ops %v)", c.Config, csums, xfers, c.Ops)
 		}
 	}
 }

@@ -323,9 +323,6 @@ func (c *TCPConn) trigger(id int32, cause obs.Cause) {
 	c.trigC = cause
 }
 
-// RemoteAddr returns the peer address and port.
-func (c *TCPConn) RemoteAddr() (wire.Addr, uint16) { return c.key.raddr, c.key.rport }
-
 // setMaxSeg derives the segment size from the route MTU and caches the
 // route's netmem admitter (if the device arbitrates staging per flow).
 func (c *TCPConn) setMaxSeg() {
@@ -550,9 +547,6 @@ func (c *TCPConn) capAtBoundary(seq uint32, seglen units.Size) units.Size {
 }
 
 // --- Receive-side API ---
-
-// RcvBuffered returns the bytes queued for the application.
-func (c *TCPConn) RcvBuffered() units.Size { return c.rcvLen }
 
 // WaitRcvData blocks until data is available; it returns false at EOF
 // (peer FIN consumed and buffer drained) or on error.

@@ -172,9 +172,6 @@ func (u *UDPSock) RecvFrom(p *sim.Proc) *UDPDatagram {
 	return d
 }
 
-// Buffered returns the queued byte count.
-func (u *UDPSock) Buffered() units.Size { return u.rcvLen }
-
 // CountDevResetDrop records a datagram discarded because its outboard
 // payload was wiped by an adaptor reset after dequeue (the socket layer
 // detects this during copy-out, where the stack's DeviceReset sweep can no

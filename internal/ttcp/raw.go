@@ -34,19 +34,7 @@ func RunRaw(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 
 	sndTask := userTask(snd, "raw-snd", pktSize)
 	rcvTask := userTask(rcv, "raw-rcv", pktSize)
-	ss := &side{h: snd, ttcpTask: sndTask,
-		utilTask: snd.K.NewTask("util", kern.PrioIdle, nil),
-		bgdTask:  snd.K.NewTask("bgd", kern.PrioKern, nil)}
-	rs := &side{h: rcv, ttcpTask: rcvTask,
-		utilTask: rcv.K.NewTask("util", kern.PrioIdle, nil),
-		bgdTask:  rcv.K.NewTask("bgd", kern.PrioKern, nil)}
-
-	var (
-		t0, t1   units.Time
-		received units.Size
-		want     = pr.Total
-	)
-	snd0, rcv0 := ss.times(), rs.times()
+	m := newMeter(tb, newSide(snd, sndTask), newSide(rcv, rcvTask))
 
 	// HIPPI is connection-oriented with link-level backpressure: a
 	// receiver that cannot drain its adaptor stalls the sender. Model it
@@ -65,11 +53,9 @@ func RunRaw(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 		credit.Broadcast()
 		rcv.K.PostIntr("raw-rx", func(p *sim.Proc) {
 			rcv.K.IntrCtx(p).Charge(rcv.K.Mach.InterruptCost/2, kern.CatDriver)
-			received += n
-			if received >= want {
-				t1 = p.Now()
-				ss.stop, rs.stop = true, true
-				tb.StopSeries()
+			m.received += n
+			if m.received >= pr.Total {
+				m.end(p)
 			}
 		})
 	})
@@ -87,7 +73,7 @@ func RunRaw(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 	}
 	// Recycle auto-DMA buffers as the hardware consumes them.
 	tb.Eng.Go("raw-rxbufs", func(p *sim.Proc) {
-		for !rs.stop {
+		for !m.rs.stop {
 			for rcv.CAB.RxBufCount() < 16 {
 				rcv.CAB.ProvideRxBuf(make([]byte, rcv.CAB.Cfg.AutoDMALen))
 			}
@@ -101,8 +87,7 @@ func RunRaw(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 		buf := sndTask.Space.Alloc(pktSize, 8)
 		fill(buf.Bytes())
 		snd.VM.PinBuf(p, sndTask, sndTask.Space, buf.Addr, buf.Len)
-		t0 = p.Now()
-		snd0, rcv0 = ss.times(), rs.times()
+		m.begin(p)
 
 		window := sim.NewSignal(tb.Eng)
 		inflight := 0
@@ -131,27 +116,7 @@ func RunRaw(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 		snd.VM.UnpinBuf(p, sndTask, sndTask.Space, buf.Addr, buf.Len)
 	})
 
-	if pr.WithUtil {
-		ss.startUtil()
-		rs.startUtil()
-	}
-	if pr.WithBackground {
-		ss.startBackground(tb)
-		rs.startBackground(tb)
-	}
-
-	tb.Eng.Run()
-	tb.Eng.KillAll()
-
-	elapsed := t1 - t0
-	res := Result{
-		Bytes:      received,
-		Elapsed:    elapsed,
-		Throughput: units.RateOf(received, elapsed),
-	}
-	res.Snd = ss.snapshot(elapsed, res.Throughput, snd0)
-	res.Rcv = rs.snapshot(elapsed, res.Throughput, rcv0)
-	return res
+	return m.run(pr)
 }
 
 // sdmaDone is a cab.SDMAOwner made of one function, bound once per run and

@@ -161,6 +161,67 @@ func (s *side) times() taskTimes {
 	}
 }
 
+// newSide wraps h's ttcp task with the util and bgd tasks, created after
+// it.
+func newSide(h *core.Host, ttcpTask *kern.Task) *side {
+	return &side{h: h, ttcpTask: ttcpTask,
+		utilTask: h.K.NewTask("util", kern.PrioIdle, nil),
+		bgdTask:  h.K.NewTask("bgd", kern.PrioKern, nil)}
+}
+
+// meter is one run's measurement harness: both sides, the window
+// [t0, t1) and the bytes received in it.
+type meter struct {
+	tb         *core.Testbed
+	ss, rs     *side
+	t0, t1     units.Time
+	snd0, rcv0 taskTimes
+	received   units.Size
+}
+
+func newMeter(tb *core.Testbed, ss, rs *side) *meter {
+	return &meter{tb: tb, ss: ss, rs: rs, snd0: ss.times(), rcv0: rs.times()}
+}
+
+// begin opens the measurement window.
+func (m *meter) begin(p *sim.Proc) {
+	m.t0 = p.Now()
+	m.snd0, m.rcv0 = m.ss.times(), m.rs.times()
+}
+
+// end closes the window and stops the soakers and the series, so the
+// engine runs dry.
+func (m *meter) end(p *sim.Proc) {
+	m.t1 = p.Now()
+	m.ss.stop, m.rs.stop = true, true
+	m.tb.StopSeries()
+}
+
+// run starts the soakers pr asks for, drives the engine dry and measures
+// the window.
+func (m *meter) run(pr Params) Result {
+	if pr.WithUtil {
+		m.ss.startUtil()
+		m.rs.startUtil()
+	}
+	if pr.WithBackground {
+		m.ss.startBackground(m.tb)
+		m.rs.startBackground(m.tb)
+	}
+	m.tb.Eng.Run()
+	m.tb.Eng.KillAll()
+
+	elapsed := m.t1 - m.t0
+	res := Result{
+		Bytes:      m.received,
+		Elapsed:    elapsed,
+		Throughput: units.RateOf(m.received, elapsed),
+	}
+	res.Snd = m.ss.snapshot(elapsed, res.Throughput, m.snd0)
+	res.Rcv = m.rs.snapshot(elapsed, res.Throughput, m.rcv0)
+	return res
+}
+
 // userTask creates a user task on h whose address space holds need bytes
 // of buffers, rounded up to whole pages (at least one). The space's
 // backing is zeroed live heap, so it is sized to what the run carves: idle
@@ -186,23 +247,12 @@ func Run(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 		pr.Window = 512 * units.KB
 	}
 
-	ss := &side{h: snd}
-	ss.ttcpTask = userTask(snd, "ttcp-snd", pr.RWSize)
-	ss.utilTask = snd.K.NewTask("util", kern.PrioIdle, nil)
-	ss.bgdTask = snd.K.NewTask("bgd", kern.PrioKern, nil)
-	rs := &side{h: rcv}
-	rs.ttcpTask = userTask(rcv, "ttcp-rcv", pr.RWSize)
-	rs.utilTask = rcv.K.NewTask("util", kern.PrioIdle, nil)
-	rs.bgdTask = rcv.K.NewTask("bgd", kern.PrioKern, nil)
+	ss := newSide(snd, userTask(snd, "ttcp-snd", pr.RWSize))
+	rs := newSide(rcv, userTask(rcv, "ttcp-rcv", pr.RWSize))
+	m := newMeter(tb, ss, rs)
 
 	lis := rcv.Stk.Listen(tcpPort)
-
-	var (
-		t0, t1         units.Time
-		snd0, rcv0     taskTimes
-		received       units.Size
-		sndErr, rcvErr string
-	)
+	var sndErr, rcvErr string
 
 	// Receiver: accept and read until the FIN.
 	tb.Eng.Go("ttcp-rcv", func(p *sim.Proc) {
@@ -211,7 +261,7 @@ func Run(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 		buf := rs.ttcpTask.Space.Alloc(pr.RWSize, 8)
 		for {
 			n, err := s.Read(p, buf)
-			received += n
+			m.received += n
 			// Trivial app-level work per read (ttcp counts bytes).
 			rcv.K.Work(p, rs.ttcpTask, 2*units.Microsecond, kern.CatApp, false)
 			if err != nil {
@@ -222,9 +272,7 @@ func Run(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 				break
 			}
 		}
-		t1 = p.Now()
-		ss.stop, rs.stop = true, true
-		tb.StopSeries()
+		m.end(p)
 	})
 
 	// Sender: connect, then stream Total bytes from one reused buffer.
@@ -244,8 +292,7 @@ func Run(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 		s := socket.NewSocket(snd.K, snd.VM, ss.ttcpTask, conn, cfg)
 
 		// Start the measurement window at first write.
-		t0 = p.Now()
-		snd0, rcv0 = ss.times(), rs.times()
+		m.begin(p)
 
 		buf := ss.ttcpTask.Space.Alloc(pr.RWSize, 8)
 		fill(buf.Bytes())
@@ -266,29 +313,10 @@ func Run(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 		s.Close(p)
 	})
 
-	if pr.WithUtil {
-		ss.startUtil()
-		rs.startUtil()
+	res := m.run(pr)
+	if res.Bytes < pr.Total && !pr.Tolerant {
+		panic(fmt.Sprintf("ttcp: transfer incomplete: %v of %v", res.Bytes, pr.Total))
 	}
-	if pr.WithBackground {
-		ss.startBackground(tb)
-		rs.startBackground(tb)
-	}
-
-	tb.Eng.Run()
-	tb.Eng.KillAll()
-
-	if received < pr.Total && !pr.Tolerant {
-		panic(fmt.Sprintf("ttcp: transfer incomplete: %v of %v", received, pr.Total))
-	}
-	elapsed := t1 - t0
-	res := Result{
-		Bytes:      received,
-		Elapsed:    elapsed,
-		Throughput: units.RateOf(received, elapsed),
-	}
-	res.Snd = ss.snapshot(elapsed, res.Throughput, snd0)
-	res.Rcv = rs.snapshot(elapsed, res.Throughput, rcv0)
 	res.SndErr, res.RcvErr = sndErr, rcvErr
 	return res
 }

@@ -30,29 +30,11 @@ type UDPResult struct {
 // (a datagram longer than IPv4 carries) ends the run at once, its error in
 // SndErr: the receiver would otherwise wait for sentinels that never come.
 func RunUDP(tb *core.Testbed, snd, rcv *core.Host, pr Params) UDPResult {
-	ss := &side{h: snd}
 	// The sender carves its write buffer, then the 8-aligned sentinel.
-	ss.ttcpTask = userTask(snd, "ttcp-snd", (pr.RWSize+7)&^7+eotLen)
-	ss.utilTask = snd.K.NewTask("util", kern.PrioIdle, nil)
-	ss.bgdTask = snd.K.NewTask("bgd", kern.PrioKern, nil)
-	rs := &side{h: rcv}
-	rs.ttcpTask = userTask(rcv, "ttcp-rcv", pr.RWSize)
-	rs.utilTask = rcv.K.NewTask("util", kern.PrioIdle, nil)
-	rs.bgdTask = rcv.K.NewTask("bgd", kern.PrioKern, nil)
-
-	var (
-		t0, t1   units.Time
-		received units.Size
-		sndErr   string
-	)
-	snd0, rcv0 := ss.times(), rs.times()
-	// end closes the measurement window and stops the soakers and the
-	// series, so the engine runs dry.
-	end := func(p *sim.Proc) {
-		t1 = p.Now()
-		ss.stop, rs.stop = true, true
-		tb.StopSeries()
-	}
+	ss := newSide(snd, userTask(snd, "ttcp-snd", (pr.RWSize+7)&^7+eotLen))
+	rs := newSide(rcv, userTask(rcv, "ttcp-rcv", pr.RWSize))
+	m := newMeter(tb, ss, rs)
+	var sndErr string
 
 	rx := socket.MustDGram(rcv.K, rcv.VM, rs.ttcpTask, rcv.Stk, udpPort, rcv.SocketConfig())
 	tb.Eng.Go("ttcp-udp-rcv", func(p *sim.Proc) {
@@ -62,25 +44,24 @@ func RunUDP(tb *core.Testbed, snd, rcv *core.Host, pr Params) UDPResult {
 			if n == eotLen {
 				break
 			}
-			received += n
+			m.received += n
 			rcv.K.Work(p, rs.ttcpTask, 2*units.Microsecond, kern.CatApp, false)
 		}
-		end(p)
+		m.end(p)
 	})
 
 	tb.Eng.Go("ttcp-udp-snd", func(p *sim.Proc) {
 		cfg := snd.SocketConfig()
 		cfg.UIOThreshold = pr.UIOThreshold
 		tx := socket.MustDGram(snd.K, snd.VM, ss.ttcpTask, snd.Stk, 0, cfg)
-		t0 = p.Now()
-		snd0, rcv0 = ss.times(), rs.times()
+		m.begin(p)
 		buf := ss.ttcpTask.Space.Alloc(pr.RWSize, 8)
 		fill(buf.Bytes())
 		for sent := units.Size(0); sent < pr.Total; sent += pr.RWSize {
 			snd.K.Work(p, ss.ttcpTask, 2*units.Microsecond, kern.CatApp, false)
 			if err := tx.SendTo(p, buf, rcv.Cfg.Addr, udpPort); err != nil {
 				sndErr = err.Error()
-				end(p)
+				m.end(p)
 				return
 			}
 		}
@@ -92,33 +73,10 @@ func RunUDP(tb *core.Testbed, snd, rcv *core.Host, pr Params) UDPResult {
 		}
 	})
 
-	if pr.WithUtil {
-		ss.startUtil()
-		rs.startUtil()
-	}
-	if pr.WithBackground {
-		ss.startBackground(tb)
-		rs.startBackground(tb)
-	}
-
-	tb.Eng.Run()
-	tb.Eng.KillAll()
-
-	elapsed := t1 - t0
-	res := UDPResult{
-		Result: Result{
-			Bytes:      received,
-			Elapsed:    elapsed,
-			Throughput: units.RateOf(received, elapsed),
-		},
-		Sent:     pr.Total,
-		Received: received,
-	}
+	res := UDPResult{Result: m.run(pr), Sent: pr.Total, Received: m.received}
 	if pr.Total > 0 {
-		res.LossFraction = 1 - float64(received)/float64(pr.Total)
+		res.LossFraction = 1 - float64(m.received)/float64(pr.Total)
 	}
-	res.Snd = ss.snapshot(elapsed, res.Throughput, snd0)
-	res.Rcv = rs.snapshot(elapsed, res.Throughput, rcv0)
 	res.SndErr = sndErr
 	return res
 }
