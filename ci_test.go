@@ -117,9 +117,7 @@ func TestOnePacketRecorderHandle(t *testing.T) {
 // and no mbuf header carries a causal event id.
 func TestOneCausalPath(t *testing.T) {
 	const obsPath = "repro/internal/obs"
-	allowed := map[string]string{
-		"internal/load/report.go:Crit": "Report hands the finished recorder to the critpath analyzer; nothing records through it",
-	}
+	allowed := map[string]string{}
 	seen := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -566,6 +564,44 @@ func TestOneTouchOracle(t *testing.T) {
 						t.Errorf("%s: %s used: audit with AssertCell on the stack mode's cells",
 							fset.Position(n.Pos()), name)
 					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOneRecorderSet keeps core.Testbed.Record the one way a run turns its
+// recorders on: a run names the whole set in one core.Recorders value. The
+// seven one-recorder Enable methods are forwards kept for the bench module;
+// no non-test file under internal/, cmd/ or examples/ calls them.
+func TestOneRecorderSet(t *testing.T) {
+	forwards := map[string]bool{
+		"EnableTelemetry": true, "EnableCritPath": true, "EnableProfiling": true, "EnableLedger": true,
+		"EnableNetObs": true, "EnableSeries": true, "EnableEngineObs": true,
+	}
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && forwards[sel.Sel.Name] {
+					t.Errorf("%s: %s called: name the run's recorders in one core.Recorders and pass it to Record",
+						fset.Position(call.Pos()), sel.Sel.Name)
 				}
 				return true
 			})

@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"repro/internal/cab"
+	"repro/internal/core"
 	"repro/internal/load"
 	"repro/internal/obs/engine"
 	"repro/internal/socket"
@@ -108,13 +109,9 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 
 		jsonOut = fs.Bool("json", false, "emit the full report as JSON")
 
-		seriesOut        = fs.String("series", "", "write the utilization time-series JSON to this path")
-		seriesCSV        = fs.String("series-csv", "", "write the utilization time-series CSV to this path")
 		seriesIntervalUS = fs.Int64("series-interval-us", 100, "series sampling interval, µs of virtual time")
-
-		netobsFlag   = fs.Bool("netobs", false, "record per-flow TCP dynamics and wire-port telemetry and print the congestion postmortem")
-		netobsJSON   = fs.String("netobs-json", "", "write the full transport-dynamics recorder dump to this path")
-		netobsChrome = fs.String("netobs-chrome", "", "write the transport-dynamics series as Chrome-trace counter tracks to this path")
+		netobsFlag       = fs.Bool("netobs", false, "record per-flow TCP dynamics and wire-port telemetry and print the congestion postmortem")
+		files            = core.RegisterArtifacts(fs, "series", "series-csv", "netobs-json", "netobs-chrome")
 
 		engObs  = fs.Bool("engobs", false, "print the simulator meta-profile (engine event counters) after the run")
 		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -216,11 +213,9 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	if *arb {
 		s.Arbiter = &cab.ArbConfig{}
 	}
-	if *seriesOut != "" || *seriesCSV != "" {
+	s.Recorders = files.Recorders().Union(core.Recorders{NetObs: *netobsFlag})
+	if s.Series != 0 && *seriesIntervalUS > 0 {
 		s.Series = units.Time(*seriesIntervalUS) * units.Microsecond
-	}
-	if *netobsFlag || *netobsJSON != "" || *netobsChrome != "" {
-		s.NetObs = true
 	}
 
 	var o *engine.Observer
@@ -272,29 +267,8 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	if *netobsFlag && rep.NetObs != nil {
 		fmt.Fprint(human, rep.NetObs.Format())
 	}
-	write := func(path string, b []byte) error { return os.WriteFile(path, b, 0o644) }
-	if *netobsJSON != "" && rep.NetObsRec != nil {
-		if err := write(*netobsJSON, rep.NetObsRec.Snapshot().JSON()); err != nil {
-			return fail(1, err)
-		}
-	}
-	if *netobsChrome != "" && rep.NetObsRec != nil {
-		if err := write(*netobsChrome, rep.NetObsRec.Chrome()); err != nil {
-			return fail(1, err)
-		}
-	}
-	if rep.Series != nil {
-		snap := rep.Series.Snapshot()
-		if *seriesOut != "" {
-			if err := write(*seriesOut, snap.JSON()); err != nil {
-				return fail(1, err)
-			}
-		}
-		if *seriesCSV != "" {
-			if err := write(*seriesCSV, []byte(snap.CSV())); err != nil {
-				return fail(1, err)
-			}
-		}
+	if err := files.Write(rep.Testbed); err != nil {
+		return fail(1, err)
 	}
 	if o != nil {
 		fmt.Fprintln(human, "engine meta-profile:")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,5 +84,41 @@ func TestUnwritableProfileFails(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "mem.pprof") || !strings.Contains(out.String(), "order_digest=") {
 		t.Errorf("stdout %q, stderr %q; want the report, then the profile error", out.String(), errb.String())
+	}
+}
+
+// TestArtifactFiles writes loadgen's four artifact files from a small bulk
+// run: each is non-empty, the JSON ones parse, and a second run writes the
+// same bytes.
+func TestArtifactFiles(t *testing.T) {
+	flags := []string{"series", "series-csv", "netobs-json", "netobs-chrome"}
+	runOnce := func() [][]byte {
+		dir := t.TempDir()
+		args := []string{"-flows", "4", "-clients", "2", "-servers", "1", "-bulk", "-duration", "5ms"}
+		for _, f := range flags {
+			args = append(args, "-"+f, filepath.Join(dir, f))
+		}
+		var out, errb bytes.Buffer
+		if status := run(args, &out, &errb); status != 0 {
+			t.Fatalf("status %d: %s", status, errb.String())
+		}
+		var files [][]byte
+		for _, f := range flags {
+			b, err := os.ReadFile(filepath.Join(dir, f))
+			if err != nil || len(b) == 0 {
+				t.Fatalf("-%s: %d bytes (%v)", f, len(b), err)
+			}
+			if f != "series-csv" && !json.Valid(b) {
+				t.Errorf("-%s: not JSON", f)
+			}
+			files = append(files, b)
+		}
+		return files
+	}
+	first, second := runOnce(), runOnce()
+	for i, f := range flags {
+		if !bytes.Equal(first[i], second[i]) {
+			t.Errorf("-%s: two runs wrote different bytes", f)
+		}
 	}
 }

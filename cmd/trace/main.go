@@ -41,7 +41,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/obs/critpath"
 	"repro/internal/obs/netobs"
 	"repro/internal/sim"
@@ -59,7 +58,7 @@ func main() {
 	flowF := flag.Int("flow", 0, "only trace segments of this flow (the data sender's port; 0 = all)")
 	chromeOut := flag.String("chrome", "", "write data-path spans as Chrome trace-event JSON to this path")
 	critFlag := flag.Bool("critpath", false, "print every completed read's critical-path waterfall with stall attribution")
-	critChrome := flag.String("critpath-chrome", "", "write the critical paths as Chrome trace-event JSON to this path")
+	files := core.RegisterArtifacts(flag.CommandLine, "critpath-chrome")
 	netobsIn := flag.String("netobs", "", "re-render this saved transport-dynamics dump (loadgen -netobs-json) as Chrome counter tracks instead of running a transfer")
 	flag.Parse()
 
@@ -92,14 +91,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	tb := core.NewTestbed(5)
-	if *chromeOut != "" {
-		tb.EnableTelemetry()
-	}
-	var critRec *obs.CritRec
-	if *critFlag || *critChrome != "" {
-		critRec = tb.EnableCritPath()
-	}
+	tb := core.NewTestbed(5).Record(files.Recorders().Union(
+		core.Recorders{Telemetry: *chromeOut != "", CritPath: *critFlag}))
 	a := tb.AddHost(core.HostConfig{Name: "A", Addr: wire.Addr(0x0a000001),
 		Mode: socket.ModeSingleCopy, CABNode: 1})
 	b := tb.AddHost(core.HostConfig{Name: "B", Addr: wire.Addr(0x0a000002),
@@ -192,17 +185,12 @@ func main() {
 		// is commentary, not an event.
 		fmt.Fprintf(os.Stderr, "... (%d more events)\n", lines-*n)
 	}
-	if critRec != nil {
-		rep := critpath.Analyze(critRec)
-		if *critFlag {
-			fmt.Println()
-			rep.WriteText(os.Stdout, true)
-		}
-		if *critChrome != "" {
-			if err := os.WriteFile(*critChrome, rep.ChromeJSON(), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "trace:", err)
-				os.Exit(1)
-			}
-		}
+	if *critFlag {
+		fmt.Println()
+		critpath.Analyze(tb.Tel.Crit()).WriteText(os.Stdout, true)
+	}
+	if err := files.Write(tb); err != nil {
+		fmt.Fprintln(os.Stderr, "trace:", err)
+		os.Exit(1)
 	}
 }

@@ -21,9 +21,11 @@
 // then audits the flow against the stack's Table 1 cells — single-copy
 // mode must show exactly one checksum-in-flight host-bus DMA and zero CPU
 // touches per sender byte, unmodified mode one CPU copy and one CPU
-// checksum per byte on each host — and exits nonzero on violation.
-// -ledger writes the full interval-record ledger; -flightrec writes the
-// bounded flight-recorder image (recent ledger + trace events per host).
+// checksum per byte on each host — and exits nonzero on violation. UDP and
+// raw-HIPPI runs record no data touches, and -audit says so in place of the
+// table. -ledger writes the full interval-record ledger; -flightrec writes
+// the bounded flight-recorder image (recent ledger + trace events per host).
+// Every file flag is a row of core.Artifacts, and each works on its own.
 //
 // -fault injects a deterministic fault plan (grammar in internal/fault's
 // ParsePlan) on the wire, the adaptor, and the kernel; the run then also
@@ -71,7 +73,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/obs/critpath"
 	"repro/internal/obs/ledger"
 	"repro/internal/socket"
@@ -113,24 +114,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	machine := fs.String("machine", "alpha400", "host model: alpha400, alpha300")
 	lazy := fs.Bool("lazy", false, "enable the lazy-unpin buffer cache")
 	stats := fs.Bool("stats", false, "print telemetry counters and the per-packet latency histogram")
-	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON file to this path")
-	metricsOut := fs.String("metrics", "", "write the JSON metrics snapshot to this path")
 	profile := fs.Bool("profile", false, "print folded-stacks CPU profile to stdout")
-	profileOut := fs.String("profile-out", "", "write the folded-stacks CPU profile to this path")
-	profileJSON := fs.String("profile-json", "", "write the CPU profile JSON snapshot to this path")
-	seriesOut := fs.String("series", "", "write the utilization time-series JSON to this path")
-	seriesCSV := fs.String("series-csv", "", "write the utilization time-series CSV to this path")
 	seriesIntervalUS := fs.Int64("series-interval-us", 100, "series sampling interval, µs of virtual time")
 	faultPlan := fs.String("fault", "", "fault plan, e.g. 'drop:every=13,min=1000;corrupt:p=0.01' (see internal/fault)")
 	faultSeed := fs.Int64("fault-seed", 1, "fault injector seed")
 	auditFlag := fs.Bool("audit", false, "enable the data-touch ledger and print the per-flow audit table; fails if the stack's copy-count oracle does not hold")
-	ledgerOut := fs.String("ledger", "", "with -audit, also write the full ledger JSON to this path")
-	flightRec := fs.String("flightrec", "", "write the flight-recorder image (recent ledger + trace events) to this path")
 	critFlag := fs.Bool("critpath", false, "record per-transfer happens-before graphs and print the critical-path latency attribution")
-	critChrome := fs.String("critpath-chrome", "", "with -critpath, also write the critical paths as a Chrome trace-event file to this path")
 	netobsFlag := fs.Bool("netobs", false, "record per-flow TCP dynamics and wire-port telemetry and print the congestion postmortem")
-	netobsJSON := fs.String("netobs-json", "", "write the full transport-dynamics recorder dump to this path")
-	netobsChrome := fs.String("netobs-chrome", "", "write the transport-dynamics series as Chrome-trace counter tracks to this path")
+	files := core.RegisterArtifacts(fs, "trace", "metrics", "profile-out", "profile-json", "series", "series-csv",
+		"ledger", "flightrec", "critpath-chrome", "netobs-json", "netobs-chrome")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -179,25 +171,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tx, rx := stack.Cells()
 
 	tb := core.NewTestbed(1)
-	if *stats || *traceOut != "" || *metricsOut != "" || *flightRec != "" {
-		tb.EnableTelemetry()
+	rec := files.Recorders().Union(core.Recorders{
+		Telemetry: *stats, CritPath: *critFlag, Profile: *profile, Ledger: *auditFlag, NetObs: *netobsFlag})
+	if rec.Series != 0 && *seriesIntervalUS > 0 {
+		rec.Series = units.Time(*seriesIntervalUS) * units.Microsecond
 	}
-	var critRec *obs.CritRec
-	if *critFlag || *critChrome != "" {
-		critRec = tb.EnableCritPath()
-	}
-	if *auditFlag || *ledgerOut != "" || *flightRec != "" {
-		tb.EnableLedger()
-	}
-	if *profile || *profileOut != "" || *profileJSON != "" {
-		tb.EnableProfiling()
-	}
-	if *seriesOut != "" || *seriesCSV != "" {
-		tb.EnableSeries(units.Time(*seriesIntervalUS) * units.Microsecond)
-	}
-	if *netobsFlag || *netobsJSON != "" || *netobsChrome != "" {
-		tb.EnableNetObs()
-	}
+	tb.Record(rec)
 	var inj *fault.Injector
 	if *faultPlan != "" {
 		inj = fault.New(tb.Eng, *faultSeed)
@@ -220,111 +199,44 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *profile {
 		report = stderr
 	}
-	write := func(path string, b []byte) error { return os.WriteFile(path, b, 0o644) }
-	emitTelemetry := func() error {
-		if *flightRec != "" {
-			if err := write(*flightRec, tb.FlightDump()); err != nil {
-				return err
-			}
+	// finish writes the artifact files, then prints the text reports.
+	finish := func() int {
+		if err := files.Write(tb); err != nil {
+			return fail(1, err)
 		}
-		if tb.Led != nil {
+		if *auditFlag {
 			led := tb.Led
 			flow := led.MainFlow()
-			if *ledgerOut != "" {
-				if err := write(*ledgerOut, led.JSON()); err != nil {
-					return err
-				}
-			}
-			if *auditFlag {
+			if len(led.Records()) == 0 {
+				fmt.Fprintln(report, "\ndata-touch audit: this path records no data touches")
+			} else {
 				fmt.Fprint(report, "\n"+led.Summary(flow, total, []string{"snd", "wire", "rcv"}).Format())
-				cfg := ledger.AuditConfig{Flow: flow, Total: total,
-					SndHost: "snd", RcvHost: "rcv", Strict: *faultPlan == ""}
-				if *proto != "tcp" || *mode == "raw" {
-					fmt.Fprintln(report, "  oracle: skipped (TCP flows only)")
-				} else if err := led.AssertCell(tx, rx, cfg); err != nil {
-					return fmt.Errorf("audit: %w", err)
-				} else {
-					fmt.Fprintln(report, "  oracle: ok")
-				}
+			}
+			cfg := ledger.AuditConfig{Flow: flow, Total: total,
+				SndHost: "snd", RcvHost: "rcv", Strict: *faultPlan == ""}
+			if *proto != "tcp" || *mode == "raw" {
+				fmt.Fprintln(report, "  oracle: skipped (TCP flows only)")
+			} else if err := led.AssertCell(tx, rx, cfg); err != nil {
+				return fail(1, fmt.Errorf("audit: %w", err))
+			} else {
+				fmt.Fprintln(report, "  oracle: ok")
 			}
 		}
 		if inj != nil {
 			fmt.Fprintf(report, "  %s\n", inj.Report())
 		}
-		if critRec != nil {
-			rep := critpath.Analyze(critRec)
-			if *critFlag {
-				fmt.Fprint(report, "\n")
-				rep.WriteText(report, false)
-			}
-			if *critChrome != "" {
-				if err := write(*critChrome, rep.ChromeJSON()); err != nil {
-					return err
-				}
-			}
+		if *critFlag {
+			fmt.Fprint(report, "\n")
+			critpath.Analyze(tb.Tel.Crit()).WriteText(report, false)
 		}
-		if tb.Prof != nil {
-			if *profile {
-				fmt.Fprint(stdout, tb.Prof.Folded())
-			}
-			if *profileOut != "" {
-				if err := write(*profileOut, []byte(tb.Prof.Folded())); err != nil {
-					return err
-				}
-			}
-			if *profileJSON != "" {
-				if err := write(*profileJSON, tb.Prof.Snapshot().JSON()); err != nil {
-					return err
-				}
-			}
+		if *profile {
+			fmt.Fprint(stdout, tb.Prof.Folded())
 		}
-		if tb.NetObs != nil {
-			if *netobsFlag {
-				fmt.Fprint(report, "\n"+tb.NetObsPostmortem(0).Format())
-			}
-			if *netobsJSON != "" {
-				if err := write(*netobsJSON, tb.NetObs.Snapshot().JSON()); err != nil {
-					return err
-				}
-			}
-			if *netobsChrome != "" {
-				if err := write(*netobsChrome, tb.NetObs.Chrome()); err != nil {
-					return err
-				}
-			}
-		}
-		if tb.Series != nil {
-			snap := tb.Series.Snapshot()
-			if *seriesOut != "" {
-				if err := write(*seriesOut, snap.JSON()); err != nil {
-					return err
-				}
-			}
-			if *seriesCSV != "" {
-				if err := write(*seriesCSV, []byte(snap.CSV())); err != nil {
-					return err
-				}
-			}
-		}
-		if tb.Tel == nil {
-			return nil
+		if *netobsFlag {
+			fmt.Fprint(report, "\n"+tb.NetObsPostmortem(0).Format())
 		}
 		if *stats {
 			fmt.Fprint(report, "\n"+tb.Tel.Snapshot().Format())
-		}
-		if *metricsOut != "" {
-			if err := write(*metricsOut, tb.Tel.Snapshot().JSON()); err != nil {
-				return err
-			}
-		}
-		if *traceOut != "" {
-			return write(*traceOut, tb.Tel.Chrome())
-		}
-		return nil
-	}
-	finish := func() int {
-		if err := emitTelemetry(); err != nil {
-			return fail(1, err)
 		}
 		return 0
 	}

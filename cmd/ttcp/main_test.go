@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestEnumFlagsRejected: an unknown value for an enumerated flag used to run
@@ -69,6 +74,66 @@ func TestOversizeUDPFails(t *testing.T) {
 		}
 		if want := "udp send of 64KB datagrams: tcpip: datagram too long"; !strings.Contains(errb.String(), want) {
 			t.Errorf("%v: stderr %q, want it to say %s", args, errb.String(), want)
+		}
+	}
+}
+
+// TestAuditWithoutTouches: UDP and raw-HIPPI runs record no data touches,
+// so -audit used to print an empty table headed "flow 0". It now says that
+// the path records no data touches, and the run still succeeds.
+func TestAuditWithoutTouches(t *testing.T) {
+	for _, args := range [][]string{
+		{"-proto", "udp", "-size", "32K", "-total", "1M", "-audit"},
+		{"-mode", "raw", "-total", "256K", "-audit"},
+	} {
+		var out, errb bytes.Buffer
+		if status := run(args, &out, &errb); status != 0 {
+			t.Errorf("%v: status %d: %s", args, status, errb.String())
+		}
+		if want := "data-touch audit: this path records no data touches\n"; !strings.Contains(out.String(), want) {
+			t.Errorf("%v: output %q, want it to say %q", args, out.String(), want)
+		}
+		if strings.Contains(out.String(), "per-byte") {
+			t.Errorf("%v: printed an empty audit table: %q", args, out.String())
+		}
+	}
+}
+
+// TestArtifactFiles writes every artifact file of the table in one run:
+// each is non-empty, each JSON one parses, and a second run writes the same
+// bytes and prints the same report.
+func TestArtifactFiles(t *testing.T) {
+	runOnce := func() (map[string][]byte, string) {
+		dir := t.TempDir()
+		args := []string{"-total", "256K", "-audit", "-stats", "-critpath", "-netobs"}
+		for _, a := range core.Artifacts {
+			args = append(args, "-"+a.Flag, filepath.Join(dir, a.Flag))
+		}
+		var out, errb bytes.Buffer
+		if status := run(args, &out, &errb); status != 0 {
+			t.Fatalf("status %d: %s", status, errb.String())
+		}
+		files := map[string][]byte{}
+		for _, a := range core.Artifacts {
+			b, err := os.ReadFile(filepath.Join(dir, a.Flag))
+			if err != nil || len(b) == 0 {
+				t.Fatalf("-%s: %d bytes (%v)", a.Flag, len(b), err)
+			}
+			if a.Flag != "profile-out" && a.Flag != "series-csv" && !json.Valid(b) {
+				t.Errorf("-%s: not JSON", a.Flag)
+			}
+			files[a.Flag] = b
+		}
+		return files, out.String()
+	}
+	first, out1 := runOnce()
+	second, out2 := runOnce()
+	if out1 != out2 {
+		t.Error("two runs printed different reports")
+	}
+	for flag, b := range first {
+		if !bytes.Equal(b, second[flag]) {
+			t.Errorf("-%s: two runs wrote different bytes", flag)
 		}
 	}
 }

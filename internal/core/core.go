@@ -6,6 +6,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 
@@ -88,27 +89,16 @@ type Testbed struct {
 	Net    *hippi.Network
 	EthNet *hippi.Network
 	Hosts  []*Host
-	// Tel is the testbed-wide telemetry hub; nil unless EnableTelemetry
-	// was called before hosts were added.
-	Tel *obs.Telemetry
-	// Prof is the virtual-time CPU profiler; nil unless EnableProfiling
-	// was called before hosts were added.
-	Prof *prof.Profiler
-	// Series is the utilization time-series sampler; nil unless
-	// EnableSeries was called before hosts were added.
+	// The recorders Record attached; each is nil while off.
+	Tel    *obs.Telemetry
+	Prof   *prof.Profiler
 	Series *obs.SeriesSet
+	Led    *ledger.Ledger
+	EngObs *engine.Observer
+	NetObs *netobs.Recorder
 	// FaultInj is the fault injector; nil unless EnableFaults was called
 	// before hosts were added.
 	FaultInj *fault.Injector
-	// Led is the data-touch ledger; nil unless EnableLedger was called
-	// before hosts were added.
-	Led *ledger.Ledger
-	// EngObs is the simulator meta-observer (wall-clock engine counters);
-	// nil unless EnableEngineObs was called before hosts were added.
-	EngObs *engine.Observer
-	// NetObs is the transport-dynamics recorder; nil unless EnableNetObs
-	// was called before hosts were added.
-	NetObs *netobs.Recorder
 
 	seriesStop bool
 	checkPools bool
@@ -128,65 +118,105 @@ func NewTestbed(seed int64) *Testbed {
 	}
 }
 
-// EnableTelemetry turns on metrics and data-path tracing for every host
-// added afterwards. It must run before AddHost so subsystem constructors
-// can register their instruments.
-func (tb *Testbed) EnableTelemetry() *obs.Telemetry {
+// DefaultSeriesInterval is the utilization sampler's interval when a
+// caller asks for the series without naming one.
+const DefaultSeriesInterval = 100 * units.Microsecond
+
+// Recorders names the recorders a run attaches to its testbed. The zero
+// value records nothing. Every recorder is purely observational: turning
+// one on charges no simulated time and moves no workload event (the series
+// sampler only adds its own ticks), so a run's results are the same
+// whatever set it records.
+type Recorders struct {
+	// Telemetry: per-host metric registries and data-path spans (Tel).
+	Telemetry bool
+	// CritPath: the causal critical-path recorder (Tel.Crit): data-path
+	// spans record happens-before events (writer enqueue, tcp_output,
+	// SDMA, wire, interrupt, read wakeup) with stall-cause edges for the
+	// internal/obs/critpath analyzer. Implies Telemetry.
+	CritPath bool
+	// Profile: the virtual-time CPU profiler (Prof): every kernel CPU
+	// charge is attributed to a (host, layer-stack, category, flow) node,
+	// exactly, with no sampling.
+	Profile bool
+	// Ledger: the data-touch ledger (Led): every event where a payload
+	// byte is read or written (CPU copy, CPU checksum, host-bus DMA, media
+	// DMA, wire transit) becomes an interval record for the post-run audit.
+	Ledger bool
+	// NetObs: the transport-dynamics recorder (NetObs): per-connection TCP
+	// congestion state sampled on change and per-port wire busy/stall
+	// telemetry, joined with adaptor-memory stats by NetObsPostmortem.
+	NetObs bool
+	// Series, when positive, samples each host's utilization series
+	// (Series) every Series of virtual time: CPU utilization in total and
+	// per category, network-memory occupancy, TCP queue and window peaks.
+	// Implies Telemetry. The sampler keeps an engine event pending, so
+	// call StopSeries when the workload ends or Eng.Run will not return.
+	Series units.Time
+	// EngObs, when set, is attached as the simulator meta-observer
+	// (EngObs): the engine counts its own real work (events per kind,
+	// queue and timer high-waters, advisory wall-clock and allocation
+	// attribution) and every kernel counts its charges. One observer may
+	// accumulate across several testbeds.
+	EngObs *engine.Observer
+}
+
+// Union returns the set that records everything r or o records. Where
+// both name a series interval or an observer, r's wins.
+func (r Recorders) Union(o Recorders) Recorders {
+	r.Telemetry = r.Telemetry || o.Telemetry
+	r.CritPath = r.CritPath || o.CritPath
+	r.Profile = r.Profile || o.Profile
+	r.Ledger = r.Ledger || o.Ledger
+	r.NetObs = r.NetObs || o.NetObs
+	r.Series = cmp.Or(r.Series, o.Series)
+	r.EngObs = cmp.Or(r.EngObs, o.EngObs)
+	return r
+}
+
+// Record attaches every recorder r names to the testbed and its networks,
+// and to each host as AddHost builds it, so it must run before AddHost. It
+// adds to what earlier calls attached and keeps their recorders: a
+// repeated call changes nothing, and a series already sampling keeps its
+// interval. A different EngObs replaces the attached one. Record is the
+// only code that creates a recorder; Testbed's recorder fields read them.
+//
+// Call Record before EnableFaults: the series sampler's start event then
+// takes its sequence number ahead of any fault event.
+func (tb *Testbed) Record(r Recorders) *Testbed {
 	if len(tb.Hosts) > 0 {
-		panic("core: EnableTelemetry must be called before AddHost")
+		panic("core: Record must be called before AddHost")
 	}
-	if tb.Tel == nil {
+	// The observer goes first so that it sees the sampler's start event
+	// scheduled.
+	if r.EngObs != nil && r.EngObs != tb.EngObs {
+		tb.EngObs = r.EngObs
+		r.EngObs.Attach(tb.Eng)
+	}
+	if (r.Telemetry || r.CritPath || r.Series > 0) && tb.Tel == nil {
 		tb.Tel = obs.New(tb.Eng.Now)
-		r := tb.Tel.Registry("net")
-		tb.Net.SetObs(r, "hippi")
-		tb.EthNet.SetObs(r, "eth")
+		reg := tb.Tel.Registry("net")
+		tb.Net.SetObs(reg, "hippi")
+		tb.EthNet.SetObs(reg, "eth")
 	}
-	return tb.Tel
-}
-
-// EnableCritPath turns on the causal critical-path recorder: data-path
-// spans of every host added afterwards record happens-before events
-// (writer enqueue, tcp_output, SDMA, wire, interrupt, read wakeup) with
-// stall-cause edges, for the internal/obs/critpath analyzer. Implies
-// EnableTelemetry; must run before AddHost.
-func (tb *Testbed) EnableCritPath() *obs.CritRec {
-	if len(tb.Hosts) > 0 {
-		panic("core: EnableCritPath must be called before AddHost")
+	if r.CritPath {
+		tb.Tel.Trace().EnableCrit()
 	}
-	tb.EnableTelemetry()
-	tb.Tel.EnableCritPath()
-	return tb.Tel.Crit()
-}
-
-// EnableProfiling turns on the virtual-time CPU profiler for every host
-// added afterwards: all kernel CPU charges are attributed to a
-// (host, layer-stack, category, flow) node, exactly — no sampling. It
-// must run before AddHost so hosts get their profile roots.
-func (tb *Testbed) EnableProfiling() *prof.Profiler {
-	if len(tb.Hosts) > 0 {
-		panic("core: EnableProfiling must be called before AddHost")
+	if r.Ledger && tb.Led == nil {
+		tb.Led = ledger.New(tb.Eng.Now)
+		wireHook := tb.Led.Hook("wire")
+		tb.Net.Led = wireHook
+		tb.EthNet.Led = wireHook
 	}
-	if tb.Prof == nil {
+	if r.Profile && tb.Prof == nil {
 		tb.Prof = prof.New(kern.CategoryNames())
 	}
-	return tb.Prof
-}
-
-// EnableSeries turns on the utilization time-series sampler: every
-// interval of virtual time each host records CPU utilization (total and
-// per category, in per-mille), network-memory page occupancy, and TCP
-// queue/window high-water marks. Implies EnableTelemetry; must run before
-// AddHost. The sampler keeps an engine event pending, so call StopSeries
-// when the workload ends or Eng.Run will not return.
-func (tb *Testbed) EnableSeries(interval units.Time) *obs.SeriesSet {
-	if len(tb.Hosts) > 0 {
-		panic("core: EnableSeries must be called before AddHost")
+	if r.NetObs && tb.NetObs == nil {
+		tb.NetObs = netobs.New(tb.Eng.Now)
+		tb.Net.SetNetObs(tb.NetObs.Wire("hippi", 0))
+		tb.EthNet.SetNetObs(tb.NetObs.Wire("eth", 0))
 	}
-	if interval <= 0 {
-		interval = 100 * units.Microsecond
-	}
-	tb.EnableTelemetry()
-	if tb.Series == nil {
+	if interval := r.Series; interval > 0 && tb.Series == nil {
 		tb.Series = obs.NewSeriesSet(interval, obs.DefaultSeriesCapacity)
 		tb.Series.SetLatencySource(tb.Tel.Trace().Latency())
 		// The sampler blocks only between its own ticks, so it is an
@@ -206,26 +236,38 @@ func (tb *Testbed) EnableSeries(interval units.Time) *obs.SeriesSet {
 		}
 		tb.Eng.AtKind(tb.Eng.Now(), sim.KindProc, next)
 	}
-	return tb.Series
+	return tb
 }
 
-// EnableNetObs turns on the transport-dynamics observatory for every host
-// added afterwards: per-connection TCP congestion-state series sampled on
-// state change, per-port wire busy/stall telemetry with per-flow
-// bytes-on-wire attribution, and the postmortem analyzer joining the two
-// with adaptor-memory stats (see NetObsPostmortem). Purely observational:
-// it charges no simulated time and leaves run timing byte-identical. Must
-// run before AddHost.
-func (tb *Testbed) EnableNetObs() *netobs.Recorder {
-	if len(tb.Hosts) > 0 {
-		panic("core: EnableNetObs must be called before AddHost")
-	}
-	if tb.NetObs == nil {
-		tb.NetObs = netobs.New(tb.Eng.Now)
-		tb.Net.SetNetObs(tb.NetObs.Wire("hippi", 0))
-		tb.EthNet.SetNetObs(tb.NetObs.Wire("eth", 0))
-	}
-	return tb.NetObs
+// The Enable methods are one-recorder forms of Record, kept for callers
+// outside this module; code here calls Record.
+
+// EnableTelemetry is Record(Recorders{Telemetry: true}).
+func (tb *Testbed) EnableTelemetry() *obs.Telemetry { return tb.Record(Recorders{Telemetry: true}).Tel }
+
+// EnableCritPath is Record(Recorders{CritPath: true}).
+func (tb *Testbed) EnableCritPath() *obs.CritRec {
+	return tb.Record(Recorders{CritPath: true}).Tel.Crit()
+}
+
+// EnableProfiling is Record(Recorders{Profile: true}).
+func (tb *Testbed) EnableProfiling() *prof.Profiler { return tb.Record(Recorders{Profile: true}).Prof }
+
+// EnableSeries is Record(Recorders{Series: interval}); a non-positive
+// interval samples every DefaultSeriesInterval.
+func (tb *Testbed) EnableSeries(interval units.Time) *obs.SeriesSet {
+	return tb.Record(Recorders{Series: cmp.Or(max(interval, 0), DefaultSeriesInterval)}).Series
+}
+
+// EnableNetObs is Record(Recorders{NetObs: true}).
+func (tb *Testbed) EnableNetObs() *netobs.Recorder { return tb.Record(Recorders{NetObs: true}).NetObs }
+
+// EnableLedger is Record(Recorders{Ledger: true}).
+func (tb *Testbed) EnableLedger() *ledger.Ledger { return tb.Record(Recorders{Ledger: true}).Led }
+
+// EnableEngineObs is Record(Recorders{EngObs: o}).
+func (tb *Testbed) EnableEngineObs(o *engine.Observer) *engine.Observer {
+	return tb.Record(Recorders{EngObs: o}).EngObs
 }
 
 // NetObsPostmortem runs the transport-dynamics analyzer over everything the
@@ -258,24 +300,6 @@ func (tb *Testbed) NetObsPostmortem(after units.Time) *netobs.Postmortem {
 // disabled.
 func (tb *Testbed) StopSeries() { tb.seriesStop = true }
 
-// EnableLedger turns on the data-touch ledger: every event where a
-// payload byte is read or written — CPU copy, CPU checksum, host-bus
-// DMA, media DMA, wire transit — is recorded as an interval record for
-// post-run audit (the single-copy oracle). Must run before AddHost so
-// each host's kernel and adaptor get their hooks.
-func (tb *Testbed) EnableLedger() *ledger.Ledger {
-	if len(tb.Hosts) > 0 {
-		panic("core: EnableLedger must be called before AddHost")
-	}
-	if tb.Led == nil {
-		tb.Led = ledger.New(tb.Eng.Now)
-		wireHook := tb.Led.Hook("wire")
-		tb.Net.Led = wireHook
-		tb.EthNet.Led = wireHook
-	}
-	return tb.Led
-}
-
 // FlightDump serializes each host's recent ledger events, the tail of the
 // telemetry trace, and the per-kind fault-injector counters into one JSON
 // document — the flight recorder image dumped when a watchdog or fault
@@ -305,27 +329,6 @@ func orNull(b []byte) []byte {
 		return []byte("null")
 	}
 	return b
-}
-
-// EnableEngineObs turns on the simulator meta-observer: the engine counts
-// its own real work (events dispatched per kind, queue and timer
-// high-waters, advisory wall-clock/allocation attribution) and every host
-// kernel added afterwards counts its charges. Unlike the other obs
-// layers, this one measures the simulator in wall-clock time; it still
-// never touches virtual time, so enabling it cannot change results. Pass
-// nil to create a fresh observer, or an existing one to accumulate one
-// observatory across several testbeds (the simbench soak matrix). Must
-// run before AddHost so kernels get their hooks.
-func (tb *Testbed) EnableEngineObs(o *engine.Observer) *engine.Observer {
-	if len(tb.Hosts) > 0 {
-		panic("core: EnableEngineObs must be called before AddHost")
-	}
-	if o == nil {
-		o = engine.New()
-	}
-	tb.EngObs = o
-	o.Attach(tb.Eng)
-	return o
 }
 
 // CheckPools puts every free list of the testbed in check mode (see

@@ -102,7 +102,7 @@ var breakdownModes = []struct {
 // breakdownCell runs one (mode, size) transfer and returns both sides'
 // category breakdowns from the same run.
 func breakdownCell(mode socket.Mode, rw units.Size, seed int64) (snd, rcv BreakdownPoint) {
-	tb, a, b := pairTestbed(seed, core.HostConfig{Mach: cost.Alpha400(), Mode: mode}, nil)
+	tb, a, b := pairTestbed(seed, core.HostConfig{Mach: cost.Alpha400(), Mode: mode}, core.Recorders{})
 	res := ttcp.Run(tb, a, b, ttcp.Params{Total: totalFor(rw), RWSize: rw})
 	return breakdownPoint(rw, res, a), breakdownPoint(rw, res, b)
 }

@@ -88,21 +88,21 @@ func critCell(name, mode string, rw units.Size, flows int, rec *obs.CritRec) Cri
 // critical path.
 func critIncast() (*obs.CritRec, error) {
 	rep, err := runLoad(load.Scenario{
-		Name:     "incast64",
-		Seed:     11,
-		Clients:  8,
-		Servers:  1,
-		Flows:    64,
-		Mode:     socket.ModeSingleCopy,
-		Requests: 2,
-		Stagger:  units.Millisecond,
-		Arbiter:  &cab.ArbConfig{},
-		CritPath: true,
+		Name:      "incast64",
+		Seed:      11,
+		Clients:   8,
+		Servers:   1,
+		Flows:     64,
+		Mode:      socket.ModeSingleCopy,
+		Requests:  2,
+		Stagger:   units.Millisecond,
+		Arbiter:   &cab.ArbConfig{},
+		Recorders: core.Recorders{CritPath: true},
 	})
 	if err != nil {
 		return nil, err
 	}
-	return rep.Crit, nil
+	return rep.Testbed.Tel.Crit(), nil
 }
 
 // RunCritPath executes the critical-path workload matrix. With quick set it
@@ -122,10 +122,9 @@ func RunCritPath(quick bool) (CritBench, error) {
 		{socket.ModeSingleCopy, "single_copy"},
 	} {
 		for i, rw := range sizes {
-			var rec *obs.CritRec
-			fig5Cell(m.mode, rw, int64(3000+i), func(tb *core.Testbed) { rec = tb.EnableCritPath() })
+			tb := fig5Cell(m.mode, rw, int64(3000+i), core.Recorders{CritPath: true})
 			b.Cells = append(b.Cells,
-				critCell(fmt.Sprintf("fig5/%s/%d", m.label, int64(rw)), m.label, rw, 0, rec))
+				critCell(fmt.Sprintf("fig5/%s/%d", m.label, int64(rw)), m.label, rw, 0, tb.Tel.Crit()))
 		}
 	}
 	rec, err := critIncast()

@@ -6,7 +6,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -69,13 +68,9 @@ const (
 
 // pairTestbed builds the two-host testbed every ttcp experiment measures
 // on: hosts A and B from the template cfg, on CAB nodes 1 and 2, routed to
-// each other. enable, if non-nil, attaches recorders to the bare testbed
-// first — AddHost wires each layer to whatever is enabled by then.
-func pairTestbed(seed int64, cfg core.HostConfig, enable func(*core.Testbed)) (tb *core.Testbed, a, b *core.Host) {
-	tb = core.NewTestbed(seed)
-	if enable != nil {
-		enable(tb)
-	}
+// each other, recording rec.
+func pairTestbed(seed int64, cfg core.HostConfig, rec core.Recorders) (tb *core.Testbed, a, b *core.Host) {
+	tb = core.NewTestbed(seed).Record(rec)
 	cfg.Name, cfg.Addr, cfg.CABNode = "A", addrA, 1
 	a = tb.AddHost(cfg)
 	cfg.Name, cfg.Addr, cfg.CABNode = "B", addrB, 2
@@ -87,8 +82,8 @@ func pairTestbed(seed int64, cfg core.HostConfig, enable func(*core.Testbed)) (t
 // fig5Cell runs the Figure-5-style transfer at one read/write size — util
 // soaker and background load on, as the paper measured — on a pairTestbed
 // of Alpha 3000/400 hosts in the given mode.
-func fig5Cell(mode socket.Mode, rw units.Size, seed int64, enable func(*core.Testbed)) *core.Testbed {
-	tb, a, b := pairTestbed(seed, core.HostConfig{Mach: cost.Alpha400(), Mode: mode}, enable)
+func fig5Cell(mode socket.Mode, rw units.Size, seed int64, rec core.Recorders) *core.Testbed {
+	tb, a, b := pairTestbed(seed, core.HostConfig{Mach: cost.Alpha400(), Mode: mode}, rec)
 	ttcp.Run(tb, a, b, fig5Params(rw))
 	return tb
 }
@@ -99,7 +94,7 @@ func fig5Params(rw units.Size) ttcp.Params {
 
 // stackPoint measures one (machine, mode, size) cell with a fresh testbed.
 func stackPoint(mach func() *cost.Machine, mode socket.Mode, rw units.Size, seed int64) Point {
-	tb, a, b := pairTestbed(seed, core.HostConfig{Mach: mach(), Mode: mode}, nil)
+	tb, a, b := pairTestbed(seed, core.HostConfig{Mach: mach(), Mode: mode}, core.Recorders{})
 	return pointOf(rw, ttcp.Run(tb, a, b, fig5Params(rw)))
 }
 
@@ -150,7 +145,7 @@ func RunFigure(name string, mach func() *cost.Machine, sizes []units.Size) Figur
 // Alpha 3000/400) and returns the full telemetry snapshot. Deterministic:
 // the same (rw, seed) always yields byte-identical Snapshot.JSON().
 func MetricsRun(rw units.Size, seed int64) obs.Snapshot {
-	tb := fig5Cell(socket.ModeSingleCopy, rw, seed, func(tb *core.Testbed) { tb.EnableTelemetry() })
+	tb := fig5Cell(socket.ModeSingleCopy, rw, seed, core.Recorders{Telemetry: true})
 	return tb.Tel.Snapshot()
 }
 
@@ -283,18 +278,7 @@ func figureJSON[T, P any](name, side, machine string, order []string, series map
 		}
 		jf.Series = append(jf.Series, js)
 	}
-	return benchJSON(jf)
-}
-
-// benchJSON renders a baseline file: indented and newline-terminated.
-// Every bench type is slices and structs (encoding/json sorts the one
-// map's keys), so identical runs marshal to identical bytes.
-func benchJSON(v any) []byte {
-	out, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		panic("exp: baseline marshal: " + err.Error())
-	}
-	return append(out, '\n')
+	return obs.JSON(jf)
 }
 
 // JSON renders the figure's curves so future changes have a perf

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/cab"
+	"repro/internal/core"
 	"repro/internal/hippi"
 	"repro/internal/load"
 	"repro/internal/socket"
@@ -115,8 +116,7 @@ func FabricIncast(cc string) load.Scenario {
 		Window:       128 * units.KB,
 		MTU:          fabricMTU,
 		CABConfig:    fabricCAB(),
-		NetObs:       true,
-		Ledger:       true,
+		Recorders:    core.Recorders{NetObs: true, Ledger: true},
 	}
 	if cc != "" && cc != tcpip.CCReno {
 		s.Name = "fabric-incast-" + cc
@@ -149,7 +149,7 @@ func fabricMice(cc string) load.Scenario {
 		Window:    128 * units.KB,
 		MTU:       fabricMTU,
 		CABConfig: fabricCAB(),
-		NetObs:    true,
+		Recorders: core.Recorders{NetObs: true},
 	}
 	if cc != "" && cc != tcpip.CCReno {
 		s.Name = "fabric-mice-" + cc
@@ -204,7 +204,7 @@ func fabricPartition() load.Scenario {
 		Window:       128 * units.KB,
 		MTU:          fabricMTU,
 		CABConfig:    fabricCAB(),
-		NetObs:       true,
+		Recorders:    core.Recorders{NetObs: true},
 		FaultPlan:    "partition:at=150ms,dur=120ms,link=leaf0-spine1",
 	}
 }

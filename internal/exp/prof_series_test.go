@@ -15,12 +15,11 @@ import (
 // profiler on; seriesRun the same with the utilization sampler ticking
 // every 100 µs of virtual time.
 func profileRun(mode socket.Mode) *core.Testbed {
-	return fig5Cell(mode, 64*units.KB, 5, func(tb *core.Testbed) { tb.EnableProfiling() })
+	return fig5Cell(mode, 64*units.KB, 5, core.Recorders{Profile: true})
 }
 
 func seriesRun() *core.Testbed {
-	return fig5Cell(socket.ModeSingleCopy, 64*units.KB, 9,
-		func(tb *core.Testbed) { tb.EnableSeries(100 * units.Microsecond) })
+	return fig5Cell(socket.ModeSingleCopy, 64*units.KB, 9, core.Recorders{Series: 100 * units.Microsecond})
 }
 
 // TestProfilerExactSum is the profiler's core invariant: folded-stack
@@ -103,8 +102,8 @@ func TestProfilerStackShape(t *testing.T) {
 // TestProfilerVirtualTimeNeutral: profiling observes the run without
 // changing it.
 func TestProfilerVirtualTimeNeutral(t *testing.T) {
-	tbOn, on := shortRun(3, func(tb *core.Testbed) { tb.EnableProfiling() })
-	tbOff, off := shortRun(3, nil)
+	tbOn, on := shortRun(3, core.Recorders{Profile: true})
+	tbOff, off := shortRun(3, core.Recorders{})
 	if on.Elapsed != off.Elapsed || on.Bytes != off.Bytes || on.Throughput != off.Throughput {
 		t.Fatalf("profiling changed the run: on=(%v %v) off=(%v %v)",
 			on.Elapsed, on.Throughput, off.Elapsed, off.Throughput)
@@ -188,8 +187,8 @@ func TestSeriesDeterministic(t *testing.T) {
 // workload's virtual-time results even though it keeps an engine event
 // pending.
 func TestSeriesVirtualTimeNeutral(t *testing.T) {
-	_, on := shortRun(3, func(tb *core.Testbed) { tb.EnableSeries(100 * units.Microsecond) })
-	_, off := shortRun(3, nil)
+	_, on := shortRun(3, core.Recorders{Series: 100 * units.Microsecond})
+	_, off := shortRun(3, core.Recorders{})
 	if on.Elapsed != off.Elapsed || on.Bytes != off.Bytes || on.Throughput != off.Throughput {
 		t.Fatalf("series sampling changed the run: on=(%v %v) off=(%v %v)",
 			on.Elapsed, on.Throughput, off.Elapsed, off.Throughput)

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/obs"
 	"repro/internal/taxonomy"
 	"repro/internal/units"
 )
@@ -70,7 +71,7 @@ func text(render func() string) func(bool) (Result, error) {
 }
 
 // bench adapts a baseline generator, whose value is both the table
-// (Format) and the file (benchJSON). A failed run renders nothing: its
+// (Format) and the file (obs.JSON). A failed run renders nothing: its
 // value may be half-filled.
 func bench[B table](run func(quick bool) (B, error)) func(bool) (Result, error) {
 	return func(quick bool) (Result, error) {
@@ -78,7 +79,7 @@ func bench[B table](run func(quick bool) (B, error)) func(bool) (Result, error) 
 		if err != nil {
 			return Result{}, err
 		}
-		return Result{Text: b.Format(), JSON: benchJSON(b)}, nil
+		return Result{Text: b.Format(), JSON: obs.JSON(b)}, nil
 	}
 }
 
@@ -154,7 +155,7 @@ func Registry() []Experiment {
 			Doc: "single-copy audit: measured data-touch table per stack variant",
 			Run: func(bool) (Result, error) {
 				rep, err := RunTouches(1)
-				return Result{Text: rep.Format(), JSON: benchJSON(rep)}, err
+				return Result{Text: rep.Format(), JSON: obs.JSON(rep)}, err
 			}},
 		// Throughput and latency leaves get the relative tolerance; the
 		// structure, flow counts and order digests (strings) are compared

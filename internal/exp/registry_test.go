@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // sameSeedTwice runs a baseline generator twice and requires what the gate
@@ -22,7 +24,7 @@ func sameSeedTwice[B any](t *testing.T, run func() (B, error)) B {
 		if runs[i], err = run(); err != nil {
 			t.Fatalf("run %d: %v", i+1, err)
 		}
-		if pinned[i], err = StripAdvisory(benchJSON(runs[i])); err != nil {
+		if pinned[i], err = StripAdvisory(obs.JSON(runs[i])); err != nil {
 			t.Fatal(err)
 		}
 	}

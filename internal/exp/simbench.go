@@ -41,7 +41,7 @@ type SimWorkload struct {
 // simFig5 runs the Figure-5 single-copy transfer cell (64 KB read/write,
 // 16 MB total) under the observer.
 func simFig5(o *engine.Observer) (units.Time, int, error) {
-	tb := fig5Cell(socket.ModeSingleCopy, 64*units.KB, 1, func(tb *core.Testbed) { tb.EnableEngineObs(o) })
+	tb := fig5Cell(socket.ModeSingleCopy, 64*units.KB, 1, core.Recorders{EngObs: o})
 	return tb.Eng.Now(), 1, nil
 }
 

@@ -29,7 +29,7 @@ func RunWindowSweep(windows []units.Size) []WindowPoint {
 	}
 	var out []WindowPoint
 	for i, w := range windows {
-		tb, a, b := pairTestbed(int64(2000+i), core.HostConfig{Mode: socket.ModeUnmodified}, nil)
+		tb, a, b := pairTestbed(int64(2000+i), core.HostConfig{Mode: socket.ModeUnmodified}, core.Recorders{})
 		res := ttcp.Run(tb, a, b, ttcp.Params{
 			Total: 8 * units.MB, RWSize: 128 * units.KB, Window: w,
 			WithUtil: true, WithBackground: true,
@@ -74,7 +74,7 @@ func RunLazyPinAblation() []LazyPinPoint {
 	var out []LazyPinPoint
 	for i, lazy := range []bool{false, true} {
 		tb, a, b := pairTestbed(int64(3000+i),
-			core.HostConfig{Mode: socket.ModeSingleCopy, LazyUnpin: lazy}, nil)
+			core.HostConfig{Mode: socket.ModeSingleCopy, LazyUnpin: lazy}, core.Recorders{})
 		res := ttcp.Run(tb, a, b, ttcp.Params{
 			Total: 8 * units.MB, RWSize: 128 * units.KB,
 			WithUtil: true, WithBackground: true,
@@ -116,7 +116,7 @@ func RunThresholdAblation(sizes []units.Size) []ThresholdPoint {
 		sizes = []units.Size{2 * units.KB, 4 * units.KB, 8 * units.KB, 16 * units.KB, 64 * units.KB}
 	}
 	run := func(rw, thresh units.Size, seed int64) units.Rate {
-		tb, a, b := pairTestbed(seed, core.HostConfig{Mode: socket.ModeSingleCopy}, nil)
+		tb, a, b := pairTestbed(seed, core.HostConfig{Mode: socket.ModeSingleCopy}, core.Recorders{})
 		res := ttcp.Run(tb, a, b, ttcp.Params{
 			Total: totalFor(rw) / 2, RWSize: rw, UIOThreshold: thresh,
 			WithUtil: true, WithBackground: true,

@@ -14,10 +14,23 @@ import (
 	"repro/internal/units"
 )
 
-// shortRun runs the 4 MB single-copy transfer the recorder tests share, with
-// whatever enable attaches (nil: nothing).
-func shortRun(seed int64, enable func(*core.Testbed)) (*core.Testbed, ttcp.Result) {
-	tb, a, b := pairTestbed(seed, core.HostConfig{Mach: cost.Alpha400(), Mode: socket.ModeSingleCopy}, enable)
+// shortRun runs the 4 MB single-copy transfer the recorder tests share on
+// pairTestbed's two hosts, recording rec and injecting any fault rules.
+func shortRun(seed int64, rec core.Recorders, rules ...fault.Rule) (*core.Testbed, ttcp.Result) {
+	tb := core.NewTestbed(seed).Record(rec)
+	if len(rules) > 0 {
+		inj := fault.New(tb.Eng, 99)
+		for _, r := range rules {
+			inj.Add(r)
+		}
+		tb.EnableFaults(inj)
+	}
+	cfg := core.HostConfig{Mach: cost.Alpha400(), Mode: socket.ModeSingleCopy}
+	cfg.Name, cfg.Addr, cfg.CABNode = "A", addrA, 1
+	a := tb.AddHost(cfg)
+	cfg.Name, cfg.Addr, cfg.CABNode = "B", addrB, 2
+	b := tb.AddHost(cfg)
+	tb.RouteCAB(a, b)
 	return tb, ttcp.Run(tb, a, b, ttcp.Params{
 		Total: 4 * units.MB, RWSize: 64 * units.KB,
 		WithUtil: true, WithBackground: true,
@@ -27,16 +40,7 @@ func shortRun(seed int64, enable func(*core.Testbed)) (*core.Testbed, ttcp.Resul
 // runInstrumented is shortRun with telemetry enabled, optionally injecting
 // faults.
 func runInstrumented(seed int64, rules ...fault.Rule) (*core.Testbed, ttcp.Result) {
-	return shortRun(seed, func(tb *core.Testbed) {
-		tb.EnableTelemetry()
-		if len(rules) > 0 {
-			inj := fault.New(tb.Eng, 99)
-			for _, r := range rules {
-				inj.Add(r)
-			}
-			tb.EnableFaults(inj)
-		}
-	})
+	return shortRun(seed, core.Recorders{Telemetry: true}, rules...)
 }
 
 // metric looks one value up in a snapshot.
@@ -102,8 +106,8 @@ func TestLossMovesCounters(t *testing.T) {
 // TestTelemetryVirtualTimeNeutral asserts observing the system does not
 // change it: virtual-time results are identical with telemetry on and off.
 func TestTelemetryVirtualTimeNeutral(t *testing.T) {
-	_, on := shortRun(3, func(tb *core.Testbed) { tb.EnableTelemetry() })
-	_, off := shortRun(3, nil)
+	_, on := shortRun(3, core.Recorders{Telemetry: true})
+	_, off := shortRun(3, core.Recorders{})
 	if on.Elapsed != off.Elapsed || on.Bytes != off.Bytes || on.Throughput != off.Throughput {
 		t.Fatalf("telemetry changed the run: on=(%v %v) off=(%v %v)",
 			on.Elapsed, on.Throughput, off.Elapsed, off.Throughput)

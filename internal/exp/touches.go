@@ -47,11 +47,9 @@ const (
 // touchRun runs one clean A→B transfer with the ledger enabled and
 // returns the ledger and the data flow id.
 func touchRun(mode socket.Mode, seed int64) (*ledger.Ledger, int) {
-	var led *ledger.Ledger
-	tb, a, b := pairTestbed(seed, core.HostConfig{Mach: cost.Alpha400(), Mode: mode},
-		func(tb *core.Testbed) { led = tb.EnableLedger() })
+	tb, a, b := pairTestbed(seed, core.HostConfig{Mach: cost.Alpha400(), Mode: mode}, core.Recorders{Ledger: true})
 	ttcp.Run(tb, a, b, ttcp.Params{Total: touchTotal, RWSize: touchRW})
-	return led, led.MainFlow()
+	return tb.Led, tb.Led.MainFlow()
 }
 
 // RunTouches measures the data-touch tables for the single-copy and

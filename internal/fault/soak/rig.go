@@ -10,7 +10,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/obs/engine"
-	"repro/internal/obs/ledger"
 	"repro/internal/sim"
 	"repro/internal/socket"
 	"repro/internal/units"
@@ -23,7 +22,6 @@ import (
 type rig struct {
 	name   string // "soak" or "recover": prefixes task and proc names
 	tb     *core.Testbed
-	led    *ledger.Ledger
 	inj    *fault.Injector
 	a, b   *core.Host
 	st, rt *kern.Task
@@ -37,14 +35,11 @@ type rig struct {
 // newRig builds the testbed for one case; only a bad fault plan fails it.
 func newRig(name string, seed int64, plan string, mode socket.Mode, arbiter, checkPools bool, eo *engine.Observer) (*rig, error) {
 	tb := core.NewTestbed(seed)
-	if eo != nil {
-		tb.EnableEngineObs(eo)
-	}
 	if checkPools {
 		tb.CheckPools()
 	}
-	tb.EnableTelemetry()
-	r := &rig{name: name, tb: tb, led: tb.EnableLedger(), inj: fault.New(tb.Eng, seed)}
+	tb.Record(core.Recorders{Telemetry: true, Ledger: true, EngObs: eo})
+	r := &rig{name: name, tb: tb, inj: fault.New(tb.Eng, seed)}
 	if plan != "" {
 		if err := r.inj.AddPlan(plan); err != nil {
 			return nil, err

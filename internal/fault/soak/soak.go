@@ -134,8 +134,8 @@ func Run(c Case) Outcome {
 	// does not apply.
 	tx, rx := c.Mode.Cells()
 	if c.Proto == "tcp" && w == nil {
-		err := r.led.AssertCell(tx, rx, ledger.AuditConfig{
-			Flow: r.led.MainFlow(), Total: c.Total,
+		err := r.tb.Led.AssertCell(tx, rx, ledger.AuditConfig{
+			Flow: r.tb.Led.MainFlow(), Total: c.Total,
 			SndHost: "A", RcvHost: "B", Strict: c.Plan == "",
 		})
 		if err != nil {
@@ -158,7 +158,7 @@ func Run(c Case) Outcome {
 			o.failf("bytes: flow %d delivered %d of %d", f, fl.Delivered, c.Total)
 		}
 		fp := w.ports[f]
-		if err := r.led.AssertCell(tx, rx, ledger.AuditConfig{Flow: int(fp), Total: c.Total + flowHdrLen, SndHost: "A", RcvHost: "B"}); err != nil {
+		if err := r.tb.Led.AssertCell(tx, rx, ledger.AuditConfig{Flow: int(fp), Total: c.Total + flowHdrLen, SndHost: "A", RcvHost: "B"}); err != nil {
 			o.failf("audit: flow %d (port %d): %v", f, fp, err)
 		}
 	}

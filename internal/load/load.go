@@ -25,7 +25,6 @@ import (
 	"repro/internal/hippi"
 	"repro/internal/kern"
 	"repro/internal/obs"
-	"repro/internal/obs/engine"
 	"repro/internal/obs/ledger"
 	"repro/internal/socket"
 	"repro/internal/tcpip"
@@ -117,22 +116,11 @@ type Scenario struct {
 	// Arbiter, when set, installs the per-flow netmem arbiter on every
 	// host.
 	Arbiter *cab.ArbConfig
-	// Ledger enables the data-touch ledger (used by audit-mode runs).
-	Ledger bool
-	// EngObs, when set, attaches the simulator meta-observer to the run's
-	// engine (simbench measures engine work under many-flow load with it).
-	EngObs *engine.Observer
-	// CritPath enables the causal critical-path recorder on the run's
-	// testbed; it comes back as Report.Crit for the critpath analyzer.
-	CritPath bool
-	// NetObs enables the transport-dynamics observatory; the postmortem
-	// (analyzed after Warmup) comes back as Report.NetObs and the raw
-	// recorder as Report.NetObsRec.
-	NetObs bool
-	// Series, when positive, samples the utilization time-series at this
-	// interval; the sampler stops when the last client proc finishes and
-	// the set comes back as Report.Series.
-	Series units.Time
+	// Recorders names the recorders the run attaches; they come back on
+	// Report.Testbed. A positive Series sampler stops when the last client
+	// proc finishes, and NetObs adds the postmortem, analyzed after
+	// Warmup, as Report.NetObs.
+	core.Recorders
 	// CheckPools runs the scenario with every free list in check mode (the
 	// ownership harness; see core.Testbed.CheckPools).
 	CheckPools bool
@@ -323,21 +311,7 @@ func (r *runner) build() {
 	if s.CheckPools {
 		r.tb.CheckPools()
 	}
-	if s.Ledger {
-		r.tb.EnableLedger()
-	}
-	if s.EngObs != nil {
-		r.tb.EnableEngineObs(s.EngObs)
-	}
-	if s.CritPath {
-		r.tb.EnableCritPath()
-	}
-	if s.NetObs {
-		r.tb.EnableNetObs()
-	}
-	if s.Series > 0 {
-		r.tb.EnableSeries(s.Series)
-	}
+	r.tb.Record(s.Recorders)
 	if s.FaultPlan != "" {
 		inj := fault.New(r.tb.Eng, s.Seed)
 		if err := inj.AddPlan(s.FaultPlan); err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cab"
+	"repro/internal/core"
 	"repro/internal/obs/engine"
 	"repro/internal/race"
 	"repro/internal/socket"
@@ -85,7 +86,7 @@ func TestLoadBulk(t *testing.T) {
 			Bulk:      true,
 			Duration:  30 * units.Millisecond,
 			BulkWrite: 32 * units.KB,
-			Ledger:    true,
+			Recorders: core.Recorders{Ledger: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -214,8 +215,7 @@ func TestNetObsSameSeedByteIdentical(t *testing.T) {
 			Bulk:      true,
 			Duration:  10 * units.Millisecond,
 			BulkWrite: 16 * units.KB,
-			NetObs:    true,
-			Series:    100 * units.Microsecond,
+			Recorders: core.Recorders{NetObs: true, Series: 100 * units.Microsecond},
 		}
 		rep, err := Run(s)
 		if err != nil {
@@ -227,17 +227,18 @@ func TestNetObsSameSeedByteIdentical(t *testing.T) {
 		return rep
 	}
 	r1, r2 := run(), run()
-	if r1.NetObs == nil || r1.NetObsRec == nil || r1.Series == nil {
+	tb1, tb2 := r1.Testbed, r2.Testbed
+	if r1.NetObs == nil || tb1.NetObs == nil || tb1.Series == nil {
 		t.Fatalf("netobs/series not plumbed: pm=%v rec=%v series=%v",
-			r1.NetObs != nil, r1.NetObsRec != nil, r1.Series != nil)
+			r1.NetObs != nil, tb1.NetObs != nil, tb1.Series != nil)
 	}
-	if d1, d2 := r1.NetObsRec.Snapshot().JSON(), r2.NetObsRec.Snapshot().JSON(); !bytes.Equal(d1, d2) {
+	if d1, d2 := tb1.NetObs.Snapshot().JSON(), tb2.NetObs.Snapshot().JSON(); !bytes.Equal(d1, d2) {
 		t.Fatal("recorder dumps differ between same-seed runs")
 	}
 	if p1, p2 := r1.NetObs.JSON(), r2.NetObs.JSON(); !bytes.Equal(p1, p2) {
 		t.Fatal("postmortems differ between same-seed runs")
 	}
-	if s1, s2 := r1.Series.Snapshot().JSON(), r2.Series.Snapshot().JSON(); !bytes.Equal(s1, s2) {
+	if s1, s2 := tb1.Series.Snapshot().JSON(), tb2.Series.Snapshot().JSON(); !bytes.Equal(s1, s2) {
 		t.Fatal("series snapshots differ between same-seed runs")
 	}
 	if len(r1.NetObs.Flows) == 0 {
@@ -375,7 +376,7 @@ func TestFabricIncastMallocBudget(t *testing.T) {
 		BulkWrite: 16 * units.KB, Window: 128 * units.KB, MTU: 8*units.KB + 64,
 		CABConfig: &cab.Config{MemSize: 1024 * units.KB, PageSize: 8 * units.KB,
 			AutoDMALen: 784, RxCsumSkip: 80, Channels: 8},
-		EngObs: obs,
+		Recorders: core.Recorders{EngObs: obs},
 	})
 	if err != nil || rep.Errors != 0 || rep.TotalBytes == 0 {
 		t.Fatalf("run: err=%v errors=%d delivered=%d", err, rep.Errors, rep.TotalBytes)
@@ -420,5 +421,47 @@ func TestIncastInCheckModeChangeNothing(t *testing.T) {
 	plain := run(false)
 	if checked := run(true); checked != plain {
 		t.Errorf("check mode changed the run\nplain:   %.400s\nchecked: %.400s", plain, checked)
+	}
+}
+
+// TestRecordersChangeNothing runs a small bulk incast twice, recording
+// nothing and then every recorder, and requires the same deliveries and
+// the same report: recorders observe a run and never steer it. The two
+// report fields only recorders fill (the ledger's audit verdict and the
+// netobs postmortem) are set aside before the comparison.
+func TestRecordersChangeNothing(t *testing.T) {
+	run := func(rec core.Recorders) *Report {
+		rep, err := Run(Scenario{
+			Name: "recorders-incast", Seed: 5, Clients: 4, Servers: 1, Flows: 8,
+			Mode: socket.ModeSingleCopy, Bulk: true, Duration: 10 * units.Millisecond,
+			BulkWrite: 16 * units.KB, Arbiter: &cab.ArbConfig{},
+			Recorders: rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Errors != 0 || rep.TotalBytes == 0 {
+			t.Fatalf("errors %d (%s), delivered %d bytes", rep.Errors, rep.FirstError, rep.TotalBytes)
+		}
+		return rep
+	}
+	off := run(core.Recorders{})
+	on := run(core.Recorders{Telemetry: true, CritPath: true, Profile: true, Ledger: true, NetObs: true,
+		Series: 100 * units.Microsecond, EngObs: engine.New()})
+	tb := on.Testbed
+	if tb.Tel == nil || tb.Tel.Crit() == nil || tb.Prof == nil || tb.Led == nil ||
+		tb.NetObs == nil || tb.Series == nil || tb.EngObs == nil {
+		t.Fatal("a recorder named in the scenario was not attached")
+	}
+	if len(tb.Led.Records()) == 0 || len(tb.Tel.Crit().Events()) == 0 || on.Audit != "ok" || on.NetObs == nil {
+		t.Fatalf("vacuous: %d ledger records, %d causal events, audit %q, postmortem %v",
+			len(tb.Led.Records()), len(tb.Tel.Crit().Events()), on.Audit, on.NetObs != nil)
+	}
+	if on.OrderDigest != off.OrderDigest {
+		t.Fatalf("order digest %s with every recorder, %s with none", on.OrderDigest, off.OrderDigest)
+	}
+	on.Audit, on.NetObs = "", nil
+	if a, b := off.JSON(), on.JSON(); !bytes.Equal(a, b) {
+		t.Errorf("recorders changed the report\noff: %.400s\non:  %.400s", a, b)
 	}
 }

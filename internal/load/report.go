@@ -1,11 +1,11 @@
 package load
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/hippi"
 	"repro/internal/obs"
 	"repro/internal/obs/netobs"
@@ -119,24 +119,14 @@ type Report struct {
 	// was set, analyzed past the warmup cutoff.
 	NetObs *netobs.Postmortem `json:"netobs,omitempty"`
 
-	// Crit is the causal recorder when Scenario.CritPath was set (never
-	// marshaled; the critpath analyzer consumes it directly).
-	Crit *obs.CritRec `json:"-"`
-	// NetObsRec is the raw transport-dynamics recorder (never marshaled;
-	// CLI dumps and the determinism regression test consume it).
-	NetObsRec *netobs.Recorder `json:"-"`
-	// Series is the utilization series set when Scenario.Series was set
-	// (never marshaled; loadgen's -series flags consume it).
-	Series *obs.SeriesSet `json:"-"`
+	// Testbed is the run's testbed, whose recorder fields hold what
+	// Scenario.Recorders attached (never marshaled).
+	Testbed *core.Testbed `json:"-"`
 }
 
 // JSON renders the report with stable formatting.
 func (r *Report) JSON() []byte {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(b, '\n')
+	return obs.JSON(r)
 }
 
 // Jain computes Jain's fairness index (Σx)²/(n·Σx²) over xs; 1 is
@@ -287,14 +277,8 @@ func (r *runner) report() *Report {
 	}
 	rep.Errors += r.frameErrs
 	rep.OrderDigest = r.digest.hex()
-	if s.CritPath {
-		rep.Crit = r.tb.Tel.Crit()
-	}
-	if s.NetObs {
-		rep.NetObs = r.tb.NetObsPostmortem(s.Warmup)
-		rep.NetObsRec = r.tb.NetObs
-	}
-	rep.Series = r.tb.Series
+	rep.Testbed = r.tb
+	rep.NetObs = r.tb.NetObsPostmortem(s.Warmup)
 
 	if len(r.flows) <= perFlowLimit {
 		for _, f := range r.flows {

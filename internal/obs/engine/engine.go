@@ -26,12 +26,12 @@
 package engine
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -294,11 +294,7 @@ func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
 // JSON renders the snapshot (indented, newline-terminated, deterministic
 // field order).
 func (s Snapshot) JSON() []byte {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		panic("engine: snapshot marshal: " + err.Error())
-	}
-	return append(b, '\n')
+	return obs.JSON(s)
 }
 
 // Format renders a human summary.

@@ -65,13 +65,21 @@ func (t *Telemetry) Snapshot() Snapshot {
 	return s
 }
 
-// JSON renders the snapshot as deterministic, indented JSON.
-func (s Snapshot) JSON() []byte {
-	b, err := json.MarshalIndent(s, "", "  ")
+// JSON renders v as two-space indented JSON with a trailing newline: the
+// one encoding of every JSON dump and baseline. Every dumped type is
+// structs and slices (encoding/json sorts any map's keys), so the bytes are
+// deterministic. v must be marshalable; a failure is a bug and panics.
+func JSON(v any) []byte {
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		panic("obs: snapshot marshal: " + err.Error())
+		panic("obs: marshal: " + err.Error())
 	}
 	return append(b, '\n')
+}
+
+// JSON renders the snapshot as deterministic, indented JSON.
+func (s Snapshot) JSON() []byte {
+	return JSON(s)
 }
 
 // Format renders the snapshot as a human-readable table: per-host counters,

@@ -27,7 +27,6 @@
 package ledger
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/obs"
@@ -339,11 +338,7 @@ func (l *Ledger) JSON() []byte {
 	for i := 0; i < l.records.Len(); i++ {
 		jl.Records = append(jl.Records, l.jsonRecord(l.records.At(i)))
 	}
-	b, err := json.MarshalIndent(jl, "", "  ")
-	if err != nil {
-		panic("ledger: marshal: " + err.Error())
-	}
-	return append(b, '\n')
+	return obs.JSON(jl)
 }
 
 // flightHost is one hook's recent-record window in the flight dump.
@@ -374,11 +369,7 @@ func (l *Ledger) FlightDump() []byte {
 		}
 		d.Hosts = append(d.Hosts, fh)
 	}
-	b, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		panic("ledger: flight marshal: " + err.Error())
-	}
-	return append(b, '\n')
+	return obs.JSON(d)
 }
 
 // MainFlow returns the flow with the most attributed bytes — the bulk

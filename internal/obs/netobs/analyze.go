@@ -1,7 +1,6 @@
 package netobs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -322,11 +321,7 @@ func (p *Postmortem) Verdict(host string, port, rport int) string {
 
 // JSON renders the postmortem as deterministic indented JSON.
 func (p *Postmortem) JSON() []byte {
-	b, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		panic("netobs: postmortem marshal: " + err.Error())
-	}
-	return append(b, '\n')
+	return obs.JSON(p)
 }
 
 // Format renders the postmortem as a human report.

@@ -607,9 +607,5 @@ func (r *Recorder) Snapshot() *Dump {
 
 // JSON renders the dump as deterministic indented JSON.
 func (d *Dump) JSON() []byte {
-	b, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		panic("netobs: dump marshal: " + err.Error())
-	}
-	return append(b, '\n')
+	return obs.JSON(d)
 }

@@ -219,11 +219,8 @@ func New(now func() units.Time) *Telemetry {
 // Trace returns the shared data-path trace.
 func (t *Telemetry) Trace() *Trace { return t.trace }
 
-// EnableCritPath turns on the causal critical-path recorder: spans started
-// afterwards record happens-before events for the critpath analyzer.
-func (t *Telemetry) EnableCritPath() { t.trace.EnableCrit() }
-
-// Crit returns the causal recorder (nil unless EnableCritPath was called).
+// Crit returns the causal recorder (nil unless the trace's EnableCrit was
+// called).
 func (t *Telemetry) Crit() *CritRec { return t.trace.Crit() }
 
 // Registry creates (or returns) the registry labeled host. Hosts appear in

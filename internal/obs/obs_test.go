@@ -350,8 +350,8 @@ func TestDroppedSpanLeavesNoLatency(t *testing.T) {
 func TestDropTraceSilencesSpan(t *testing.T) {
 	now := units.Time(0)
 	tel := New(func() units.Time { return now })
-	tel.EnableCritPath()
 	tr := tel.Trace()
+	tr.EnableCrit()
 	seg := Seg{Flow: 7, Off: 100, Len: 50, PayloadOff: 40, Desc: 3, Rtx: true}
 	sp := tr.StartSeg("h", 0, seg)
 	sp.Enter(StagePacketize)

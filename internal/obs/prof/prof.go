@@ -19,10 +19,11 @@
 package prof
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // FlowNone labels charges with no flow attribution.
@@ -263,9 +264,5 @@ func (p *Profiler) Snapshot() Snapshot {
 
 // JSON renders the snapshot as deterministic, indented JSON.
 func (s Snapshot) JSON() []byte {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		panic("prof: snapshot marshal: " + err.Error())
-	}
-	return append(b, '\n')
+	return obs.JSON(s)
 }

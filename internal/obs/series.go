@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -325,11 +324,7 @@ func (ss *SeriesSet) Snapshot() SeriesSnapshot {
 
 // JSON renders the snapshot as deterministic, indented JSON.
 func (s SeriesSnapshot) JSON() []byte {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		panic("obs: series marshal: " + err.Error())
-	}
-	return append(b, '\n')
+	return JSON(s)
 }
 
 // CSV renders the snapshot as one flat table: host,t_ns,then one column per
