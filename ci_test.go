@@ -459,6 +459,69 @@ func TestSocketCallsReuseDescriptors(t *testing.T) {
 	}
 }
 
+// TestNoClosurePerEvent keeps the data path's events from allocating: a
+// func literal handed to the engine's After, AfterKind, At or AtKind is a
+// closure per scheduled event. The data-path packages bind their callbacks
+// once, per object or per connection (the TCP timers are slots that share
+// one bound callback), except where listed here, by file and function,
+// with why the closure is rare.
+func TestNoClosurePerEvent(t *testing.T) {
+	allowed := map[string]string{
+		"internal/tcpip/ipfrag.go:Stack.armFragTimeout": "the reassembly timeout: once per fragmented datagram",
+		"internal/cab/mdma.go:CAB.rxDeliverDirect":      "the netmem-pressure fallback: only when network memory is exhausted",
+	}
+	schedulers := map[string]bool{"After": true, "AfterKind": true, "At": true, "AtKind": true}
+	seen := map[string]bool{}
+	for _, dir := range []string{"tcpip", "cab", "cabdrv", "hippi", "kern", "socket", "mbuf"} {
+		paths, err := filepath.Glob(filepath.Join("internal", dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				key := filepath.ToSlash(path) + ":" + funcName(fd)
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok || !schedulers[sel.Sel.Name] {
+						return true
+					}
+					for _, arg := range call.Args {
+						if _, ok := arg.(*ast.FuncLit); ok {
+							seen[key] = true
+							if allowed[key] == "" {
+								t.Errorf("%s (%s): a func literal passed to %s is a closure per event; bind the callback once, or allowlist the site with why it is rare",
+									fset.Position(arg.Pos()), key, sel.Sel.Name)
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	for key := range allowed {
+		if !seen[key] {
+			t.Errorf("allowlist entry %s matches no closure: delete it", key)
+		}
+	}
+}
+
 // isSelector reports whether e is the qualified identifier pkg.name.
 func isSelector(e ast.Expr, pkg, name string) bool {
 	sel, ok := e.(*ast.SelectorExpr)

@@ -153,7 +153,9 @@ type CAB struct {
 	// transfer, a frame or a receive retry allocates nothing.
 	sdmaNextFn, sdmaDoneFn, mdmaNextFn, mdmaSentFn, sentFn, rxHoldPumpFn func()
 
-	rxBufs [][]byte
+	// rxBufs is the FIFO of host buffers for auto-DMA (ProvideRxBuf): a
+	// ring that stops growing at its high-water depth.
+	rxBufs sim.FIFO[[]byte]
 
 	// rxHold is the FIFO of frames held on the link under resource
 	// pressure (see mdma.go); rxHoldArmed is true while a pump event is
@@ -517,7 +519,7 @@ func (c *CAB) Reset() {
 		c.rxHoldQ = make(map[int][]heldRx)
 	}
 	c.rxHoldFlows = nil
-	c.rxBufs = nil
+	c.rxBufs = sim.FIFO[[]byte]{}
 	// Pages are free again; wake any allocator blocked on the old memory.
 	c.freeSig.Broadcast()
 	if c.OnReset != nil {
@@ -549,8 +551,8 @@ func (c *CAB) ProvideRxBuf(b []byte) {
 	if units.Size(len(b)) < c.Cfg.AutoDMALen {
 		panic("cab: auto-DMA buffer too small")
 	}
-	c.rxBufs = append(c.rxBufs, b)
+	c.rxBufs.Push(b)
 }
 
 // RxBufCount returns the number of available auto-DMA buffers.
-func (c *CAB) RxBufCount() int { return len(c.rxBufs) }
+func (c *CAB) RxBufCount() int { return c.rxBufs.Len() }

@@ -206,7 +206,7 @@ func (c *CAB) rxHoldPump() {
 		}
 		c.Stats.RxRetries++
 		if h.attempts++; h.attempts >= rxRetryLimit {
-			if len(c.rxBufs) == 0 {
+			if c.rxBufs.Len() == 0 {
 				c.Stats.DropNoBuf++
 			} else {
 				c.Stats.DropNoMem++
@@ -248,7 +248,7 @@ func (c *CAB) rxHoldPumpArb() {
 				if h.attempts++; h.attempts < rxRetryLimit {
 					continue
 				}
-				if len(c.rxBufs) == 0 {
+				if c.rxBufs.Len() == 0 {
 					c.Stats.DropNoBuf++
 				} else {
 					c.Stats.DropNoMem++
@@ -280,7 +280,7 @@ func (c *CAB) rxHoldPumpArb() {
 // netmem arbiter denies the flow's staging allocation.
 func (c *CAB) tryRx(f hippi.Frame) bool {
 	n := units.Size(len(f.Data))
-	if len(c.rxBufs) == 0 {
+	if c.rxBufs.Len() == 0 {
 		return false
 	}
 	key := rxFlowKey(f)
@@ -312,8 +312,7 @@ func (c *CAB) tryRx(f hippi.Frame) bool {
 		bodySum ^= c.FaultRxCsum()
 	}
 
-	buf := c.rxBufs[0]
-	c.rxBufs = c.rxBufs[1:]
+	buf := c.rxBufs.Pop()
 
 	l := c.Cfg.AutoDMALen
 	if l > n {
@@ -369,8 +368,7 @@ func (c *CAB) rxDeliverDirect(f hippi.Frame) {
 	if c.FaultRxCsum != nil {
 		bodySum ^= c.FaultRxCsum()
 	}
-	buf := c.rxBufs[0]
-	c.rxBufs = c.rxBufs[1:]
+	buf := c.rxBufs.Pop()
 	copy(buf, f.Data)
 	c.net.Bufs.Put(f.Data)
 	c.Stats.RxPackets++

@@ -363,15 +363,6 @@ func (d *Driver) SetMTU(m units.Size) { d.mtu = m }
 // Caps implements netif.Interface.
 func (d *Driver) Caps() netif.Caps { return netif.Caps{SingleCopy: d.SingleCopy} }
 
-// hdrFlow extracts the flow tag the transport stamped on the packet header
-// (0: unattributed control traffic).
-func hdrFlow(h *mbuf.Hdr) int {
-	if h == nil {
-		return 0
-	}
-	return h.Flow
-}
-
 // AdmitTx implements netif.Admitter: transports call it (in process
 // context, above the transmit daemon) before committing n payload bytes to
 // the send path, so the netmem arbiter can throttle over-share flows
@@ -422,7 +413,6 @@ func (d *Driver) txd(p *sim.Proc) {
 // sendSingleCopy transmits a (possibly descriptor-bearing) packet.
 func (d *Driver) sendSingleCopy(p *sim.Proc, job *txJob) {
 	m := job.m
-	hdrH := m.Hdr()
 	if txAbandoned(m) || txDead(m) {
 		d.dropAbandoned(job, nil)
 		return
@@ -440,7 +430,7 @@ func (d *Driver) sendSingleCopy(p *sim.Proc, job *txJob) {
 	ipLen := mbuf.ChainLen(m)
 	pktLen := wire.LinkHdrLen + ipLen
 	t0 := d.K.Eng.Now()
-	pk := d.C.AllocPacketWaitFlow(p, pktLen, hdrFlow(hdrH))
+	pk := d.C.AllocPacketWaitFlow(p, pktLen, m.Flow())
 	if d.K.Eng.Now() > t0 {
 		// The allocation blocked on network memory (or its arbiter).
 		m.Span().CritEv(obs.CauseNetmem, obs.EvNetmemTx)
@@ -718,7 +708,7 @@ func (d *Driver) sendLegacy(p *sim.Proc, job *txJob) {
 	ipLen := mbuf.ChainLen(m)
 	pktLen := wire.LinkHdrLen + ipLen
 	t0 := d.K.Eng.Now()
-	pk := d.C.AllocPacketWaitFlow(p, pktLen, hdrFlow(m.Hdr()))
+	pk := d.C.AllocPacketWaitFlow(p, pktLen, m.Flow())
 	if d.K.Eng.Now() > t0 {
 		m.Span().CritEv(obs.CauseNetmem, obs.EvNetmemTx)
 	}

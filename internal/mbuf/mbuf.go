@@ -150,12 +150,6 @@ type Hdr struct {
 	// DescID is the sosend descriptor id the data came from (0 when the
 	// ledger is off or the data did not arrive via a descriptor write).
 	DescID int64
-
-	// Flow identifies the transport flow this packet belongs to (the data
-	// sender's local port, matching the ledger convention) so the driver
-	// and the netmem arbiter can account network-memory pages per flow.
-	// Zero means "unattributed" (control traffic, fragments).
-	Flow int
 }
 
 // Refs returns how many live M_UIO mbufs point at h: NewUIO, CopyRange
@@ -396,6 +390,7 @@ type Mbuf struct {
 
 	hdr    *Hdr
 	pktHdr bool
+	flow   int32 // see SetFlow; fills padding, so Mbuf does not grow
 	pktLen units.Size
 }
 
@@ -591,6 +586,16 @@ func (m *Mbuf) IsPktHdr() bool { return m.pktHdr }
 // PktLen returns the packet length recorded in the packet header.
 func (m *Mbuf) PktLen() units.Size { return m.pktLen }
 
+// SetFlow tags the packet whose header mbuf m is with the transport flow
+// it belongs to (the data sender's local port, matching the ledger
+// convention), so the driver and the netmem arbiter can account
+// network-memory pages per flow.
+func (m *Mbuf) SetFlow(flow int) { m.flow = int32(flow) }
+
+// Flow returns the packet's flow tag; zero means unattributed (control
+// traffic, fragments).
+func (m *Mbuf) Flow() int { return int(m.flow) }
+
 // Bytes returns the live data window of a byte-holding mbuf. It panics for
 // descriptor mbufs: their data is not host-memory resident, which is the
 // whole point — code that would touch it must go through the driver.
@@ -626,8 +631,8 @@ func (m *Mbuf) Prepend(n units.Size) *Mbuf {
 	nm.next = m
 	if m.pktHdr {
 		nm.MarkPktHdr(m.pktLen + n)
-		m.pktHdr = false
-		m.pktLen = 0
+		nm.flow = m.flow
+		m.pktHdr, m.pktLen, m.flow = false, 0, 0
 	}
 	return nm
 }
@@ -672,7 +677,7 @@ func (m *Mbuf) Free() *Mbuf {
 		m.wcab.Unref()
 	}
 	typ := m.typ
-	m.typ, m.next, m.cl, m.uio, m.wcab, m.hdr = freed, nil, nil, nil, nil, nil
+	m.typ, m.next, m.cl, m.uio, m.wcab, m.hdr, m.flow = freed, nil, nil, nil, nil, nil, 0
 	if p := m.pool; p != nil {
 		if typ == TData {
 			p.data.Put(m)

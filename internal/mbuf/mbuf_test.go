@@ -47,12 +47,13 @@ func TestNewDataTooBigPanics(t *testing.T) {
 func TestPrependInPlace(t *testing.T) {
 	m := NewData(seq(10))
 	m.MarkPktHdr(10)
+	m.SetFlow(7)
 	m2 := m.Prepend(20)
 	if m2 != m {
 		t.Fatal("prepend should reuse header room")
 	}
-	if m.Len() != 30 || m.PktLen() != 30 {
-		t.Fatalf("len=%v pktlen=%v", m.Len(), m.PktLen())
+	if m.Len() != 30 || m.PktLen() != 30 || m.Flow() != 7 {
+		t.Fatalf("len=%v pktlen=%v flow=%d", m.Len(), m.PktLen(), m.Flow())
 	}
 	copy(m.Bytes(), seq(20))
 	if !bytes.Equal(m.Bytes()[20:], seq(10)) {
@@ -64,6 +65,7 @@ func TestPrependNewMbufWhenNoRoom(t *testing.T) {
 	u := mem.NewUIO(testSpace().Alloc(1000, 4))
 	m := NewUIO(u, 0, 1000, nil)
 	m.MarkPktHdr(1000)
+	m.SetFlow(7)
 	head := m.Prepend(40)
 	if head == m {
 		t.Fatal("descriptor mbuf cannot be prepended in place")
@@ -73,6 +75,9 @@ func TestPrependNewMbufWhenNoRoom(t *testing.T) {
 	}
 	if !head.IsPktHdr() || head.PktLen() != 1040 || m.IsPktHdr() {
 		t.Fatal("packet header not migrated")
+	}
+	if head.Flow() != 7 || m.Flow() != 0 {
+		t.Fatalf("flow tag: head %d, old head %d; want it moved with the packet header", head.Flow(), m.Flow())
 	}
 }
 

@@ -599,6 +599,40 @@ func TestSleepInPlaceMatchesStepLoop(t *testing.T) {
 	}
 }
 
+// TestEventSeqNamesTheDispatchedEvent: inside a callback, EventSeq is the
+// Seq read right after the callback was scheduled — for an event from the
+// heap, one from the same-instant lane, and one dispatched after a
+// process's Sleep resumed in place. Inside that process, EventSeq is its
+// wake-up's.
+func TestEventSeqNamesTheDispatchedEvent(t *testing.T) {
+	e := NewEngine(1)
+	want, got := map[string]int64{}, map[string]int64{}
+	schedule := func(name string, d units.Time) {
+		e.After(d, func() { got[name] = e.EventSeq() })
+		want[name] = e.Seq()
+	}
+	schedule("heap", 10)
+	e.After(20, func() { schedule("lane", 0) })
+	e.Go("sleeper", func(p *Proc) {
+		p.Sleep(30)
+		before := e.Seq()
+		p.Sleep(5) // nothing else is due: resumes in place
+		want["in place"], got["in place"] = before+1, e.EventSeq()
+		schedule("after in place", 1)
+	})
+	mon := &sleepLog{}
+	e.SetMonitor(mon)
+	e.Run()
+	if mon.inPlace != 1 {
+		t.Fatalf("%d sleeps resumed in place, want 1", mon.inPlace)
+	}
+	for _, name := range []string{"heap", "lane", "in place", "after in place"} {
+		if g, ok := got[name]; !ok || g != want[name] || g == 0 {
+			t.Errorf("%s: EventSeq %d (ran %v), want %d", name, g, ok, want[name])
+		}
+	}
+}
+
 // A WaitTimeout that has timed out leaves its entry in the signal's queue
 // until a Signal or Broadcast walks past it; it must count for nothing.
 func TestSignalSkipsTimedOutWaiters(t *testing.T) {
@@ -673,18 +707,18 @@ func TestSignalRewaitAfterTimeout(t *testing.T) {
 }
 
 func TestFifoWrapAround(t *testing.T) {
-	var f fifo[int]
+	var f FIFO[int]
 	next, want := 0, 0
 	push := func(n int) {
 		for i := 0; i < n; i++ {
-			f.push(next)
+			f.Push(next)
 			next++
 		}
 	}
 	pop := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if got := f.pop(); got != want {
+			if got := f.Pop(); got != want {
 				t.Fatalf("pop = %d, want %d", got, want)
 			}
 			want++
@@ -696,18 +730,18 @@ func TestFifoWrapAround(t *testing.T) {
 	}
 	pop(4)  // half-drain: head is mid-array
 	push(4) // refill to capacity: the tail wraps
-	if len(f.buf) != 8 || f.len() != 8 {
-		t.Fatalf("capacity %d len %d after wrapping, want 8 8", len(f.buf), f.len())
+	if len(f.buf) != 8 || f.Len() != 8 {
+		t.Fatalf("capacity %d len %d after wrapping, want 8 8", len(f.buf), f.Len())
 	}
-	for i := 0; i < f.len(); i++ {
-		if got := f.at(i); got != want+i {
+	for i := 0; i < f.Len(); i++ {
+		if got := f.At(i); got != want+i {
 			t.Fatalf("at(%d) = %d, want %d", i, got, want+i)
 		}
 	}
 	push(5) // past capacity while wrapped: grow must unwrap in order
 	pop(13)
-	if f.len() != 0 {
-		t.Fatalf("len = %d, want 0", f.len())
+	if f.Len() != 0 {
+		t.Fatalf("len = %d, want 0", f.Len())
 	}
 	for round := 0; round < 100; round++ { // steady state never grows again
 		push(3)

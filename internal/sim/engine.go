@@ -82,11 +82,13 @@ type Engine struct {
 	// when the clock stood before it, so it comes first, and the lane is
 	// in sequence order by construction.
 	events eventHeap
-	lane   fifo[event]
+	lane   FIFO[event]
 	seq    int64
-	// kind is the kind of the event being dispatched; a Sleep resumed in
-	// place turns the rest of the dispatch into a KindProc one.
-	kind Kind
+	// kind and evSeq are the kind and sequence number of the event being
+	// dispatched; a Sleep resumed in place turns the rest of the dispatch
+	// into its wake-up's.
+	kind  Kind
+	evSeq int64
 	// running is true inside Run, the one loop under which a Sleep may
 	// resume in place (Step and RunUntil return after a bounded amount of
 	// work, which a lone sleeper resuming in place would never allow).
@@ -211,7 +213,7 @@ func (e *Engine) schedule(t units.Time, kind Kind, p *Proc, fn func()) {
 	e.seq++
 	ev := event{at: t, key: uint64(e.seq)<<8 | uint64(kind), proc: p, fn: fn}
 	if t == e.now {
-		e.lane.push(ev)
+		e.lane.Push(ev)
 	} else {
 		e.events.push(ev)
 	}
@@ -238,15 +240,15 @@ func (e *Engine) AfterKind(d units.Time, kind Kind, fn func()) {
 func (e *Engine) Step() bool {
 	var ev event
 	switch {
-	case e.lane.len() > 0 && (len(e.events) == 0 || e.events[0].at != e.now):
-		ev = e.lane.pop()
+	case e.lane.Len() > 0 && (len(e.events) == 0 || e.events[0].at != e.now):
+		ev = e.lane.Pop()
 	case len(e.events) > 0:
 		ev = e.events.pop()
 		e.now = ev.at
 	default:
 		return false
 	}
-	e.kind = ev.kind()
+	e.kind, e.evSeq = ev.kind(), int64(ev.key>>8)
 	if ev.proc != nil {
 		e.deliver(ev.proc)
 	} else {
@@ -271,7 +273,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with time ≤ t, then sets the clock to t.
 func (e *Engine) RunUntil(t units.Time) {
 	e.stopped = false
-	for !e.stopped && (e.lane.len() > 0 && e.now <= t || len(e.events) > 0 && e.events[0].at <= t) {
+	for !e.stopped && (e.lane.Len() > 0 && e.now <= t || len(e.events) > 0 && e.events[0].at <= t) {
 		e.Step()
 	}
 	if !e.stopped && t > e.now {
@@ -283,7 +285,16 @@ func (e *Engine) RunUntil(t units.Time) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.events) + e.lane.len() }
+func (e *Engine) Pending() int { return len(e.events) + e.lane.Len() }
+
+// Seq returns the sequence number of the event scheduled last. Read right
+// after scheduling a callback, it names that event: EventSeq returns the
+// same number while the callback runs, so one callback bound once can tell
+// which of its schedulings is firing.
+func (e *Engine) Seq() int64 { return e.seq }
+
+// EventSeq returns the sequence number of the event being dispatched.
+func (e *Engine) EventSeq() int64 { return e.evSeq }
 
 // LiveProcs returns the number of processes that have been spawned and have
 // not yet finished (they may be runnable or parked).

@@ -131,7 +131,7 @@ func (p *Proc) Sleep(d units.Time) {
 	}
 	e := p.eng
 	t := e.now + d
-	if e.running && !e.stopped && e.lane.len() == 0 && (len(e.events) == 0 || e.events[0].at > t) {
+	if e.running && !e.stopped && e.lane.Len() == 0 && (len(e.events) == 0 || e.events[0].at > t) {
 		e.seq++
 		if e.mon != nil {
 			n := len(e.events) + 1
@@ -139,7 +139,7 @@ func (p *Proc) Sleep(d units.Time) {
 			e.mon.Dispatched(e.kind, n)
 		}
 		e.now = t
-		e.kind = KindProc
+		e.kind, e.evSeq = KindProc, e.seq
 		return
 	}
 	e.schedule(t, KindProc, p, nil)

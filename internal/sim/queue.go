@@ -4,7 +4,7 @@ package sim
 // called from any simulation context; Get blocks the calling process until
 // an item is available, and a continuation waits for one with WaitFunc.
 type Queue[T any] struct {
-	items  fifo[T]
+	items  FIFO[T]
 	signal *Signal
 }
 
@@ -15,16 +15,16 @@ func NewQueue[T any](e *Engine) *Queue[T] {
 
 // Put appends an item and wakes one waiting consumer.
 func (q *Queue[T]) Put(v T) {
-	q.items.push(v)
+	q.items.Push(v)
 	q.signal.Signal()
 }
 
 // Get removes and returns the oldest item, blocking p until one exists.
 func (q *Queue[T]) Get(p *Proc) T {
-	for q.items.len() == 0 {
+	for q.items.Len() == 0 {
 		q.signal.Wait(p)
 	}
-	return q.items.pop()
+	return q.items.Pop()
 }
 
 // WaitFunc is Get's wait for a continuation: fn is scheduled, as a
@@ -35,12 +35,12 @@ func (q *Queue[T]) WaitFunc(fn func()) { q.signal.WaitFunc(fn) }
 
 // TryGet removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryGet() (T, bool) {
-	if q.items.len() == 0 {
+	if q.items.Len() == 0 {
 		var zero T
 		return zero, false
 	}
-	return q.items.pop(), true
+	return q.items.Pop(), true
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return q.items.len() }
+func (q *Queue[T]) Len() int { return q.items.Len() }

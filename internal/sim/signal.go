@@ -6,7 +6,7 @@ import "repro/internal/units"
 // continuations. The zero value is not usable; create one with NewSignal.
 type Signal struct {
 	eng     *Engine
-	waiters fifo[sigWaiter]
+	waiters FIFO[sigWaiter]
 }
 
 // sigWaiter is one queued wait: a parked process (p) or a continuation
@@ -28,7 +28,7 @@ func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 
 // Wait blocks p until the signal is signaled or broadcast.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters.push(sigWaiter{p: p, gen: p.waitGen})
+	s.waiters.Push(sigWaiter{p: p, gen: p.waitGen})
 	p.park()
 }
 
@@ -39,14 +39,14 @@ func (s *Signal) Wait(p *Proc) {
 // so which work runs first at that instant does not depend on whether
 // the waiter is a process or a continuation.
 func (s *Signal) WaitFunc(fn func()) {
-	s.waiters.push(sigWaiter{fn: fn})
+	s.waiters.Push(sigWaiter{fn: fn})
 }
 
 // WaitTimeout blocks p until the signal fires or d elapses. It reports
 // whether the signal fired (false means timeout).
 func (s *Signal) WaitTimeout(p *Proc, d units.Time) bool {
 	w := sigWaiter{p: p, gen: p.waitGen}
-	s.waiters.push(w)
+	s.waiters.Push(w)
 	p.timedOut = false
 	s.eng.AfterKind(d, KindTimer, func() {
 		if !w.live() {
@@ -72,8 +72,8 @@ func (s *Signal) Broadcast() {
 // wakeNext dequeues up to and including the oldest live waiter and wakes
 // it; it reports false when the queue held none.
 func (s *Signal) wakeNext() bool {
-	for s.waiters.len() > 0 {
-		w := s.waiters.pop()
+	for s.waiters.Len() > 0 {
+		w := s.waiters.Pop()
 		switch {
 		case w.p == nil:
 			s.eng.schedule(s.eng.now, KindProc, nil, w.fn)
@@ -92,8 +92,8 @@ func (s *Signal) wakeNext() bool {
 // waiting.
 func (s *Signal) Waiting() int {
 	n := 0
-	for i := 0; i < s.waiters.len(); i++ {
-		if s.waiters.at(i).live() {
+	for i := 0; i < s.waiters.Len(); i++ {
+		if s.waiters.At(i).live() {
 			n++
 		}
 	}

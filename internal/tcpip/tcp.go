@@ -179,15 +179,16 @@ type TCPConn struct {
 	// ACK policy.
 	ackPending int
 	ackNow     bool
-	delAckGen  int
 
 	// Retransmission.
-	rtxGen     int
-	rtxArmed   bool
-	rto        units.Time
-	retries    int
-	persistGen int
-	persistOn  bool
+	rto       units.Time
+	retries   int
+	persistOn bool
+
+	// Timers (tcptimer.go): one slot per kind, and the expiry callback
+	// they share, bound on first use.
+	timers  [numTimers]timerSlot
+	onTimer func()
 
 	// Liveness (tcptimer.go). All zero means disabled — the default — so
 	// fault-free runs keep their baseline timing exactly. kaIdle/kaIntvl/
@@ -195,8 +196,7 @@ type TCPConn struct {
 	// pending send data may go without forward progress.
 	kaIdle, kaIntvl units.Time
 	kaCount         int
-	kaProbes        int // consecutive unanswered keepalive probes
-	kaGen           int
+	kaProbes        int        // consecutive unanswered keepalive probes
 	lastRcvd        units.Time // vtime of the last segment from the peer
 	userTimeout     units.Time
 	progressAt      units.Time // vtime of the last send-side forward progress
@@ -662,7 +662,7 @@ func (c *TCPConn) teardown(err error) {
 	}
 	c.cancelRtx()
 	c.cancelPersist()
-	c.kaGen++ // cancel any armed keepalive timer
+	c.cancel(timerKeepAlive)
 	delete(c.stk.conns, c.key)
 	if c.Err != nil {
 		// An errored connection delivers nothing more to the application
@@ -734,7 +734,7 @@ func (c *TCPConn) Abort(ctx kern.Ctx) {
 func (c *TCPConn) SetKeepAlive(p *sim.Proc, idle, intvl units.Time, count int) {
 	c.stk.Splnet(p)
 	defer c.stk.Splx()
-	c.kaGen++ // cancel any armed timer; armKeepAlive re-arms
+	c.cancel(timerKeepAlive) // armKeepAlive re-arms
 	if idle <= 0 || intvl <= 0 || count <= 0 {
 		c.kaIdle, c.kaIntvl, c.kaCount = 0, 0, 0
 		return

@@ -111,16 +111,14 @@ type Stack struct {
 	nrec  *netobs.Recorder
 	nnode int
 
-	// The free lists of armed timers and of outboard-checksummed segment
-	// headers (see internal/pool).
-	timers pool.List[tcpTimer]
+	// The free list of outboard-checksummed segment headers (see
+	// internal/pool).
 	hwSegs pool.List[hwSeg]
 }
 
 // CheckPools puts the stack's free lists in check mode (tests; see
 // internal/pool).
 func (s *Stack) CheckPools() {
-	s.timers.Check(nil)
 	s.hwSegs.Check(nil)
 }
 

@@ -229,11 +229,6 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 		}
 		hdr.Csum = checksum.Finish(sum)
 		hdr.Marshal(hb)
-		if seglen > 0 {
-			// Carry the flow tag even on the software path so the driver's
-			// netmem accounting stays per flow.
-			phdr = &mbuf.Hdr{}
-		}
 		if data != nil && mbuf.HasDescriptors(data) {
 			// Headed for a legacy device: ask the driver-entry shim to
 			// hand back the materialized data so the send buffer stops
@@ -247,10 +242,10 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 	hm := c.stk.K.Mbufs.NewData(hb)
 	hm.SetNext(data)
 	hm.MarkPktHdr(segTotal)
-	if phdr != nil {
-		phdr.Flow = int(c.key.lport)
-		hm.SetHdr(phdr)
+	if seglen > 0 {
+		hm.SetFlow(int(c.key.lport))
 	}
+	hm.SetHdr(phdr)
 	hm.AttachSpan(span)
 	ctx.Charge(c.stk.K.Mach.TCPPerPacket, kern.CatProto)
 	c.stk.Stats.TCPSegsOut++

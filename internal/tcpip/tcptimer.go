@@ -13,13 +13,12 @@ import (
 // run in interrupt context via the kernel's interrupt daemon, like the
 // softclock-driven tcp_slowtimo of the original stack.
 //
-// Each timer kind has a generation on the connection: arming or cancelling
-// bumps it, and an expiry armed under an older generation does nothing.
-// An armed timer is a tcpTimer record from the stack's free list, carrying
-// the generation it was armed under. Both of its callbacks are bound once
-// per record and kept across reuse, so arming allocates nothing; the
-// record goes back to the list when its expiry finds it stale, or once its
-// interrupt handler has run.
+// Like Net2's t_timer[], each timer kind is a fixed slot in the connection
+// block. Arming schedules the connection's one expiry callback and records
+// the expiry event's sequence number in the slot; cancelling clears it. An
+// expiry is live when its sequence number is still the one its slot
+// holds. The callbacks are bound once per connection, so arming allocates
+// nothing, and a superseded expiry costs only its event.
 
 type timerKind uint8
 
@@ -28,76 +27,70 @@ const (
 	timerPersist
 	timerDelAck
 	timerKeepAlive
+	numTimers
 )
 
 // intrName is each timer's interrupt name.
-var intrName = [...]string{"tcp-rtx", "tcp-persist", "tcp-delack", "tcp-keepalive"}
+var intrName = [numTimers]string{"tcp-rtx", "tcp-persist", "tcp-delack", "tcp-keepalive"}
 
-type tcpTimer struct {
-	c    *TCPConn
-	kind timerKind
-	gen  int
-
-	expire func()
-	intr   func(*sim.Proc)
+// timerSlot is one timer kind's state. armed is the sequence number of
+// the live expiry event (0: not armed); posted is the armed value the last
+// live expiry posted its handler under, and pending counts the handlers
+// posted and not yet run. The interrupt queue is FIFO, so a slot's handlers
+// run in post order and only the last can still find its arm current.
+type timerSlot struct {
+	armed, posted int64
+	pending       int32
+	intr          func(*sim.Proc)
 }
 
-// gen returns the connection's generation counter for timer kind k.
-func (c *TCPConn) gen(k timerKind) *int {
-	switch k {
-	case timerRtx:
-		return &c.rtxGen
-	case timerPersist:
-		return &c.persistGen
-	case timerDelAck:
-		return &c.delAckGen
-	default:
-		return &c.kaGen
-	}
-}
-
-// arm bumps timer k's generation and schedules its expiry after d.
+// arm schedules timer k's expiry after d, superseding any earlier arm.
 func (c *TCPConn) arm(k timerKind, d units.Time) {
-	g := c.gen(k)
-	*g++
-	t := c.stk.timers.Get()
-	t.c, t.kind, t.gen = c, k, *g
-	if t.expire == nil {
-		t.expire, t.intr = t.onExpire, t.onIntr
+	if c.onTimer == nil {
+		c.onTimer = c.expire
 	}
-	c.stk.K.Eng.AfterKind(d, sim.KindTimer, t.expire)
+	eng := c.stk.K.Eng
+	eng.AfterKind(d, sim.KindTimer, c.onTimer)
+	c.timers[k].armed = eng.Seq()
 }
 
-// stale reports whether the timer was cancelled or re-armed since, or
-// (except for the persist and delayed-ACK expiries, which post regardless)
-// its connection closed.
-func (t *tcpTimer) stale(inIntr bool) bool {
-	c := t.c
-	if t.gen != *c.gen(t.kind) {
-		return true
-	}
-	if !inIntr && (t.kind == timerPersist || t.kind == timerDelAck) {
-		return false
-	}
-	return c.state == StateClosed
-}
+// cancel stops timer k: its pending expiry and handler do nothing.
+func (c *TCPConn) cancel(k timerKind) { c.timers[k].armed = 0 }
 
-// onExpire is the clock event: a live timer posts its handler.
-func (t *tcpTimer) onExpire() {
-	if t.stale(false) {
-		t.c.stk.timers.Put(t)
+// expire is the clock event: the slot it was armed for, if any still
+// holds it, posts its handler — except that the retransmission and
+// keepalive expiries of a closed connection post nothing (the persist and
+// delayed-ACK expiries post regardless; their handler then does nothing).
+func (c *TCPConn) expire() {
+	seq := c.stk.K.Eng.EventSeq()
+	for k := range c.timers {
+		s := &c.timers[k]
+		if s.armed != seq {
+			continue
+		}
+		kind := timerKind(k)
+		if c.state == StateClosed && (kind == timerRtx || kind == timerKeepAlive) {
+			return
+		}
+		if s.intr == nil {
+			s.intr = func(p *sim.Proc) { c.timerIntr(p, kind) }
+		}
+		s.posted = s.armed
+		s.pending++
+		c.stk.K.PostIntr(intrName[k], s.intr)
 		return
 	}
-	t.c.stk.K.PostIntr(intrName[t.kind], t.intr)
 }
 
-// onIntr is the timer's interrupt handler, under splnet.
-func (t *tcpTimer) onIntr(p *sim.Proc) {
-	c := t.c
+// timerIntr is timer k's interrupt handler, under splnet. It acts only if
+// it is the slot's last posted handler and nothing re-armed or cancelled
+// the timer since it was posted.
+func (c *TCPConn) timerIntr(p *sim.Proc, k timerKind) {
 	c.stk.Splnet(p)
-	if !t.stale(true) {
+	s := &c.timers[k]
+	if s.pending--; s.pending == 0 && s.armed == s.posted && c.state != StateClosed {
 		ctx := c.stk.K.IntrCtx(p).In("tcp_timer")
-		switch t.kind {
+		switch k {
 		case timerRtx:
 			c.rtxTimeout(ctx)
 		case timerPersist:
@@ -110,21 +103,14 @@ func (t *tcpTimer) onIntr(p *sim.Proc) {
 		}
 	}
 	c.stk.Splx()
-	c.stk.timers.Put(t)
 }
 
 // armRtx (re)starts the retransmission timer for the oldest outstanding
 // data.
-func (c *TCPConn) armRtx() {
-	c.rtxArmed = true
-	c.arm(timerRtx, c.rto)
-}
+func (c *TCPConn) armRtx() { c.arm(timerRtx, c.rto) }
 
 // cancelRtx stops the retransmission timer.
-func (c *TCPConn) cancelRtx() {
-	c.rtxGen++
-	c.rtxArmed = false
-}
+func (c *TCPConn) cancelRtx() { c.cancel(timerRtx) }
 
 // rtxTimeout retransmits go-back-N from the last acknowledged byte with
 // exponential backoff.
@@ -175,7 +161,7 @@ func (c *TCPConn) armPersist() {
 
 // cancelPersist stops the probe timer.
 func (c *TCPConn) cancelPersist() {
-	c.persistGen++
+	c.cancel(timerPersist)
 	c.persistOn = false
 }
 

@@ -140,18 +140,13 @@ func (u *UDPSock) SendTo(ctx kern.Ctx, m *mbuf.Mbuf, n units.Size, dst wire.Addr
 		hdr.Marshal(hb)
 	}
 
-	if phdr == nil && n > 0 {
-		// Carry the flow tag on the software path too (per-flow netmem
-		// accounting in the driver).
-		phdr = &mbuf.Hdr{}
-	}
 	hm := u.stk.K.Mbufs.NewData(hb)
 	hm.SetNext(m)
 	hm.MarkPktHdr(segTotal)
-	if phdr != nil {
-		phdr.Flow = int(u.port)
-		hm.SetHdr(phdr)
+	if n > 0 {
+		hm.SetFlow(int(u.port))
 	}
+	hm.SetHdr(phdr)
 	ctx.Charge(u.stk.K.Mach.TCPPerPacket/2, kern.CatProto) // UDP is cheaper than TCP
 	u.stk.Stats.UDPOut++
 	u.stk.IPOutput(ctx, hm, wire.ProtoUDP, dst)

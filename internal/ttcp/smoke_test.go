@@ -132,15 +132,16 @@ func TestSingleCopyAllocationBudget(t *testing.T) {
 // TestSingleCopyMallocBudget pins the heap objects one 32 KB data segment
 // costs end to end on the single-copy path — socket, transport, driver,
 // adaptor and wire on both hosts, with its ACK. Every per-packet record
-// comes from a free list and each socket call reuses its tracker's UIO and
-// uiowCABhdrs, so what is left, 0.01 to 0.03 over ten runs, is the
-// adaptor's auto-DMA buffer queue regrowing every forty-odd segments and
-// the counting's own scatter of a few objects per run (map buckets, the
-// runtime). The budget is 0.05: 10 % over the measured value would sit
-// inside that scatter. Each 64 KB write building its own UIO and
-// uiowCABhdrs cost 2.53; a fresh record per packet per layer, 28.5; a
-// closure per SDMA request and per wire event, an iovec slice per UIO walk
-// and a signal per frame, 93. Any of those coming back breaks it.
+// comes from a free list, each socket call reuses its tracker's UIO and
+// uiowCABhdrs, and the adaptor's auto-DMA buffer queue is a ring, so what
+// is left, within ±0.02 of zero, is the counting's own scatter of a few
+// objects per run (map buckets, the runtime). The budget is 0.05: 10 %
+// over the measured value would sit inside that scatter. The auto-DMA
+// queue regrowing every forty-odd segments cost 0.01 to 0.03; each 64 KB
+// write building its own UIO and uiowCABhdrs, 2.53; a fresh record per
+// packet per layer, 28.5; a closure per SDMA request and per wire event,
+// an iovec slice per UIO walk and a signal per frame, 93. Any of those
+// but the first coming back breaks it.
 func TestSingleCopyMallocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
@@ -162,6 +163,22 @@ func TestUnmodifiedAllocationBudget(t *testing.T) {
 	}
 	if perByte, _ := marginal(t, socket.ModeUnmodified, nil); perByte > 0.5 {
 		t.Fatalf("%.3f host bytes allocated per payload byte, budget 0.5", perByte)
+	}
+}
+
+// TestUnmodifiedMallocBudget pins the heap objects one 32 KB data segment
+// costs end to end on the unmodified path at 0.05, the same bound as the
+// single-copy path's (TestSingleCopyMallocBudget): every per-packet record
+// comes from a free list and the packet header mbuf carries the flow tag,
+// so what is left is the counting's own scatter. A packet header allocated
+// per data segment only to carry the flow tag cost 1.006.
+func TestUnmodifiedMallocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const budget = 0.05
+	if _, perSeg := marginal(t, socket.ModeUnmodified, nil); perSeg > budget {
+		t.Fatalf("%.3f heap objects per 32 KB data segment, budget %.3f", perSeg, budget)
 	}
 }
 
