@@ -675,3 +675,56 @@ func TestOneRecorderSet(t *testing.T) {
 		}
 	}
 }
+
+// TestOneSoakHarness keeps internal/fault/soak one harness: one case type,
+// one outcome type and one entry point serve the soak and the recovery
+// matrices, the workload shape chosen by the case's fields and one oracle
+// rule applied to every case. A second case, outcome or Run* would split
+// the oracle again.
+func TestOneSoakHarness(t *testing.T) {
+	dir := filepath.Join("internal", "fault", "soak")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases, outcomes, runs []string
+	for _, e := range ents {
+		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() && strings.HasPrefix(d.Name.Name, "Run") {
+					runs = append(runs, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					ts, ok := s.(*ast.TypeSpec)
+					if !ok || !ts.Name.IsExported() {
+						continue
+					}
+					switch name := ts.Name.Name; {
+					case strings.HasSuffix(name, "Case"):
+						cases = append(cases, name)
+					case strings.HasSuffix(name, "Outcome"):
+						outcomes = append(outcomes, name)
+					}
+				}
+			}
+		}
+	}
+	for _, got := range []struct {
+		what  string
+		names []string
+	}{{"case types", cases}, {"outcome types", outcomes}, {"Run functions", runs}} {
+		if len(got.names) != 1 {
+			t.Errorf("internal/fault/soak declares %d exported %s %v, want 1: name a workload by the case's fields and run it through the one Run",
+				len(got.names), got.what, got.names)
+		}
+	}
+}

@@ -9,8 +9,9 @@
 //	loadgen -flows 11 -bulk -duration 120ms -warmup 20ms -arb        # fairness incast
 //	loadgen -flows 1024 -requests 2 -json                            # machine-readable
 //
-// An unknown -mode is refused with exit status 2; a failed run exits 1,
-// after writing any profile it was asked for.
+// An unknown -mode, or a -series-interval-us that is not a positive whole
+// number of µs, is refused with exit status 2; a failed run exits 1, after
+// writing any profile it was asked for.
 //
 // Two invocations with the same flags are byte-identical (the report
 // carries an order digest over every delivery event), so loadgen output
@@ -109,9 +110,8 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 
 		jsonOut = fs.Bool("json", false, "emit the full report as JSON")
 
-		seriesIntervalUS = fs.Int64("series-interval-us", 100, "series sampling interval, µs of virtual time")
-		netobsFlag       = fs.Bool("netobs", false, "record per-flow TCP dynamics and wire-port telemetry and print the congestion postmortem")
-		files            = core.RegisterArtifacts(fs, "series", "series-csv", "netobs-json", "netobs-chrome")
+		netobsFlag = fs.Bool("netobs", false, "record per-flow TCP dynamics and wire-port telemetry and print the congestion postmortem")
+		files      = core.RegisterArtifacts(fs, "series", "series-csv", "netobs-json", "netobs-chrome")
 
 		engObs  = fs.Bool("engobs", false, "print the simulator meta-profile (engine event counters) after the run")
 		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -202,21 +202,14 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		MTU:            units.Size(*mtu),
 	}
 	if *memKB > 0 {
-		s.CABConfig = &cab.Config{
-			MemSize:    units.Size(*memKB) * units.KB,
-			PageSize:   8 * units.KB,
-			AutoDMALen: 784,
-			RxCsumSkip: 80,
-			Channels:   8,
-		}
+		c := cab.DefaultConfig()
+		c.MemSize = units.Size(*memKB) * units.KB
+		s.CABConfig = &c
 	}
 	if *arb {
 		s.Arbiter = &cab.ArbConfig{}
 	}
 	s.Recorders = files.Recorders().Union(core.Recorders{NetObs: *netobsFlag})
-	if s.Series != 0 && *seriesIntervalUS > 0 {
-		s.Series = units.Time(*seriesIntervalUS) * units.Microsecond
-	}
 
 	var o *engine.Observer
 	if *engObs {

@@ -122,3 +122,44 @@ func TestArtifactFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestSeriesIntervalChecked: -series-interval-us 0 or a negative value used
+// to fall back to the 100 µs default without a word. A value that is not a
+// positive whole number of µs fitting a virtual time is now refused with
+// exit status 2 before anything runs, and an accepted one is the series'
+// sampling interval.
+func TestSeriesIntervalChecked(t *testing.T) {
+	series := func(interval string) (path string, status int, stderr string) {
+		path = filepath.Join(t.TempDir(), "s.json")
+		var out, errb bytes.Buffer
+		args := []string{"-flows", "4", "-clients", "2", "-servers", "1", "-bulk", "-duration", "5ms",
+			"-series", path, "-series-interval-us", interval}
+		return path, run(args, &out, &errb), errb.String()
+	}
+	for _, v := range []string{"0", "-5", "1.5", "9223372036854776"} {
+		path, status, stderr := series(v)
+		if status != 2 {
+			t.Errorf("-series-interval-us %s: status %d, want 2", v, status)
+		}
+		if want := `invalid value "` + v + `" for flag -series-interval-us`; !strings.Contains(stderr, want) {
+			t.Errorf("-series-interval-us %s: stderr %q, want it to say %s", v, stderr, want)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("-series-interval-us %s: a refused run wrote its series (stat: %v)", v, err)
+		}
+	}
+	path, status, stderr := series("50")
+	if status != 0 {
+		t.Fatalf("-series-interval-us 50: status %d: %s", status, stderr)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s struct {
+		IntervalNs int64 `json:"interval_ns"`
+	}
+	if err := json.Unmarshal(b, &s); err != nil || s.IntervalNs != 50_000 {
+		t.Errorf("-series-interval-us 50: series interval_ns %d (%v), want 50000", s.IntervalNs, err)
+	}
+}

@@ -14,7 +14,8 @@
 //	     [-critpath] [-critpath-chrome out.json]
 //	     [-netobs] [-netobs-json out.json] [-netobs-chrome out.json]
 //
-// An unknown -mode, -proto or -machine value is refused with exit status 2.
+// An unknown -mode, -proto or -machine value, or a -series-interval-us that
+// is not a positive whole number of µs, is refused with exit status 2.
 //
 // -audit enables the data-touch ledger and prints the per-flow audit
 // table (one row per host × touch kind with per-byte min/max); for TCP it
@@ -73,6 +74,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/fault"
+	"repro/internal/hippi"
 	"repro/internal/obs/critpath"
 	"repro/internal/obs/ledger"
 	"repro/internal/socket"
@@ -115,7 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	lazy := fs.Bool("lazy", false, "enable the lazy-unpin buffer cache")
 	stats := fs.Bool("stats", false, "print telemetry counters and the per-packet latency histogram")
 	profile := fs.Bool("profile", false, "print folded-stacks CPU profile to stdout")
-	seriesIntervalUS := fs.Int64("series-interval-us", 100, "series sampling interval, µs of virtual time")
 	faultPlan := fs.String("fault", "", "fault plan, e.g. 'drop:every=13,min=1000;corrupt:p=0.01' (see internal/fault)")
 	faultSeed := fs.Int64("fault-seed", 1, "fault injector seed")
 	auditFlag := fs.Bool("audit", false, "enable the data-touch ledger and print the per-flow audit table; fails if the stack's copy-count oracle does not hold")
@@ -173,9 +174,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tb := core.NewTestbed(1)
 	rec := files.Recorders().Union(core.Recorders{
 		Telemetry: *stats, CritPath: *critFlag, Profile: *profile, Ledger: *auditFlag, NetObs: *netobsFlag})
-	if rec.Series != 0 && *seriesIntervalUS > 0 {
-		rec.Series = units.Time(*seriesIntervalUS) * units.Microsecond
-	}
 	tb.Record(rec)
 	var inj *fault.Injector
 	if *faultPlan != "" {
@@ -241,13 +239,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var res ttcp.Result
-	if *proto == "udp" && *mode != "raw" {
-		a := tb.AddHost(core.HostConfig{Name: "snd", Addr: wire.Addr(0x0a000001),
-			Mach: mach(), Mode: stack, CABNode: 1, LazyUnpin: *lazy})
-		b := tb.AddHost(core.HostConfig{Name: "rcv", Addr: wire.Addr(0x0a000002),
-			Mach: mach(), Mode: stack, CABNode: 2, LazyUnpin: *lazy})
+	// The raw path puts bare adaptors on the wire: no protocol driver, so
+	// no route, and no lazy-unpin cache.
+	raw := *mode == "raw"
+	host := func(name string, addr wire.Addr, node hippi.NodeID) *core.Host {
+		return tb.AddHost(core.HostConfig{Name: name, Addr: addr, Mach: mach(), Mode: stack,
+			CABNode: node, NoDriver: raw, LazyUnpin: *lazy && !raw})
+	}
+	a := host("snd", wire.Addr(0x0a000001), 1)
+	b := host("rcv", wire.Addr(0x0a000002), 2)
+	if !raw {
 		tb.RouteCAB(a, b)
+	}
+
+	var res ttcp.Result
+	if *proto == "udp" && !raw {
 		ur := ttcp.RunUDP(tb, a, b, params)
 		if ur.SndErr != "" {
 			return fail(1, fmt.Errorf("udp send of %v datagrams: %s", size, ur.SndErr))
@@ -262,18 +268,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ur.Rcv.Utilization, ur.Rcv.Efficiency.Mbit())
 		return finish()
 	}
-	if *mode == "raw" {
-		a := tb.AddHost(core.HostConfig{Name: "snd", Addr: wire.Addr(0x0a000001),
-			Mach: mach(), CABNode: 1, NoDriver: true})
-		b := tb.AddHost(core.HostConfig{Name: "rcv", Addr: wire.Addr(0x0a000002),
-			Mach: mach(), CABNode: 2, NoDriver: true})
+	if raw {
 		res = ttcp.RunRaw(tb, a, b, params)
 	} else {
-		a := tb.AddHost(core.HostConfig{Name: "snd", Addr: wire.Addr(0x0a000001),
-			Mach: mach(), Mode: stack, CABNode: 1, LazyUnpin: *lazy})
-		b := tb.AddHost(core.HostConfig{Name: "rcv", Addr: wire.Addr(0x0a000002),
-			Mach: mach(), Mode: stack, CABNode: 2, LazyUnpin: *lazy})
-		tb.RouteCAB(a, b)
 		res = ttcp.Run(tb, a, b, params)
 	}
 

@@ -1,8 +1,6 @@
 package cabdrv_test
 
 import (
-	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -24,49 +22,30 @@ func TestPoisonedCopyRequestsChangeNothing(t *testing.T) {
 	for _, c := range soak.Matrix() {
 		switch c.Name {
 		case "tcp-clean", "tcp-dmafail", "tcp-64flow-drop", "udp-dup":
+			c.Name = "soak/" + c.Name
 			cases = append(cases, c)
 		}
 	}
-	if len(cases) != 4 {
-		t.Fatalf("soak matrix no longer has the cases this test names: got %d of 4", len(cases))
+	for _, c := range soak.RecoverMatrix() {
+		if strings.HasPrefix(c.Name, "cabreset") && c.Mode == socket.ModeSingleCopy {
+			c.Name = "recover/" + c.Name
+			cases = append(cases, c)
+		}
+	}
+	if len(cases) != 9 {
+		t.Fatalf("the soak and recover matrices no longer have the cases this test names: got %d of 9", len(cases))
 	}
 	for _, c := range cases {
-		t.Run("soak/"+c.Name, func(t *testing.T) {
+		t.Run(c.Name, func(t *testing.T) {
 			sameInCheckMode(t, func(check bool) string {
 				c.CheckPools = check
 				o := soak.Run(c)
 				if len(o.Failures) > 0 {
 					t.Errorf("check=%v: %v", check, o.Failures)
 				}
-				return fmt.Sprint(o.Delivered, o.Report, string(o.MetricsJSON))
+				return o.Fingerprint()
 			})
 		})
-	}
-
-	resets := 0
-	for _, c := range soak.RecoverMatrix() {
-		if !strings.HasPrefix(c.Name, "cabreset") || c.Mode != socket.ModeSingleCopy {
-			continue
-		}
-		resets++
-		t.Run("recover/"+c.Name, func(t *testing.T) {
-			sameInCheckMode(t, func(check bool) string {
-				c.CheckPools = check
-				o := soak.RunRecover(c)
-				if len(o.Failures) > 0 {
-					t.Errorf("check=%v: %v", check, o.Failures)
-				}
-				var b bytes.Buffer
-				fmt.Fprint(&b, o.Delivered, o.Resets, o.EndTime, o.FirstGoodputAt, o.Report)
-				for _, f := range o.Flows {
-					fmt.Fprint(&b, f.Delivered, f.Complete, f.SndErr, f.RcvErr)
-				}
-				return b.String()
-			})
-		})
-	}
-	if resets == 0 {
-		t.Fatal("recover matrix has no single-copy cabreset case")
 	}
 }
 

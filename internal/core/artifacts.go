@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
 	"flag"
+	"math"
 	"os"
 	"slices"
+	"strconv"
 
 	"repro/internal/obs/critpath"
+	"repro/internal/units"
 )
 
 // Artifact is one file a run can write from its testbed's recorders.
@@ -53,22 +57,30 @@ var Artifacts = []Artifact{
 type ArtifactFlags struct {
 	rows  []Artifact
 	paths []*string
+	// series is the -series-interval-us value, registered with the first
+	// row that records a series.
+	series *seriesInterval
 }
 
 // RegisterArtifacts defines on fs the flag of each Artifacts row named in
-// flags.
+// flags, and -series-interval-us beside the series rows.
 func RegisterArtifacts(fs *flag.FlagSet, flags ...string) ArtifactFlags {
 	var f ArtifactFlags
 	for _, a := range Artifacts {
 		if slices.Contains(flags, a.Flag) {
 			f.rows = append(f.rows, a)
 			f.paths = append(f.paths, fs.String(a.Flag, "", a.Usage))
+			if a.Needs.Series != 0 && f.series == nil {
+				f.series = &seriesInterval{DefaultSeriesInterval}
+				fs.Var(f.series, "series-interval-us", "series sampling interval, `µs` of virtual time")
+			}
 		}
 	}
 	return f
 }
 
-// Recorders is the union of the Needs of every row given a path.
+// Recorders is the union of the Needs of every row given a path; a series
+// samples at the -series-interval-us interval.
 func (f ArtifactFlags) Recorders() Recorders {
 	var r Recorders
 	for i, a := range f.rows {
@@ -76,7 +88,30 @@ func (f ArtifactFlags) Recorders() Recorders {
 			r = r.Union(a.Needs)
 		}
 	}
+	if r.Series != 0 {
+		r.Series = f.series.t
+	}
 	return r
+}
+
+// seriesInterval is the -series-interval-us flag. It refuses an interval
+// that is not positive or does not fit units.Time.
+type seriesInterval struct{ t units.Time }
+
+func (s *seriesInterval) String() string {
+	if s == nil {
+		return "0"
+	}
+	return strconv.FormatInt(int64(s.t/units.Microsecond), 10)
+}
+
+func (s *seriesInterval) Set(v string) error {
+	us, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || us <= 0 || us > math.MaxInt64/int64(units.Microsecond) {
+		return errors.New("want a positive whole number of µs that fits a virtual time")
+	}
+	s.t = units.Time(us) * units.Microsecond
+	return nil
 }
 
 // Write renders every row given a path from tb, which recorded at least

@@ -70,16 +70,16 @@ type FabricRun struct {
 	Trunks      []hippi.TrunkStat `json:"trunks"`
 }
 
-// fabricCAB is the per-host adaptor geometry every fabric scenario uses:
-// a 1 MByte network memory of 8 KByte pages.
-func fabricCAB() *cab.Config {
-	return &cab.Config{
-		MemSize:    1024 * units.KB,
-		PageSize:   8 * units.KB,
-		AutoDMALen: 784,
-		RxCsumSkip: 80,
-		Channels:   8,
-	}
+// fabricCAB is the per-host adaptor every fabric scenario uses: a 1 MByte
+// network memory.
+func fabricCAB() *cab.Config { return cabMem(1024 * units.KB) }
+
+// cabMem is the paper's adaptor (cab.DefaultConfig) with size bytes of
+// network memory.
+func cabMem(size units.Size) *cab.Config {
+	c := cab.DefaultConfig()
+	c.MemSize = size
+	return &c
 }
 
 // fabricMTU keeps fabric segments near the adaptor's 8 KByte page while

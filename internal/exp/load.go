@@ -62,13 +62,7 @@ func loadBenchFair(arb bool) load.Scenario {
 		BulkWrite:      16 * units.KB,
 		UDPServerThink: 45 * units.Millisecond,
 		Window:         16 * units.KB,
-		CABConfig: &cab.Config{
-			MemSize:    512 * units.KB,
-			PageSize:   8 * units.KB,
-			AutoDMALen: 784,
-			RxCsumSkip: 80,
-			Channels:   8,
-		},
+		CABConfig:      cabMem(512 * units.KB),
 	}
 	if arb {
 		s.Name = "bench-fair-arb"

@@ -74,7 +74,7 @@ func RunRecoverBench() (RecoverBench, error) {
 	var b RecoverBench
 	for _, c := range soak.RecoverMatrix() {
 		t0 := time.Now()
-		o := soak.RunRecover(c)
+		o := soak.Run(c)
 		if len(o.Failures) != 0 {
 			return b, fmt.Errorf("recover %s: %s", c.Name, strings.Join(o.Failures, "; "))
 		}
@@ -82,12 +82,8 @@ func RunRecoverBench() (RecoverBench, error) {
 		if c.Mode == socket.ModeSingleCopy {
 			mode = "single_copy"
 		}
-		flows := c.Flows
-		if flows == 0 {
-			flows = 1
-		}
 		cell := RecoverCell{
-			Name: c.Name, Plan: c.Plan, Mode: mode, Flows: flows,
+			Name: c.Name, Plan: c.Plan, Mode: mode, Flows: len(o.Flows),
 			FaultAtNs:      int64(o.FaultAt),
 			HealAtNs:       int64(o.HealAt),
 			FirstGoodputNs: int64(o.FirstGoodputAt),

@@ -45,9 +45,9 @@ func simFig5(o *engine.Observer) (units.Time, int, error) {
 	return tb.Eng.Now(), 1, nil
 }
 
-// simSoak runs the full 22-case recovery soak matrix through one
-// observer, so the entry profiles the engine under faults, retransmission
-// timers, and 64-flow contention. Any soak invariant violation fails the
+// simSoak runs the full 24-case soak matrix through one observer, so
+// the entry profiles the engine under faults, retransmission timers, and
+// 64-flow contention. Any soak invariant violation fails the
 // bench: a broken simulation's engine profile is meaningless.
 func simSoak(o *engine.Observer) (units.Time, int, error) {
 	var vtime units.Time

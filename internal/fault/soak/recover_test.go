@@ -2,7 +2,6 @@ package soak
 
 import (
 	"encoding/json"
-	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -14,75 +13,15 @@ import (
 // TestRecoverMatrix runs the full fault-domain recovery suite: every flow
 // in every case must complete byte-exact or end in one of the case's
 // allowed errors, with zero leaks and conserved fault accounting.
-func TestRecoverMatrix(t *testing.T) {
-	for _, c := range RecoverMatrix() {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			o := RunRecover(c)
-			for _, f := range o.Failures {
-				t.Errorf("%s", f)
-			}
-			if t.Failed() {
-				t.Logf("fault report:\n%s", o.Report)
-				for i, fl := range o.Flows {
-					t.Logf("flow %d: delivered=%v snd=%v rcv=%v complete=%v",
-						i, fl.Delivered, fl.SndErr, fl.RcvErr, fl.Complete)
-				}
-				if o.FlightRec != nil {
-					t.Logf("flight recorder:\n%s", o.FlightRec)
-				}
-			}
-		})
-	}
-}
-
-// TestRecoverDeterminism replays a partition case and the reset cases
-// (one side, both sides, and four flows under the arbiter, where a reset
-// frees many flows' pages at once) and demands identical flow fates,
-// timing, fault reports and failures — recovery is part of the
-// simulation, not a race against it.
-func TestRecoverDeterminism(t *testing.T) {
-	for _, name := range []string{"partition-steady", "cabreset-sender", "cabreset-both", "cabreset-multiflow"} {
-		var pick RecoverCase
-		for _, c := range RecoverMatrix() {
-			if c.Name == name {
-				pick = c
-			}
-		}
-		if pick.Name == "" {
-			t.Fatalf("case %s missing from matrix", name)
-		}
-		o1 := RunRecover(pick)
-		o2 := RunRecover(pick)
-		if o1.FirstGoodputAt != o2.FirstGoodputAt || o1.RecoveryTime != o2.RecoveryTime ||
-			o1.EndTime != o2.EndTime || o1.Delivered != o2.Delivered ||
-			o1.Resets != o2.Resets || o1.PartitionDrops != o2.PartitionDrops {
-			t.Errorf("%s: replay diverged: %+v vs %+v", name, o1, o2)
-		}
-		if o1.Report != o2.Report {
-			t.Errorf("%s: fault report diverged: %q vs %q", name, o1.Report, o2.Report)
-		}
-		if !slices.Equal(o1.Failures, o2.Failures) {
-			t.Errorf("%s: failures diverged: %q vs %q", name, o1.Failures, o2.Failures)
-		}
-		if len(o1.Flows) != len(o2.Flows) {
-			t.Fatalf("%s: %d flows vs %d", name, len(o1.Flows), len(o2.Flows))
-		}
-		for i := range o1.Flows {
-			if o1.Flows[i] != o2.Flows[i] {
-				t.Errorf("%s: flow %d diverged: %+v vs %+v", name, i, o1.Flows[i], o2.Flows[i])
-			}
-		}
-	}
-}
+func TestRecoverMatrix(t *testing.T) { runMatrix(t, RecoverMatrix()) }
 
 // TestRecoverPartitionHealTiming pins the causal ordering a healed
 // partition must show: no goodput inside the window, first goodput after
 // the heal, bounded by the RTO backoff in effect when the link died.
 func TestRecoverPartitionHealTiming(t *testing.T) {
-	o := RunRecover(RecoverCase{
+	o := Run(Case{
 		Name: "timing", Plan: "partition:at=10ms,dur=10ms", Seed: 99,
-		Mode: socket.ModeSingleCopy, WantPartition: true,
+		Mode: socket.ModeSingleCopy, Flows: 1,
 	})
 	for _, f := range o.Failures {
 		t.Errorf("%s", f)
@@ -104,12 +43,11 @@ func TestRecoverPartitionHealTiming(t *testing.T) {
 // error and the idle reader with a keepalive verdict — no wedge, no
 // watchdog, within the configured bounds.
 func TestRecoverPeerDeathSurfacesLiveness(t *testing.T) {
-	o := RunRecover(RecoverCase{
+	o := Run(Case{
 		Name: "peerdeath", Plan: "partition:at=10ms", Seed: 77,
-		Mode: socket.ModeSingleCopy, KeepAlive: true, UserTimeout: 2 * units.Second,
-		AllowSnd:      []error{tcpip.ErrTimeout},
-		AllowRcv:      []error{tcpip.ErrTimeout, tcpip.ErrConnReset},
-		WantPartition: true,
+		Mode: socket.ModeSingleCopy, Flows: 1, KeepAlive: true, UserTimeout: 2 * units.Second,
+		AllowSnd: []error{tcpip.ErrTimeout},
+		AllowRcv: []error{tcpip.ErrTimeout, tcpip.ErrConnReset},
 	})
 	for _, f := range o.Failures {
 		t.Errorf("%s", f)
@@ -139,12 +77,11 @@ func TestRecoverPeerDeathSurfacesLiveness(t *testing.T) {
 // page is back in the free pool and no user page stays pinned, while the
 // victim flow ends in a typed error.
 func TestRecoverCabresetLeakFree(t *testing.T) {
-	o := RunRecover(RecoverCase{
+	o := Run(Case{
 		Name: "reset-leak", Plan: "cabreset:at=8ms,node=1", Seed: 88,
-		Mode: socket.ModeSingleCopy, KeepAlive: true,
-		AllowSnd:   []error{tcpip.ErrDeviceReset, tcpip.ErrConnReset, tcpip.ErrConnTimeout, tcpip.ErrTimeout},
-		AllowRcv:   []error{tcpip.ErrDeviceReset, tcpip.ErrConnReset, tcpip.ErrTimeout},
-		WantResets: true,
+		Mode: socket.ModeSingleCopy, Flows: 1, KeepAlive: true,
+		AllowSnd: []error{tcpip.ErrDeviceReset, tcpip.ErrConnReset, tcpip.ErrConnTimeout, tcpip.ErrTimeout},
+		AllowRcv: []error{tcpip.ErrDeviceReset, tcpip.ErrConnReset, tcpip.ErrTimeout},
 	})
 	for _, f := range o.Failures {
 		t.Errorf("%s", f)
@@ -165,9 +102,9 @@ func TestRecoverCabresetLeakFree(t *testing.T) {
 // flight-recorder dump carries the per-kind injector counters alongside the
 // ledger and trace sections — the triage bundle for a stuck soak.
 func TestRecoverWatchdogFlightDumpHasFaultCounters(t *testing.T) {
-	o := RunRecover(RecoverCase{
+	o := Run(Case{
 		Name: "wedge", Plan: "partition:at=5ms", Seed: 66,
-		Mode: socket.ModeSingleCopy, // no KeepAlive, no UserTimeout: must wedge
+		Mode: socket.ModeSingleCopy, Flows: 1, // no KeepAlive, no UserTimeout: must wedge
 	})
 	if len(o.Failures) == 0 {
 		t.Fatalf("permanent partition without liveness should wedge")

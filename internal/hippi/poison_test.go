@@ -2,7 +2,6 @@ package hippi_test
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -27,53 +26,34 @@ import (
 // must also reproduce the plain run's telemetry snapshot, fault report and
 // per-flow fates, which pin the order of events.
 func TestPoisonedBuffersChangeNothing(t *testing.T) {
-	cases := []soak.Case{{Name: "tcp-unmod-clean", Seed: 1, Proto: "tcp", Mode: socket.ModeUnmodified}}
+	cases := []soak.Case{{Name: "soak/tcp-unmod-clean", Seed: 1, Proto: "tcp", Mode: socket.ModeUnmodified}}
 	for _, c := range soak.Matrix() {
 		switch c.Name {
 		case "tcp-clean", "tcp-dup", "tcp-corrupt", "tcp-combined", "tcp-netmem", "tcp-unmod-corrupt", "udp-dup":
+			c.Name = "soak/" + c.Name
 			cases = append(cases, c)
 		}
 	}
-	if len(cases) != 8 {
-		t.Fatalf("soak matrix no longer has the cases this test names: got %d of 8", len(cases))
+	for _, c := range soak.RecoverMatrix() {
+		if strings.HasPrefix(c.Name, "cabreset") {
+			c.Name = "recover/" + c.Name
+			cases = append(cases, c)
+		}
+	}
+	if len(cases) != 14 {
+		t.Fatalf("the soak and recover matrices no longer have the cases this test names: got %d of 14", len(cases))
 	}
 	for _, c := range cases {
-		t.Run("soak/"+c.Name, func(t *testing.T) {
+		t.Run(c.Name, func(t *testing.T) {
 			sameInCheckMode(t, func(check bool) string {
 				c.CheckPools = check
 				o := soak.Run(c)
 				if len(o.Failures) > 0 {
 					t.Errorf("check=%v: %v", check, o.Failures)
 				}
-				return fmt.Sprint(o.Delivered, o.Report, string(o.MetricsJSON))
+				return o.Fingerprint()
 			})
 		})
-	}
-
-	resets := 0
-	for _, c := range soak.RecoverMatrix() {
-		if !strings.HasPrefix(c.Name, "cabreset") {
-			continue
-		}
-		resets++
-		t.Run("recover/"+c.Name, func(t *testing.T) {
-			sameInCheckMode(t, func(check bool) string {
-				c.CheckPools = check
-				o := soak.RunRecover(c)
-				if len(o.Failures) > 0 {
-					t.Errorf("check=%v: %v", check, o.Failures)
-				}
-				var b bytes.Buffer
-				fmt.Fprint(&b, o.Delivered, o.Resets, o.EndTime, o.FirstGoodputAt, o.Report)
-				for _, f := range o.Flows {
-					fmt.Fprint(&b, f.Delivered, f.Complete, f.SndErr, f.RcvErr)
-				}
-				return b.String()
-			})
-		})
-	}
-	if resets == 0 {
-		t.Fatal("recover matrix has no cabreset case")
 	}
 }
 

@@ -1,7 +1,6 @@
 package mbuf_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -25,55 +24,37 @@ import (
 // beyond what was written, would then put garbage on the wire or in the
 // user's buffer, which the soak oracles catch (every delivered byte is
 // checked against the pattern). The checked run must also reproduce the
-// plain run's report and telemetry snapshot, which pin the order of events.
+// plain run's outcome fingerprint (report, telemetry snapshot, per-flow
+// fates), which pins the order of events.
 func TestPoisonedClustersChangeNothing(t *testing.T) {
-	cases := []soak.Case{{Name: "tcp-unmod-clean", Seed: 1, Proto: "tcp", Mode: socket.ModeUnmodified}}
+	cases := []soak.Case{{Name: "soak/tcp-unmod-clean", Seed: 1, Proto: "tcp", Mode: socket.ModeUnmodified}}
 	for _, c := range soak.Matrix() {
 		switch c.Name {
 		case "tcp-unmod-drop", "tcp-unmod-corrupt", "udp-unmod-drop":
+			c.Name = "soak/" + c.Name
 			cases = append(cases, c)
 		}
 	}
-	if len(cases) != 4 {
-		t.Fatalf("soak matrix no longer has the cases this test names: got %d of 4", len(cases))
+	for _, c := range soak.RecoverMatrix() {
+		if c.Mode == socket.ModeUnmodified {
+			c.Name = "recover/" + c.Name
+			cases = append(cases, c)
+		}
+	}
+	if len(cases) != 6 {
+		t.Fatalf("the soak and recover matrices no longer have the cases this test names: got %d of 6", len(cases))
 	}
 	for _, c := range cases {
-		t.Run("soak/"+c.Name, func(t *testing.T) {
+		t.Run(c.Name, func(t *testing.T) {
 			sameInCheckMode(t, func(check bool) string {
 				c.CheckPools = check
 				o := soak.Run(c)
 				if len(o.Failures) > 0 {
 					t.Errorf("check=%v: %v", check, o.Failures)
 				}
-				return fmt.Sprint(o.Delivered, o.Report, string(o.MetricsJSON))
+				return o.Fingerprint()
 			})
 		})
-	}
-
-	recovers := 0
-	for _, c := range soak.RecoverMatrix() {
-		if c.Mode != socket.ModeUnmodified {
-			continue
-		}
-		recovers++
-		t.Run("recover/"+c.Name, func(t *testing.T) {
-			sameInCheckMode(t, func(check bool) string {
-				c.CheckPools = check
-				o := soak.RunRecover(c)
-				if len(o.Failures) > 0 {
-					t.Errorf("check=%v: %v", check, o.Failures)
-				}
-				var b bytes.Buffer
-				fmt.Fprint(&b, o.Delivered, o.Resets, o.EndTime, o.FirstGoodputAt, o.Report)
-				for _, f := range o.Flows {
-					fmt.Fprint(&b, f.Delivered, f.Complete, f.SndErr, f.RcvErr)
-				}
-				return b.String()
-			})
-		})
-	}
-	if recovers == 0 {
-		t.Fatal("recover matrix has no unmodified-stack case")
 	}
 
 	t.Run("ttcp-unmod", func(t *testing.T) {
