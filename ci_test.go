@@ -728,3 +728,52 @@ func TestOneSoakHarness(t *testing.T) {
 		}
 	}
 }
+
+// TestOneDescriptorCredit keeps internal/mbuf, the module that owns the
+// uiowCABhdr, the one place where bytes leaving an M_UIO descriptor credit
+// its owner (mbuf.CreditOwners, mbuf.AbandonOwners, mbuf.AdjFront). A
+// transport or driver that walks a chain and calls DMADone on a header's
+// Owner itself would be a second copy of that rule.
+func TestOneDescriptorCredit(t *testing.T) {
+	mbufDir := filepath.Join("internal", "mbuf")
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if path == mbufDir {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "DMADone" {
+					return true
+				}
+				if owner, ok := sel.X.(*ast.SelectorExpr); ok && owner.Sel.Name == "Owner" {
+					t.Errorf("%s: Owner.DMADone called outside internal/mbuf: credit the chain with mbuf.CreditOwners or mbuf.AbandonOwners",
+						fset.Position(call.Pos()))
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

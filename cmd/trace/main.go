@@ -36,8 +36,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -51,44 +53,59 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 40, "maximum trace lines to print")
-	hostF := flag.String("host", "A", "which host's stack to trace: A (sender), B (receiver), both")
-	dirF := flag.String("dir", "both", "direction filter: in, out, both")
-	jsonF := flag.Bool("json", false, "emit events as JSON lines")
-	flowF := flag.Int("flow", 0, "only trace segments of this flow (the data sender's port; 0 = all)")
-	chromeOut := flag.String("chrome", "", "write data-path spans as Chrome trace-event JSON to this path")
-	critFlag := flag.Bool("critpath", false, "print every completed read's critical-path waterfall with stall attribution")
-	files := core.RegisterArtifacts(flag.CommandLine, "critpath-chrome")
-	netobsIn := flag.String("netobs", "", "re-render this saved transport-dynamics dump (loadgen -netobs-json) as Chrome counter tracks instead of running a transfer")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its process edges as parameters; it returns the exit
+// status: 2 for bad flags, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	n := fs.Int("n", 40, "maximum trace lines to print")
+	hostF := fs.String("host", "A", "which host's stack to trace: A (sender), B (receiver), both")
+	dirF := fs.String("dir", "both", "direction filter: in, out, both")
+	jsonF := fs.Bool("json", false, "emit events as JSON lines")
+	flowF := fs.Int("flow", 0, "only trace segments of this flow (the data sender's port; 0 = all)")
+	chromeOut := fs.String("chrome", "", "write data-path spans as Chrome trace-event JSON to this path")
+	critFlag := fs.Bool("critpath", false, "print every completed read's critical-path waterfall with stall attribution")
+	files := core.RegisterArtifacts(fs, "critpath-chrome")
+	netobsIn := fs.String("netobs", "", "re-render this saved transport-dynamics dump (loadgen -netobs-json) as Chrome counter tracks instead of running a transfer")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(status int, err error) int {
+		fmt.Fprintln(stderr, "trace:", err)
+		return status
+	}
 
 	if *netobsIn != "" {
 		if *chromeOut == "" {
-			fmt.Fprintln(os.Stderr, "trace: -netobs needs -chrome <out.json>")
-			os.Exit(2)
+			return fail(2, errors.New("-netobs needs -chrome <out.json>"))
 		}
 		raw, err := os.ReadFile(*netobsIn)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		var dump netobs.Dump
 		if err := json.Unmarshal(raw, &dump); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %s: %v\n", *netobsIn, err)
-			os.Exit(1)
+			return fail(1, fmt.Errorf("%s: %v", *netobsIn, err))
 		}
 		if err := os.WriteFile(*chromeOut, dump.Chrome(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d flows, %d wires)\n",
+		fmt.Fprintf(stderr, "wrote %s (%d flows, %d wires)\n",
 			*chromeOut, len(dump.Flows), len(dump.Wires))
-		return
+		return 0
 	}
 
 	if *dirF != "in" && *dirF != "out" && *dirF != "both" {
-		fmt.Fprintf(os.Stderr, "trace: bad -dir %q (want in, out, or both)\n", *dirF)
-		os.Exit(2)
+		return fail(2, fmt.Errorf("bad -dir %q (want in, out, or both)", *dirF))
+	}
+	if *hostF != "A" && *hostF != "B" && *hostF != "both" {
+		return fail(2, fmt.Errorf("bad -host %q (want A, B, or both)", *hostF))
 	}
 
 	tb := core.NewTestbed(5).Record(files.Recorders().Union(
@@ -101,6 +118,7 @@ func main() {
 
 	both := *hostF == "both"
 	lines := 0
+	var runErr error
 	mkTracer := func(host string) func(tcpip.TraceEvent) {
 		return func(e tcpip.TraceEvent) {
 			if *dirF != "both" && e.Dir.String() != *dirF {
@@ -121,28 +139,22 @@ func main() {
 					tcpip.TraceEvent
 				}{host, e})
 				if err != nil {
-					fmt.Fprintln(os.Stderr, "trace:", err)
-					os.Exit(1)
+					runErr = err
+					return
 				}
-				fmt.Println(string(out))
+				fmt.Fprintln(stdout, string(out))
 			case both:
-				fmt.Printf("%s %v\n", host, e)
+				fmt.Fprintf(stdout, "%s %v\n", host, e)
 			default:
-				fmt.Println(e)
+				fmt.Fprintln(stdout, e)
 			}
 		}
 	}
-	switch *hostF {
-	case "A":
+	if *hostF != "B" {
 		a.Stk.Tracer = mkTracer("A")
-	case "B":
+	}
+	if *hostF != "A" {
 		b.Stk.Tracer = mkTracer("B")
-	case "both":
-		a.Stk.Tracer = mkTracer("A")
-		b.Stk.Tracer = mkTracer("B")
-	default:
-		fmt.Fprintf(os.Stderr, "trace: bad -host %q (want A, B, or both)\n", *hostF)
-		os.Exit(2)
 	}
 
 	lis := b.Stk.Listen(5001)
@@ -160,7 +172,8 @@ func main() {
 	tb.Eng.Go("snd", func(p *sim.Proc) {
 		s, err := a.Dial(p, st, wire.Addr(0x0a000002), 5001)
 		if err != nil {
-			panic(err)
+			runErr = fmt.Errorf("dial: %w", err)
+			return
 		}
 		buf := st.Space.Alloc(64*units.KB, 8)
 		for i := 0; i < 4; i++ {
@@ -170,27 +183,29 @@ func main() {
 	})
 	tb.Eng.Run()
 	tb.Eng.KillAll()
+	if runErr != nil {
+		return fail(1, runErr)
+	}
 	if *chromeOut != "" {
 		out := tb.Tel.Chrome()
 		if *flowF != 0 {
 			out = tb.Tel.ChromeFlow(*flowF)
 		}
 		if err := os.WriteFile(*chromeOut, out, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 	}
 	if lines > *n {
 		// Keep stdout machine-readable under -json: the truncation note
 		// is commentary, not an event.
-		fmt.Fprintf(os.Stderr, "... (%d more events)\n", lines-*n)
+		fmt.Fprintf(stderr, "... (%d more events)\n", lines-*n)
 	}
 	if *critFlag {
-		fmt.Println()
-		critpath.Analyze(tb.Tel.Crit()).WriteText(os.Stdout, true)
+		fmt.Fprintln(stdout)
+		critpath.Analyze(tb.Tel.Crit()).WriteText(stdout, true)
 	}
 	if err := files.Write(tb); err != nil {
-		fmt.Fprintln(os.Stderr, "trace:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
+	return 0
 }

@@ -14,8 +14,9 @@
 //	     [-critpath] [-critpath-chrome out.json]
 //	     [-netobs] [-netobs-json out.json] [-netobs-chrome out.json]
 //
-// An unknown -mode, -proto or -machine value, or a -series-interval-us that
-// is not a positive whole number of µs, is refused with exit status 2.
+// An unknown -mode, -proto or -machine value, a -size, -total or -window
+// that is not a positive size, or a -series-interval-us that is not a
+// positive whole number of µs, is refused with exit status 2.
 //
 // -audit enables the data-touch ledger and prints the per-flow audit
 // table (one row per host × touch kind with per-byte min/max); for TCP it
@@ -68,7 +69,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -83,20 +83,21 @@ import (
 	"repro/internal/wire"
 )
 
-// parseSize accepts 64K / 4M / 512 style sizes.
-func parseSize(s string) (units.Size, error) {
-	mult := units.Size(1)
-	switch {
-	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
-		mult, s = units.KB, s[:len(s)-1]
-	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
-		mult, s = units.MB, s[:len(s)-1]
+// sizeFlag is a positive byte count flag, written 512, 64K or 4M.
+type sizeFlag units.Size
+
+func (f *sizeFlag) String() string { return strings.TrimSuffix(units.Size(*f).String(), "B") }
+
+func (f *sizeFlag) Set(s string) error {
+	n, err := units.ParseSize(s)
+	if err == nil && n == 0 {
+		err = fmt.Errorf("bad size %q (want a positive size)", s)
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return units.Size(n) * mult, nil
+	*f = sizeFlag(n)
+	return nil
 }
 
 func main() {
@@ -110,9 +111,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	mode := fs.String("mode", "single", "stack: single, unmodified, raw")
 	proto := fs.String("proto", "tcp", "transport: tcp, udp")
-	sizeS := fs.String("size", "64K", "read/write size")
-	totalS := fs.String("total", "16M", "bytes to transfer")
-	windowS := fs.String("window", "512K", "TCP window / socket buffer")
+	size, total, window := 64*units.KB, 16*units.MB, 512*units.KB
+	fs.Var((*sizeFlag)(&size), "size", "read/write `size`")
+	fs.Var((*sizeFlag)(&total), "total", "`bytes` to transfer")
+	fs.Var((*sizeFlag)(&window), "window", "TCP window / socket buffer `size`")
 	machine := fs.String("machine", "alpha400", "host model: alpha400, alpha300")
 	lazy := fs.Bool("lazy", false, "enable the lazy-unpin buffer cache")
 	stats := fs.Bool("stats", false, "print telemetry counters and the per-packet latency histogram")
@@ -145,19 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !slices.Contains(e.want, e.val) {
 			return fail(2, fmt.Errorf("unknown -%s %q (want %s)", e.name, e.val, strings.Join(e.want, ", ")))
 		}
-	}
-
-	size, err := parseSize(*sizeS)
-	if err != nil {
-		return fail(1, err)
-	}
-	total, err := parseSize(*totalS)
-	if err != nil {
-		return fail(1, err)
-	}
-	window, err := parseSize(*windowS)
-	if err != nil {
-		return fail(1, err)
 	}
 
 	mach := cost.Alpha400

@@ -62,6 +62,45 @@ func TestEnumFlagsAccepted(t *testing.T) {
 	}
 }
 
+// TestSizeFlagsChecked: -size, -total and -window took any integer. A zero
+// size or a negative window never ended, a negative or overflowing size
+// panicked outside the sender's address space, a zero raw packet panicked
+// the adaptor, a negative total moved nothing and exited 0, and a size
+// that is not a number exited 1. Each is now refused with exit status 2
+// before anything runs; a size the flags accept still runs.
+func TestSizeFlagsChecked(t *testing.T) {
+	for _, args := range [][]string{
+		{"-size", "0"},
+		{"-proto", "udp", "-size", "0"},
+		{"-mode", "raw", "-size", "0"},
+		{"-size", "-4K"},
+		{"-size", "99999999999999M"},
+		{"-size", "foo"},
+		{"-total", "-1M"},
+		{"-total", "0"},
+		{"-window", "-5K"},
+		{"-window", "0"},
+	} {
+		var out, errb bytes.Buffer
+		if status := run(args, &out, &errb); status != 2 {
+			t.Errorf("%v: status %d, want 2", args, status)
+		}
+		if want := `invalid value "` + args[len(args)-1] + `" for flag ` + args[len(args)-2]; !strings.Contains(errb.String(), want) {
+			t.Errorf("%v: stderr %q, want it to say %s", args, errb.String(), want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: a refused run printed %q", args, out.String())
+		}
+	}
+	var out, errb bytes.Buffer
+	if status := run([]string{"-size", "16k", "-total", "256K", "-window", "64K"}, &out, &errb); status != 0 {
+		t.Fatalf("status %d: %s", status, errb.String())
+	}
+	if want := "16KB writes, 64KB window"; !strings.Contains(out.String(), want) {
+		t.Errorf("output %q, want it to say %s", out.String(), want)
+	}
+}
+
 // TestOversizeUDPFails: a 64 KB UDP write is longer than one IPv4 datagram
 // carries. The run used to hang, its sender waiting on a datagram the
 // stack had refused; now it exits with status 1 and the refusal.

@@ -512,7 +512,7 @@ func (d *Driver) startTx(job *txJob, pk *cab.Packet, gather [][]byte, headerOnly
 // Everything else — control segments, UDP datagrams, raw sends — is freed
 // once the frame has left the adaptor.
 func transportOwns(h *mbuf.Hdr) bool {
-	return h != nil && h.NeedCsum && h.OnOutboard != nil && !h.FreeAfterSend
+	return h != nil && h.NeedCsum && h.OnOutboard != nil
 }
 
 // SDMADone implements cab.SDMAOwner. It runs in hardware context when a
@@ -564,13 +564,7 @@ func (d *Driver) finishTx(job *txJob) {
 			h.OnOutboard.Outboard(&op.WCAB)
 		}
 	default:
-		for cur := m; cur != nil; cur = cur.Next() {
-			if cur.Type() == mbuf.TUIO {
-				if ch := cur.Hdr(); ch != nil && ch.Owner != nil {
-					ch.Owner.DMADone(cur.Len())
-				}
-			}
-		}
+		mbuf.CreditOwners(m)
 	}
 	d.release(job)
 }

@@ -234,7 +234,7 @@ func parseParam(r *Rule, p string, sawAnchor *bool) error {
 		}
 		r.Dur = t
 	case "min":
-		n, err := parseSize(val)
+		n, err := units.ParseSize(val)
 		if err != nil {
 			return err
 		}
@@ -301,19 +301,4 @@ func parseDur(s string) (units.Time, error) {
 		return 0, fmt.Errorf("bad duration %q", s)
 	}
 	return units.Time(n) * mult, nil
-}
-
-func parseSize(s string) (units.Size, error) {
-	mult := units.Size(1)
-	switch {
-	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
-		mult, s = units.KB, s[:len(s)-1]
-	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
-		mult, s = units.MB, s[:len(s)-1]
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n < 0 || n > math.MaxInt64/int64(mult) {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return units.Size(n) * mult, nil
 }

@@ -43,6 +43,15 @@ func (f *flow) fail(format string, args ...any) {
 	}
 }
 
+// frameErr counts a frame no flow could claim and keeps the first one's
+// description.
+func (r *runner) frameErr(format string, args ...any) {
+	r.frameErrs++
+	if r.firstFrameErr == "" {
+		r.firstFrameErr = fmt.Sprintf(format, args...)
+	}
+}
+
 // --- Framing ---
 
 // Every exchange starts with a fixed header carrying the flow identity,
@@ -140,15 +149,20 @@ func fillStream(b []byte, flow int, off units.Size) { fillRamp(b, streamByte(flo
 
 // --- TCP helpers ---
 
-// readFull reads exactly n bytes through buf (which may be smaller than
-// n), invoking sink for each chunk with its logical offset. It returns an
-// error on EOF or connection failure before n bytes arrive.
+// readFull reads exactly n bytes through buf, invoking sink for each chunk
+// with its logical offset. With a sink, buf may be smaller than n: every
+// chunk lands at its start. Without one, the n bytes are the caller's and
+// each chunk lands at its own offset. It returns an error on EOF or
+// connection failure before n bytes arrive.
 func readFull(p *sim.Proc, sock *socket.Socket, buf mem.Buf, n units.Size,
 	sink func(b []byte, off units.Size) error) error {
 	off := units.Size(0)
 	for off < n {
-		chunk := min(n-off, buf.Len)
-		rd, err := sock.Read(p, buf.Slice(0, chunk))
+		at := units.Size(0)
+		if sink == nil {
+			at = off
+		}
+		rd, err := sock.Read(p, buf.Slice(at, min(n-off, buf.Len-at)))
 		if rd > 0 {
 			if sink != nil {
 				if serr := sink(buf.Slice(0, rd).Bytes(), off); serr != nil {
@@ -306,7 +320,7 @@ func (r *runner) serveTCP(p *sim.Proc, sv *host, sock *socket.Socket) {
 		}
 		hdr, err := parseHdr(hbuf.Bytes())
 		if err != nil || hdr.flow < 0 || hdr.flow >= len(r.flows) {
-			r.frameErrs++
+			r.frameErr("%s: bad frame header %x", sv.h.Name, hbuf.Bytes())
 			return
 		}
 		f := r.flows[hdr.flow]
@@ -380,12 +394,12 @@ func (r *runner) startUDPFlow(f *flow) {
 				return
 			}
 			if n < hdrLen {
-				r.frameErrs++
+				r.frameErr("flow %d: %v datagram shorter than its header", f.id, n)
 				continue
 			}
 			hdr, err := parseHdr(rbuf.Bytes())
 			if err != nil || hdr.flow != f.id || hdr.reqLen != n-hdrLen {
-				r.frameErrs++
+				r.frameErr("flow %d: bad frame header %x in a %v datagram", f.id, rbuf.Slice(0, hdrLen).Bytes(), n)
 				continue
 			}
 			b := rbuf.Slice(hdrLen, hdr.reqLen).Bytes()

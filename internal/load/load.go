@@ -181,6 +181,9 @@ func (s Scenario) normalized() (Scenario, error) {
 			{Frac: 0.05, Req: 4 * units.KB, Resp: 128 * units.KB},
 		}
 	}
+	if s.MTU != 0 && s.MTU < 68 {
+		return s, fmt.Errorf("load: MTU %v below IPv4's minimum of 68B", s.MTU)
+	}
 	if s.UDPFrac < 0 || s.UDPFrac > 1 {
 		return s, fmt.Errorf("load: UDPFrac %v out of [0,1]", s.UDPFrac)
 	}
@@ -278,6 +281,7 @@ type runner struct {
 	activeClients int
 	inj           *fault.Injector
 	frameErrs     int
+	firstFrameErr string
 	// lastDelivery is the virtual time of the last verified delivery; it
 	// bounds the goodput window in request/response mode (the engine
 	// drain time includes connection-teardown timers).

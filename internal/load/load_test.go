@@ -50,6 +50,28 @@ func TestLoadSmoke(t *testing.T) {
 	}
 }
 
+// TestMinimumMTU runs TCP flows over IPv4's minimum MTU, 68 bytes: with a
+// 28-byte MSS every 32-byte frame header arrives in two reads, which must
+// land one after the other. An MTU below the minimum is refused before any
+// host exists (10 and 20 used to panic, 40 to leave an MSS of 0 and never
+// end).
+func TestMinimumMTU(t *testing.T) {
+	for _, mode := range []socket.Mode{socket.ModeSingleCopy, socket.ModeUnmodified} {
+		rep, err := Run(Scenario{Name: "mtu68", Seed: 3, Flows: 2, Mode: mode, MTU: 68})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Errors != 0 || rep.Requests != 2*4 {
+			t.Errorf("mode %d: %d errors (%s), %d requests, want 0 and 8", mode, rep.Errors, rep.FirstError, rep.Requests)
+		}
+	}
+	for _, mtu := range []units.Size{10, 20, 40, 67, -1} {
+		if _, err := Run(Scenario{Flows: 2, MTU: mtu}); err == nil {
+			t.Errorf("MTU %v accepted", mtu)
+		}
+	}
+}
+
 // TestLoadOpenLoop exercises the Poisson open-loop generator.
 func TestLoadOpenLoop(t *testing.T) {
 	rep, err := Run(Scenario{

@@ -276,6 +276,9 @@ func (r *runner) report() *Report {
 		rep.RxRetries += int64(h.CAB.Stats.RxRetries)
 	}
 	rep.Errors += r.frameErrs
+	if rep.FirstError == "" {
+		rep.FirstError = r.firstFrameErr
+	}
 	rep.OrderDigest = r.digest.hex()
 	rep.Testbed = r.tb
 	rep.NetObs = r.tb.NetObsPostmortem(s.Warmup)

@@ -125,25 +125,51 @@ func CopyRange(m *Mbuf, off, n units.Size) *Mbuf {
 // completion notification is still in flight (it will find the range gone
 // and discard its conversion).
 func AdjFront(m *Mbuf, n units.Size) *Mbuf {
-	notify := func(mb *Mbuf, bytes units.Size) {
-		if mb.typ == TUIO && mb.hdr != nil && mb.hdr.Owner != nil {
-			mb.hdr.Owner.DMADone(bytes)
-		}
-	}
 	for m != nil && n > 0 {
 		if n < m.ln {
-			notify(m, n)
+			m.credit(n)
 			m.TrimFront(n)
 			return m
 		}
 		n -= m.ln
-		notify(m, m.ln)
+		m.credit(m.ln)
 		m = m.Free()
 	}
 	if n > 0 {
 		panic(fmt.Sprintf("mbuf: AdjFront beyond chain by %v", n))
 	}
 	return m
+}
+
+// CreditOwners hands every M_UIO mbuf's bytes in the chain back to its
+// header's owner: the bytes have left the descriptor — secured outboard,
+// materialized into kernel buffers, or, after a reset, never to be sent —
+// so the writer's outstanding-DMA counter drops by them (Section 4.4.2).
+func CreditOwners(m *Mbuf) {
+	for ; m != nil; m = m.next {
+		m.credit(m.ln)
+	}
+}
+
+// AbandonOwners is CreditOwners for a connection teardown that
+// force-releases the chain's writers: each M_UIO header is first marked
+// Abandoned, so a driver still holding a segment copy that shares it drops
+// that packet instead of DMAing from pages the released writer unpins.
+func AbandonOwners(m *Mbuf) {
+	for ; m != nil; m = m.next {
+		if m.typ == TUIO && m.hdr != nil {
+			m.hdr.Abandoned = true
+		}
+		m.credit(m.ln)
+	}
+}
+
+// credit tells an M_UIO mbuf's owner that n of its bytes left the
+// descriptor.
+func (m *Mbuf) credit(n units.Size) {
+	if m.typ == TUIO && m.hdr != nil && m.hdr.Owner != nil {
+		m.hdr.Owner.DMADone(n)
+	}
 }
 
 // SplitAt splits the chain at byte offset n, returning the two halves.

@@ -76,14 +76,12 @@ func (t Type) String() string {
 // bytes themselves.
 func (t Type) IsDescriptor() bool { return t == TUIO || t == TWCAB }
 
-// Notifier receives DMA life-cycle callbacks for descriptor mbufs; the
-// socket layer implements it with the outstanding-DMA (UIO) counter that
-// synchronizes application wakeup (Section 4.4.2).
+// Notifier is an M_UIO descriptor's owner; the socket layer implements it
+// with the outstanding-DMA (UIO) counter that synchronizes application
+// wakeup (Section 4.4.2). Apart from the owner itself, only the chain
+// functions CreditOwners, AbandonOwners and AdjFront call it.
 type Notifier interface {
-	// DMAStarted is called when a DMA covering part of the descriptor is
-	// issued.
-	DMAStarted(n units.Size)
-	// DMADone is called when that DMA completes.
+	// DMADone is called when n of the descriptor's bytes have left it.
 	DMADone(n units.Size)
 }
 
@@ -103,7 +101,7 @@ type Hdr struct {
 	// CsumSeed is the partial sum of the skipped span (headers plus
 	// pseudo-header), placed by the transport layer.
 	CsumSeed uint32
-	// Owner is notified as DMAs are issued and complete.
+	// Owner is credited as the descriptor's bytes leave it.
 	Owner Notifier
 	// Abandoned is set by a connection teardown that force-released the
 	// descriptor's owner while packets referencing it may still be queued
@@ -122,10 +120,6 @@ type Hdr struct {
 	// corresponding socket-buffer range to M_WCAB for retransmission
 	// (Section 4.2).
 	OnOutboard OutboardSink
-	// FreeAfterSend tells the driver the outboard packet is not
-	// retransmittable state (UDP, raw sends): free it once the media
-	// transmission completes.
-	FreeAfterSend bool
 	// OnConverted, set by the transport on a transmit packet headed for a
 	// legacy (non-single-copy) device, is invoked when the driver-entry
 	// shim has materialized the packet's descriptors into kernel buffers,
@@ -335,8 +329,7 @@ func (p *Pool) Checking() bool { return p != nil && p.hdrs.Checking() }
 // completion that still reaches the header panics.
 type releasedOwner struct{}
 
-func (releasedOwner) DMAStarted(units.Size) { panic("mbuf: uiowCABhdr used after release") }
-func (releasedOwner) DMADone(units.Size)    { panic("mbuf: uiowCABhdr used after release") }
+func (releasedOwner) DMADone(units.Size) { panic("mbuf: uiowCABhdr used after release") }
 
 // AllocHdr returns a uiowCABhdr with arbitrary contents: the taker sets
 // every field, with one composite literal. It goes back through FreeHdr

@@ -51,8 +51,7 @@ func TestLookupNoRoute(t *testing.T) {
 // trackNotifier counts DMADone notifications.
 type trackNotifier struct{ done units.Size }
 
-func (n *trackNotifier) DMAStarted(units.Size) {}
-func (n *trackNotifier) DMADone(s units.Size)  { n.done += s }
+func (n *trackNotifier) DMADone(s units.Size) { n.done += s }
 
 func TestConvertForLegacyMaterializes(t *testing.T) {
 	eng := sim.NewEngine(1)

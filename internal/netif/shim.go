@@ -60,13 +60,7 @@ func ConvertForLegacy(ctx kern.Ctx, m *mbuf.Mbuf) *mbuf.Mbuf {
 	if h := m.Hdr(); h != nil && h.OnConverted != nil {
 		h.OnConverted(head)
 	} else {
-		for cur := m; cur != nil; cur = cur.Next() {
-			if cur.Type() == mbuf.TUIO {
-				if ch := cur.Hdr(); ch != nil && ch.Owner != nil {
-					ch.Owner.DMADone(cur.Len())
-				}
-			}
-		}
+		mbuf.CreditOwners(m)
 	}
 	mbuf.FreeChain(m)
 	return head

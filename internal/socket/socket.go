@@ -66,10 +66,11 @@ type Config struct {
 	// data becomes word-aligned and can be DMAed. "This might pay off for
 	// very large writes."
 	AlignFirstPacket bool
-	// AlignMinWrite is the smallest write the alignment optimization
-	// applies to (default 64 KB).
-	AlignMinWrite units.Size
 }
+
+// alignMinWrite is the smallest write the AlignFirstPacket optimization
+// applies to.
+const alignMinWrite = 64 * units.KB
 
 // Socket is a connected stream (TCP) socket.
 type Socket struct {
@@ -210,9 +211,6 @@ func (t *tracker) CopyDone(n units.Size, err error) {
 	t.DMADone(n)
 }
 
-// DMAStarted implements mbuf.Notifier.
-func (t *tracker) DMAStarted(units.Size) {}
-
 // DMADone implements mbuf.Notifier.
 func (t *tracker) DMADone(n units.Size) {
 	t.pending -= n
@@ -278,11 +276,7 @@ func (s *Socket) alignable(buf mem.Buf) bool {
 	if s.Cfg.Mode != ModeSingleCopy || !s.Cfg.AlignFirstPacket {
 		return false
 	}
-	min := s.Cfg.AlignMinWrite
-	if min == 0 {
-		min = 64 * units.KB
-	}
-	return buf.Len >= min && buf.Len >= s.Cfg.UIOThreshold
+	return buf.Len >= alignMinWrite && buf.Len >= s.Cfg.UIOThreshold
 }
 
 // writeCopy is the traditional sosend: copy into cluster mbufs.

@@ -679,16 +679,7 @@ func (c *TCPConn) teardown(err error) {
 	// queued at the driver share these headers; marking them abandoned
 	// tells the transmit daemon to drop those packets rather than DMA
 	// from pages the released writer will unpin.
-	for m := c.sndBuf; m != nil; m = m.Next() {
-		if m.Type() == mbuf.TUIO {
-			if h := m.Hdr(); h != nil {
-				h.Abandoned = true
-				if h.Owner != nil {
-					h.Owner.DMADone(m.Len())
-				}
-			}
-		}
-	}
+	mbuf.AbandonOwners(c.sndBuf)
 	mbuf.FreeChain(c.sndBuf)
 	c.sndBuf, c.sndLen = nil, 0
 	for _, seg := range c.reass {

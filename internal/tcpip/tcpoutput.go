@@ -276,46 +276,18 @@ func (s *hwSeg) Done() { s.c.stk.hwSegs.Put(s) }
 // onOutboard runs in interrupt context once a transmitted packet's data
 // resides in network memory: the corresponding range of the send buffer is
 // converted to an M_WCAB mbuf so retransmission reads network memory, the
-// displaced M_UIO descriptors' owners are notified (waking the writer when
+// displaced M_UIO descriptors' owners are credited (waking the writer when
 // its last DMA completes), and the paper's invariant — WCAB data freed
 // only on acknowledgement — is preserved by the mbuf reference counts.
 func (c *TCPConn) onOutboard(seq uint32, n units.Size, w *mbuf.WCAB) {
-	if c.state == StateClosed {
-		discardWCAB(w)
+	if c.state == StateClosed || !c.replaceSent(seq, n, func(skip, n units.Size) *mbuf.Mbuf {
+		return c.stk.K.Mbufs.NewWCAB(w, skip, n, nil)
+	}) {
+		// No send-buffer home: free the outboard packet.
+		w.Ref()
+		w.Unref()
 		return
 	}
-	// Clamp away any part that was acknowledged while the completion
-	// notification was pending.
-	skip := units.Size(0)
-	if seqLT(seq, c.sndUna) {
-		skip = seqDiff(c.sndUna, seq)
-		if skip >= n {
-			discardWCAB(w)
-			return
-		}
-		seq = c.sndUna
-		n -= skip
-	}
-	off := seqDiff(seq, c.sndUna)
-	if off+n > c.sndLen {
-		// Shouldn't happen: the range was cut from the buffer.
-		discardWCAB(w)
-		return
-	}
-	front, rest := mbuf.SplitAt(c.sndBuf, off)
-	mid, back := mbuf.SplitAt(rest, n)
-
-	// Notify descriptor owners that their bytes are secured outboard.
-	for m := mid; m != nil; m = m.Next() {
-		if m.Type() == mbuf.TUIO {
-			if h := m.Hdr(); h != nil && h.Owner != nil {
-				h.Owner.DMADone(m.Len())
-			}
-		}
-	}
-	wm := c.stk.K.Mbufs.NewWCAB(w, skip, n, nil)
-	mbuf.FreeChain(mid)
-	c.sndBuf = mbuf.Cat(mbuf.Cat(front, wm), back)
 	c.stk.ctrWCABConv.Inc()
 }
 
@@ -329,40 +301,40 @@ func (c *TCPConn) onConverted(seq uint32, n units.Size, converted *mbuf.Mbuf) {
 	}
 	// converted is the whole materialized packet (link/IP/TCP headers plus
 	// payload); the payload is its tail.
-	payloadOff := mbuf.ChainLen(converted) - n
-	repl := mbuf.CopyRange(converted, payloadOff, n)
+	repl := mbuf.CopyRange(converted, mbuf.ChainLen(converted)-n, n)
+	if !c.replaceSent(seq, n, func(skip, _ units.Size) *mbuf.Mbuf { return mbuf.AdjFront(repl, skip) }) {
+		mbuf.FreeChain(repl)
+	}
+}
+
+// replaceSent swaps the sent range [seq, seq+n) of the send buffer, clamped
+// to what is still unacknowledged, for the chain repl builds: repl is told
+// how many leading bytes of the range were acknowledged while the hand-back
+// was pending and how many remain. The M_UIO descriptors the range displaces
+// credit their owners. It reports false, changing nothing and calling
+// nothing, when none of the range is left.
+func (c *TCPConn) replaceSent(seq uint32, n units.Size, repl func(skip, n units.Size) *mbuf.Mbuf) bool {
+	skip := units.Size(0)
 	if seqLT(seq, c.sndUna) {
-		skip := seqDiff(c.sndUna, seq)
+		skip = seqDiff(c.sndUna, seq)
 		if skip >= n {
-			mbuf.FreeChain(repl)
-			return
+			return false
 		}
-		repl = mbuf.AdjFront(repl, skip)
 		seq = c.sndUna
 		n -= skip
 	}
 	off := seqDiff(seq, c.sndUna)
 	if off+n > c.sndLen {
-		mbuf.FreeChain(repl)
-		return
+		// Shouldn't happen: the range was cut from the buffer.
+		return false
 	}
 	front, rest := mbuf.SplitAt(c.sndBuf, off)
 	mid, back := mbuf.SplitAt(rest, n)
-	for m := mid; m != nil; m = m.Next() {
-		if m.Type() == mbuf.TUIO {
-			if h := m.Hdr(); h != nil && h.Owner != nil {
-				h.Owner.DMADone(m.Len())
-			}
-		}
-	}
+	mbuf.CreditOwners(mid)
+	r := repl(skip, n)
 	mbuf.FreeChain(mid)
-	c.sndBuf = mbuf.Cat(mbuf.Cat(front, repl), back)
-}
-
-// discardWCAB frees an outboard packet that found no send-buffer home.
-func discardWCAB(w *mbuf.WCAB) {
-	w.Ref()
-	w.Unref()
+	c.sndBuf = mbuf.Cat(mbuf.Cat(front, r), back)
+	return true
 }
 
 // firstDescID returns the first sosend descriptor id recorded on the chain

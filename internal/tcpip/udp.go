@@ -99,8 +99,8 @@ func (u *UDPSock) CheckLen(n units.Size) error {
 
 // SendTo transmits an n-byte chain as one datagram to dst:dport. The chain
 // may hold M_UIO descriptors on the single-copy path; the driver frees the
-// outboard packet after the media send (UDP keeps no retransmit state), as
-// directed by FreeAfterSend. A refused datagram's chain is freed.
+// outboard packet after the media send, since UDP keeps no retransmit state
+// and so sets no OnOutboard. A refused datagram's chain is freed.
 func (u *UDPSock) SendTo(ctx kern.Ctx, m *mbuf.Mbuf, n units.Size, dst wire.Addr, dport uint16) error {
 	ctx = ctx.In("udp_output").WithFlow(int(u.port))
 	if err := u.CheckLen(n); err != nil {
@@ -123,11 +123,10 @@ func (u *UDPSock) SendTo(ctx kern.Ctx, m *mbuf.Mbuf, n units.Size, dst wire.Addr
 		hdr.Csum = seed
 		hdr.Marshal(hb)
 		phdr = &mbuf.Hdr{
-			NeedCsum:      true,
-			CsumOff:       wire.UDPCsumOff,
-			CsumSkip:      wire.UDPHdrLen,
-			CsumSeed:      uint32(seed),
-			FreeAfterSend: true,
+			NeedCsum: true,
+			CsumOff:  wire.UDPCsumOff,
+			CsumSkip: wire.UDPHdrLen,
+			CsumSeed: uint32(seed),
 		}
 	} else {
 		hdr.Csum = 0

@@ -6,7 +6,12 @@
 // second to match the Mbit/second units the paper reports.
 package units
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+)
 
 // Time is a point in (or span of) virtual simulation time, in nanoseconds.
 type Time int64
@@ -57,6 +62,24 @@ func (s Size) String() string {
 	default:
 		return fmt.Sprintf("%dB", int64(s))
 	}
+}
+
+// ParseSize reads a byte count written 512, 64K or 4M (k and m too): a
+// whole number of bytes, kilobytes or megabytes, not negative, that fits a
+// Size.
+func ParseSize(s string) (Size, error) {
+	mult, num := Byte, s
+	switch {
+	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
+		mult, num = KB, s[:len(s)-1]
+	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
+		mult, num = MB, s[:len(s)-1]
+	}
+	n, err := strconv.ParseInt(num, 10, 64)
+	if err != nil || n < 0 || n > math.MaxInt64/int64(mult) {
+		return 0, fmt.Errorf("bad size %q", s)
+	}
+	return Size(n) * mult, nil
 }
 
 // Rate is a data rate in bits per second.
