@@ -777,3 +777,69 @@ func TestOneDescriptorCredit(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryOnlyReads keeps every count a plain field its owner always
+// increments (DESIGN §6): the registry reads counts through Func and
+// levels through Gauge, and hands out nothing a caller counts into. No
+// type that a Registry method returns may declare an Inc or Add method in
+// non-test internal/obs; a push counter there would count only while
+// telemetry is on, and beside an owner's field it counts a fact twice.
+func TestRegistryOnlyReads(t *testing.T) {
+	dir := filepath.Join("internal", "obs")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, e := range ents {
+		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	// recvType names a method's receiver or a result's type, pointers
+	// stripped ("" for anything else).
+	recvType := func(e ast.Expr) string {
+		if star, ok := e.(*ast.StarExpr); ok {
+			e = star.X
+		}
+		if id, ok := e.(*ast.Ident); ok {
+			return id.Name
+		}
+		return ""
+	}
+	handed := map[string]bool{}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || recvType(fd.Recv.List[0].Type) != "Registry" || fd.Type.Results == nil {
+				continue
+			}
+			for _, r := range fd.Type.Results.List {
+				if name := recvType(r.Type); name != "" {
+					handed[name] = true
+				}
+			}
+		}
+	}
+	if !handed["Gauge"] {
+		t.Fatalf("found no Registry method returning *Gauge (handed out: %v): the guard no longer sees the registry", handed)
+	}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || (fd.Name.Name != "Inc" && fd.Name.Name != "Add") {
+				continue
+			}
+			if typ := recvType(fd.Recv.List[0].Type); handed[typ] {
+				t.Errorf("%s: %s.%s: the registry hands out %s, so it would count; keep the count in its owner's field and register a Func that reads it",
+					fset.Position(fd.Pos()), typ, fd.Name.Name, typ)
+			}
+		}
+	}
+}

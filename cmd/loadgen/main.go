@@ -201,6 +201,9 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		ECNThreshold:   units.Size(*ecnthresh) * units.KB,
 		MTU:            units.Size(*mtu),
 	}
+	if *memKB < 0 {
+		return fail(1, fmt.Errorf("-netmem %d KB is negative (0 = adaptor default)", *memKB))
+	}
 	if *memKB > 0 {
 		c := cab.DefaultConfig()
 		c.MemSize = units.Size(*memKB) * units.KB

@@ -52,6 +52,43 @@ func TestFailedRunWritesProfiles(t *testing.T) {
 	}
 }
 
+// TestNegativeFlagsRefused: a negative count, size, time or rate exits 1
+// with an error naming the field before any host exists (zero keeps
+// selecting the default). Each used to be dropped silently: -window -5000
+// ran the default window and exited 0.
+func TestNegativeFlagsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-clients", "-1"}, "Clients -1 is negative"},
+		{[]string{"-servers", "-2"}, "Servers -2 is negative"},
+		{[]string{"-flows", "-3"}, "Flows -3 is negative"},
+		{[]string{"-requests", "-1"}, "Requests -1 is negative"},
+		{[]string{"-bulk", "-bulkwrite", "-5"}, "BulkWrite -5120B is negative"},
+		{[]string{"-bulk", "-duration", "-1ms"}, "Duration -1000000ns is negative"},
+		{[]string{"-think", "-1ms"}, "Think -1000000ns is negative"},
+		{[]string{"-openloop", "-rate", "-10"}, "Rate -10 is negative"},
+		{[]string{"-window", "-5000"}, "Window -5120000B is negative"},
+		{[]string{"-udpthink", "-1us"}, "UDPServerThink -1000ns is negative"},
+		{[]string{"-stagger", "-1ms"}, "Stagger -1000000ns is negative"},
+		{[]string{"-queuecap", "-1"}, "QueueCap -1024B is negative"},
+		{[]string{"-ecnthresh", "-1"}, "ECNThreshold -1024B is negative"},
+		{[]string{"-netmem", "-1"}, "-netmem -1 KB is negative"},
+	} {
+		var out, errb bytes.Buffer
+		if status := run(append(append([]string{}, tiny...), tc.args...), &out, &errb); status != 1 {
+			t.Errorf("%v: status %d, want 1", tc.args, status)
+		}
+		if !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%v: stderr %q, want it to say %s", tc.args, errb.String(), tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: a refused run printed %q", tc.args, out.String())
+		}
+	}
+}
+
 // TestModesRun: each accepted -mode runs its stack, and two invocations
 // with the same flags print the same report.
 func TestModesRun(t *testing.T) {

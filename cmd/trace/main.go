@@ -101,6 +101,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	if *n < 0 {
+		return fail(2, fmt.Errorf("bad -n %d (want 0 or more lines)", *n))
+	}
+	if *flowF < 0 || *flowF > 65535 {
+		return fail(2, fmt.Errorf("bad -flow %d (want a port, 0-65535; 0 = all)", *flowF))
+	}
 	if *dirF != "in" && *dirF != "out" && *dirF != "both" {
 		return fail(2, fmt.Errorf("bad -dir %q (want in, out, or both)", *dirF))
 	}

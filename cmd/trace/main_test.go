@@ -13,8 +13,9 @@ import (
 	"repro/internal/load"
 )
 
-// TestBadFlagsRejected: a bad -dir or -host, or -netobs without -chrome,
-// exits 2 with a one-line reason before anything runs.
+// TestBadFlagsRejected: a bad -dir or -host, a negative -n, a -flow that is
+// no port, or -netobs without -chrome, exits 2 with a one-line reason
+// before anything runs.
 func TestBadFlagsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -24,6 +25,9 @@ func TestBadFlagsRejected(t *testing.T) {
 		{[]string{"-host", "Q"}, `trace: bad -host "Q" (want A, B, or both)`},
 		{[]string{"-netobs", "dump.json"}, "trace: -netobs needs -chrome <out.json>"},
 		{[]string{"-n", "many"}, `invalid value "many" for flag -n`},
+		{[]string{"-n", "-5"}, "trace: bad -n -5 (want 0 or more lines)"},
+		{[]string{"-flow", "-3"}, "trace: bad -flow -3 (want a port, 0-65535; 0 = all)"},
+		{[]string{"-flow", "65536"}, "trace: bad -flow 65536 (want a port, 0-65535; 0 = all)"},
 	} {
 		var out, errb bytes.Buffer
 		if status := run(tc.args, &out, &errb); status != 2 {

@@ -227,8 +227,8 @@ func TestSmallWritesUseCopyPathWithThreshold(t *testing.T) {
 	if units.Size(len(got)) != 68*units.KB {
 		t.Fatalf("received %d bytes", len(got))
 	}
-	if sock.CopyWrites != 1 || sock.UIOWrites != 1 {
-		t.Fatalf("copy/UIO writes = %d/%d, want 1/1", sock.CopyWrites, sock.UIOWrites)
+	if sock.K.Sock.CopyWrites != 1 || sock.K.Sock.UIOWrites != 1 {
+		t.Fatalf("copy/UIO writes = %d/%d, want 1/1", sock.K.Sock.CopyWrites, sock.K.Sock.UIOWrites)
 	}
 }
 
@@ -275,8 +275,8 @@ func TestUnalignedWriteFallsBack(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("unaligned data corrupted")
 	}
-	if sock.UIOWrites != 0 || sock.CopyWrites != 1 {
-		t.Fatalf("UIO/copy writes = %d/%d, want 0/1", sock.UIOWrites, sock.CopyWrites)
+	if sock.K.Sock.UIOWrites != 0 || sock.K.Sock.CopyWrites != 1 {
+		t.Fatalf("UIO/copy writes = %d/%d, want 0/1", sock.K.Sock.UIOWrites, sock.K.Sock.CopyWrites)
 	}
 }
 

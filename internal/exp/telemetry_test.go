@@ -5,11 +5,16 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/cab"
+	"repro/internal/cabdrv"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/fault"
+	"repro/internal/hippi"
+	"repro/internal/kern"
 	"repro/internal/obs"
 	"repro/internal/socket"
+	"repro/internal/tcpip"
 	"repro/internal/ttcp"
 	"repro/internal/units"
 )
@@ -105,12 +110,84 @@ func TestLossMovesCounters(t *testing.T) {
 
 // TestTelemetryVirtualTimeNeutral asserts observing the system does not
 // change it: virtual-time results are identical with telemetry on and off.
+// Counting does not depend on telemetry either: on a lossy transfer every
+// Stats struct, the host socket counts, the kernels' interrupt posts and
+// allocation failures, the networks' counts and the injector's Fired are
+// equal with telemetry on and off, and each exported count equals the
+// field it reads.
 func TestTelemetryVirtualTimeNeutral(t *testing.T) {
-	_, on := shortRun(3, core.Recorders{Telemetry: true})
-	_, off := shortRun(3, core.Recorders{})
+	loss := fault.Rule{Kind: fault.Drop, When: fault.Prob(0.02), MinLen: 16*units.KB + 1}
+	tbOn, on := shortRun(3, core.Recorders{Telemetry: true}, loss)
+	tbOff, off := shortRun(3, core.Recorders{}, loss)
 	if on.Elapsed != off.Elapsed || on.Bytes != off.Bytes || on.Throughput != off.Throughput {
 		t.Fatalf("telemetry changed the run: on=(%v %v) off=(%v %v)",
 			on.Elapsed, on.Throughput, off.Elapsed, off.Throughput)
+	}
+
+	type hostCounts struct {
+		Stk                      tcpip.Stats
+		CAB                      cab.Stats
+		Drv                      cabdrv.Stats
+		Sock                     kern.SockStats
+		IntrPosts, AllocFailures int
+	}
+	counts := func(h *core.Host) hostCounts {
+		return hostCounts{h.Stk.Stats, h.CAB.Stats, h.Drv.Stats, h.K.Sock, h.K.IntrPosts, h.K.AllocFailures}
+	}
+	type netCounts struct {
+		Sent, Delivered, Dropped, Duped, DroppedInj, TxStalls, RxStalls int
+	}
+	netc := func(n *hippi.Network) netCounts {
+		return netCounts{n.Sent, n.Delivered, n.Dropped, n.Duped, n.DroppedInj, n.TxStalls, n.RxStalls}
+	}
+	for i, h := range tbOn.Hosts {
+		if got, want := counts(h), counts(tbOff.Hosts[i]); got != want {
+			t.Errorf("host %s counts with telemetry on:\n%+v\noff:\n%+v", h.Name, got, want)
+		}
+	}
+	if got, want := netc(tbOn.Net), netc(tbOff.Net); got != want {
+		t.Errorf("network counts with telemetry on %+v, off %+v", got, want)
+	}
+	if got, want := tbOn.FaultInj.Fired, tbOff.FaultInj.Fired; got != want {
+		t.Errorf("faults fired with telemetry on %v, off %v", got, want)
+	}
+
+	snap := tbOn.Tel.Snapshot()
+	a := tbOff.Hosts[0]
+	if a.Stk.Stats.TCPDupAcks == 0 || a.K.IntrPosts == 0 || a.K.Sock.UIOWrites == 0 || tbOff.FaultInj.Fired[fault.Drop] == 0 {
+		t.Fatalf("vacuous: the telemetry-off run counted dupacks %d, interrupt posts %d, UIO writes %d, drops %d",
+			a.Stk.Stats.TCPDupAcks, a.K.IntrPosts, a.K.Sock.UIOWrites, tbOff.FaultInj.Fired[fault.Drop])
+	}
+	for _, h := range tbOn.Hosts {
+		st, k := &h.Stk.Stats, h.K
+		for name, field := range map[string]int{
+			"tcp.rto_fires":           st.TCPRtoFires,
+			"tcp.dupacks":             st.TCPDupAcks,
+			"tcp.window_stalls":       st.TCPWindowStalls,
+			"tcp.wcab_conversions":    st.TCPWCABConversions,
+			"kern.intr_posts":         k.IntrPosts,
+			"kern.alloc_failures":     k.AllocFailures,
+			"socket.uio_writes":       k.Sock.UIOWrites,
+			"socket.copy_writes":      k.Sock.CopyWrites,
+			"socket.uio_reads":        k.Sock.UIOReads,
+			"socket.copy_reads":       k.Sock.CopyReads,
+			"socket.aligned_writes":   k.Sock.AlignedWrites,
+			"socket.dma_wait_wakeups": k.Sock.DMAWaitWakeups,
+		} {
+			if got := metric(t, snap, h.Name, name); got != int64(field) {
+				t.Errorf("%s/%s = %d, field %d", h.Name, name, got, field)
+			}
+		}
+	}
+	n := tbOn.Net
+	for name, field := range map[string]int64{
+		"hippi.tx_stalls": int64(n.TxStalls),
+		"hippi.rx_stalls": int64(n.RxStalls),
+		"fault.drop":      tbOn.FaultInj.Fired[fault.Drop],
+	} {
+		if got := metric(t, snap, "net", name); got != field {
+			t.Errorf("net/%s = %d, field %d", name, got, field)
+		}
 	}
 }
 

@@ -200,7 +200,6 @@ type Injector struct {
 	// Fired counts, per kind, how many faults were actually injected.
 	Fired [numKinds]int64
 
-	ctr   [numKinds]*obs.Counter
 	trace *obs.Trace
 }
 
@@ -242,7 +241,6 @@ func (in *Injector) has(k Kind) bool {
 // hit records one injected fault of kind k.
 func (in *Injector) hit(k Kind) {
 	in.Fired[k]++
-	in.ctr[k].Inc()
 	in.trace.Event("fault", kindNames[k], "fault."+kindNames[k])
 }
 
@@ -430,13 +428,13 @@ func (in *Injector) WireKernel(k *kern.Kernel) {
 	}
 }
 
-// SetObs attaches telemetry: a fault.<kind> counter per kind present in
-// the plan, and an instant trace event per injected fault.
+// SetObs attaches telemetry: a fault.<kind> metric reading Fired per kind
+// present in the plan, and an instant trace event per injected fault.
 func (in *Injector) SetObs(r *obs.Registry, tr *obs.Trace) {
 	if r != nil {
 		for k := Kind(0); k < numKinds; k++ {
 			if in.has(k) {
-				in.ctr[k] = r.Counter("fault." + kindNames[k])
+				r.Func("fault."+kindNames[k], func() int64 { return in.Fired[k] })
 			}
 		}
 	}

@@ -199,7 +199,7 @@ func (n *Network) hop(fl *flight, sw, dstSw SwitchID) {
 	}
 	if stall > 0 {
 		start = t.busyUntil[dir]
-		n.txStalls.Inc()
+		n.TxStalls++
 	}
 	end := start + fl.txTime
 	t.busyUntil[dir] = end

@@ -100,10 +100,10 @@ type Network struct {
 	Sent, Delivered, Dropped, Duped int
 	DroppedInj, DroppedUnattached   int
 	BytesSent                       units.Size
-
-	// Telemetry (nil when disabled): port-busy stalls on transmit and
-	// receive — the head-of-line effects the logical channels address.
-	txStalls, rxStalls *obs.Counter
+	// TxStalls and RxStalls count frames that waited for a busy port on
+	// transmit and on receive — the head-of-line effects the logical
+	// channels address.
+	TxStalls, RxStalls int
 
 	// Led records wire-transit data touches (nil when the ledger is off).
 	Led *ledger.Hook
@@ -148,8 +148,8 @@ func (n *Network) SetObs(r *obs.Registry, prefix string) {
 	r.Func(prefix+".frames_dropped_unattached", func() int64 { return int64(n.DroppedUnattached) })
 	r.Func(prefix+".frames_duped", func() int64 { return int64(n.Duped) })
 	r.Func(prefix+".bytes_sent", func() int64 { return int64(n.BytesSent) })
-	n.txStalls = r.Counter(prefix + ".tx_stalls")
-	n.rxStalls = r.Counter(prefix + ".rx_stalls")
+	r.Func(prefix+".tx_stalls", func() int64 { return int64(n.TxStalls) })
+	r.Func(prefix+".rx_stalls", func() int64 { return int64(n.RxStalls) })
 }
 
 type port struct {
@@ -193,7 +193,7 @@ func (n *Network) SendFrame(f Frame, sent func()) {
 	start := now
 	if sp.txBusyUntil > start {
 		start = sp.txBusyUntil
-		n.txStalls.Inc()
+		n.TxStalls++
 	}
 	end := start + txTime
 	sp.txBusyUntil = end
@@ -334,7 +334,7 @@ func (n *Network) arrive(fl *flight, dp *port, fabric bool) {
 		if dp.rxBusyUntil > arriveStart {
 			rxStall = dp.rxBusyUntil - arriveStart
 			arriveStart = dp.rxBusyUntil
-			n.rxStalls.Inc()
+			n.RxStalls++
 		}
 		dp.rxBusyUntil = arriveStart + txTime
 	}

@@ -118,7 +118,8 @@ type Kernel struct {
 	// event-dispatch counters.
 	EngObs *engine.Observer
 
-	intrPosts *obs.Counter
+	// IntrPosts counts interrupt work posted (PostIntr).
+	IntrPosts int
 
 	// AllocFault, when set (fault injection), reports transient mbuf/page
 	// allocation failure; allocation sites in process context call
@@ -127,7 +128,6 @@ type Kernel struct {
 	AllocFault func() bool
 	// AllocFailures counts allocation attempts that hit a fault.
 	AllocFailures int
-	allocFails    *obs.Counter
 
 	// KernelTask absorbs kernel work with no better owner.
 	KernelTask *Task
@@ -135,6 +135,23 @@ type Kernel struct {
 	// Mbufs is the host's mbuf allocator: every layer on the host takes
 	// its mbuf headers and clusters from it.
 	Mbufs *mbuf.Pool
+
+	// Sock counts the socket layer's calls across every socket of the
+	// host (internal/socket increments and exports it).
+	Sock SockStats
+}
+
+// SockStats are a host's socket-layer counts: which path each write and
+// each outboard read chunk took (Section 4.4.3), and how often a call
+// waited for its outstanding DMAs.
+type SockStats struct {
+	UIOWrites, CopyWrites int
+	UIOReads, CopyReads   int
+	// AlignedWrites counts misaligned writes salvaged by the Section 4.5
+	// short-first-packet optimization.
+	AlignedWrites int
+	// DMAWaitWakeups counts calls that slept on outstanding DMAs.
+	DMAWaitWakeups int
 }
 
 // Allocation-failure backoff: exponential from allocBackoffBase, capped at
@@ -156,7 +173,6 @@ func (k *Kernel) WaitAlloc(p *sim.Proc) {
 	d := allocBackoffBase
 	for k.AllocFault() {
 		k.AllocFailures++
-		k.allocFails.Inc()
 		p.Sleep(d)
 		if d *= 2; d > allocBackoffMax {
 			d = allocBackoffMax
@@ -206,19 +222,20 @@ func (k *Kernel) intrd(p *sim.Proc) {
 // PostIntr queues fn to run in interrupt context. Safe to call from any
 // simulation context (device models post completions from event callbacks).
 func (k *Kernel) PostIntr(name string, fn func(*sim.Proc)) {
-	k.intrPosts.Inc()
+	k.IntrPosts++
 	k.intrQ.Put(intrWork{name: name, fn: fn})
 }
 
-// RegisterObs registers the kernel's metrics on k.Obs: interrupt counts and
-// the per-category CPU time re-exported from the existing accounting.
+// RegisterObs registers the kernel's metrics on k.Obs: the interrupt and
+// allocation-failure counts and the per-category CPU time, each read from
+// the kernel's own accounting.
 func (k *Kernel) RegisterObs() {
 	r := k.Obs
 	if r == nil {
 		return
 	}
-	k.intrPosts = r.Counter("kern.intr_posts")
-	k.allocFails = r.Counter("kern.alloc_failures")
+	r.Func("kern.intr_posts", func() int64 { return int64(k.IntrPosts) })
+	r.Func("kern.alloc_failures", func() int64 { return int64(k.AllocFailures) })
 	for c := Category(0); c < numCategories; c++ {
 		c := c
 		r.Func("kern.cpu_ns."+c.String(), func() int64 { return int64(k.byCat[c]) })

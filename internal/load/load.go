@@ -14,6 +14,7 @@
 package load
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -132,10 +133,22 @@ type Scenario struct {
 	FaultPlan string
 }
 
-// normalized fills defaults and validates.
+// normalized fills defaults and validates. A zero count, size, time or
+// rate selects its default; a negative one is refused.
 func (s Scenario) normalized() (Scenario, error) {
 	if s.Name == "" {
 		s.Name = "load"
+	}
+	if err := cmp.Or(
+		negative("Clients", s.Clients), negative("Servers", s.Servers),
+		negative("Flows", s.Flows), negative("Requests", s.Requests),
+		negative("BulkWrite", s.BulkWrite), negative("Window", s.Window),
+		negative("QueueCap", s.QueueCap), negative("ECNThreshold", s.ECNThreshold),
+		negative("Duration", s.Duration), negative("Think", s.Think),
+		negative("UDPServerThink", s.UDPServerThink), negative("Stagger", s.Stagger),
+		negative("Rate", s.Rate),
+	); err != nil {
+		return s, err
 	}
 	if s.Clients <= 0 {
 		s.Clients = 1
@@ -196,6 +209,14 @@ func (s Scenario) normalized() (Scenario, error) {
 		}
 	}
 	return s, nil
+}
+
+// negative refuses a negative value v of the scenario field name.
+func negative[T ~int | ~int64 | ~float64](name string, v T) error {
+	if v < 0 {
+		return fmt.Errorf("load: %s %v is negative (0 selects the default)", name, v)
+	}
+	return nil
 }
 
 // maxSizes returns the largest request and response in the mix.

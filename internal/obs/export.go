@@ -38,8 +38,6 @@ func (r *Registry) Snapshot() HostMetrics {
 	hm := HostMetrics{Host: r.host}
 	for _, e := range r.entries {
 		switch e.kind {
-		case kindCounter:
-			hm.Metrics = append(hm.Metrics, Metric{Name: e.name, Value: e.c.Value()})
 		case kindGauge:
 			hm.Metrics = append(hm.Metrics,
 				Metric{Name: e.name, Value: e.g.Value()},

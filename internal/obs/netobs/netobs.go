@@ -30,7 +30,6 @@
 package netobs
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -95,63 +94,22 @@ func (k *RtxKind) UnmarshalText(b []byte) error {
 // FlowState is the congestion-relevant slice of a TCP connection's state,
 // passed by value so a disabled hook allocates nothing.
 type FlowState struct {
-	Cwnd     int64 // congestion window, bytes
-	Ssthresh int64 // slow-start threshold, bytes
-	SrttNs   int64 // smoothed RTT estimate
-	RttvarNs int64 // RTT variance estimate
-	RtoNs    int64 // current retransmission timeout
-	Flight   int64 // bytes in flight (sndNxt - sndUna)
-	SndWnd   int64 // peer-advertised send window, bytes
-	RcvWnd   int64 // our last advertised receive window, bytes
+	Cwnd     int64 `json:"cwnd"`      // congestion window, bytes
+	Ssthresh int64 `json:"ssthresh"`  // slow-start threshold, bytes
+	SrttNs   int64 `json:"srtt_ns"`   // smoothed RTT estimate
+	RttvarNs int64 `json:"rttvar_ns"` // RTT variance estimate
+	RtoNs    int64 `json:"rto_ns"`    // current retransmission timeout
+	Flight   int64 `json:"flight"`    // bytes in flight (sndNxt - sndUna)
+	SndWnd   int64 `json:"snd_wnd"`   // peer-advertised send window, bytes
+	RcvWnd   int64 `json:"rcv_wnd"`   // our last advertised receive window, bytes
 }
 
 // FlowSample is one row of a per-flow series: a FlowState plus the virtual
-// time it was observed.
+// time it was observed. encoding/json flattens the embedded state, so a
+// dump's row reads as one object.
 type FlowSample struct {
 	TNs int64 `json:"t_ns"`
 	FlowState
-}
-
-// MarshalJSON flattens the embedded state so dumps read as one object.
-func (s FlowSample) MarshalJSON() ([]byte, error) {
-	type flat struct {
-		TNs      int64 `json:"t_ns"`
-		Cwnd     int64 `json:"cwnd"`
-		Ssthresh int64 `json:"ssthresh"`
-		SrttNs   int64 `json:"srtt_ns"`
-		RttvarNs int64 `json:"rttvar_ns"`
-		RtoNs    int64 `json:"rto_ns"`
-		Flight   int64 `json:"flight"`
-		SndWnd   int64 `json:"snd_wnd"`
-		RcvWnd   int64 `json:"rcv_wnd"`
-	}
-	return json.Marshal(flat{s.TNs, s.Cwnd, s.Ssthresh, s.SrttNs,
-		s.RttvarNs, s.RtoNs, s.Flight, s.SndWnd, s.RcvWnd})
-}
-
-// UnmarshalJSON is the inverse flattening, so saved dumps round-trip
-// (cmd/trace re-renders loadgen -netobs-json captures).
-func (s *FlowSample) UnmarshalJSON(b []byte) error {
-	var flat struct {
-		TNs      int64 `json:"t_ns"`
-		Cwnd     int64 `json:"cwnd"`
-		Ssthresh int64 `json:"ssthresh"`
-		SrttNs   int64 `json:"srtt_ns"`
-		RttvarNs int64 `json:"rttvar_ns"`
-		RtoNs    int64 `json:"rto_ns"`
-		Flight   int64 `json:"flight"`
-		SndWnd   int64 `json:"snd_wnd"`
-		RcvWnd   int64 `json:"rcv_wnd"`
-	}
-	if err := json.Unmarshal(b, &flat); err != nil {
-		return err
-	}
-	*s = FlowSample{TNs: flat.TNs, FlowState: FlowState{
-		Cwnd: flat.Cwnd, Ssthresh: flat.Ssthresh, SrttNs: flat.SrttNs,
-		RttvarNs: flat.RttvarNs, RtoNs: flat.RtoNs, Flight: flat.Flight,
-		SndWnd: flat.SndWnd, RcvWnd: flat.RcvWnd,
-	}}
-	return nil
 }
 
 // RtxEvent is one entry of a flow's retransmission-event log.

@@ -1,5 +1,5 @@
 // Package obs is the unified telemetry layer for the simulated stack: a
-// per-host metrics registry (counters, gauges, pull functions), virtual-time
+// per-host metrics registry (pull functions and gauges), virtual-time
 // histograms, and packet-scoped data-path spans, with deterministic
 // exporters (human-readable table, JSON, Chrome trace-event JSON).
 //
@@ -18,10 +18,15 @@
 //     creation order, span/event creation order) and never ranges over a
 //     map. This makes the whole telemetry layer a regression oracle.
 //
+//   - The registry only reads. A count is a plain field its owner always
+//     increments (a Stats struct, a kernel or network field); the registry
+//     re-exports it through a Func, so a count reads the same with
+//     telemetry on or off and no fact is counted twice.
+//
 //   - Zero cost when disabled. Every hot-path hook is a method on a
-//     possibly-nil pointer (*Counter, *Gauge, *Span, *Trace); the nil
-//     receiver is a no-op and allocates nothing, so instrumented code runs
-//     unchanged — and benchmark-neutral — when telemetry is off.
+//     possibly-nil pointer (*Gauge, *Span, *Trace); the nil receiver is a
+//     no-op and allocates nothing, so instrumented code runs unchanged —
+//     and benchmark-neutral — when telemetry is off.
 //
 // Telemetry charges no simulated CPU or bus time: observing the system
 // never changes virtual-time results, enabled or not.
@@ -30,34 +35,6 @@ package obs
 import (
 	"repro/internal/units"
 )
-
-// Counter is a monotonically increasing event count. A nil *Counter is a
-// valid no-op sink.
-type Counter struct {
-	v int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
 
 // Gauge is an instantaneous level that also tracks two high-water marks:
 // an all-time one (snapshots export it under "<name>.hwm") and an
@@ -120,15 +97,13 @@ func (g *Gauge) Reset() {
 type entryKind int
 
 const (
-	kindCounter entryKind = iota
-	kindGauge
+	kindGauge entryKind = iota
 	kindFunc
 )
 
 type entry struct {
 	name string
 	kind entryKind
-	c    *Counter
 	g    *Gauge
 	fn   func() int64
 }
@@ -136,27 +111,13 @@ type entry struct {
 // Registry holds one host's named metrics. Names follow the
 // "subsystem.name" convention (tcp.retransmits, cab.sdma_ops, ...).
 // A nil *Registry is valid: every method is a no-op returning nil sinks,
-// which is the disabled-telemetry fast path.
+// which is the disabled-telemetry fast path. It hands out no counter: it
+// reads counts through Func and levels through Gauge.
 type Registry struct {
 	host    string
 	tel     *Telemetry
 	entries []entry
 	byName  map[string]int
-}
-
-// Counter returns the named counter, creating it on first use. Re-requests
-// of the same name share one counter (transient objects like sockets
-// accumulate into a host-lifetime count).
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	if i, ok := r.byName[name]; ok {
-		return r.entries[i].c
-	}
-	c := &Counter{}
-	r.add(entry{name: name, kind: kindCounter, c: c})
-	return c
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -172,10 +133,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Func registers a pull metric: fn is evaluated at snapshot time. Use it to
-// re-export counters a subsystem already keeps (Stats structs, CPU
-// accounting) without double bookkeeping. First registration of a name
-// wins.
+// Func registers a pull metric: fn is evaluated at snapshot time. It is
+// how every count is exported: fn reads a field its owner keeps (Stats
+// structs, CPU accounting). First registration of a name wins.
 func (r *Registry) Func(name string, fn func() int64) {
 	if r == nil {
 		return
@@ -184,6 +144,16 @@ func (r *Registry) Func(name string, fn func() int64) {
 		return
 	}
 	r.add(entry{name: name, kind: kindFunc, fn: fn})
+}
+
+// Has reports whether name is registered (false on a nil registry), so an
+// owner created many times per host registers its metrics once.
+func (r *Registry) Has(name string) bool {
+	if r == nil {
+		return false
+	}
+	_, ok := r.byName[name]
+	return ok
 }
 
 func (r *Registry) add(e entry) {

@@ -13,13 +13,6 @@ import (
 // TestNilSinksAreNoOps pins the disabled-telemetry contract: every hot-path
 // method on a nil receiver must be safe and free.
 func TestNilSinksAreNoOps(t *testing.T) {
-	var c *Counter
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatal("nil counter has a value")
-	}
-
 	var g *Gauge
 	g.Set(7)
 	if g.Value() != 0 || g.HighWater() != 0 {
@@ -49,10 +42,13 @@ func TestNilSinksAreNoOps(t *testing.T) {
 	}
 
 	var r *Registry
-	if r.Counter("a") != nil || r.Gauge("b") != nil {
-		t.Fatal("nil registry returned live sinks")
+	if r.Gauge("b") != nil {
+		t.Fatal("nil registry returned a live gauge")
 	}
 	r.Func("c", func() int64 { return 1 })
+	if r.Has("c") {
+		t.Fatal("nil registry registered a metric")
+	}
 	if r.TraceSink() != nil {
 		t.Fatal("nil registry returned a trace")
 	}
@@ -64,11 +60,9 @@ func TestNilSinksAreNoOps(t *testing.T) {
 // TestNilSinksAllocationFree asserts the disabled fast path allocates
 // nothing — the benchmark-neutrality requirement.
 func TestNilSinksAllocationFree(t *testing.T) {
-	var c *Counter
 	var g *Gauge
 	var tr *Trace
 	allocs := testing.AllocsPerRun(100, func() {
-		c.Inc()
 		g.Set(3)
 		sp := tr.StartSpan("h")
 		sp.Enter(StageWire)
@@ -79,17 +73,21 @@ func TestNilSinksAllocationFree(t *testing.T) {
 	}
 }
 
+// TestCounterGauge: a count is its owner's field, which the registry reads
+// at snapshot time (the first registration of a name wins); a gauge keeps
+// its level and high-water mark.
 func TestCounterGauge(t *testing.T) {
 	tel := New(func() units.Time { return 0 })
 	r := tel.Registry("h")
-	c := r.Counter("tcp.retransmits")
-	c.Inc()
-	c.Add(2)
-	if c.Value() != 3 {
-		t.Fatalf("counter = %d, want 3", c.Value())
+	var retransmits int
+	r.Func("tcp.retransmits", func() int64 { return int64(retransmits) })
+	r.Func("tcp.retransmits", func() int64 { return -1 })
+	if !r.Has("tcp.retransmits") || r.Has("tcp.dupacks") {
+		t.Fatal("Has disagrees with what was registered")
 	}
-	if r.Counter("tcp.retransmits") != c {
-		t.Fatal("re-request did not share the counter")
+	retransmits += 3
+	if hm := r.Snapshot(); len(hm.Metrics) != 1 || hm.Metrics[0].Value != 3 {
+		t.Fatalf("snapshot %+v, want tcp.retransmits = 3", hm.Metrics)
 	}
 	g := r.Gauge("cab.netmem_pages")
 	g.Set(9)
@@ -249,8 +247,8 @@ func TestSnapshotSortedAndDeterministic(t *testing.T) {
 		tel := New(func() units.Time { return now })
 		// Register in deliberately unsorted order.
 		b := tel.Registry("b")
-		b.Counter("zzz.last").Inc()
-		b.Counter("aaa.first").Add(2)
+		b.Func("zzz.last", func() int64 { return 1 })
+		b.Func("aaa.first", func() int64 { return 2 })
 		b.Gauge("mid.gauge").Set(7)
 		a := tel.Registry("a")
 		a.Func("f.pull", func() int64 { return 42 })
@@ -407,7 +405,7 @@ func TestTracelessSpanCarriesSeg(t *testing.T) {
 func TestFormatRendersTableAndHistogram(t *testing.T) {
 	now := units.Time(0)
 	tel := New(func() units.Time { return now })
-	tel.Registry("h").Counter("tcp.segs_out").Add(12)
+	tel.Registry("h").Func("tcp.segs_out", func() int64 { return 12 })
 	sp := tel.Trace().StartSpan("h")
 	sp.Enter(StageSocket)
 	now = 2 * units.Millisecond

@@ -18,10 +18,12 @@ type DGram struct {
 	Sock *tcpip.UDPSock
 	Cfg  Config
 
-	// rcv does RecvFrom's copy-out under Cfg; wtrk is SendTo's parked
-	// tracker.
-	rcv  *Socket
-	wtrk *tracker
+	// rcv does RecvFrom's copy-out under Cfg, counting into rcvStats:
+	// datagram reads are not part of the host's stream-socket counts
+	// (K.Sock). wtrk is SendTo's parked tracker.
+	rcv      *Socket
+	rcvStats kern.SockStats
+	wtrk     *tracker
 }
 
 // NewDGram binds a UDP socket (port 0 selects an ephemeral port). It fails
@@ -31,8 +33,9 @@ func NewDGram(k *kern.Kernel, vm *kern.VM, task *kern.Task, stk *tcpip.Stack, po
 	if err != nil {
 		return nil, err
 	}
-	return &DGram{K: k, VM: vm, Task: task, Sock: u, Cfg: cfg,
-		rcv: &Socket{K: k, VM: vm, Task: task}}, nil
+	d := &DGram{K: k, VM: vm, Task: task, Sock: u, Cfg: cfg}
+	d.rcv = &Socket{K: k, VM: vm, Task: task, st: &d.rcvStats}
+	return d, nil
 }
 
 // MustDGram is NewDGram for callers whose bind cannot fail (fixed free

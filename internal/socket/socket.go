@@ -80,37 +80,31 @@ type Socket struct {
 	Conn *tcpip.TCPConn
 	Cfg  Config
 
-	// Stats.
-	UIOWrites, CopyWrites int
-	UIOReads, CopyReads   int
-	// AlignedWrites counts misaligned writes salvaged by the Section 4.5
-	// short-first-packet optimization.
-	AlignedWrites int
-
-	// Telemetry counters (shared across sockets on the same host through
-	// the registry; nil when telemetry is disabled).
-	ctrUIOWrites, ctrCopyWrites   *obs.Counter
-	ctrUIOReads, ctrCopyReads     *obs.Counter
-	ctrAlignedWrites, ctrDMAWaits *obs.Counter
+	// st is where the socket's calls are counted: the host's K.Sock for a
+	// stream socket.
+	st *kern.SockStats
 
 	// The writer's and the reader's trackers, parked between system calls
 	// (see take).
 	wtrk, rtrk *tracker
 }
 
-// NewSocket wraps an established connection.
+// NewSocket wraps an established connection. The host's first socket
+// registers the socket.* metrics, which read the host-wide counts in
+// k.Sock; a host that never opens one exports none.
 func NewSocket(k *kern.Kernel, vm *kern.VM, task *kern.Task, conn *tcpip.TCPConn, cfg Config) *Socket {
-	s := &Socket{K: k, VM: vm, Task: task, Conn: conn, Cfg: cfg}
+	s := &Socket{K: k, VM: vm, Task: task, Conn: conn, Cfg: cfg, st: &k.Sock}
 	if cfg.Mode == ModeSingleCopy {
 		conn.NoCoalesce = true
 	}
-	if r := k.Obs; r != nil {
-		s.ctrUIOWrites = r.Counter("socket.uio_writes")
-		s.ctrCopyWrites = r.Counter("socket.copy_writes")
-		s.ctrUIOReads = r.Counter("socket.uio_reads")
-		s.ctrCopyReads = r.Counter("socket.copy_reads")
-		s.ctrAlignedWrites = r.Counter("socket.aligned_writes")
-		s.ctrDMAWaits = r.Counter("socket.dma_wait_wakeups")
+	if r := k.Obs; r != nil && !r.Has("socket.uio_writes") {
+		st := &k.Sock
+		r.Func("socket.uio_writes", func() int64 { return int64(st.UIOWrites) })
+		r.Func("socket.copy_writes", func() int64 { return int64(st.CopyWrites) })
+		r.Func("socket.uio_reads", func() int64 { return int64(st.UIOReads) })
+		r.Func("socket.copy_reads", func() int64 { return int64(st.CopyReads) })
+		r.Func("socket.aligned_writes", func() int64 { return int64(st.AlignedWrites) })
+		r.Func("socket.dma_wait_wakeups", func() int64 { return int64(st.DMAWaitWakeups) })
 	}
 	return s
 }
@@ -244,8 +238,7 @@ func (s *Socket) Write(p *sim.Proc, buf mem.Buf) (units.Size, error) {
 		buf.Len >= s.Cfg.UIOThreshold &&
 		aligned
 	if useUIO {
-		s.UIOWrites++
-		s.ctrUIOWrites.Inc()
+		s.st.UIOWrites++
 		return s.writeUIO(ctx, trk, buf)
 	}
 	if !aligned && s.alignable(buf) {
@@ -253,8 +246,7 @@ func (s *Socket) Write(p *sim.Proc, buf mem.Buf) (units.Size, error) {
 		// the copy path; the remainder is word-aligned and takes the
 		// single-copy path.
 		prefix := 4 - buf.Addr%4
-		s.AlignedWrites++
-		s.ctrAlignedWrites.Inc()
+		s.st.AlignedWrites++
 		n1, err := s.writeCopy(ctx, u, buf.Slice(0, prefix))
 		if err != nil {
 			return n1, err
@@ -266,8 +258,7 @@ func (s *Socket) Write(p *sim.Proc, buf mem.Buf) (units.Size, error) {
 		n2, err := s.writeUIO(ctx, trk, rest)
 		return n1 + n2, err
 	}
-	s.CopyWrites++
-	s.ctrCopyWrites.Inc()
+	s.st.CopyWrites++
 	return s.writeCopy(ctx, u, buf)
 }
 
@@ -391,7 +382,7 @@ func (s *Socket) writeUIO(ctx kern.Ctx, trk *tracker, buf mem.Buf) (units.Size, 
 	// Copy semantics: return only after the last outstanding DMA
 	// completes (Section 4.4.2). A DMA, once issued, cannot be canceled.
 	if trk.pending > 0 {
-		s.ctrDMAWaits.Inc()
+		s.st.DMAWaitWakeups++
 	}
 	trk.wait(ctx.P)
 	if c.Err != nil {
@@ -489,8 +480,7 @@ func (s *Socket) copyOut(ctx kern.Ctx, buf mem.Buf, chain *mbuf.Mbuf, n units.Si
 				continue
 			}
 			if s.Cfg.Mode == ModeSingleCopy && u.AlignedTo(off, ln, 4) {
-				s.UIOReads++
-				s.ctrUIOReads.Inc()
+				s.st.UIOReads++
 				sawDMA = true
 				s.VM.PinUIO(ctx, u, off, ln)
 				trk.pinned = append(trk.pinned, mem.Iovec{Addr: off, Len: ln})
@@ -504,8 +494,7 @@ func (s *Socket) copyOut(ctx kern.Ctx, buf mem.Buf, chain *mbuf.Mbuf, n units.Si
 				w.Handle.CopyOut(m.Off(), ln, scatter, trk)
 			} else {
 				// Fallback: read outboard data with the CPU.
-				s.CopyReads++
-				s.ctrCopyReads.Inc()
+				s.st.CopyReads++
 				didCopy = true
 				ctx.CopyToUIO(u, off, w.Handle.Read(m.Off(), ln), n)
 			}
@@ -522,7 +511,7 @@ func (s *Socket) copyOut(ctx kern.Ctx, buf mem.Buf, chain *mbuf.Mbuf, n units.Si
 		// rescheduled (Section 2.2).
 		ctx.Charge(s.K.Mach.InterruptCost, kern.CatIntr)
 		if trk.pending > 0 {
-			s.ctrDMAWaits.Inc()
+			s.st.DMAWaitWakeups++
 		}
 		trk.wait(ctx.P)
 		// The read's outboard ranges landed in the user buffer by SDMA.

@@ -141,10 +141,10 @@ func TestUnalignedReadFallsBackToCopy(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("unaligned read corrupted stream (%d bytes)", len(got))
 	}
-	if sock.UIOReads != 0 {
-		t.Fatalf("UIO (DMA) reads = %d, want 0 for misaligned buffer", sock.UIOReads)
+	if sock.K.Sock.UIOReads != 0 {
+		t.Fatalf("UIO (DMA) reads = %d, want 0 for misaligned buffer", sock.K.Sock.UIOReads)
 	}
-	if sock.CopyReads == 0 {
+	if sock.K.Sock.CopyReads == 0 {
 		t.Fatal("expected copy-path reads")
 	}
 	// No pages may stay pinned after the fallback path.
@@ -334,11 +334,11 @@ func TestAlignFirstPacketOptimization(t *testing.T) {
 			t.Fatalf("byte %d corrupted", i)
 		}
 	}
-	if sock.AlignedWrites != 1 {
-		t.Fatalf("aligned writes = %d, want 1", sock.AlignedWrites)
+	if sock.K.Sock.AlignedWrites != 1 {
+		t.Fatalf("aligned writes = %d, want 1", sock.K.Sock.AlignedWrites)
 	}
-	if sock.UIOWrites != 0 {
-		t.Fatalf("plain UIO writes = %d, want 0 (the buffer was misaligned)", sock.UIOWrites)
+	if sock.K.Sock.UIOWrites != 0 {
+		t.Fatalf("plain UIO writes = %d, want 0 (the buffer was misaligned)", sock.K.Sock.UIOWrites)
 	}
 	// The bulk must have gone outboard: sender copy time covers only the
 	// 2-byte prefix (plus nothing else).
@@ -375,8 +375,8 @@ func TestAlignFirstPacketDisabledByDefault(t *testing.T) {
 	})
 	tb.Eng.Run()
 	tb.Eng.KillAll()
-	if sock.AlignedWrites != 0 || sock.CopyWrites == 0 {
+	if sock.K.Sock.AlignedWrites != 0 || sock.K.Sock.CopyWrites == 0 {
 		t.Fatalf("aligned=%d copy=%d; default must use the plain copy path",
-			sock.AlignedWrites, sock.CopyWrites)
+			sock.K.Sock.AlignedWrites, sock.K.Sock.CopyWrites)
 	}
 }

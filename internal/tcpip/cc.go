@@ -6,13 +6,15 @@ import (
 	"repro/internal/units"
 )
 
-// Pluggable congestion control. The window-math policy — how cwnd and
-// ssthresh move on acknowledgements, losses and timeouts — lives behind
-// congCtrl; the mechanics (duplicate-ACK counting, retransmission, RTT
-// estimation, the retransmit timers) stay in tcpcong.go and the timer
-// files, shared by every algorithm. The default is the stack's original
-// Reno-vintage behavior, byte-identical to the pre-interface code; the
-// DCTCP variant reacts to fabric ECN marks instead of waiting for loss.
+// Congestion control. The stack's original behavior is 4.3BSD-Reno vintage
+// (tcpcong.go: slow start, congestion avoidance, halving on loss); DCTCP
+// adds an estimator of the fraction of ECN-marked acknowledgements and
+// cuts the window by it instead of waiting for loss. Both share every
+// mechanism — duplicate-ACK counting, retransmission, RTT estimation, the
+// loss and timeout cuts — and differ only where a connection's dctcp
+// estimator is set: data segments go out ECN-capable, and a new
+// acknowledgement feeds the estimator before the shared window growth,
+// which a CE-echoing acknowledgement skips.
 
 // Congestion-control algorithm names (Stack.CC).
 const (
@@ -30,75 +32,30 @@ func ValidCC(name string) bool {
 	return false
 }
 
-// congCtrl is the window-math policy of one connection.
-type congCtrl interface {
-	name() string
-	// ecnCapable marks outgoing data segments ECT so fabric hops may CE
-	// them instead of dropping.
-	ecnCapable() bool
-	// init sets the initial window state once the MSS is known.
-	init(c *TCPConn)
-	// onAck applies window growth (and any ECN reaction) for a new
-	// acknowledgement of acked bytes; ece reports the segment's ECN-echo
-	// flag.
-	onAck(c *TCPConn, acked units.Size, ece bool)
-	// onLoss applies the multiplicative decrease for a 3-dupack fast
-	// retransmit.
-	onLoss(c *TCPConn)
-	// onTimeout applies the decrease for a retransmission-timer fire.
-	onTimeout(c *TCPConn)
-}
-
-// newCC builds the policy named by the stack's CC field; the name has been
-// validated by the caller (ValidCC), so an unknown name is a programming
-// error.
-func newCC(name string) congCtrl {
+// newDCTCP returns the estimator for a connection on a stack whose CC field
+// is name: nil for Reno. The name has been validated by the caller
+// (ValidCC), so an unknown name is a programming error and never runs as
+// Reno.
+func newDCTCP(name string) *dctcp {
 	switch name {
 	case "", CCReno:
-		return renoCC{}
+		return nil
 	case CCDctcp:
-		return &dctcpCC{alpha: dctcpAlphaScale}
+		return &dctcp{alpha: dctcpAlphaScale}
 	}
 	panic(fmt.Sprintf("tcpip: unknown congestion control %q", name))
 }
 
-// halveOnLoss is the classic Reno cut shared by both algorithms when real
-// loss (not a mark) is detected: ssthresh to half the flight, floored at
-// two segments.
-func halveOnLoss(c *TCPConn) {
+// halveOnLoss is the classic Reno cut, applied by both algorithms when
+// real loss (not a mark) is detected: ssthresh to half the flight, floored
+// at two segments.
+func (c *TCPConn) halveOnLoss() {
 	flight := seqDiff(c.sndNxt, c.sndUna)
 	half := flight / 2
 	if half < 2*c.MaxSeg {
 		half = 2 * c.MaxSeg
 	}
 	c.ssthresh = half
-}
-
-// renoCC is the stack's original 4.3BSD-Reno-vintage behavior.
-type renoCC struct{}
-
-func (renoCC) name() string     { return CCReno }
-func (renoCC) ecnCapable() bool { return false }
-
-func (renoCC) init(c *TCPConn) {
-	c.cwnd = initialCwndSegs * c.MaxSeg
-	c.ssthresh = c.SndLimit
-}
-
-func (renoCC) onAck(c *TCPConn, acked units.Size, ece bool) {
-	c.openCwnd(acked)
-}
-
-func (renoCC) onLoss(c *TCPConn) {
-	halveOnLoss(c)
-	c.cwnd = c.ssthresh
-}
-
-func (renoCC) onTimeout(c *TCPConn) {
-	halveOnLoss(c)
-	if c.cwnd > 0 {
-		c.cwnd = c.MaxSeg
-	}
 }
 
 // DCTCP estimator constants: alpha is a fixed-point fraction scaled by
@@ -109,27 +66,21 @@ const (
 	dctcpGainShift        = 4
 )
 
-// dctcpCC reacts to the *fraction* of CE-marked acknowledgements: a window
+// dctcp reacts to the *fraction* of CE-marked acknowledgements: a window
 // with few marks is cut a little, a fully marked window is cut in half —
 // instead of Reno's halving on every loss event. The fabric marks frames
 // whose hop queue crossed its threshold (hippi.SetECN), so incast bursts
 // are absorbed with shallow queues and no RTO-driven collapse.
-type dctcpCC struct {
+type dctcp struct {
 	alpha       int64 // marked fraction estimate, scaled by dctcpAlphaScale
 	ackedBytes  int64 // bytes acked this observation window
 	markedBytes int64 // of those, bytes whose ACK carried ECE
 }
 
-func (*dctcpCC) name() string     { return CCDctcp }
-func (*dctcpCC) ecnCapable() bool { return true }
-
-func (d *dctcpCC) init(c *TCPConn) {
-	c.cwnd = initialCwndSegs * c.MaxSeg
-	c.ssthresh = c.SndLimit
-	d.ackedBytes, d.markedBytes = 0, 0
-}
-
-func (d *dctcpCC) onAck(c *TCPConn, acked units.Size, ece bool) {
+// onAck folds a new acknowledgement of acked bytes into the estimate and,
+// once per window of acknowledged bytes, cuts c's window by alpha/2 if any
+// were marked.
+func (d *dctcp) onAck(c *TCPConn, acked units.Size, ece bool) {
 	d.ackedBytes += int64(acked)
 	if ece {
 		d.markedBytes += int64(acked)
@@ -147,21 +98,5 @@ func (d *dctcpCC) onAck(c *TCPConn, acked units.Size, ece bool) {
 			c.ssthresh = c.cwnd
 		}
 		d.ackedBytes, d.markedBytes = 0, 0
-	}
-	if !ece {
-		c.openCwnd(acked)
-	}
-}
-
-func (d *dctcpCC) onLoss(c *TCPConn) {
-	// Real loss still halves, as DCTCP specifies.
-	halveOnLoss(c)
-	c.cwnd = c.ssthresh
-}
-
-func (d *dctcpCC) onTimeout(c *TCPConn) {
-	halveOnLoss(c)
-	if c.cwnd > 0 {
-		c.cwnd = c.MaxSeg
 	}
 }

@@ -201,11 +201,11 @@ type TCPConn struct {
 	userTimeout     units.Time
 	progressAt      units.Time // vtime of the last send-side forward progress
 
-	// Congestion control and RTT estimation (tcpcong.go). cc is the
-	// pluggable window-math policy (cc.go), chosen by the stack's CC
-	// field at connection creation; ceSeen latches an arriving CE mark
-	// until the next outgoing segment echoes it (FlagECE).
-	cc             congCtrl
+	// Congestion control and RTT estimation (tcpcong.go, cc.go). dctcp
+	// is the DCTCP estimator, chosen by the stack's CC field at
+	// connection creation (nil for Reno); ceSeen latches an arriving CE
+	// mark until the next outgoing segment echoes it (FlagECE).
+	dctcp          *dctcp
 	ceSeen         bool
 	cwnd, ssthresh units.Size
 	dupAcks        int
@@ -246,7 +246,7 @@ func (s *Stack) newConn(key connKey) *TCPConn {
 		lastRcvd:       s.K.Eng.Now(),
 		progressAt:     s.K.Eng.Now(),
 	}
-	c.cc = newCC(s.CC)
+	c.dctcp = newDCTCP(s.CC)
 	c.nobs = s.nrec.Flow(s.K.Name, s.nnode, int(key.lport), int(key.rport))
 	// Flows are keyed by the data sender's local port: ours for what we
 	// write, the peer's for what we read.

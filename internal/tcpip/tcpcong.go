@@ -27,7 +27,8 @@ const (
 
 // initCong sets the initial congestion state once the MSS is known.
 func (c *TCPConn) initCong() {
-	c.cc.init(c)
+	c.cwnd = initialCwndSegs * c.MaxSeg
+	c.ssthresh = c.SndLimit
 	c.noteNetObs()
 }
 
@@ -110,14 +111,15 @@ func (c *TCPConn) openCwnd(acked units.Size) {
 // at the threshold it fast retransmits the missing segment and halves the
 // window.
 func (c *TCPConn) onDupAck(ctx kern.Ctx, sp *obs.Span) {
-	c.stk.ctrDupAcks.Inc()
+	c.stk.Stats.TCPDupAcks++
 	c.dupAcks++
 	if c.dupAcks != dupAckThreshold {
 		return
 	}
 	c.stk.Stats.TCPFastRetransmits++
 	c.nobs.Rtx(netobs.RtxFast)
-	c.cc.onLoss(c)
+	c.halveOnLoss()
+	c.cwnd = c.ssthresh
 	c.cancelRTTSample()
 	// Resend just the missing segment.
 	seglen := c.sndLen
@@ -135,15 +137,26 @@ func (c *TCPConn) onDupAck(ctx kern.Ctx, sp *obs.Span) {
 	}
 }
 
-// onNewAck resets duplicate-ACK state and applies the policy's window
-// growth; ece reports whether the acknowledgement echoed a CE mark.
+// onNewAck resets duplicate-ACK state and grows the window; ece reports
+// whether the acknowledgement echoed a CE mark. Under DCTCP the estimator
+// sees the acknowledgement first, and a marked one grows nothing.
 func (c *TCPConn) onNewAck(acked units.Size, ece bool) {
 	c.dupAcks = 0
-	c.cc.onAck(c, acked, ece)
+	if c.dctcp != nil {
+		c.dctcp.onAck(c, acked, ece)
+		if ece {
+			return
+		}
+	}
+	c.openCwnd(acked)
 }
 
-// onRtxTimeout applies the policy's multiplicative decrease for a timeout.
+// onRtxTimeout applies the multiplicative decrease for a timeout: the loss
+// cut, and the window back to one segment.
 func (c *TCPConn) onRtxTimeout() {
-	c.cc.onTimeout(c)
+	c.halveOnLoss()
+	if c.cwnd > 0 {
+		c.cwnd = c.MaxSeg
+	}
 	c.cancelRTTSample()
 }

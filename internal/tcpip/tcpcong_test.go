@@ -215,3 +215,33 @@ func TestPiggybackedFin(t *testing.T) {
 	}
 	_ = finWithData // informational: either form is legal
 }
+
+// TestCCSelection: the stack's CC field picks a connection's estimator at
+// creation — none for Reno, DCTCP's for dctcp — and an unknown name panics
+// instead of running as Reno. A CE-echoing acknowledgement grows a DCTCP
+// window not at all and a Reno window as any other.
+func TestCCSelection(t *testing.T) {
+	r := newRig(t, 45)
+	for i, tc := range []struct {
+		cc   string
+		grow units.Size
+	}{{"", 1000}, {CCReno, 1000}, {CCDctcp, 0}} {
+		r.sa.CC = tc.cc
+		c := r.sa.newConn(connKey{raddr: r.sb.Addr, lport: uint16(20000 + i), rport: 80})
+		if (c.dctcp != nil) != (tc.cc == CCDctcp) {
+			t.Errorf("CC %q: dctcp estimator %v", tc.cc, c.dctcp)
+		}
+		c.MaxSeg, c.cwnd, c.ssthresh = 1000, 10000, 1<<20
+		c.onNewAck(1000, true)
+		if got := c.cwnd - 10000; got != tc.grow {
+			t.Errorf("CC %q: a CE-echoing ACK grew cwnd by %v, want %v", tc.cc, got, tc.grow)
+		}
+	}
+	r.sa.CC = "cubic"
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an unknown CC ran instead of panicking")
+		}
+	}()
+	r.sa.newConn(connKey{raddr: r.sb.Addr, lport: 20010, rport: 80})
+}

@@ -50,6 +50,10 @@ type Stats struct {
 	TCPKaProbes           int
 	TCPLivenessDrops      int
 	TCPDeviceResets       int
+	TCPRtoFires           int
+	TCPDupAcks            int
+	TCPWindowStalls       int // persist timer armed on a closed window
+	TCPWCABConversions    int // sent ranges converted to M_WCAB (onOutboard)
 	UDPIn, UDPOut         int
 	UDPCsumErrors         int
 	UDPDropNoPort         int
@@ -96,11 +100,7 @@ type Stack struct {
 
 	// Telemetry (all nil when disabled — the hot paths then skip every
 	// telemetry branch without allocating).
-	tr              *obs.Trace
-	ctrRtoFires     *obs.Counter
-	ctrDupAcks      *obs.Counter
-	ctrWindowStalls *obs.Counter
-	ctrWCABConv     *obs.Counter
+	tr *obs.Trace
 	// Queue/window gauges for the utilization time-series sampler: the
 	// host-wide aggregates updated by every connection (last writer wins,
 	// which for the sampler's per-interval peaks is what we want).
@@ -157,10 +157,6 @@ func NewStack(k *kern.Kernel, addr wire.Addr) *Stack {
 		s.gSndQ = r.Gauge("tcp.snd_q")
 		s.gRcvQ = r.Gauge("tcp.rcv_q")
 		s.gSndWnd = r.Gauge("tcp.snd_wnd")
-		s.ctrRtoFires = r.Counter("tcp.rto_fires")
-		s.ctrDupAcks = r.Counter("tcp.dupacks")
-		s.ctrWindowStalls = r.Counter("tcp.window_stalls")
-		s.ctrWCABConv = r.Counter("tcp.wcab_conversions")
 		r.Func("tcp.segs_in", func() int64 { return int64(s.Stats.TCPSegsIn) })
 		r.Func("tcp.segs_out", func() int64 { return int64(s.Stats.TCPSegsOut) })
 		r.Func("tcp.retransmits", func() int64 { return int64(s.Stats.TCPRetransmits) })
@@ -172,6 +168,10 @@ func NewStack(k *kern.Kernel, addr wire.Addr) *Stack {
 		r.Func("tcp.ka_probes", func() int64 { return int64(s.Stats.TCPKaProbes) })
 		r.Func("tcp.liveness_drops", func() int64 { return int64(s.Stats.TCPLivenessDrops) })
 		r.Func("tcp.device_resets", func() int64 { return int64(s.Stats.TCPDeviceResets) })
+		r.Func("tcp.rto_fires", func() int64 { return int64(s.Stats.TCPRtoFires) })
+		r.Func("tcp.dupacks", func() int64 { return int64(s.Stats.TCPDupAcks) })
+		r.Func("tcp.window_stalls", func() int64 { return int64(s.Stats.TCPWindowStalls) })
+		r.Func("tcp.wcab_conversions", func() int64 { return int64(s.Stats.TCPWCABConversions) })
 		r.Func("ip.in", func() int64 { return int64(s.Stats.IPIn) })
 		r.Func("ip.out", func() int64 { return int64(s.Stats.IPOut) })
 		r.Func("ip.frags_in", func() int64 { return int64(s.Stats.IPFragsIn) })

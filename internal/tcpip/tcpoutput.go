@@ -250,7 +250,8 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 	ctx.Charge(c.stk.K.Mach.TCPPerPacket, kern.CatProto)
 	c.stk.Stats.TCPSegsOut++
 	var ecn uint8
-	if seglen > 0 && c.cc.ecnCapable() {
+	if seglen > 0 && c.dctcp != nil { // DCTCP data is ECN-capable
+
 		ecn = wire.ECNECT0
 	}
 	c.stk.IPOutputECN(ctx, hm, wire.ProtoTCP, c.key.raddr, ecn)
@@ -288,7 +289,7 @@ func (c *TCPConn) onOutboard(seq uint32, n units.Size, w *mbuf.WCAB) {
 		w.Unref()
 		return
 	}
-	c.stk.ctrWCABConv.Inc()
+	c.stk.Stats.TCPWCABConversions++
 }
 
 // onConverted is the legacy-device analogue of onOutboard: the driver-entry

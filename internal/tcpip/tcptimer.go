@@ -115,7 +115,7 @@ func (c *TCPConn) cancelRtx() { c.cancel(timerRtx) }
 // rtxTimeout retransmits go-back-N from the last acknowledged byte with
 // exponential backoff.
 func (c *TCPConn) rtxTimeout(ctx kern.Ctx) {
-	c.stk.ctrRtoFires.Inc()
+	c.stk.Stats.TCPRtoFires++
 	c.nobs.Rtx(netobs.RtxRTO)
 	c.timerEv(obs.CauseRTO, obs.EvRTOFire)
 	if c.userTimedOut() {
@@ -154,7 +154,7 @@ func (c *TCPConn) armPersist() {
 	if c.persistOn || c.state == StateClosed {
 		return
 	}
-	c.stk.ctrWindowStalls.Inc()
+	c.stk.Stats.TCPWindowStalls++
 	c.persistOn = true
 	c.arm(timerPersist, persistInterval)
 }

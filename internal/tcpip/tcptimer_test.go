@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/race"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -20,7 +19,7 @@ type timerRig struct {
 	r     *rig
 	c     *TCPConn
 	kind  timerKind
-	posts *obs.Counter
+	posts int // the kernel's interrupt posts before the script ran
 	saw   strings.Builder
 	n     int // probes posted
 	seen  int // the act count the last probe saw
@@ -148,9 +147,7 @@ func TestTimerSemantics(t *testing.T) {
 				r, cli, _ := livenessPair(t, 61)
 				defer r.eng.KillAll()
 				r.ia.drop = func(int, []byte) bool { return true }
-				r.ka.Obs = obs.New(r.eng.Now).Registry("A")
-				r.ka.RegisterObs()
-				h := &timerRig{r: r, c: cli, kind: k, posts: r.ka.Obs.Counter("kern.intr_posts")}
+				h := &timerRig{r: r, c: cli, kind: k, posts: r.ka.IntrPosts}
 				// A keepalive expiry finds the peer idle past the threshold
 				// and probes; its own re-arm lies beyond the run.
 				cli.kaIdle, cli.kaIntvl, cli.kaCount = units.Microsecond, 1000*units.Second, 100
@@ -168,7 +165,7 @@ func TestTimerSemantics(t *testing.T) {
 				if tc.closed && (k == timerRtx || k == timerKeepAlive) {
 					posts = 0
 				}
-				if got := int(h.posts.Value()) - h.n; got != posts {
+				if got := r.ka.IntrPosts - h.posts - h.n; got != posts {
 					t.Errorf("%d handlers posted, want %d", got, posts)
 				}
 			})
