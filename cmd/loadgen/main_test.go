@@ -65,15 +65,15 @@ func TestNegativeFlagsRefused(t *testing.T) {
 		{[]string{"-servers", "-2"}, "Servers -2 is negative"},
 		{[]string{"-flows", "-3"}, "Flows -3 is negative"},
 		{[]string{"-requests", "-1"}, "Requests -1 is negative"},
-		{[]string{"-bulk", "-bulkwrite", "-5"}, "BulkWrite -5120B is negative"},
-		{[]string{"-bulk", "-duration", "-1ms"}, "Duration -1000000ns is negative"},
-		{[]string{"-think", "-1ms"}, "Think -1000000ns is negative"},
+		{[]string{"-bulk", "-bulkwrite", "-5"}, "BulkWrite -5KB is negative"},
+		{[]string{"-bulk", "-duration", "-1ms"}, "Duration -1.000ms is negative"},
+		{[]string{"-think", "-1ms"}, "Think -1.000ms is negative"},
 		{[]string{"-openloop", "-rate", "-10"}, "Rate -10 is negative"},
-		{[]string{"-window", "-5000"}, "Window -5120000B is negative"},
-		{[]string{"-udpthink", "-1us"}, "UDPServerThink -1000ns is negative"},
-		{[]string{"-stagger", "-1ms"}, "Stagger -1000000ns is negative"},
-		{[]string{"-queuecap", "-1"}, "QueueCap -1024B is negative"},
-		{[]string{"-ecnthresh", "-1"}, "ECNThreshold -1024B is negative"},
+		{[]string{"-window", "-5000"}, "Window -5000KB is negative"},
+		{[]string{"-udpthink", "-1us"}, "UDPServerThink -1.000us is negative"},
+		{[]string{"-stagger", "-1ms"}, "Stagger -1.000ms is negative"},
+		{[]string{"-queuecap", "-1"}, "QueueCap -1KB is negative"},
+		{[]string{"-ecnthresh", "-1"}, "ECNThreshold -1KB is negative"},
 		{[]string{"-netmem", "-1"}, "-netmem -1 KB is negative"},
 	} {
 		var out, errb bytes.Buffer

@@ -16,7 +16,10 @@
 // Swap and Combine promise Fold of their result, never which of the many
 // unfolded representatives comes back, so callers compare, store on the
 // wire and digest folded values only. That freedom is what lets Sum add
-// eight bytes at a time.
+// eight bytes at a time, and in the host's native (little-endian) byte
+// order: the ones-complement sum does not depend on byte order (RFC 1071
+// §2(B)), so Sum swaps the bytes of its folded result once instead of
+// every word it loads.
 package checksum
 
 import (
@@ -33,30 +36,39 @@ import (
 // Only Fold(Sum(b)) is specified: the unfolded value is some member of the
 // folded sum's congruence class mod 0xffff, not a particular one.
 func Sum(b []byte) uint32 {
-	// Eight bytes per load. A 64-bit big-endian word is four 16-bit words
-	// and 2^16 ≡ 1 (mod 0xffff), so a ones-complement sum of 64-bit words
-	// (add, then add the carry back in) is in the same class as the sum of
-	// the 16-bit words. The carry out of each add is the carry into the
-	// next — one add-with-carry chain — and the last one comes back around
-	// at the end. The tail (under eight bytes) cannot carry.
+	// Eight bytes per load, little-endian, which is a plain load on the
+	// hosts this runs on. A 64-bit word is four 16-bit words and
+	// 2^16 ≡ 1 (mod 0xffff), so a ones-complement sum of 64-bit words (add,
+	// then add the carry back in) is in the same class as the sum of the
+	// 16-bit words. Each of those words is the byte swap of the big-endian
+	// word RFC 1071 sums, and the ones-complement sum of swapped words is
+	// the swap of the sum, so the folded result is swapped back once at the
+	// end. The carry out of each add is the carry into the next — one
+	// add-with-carry chain — and the last one comes back around at the
+	// end. The tail (under eight bytes) cannot carry; its pairs are
+	// little-endian too, so a trailing odd byte is the low byte.
 	var s, c, tail uint64
-	for len(b) >= 32 {
-		s, c = bits.Add64(s, binary.BigEndian.Uint64(b), c)
-		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[8:]), c)
-		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[16:]), c)
-		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[24:]), c)
-		b = b[32:]
+	for len(b) >= 64 {
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[8:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[16:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[24:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[32:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[40:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[48:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[56:]), c)
+		b = b[64:]
 	}
 	for len(b) >= 8 {
-		s, c = bits.Add64(s, binary.BigEndian.Uint64(b), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b), c)
 		b = b[8:]
 	}
 	for len(b) >= 2 {
-		tail += uint64(b[0])<<8 | uint64(b[1])
+		tail += uint64(b[0]) | uint64(b[1])<<8
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		tail += uint64(b[0]) << 8
+		tail += uint64(b[0])
 	}
 	s, c = bits.Add64(s, tail, c)
 	// End-around carry. If this add carries too, s is left 0 and the
@@ -64,9 +76,10 @@ func Sum(b []byte) uint32 {
 	s, c = bits.Add64(s, 0, c)
 	s += c
 	// Reduce to 32 bits: twice, because the first fold can reach 2^33-2.
+	// Then to 16, which is where the byte swap is exact.
 	s = s>>32 + s&0xffffffff
 	s = s>>32 + s&0xffffffff
-	return uint32(s)
+	return uint32(bits.ReverseBytes16(Fold(uint32(s))))
 }
 
 // Add combines two partial sums that both start on even byte offsets.

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/cab"
@@ -187,6 +188,51 @@ func TestTelemetryVirtualTimeNeutral(t *testing.T) {
 	} {
 		if got := metric(t, snap, "net", name); got != field {
 			t.Errorf("net/%s = %d, field %d", name, got, field)
+		}
+	}
+}
+
+// TestDgramReadsReported: a UDP transfer with telemetry on reports the
+// path its datagram reads took — every 32 KB datagram read by SDMA into
+// the aligned user buffer, none by the CPU — from the host's datagram
+// counts, and exports no stream-socket metric.
+func TestDgramReadsReported(t *testing.T) {
+	tb := core.NewTestbed(1).Record(core.Recorders{Telemetry: true})
+	cfg := core.HostConfig{Mach: cost.Alpha400(), Mode: socket.ModeSingleCopy}
+	cfg.Name, cfg.Addr, cfg.CABNode = "A", addrA, 1
+	a := tb.AddHost(cfg)
+	cfg.Name, cfg.Addr, cfg.CABNode = "B", addrB, 2
+	b := tb.AddHost(cfg)
+	tb.RouteCAB(a, b)
+	const size = 32 * units.KB
+	res := ttcp.RunUDP(tb, a, b, ttcp.Params{Total: 2 * units.MB, RWSize: size})
+	if res.Received != 2*units.MB {
+		t.Fatalf("received %v of 2MB", res.Received)
+	}
+	snap := tb.Tel.Snapshot()
+	d := b.K.Dgram
+	if d.UIOReads != int(res.Received/size) || d.CopyReads != 0 || d.DMAWaitWakeups == 0 {
+		t.Fatalf("receiver's datagram counts %+v; want %d UIO reads, no copy reads, and DMA waits", d, res.Received/size)
+	}
+	for _, h := range tb.Hosts {
+		for name, field := range map[string]int{
+			"dgram.uio_reads":        h.K.Dgram.UIOReads,
+			"dgram.copy_reads":       h.K.Dgram.CopyReads,
+			"dgram.dma_wait_wakeups": h.K.Dgram.DMAWaitWakeups,
+		} {
+			if got := metric(t, snap, h.Name, name); got != int64(field) {
+				t.Errorf("%s/%s = %d, field %d", h.Name, name, got, field)
+			}
+		}
+		if h.K.Sock != (kern.SockStats{}) {
+			t.Errorf("%s: stream-socket counts %+v in a UDP-only run", h.Name, h.K.Sock)
+		}
+	}
+	for _, h := range snap.Hosts {
+		for _, m := range h.Metrics {
+			if strings.HasPrefix(m.Name, "socket.") {
+				t.Errorf("%s exports %s in a UDP-only run", h.Host, m.Name)
+			}
 		}
 	}
 }

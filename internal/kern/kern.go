@@ -136,9 +136,10 @@ type Kernel struct {
 	// its mbuf headers and clusters from it.
 	Mbufs *mbuf.Pool
 
-	// Sock counts the socket layer's calls across every socket of the
-	// host (internal/socket increments and exports it).
-	Sock SockStats
+	// Sock counts the socket layer's calls across every stream socket of
+	// the host, and Dgram the receive calls of every datagram socket
+	// (internal/socket increments and exports both).
+	Sock, Dgram SockStats
 }
 
 // SockStats are a host's socket-layer counts: which path each write and

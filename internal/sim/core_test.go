@@ -312,6 +312,31 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	})
 }
 
+// TestTimerEventAllocFree: once the queues have grown, scheduling and
+// dispatching a KindTimer event allocates nothing, with stale expiries and
+// other kinds standing in the queues and a timer due at the current
+// instant among them.
+func TestTimerEventAllocFree(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	fn := func() { fired++ }
+	for i := 0; i < 100; i++ {
+		e.AfterKind(units.Time(1_000_000+i), KindTimer, fn)
+		e.AfterKind(units.Time(1_000_000+i), KindWire, fn)
+	}
+	zeroAllocs(t, func() {
+		e.AfterKind(5, KindTimer, fn)
+		e.AfterKind(2, KindWire, fn)
+		e.AfterKind(0, KindTimer, fn)
+		e.Step()
+		e.Step()
+		e.Step()
+	})
+	if fired == 0 || e.Pending() != 200 {
+		t.Fatalf("fired %d, pending %d", fired, e.Pending())
+	}
+}
+
 // The reference the event heap is checked against: the container/heap
 // implementation the engine used before, kept here as the oracle.
 type refEvent struct {

@@ -16,10 +16,13 @@
 // one thread of control, passed by a direct coroutine switch, so events
 // and process steps never run concurrently and simulation code needs no
 // locks. Scheduling an event, dispatching it and resuming a process
-// allocate nothing. Two shortcuts keep that order while doing less work
+// allocate nothing. Three shortcuts keep that order while doing less work
 // per event: an event due at the current instant waits in a FIFO lane
-// instead of the heap, and under Run a Sleep whose wake-up would be the
-// very next event goes on in place, with no coroutine switch (Proc.Sleep).
+// instead of a heap; a timer (KindTimer) due later waits in a heap of its
+// own, so the re-armed expiries that mostly fire as no-ops stay out of
+// the heap every wake-up goes through, and dispatch takes the earlier of
+// the two tops; and under Run a Sleep whose wake-up would be the very
+// next event goes on in place, with no coroutine switch (Proc.Sleep).
 package sim
 
 import (
@@ -33,7 +36,9 @@ import (
 // Kind classifies scheduled events for the engine meta-observer
 // (internal/obs/engine): it answers "what species of real work is the
 // simulator doing" without touching virtual-time semantics. Untagged
-// events are KindGeneric.
+// events are KindGeneric. The kind also picks the heap an event waits in
+// (KindTimer's own, or the other), but never its order: every event runs
+// in (time, sequence) order whatever its kind.
 type Kind uint8
 
 // Event kinds. The order is part of the exported counter layout.
@@ -76,12 +81,15 @@ type Monitor interface {
 // Engine is a discrete-event simulator instance.
 type Engine struct {
 	now units.Time
-	// events holds what is due after now, and lane what is due at now. An
-	// event scheduled while the clock stands at its own time goes to the
-	// lane; one already in the heap for that instant was scheduled earlier,
-	// when the clock stood before it, so it comes first, and the lane is
-	// in sequence order by construction.
+	// timers holds the KindTimer events due after now, events every other
+	// event due after now, and lane what is due at now. An event scheduled
+	// while the clock stands at its own time goes to the lane; one already
+	// in a heap for that instant was scheduled earlier, when the clock
+	// stood before it, so it comes first, and the lane is in sequence order
+	// by construction. Keys are unique, so taking the earlier of the two
+	// heap tops gives the order one heap would.
 	events eventHeap
+	timers eventHeap
 	lane   FIFO[event]
 	seq    int64
 	// kind and evSeq are the kind and sequence number of the event being
@@ -199,7 +207,8 @@ func (e *Engine) At(t units.Time, fn func()) {
 }
 
 // AtKind is At with an explicit event kind for the meta-observer. The
-// kind has no effect on scheduling: it only labels the dispatch counters.
+// kind labels the dispatch counters and picks the heap the event waits
+// in, but never moves it in the schedule.
 func (e *Engine) AtKind(t units.Time, kind Kind, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -212,9 +221,12 @@ func (e *Engine) AtKind(t units.Time, kind Kind, fn func()) {
 func (e *Engine) schedule(t units.Time, kind Kind, p *Proc, fn func()) {
 	e.seq++
 	ev := event{at: t, key: uint64(e.seq)<<8 | uint64(kind), proc: p, fn: fn}
-	if t == e.now {
+	switch {
+	case t == e.now:
 		e.lane.Push(ev)
-	} else {
+	case kind == KindTimer:
+		e.timers.push(ev)
+	default:
 		e.events.push(ev)
 	}
 	if e.mon != nil {
@@ -240,8 +252,11 @@ func (e *Engine) AfterKind(d units.Time, kind Kind, fn func()) {
 func (e *Engine) Step() bool {
 	var ev event
 	switch {
-	case e.lane.Len() > 0 && (len(e.events) == 0 || e.events[0].at != e.now):
+	case e.lane.Len() > 0 && !e.heapDue(e.now):
 		ev = e.lane.Pop()
+	case len(e.timers) > 0 && (len(e.events) == 0 || e.timers[0].before(&e.events[0])):
+		ev = e.timers.pop()
+		e.now = ev.at
 	case len(e.events) > 0:
 		ev = e.events.pop()
 		e.now = ev.at
@@ -273,7 +288,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with time ≤ t, then sets the clock to t.
 func (e *Engine) RunUntil(t units.Time) {
 	e.stopped = false
-	for !e.stopped && (e.lane.Len() > 0 && e.now <= t || len(e.events) > 0 && e.events[0].at <= t) {
+	for !e.stopped && (e.lane.Len() > 0 && e.now <= t || e.heapDue(t)) {
 		e.Step()
 	}
 	if !e.stopped && t > e.now {
@@ -284,8 +299,13 @@ func (e *Engine) RunUntil(t units.Time) {
 // Stop halts Run/RunUntil after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
+// heapDue reports whether either heap holds an event due at or before t.
+func (e *Engine) heapDue(t units.Time) bool {
+	return len(e.events) > 0 && e.events[0].at <= t || len(e.timers) > 0 && e.timers[0].at <= t
+}
+
 // Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.events) + e.lane.Len() }
+func (e *Engine) Pending() int { return len(e.events) + len(e.timers) + e.lane.Len() }
 
 // Seq returns the sequence number of the event scheduled last. Read right
 // after scheduling a callback, it names that event: EventSeq returns the

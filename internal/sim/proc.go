@@ -113,14 +113,14 @@ func (p *Proc) wake() { p.eng.schedule(p.eng.now, KindProc, p, nil) }
 // Sleep blocks the process for d of virtual time.
 //
 // Under Run, when nothing else is due before the wake-up — the lane is
-// empty and the heap's earliest event is later than now+d — the wake-up
+// empty and both heaps' earliest events are later than now+d — the wake-up
 // would be the very next event, so the process resumes in place: it takes
 // the wake-up's sequence number, the monitor sees the wake-up scheduled
 // and the current event end with the pending counts they would have had,
 // the clock moves to now+d, and the process goes on, its run now
 // dispatched as KindProc, with no push, pop or coroutine switch. Every
 // event keeps its time, kind and sequence number, and every Monitor call
-// its arguments. An equal-time event in the heap comes first (it was
+// its arguments. An equal-time event in a heap comes first (it was
 // scheduled earlier), so it rules the shortcut out; so does Stop, so that
 // Run still returns after the current event. Ending the current event here
 // is exact because every event that resumes a process (its wake-up, or
@@ -131,10 +131,10 @@ func (p *Proc) Sleep(d units.Time) {
 	}
 	e := p.eng
 	t := e.now + d
-	if e.running && !e.stopped && e.lane.Len() == 0 && (len(e.events) == 0 || e.events[0].at > t) {
+	if e.running && !e.stopped && e.lane.Len() == 0 && !e.heapDue(t) {
 		e.seq++
 		if e.mon != nil {
-			n := len(e.events) + 1
+			n := e.Pending() + 1 // the lane is empty
 			e.mon.Scheduled(KindProc, n)
 			e.mon.Dispatched(e.kind, n)
 		}

@@ -18,23 +18,30 @@ type DGram struct {
 	Sock *tcpip.UDPSock
 	Cfg  Config
 
-	// rcv does RecvFrom's copy-out under Cfg, counting into rcvStats:
-	// datagram reads are not part of the host's stream-socket counts
+	// rcv does RecvFrom's copy-out under Cfg, counting into the host's
+	// datagram counts (K.Dgram), apart from its stream-socket counts
 	// (K.Sock). wtrk is SendTo's parked tracker.
-	rcv      *Socket
-	rcvStats kern.SockStats
-	wtrk     *tracker
+	rcv  *Socket
+	wtrk *tracker
 }
 
 // NewDGram binds a UDP socket (port 0 selects an ephemeral port). It fails
-// when the port is taken or the ephemeral range is exhausted.
+// when the port is taken or the ephemeral range is exhausted. The host's
+// first datagram socket registers the dgram.* metrics, which read the
+// host-wide counts in k.Dgram.
 func NewDGram(k *kern.Kernel, vm *kern.VM, task *kern.Task, stk *tcpip.Stack, port uint16, cfg Config) (*DGram, error) {
 	u, err := stk.UDPBind(port)
 	if err != nil {
 		return nil, err
 	}
 	d := &DGram{K: k, VM: vm, Task: task, Sock: u, Cfg: cfg}
-	d.rcv = &Socket{K: k, VM: vm, Task: task, st: &d.rcvStats}
+	d.rcv = &Socket{K: k, VM: vm, Task: task, st: &k.Dgram}
+	if r := k.Obs; r != nil && !r.Has("dgram.uio_reads") {
+		st := &k.Dgram
+		r.Func("dgram.uio_reads", func() int64 { return int64(st.UIOReads) })
+		r.Func("dgram.copy_reads", func() int64 { return int64(st.CopyReads) })
+		r.Func("dgram.dma_wait_wakeups", func() int64 { return int64(st.DMAWaitWakeups) })
+	}
 	return d, nil
 }
 

@@ -30,8 +30,13 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros returns t as floating-point microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
+// String prints t scaled to its largest unit; a negative t prints as "-"
+// and its magnitude's form (math.MinInt64, which has no magnitude to
+// negate, in raw nanoseconds).
 func (t Time) String() string {
 	switch {
+	case t < 0 && t != math.MinInt64:
+		return "-" + (-t).String()
 	case t >= Second:
 		return fmt.Sprintf("%.3fs", t.Seconds())
 	case t >= Millisecond:
@@ -53,8 +58,13 @@ const (
 	MB   Size = 1024 * KB
 )
 
+// String prints s in the largest unit that divides it; a negative s
+// prints as "-" and its magnitude's form (math.MinInt64, which has no
+// magnitude to negate, in raw bytes).
 func (s Size) String() string {
 	switch {
+	case s < 0 && s != math.MinInt64:
+		return "-" + (-s).String()
 	case s >= MB && s%MB == 0:
 		return fmt.Sprintf("%dMB", int64(s/MB))
 	case s >= KB && s%KB == 0:

@@ -1,6 +1,8 @@
 package units
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -35,6 +37,34 @@ func TestSizeString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("%d.String() = %q, want %q", int64(c.in), got, c.want)
+		}
+	}
+}
+
+// A negative value prints as "-" and its magnitude's scaled form, except
+// the one value whose magnitude does not fit its type, which prints raw.
+func TestNegativeString(t *testing.T) {
+	for _, c := range []struct {
+		in   fmt.Stringer
+		want string
+	}{
+		{Time(-500), "-500ns"},
+		{-Time(1), "-1ns"},
+		{-1500 * Microsecond, "-1.500ms"},
+		{-Millisecond, "-1.000ms"},
+		{-2 * Second, "-2.000s"},
+		{Time(math.MinInt64), "-9223372036854775808ns"},
+		{Time(math.MinInt64 + 1), "-9223372036.855s"},
+		{-Size(100), "-100B"},
+		{-5000 * KB, "-5000KB"},
+		{-KB, "-1KB"},
+		{-3 * MB, "-3MB"},
+		{-(KB + 1), "-1025B"},
+		{Size(math.MinInt64), "-9223372036854775808B"},
+		{Size(math.MinInt64 + 1), "-9223372036854775807B"},
+	} {
+		if got := c.in.String(); got != c.want {
+			t.Errorf("%T(%v): String() = %q, want %q", c.in, c.in, got, c.want)
 		}
 	}
 }
