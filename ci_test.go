@@ -421,11 +421,11 @@ func mapFields(files []*ast.File) map[string]bool {
 }
 
 // TestSocketCallsReuseDescriptors keeps a socket system call from building
-// its own descriptors: the call's UIO is its tracker's, reset per call, and
-// its uiowCABhdrs come from the host's mbuf pool through the tracker, which
-// releases them when the call's DMAs are done. A mem.NewUIO call or an
-// &mbuf.Hdr{…} literal in non-test internal/socket would be a per-call
-// descriptor coming back.
+// its own descriptors: the call's UIO is its tracker's, pointed at each
+// call's buffer, and its uiowCABhdrs come from the host's mbuf pool through
+// the tracker, which releases them when the call's DMAs are done. A
+// mem.UIO{…} or &mbuf.Hdr{…} literal in non-test internal/socket would be
+// a per-call descriptor coming back.
 func TestSocketCallsReuseDescriptors(t *testing.T) {
 	files, err := filepath.Glob("internal/socket/*.go")
 	if err != nil {
@@ -445,9 +445,9 @@ func TestSocketCallsReuseDescriptors(t *testing.T) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.CallExpr:
-				if isSelector(n.Fun, "mem", "NewUIO") {
-					t.Errorf("%s: mem.NewUIO in a socket call: reset the tracker's UIO", fset.Position(n.Pos()))
+			case *ast.CompositeLit:
+				if isSelector(n.Type, "mem", "UIO") {
+					t.Errorf("%s: mem.UIO{…} in a socket call: point the tracker's UIO at the buffer", fset.Position(n.Pos()))
 				}
 			case *ast.UnaryExpr:
 				if lit, ok := n.X.(*ast.CompositeLit); ok && n.Op == token.AND && isSelector(lit.Type, "mbuf", "Hdr") {
@@ -456,6 +456,93 @@ func TestSocketCallsReuseDescriptors(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestOneBufferUIO keeps mem.UIO one buffer: every system call names one,
+// so a range of a UIO is one slice of it and every walk over it is one
+// step. Non-test internal/mem's UIO has no slice- or array-typed field
+// (directly or through a named type) and no Segments method, and no Go
+// file in the module declares SegBuf, the room an iovec walk needed.
+func TestOneBufferUIO(t *testing.T) {
+	dir := filepath.Join("internal", "mem")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, e := range ents {
+		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	listTypes := map[string]bool{} // mem's named slice and array types
+	var uio *ast.StructType
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				switch ty := n.Type.(type) {
+				case *ast.ArrayType:
+					listTypes[n.Name.Name] = true
+				case *ast.StructType:
+					if n.Name.Name == "UIO" {
+						uio = ty
+					}
+				}
+			case *ast.FuncDecl:
+				if funcName(n) == "UIO.Segments" {
+					t.Errorf("%s: UIO.Segments: a range of a UIO is Buf.Slice", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	}
+	if uio == nil {
+		t.Fatal("internal/mem declares no UIO struct")
+	}
+	for _, fld := range uio.Fields.List {
+		_, list := fld.Type.(*ast.ArrayType)
+		if id, ok := fld.Type.(*ast.Ident); ok && listTypes[id.Name] {
+			list = true
+		}
+		if list {
+			t.Errorf("%s: UIO holds a list of ranges: a UIO is one Buf", fset.Position(fld.Pos()))
+		}
+	}
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+				for _, spec := range gd.Specs {
+					if spec.(*ast.TypeSpec).Name.Name == "SegBuf" {
+						t.Errorf("%s: declares SegBuf: a UIO range is one segment", path)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

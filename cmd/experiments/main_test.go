@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/taxonomy"
 )
 
 // cli runs the command in dir and returns its exit status and output.
@@ -109,6 +110,25 @@ func TestCheckGate(t *testing.T) {
 	for _, e := range exp.Registry() {
 		if !strings.Contains(errs, "  "+e.Name+" ") {
 			t.Errorf("unknown-name message does not list %q:\n%s", e.Name, errs)
+		}
+	}
+}
+
+// TestTable1PrintsClassesAndReceive: -exp table1 is the one Table 1
+// command, so it prints beside the transmit grid how many configurations
+// fall in each class, the CAB's cell and the receive-side mirror.
+func TestTable1PrintsClassesAndReceive(t *testing.T) {
+	status, out, errs := cli(t, t.TempDir(), "-exp", "table1")
+	if status != 0 {
+		t.Fatalf("-exp table1: status %d: %s", status, errs)
+	}
+	for _, want := range []string{
+		"Classes:\n  single-copy  14 configurations\n  copy+read    10 configurations\n  two-copy     12 configurations\n",
+		"The CAB (copy API, header checksum, outboard buffering, DMA+csum): [DMA_C] → single-copy\n",
+		"Receive path (mirror of Table 1; checksum placement is immaterial on receive):\n" + taxonomy.FormatReceive(),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-exp table1 output lacks %q:\n%s", want, out)
 		}
 	}
 }

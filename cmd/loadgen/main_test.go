@@ -75,6 +75,9 @@ func TestNegativeFlagsRefused(t *testing.T) {
 		{[]string{"-queuecap", "-1"}, "QueueCap -1KB is negative"},
 		{[]string{"-ecnthresh", "-1"}, "ECNThreshold -1KB is negative"},
 		{[]string{"-netmem", "-1"}, "-netmem -1 KB is negative"},
+		{[]string{"-openloop", "-rate", "+Inf"}, "Rate +Inf is not finite"},
+		{[]string{"-openloop", "-rate", "1e-300"}, "Rate 1e-300: its mean interarrival does not fit units.Time"},
+		{[]string{"-udpfrac", "NaN"}, "UDPFrac NaN is not finite"},
 	} {
 		var out, errb bytes.Buffer
 		if status := run(append(append([]string{}, tiny...), tc.args...), &out, &errb); status != 1 {

@@ -20,7 +20,7 @@
 //
 //   - internal/core: assemble testbeds of simulated hosts.
 //   - internal/exp: regenerate the paper's figures and tables.
-//   - cmd/ttcp, cmd/experiments, cmd/taxonomy: command-line tools.
+//   - cmd/ttcp, cmd/experiments: command-line tools.
 //   - examples/: runnable scenarios (quickstart, fileserver,
 //     mixeddevices, retransmit).
 package repro

@@ -28,7 +28,6 @@ import (
 	"repro/internal/hippi"
 	"repro/internal/kern"
 	"repro/internal/mbuf"
-	"repro/internal/mem"
 	"repro/internal/netif"
 	"repro/internal/obs"
 	"repro/internal/obs/ledger"
@@ -456,14 +455,11 @@ func (d *Driver) sendSingleCopy(p *sim.Proc, job *txJob) {
 		case mbuf.TData, mbuf.TCluster:
 			gather = append(gather, cur.Bytes())
 		case mbuf.TUIO:
-			u := cur.UIO()
-			var sb mem.SegBuf
-			for _, seg := range u.Segments(cur.Off(), cur.Len(), sb[:0]) {
-				if !u.Space.Pinned(seg.Addr, seg.Len) {
-					panic(fmt.Sprintf("cabdrv: DMA from unpinned user pages [%v,+%v)", seg.Addr, seg.Len))
-				}
-				gather = append(gather, u.Space.Bytes(seg.Addr, seg.Len))
+			r := cur.UIO().Buf.Slice(cur.Off(), cur.Len())
+			if !r.Space.Pinned(r.Addr, r.Len) {
+				panic(fmt.Sprintf("cabdrv: DMA from unpinned user pages [%v,+%v)", r.Addr, r.Len))
 			}
+			gather = append(gather, r.Bytes())
 		case mbuf.TWCAB:
 			// Partial retransmission of outboard data whose boundaries
 			// shifted (e.g. after a partial ACK): read it back. Rare.
@@ -626,12 +622,8 @@ func txStale(m *mbuf.Mbuf) bool {
 		if cur.Type() != mbuf.TUIO {
 			continue
 		}
-		u := cur.UIO()
-		var sb mem.SegBuf
-		for _, seg := range u.Segments(cur.Off(), cur.Len(), sb[:0]) {
-			if !u.Space.Pinned(seg.Addr, seg.Len) {
-				return true
-			}
+		if r := cur.UIO().Buf.Slice(cur.Off(), cur.Len()); !r.Space.Pinned(r.Addr, r.Len) {
+			return true
 		}
 	}
 	return false

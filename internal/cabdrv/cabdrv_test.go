@@ -146,7 +146,7 @@ func TestLegacyOutputConvertsDescriptors(t *testing.T) {
 	r := newRig(t, false)
 	space := mem.NewAddrSpace("u", 1*units.MB, r.ka.Mach.PageSize)
 	buf := space.Alloc(4000, 4)
-	u := mem.NewUIO(buf)
+	u := &mem.UIO{Buf: buf}
 	r.eng.Go("send", func(p *sim.Proc) {
 		ctx := r.ka.TaskCtx(p, r.ka.KernelTask)
 		r.da.Output(ctx, ipPacket(t, mbuf.NewUIO(u, 0, 4000, nil), 99), 2)
@@ -168,7 +168,7 @@ func TestUIOGatherWithOutboardChecksum(t *testing.T) {
 	for i := range buf.Bytes() {
 		buf.Bytes()[i] = byte(i * 13)
 	}
-	u := mem.NewUIO(buf)
+	u := &mem.UIO{Buf: buf}
 	var w *mbuf.WCAB
 	r.eng.Go("send", func(p *sim.Proc) {
 		ctx := r.ka.TaskCtx(p, r.ka.KernelTask)

@@ -71,7 +71,7 @@ func TestDescriptorConversionAtEntry(t *testing.T) {
 	for i := range buf.Bytes() {
 		buf.Bytes()[i] = byte(i)
 	}
-	u := mem.NewUIO(buf)
+	u := &mem.UIO{Buf: buf}
 	eng.Go("tx", func(p *sim.Proc) {
 		da.Output(ka.TaskCtx(p, ka.KernelTask), ipWrap(mbuf.NewUIO(u, 0, 1000, nil)), 12)
 	})

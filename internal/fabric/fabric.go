@@ -256,11 +256,13 @@ func flowHash(seed uint64, f *hippi.Frame) uint64 {
 }
 
 // MarkCE is the standard ECN marker for hippi.Network.SetECN: it CE-marks
-// an ECN-capable (ECT) frame in place and rewrites the IP header checksum
-// so the receiver's header validation still passes. Non-ECT frames and
-// frames already carrying CE are left alone (reported as unmarked). The
-// transport checksum is unaffected: the pseudo-header excludes the TOS
-// byte, and the CAB's receive engine sums past the first 80 bytes.
+// an ECN-capable (ECT) frame in place and updates the IP header checksum
+// for the changed word by RFC 1624 (HC' = ~(~HC + ~m + m')), so the
+// receiver's header validation still passes, and a header that arrived
+// with a bad checksum still fails it. Non-ECT frames and frames already
+// carrying CE are left alone (reported as unmarked). The transport
+// checksum is unaffected: the pseudo-header excludes the TOS byte, and the
+// CAB's receive engine sums past the first 80 bytes.
 func MarkCE(data []byte) bool {
 	ip := data[wire.LinkHdrLen:]
 	if len(ip) < int(wire.IPHdrLen) {
@@ -269,9 +271,12 @@ func MarkCE(data []byte) bool {
 	if ip[wire.ECNOff]&0x3 != wire.ECNECT0 {
 		return false
 	}
+	word := ip[wire.ECNOff&^1:] // the 16-bit word holding the TOS byte
+	old := binary.BigEndian.Uint16(word)
 	ip[wire.ECNOff] = ip[wire.ECNOff]&^byte(0x3) | wire.ECNCE
-	binary.BigEndian.PutUint16(ip[10:], 0)
-	binary.BigEndian.PutUint16(ip[10:], checksum.Checksum(ip[:wire.IPHdrLen]))
+	hc := binary.BigEndian.Uint16(ip[10:])
+	s := checksum.Adjust(uint32(^hc), old, binary.BigEndian.Uint16(word))
+	binary.BigEndian.PutUint16(ip[10:], checksum.Finish(s))
 	return true
 }
 

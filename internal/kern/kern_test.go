@@ -233,7 +233,7 @@ func TestUIOCopyHelpers(t *testing.T) {
 	task := k.NewTask("t", PrioUser, nil)
 	space := mem.NewAddrSpace("u", 1*units.MB, k.Mach.PageSize)
 	buf := space.Alloc(1000, 4)
-	u := mem.NewUIO(buf)
+	u := &mem.UIO{Buf: buf}
 	for i := range buf.Bytes() {
 		buf.Bytes()[i] = byte(i * 3)
 	}

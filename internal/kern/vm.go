@@ -148,26 +148,20 @@ func (v *VM) UnmapBuf(space *mem.AddrSpace, addr, n units.Size) {
 	space.UnmapKernel(addr, n)
 }
 
-// PinUIO pins every segment of [off, off+n) of u, charging in c.
+// PinUIO pins [off, off+n) of u, charging in c.
 func (v *VM) PinUIO(c Ctx, u *mem.UIO, off, n units.Size) {
-	var sb mem.SegBuf
-	for _, seg := range u.Segments(off, n, sb[:0]) {
-		v.pin(c, u.Space, seg.Addr, seg.Len)
-	}
+	r := u.Buf.Slice(off, n)
+	v.pin(c, r.Space, r.Addr, r.Len)
 }
 
 // UnpinUIO undoes PinUIO.
 func (v *VM) UnpinUIO(c Ctx, u *mem.UIO, off, n units.Size) {
-	var sb mem.SegBuf
-	for _, seg := range u.Segments(off, n, sb[:0]) {
-		v.unpin(c, u.Space, seg.Addr, seg.Len)
-	}
+	r := u.Buf.Slice(off, n)
+	v.unpin(c, r.Space, r.Addr, r.Len)
 }
 
-// MapUIO maps every segment of [off, off+n) of u into kernel space.
+// MapUIO maps [off, off+n) of u into kernel space.
 func (v *VM) MapUIO(c Ctx, u *mem.UIO, off, n units.Size) {
-	var sb mem.SegBuf
-	for _, seg := range u.Segments(off, n, sb[:0]) {
-		v.mapKernel(c, u.Space, seg.Addr, seg.Len)
-	}
+	r := u.Buf.Slice(off, n)
+	v.mapKernel(c, r.Space, r.Addr, r.Len)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/mem"
@@ -221,28 +222,44 @@ func (r *runner) startTCPClient(f *flow) {
 	})
 }
 
+// pace sleeps p until f's request i is due and returns when that is. In
+// an open loop it is prev, the previous request's due time, plus an
+// exponential interarrival; latency counts from it, so a backed-up flow
+// accrues queueing delay. In a closed loop it follows an exponential think
+// time. A drawn delay that does not fit units.Time is an error: converted
+// unchecked, it would wrap to a time in the past.
+func (r *runner) pace(p *sim.Proc, f *flow, i int, prev units.Time) (units.Time, error) {
+	s, now := &r.s, p.Now()
+	if i == 0 || !s.OpenLoop && s.Think <= 0 {
+		return now, nil
+	}
+	x := f.rng.ExpFloat64()
+	base, ns := now, x*float64(s.Think)
+	if s.OpenLoop {
+		base, ns = prev, x/s.Rate*float64(units.Second)
+	}
+	if !(ns >= 0 && ns < math.MaxInt64) || units.Time(ns) > math.MaxInt64-base {
+		return 0, fmt.Errorf("request %d: a drawn delay of %gns overflows the clock", i, ns)
+	}
+	due := base + units.Time(ns)
+	if due > now || !s.OpenLoop { // a closed loop yields even after a zero think time
+		p.Sleep(due - now)
+	}
+	return due, nil
+}
+
 // runRRClient issues the request/response loop.
 func (r *runner) runRRClient(p *sim.Proc, f *flow, sock *socket.Socket) {
 	s := r.s
 	maxReq, maxResp := s.maxSizes()
 	wbuf := f.client.task.Space.Alloc(hdrLen+maxReq, 8)
 	rbuf := f.client.task.Space.Alloc(max(maxResp, 16*units.KB), 8)
-	next := p.Now()
+	var issued units.Time
 	for i := 0; i < s.Requests; i++ {
-		issued := p.Now()
-		if s.OpenLoop {
-			if i > 0 {
-				next += units.Time(f.rng.ExpFloat64() / s.Rate * float64(units.Second))
-			}
-			if now := p.Now(); next > now {
-				p.Sleep(next - now)
-			}
-			// Open loop: latency is measured from the scheduled arrival,
-			// so a backed-up flow accrues queueing delay.
-			issued = next
-		} else if i > 0 && s.Think > 0 {
-			p.Sleep(units.Time(f.rng.ExpFloat64() * float64(s.Think)))
-			issued = p.Now()
+		var err error
+		if issued, err = r.pace(p, f, i, issued); err != nil {
+			f.fail("%v", err)
+			break
 		}
 		cls := pick(s.Mix, f.rng)
 		putHdr(wbuf.Bytes(), msgHdr{flow: f.id, seq: i, reqLen: cls.Req, respLen: cls.Resp, sendTime: issued})
@@ -454,17 +471,12 @@ func (r *runner) startUDPFlow(f *flow) {
 			cli.Close()
 			return
 		}
-		next := p.Now()
+		var due units.Time
 		for i := 0; i < r.s.Requests; i++ {
-			if r.s.OpenLoop {
-				if i > 0 {
-					next += units.Time(f.rng.ExpFloat64() / r.s.Rate * float64(units.Second))
-				}
-				if now := p.Now(); next > now {
-					p.Sleep(next - now)
-				}
-			} else if i > 0 && r.s.Think > 0 {
-				p.Sleep(units.Time(f.rng.ExpFloat64() * float64(r.s.Think)))
+			var err error
+			if due, err = r.pace(p, f, i, due); err != nil {
+				f.fail("%v", err)
+				break
 			}
 			cls := pick(r.s.Mix, f.rng)
 			if err := send(i, cls.Req); err != nil {

@@ -147,6 +147,7 @@ func (s Scenario) normalized() (Scenario, error) {
 		negative("Duration", s.Duration), negative("Think", s.Think),
 		negative("UDPServerThink", s.UDPServerThink), negative("Stagger", s.Stagger),
 		negative("Rate", s.Rate),
+		finite("Rate", s.Rate), finite("UDPFrac", s.UDPFrac),
 	); err != nil {
 		return s, err
 	}
@@ -187,6 +188,9 @@ func (s Scenario) normalized() (Scenario, error) {
 	if s.OpenLoop && s.Rate <= 0 {
 		s.Rate = 1000
 	}
+	if s.Rate > 0 && float64(units.Second)/s.Rate >= math.MaxInt64 {
+		return s, fmt.Errorf("load: Rate %v: its mean interarrival does not fit units.Time", s.Rate)
+	}
 	if len(s.Mix) == 0 {
 		s.Mix = []SizeClass{
 			{Frac: 0.70, Req: 2 * units.KB, Resp: 8 * units.KB},
@@ -204,11 +208,23 @@ func (s Scenario) normalized() (Scenario, error) {
 		return s, fmt.Errorf("load: Warmup %v outside [0, Duration)", s.Warmup)
 	}
 	for _, c := range s.Mix {
+		if err := finite("Mix Frac", c.Frac); err != nil {
+			return s, err
+		}
 		if c.Req <= 0 || c.Resp < 0 || c.Frac < 0 {
 			return s, fmt.Errorf("load: bad size class %+v", c)
 		}
 	}
 	return s, nil
+}
+
+// finite refuses a NaN or infinite value v of the scenario field name,
+// which every range check would let through or mishandle.
+func finite(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("load: %s %v is not finite", name, v)
+	}
+	return nil
 }
 
 // negative refuses a negative value v of the scenario field name.

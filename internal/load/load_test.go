@@ -3,6 +3,8 @@ package load
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cab"
@@ -92,6 +94,50 @@ func TestLoadOpenLoop(t *testing.T) {
 	}
 	if want := int64(8 * 5); rep.Requests != want {
 		t.Fatalf("requests: %d want %d", rep.Requests, want)
+	}
+}
+
+// TestNonFiniteRefused: a NaN or infinite rate or fraction, and a rate
+// whose mean interarrival does not fit units.Time, are refused by name. A
+// NaN passes every range check, and an infinite rate sends back to back.
+func TestNonFiniteRefused(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		s    Scenario
+		want string
+	}{
+		{Scenario{OpenLoop: true, Rate: inf}, "Rate +Inf is not finite"},
+		{Scenario{OpenLoop: true, Rate: nan}, "Rate NaN is not finite"},
+		{Scenario{OpenLoop: true, Rate: 1e-300}, "Rate 1e-300: its mean interarrival does not fit units.Time"},
+		{Scenario{UDPFrac: nan}, "UDPFrac NaN is not finite"},
+		{Scenario{Mix: []SizeClass{{Frac: nan, Req: units.KB}}}, "Mix Frac NaN is not finite"},
+		{Scenario{Mix: []SizeClass{{Frac: inf, Req: units.KB}}}, "Mix Frac +Inf is not finite"},
+	} {
+		if _, err := tc.s.normalized(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: error %v, want it to say %s", tc.s, err, tc.want)
+		}
+	}
+}
+
+// TestDrawnDelayOverflowFailsFlow: an open-loop interarrival or a think
+// time drawn past units.Time's range fails its flow instead of wrapping to
+// a time in the past, from which the next request would go out at once.
+// The rate's mean interarrival, 9.1e18 ns, just fits; over 50 requests
+// the clock overflows on every flow.
+func TestDrawnDelayOverflowFailsFlow(t *testing.T) {
+	for _, udp := range []float64{0, 1} {
+		for _, s := range []Scenario{
+			{Flows: 2, UDPFrac: udp, Requests: 50, OpenLoop: true, Rate: 1.1e-10},
+			{Flows: 2, UDPFrac: udp, Requests: 50, Think: math.MaxInt64 / 2},
+		} {
+			rep, err := Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Errors != 2 || !strings.Contains(rep.FirstError, "overflows the clock") {
+				t.Errorf("%+v: %d errors (%s), want each flow failed by an overflowing draw", s, rep.Errors, rep.FirstError)
+			}
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ func TestLoopbackConvertsDescriptors(t *testing.T) {
 	lo.Input = func(ctx kern.Ctx, m *mbuf.Mbuf, from netif.Interface) { rx = m }
 
 	space := mem.NewAddrSpace("u", 1*units.MB, k.Mach.PageSize)
-	u := mem.NewUIO(space.Alloc(2000, 4))
+	u := &mem.UIO{Buf: space.Alloc(2000, 4)}
 	eng.Go("tx", func(p *sim.Proc) {
 		lo.Output(k.TaskCtx(p, k.KernelTask), mbuf.NewUIO(u, 0, 2000, nil), 0)
 	})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/checksum"
-	"repro/internal/mem"
 	"repro/internal/units"
 )
 
@@ -219,10 +218,7 @@ func eachRun(m *Mbuf, off, n units.Size, fn func(b []byte)) {
 		case TData, TCluster:
 			fn(cur.Bytes()[off : off+take])
 		case TUIO:
-			var sb mem.SegBuf
-			for _, seg := range cur.uio.Segments(cur.off+off, take, sb[:0]) {
-				fn(cur.uio.Space.Bytes(seg.Addr, seg.Len))
-			}
+			fn(cur.uio.Buf.Slice(cur.off+off, take).Bytes())
 		case TWCAB:
 			fn(cur.wcab.Handle.Read(cur.off+off, take)[:take])
 		}

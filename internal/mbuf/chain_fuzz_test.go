@@ -146,15 +146,13 @@ func (r *chainRig) step() {
 		// The model copies the window: the buffer is poisoned when it
 		// goes home.
 		r.add(s, r.p.AdoptCluster(buf, units.Size(off), units.Size(ln), &r.home), append([]byte(nil), buf[off:off+ln]...))
-	case 4: // M_UIO over two iovecs
+	case 4: // M_UIO window of a user region
 		b := r.data(1 + r.arg())
-		cut := r.arg() % (len(b) + 1)
-		b1, b2 := r.sp.Alloc(units.Size(cut), 1), r.sp.Alloc(units.Size(len(b)-cut), 1)
-		copy(b1.Bytes(), b[:cut])
-		copy(b2.Bytes(), b[cut:])
+		ub := r.sp.Alloc(units.Size(len(b)), 1)
+		copy(ub.Bytes(), b)
 		off := r.arg() % (len(b) + 1)
 		ln := r.arg() % (len(b) - off + 1)
-		r.add(s, r.p.NewUIO(mem.NewUIO(b1, b2), units.Size(off), units.Size(ln), nil), b[off:off+ln])
+		r.add(s, r.p.NewUIO(&mem.UIO{Buf: ub}, units.Size(off), units.Size(ln), nil), b[off:off+ln])
 	case 5: // M_WCAB window of an outboard packet
 		b := r.data(1 + r.arg()*4)
 		pk := newHostPkt(b)

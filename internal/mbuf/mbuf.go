@@ -486,8 +486,8 @@ func NewUIO(u *mem.UIO, off, n units.Size, hdr *Hdr) *Mbuf {
 
 // NewUIO is the pool's NewUIO.
 func (p *Pool) NewUIO(u *mem.UIO, off, n units.Size, hdr *Hdr) *Mbuf {
-	if off < 0 || n < 0 || off+n > u.Total() {
-		panic(fmt.Sprintf("mbuf: UIO window [%v,+%v) outside %v", off, n, u.Total()))
+	if off < 0 || n < 0 || off+n > u.Buf.Len {
+		panic(fmt.Sprintf("mbuf: UIO window [%v,+%v) outside %v", off, n, u.Buf.Len))
 	}
 	if hdr != nil {
 		hdr.refs++

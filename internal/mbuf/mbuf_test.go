@@ -62,7 +62,7 @@ func TestPrependInPlace(t *testing.T) {
 }
 
 func TestPrependNewMbufWhenNoRoom(t *testing.T) {
-	u := mem.NewUIO(testSpace().Alloc(1000, 4))
+	u := &mem.UIO{Buf: testSpace().Alloc(1000, 4)}
 	m := NewUIO(u, 0, 1000, nil)
 	m.MarkPktHdr(1000)
 	m.SetFlow(7)
@@ -196,7 +196,7 @@ func TestPoolReusesHeaders(t *testing.T) {
 	if n != m || &n.buf[0] != buf || !bytes.Equal(n.Bytes(), seq(20)) {
 		t.Fatal("a released regular mbuf was not reused with its storage")
 	}
-	u := p.NewUIO(mem.NewUIO(testSpace().Alloc(100, 4)), 0, 100, nil)
+	u := p.NewUIO(&mem.UIO{Buf: testSpace().Alloc(100, 4)}, 0, 100, nil)
 	c := CopyRange(u, 10, 20)
 	FreeChain(c)
 	if d := CopyRange(u, 0, 5); d != c {
@@ -292,7 +292,7 @@ func TestWCABRefCounting(t *testing.T) {
 func TestUIOHdrRefCounting(t *testing.T) {
 	var p Pool
 	h := &Hdr{}
-	m := p.NewUIO(mem.NewUIO(testSpace().Alloc(100, 4)), 0, 100, h)
+	m := p.NewUIO(&mem.UIO{Buf: testSpace().Alloc(100, 4)}, 0, 100, h)
 	front, back := SplitAt(m, 40)
 	c := CopyRange(Cat(front, back), 30, 20) // straddles the split: two mbufs
 	if h.Refs() != 4 {
@@ -306,7 +306,7 @@ func TestUIOHdrRefCounting(t *testing.T) {
 	if h.Refs() != 0 {
 		t.Fatalf("refs = %d after every M_UIO mbuf went, want 0", h.Refs())
 	}
-	m = p.NewUIO(mem.NewUIO(testSpace().Alloc(100, 4)), 0, 100, h)
+	m = p.NewUIO(&mem.UIO{Buf: testSpace().Alloc(100, 4)}, 0, 100, h)
 	h.refs = 0 // as if its owner had released the header under it
 	defer func() {
 		if recover() == nil {
@@ -332,7 +332,7 @@ func TestCopyRangeAcrossMixedChain(t *testing.T) {
 	sp := testSpace()
 	ub := sp.Alloc(300, 4)
 	copy(ub.Bytes(), seq(300))
-	u := mem.NewUIO(ub)
+	u := &mem.UIO{Buf: ub}
 
 	wdata := seq(200)
 	for i := range wdata {
@@ -393,7 +393,7 @@ func TestSplitAt(t *testing.T) {
 	sp := testSpace()
 	ub := sp.Alloc(1000, 4)
 	copy(ub.Bytes(), seq(1000))
-	u := mem.NewUIO(ub)
+	u := &mem.UIO{Buf: ub}
 	chain := Cat(NewData(seq(100)), NewUIO(u, 0, 1000, nil))
 	whole := Materialize(chain)
 
@@ -423,7 +423,7 @@ func TestSplitAtZero(t *testing.T) {
 
 func TestHasDescriptors(t *testing.T) {
 	sp := testSpace()
-	u := mem.NewUIO(sp.Alloc(100, 4))
+	u := &mem.UIO{Buf: sp.Alloc(100, 4)}
 	plain := Cat(NewData(seq(10)), NewCluster(seq(100)))
 	if HasDescriptors(plain) {
 		t.Fatal("plain chain misreported")
@@ -436,7 +436,7 @@ func TestHasDescriptors(t *testing.T) {
 
 func TestBytesOnDescriptorPanics(t *testing.T) {
 	sp := testSpace()
-	u := mem.NewUIO(sp.Alloc(100, 4))
+	u := &mem.UIO{Buf: sp.Alloc(100, 4)}
 	m := NewUIO(u, 0, 100, nil)
 	defer func() {
 		if recover() == nil {
@@ -459,7 +459,7 @@ func TestReadRangeOffsets(t *testing.T) {
 // TestSumRangeMatchesFlatSum: summing a chain where it lies (per-run sums
 // joined by the odd-offset concatenation rule) folds to the same value as
 // flattening it first, for random mixed chains — 1-byte and odd-length
-// segments, multi-iovec UIO regions, outboard data — and random ranges.
+// segments, odd-addressed UIO regions, outboard data — and random ranges.
 // flat is assembled beside the chain, not read back out of it.
 func TestSumRangeMatchesFlatSum(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
@@ -481,12 +481,10 @@ func TestSumRangeMatchesFlatSum(t *testing.T) {
 			case 1:
 				chain = Cat(chain, NewCluster(data))
 			case 2:
-				// Two iovecs, split at a random (often odd) point.
-				cut := r.Intn(n + 1)
-				b1, b2 := sp.Alloc(units.Size(cut), 1), sp.Alloc(units.Size(n-cut), 1)
-				copy(b1.Bytes(), data[:cut])
-				copy(b2.Bytes(), data[cut:])
-				chain = Cat(chain, NewUIO(mem.NewUIO(b1, b2), 0, units.Size(n), nil))
+				// A user region at an arbitrary (often odd) address.
+				ub := sp.Alloc(units.Size(n), 1)
+				copy(ub.Bytes(), data)
+				chain = Cat(chain, NewUIO(&mem.UIO{Buf: ub}, 0, units.Size(n), nil))
 			case 3:
 				chain = Cat(chain, NewWCAB(&newHostPkt(data).WCAB, 0, units.Size(n), nil))
 			}
@@ -536,7 +534,7 @@ func TestSplitCopyRangeProperty(t *testing.T) {
 
 func TestTypesDiagnostics(t *testing.T) {
 	sp := testSpace()
-	u := mem.NewUIO(sp.Alloc(100, 4))
+	u := &mem.UIO{Buf: sp.Alloc(100, 4)}
 	chain := Cat(NewData(seq(10)), NewUIO(u, 0, 100, nil))
 	ts := Types(chain)
 	if len(ts) != 2 || ts[0] != TData || ts[1] != TUIO {

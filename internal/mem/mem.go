@@ -1,5 +1,5 @@
 // Package mem models host memory: per-task address spaces backed by real
-// bytes, page-granular pinning state, and the UIO (iovec) descriptors that
+// bytes, page-granular pinning state, and the UIO descriptors that
 // read/write system calls and M_UIO mbufs use to describe data that is
 // still in user space.
 //
@@ -207,6 +207,3 @@ func (b Buf) Slice(off, n units.Size) Buf {
 
 // AlignedTo reports whether the buffer's start address is a multiple of a.
 func (b Buf) AlignedTo(a units.Size) bool { return a > 0 && b.Addr%a == 0 }
-
-// Pages returns the number of pages the buffer spans.
-func (b Buf) Pages() int { return b.Space.PageSpan(b.Addr, b.Len) }

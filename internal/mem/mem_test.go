@@ -137,116 +137,82 @@ func TestPageSpan(t *testing.T) {
 	}
 }
 
-func TestUIOSegments(t *testing.T) {
+// TestUIOOutsidePanics: a range of a UIO is a slice of its one buffer, so
+// one reaching past the buffer panics instead of touching its neighbour.
+func TestUIOOutsidePanics(t *testing.T) {
 	s := space(t)
-	a := s.Alloc(100, 4)
-	b := s.Alloc(50, 4)
-	u := NewUIO(a, b)
-	if u.Total() != 150 {
-		t.Fatalf("total = %v, want 150", u.Total())
-	}
-	// A range spanning the buffer boundary yields two segments.
-	segs := u.Segments(90, 30, nil)
-	if len(segs) != 2 || segs[0].Len != 10 || segs[1].Len != 20 {
-		t.Fatalf("segments = %+v", segs)
-	}
-	if segs[0].Addr != a.Addr+90 || segs[1].Addr != b.Addr {
-		t.Fatalf("segment addrs wrong: %+v", segs)
-	}
-	// Segments appends: what the caller passed in stays in front.
-	head := []Iovec{{Addr: 1, Len: 1}}
-	if got := u.Segments(0, 150, head); len(got) != 3 || got[0] != head[0] || got[2].Len != 50 {
-		t.Fatalf("appended segments = %+v", got)
-	}
+	u := &UIO{Buf: s.Alloc(100, 4)}
+	s.Alloc(100, 4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a read past the UIO's buffer should panic")
+		}
+	}()
+	u.ReadAt(make([]byte, 30), 90, 30)
 }
 
-// TestUIOWalkAllocBudget pins the walks the data path makes per packet —
-// Segments into a stack SegBuf and everything built on it — at zero
-// allocations.
+// TestUIOWalkAllocBudget pins the UIO accesses the data path makes per
+// packet at zero allocations.
 func TestUIOWalkAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	s := space(t)
-	a := s.Alloc(100, 4)
-	u := NewUIO(a, s.Alloc(50, 4))
+	u := &UIO{Buf: s.Alloc(150, 4)}
 	dst := make([]byte, 150)
 	allocs := testing.AllocsPerRun(100, func() {
-		var sb SegBuf
-		for _, seg := range u.Segments(90, 30, sb[:0]) {
-			s.Pinned(seg.Addr, seg.Len)
-		}
+		r := u.Buf.Slice(90, 30)
+		s.Pinned(r.Addr, r.Len)
 		u.ReadAt(dst, 0, 150)
 		u.WriteAt(dst[:40], 80)
 		u.AlignedTo(0, 150, 4)
-		u.PageSpan(0, 150)
 	})
 	if allocs != 0 {
-		t.Fatalf("UIO walks allocate %v objects per run, want 0", allocs)
+		t.Fatalf("UIO accesses allocate %v objects per run, want 0", allocs)
 	}
 }
 
 func TestUIOReadWriteRoundTrip(t *testing.T) {
 	s := space(t)
 	r := rand.New(rand.NewSource(3))
-	a := s.Alloc(333, 4)
-	b := s.Alloc(77, 4)
-	u := NewUIO(a, b)
-	data := make([]byte, u.Total())
+	s.Alloc(3, 1)
+	u := &UIO{Buf: s.Alloc(410, 1)} // odd address
+	data := make([]byte, u.Buf.Len)
 	r.Read(data)
 	u.WriteAt(data, 0)
-	got := make([]byte, u.Total())
-	u.ReadAt(got, 0, u.Total())
+	got := make([]byte, u.Buf.Len)
+	u.ReadAt(got, 0, u.Buf.Len)
 	if !bytes.Equal(got, data) {
 		t.Fatal("UIO round trip mismatch")
 	}
-	// Partial read across the seam.
 	part := make([]byte, 100)
 	u.ReadAt(part, 300, 100)
 	if !bytes.Equal(part, data[300:400]) {
 		t.Fatal("partial read mismatch")
 	}
-}
-
-func TestUIOAdvanceResid(t *testing.T) {
-	s := space(t)
-	u := NewUIO(s.Alloc(1000, 4))
-	u.Advance(300)
-	if u.Resid() != 700 || u.Offset() != 300 {
-		t.Fatalf("resid=%v offset=%v", u.Resid(), u.Offset())
+	u.WriteAt(data[:7], 401)
+	if !bytes.Equal(u.Buf.Bytes()[401:408], data[:7]) {
+		t.Fatal("write at an offset landed elsewhere")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("over-advance should panic")
-		}
-	}()
-	u.Advance(701)
 }
 
 func TestUIOAlignedTo(t *testing.T) {
 	s := space(t)
-	aligned := NewUIO(s.Alloc(1000, 4))
+	aligned := &UIO{Buf: s.Alloc(1000, 4)}
 	if !aligned.AlignedTo(0, 1000, 4) {
 		t.Fatal("aligned UIO misreported")
 	}
-	mis := NewUIO(s.AllocMisaligned(1000, 2))
+	mis := &UIO{Buf: s.AllocMisaligned(1000, 2)}
 	if mis.AlignedTo(0, 1000, 4) {
 		t.Fatal("misaligned UIO misreported")
 	}
-	// An interior range starting at an odd segment offset can still be
-	// aligned if the segment base plus offset is aligned.
+	// An interior range can still be aligned if the buffer base plus
+	// offset is aligned.
 	if !mis.AlignedTo(2, 100, 4) {
 		t.Fatal("offset 2 into a 2-misaligned buffer is word aligned")
 	}
-}
-
-func TestUIOPageSpan(t *testing.T) {
-	s := space(t)
-	u := NewUIO(s.Alloc(64*units.KB, 0))
-	if got := u.PageSpan(0, 64*units.KB); got != 8 {
-		t.Fatalf("page span = %d, want 8", got)
-	}
-	if got := u.PageSpan(8*units.KB-4, 8); got != 2 {
-		t.Fatalf("page span = %d, want 2", got)
+	// An empty range has no address to misalign.
+	if !mis.AlignedTo(0, 0, 4) {
+		t.Fatal("an empty range is aligned")
 	}
 }

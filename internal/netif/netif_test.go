@@ -61,7 +61,7 @@ func TestConvertForLegacyMaterializes(t *testing.T) {
 	for i := range buf.Bytes() {
 		buf.Bytes()[i] = byte(i * 3)
 	}
-	u := mem.NewUIO(buf)
+	u := &mem.UIO{Buf: buf}
 
 	eng.Go("t", func(p *sim.Proc) {
 		ctx := k.TaskCtx(p, k.KernelTask)
@@ -116,7 +116,7 @@ func TestConvertForLegacyCallsOnConverted(t *testing.T) {
 	eng := sim.NewEngine(1)
 	k := kern.New("h", eng, cost.Alpha400())
 	space := mem.NewAddrSpace("u", 1*units.MB, k.Mach.PageSize)
-	u := mem.NewUIO(space.Alloc(5000, 4))
+	u := &mem.UIO{Buf: space.Alloc(5000, 4)}
 	eng.Go("t", func(p *sim.Proc) {
 		ctx := k.TaskCtx(p, k.KernelTask)
 		var converted *mbuf.Mbuf

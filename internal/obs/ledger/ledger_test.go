@@ -154,7 +154,7 @@ func TestCopyRangeRecordsNoTouches(t *testing.T) {
 
 	sp := mem.NewAddrSpace("user", 1*units.MB, 8*units.KB)
 	ub := sp.Alloc(300, 4)
-	u := mem.NewUIO(ub)
+	u := &mem.UIO{Buf: ub}
 	// CopyRange never reads outboard data and the baseline reference keeps
 	// the packet alive, so the WCAB needs no handle.
 	w := &mbuf.WCAB{Valid: 200}

@@ -108,10 +108,7 @@ func (d *DGram) SendTo(p *sim.Proc, buf mem.Buf, dst wire.Addr, dport uint16) er
 	}
 	trk.wait(p)
 	d.VM.UnpinUIO(ctx, u, 0, buf.Len)
-	var sb mem.SegBuf
-	for _, seg := range u.Segments(0, buf.Len, sb[:0]) {
-		d.VM.UnmapBuf(u.Space, seg.Addr, seg.Len)
-	}
+	d.VM.UnmapBuf(buf.Space, buf.Addr, buf.Len)
 	return err
 }
 

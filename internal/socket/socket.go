@@ -123,7 +123,7 @@ type tracker struct {
 	uio     mem.UIO     // the call's user region, reset per call
 	hdrs    []*mbuf.Hdr // the call's uiowCABhdrs, released at park
 	pinned  []mem.Iovec // UIO ranges to unpin when the call ends
-	scatter [][]byte    // one copy-out's destination segments
+	scatter [][]byte    // a copy-out's one-entry destination list, reused
 }
 
 // take hands a system call the tracker parked in *slot, or a fresh one
@@ -136,7 +136,7 @@ func take(slot **tracker, e *sim.Engine, mbufs *mbuf.Pool, buf mem.Buf) *tracker
 	} else {
 		*slot = nil
 	}
-	t.uio.Reset(buf)
+	t.uio.Buf = buf
 	return t
 }
 
@@ -171,7 +171,7 @@ func park(slot **tracker, t *tracker) {
 		// Check mode (see internal/pool): the tracker is poisoned and
 		// never parked, so a descriptor still pointing at its UIO panics
 		// at the access instead of reading the next call's region.
-		t.uio = mem.UIO{}
+		t.uio.Buf = mem.Buf{}
 		return
 	}
 	t.err = nil
@@ -254,7 +254,7 @@ func (s *Socket) Write(p *sim.Proc, buf mem.Buf) (units.Size, error) {
 		// The copy is done with the prefix: the rest gets a region of its
 		// own, as the single-copy path addresses it from offset 0.
 		rest := buf.Slice(prefix, buf.Len-prefix)
-		u.Reset(rest)
+		u.Buf = rest
 		n2, err := s.writeUIO(ctx, trk, rest)
 		return n1 + n2, err
 	}
@@ -403,10 +403,8 @@ func (s *Socket) writeUIO(ctx kern.Ctx, trk *tracker, buf mem.Buf) (units.Size, 
 func (s *Socket) unpinAll(ctx kern.Ctx, u *mem.UIO, pinned []mem.Iovec) {
 	for _, r := range pinned {
 		s.VM.UnpinUIO(ctx, u, r.Addr, r.Len)
-		var sb mem.SegBuf
-		for _, seg := range u.Segments(r.Addr, r.Len, sb[:0]) {
-			s.VM.UnmapBuf(u.Space, seg.Addr, seg.Len)
-		}
+		b := u.Buf.Slice(r.Addr, r.Len)
+		s.VM.UnmapBuf(b.Space, b.Addr, b.Len)
 	}
 }
 
@@ -484,14 +482,9 @@ func (s *Socket) copyOut(ctx kern.Ctx, buf mem.Buf, chain *mbuf.Mbuf, n units.Si
 				sawDMA = true
 				s.VM.PinUIO(ctx, u, off, ln)
 				trk.pinned = append(trk.pinned, mem.Iovec{Addr: off, Len: ln})
-				scatter := trk.scatter[:0]
-				var sb mem.SegBuf
-				for _, seg := range u.Segments(off, ln, sb[:0]) {
-					scatter = append(scatter, u.Space.Bytes(seg.Addr, seg.Len))
-				}
-				trk.scatter = scatter
+				trk.scatter = append(trk.scatter[:0], u.Buf.Slice(off, ln).Bytes())
 				trk.add(ln)
-				w.Handle.CopyOut(m.Off(), ln, scatter, trk)
+				w.Handle.CopyOut(m.Off(), ln, trk.scatter, trk)
 			} else {
 				// Fallback: read outboard data with the CPU.
 				s.st.CopyReads++

@@ -89,7 +89,7 @@ func TestTrackerParkKeepsOnlyIdle(t *testing.T) {
 	cp := mbuf.CopyRange(m, 0, 4)
 	m.Free()
 	park(&slot, cut)
-	if slot != nil || cut.uio.Total() != 8 || len(cut.hdrs) != 1 {
+	if slot != nil || cut.uio.Buf.Len != 8 || len(cut.hdrs) != 1 {
 		t.Fatal("a tracker whose descriptor a segment copy still points at was parked")
 	}
 	cp.Free()

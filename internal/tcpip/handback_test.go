@@ -90,7 +90,7 @@ func TestSentRangeHandBack(t *testing.T) {
 					c.state = StateClosed
 				}
 				// Write bytes [0, 100) are acknowledged: the buffer holds the rest.
-				c.sndBuf = mbuf.NewUIO(mem.NewUIO(buf), 100, 300, &mbuf.Hdr{Owner: owner})
+				c.sndBuf = mbuf.NewUIO(&mem.UIO{Buf: buf}, 100, 300, &mbuf.Hdr{Owner: owner})
 
 				freed := path.hand(c, tc.seq)
 
