@@ -930,3 +930,66 @@ func TestRegistryOnlyReads(t *testing.T) {
 		}
 	}
 }
+
+// TestChecksumRequestIsGeometry keeps the outboard checksum hand-off one
+// step (DESIGN §3): the transport writes the seed into the packet's
+// checksum field, and what travels with the packet is only where that
+// field is and how many header bytes the engine skips. No copy of the seed
+// rides beside it (mbuf.Hdr.CsumSeed), no flag repeats a non-zero
+// CsumSkip (mbuf.Hdr.NeedCsum, cab.SDMAReq.Csum), and no copy of the body
+// sum the adaptor keeps on its packet sits in the stack's wCAB
+// (mbuf.WCAB.BodySum). The CAB driver sends both personalities through one
+// function, so it declares no sendLegacy or sendSingleCopy.
+func TestChecksumRequestIsGeometry(t *testing.T) {
+	banned := map[string][]string{
+		"internal/mbuf.Hdr":    {"CsumSeed", "NeedCsum"},
+		"internal/mbuf.WCAB":   {"BodySum"},
+		"internal/cab.SDMAReq": {"Csum"},
+	}
+	seen := map[string]bool{}
+	for _, dir := range []string{"internal/mbuf", "internal/cab", "internal/cabdrv"} {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+				continue
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if dir == "internal/cabdrv" && (n.Name.Name == "sendLegacy" || n.Name.Name == "sendSingleCopy") {
+						t.Errorf("%s: %s: the driver sends both personalities through one function", fset.Position(n.Pos()), n.Name.Name)
+					}
+				case *ast.TypeSpec:
+					key := dir + "." + n.Name.Name
+					st, ok := n.Type.(*ast.StructType)
+					if !ok || banned[key] == nil {
+						return true
+					}
+					seen[key] = true
+					for _, fld := range st.Fields.List {
+						for _, name := range fld.Names {
+							if slices.Contains(banned[key], name.Name) {
+								t.Errorf("%s: %s.%s: a checksum request is its geometry (CsumOff, CsumSkip); the seed is in the packet and the body sum on the adaptor",
+									fset.Position(name.Pos()), n.Name.Name, name.Name)
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for key := range banned {
+		if !seen[key] {
+			t.Errorf("found no struct %s: the guard no longer sees it", key)
+		}
+	}
+}

@@ -106,7 +106,6 @@ func TestSDMATxChecksumSeedProtocol(t *testing.T) {
 		Dir:      ToCAB,
 		Pkt:      pk,
 		Gather:   [][]byte{img[:hdrLen], img[hdrLen:]},
-		Csum:     true,
 		CsumOff:  csumOff,
 		CsumSkip: hdrLen,
 		Owner:    onDone(func(*SDMAReq) { done = true }),
@@ -139,7 +138,7 @@ func TestHeaderOnlyRetransmitOverlay(t *testing.T) {
 	pk, _ := a.AllocPacket(units.Size(len(img)))
 	a.SDMA(&SDMAReq{
 		Dir: ToCAB, Pkt: pk, Gather: [][]byte{img},
-		Csum: true, CsumOff: csumOff, CsumSkip: hdrLen,
+		CsumOff: csumOff, CsumSkip: hdrLen,
 	})
 	e.Run()
 
@@ -156,7 +155,7 @@ func TestHeaderOnlyRetransmitOverlay(t *testing.T) {
 
 	a.SDMA(&SDMAReq{
 		Dir: ToCAB, Pkt: pk, Gather: [][]byte{newHdr},
-		HeaderOnly: true, Csum: true, CsumOff: csumOff, CsumSkip: hdrLen,
+		HeaderOnly: true, CsumOff: csumOff, CsumSkip: hdrLen,
 	})
 	e.Run()
 

@@ -304,14 +304,7 @@ func (c *CAB) tryRx(f hippi.Frame) bool {
 	}
 	c.Stats.RxPackets++
 
-	var bodySum uint32
-	if n > c.Cfg.RxCsumSkip {
-		bodySum = checksum.Sum(pk.buf[c.Cfg.RxCsumSkip:])
-	}
-	if c.FaultRxCsum != nil {
-		bodySum ^= c.FaultRxCsum()
-	}
-
+	bodySum := c.rxBodySum(pk.buf)
 	buf := c.rxBufs.Pop()
 
 	l := c.Cfg.AutoDMALen
@@ -325,6 +318,20 @@ func (c *CAB) tryRx(f hippi.Frame) bool {
 	st.req = SDMAReq{Dir: ToHost, Pkt: pk, Scatter: st.scatter[:], Span: f.Span, Owner: st}
 	c.SDMA(&st.req)
 	return true
+}
+
+// rxBodySum is the receive checksum engine's partial sum over frame past
+// the fixed skip offset (0 for a frame no longer than the skip), as an
+// injected engine fault leaves it.
+func (c *CAB) rxBodySum(frame []byte) uint32 {
+	var sum uint32
+	if units.Size(len(frame)) > c.Cfg.RxCsumSkip {
+		sum = checksum.Sum(frame[c.Cfg.RxCsumSkip:])
+	}
+	if c.FaultRxCsum != nil {
+		sum ^= c.FaultRxCsum()
+	}
+	return sum
 }
 
 // rxState is the adaptor's state for one admitted packet, built once: the
@@ -361,13 +368,7 @@ func (st *rxState) SDMAFail(*SDMAReq) { st.ev.Done() }
 // packet is in Buf.
 func (c *CAB) rxDeliverDirect(f hippi.Frame) {
 	n := units.Size(len(f.Data))
-	var bodySum uint32
-	if n > c.Cfg.RxCsumSkip {
-		bodySum = checksum.Sum(f.Data[c.Cfg.RxCsumSkip:])
-	}
-	if c.FaultRxCsum != nil {
-		bodySum ^= c.FaultRxCsum()
-	}
+	bodySum := c.rxBodySum(f.Data)
 	buf := c.rxBufs.Pop()
 	copy(buf, f.Data)
 	c.net.Bufs.Put(f.Data)

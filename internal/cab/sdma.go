@@ -43,13 +43,11 @@ type SDMAReq struct {
 	// Section 4.3).
 	HeaderOnly bool
 
-	// Csum engages the transmit checksum engine: it sums the packet body
-	// beyond CsumSkip during the transfer, combines it with the 16-bit
-	// seed the host placed at CsumOff, and stores the finished checksum
-	// there.
-	Csum     bool
-	CsumOff  units.Size
-	CsumSkip units.Size
+	// A non-zero CsumSkip engages the transmit checksum engine: it sums
+	// the packet body beyond CsumSkip during the transfer, combines it
+	// with the 16-bit seed the host placed at CsumOff, and stores the
+	// finished checksum there.
+	CsumOff, CsumSkip units.Size
 
 	// ToHost: copy packet bytes [PktOff, PktOff+len(Scatter bytes)) into
 	// the scatter segments.
@@ -170,7 +168,7 @@ func (c *CAB) sdmaDone() {
 			c.performToCAB(req)
 			if !req.HeaderOnly {
 				var fl ledger.Flags
-				if req.Csum {
+				if req.CsumSkip != 0 {
 					fl = ledger.FlagCsumFlight
 				}
 				c.Led.TouchP(req.Span, 0, req.Pkt.Len(), ledger.SDMAToNet, ledger.LayerSDMA, fl)
@@ -199,7 +197,7 @@ func (c *CAB) performToCAB(req *SDMAReq) {
 	if !req.HeaderOnly && off != pk.Len() {
 		panic(fmt.Sprintf("cab: packet not fully formed: %v of %v bytes", off, pk.Len()))
 	}
-	if !req.Csum {
+	if req.CsumSkip == 0 {
 		return
 	}
 	if req.CsumSkip%2 != 0 || req.CsumOff+2 > pk.Len() || req.CsumOff+2 > req.CsumSkip {
@@ -222,8 +220,10 @@ func (c *CAB) performToCAB(req *SDMAReq) {
 		}
 		pk.HasBodySum = true
 	}
+	// The engine never writes 0x0000: a UDP receiver reads it as "no
+	// checksum", and a TCP receiver accepts either ones-complement zero.
 	seed := uint32(pk.buf[req.CsumOff])<<8 | uint32(pk.buf[req.CsumOff+1])
-	final := checksum.Finish(checksum.Add(seed, pk.BodySum))
+	final := checksum.UDPWire(checksum.Finish(checksum.Add(seed, pk.BodySum)))
 	pk.buf[req.CsumOff] = byte(final >> 8)
 	pk.buf[req.CsumOff+1] = byte(final)
 }

@@ -18,6 +18,9 @@
 //   - Legacy (the unmodified stack): packets are fully materialized kernel
 //     buffers; the CAB is used as a plain DMA device and checksums are the
 //     stack's (software) problem.
+//
+// Both personalities transmit through one path (send): a legacy chain is
+// materialized at Output, so every descriptor check passes it through.
 package cabdrv
 
 import (
@@ -401,26 +404,19 @@ func (d *Driver) txd(p *sim.Proc) {
 	for {
 		job := d.txQ.Get(p)
 		job.m.Span().CritEv(obs.CauseQueue, obs.EvTxqGet)
-		if d.SingleCopy {
-			d.sendSingleCopy(p, job)
-		} else {
-			d.sendLegacy(p, job)
-		}
+		d.send(p, job)
 	}
 }
 
-// sendSingleCopy transmits a (possibly descriptor-bearing) packet.
-func (d *Driver) sendSingleCopy(p *sim.Proc, job *txJob) {
+// send transmits one packet, for both personalities. A legacy chain was
+// materialized into kernel buffers at Output, so it holds no descriptor:
+// nothing dooms it, it is no overlay candidate, and its gather is its
+// buffers. A single-copy chain may carry M_UIO and M_WCAB descriptors.
+func (d *Driver) send(p *sim.Proc, job *txJob) {
 	m := job.m
-	if txAbandoned(m) || txDead(m) {
-		d.dropAbandoned(job, nil)
+	if d.dropDoomed(job, nil) {
 		return
 	}
-	if txStale(m) {
-		d.dropStale(job, nil)
-		return
-	}
-
 	if op, prefixLen, ok := d.overlayCandidate(m); ok {
 		d.sendOverlay(job, op, prefixLen)
 		return
@@ -434,17 +430,9 @@ func (d *Driver) sendSingleCopy(p *sim.Proc, job *txJob) {
 		// The allocation blocked on network memory (or its arbiter).
 		m.Span().CritEv(obs.CauseNetmem, obs.EvNetmemTx)
 	}
-	// The allocation may have blocked; the connection can tear down (or a
-	// firmware reset can wipe referenced outboard packets) in the meantime.
-	if txAbandoned(m) || txDead(m) {
-		d.dropAbandoned(job, pk)
-		return
-	}
-	// Likewise, an ACK can land while the job queued or the allocation
-	// blocked: a retransmission whose data was acknowledged (and unpinned)
-	// must not reach the DMA engine.
-	if txStale(m) {
-		d.dropStale(job, pk)
+	// The allocation may have blocked, and the chain's fate may have
+	// changed in the meantime.
+	if d.dropDoomed(job, pk) {
 		return
 	}
 
@@ -486,15 +474,14 @@ func (d *Driver) linkHdr(job *txJob, pktLen units.Size) [][]byte {
 }
 
 // startTx posts the job's SDMA into pk: the whole packet from gather, or
-// only a new header over the saved body when headerOnly. On the
-// single-copy path a packet the transport marked for outboard checksumming
-// gets the checksum engine.
+// only a new header over the saved body when headerOnly. A packet whose
+// header carries a checksum request (a non-zero CsumSkip, which only a
+// single-copy route's transport sets) gets the checksum engine.
 func (d *Driver) startTx(job *txJob, pk *cab.Packet, gather [][]byte, headerOnly bool) {
 	m := job.m
 	job.req = cab.SDMAReq{Dir: cab.ToCAB, Pkt: pk, Gather: gather, HeaderOnly: headerOnly,
 		Span: m.Span(), Owner: job}
-	if h := m.Hdr(); d.SingleCopy && h != nil && h.NeedCsum {
-		job.req.Csum = true
+	if h := m.Hdr(); h != nil && h.CsumSkip != 0 {
 		job.req.CsumOff = wire.LinkHdrLen + wire.IPHdrLen + h.CsumOff
 		job.req.CsumSkip = wire.LinkHdrLen + wire.IPHdrLen + h.CsumSkip
 	}
@@ -508,7 +495,7 @@ func (d *Driver) startTx(job *txJob, pk *cab.Packet, gather [][]byte, headerOnly
 // Everything else — control segments, UDP datagrams, raw sends — is freed
 // once the frame has left the adaptor.
 func transportOwns(h *mbuf.Hdr) bool {
-	return h != nil && h.NeedCsum && h.OnOutboard != nil
+	return h != nil && h.OnOutboard != nil
 }
 
 // SDMADone implements cab.SDMAOwner. It runs in hardware context when a
@@ -556,7 +543,7 @@ func (d *Driver) finishTx(job *txJob) {
 			pk := job.req.Pkt
 			op := d.outPkts.Get()
 			*op = outPkt{pktRef: pktRef{d: d, pk: pk, gen: pk.Gen(), base: wire.LinkHdrLen + wire.IPHdrLen + h.CsumSkip}}
-			op.Handle, op.BodySum, op.Valid = op, pk.BodySum, pk.Len()-op.base
+			op.Handle, op.Valid = op, pk.Len()-op.base
 			h.OnOutboard.Outboard(&op.WCAB)
 		}
 	default:
@@ -576,67 +563,44 @@ func (d *Driver) release(job *txJob) {
 	d.txJobs.Put(job)
 }
 
-// txAbandoned reports whether any descriptor in the chain was released by
-// a connection teardown while the packet waited in the transmit queue (the
-// queued copies share the send buffer's headers).
-func txAbandoned(m *mbuf.Mbuf) bool {
-	for cur := m; cur != nil; cur = cur.Next() {
-		if cur.Type() == mbuf.TUIO {
+// dropDoomed discards job, and frees pk if the packet was allocated, when
+// its chain can no longer be sent. Abandoned (TxAbandoned): a descriptor
+// was released by a connection teardown while the packet waited (the
+// queued copies share the send buffer's headers), or the chain references
+// outboard data a firmware reset wiped, which no descriptor can rebuild;
+// the stack's device-reset sweep resolves such a connection. Stale
+// (TxStaleAcked): the chain references user pages no longer pinned, since
+// an ACK released them while the job queued (a retransmission that lost
+// its race with the ACK, seen under fabric-scale RTTs). Abandoned wins
+// over stale.
+func (d *Driver) dropDoomed(job *txJob, pk *cab.Packet) bool {
+	abandoned, stale := false, false
+	for cur := job.m; cur != nil && !abandoned; cur = cur.Next() {
+		switch cur.Type() {
+		case mbuf.TUIO:
 			if h := cur.Hdr(); h != nil && h.Abandoned {
-				return true
+				abandoned = true
+			} else if !stale {
+				r := cur.UIO().Buf.Slice(cur.Off(), cur.Len())
+				stale = !r.Space.Pinned(r.Addr, r.Len)
 			}
+		case mbuf.TWCAB:
+			abandoned = cur.WCABRef().Handle.Dead()
 		}
 	}
-	return false
-}
-
-// txDead reports whether the chain references outboard data wiped by a
-// firmware reset — such a packet can never be reconstructed from the
-// descriptor (the bytes existed only in network memory), so the job is
-// dropped and the stack's device-reset sweep resolves the connection.
-func txDead(m *mbuf.Mbuf) bool {
-	for cur := m; cur != nil; cur = cur.Next() {
-		if cur.Type() == mbuf.TWCAB && cur.WCABRef().Handle.Dead() {
-			return true
-		}
+	switch {
+	case abandoned:
+		d.Stats.TxAbandoned++
+	case stale:
+		d.Stats.TxStaleAcked++
+	default:
+		return false
 	}
-	return false
-}
-
-// dropAbandoned discards a transmit job whose connection tore down before
-// the DMA was issued; its user pages are no longer pinned.
-func (d *Driver) dropAbandoned(job *txJob, pk *cab.Packet) {
-	d.Stats.TxAbandoned++
 	if pk != nil {
 		pk.Free()
 	}
 	d.release(job)
-}
-
-// txStale reports whether the chain references user pages that are no
-// longer pinned: the segment's data was acknowledged — and its pages
-// released — while the job sat in the transmit queue (a retransmission
-// that lost its race with the ACK, seen under fabric-scale RTTs).
-func txStale(m *mbuf.Mbuf) bool {
-	for cur := m; cur != nil; cur = cur.Next() {
-		if cur.Type() != mbuf.TUIO {
-			continue
-		}
-		if r := cur.UIO().Buf.Slice(cur.Off(), cur.Len()); !r.Space.Pinned(r.Addr, r.Len) {
-			return true
-		}
-	}
-	return false
-}
-
-// dropStale discards a transmit job made redundant by an ACK that
-// arrived while it was queued.
-func (d *Driver) dropStale(job *txJob, pk *cab.Packet) {
-	d.Stats.TxStaleAcked++
-	if pk != nil {
-		pk.Free()
-	}
-	d.release(job)
+	return true
 }
 
 // sendOverlay retransmits an outboard packet by DMAing only the fresh
@@ -683,27 +647,6 @@ func (d *Driver) overlayCandidate(m *mbuf.Mbuf) (*outPkt, units.Size, bool) {
 		return nil, 0, false
 	}
 	return op, prefixLen, true
-}
-
-// sendLegacy transmits a fully materialized kernel-buffer packet, using
-// the CAB as a plain DMA device (the unmodified stack's path). The
-// outboard packet is freed after the media send: retransmission state
-// lives in the kernel socket buffers.
-func (d *Driver) sendLegacy(p *sim.Proc, job *txJob) {
-	m := job.m
-	ipLen := mbuf.ChainLen(m)
-	pktLen := wire.LinkHdrLen + ipLen
-	t0 := d.K.Eng.Now()
-	pk := d.C.AllocPacketWaitFlow(p, pktLen, m.Flow())
-	if d.K.Eng.Now() > t0 {
-		m.Span().CritEv(obs.CauseNetmem, obs.EvNetmemTx)
-	}
-
-	gather := d.linkHdr(job, pktLen)
-	for cur := m; cur != nil; cur = cur.Next() {
-		gather = append(gather, cur.Bytes())
-	}
-	d.startTx(job, pk, gather, false)
 }
 
 // completeTx batches host-side completion work, raising one interrupt when

@@ -187,10 +187,8 @@ func TestUIOGatherWithOutboardChecksum(t *testing.T) {
 		hm.SetNext(mbuf.NewUIO(u, 0, 6000, nil))
 		hm.MarkPktHdr(segTotal)
 		hm.SetHdr(&mbuf.Hdr{
-			NeedCsum:   true,
 			CsumOff:    wire.TCPCsumOff,
 			CsumSkip:   wire.TCPHdrLen,
-			CsumSeed:   uint32(seed),
 			OnOutboard: keepWCAB{&w},
 		})
 		r.da.Output(ctx, ipPacket(t, hm, wire.ProtoTCP), 2)
@@ -207,7 +205,7 @@ func TestUIOGatherWithOutboardChecksum(t *testing.T) {
 	if !checksum.VerifySum(checksum.Add(ps, checksum.Sum(seg))) {
 		t.Fatal("hardware-produced checksum invalid")
 	}
-	// The transport received its WCAB handle with the saved body sum.
+	// The transport received its WCAB handle.
 	if w == nil {
 		t.Fatal("OnOutboard not invoked")
 	}

@@ -82,7 +82,7 @@ func (d *Driver) rxIntr(ctx kern.Ctx, ev *cab.RxEvent) {
 	rp := d.rxPkts.Get()
 	*rp = rxPkt{pktRef: pktRef{d: d, pk: ev.Pkt, gen: ev.Pkt.Gen(), base: base, span: ev.Span}, holds: 2,
 		hdr: mbuf.Hdr{HWRxValid: true, HWRxSum: ev.BodySum, Span: ev.Span}}
-	rp.Handle, rp.BodySum, rp.Valid = rp, ev.BodySum, pktLen-base
+	rp.Handle, rp.Valid = rp, pktLen-base
 
 	head := d.K.Mbufs.AdoptCluster(ev.Buf, wire.LinkHdrLen, ev.HdrLen-wire.LinkHdrLen, rp)
 	head.MarkPktHdr(pktLen - wire.LinkHdrLen)

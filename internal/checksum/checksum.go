@@ -157,9 +157,11 @@ func PseudoHeaderSum(src, dst uint32, proto uint8, length uint32) uint32 {
 
 // UDPWire maps a computed UDP checksum to its wire representation: a
 // computed value of 0 is transmitted as 0xffff because 0 means "no
-// checksum". Section 4.3 notes this cannot occur in practice for the CAB's
-// ones-complement add (a sum of 0 requires all-zero terms, impossible with
-// non-zero address fields), but the stack still implements the rule.
+// checksum". The computed value is 0 whenever the summed data folds to
+// 0xffff, about one datagram in 65,535, so both producers of a wire
+// checksum apply the rule: UDP's software path, and the CAB's transmit
+// engine for every protocol (a TCP receiver accepts either form of
+// ones-complement zero).
 func UDPWire(c uint16) uint16 {
 	if c == 0 {
 		return 0xffff

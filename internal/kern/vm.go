@@ -138,14 +138,7 @@ func (v *VM) mapKernel(c Ctx, space *mem.AddrSpace, addr, n units.Size) {
 		return
 	}
 	v.Maps++
-	space.MapKernel(addr, n)
 	c.Charge(v.k.Mach.MapTime(pages), CatVM)
-}
-
-// UnmapBuf clears a kernel mapping; Table 2 lists no unmap cost and the
-// paper's analysis charges none, so neither do we.
-func (v *VM) UnmapBuf(space *mem.AddrSpace, addr, n units.Size) {
-	space.UnmapKernel(addr, n)
 }
 
 // PinUIO pins [off, off+n) of u, charging in c.

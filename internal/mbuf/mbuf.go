@@ -5,8 +5,9 @@
 //   - M_UIO mbufs describe data that is still in the user's address space
 //     (a struct uio region), and
 //   - M_WCAB mbufs describe data that already lives in CAB network memory
-//     (a wCAB structure holding the outboard packet identifier, its saved
-//     body checksum, and how much of the outboard data is valid).
+//     (a wCAB structure holding the outboard packet identifier and how
+//     much of the outboard data is valid; the adaptor keeps the packet's
+//     saved body checksum).
 //
 // Both carry a uiowCABhdr with the checksum placement information and the
 // owner to notify when DMA completes. Because data of every format is
@@ -88,19 +89,14 @@ type Notifier interface {
 // Hdr is the uiowCABhdr: checksum placement information plus the owner to
 // notify, shared by M_UIO and M_WCAB mbufs (Section 4.2, 4.3).
 type Hdr struct {
-	// NeedCsum tells the driver the hardware must produce the transport
-	// checksum during the copy into network memory.
-	NeedCsum bool
-	// CsumOff is the byte offset of the 16-bit checksum field within the
-	// packet.
-	CsumOff units.Size
-	// CsumSkip is S: the number of bytes at the front of the packet the
-	// checksum engine skips (all headers; the host covers them via the
-	// seed).
-	CsumSkip units.Size
-	// CsumSeed is the partial sum of the skipped span (headers plus
-	// pseudo-header), placed by the transport layer.
-	CsumSeed uint32
+	// CsumOff and CsumSkip are the transmit checksum request, in transport
+	// coordinates (byte 0 is the transport header's first byte). A
+	// non-zero CsumSkip asks the adaptor to produce the transport checksum
+	// during the copy into network memory: CsumSkip is S, the number of
+	// header bytes the engine skips, and CsumOff the offset of the 16-bit
+	// field where the transport placed its seed (the sum of the skipped
+	// headers and the pseudo-header).
+	CsumOff, CsumSkip units.Size
 	// Owner is credited as the descriptor's bytes leave it.
 	Owner Notifier
 	// Abandoned is set by a connection teardown that force-released the
@@ -165,18 +161,15 @@ type OutboardSink interface {
 }
 
 // WCAB is the paper's wCAB structure: the handle of a packet resident in
-// network memory, its hardware-computed body checksum, and how much of the
-// outboard data is valid. A driver embeds it in its own per-packet handle
-// and points Handle back at that, so one allocation carries both.
+// network memory and how much of the outboard data is valid. The body
+// checksum the paper's wCAB also names stays with the adaptor's packet,
+// which is where a header-only retransmission reuses it (Section 4.3). A
+// driver embeds the WCAB in its own per-packet handle and points Handle
+// back at that, so one allocation carries both.
 type WCAB struct {
 	// Handle is the driver's handle on the outboard packet (opaque to the
 	// stack): every access to the outboard bytes goes through it.
 	Handle Outboard
-	// BodySum is the unfolded partial checksum of the packet body
-	// (everything past CsumSkip) saved when the data first crossed into
-	// network memory; it is what makes retransmission without re-reading
-	// the data possible (Section 4.3).
-	BodySum uint32
 	// Valid is how many bytes of the outboard packet hold valid data.
 	Valid units.Size
 

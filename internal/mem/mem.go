@@ -22,7 +22,6 @@ type AddrSpace struct {
 	data     []byte
 	brk      units.Size // bump-allocator high-water mark
 	pinned   []int      // per-page pin reference counts
-	mapped   []bool     // per-page "mapped into kernel space" flags
 }
 
 // NewAddrSpace returns a size-byte address space with the given page size.
@@ -36,7 +35,6 @@ func NewAddrSpace(name string, size, pageSize units.Size) *AddrSpace {
 		pageSize: pageSize,
 		data:     make([]byte, size),
 		pinned:   make([]int, pages),
-		mapped:   make([]bool, pages),
 	}
 }
 
@@ -151,40 +149,6 @@ func (s *AddrSpace) PinnedPages() int {
 		}
 	}
 	return n
-}
-
-// MapKernel marks pages covering [addr, addr+n) as mapped into kernel
-// space and returns the number of pages newly mapped.
-func (s *AddrSpace) MapKernel(addr, n units.Size) int {
-	first, last := s.pageRange(addr, n)
-	fresh := 0
-	for i := first; i <= last; i++ {
-		if !s.mapped[i] {
-			fresh++
-			s.mapped[i] = true
-		}
-	}
-	return fresh
-}
-
-// UnmapKernel clears the kernel mapping flags for [addr, addr+n).
-func (s *AddrSpace) UnmapKernel(addr, n units.Size) {
-	first, last := s.pageRange(addr, n)
-	for i := first; i <= last; i++ {
-		s.mapped[i] = false
-	}
-}
-
-// MappedKernel reports whether all pages of [addr, addr+n) are mapped into
-// kernel space.
-func (s *AddrSpace) MappedKernel(addr, n units.Size) bool {
-	first, last := s.pageRange(addr, n)
-	for i := first; i <= last; i++ {
-		if !s.mapped[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Buf is a contiguous region of one address space.

@@ -94,24 +94,6 @@ func TestUnpinUnpinnedPanics(t *testing.T) {
 	s.Unpin(b.Addr, b.Len)
 }
 
-func TestMapKernel(t *testing.T) {
-	s := space(t)
-	b := s.Alloc(20*units.KB, 0)
-	if got := s.MapKernel(b.Addr, b.Len); got != 3 {
-		t.Fatalf("fresh maps = %d, want 3", got)
-	}
-	if !s.MappedKernel(b.Addr, b.Len) {
-		t.Fatal("should be mapped")
-	}
-	if got := s.MapKernel(b.Addr, b.Len); got != 0 {
-		t.Fatalf("re-map fresh = %d, want 0", got)
-	}
-	s.UnmapKernel(b.Addr, b.Len)
-	if s.MappedKernel(b.Addr, b.Len) {
-		t.Fatal("should be unmapped")
-	}
-}
-
 func TestBufSlice(t *testing.T) {
 	s := space(t)
 	b := s.Alloc(100, 1)

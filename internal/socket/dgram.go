@@ -108,7 +108,6 @@ func (d *DGram) SendTo(p *sim.Proc, buf mem.Buf, dst wire.Addr, dport uint16) er
 	}
 	trk.wait(p)
 	d.VM.UnpinUIO(ctx, u, 0, buf.Len)
-	d.VM.UnmapBuf(buf.Space, buf.Addr, buf.Len)
 	return err
 }
 

@@ -403,8 +403,6 @@ func (s *Socket) writeUIO(ctx kern.Ctx, trk *tracker, buf mem.Buf) (units.Size, 
 func (s *Socket) unpinAll(ctx kern.Ctx, u *mem.UIO, pinned []mem.Iovec) {
 	for _, r := range pinned {
 		s.VM.UnpinUIO(ctx, u, r.Addr, r.Len)
-		b := u.Buf.Slice(r.Addr, r.Len)
-		s.VM.UnmapBuf(b.Space, b.Addr, b.Len)
 	}
 }
 

@@ -1,7 +1,8 @@
 package tcpip
 
 import (
-	"repro/internal/checksum"
+	"encoding/binary"
+
 	"repro/internal/kern"
 	"repro/internal/mbuf"
 	"repro/internal/obs"
@@ -415,8 +416,7 @@ func (s *Stack) sendRst(ctx kern.Ctx, key connKey, in wire.TCPHdr, seglen units.
 	hb := make([]byte, wire.TCPHdrLen)
 	hdr.Marshal(hb)
 	ps := pseudoSum(s.Addr, key.raddr, wire.ProtoTCP, wire.TCPHdrLen)
-	hdr.Csum = checksum.Finish(checksum.Add(ps, checksum.Sum(hb)))
-	hdr.Marshal(hb)
+	binary.BigEndian.PutUint16(hb[wire.TCPCsumOff:], softCsum(hb, ps, 0))
 	hm := s.K.Mbufs.NewData(hb)
 	hm.MarkPktHdr(wire.TCPHdrLen)
 	s.IPOutput(ctx, hm, wire.ProtoTCP, key.raddr)

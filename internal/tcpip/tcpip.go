@@ -14,6 +14,7 @@ package tcpip
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -396,6 +397,23 @@ type routeInfo struct {
 // pseudoSum returns the transport pseudo-header partial sum.
 func pseudoSum(src, dst wire.Addr, proto uint8, segLen units.Size) uint32 {
 	return checksum.PseudoHeaderSum(uint32(src), uint32(dst), proto, uint32(segLen))
+}
+
+// outboardCsum hands a transport checksum to the adaptor (Section 4.3).
+// hb is the marshalled transport header, its checksum field at off still
+// zero: the field gets the seed — the folded sum of the pseudo-header ps
+// and the header — and the returned packet header the geometry the CAB
+// needs to sum the body past hb during the SDMA and complete the field.
+func outboardCsum(hb []byte, ps uint32, off units.Size) mbuf.Hdr {
+	binary.BigEndian.PutUint16(hb[off:], checksum.Fold(checksum.Add(ps, checksum.Sum(hb))))
+	return mbuf.Hdr{CsumOff: off, CsumSkip: units.Size(len(hb))}
+}
+
+// softCsum returns the finished software checksum of a segment whose
+// marshalled header hb (checksum field zero) is followed by a body with
+// partial sum body, under pseudo-header sum ps.
+func softCsum(hb []byte, ps, body uint32) uint16 {
+	return checksum.Finish(checksum.Combine(checksum.Add(ps, checksum.Sum(hb)), body, len(hb)))
 }
 
 // verifyTransportCsum checks a received transport segment's checksum,

@@ -1,9 +1,9 @@
 package tcpip
 
 import (
+	"encoding/binary"
 	"fmt"
 
-	"repro/internal/checksum"
 	"repro/internal/kern"
 	"repro/internal/mbuf"
 	"repro/internal/obs"
@@ -177,35 +177,20 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 
 	ps := pseudoSum(c.stk.Addr, c.key.raddr, wire.ProtoTCP, segTotal)
 	hb := make([]byte, wire.TCPHdrLen)
+	hdr.Marshal(hb)
 	var phdr *mbuf.Hdr
 
-	useHW := singleCopy && seglen > 0
-	if useHW {
-		// Outboard checksumming (Section 4.3): the host covers the TCP
-		// header and pseudo-header with a seed placed in the checksum
-		// field; the CAB sums the payload during the SDMA into network
-		// memory and combines.
-		hdr.Csum = 0
-		hdr.Marshal(hb)
-		seed := checksum.Fold(checksum.Add(ps, checksum.Sum(hb)))
-		hdr.Csum = seed
-		hdr.Marshal(hb)
+	if singleCopy && seglen > 0 {
+		// Outboard checksumming (Section 4.3): the CAB sums the payload
+		// during the SDMA into network memory and completes the seed.
 		hs := c.stk.hwSegs.Get()
-		*hs = hwSeg{c: c, seq: seq, n: seglen}
-		hs.hdr = mbuf.Hdr{
-			NeedCsum:   true,
-			CsumOff:    wire.TCPCsumOff,
-			CsumSkip:   wire.TCPHdrLen,
-			CsumSeed:   uint32(seed),
-			OnOutboard: hs,
-		}
+		*hs = hwSeg{c: c, seq: seq, n: seglen, hdr: outboardCsum(hb, ps, wire.TCPCsumOff)}
+		hs.hdr.OnOutboard = hs
 		phdr = &hs.hdr
 	} else {
 		// Software checksum: the CPU reads the segment (this is the
 		// per-byte cost the single-copy path eliminates).
-		hdr.Csum = 0
-		hdr.Marshal(hb)
-		sum := checksum.Add(ps, checksum.Sum(hb))
+		var body uint32
 		if seglen > 0 {
 			// The checksum read's cache working set is the retransmit
 			// queue the segment was cut from: with a large window the
@@ -222,13 +207,12 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 				// first stream byte.
 				csCtx = ctx.OnStreamProv(span, span.Seg().Off)
 			}
-			sum = checksum.Combine(sum, csumChain(csCtx, data, seglen, region), int(wire.TCPHdrLen))
+			body = csumChain(csCtx, data, seglen, region)
 			// The CPU read every payload byte to checksum it — the
 			// data-touching edge absent from the single-copy sender.
 			span.CritEv(obs.CauseCPUCsum, obs.EvTCPCsum)
 		}
-		hdr.Csum = checksum.Finish(sum)
-		hdr.Marshal(hb)
+		binary.BigEndian.PutUint16(hb[wire.TCPCsumOff:], softCsum(hb, ps, body))
 		if data != nil && mbuf.HasDescriptors(data) {
 			// Headed for a legacy device: ask the driver-entry shim to
 			// hand back the materialized data so the send buffer stops

@@ -1,6 +1,7 @@
 package tcpip
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"repro/internal/checksum"
@@ -112,31 +113,20 @@ func (u *UDPSock) SendTo(ctx kern.Ctx, m *mbuf.Mbuf, n units.Size, dst wire.Addr
 	hdr := wire.UDPHdr{SPort: u.port, DPort: dport, Len: segTotal}
 	ps := pseudoSum(u.stk.Addr, dst, wire.ProtoUDP, segTotal)
 	hb := make([]byte, wire.UDPHdrLen)
+	hdr.Marshal(hb)
 	var phdr *mbuf.Hdr
 
 	// Datagrams that fragment cannot use the per-packet transmit checksum
 	// engine (the field must cover the whole datagram): software checksum.
 	if singleCopy && n > 0 && segTotal+wire.IPHdrLen <= mtu {
-		hdr.Csum = 0
-		hdr.Marshal(hb)
-		seed := checksum.Fold(checksum.Add(ps, checksum.Sum(hb)))
-		hdr.Csum = seed
-		hdr.Marshal(hb)
-		phdr = &mbuf.Hdr{
-			NeedCsum: true,
-			CsumOff:  wire.UDPCsumOff,
-			CsumSkip: wire.UDPHdrLen,
-			CsumSeed: uint32(seed),
-		}
+		h := outboardCsum(hb, ps, wire.UDPCsumOff)
+		phdr = &h
 	} else {
-		hdr.Csum = 0
-		hdr.Marshal(hb)
-		sum := checksum.Add(ps, checksum.Sum(hb))
+		var body uint32
 		if n > 0 {
-			sum = checksum.Combine(sum, csumChain(ctx, m, n, n), int(wire.UDPHdrLen))
+			body = csumChain(ctx, m, n, n)
 		}
-		hdr.Csum = checksum.UDPWire(checksum.Finish(sum))
-		hdr.Marshal(hb)
+		binary.BigEndian.PutUint16(hb[wire.UDPCsumOff:], checksum.UDPWire(softCsum(hb, ps, body)))
 	}
 
 	hm := u.stk.K.Mbufs.NewData(hb)
