@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race allocs fuzz bench-smoke benchsmoke bench benchcheck gate audit soak obs-race load load-race ci
+.PHONY: all build vet test race allocs fuzz bench-smoke benchsmoke examples bench benchcheck gate audit soak obs-race load load-race ci
 
 all: build
 
@@ -57,6 +57,13 @@ benchsmoke:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
 
+# Run every program under examples/ end to end. Each checks its own result
+# (bytes received, blocks verified, data intact) and exits 1 when the check
+# fails, so an example that fails, panics or never ends fails here; a build
+# alone would pass it.
+examples:
+	@set -e; for d in examples/*/; do echo "example $$d"; $(GO) run ./$$d; done
+
 # Regenerate every committed baseline in place; the registry in
 # internal/exp says which files those are (`go run ./cmd/experiments -h`).
 # Run this (and commit the result) when a change intentionally moves the
@@ -109,4 +116,4 @@ load-race:
 	$(GO) test -race -count 1 ./internal/load/...
 
 # The GitHub workflow runs exactly these, one step each, in this order.
-ci: vet build race allocs fuzz bench-smoke benchsmoke audit benchcheck
+ci: vet build race allocs fuzz bench-smoke benchsmoke examples audit benchcheck

@@ -993,3 +993,86 @@ func TestChecksumRequestIsGeometry(t *testing.T) {
 		}
 	}
 }
+
+// TestNoTestOnlyCapabilities keeps deleted what only its own unit tests
+// ever called (ROADMAP 6(b), 6(d)). A process blocks on a resource, a
+// socket buffer or the outstanding-DMA counter and every timeout is a TCP
+// timer, so a Signal wait has no timeout and no generation scheme; a
+// caller learns a connection closed from its State; routing is host
+// routes only; CPU work is charged through Kernel.Work or Ctx.Charge and
+// data moved through the UIO primitives; and the critical path has no
+// cause class for Nagle, which the stack does not implement. An entry is
+// a declared name, or Type.name for a method or struct field of Type.
+func TestNoTestOnlyCapabilities(t *testing.T) {
+	banned := []struct {
+		dir   string
+		names []string
+	}{
+		{"internal/sim", []string{"WaitTimeout", "Proc.waitGen", "Proc.timedOut"}},
+		{"internal/tcpip", []string{"TCPConn.WaitClosed", "TCPConn.closedSig"}},
+		{"internal/netif", []string{"Table.SetDefault", "Table.Remove", "Table.def"}},
+		{"internal/kern", []string{"IntrWork", "ResetAccounting", "CopyBytes"}},
+		{"internal/obs", []string{"CauseNagle"}},
+	}
+	for _, b := range banned {
+		ents, err := os.ReadDir(b.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, e := range ents {
+			if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+				continue
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, filepath.Join(b.dir, e.Name()), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(owner string, id *ast.Ident) {
+				name := id.Name
+				if owner != "" {
+					name = owner + "." + name
+				}
+				if slices.Contains(b.names, id.Name) || slices.Contains(b.names, name) {
+					t.Errorf("%s: %s: only its own unit tests reached it; it stays deleted", fset.Position(id.Pos()), name)
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					owner := ""
+					if n.Recv != nil && len(n.Recv.List) == 1 {
+						typ := n.Recv.List[0].Type
+						if star, ok := typ.(*ast.StarExpr); ok {
+							typ = star.X
+						}
+						if id, ok := typ.(*ast.Ident); ok {
+							owner = id.Name
+						}
+					}
+					check(owner, n.Name)
+				case *ast.TypeSpec:
+					seen[n.Name.Name] = true
+					if st, ok := n.Type.(*ast.StructType); ok {
+						for _, fld := range st.Fields.List {
+							for _, name := range fld.Names {
+								check(n.Name.Name, name)
+							}
+						}
+					}
+				case *ast.ValueSpec:
+					for _, name := range n.Names {
+						check("", name)
+					}
+				}
+				return true
+			})
+		}
+		for _, name := range b.names {
+			if typ, _, ok := strings.Cut(name, "."); ok && !seen[typ] {
+				t.Errorf("%s declares no type %s: the guard no longer sees it", b.dir, typ)
+			}
+		}
+	}
+}

@@ -13,6 +13,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/kernapp"
@@ -77,8 +78,8 @@ func main() {
 	ok := true
 	for i := 0; i < blockCount; i++ {
 		want := srv.Block(uint32(firstBlock + i))
-		chunk := got[i*len(want) : (i+1)*len(want)]
-		if !bytes.Equal(chunk, want) {
+		lo := i * len(want)
+		if lo+len(want) > len(got) || !bytes.Equal(got[lo:lo+len(want)], want) {
 			ok = false
 			fmt.Printf("block %d corrupted!\n", firstBlock+i)
 		}
@@ -87,4 +88,7 @@ func main() {
 	fmt.Printf("server host CPU copy time: %v (share-semantics mbufs → single copy)\n",
 		b.K.CategoryBreakdown()["copy"])
 	fmt.Printf("server stats: %d requests, %d blocks served\n", srv.Requests, srv.BlocksServed)
+	if !ok {
+		os.Exit(1)
+	}
 }

@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/netif"
@@ -26,7 +27,9 @@ const (
 	addrR = wire.Addr(0x0a0000fe)
 )
 
-func transfer(tb *core.Testbed, from, to *core.Host, dst wire.Addr, port uint16, n units.Size) func() {
+// transfer starts one stream of n bytes; the returned report prints what
+// arrived and says whether it was all of it.
+func transfer(tb *core.Testbed, from, to *core.Host, dst wire.Addr, port uint16, n units.Size) func() bool {
 	lis := to.Stk.Listen(port)
 	var got units.Size
 	rt := to.NewUserTask(fmt.Sprintf("rcv%d", port), 0)
@@ -53,8 +56,9 @@ func transfer(tb *core.Testbed, from, to *core.Host, dst wire.Addr, port uint16,
 		}
 		s.Close(p)
 	})
-	return func() {
+	return func() bool {
 		fmt.Printf("  port %d: received %v of %v\n", port, got, n)
+		return got == n
 	}
 }
 
@@ -92,13 +96,14 @@ func main() {
 	tb.Eng.Run()
 	tb.Eng.KillAll()
 
-	p1()
-	p2()
-	p3()
+	ok1, ok2, ok3 := p1(), p2(), p3()
 	fmt.Println("\ninteroperation evidence:")
 	fmt.Printf("  A loopback conversions (shim) ......... %d packets\n", a.Lo.TxPackets)
 	fmt.Printf("  R forwarded between interfaces ........ %d packets\n", r.Stk.Stats.IPForwarded)
 	fmt.Printf("  B hardware-checksum verifications ..... %d\n", b.Stk.Stats.HWCsumVerified)
 	fmt.Printf("  B software-checksum verifications ..... %d (Ethernet/routed arrivals)\n", b.Stk.Stats.SWCsumVerified)
 	fmt.Printf("  C Ethernet driver shim conversions .... %d\n", c.Eth.Converted)
+	if !ok1 || !ok2 || !ok3 {
+		os.Exit(1)
+	}
 }

@@ -10,6 +10,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -91,4 +92,7 @@ func main() {
 	fmt.Printf("receiver out-of-order segments held .. %d\n", b.Stk.Stats.TCPOutOfOrder)
 	fmt.Printf("network memory reclaimed ............. %v\n",
 		a.CAB.FreePages() == a.CAB.TotalPages() && b.CAB.FreePages() == b.CAB.TotalPages())
+	if !intact {
+		os.Exit(1)
+	}
 }

@@ -65,7 +65,6 @@ type DecompPoint struct {
 	PerByteNs   int64 // copy + csum
 	PerPacketNs int64 // proto + driver + intr
 	PerCallNs   int64 // syscall + vm
-	OtherNs     int64 // app
 	TotalBytes  units.Size
 	Utilization float64
 	Efficiency  units.Rate
@@ -147,8 +146,6 @@ func decompose(p BreakdownPoint) DecompPoint {
 			d.PerPacketNs += s.Ns
 		case "syscall", "vm":
 			d.PerCallNs += s.Ns
-		default:
-			d.OtherNs += s.Ns
 		}
 	}
 	return d

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/kern"
 	"repro/internal/socket"
 	"repro/internal/ttcp"
 	"repro/internal/units"
@@ -62,7 +61,6 @@ type LazyPinPoint struct {
 	Lazy       bool
 	Throughput units.Rate
 	Efficiency units.Rate
-	VMTime     units.Time
 	PinHits    int
 }
 
@@ -83,7 +81,6 @@ func RunLazyPinAblation() []LazyPinPoint {
 			Lazy:       lazy,
 			Throughput: res.Throughput,
 			Efficiency: res.Snd.Efficiency,
-			VMTime:     a.K.CategoryTime(kern.CatVM),
 			PinHits:    a.VM.PinHits,
 		})
 	}

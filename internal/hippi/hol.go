@@ -12,7 +12,6 @@ import "math/rand"
 // HOLResult is the outcome of one queuing-discipline run.
 type HOLResult struct {
 	Ports       int
-	Slots       int
 	Delivered   int
 	Utilization float64 // delivered / (ports × slots)
 }
@@ -51,7 +50,6 @@ func RunFIFO(n, slots int, seed int64) HOLResult {
 	}
 	return HOLResult{
 		Ports:       n,
-		Slots:       slots,
 		Delivered:   delivered,
 		Utilization: float64(delivered) / float64(n*slots),
 	}
@@ -103,7 +101,6 @@ func RunLogicalChannels(n, slots int, seed int64) HOLResult {
 	}
 	return HOLResult{
 		Ports:       n,
-		Slots:       slots,
 		Delivered:   delivered,
 		Utilization: float64(delivered) / float64(n*slots),
 	}

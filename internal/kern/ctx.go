@@ -118,13 +118,6 @@ func (c Ctx) touch(kind ledger.Kind, off, n units.Size) {
 	c.K.Led.TouchSeg(c.seg, off, n, kind, c.layer, 0)
 }
 
-// CopyBytes copies src to dst charging copy time in this context.
-func (c Ctx) CopyBytes(dst, src []byte, region units.Size) {
-	c.Charge(c.K.Mach.CopyTime(units.Size(len(src)), region), CatCopy)
-	c.touch(ledger.CPUCopy, 0, units.Size(len(src)))
-	copy(dst, src)
-}
-
 // CopyFromUIO copies n bytes at offset off of u into dst, charging copy
 // time in this context (the socket layer's copyin on the traditional path).
 func (c Ctx) CopyFromUIO(u *mem.UIO, off, n units.Size, dst []byte, region units.Size) {

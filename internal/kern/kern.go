@@ -5,8 +5,8 @@
 // around, Section 7.1), an interrupt service daemon, and the VM operations
 // (pin/unpin/map) whose costs Table 2 reports.
 //
-// All CPU work in the simulation flows through Kernel.Work or
-// Kernel.IntrWork so that every virtual cycle lands in exactly one
+// All CPU work in the simulation flows through Kernel.Work or an execution
+// context's Ctx.Charge so that every virtual cycle lands in exactly one
 // accounting category and one task's user or system time.
 package kern
 
@@ -101,7 +101,7 @@ type Kernel struct {
 	Obs *obs.Registry
 
 	// Prof is the host's root profiler node (nil when profiling is
-	// disabled). Every Work/IntrWork charge lands on a node under it —
+	// disabled). Every Work or Ctx.Charge call lands on a node under it —
 	// explicitly via Ctx.In layer frames, or on a per-task/interrupt
 	// fallback node — so the profile always sums exactly to busy.
 	Prof *prof.Node
@@ -308,8 +308,10 @@ func (k *Kernel) workAt(p *sim.Proc, t *Task, d units.Time, cat Category, sys bo
 	})
 }
 
-// intrWorkAt is IntrWork with an explicit profiler attribution (the
-// interrupt fallback node when nil).
+// intrWorkAt runs d of CPU work in interrupt/kernel context at top
+// priority; the time is charged as system time to whichever task is
+// currently scheduled (the misattribution the paper describes), and the
+// profiler records it on node (the interrupt fallback node when nil).
 func (k *Kernel) intrWorkAt(p *sim.Proc, d units.Time, cat Category, node *prof.Node, flow int) {
 	if d <= 0 {
 		return
@@ -327,13 +329,6 @@ func (k *Kernel) intrWorkAt(p *sim.Proc, d units.Time, cat Category, node *prof.
 // user time. The caller must be in process context.
 func (k *Kernel) Work(p *sim.Proc, t *Task, d units.Time, cat Category, sys bool) {
 	k.workAt(p, t, d, cat, sys, nil, 0)
-}
-
-// IntrWork runs d of CPU work in interrupt/kernel context at top priority;
-// the time is charged as system time to whichever task is currently
-// scheduled (the misattribution the paper describes).
-func (k *Kernel) IntrWork(p *sim.Proc, d units.Time, cat Category) {
-	k.intrWorkAt(p, d, cat, nil, 0)
 }
 
 // soaker is the state of one Soak: a compute-bound task as a continuation
@@ -402,15 +397,6 @@ func (k *Kernel) CategoryTime(c Category) units.Time { return k.byCat[c] }
 
 // BusyTime returns total CPU busy time since creation.
 func (k *Kernel) BusyTime() units.Time { return k.busy }
-
-// ResetAccounting zeroes category and busy counters (task times are the
-// tasks' own).
-func (k *Kernel) ResetAccounting() {
-	for i := range k.byCat {
-		k.byCat[i] = 0
-	}
-	k.busy = 0
-}
 
 // CategoryBreakdown returns a copy of the per-category CPU time table.
 func (k *Kernel) CategoryBreakdown() map[string]units.Time {

@@ -71,7 +71,7 @@ func TestInterruptMisattribution(t *testing.T) {
 	})
 	e.At(1*units.Millisecond, func() {
 		k.PostIntr("net", func(p *sim.Proc) {
-			k.IntrWork(p, 300*units.Microsecond, CatProto)
+			k.IntrCtx(p).Charge(300*units.Microsecond, CatProto)
 		})
 	})
 	e.Run()
@@ -198,7 +198,9 @@ func TestVMLazyEviction(t *testing.T) {
 func TestCopyAndChecksumCharges(t *testing.T) {
 	e, k := newTestKernel()
 	task := k.NewTask("t", PrioUser, nil)
-	src := make([]byte, 32*units.KB)
+	space := mem.NewAddrSpace("u", 1*units.MB, k.Mach.PageSize)
+	buf := space.Alloc(32*units.KB, 4)
+	src := buf.Bytes()
 	for i := range src {
 		src[i] = byte(i)
 	}
@@ -206,7 +208,7 @@ func TestCopyAndChecksumCharges(t *testing.T) {
 	var sum uint32
 	e.Go("w", func(p *sim.Proc) {
 		c := k.TaskCtx(p, task)
-		c.CopyBytes(dst, src, 1*units.MB)
+		c.CopyFromUIO(&mem.UIO{Buf: buf}, 0, units.Size(len(src)), dst, 1*units.MB)
 		c.ChecksumCharge(units.Size(len(dst)), 1*units.MB)
 		sum = checksum.Sum(dst)
 	})
@@ -250,20 +252,6 @@ func TestUIOCopyHelpers(t *testing.T) {
 	}
 	if buf.Bytes()[0] != want {
 		t.Fatal("CopyToUIO wrong bytes")
-	}
-	e.KillAll()
-}
-
-func TestResetAccounting(t *testing.T) {
-	e, k := newTestKernel()
-	task := k.NewTask("t", PrioUser, nil)
-	e.Go("w", func(p *sim.Proc) {
-		k.Work(p, task, 100*units.Microsecond, CatCopy, true)
-	})
-	e.Run()
-	k.ResetAccounting()
-	if k.BusyTime() != 0 || k.CategoryTime(CatCopy) != 0 {
-		t.Fatal("reset did not clear counters")
 	}
 	e.KillAll()
 }
@@ -322,7 +310,7 @@ func runSoakScenario(t *testing.T, soak func(k *Kernel, t *Task, cat Category, s
 		e.At(at, func() {
 			k.PostIntr("dev", func(p *sim.Proc) {
 				log("intr")
-				k.IntrWork(p, d, CatDriver)
+				k.IntrCtx(p).Charge(d, CatDriver)
 			})
 		})
 	}

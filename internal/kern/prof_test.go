@@ -10,7 +10,8 @@ import (
 
 // TestProfiledChargesSumToBusy asserts the exact-sum invariant at the
 // kernel level: every nanosecond charged through any path — Work,
-// IntrWork, layered Ctx.Charge, interrupt dispatch overhead — lands in
+// layered Ctx.Charge in task and interrupt context, interrupt dispatch
+// overhead — lands in
 // exactly one profile node, so the tree total equals CPU busy time.
 func TestProfiledChargesSumToBusy(t *testing.T) {
 	e, k := newTestKernel()

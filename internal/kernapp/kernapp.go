@@ -41,8 +41,6 @@ type KConn struct {
 
 	// Converted counts WCAB→regular receive conversions performed.
 	Converted int
-	// ConvertedBytes counts bytes moved by those conversions.
-	ConvertedBytes units.Size
 
 	copies copyWait
 }
@@ -129,7 +127,6 @@ func (kc *KConn) convert(p *sim.Proc, ctx kern.Ctx, chain *mbuf.Mbuf) *mbuf.Mbuf
 			w := m.WCABRef()
 			ln := m.Len()
 			kc.Converted++
-			kc.ConvertedBytes += ln
 			// Asynchronous DMA copy; resynchronize with the driver on its
 			// end-of-DMA notification (Section 5).
 			var bufs [][]byte

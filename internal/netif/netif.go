@@ -66,10 +66,9 @@ type Route struct {
 	Link LinkAddr
 }
 
-// Table is a routing table: host routes plus an optional default.
+// Table is a routing table of host routes.
 type Table struct {
 	routes map[wire.Addr]Route
-	def    *Route
 }
 
 // NewTable returns an empty routing table.
@@ -80,11 +79,6 @@ func (t *Table) AddHost(dst wire.Addr, ifc Interface, link LinkAddr) {
 	t.routes[dst] = Route{Dst: dst, If: ifc, Link: link}
 }
 
-// SetDefault installs the default route.
-func (t *Table) SetDefault(ifc Interface, link LinkAddr) {
-	t.def = &Route{If: ifc, Link: link}
-}
-
 // Lookup selects the route for dst — the interface selection the paper
 // notes happens in the network layer, which is why a socket-level "stack
 // switch" would be unreliable (Section 4.1).
@@ -92,13 +86,5 @@ func (t *Table) Lookup(dst wire.Addr) (Route, error) {
 	if r, ok := t.routes[dst]; ok {
 		return r, nil
 	}
-	if t.def != nil {
-		r := *t.def
-		r.Dst = dst
-		return r, nil
-	}
 	return Route{}, fmt.Errorf("netif: no route to %v", dst)
 }
-
-// Remove deletes a host route (used to exercise route changes).
-func (t *Table) Remove(dst wire.Addr) { delete(t.routes, dst) }

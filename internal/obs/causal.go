@@ -17,7 +17,7 @@ type Cause uint8
 // eliminating those is the whole point), DMA engines, the wire, queueing
 // behind earlier work, network-memory admission, interrupt delivery, and
 // the protocol stalls (ACK clocking, delayed ACK, retransmission timeout,
-// persist probing, Nagle).
+// persist probing).
 const (
 	CauseNone Cause = iota
 	CauseApp
@@ -34,14 +34,13 @@ const (
 	CauseDelAck
 	CauseRTO
 	CausePersist
-	CauseNagle
 	NumCauses
 )
 
 var causeNames = [NumCauses]string{
 	"none", "app", "sched", "cpu", "cpu-copy", "cpu-csum", "queue",
 	"netmem", "dma", "wire", "intr", "ack-clock", "delack", "rto",
-	"persist", "nagle",
+	"persist",
 }
 
 func (c Cause) String() string {

@@ -53,7 +53,7 @@ type Observer struct {
 	pendingHW [sim.NumKinds]int64
 	queueHW   int64
 
-	kernCharges int64 // Work/IntrWork calls
+	kernCharges int64 // Work/Ctx.Charge calls
 	kernSlices  int64 // quantum slices issued by those charges
 
 	// Advisory: wall clock and allocations, sampled per slice.
@@ -181,7 +181,7 @@ func (o *Observer) Dispatched(kind sim.Kind, pending int) {
 	}
 }
 
-// KernCharge counts one kernel Work/IntrWork call. Nil-safe: the disabled
+// KernCharge counts one kernel Work/Ctx.Charge call. Nil-safe: the disabled
 // path is one nil check, zero allocations.
 func (o *Observer) KernCharge() {
 	if o != nil {

@@ -1,7 +1,7 @@
 // Package prof is a virtual-time CPU profiler for the simulated stack.
 //
 // Unlike a wall-clock sampling profiler it is exact: the kernel charges
-// every virtual nanosecond of CPU work through kern.Work/IntrWork, and each
+// every virtual nanosecond of CPU work through kern.Work/Ctx.Charge, and each
 // charge carries a *Node identifying the layer stack it was issued under
 // (e.g. snd;ttcp-snd;socket;tcp_output;ip_output;cabdrv). The profiler
 // accumulates that time per (host, stack, category, flow), so the sum over
@@ -25,9 +25,6 @@ import (
 
 	"repro/internal/obs"
 )
-
-// FlowNone labels charges with no flow attribution.
-const FlowNone = 0
 
 // cell is one accumulation bucket under a node.
 type cell struct {

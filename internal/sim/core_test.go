@@ -532,11 +532,12 @@ func calledBySleep() bool {
 }
 
 // sleepScenario runs six random processes that sleep 0–3, signal, wait
-// with a timeout, and hold a resource, beside a generic event that signals
-// every 3 time units; one process calls Stop twice. drive runs the engine
-// to the end; progress tells it the time and the number of process steps
-// so far. The scenario returns each process step as time and name, the
-// monitor's record, and the progress at each Stop.
+// (with a timer they schedule to signal), and hold a resource, beside a
+// generic event that signals every 3 time units; one process calls Stop
+// twice. drive runs the engine to the end; progress tells it the time and
+// the number of process steps so far. The scenario returns each process
+// step as time and name, the monitor's record, and the progress at each
+// Stop.
 func sleepScenario(seed int64, drive func(e *Engine, progress func() string)) (steps []string, mon *sleepLog, stops []string) {
 	e := NewEngine(seed)
 	defer e.KillAll()
@@ -568,7 +569,8 @@ func sleepScenario(seed int64, drive func(e *Engine, progress func() string)) (s
 					s.Broadcast()
 					p.Sleep(units.Time(e.Rand().Intn(4)))
 				case 4:
-					s.WaitTimeout(p, units.Time(1+e.Rand().Intn(5)))
+					e.AfterKind(units.Time(1+e.Rand().Intn(5)), KindTimer, s.Signal)
+					s.Wait(p)
 				case 5:
 					r.Acquire(p, e.Rand().Intn(2))
 					p.Sleep(units.Time(e.Rand().Intn(4)))
@@ -655,79 +657,6 @@ func TestEventSeqNamesTheDispatchedEvent(t *testing.T) {
 		if g, ok := got[name]; !ok || g != want[name] || g == 0 {
 			t.Errorf("%s: EventSeq %d (ran %v), want %d", name, g, ok, want[name])
 		}
-	}
-}
-
-// A WaitTimeout that has timed out leaves its entry in the signal's queue
-// until a Signal or Broadcast walks past it; it must count for nothing.
-func TestSignalSkipsTimedOutWaiters(t *testing.T) {
-	e := NewEngine(1)
-	s := NewSignal(e)
-	var order []string
-	waiter := func(name string, d units.Time) {
-		e.Go(name, func(p *Proc) {
-			if d == 0 {
-				s.Wait(p)
-				order = append(order, name)
-			} else if s.WaitTimeout(p, d) {
-				order = append(order, name)
-			} else {
-				order = append(order, name+":timeout")
-			}
-		})
-	}
-	waiter("t1", 10)
-	waiter("w1", 0)
-	waiter("t2", 10)
-	waiter("w2", 0)
-	waiter("t3", 100)
-	e.RunUntil(20)
-	if got := s.Waiting(); got != 3 {
-		t.Fatalf("Waiting = %d with two of five timed out, want 3", got)
-	}
-	s.Signal() // must pass over t1's dead entry and wake w1 only
-	e.RunUntil(30)
-	if got := s.Waiting(); got != 2 {
-		t.Fatalf("Waiting after Signal = %d, want 2", got)
-	}
-	s.Broadcast()
-	e.Run()
-	if got := s.Waiting(); got != 0 {
-		t.Fatalf("Waiting after Broadcast = %d, want 0", got)
-	}
-	want := []string{"t1:timeout", "t2:timeout", "w1", "w2", "t3"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	if e.Now() != 100 || e.LiveProcs() != 0 {
-		t.Fatalf("ended at %v with %d procs live; t3's dead timer should fire at 100 and wake no one", e.Now(), e.LiveProcs())
-	}
-}
-
-// A process that timed out and waits again on the same signal has two
-// entries queued; only the second is live.
-func TestSignalRewaitAfterTimeout(t *testing.T) {
-	e := NewEngine(1)
-	s := NewSignal(e)
-	var first, second bool
-	e.Go("w", func(p *Proc) {
-		first = s.WaitTimeout(p, 5)
-		second = s.WaitTimeout(p, 50)
-	})
-	e.At(20, func() {
-		if got := s.Waiting(); got != 1 {
-			t.Errorf("Waiting = %d, want 1", got)
-		}
-		s.Signal()
-	})
-	e.Run()
-	if first || !second {
-		t.Fatalf("first wait signaled=%v, second signaled=%v; want false, true", first, second)
 	}
 }
 

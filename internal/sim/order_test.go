@@ -81,9 +81,9 @@ func (c *orderConn) arm(d units.Time) {
 // orderScenario runs one seeded mix of every event kind and every way to
 // wait, driven by a random interleaving of Step, RunUntil and Run (which
 // Stop calls from events and processes end). It checks the engine's
-// Pending against the monitor between drive calls, that live timers and
-// timed-out waits end exactly at their deadlines, and that the run
-// drains, and returns the monitor and the connections.
+// Pending against the monitor between drive calls, that live timers fire
+// exactly at their deadlines, and that the run drains, and returns the
+// monitor and the connections.
 func orderScenario(t *testing.T, seed int64) (*orderMon, []*orderConn) {
 	e := NewEngine(seed)
 	defer e.KillAll()
@@ -179,11 +179,9 @@ func orderScenario(t *testing.T, seed int64) (*orderMon, []*orderConn) {
 					p.Sleep(units.Time(40 + e.Rand().Intn(40))) // past pending timers
 				case 3:
 					s.Wait(p)
-				case 4:
-					start, d := p.Now(), units.Time(1+e.Rand().Intn(5))
-					if !s.WaitTimeout(p, d) && p.Now() != start+d {
-						mon.fail("a %v wait from %v timed out at %v", d, start, p.Now())
-					}
+				case 4: // a wait with a wake-up of its own, as a timer
+					e.AfterKind(units.Time(1+e.Rand().Intn(5)), KindTimer, s.Signal)
+					s.Wait(p)
 				case 5:
 					r.Acquire(p, e.Rand().Intn(2))
 					p.Sleep(units.Time(e.Rand().Intn(3)))
@@ -236,8 +234,9 @@ func orderScenario(t *testing.T, seed int64) (*orderMon, []*orderConn) {
 // in, dispatches come in strictly increasing (time, sequence) order and
 // Pending counts what was scheduled and not yet dispatched — under a mix
 // of every kind, stale timer expiries from re-armed slots, same-instant
-// chains, processes that sleep in place and parked, Signal, WaitTimeout,
-// Resource and Queue waits, continuations, RunUntil and Stop.
+// chains, processes that sleep in place and parked, Signal waits (some
+// with a timer that signals), Resource and Queue waits, continuations,
+// RunUntil and Stop.
 func TestScheduleOrderOracle(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		mon, conns := orderScenario(t, seed)

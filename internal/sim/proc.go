@@ -29,11 +29,6 @@ type Proc struct {
 	yield  func(struct{}) bool     // park: switch back to the event loop
 	done   bool
 	killed bool
-
-	// State of the one Signal wait the process can be in at a time: a
-	// queued waiter is live while its gen equals waitGen (see Signal).
-	waitGen  uint64
-	timedOut bool
 }
 
 // killSentinel unwinds a killed process.
@@ -123,8 +118,8 @@ func (p *Proc) wake() { p.eng.schedule(p.eng.now, KindProc, p, nil) }
 // its arguments. An equal-time event in a heap comes first (it was
 // scheduled earlier), so it rules the shortcut out; so does Stop, so that
 // Run still returns after the current event. Ending the current event here
-// is exact because every event that resumes a process (its wake-up, or
-// WaitTimeout's timer) does so as its last act.
+// is exact because the only event that resumes a process is its own
+// KindProc wake-up, which does so as its last act.
 func (p *Proc) Sleep(d units.Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v in %s", d, p.name))

@@ -1,7 +1,5 @@
 package sim
 
-import "repro/internal/units"
-
 // Signal is a broadcast/signal condition variable for processes and
 // continuations. The zero value is not usable; create one with NewSignal.
 type Signal struct {
@@ -10,25 +8,19 @@ type Signal struct {
 }
 
 // sigWaiter is one queued wait: a parked process (p) or a continuation
-// (fn). A process is in at most one wait at a time, so the wait's state
-// lives in the Proc: the entry is live while gen equals the process's
-// waitGen, and whoever ends the wait (a signal or the timeout) advances
-// waitGen, which retires the entry wherever it still sits in the queue. A
-// continuation's wait has no timeout and is live until it is woken.
+// (fn). A wait ends only when a Signal or Broadcast reaches it, so every
+// queued entry is live.
 type sigWaiter struct {
-	p   *Proc
-	fn  func()
-	gen uint64
+	p  *Proc
+	fn func()
 }
-
-func (w sigWaiter) live() bool { return w.p == nil || w.gen == w.p.waitGen }
 
 // NewSignal returns a signal bound to e.
 func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 
 // Wait blocks p until the signal is signaled or broadcast.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters.Push(sigWaiter{p: p, gen: p.waitGen})
+	s.waiters.Push(sigWaiter{p: p})
 	p.park()
 }
 
@@ -42,24 +34,6 @@ func (s *Signal) WaitFunc(fn func()) {
 	s.waiters.Push(sigWaiter{fn: fn})
 }
 
-// WaitTimeout blocks p until the signal fires or d elapses. It reports
-// whether the signal fired (false means timeout).
-func (s *Signal) WaitTimeout(p *Proc, d units.Time) bool {
-	w := sigWaiter{p: p, gen: p.waitGen}
-	s.waiters.Push(w)
-	p.timedOut = false
-	s.eng.AfterKind(d, KindTimer, func() {
-		if !w.live() {
-			return
-		}
-		p.waitGen++
-		p.timedOut = true
-		s.eng.deliver(p)
-	})
-	p.park()
-	return !p.timedOut
-}
-
 // Signal wakes the longest waiter, if any.
 func (s *Signal) Signal() { s.wakeNext() }
 
@@ -69,33 +43,18 @@ func (s *Signal) Broadcast() {
 	}
 }
 
-// wakeNext dequeues up to and including the oldest live waiter and wakes
-// it; it reports false when the queue held none.
+// wakeNext dequeues the oldest waiter and schedules, at the current time,
+// the KindProc event that resumes it (the process's wake-up or the
+// continuation's call); it reports false when there was none.
 func (s *Signal) wakeNext() bool {
-	for s.waiters.Len() > 0 {
-		w := s.waiters.Pop()
-		switch {
-		case w.p == nil:
-			s.eng.schedule(s.eng.now, KindProc, nil, w.fn)
-		case w.live():
-			w.p.waitGen++
-			w.p.wake()
-		default:
-			continue
-		}
-		return true
+	if s.waiters.Len() == 0 {
+		return false
 	}
-	return false
+	w := s.waiters.Pop()
+	s.eng.schedule(s.eng.now, KindProc, w.p, w.fn)
+	return true
 }
 
 // Waiting returns the number of processes and continuations currently
 // waiting.
-func (s *Signal) Waiting() int {
-	n := 0
-	for i := 0; i < s.waiters.Len(); i++ {
-		if s.waiters.At(i).live() {
-			n++
-		}
-	}
-	return n
-}
+func (s *Signal) Waiting() int { return s.waiters.Len() }

@@ -10,9 +10,9 @@ import (
 
 // TestDeviceResetTearsDownInKeyOrder: an adaptor reset tears down every
 // connection holding outboard data, and each teardown wakes that
-// connection's waiters. Five such connections, registered out of order,
-// must be torn down in connection-key order on every run, not in map
-// order.
+// connection's blocked reader. Five such connections, registered out of
+// order, must be torn down in connection-key order on every run, not in
+// map order.
 func TestDeviceResetTearsDownInKeyOrder(t *testing.T) {
 	ports := []uint16{5003, 5001, 5005, 5002, 5004}
 	want := slices.Clone(ports)
@@ -25,8 +25,8 @@ func TestDeviceResetTearsDownInKeyOrder(t *testing.T) {
 			c := r.sa.newConn(connKey{raddr: r.sb.Addr, lport: lp, rport: 80})
 			c.state = StateEstablished
 			c.sndBuf = wcabDatagram(512, &dead).Chain
-			r.eng.Go("waiter", func(p *sim.Proc) {
-				c.WaitClosed(p)
+			r.eng.Go("reader", func(p *sim.Proc) {
+				c.WaitRcvData(p)
 				woke = append(woke, lp)
 			})
 		}
@@ -40,7 +40,7 @@ func TestDeviceResetTearsDownInKeyOrder(t *testing.T) {
 			t.Fatalf("run %d: %d connections torn down, want %d", run, got, len(ports))
 		}
 		if !slices.Equal(woke, want) {
-			t.Fatalf("run %d: waiters woke in port order %v, want %v", run, woke, want)
+			t.Fatalf("run %d: readers woke in port order %v, want %v", run, woke, want)
 		}
 	}
 }

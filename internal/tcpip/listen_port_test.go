@@ -21,7 +21,7 @@ func TestEphemeralPortRecycling(t *testing.T) {
 		for i := 0; i < cycles; i++ {
 			c := lis.Accept(p)
 			c.Close(r.kb.TaskCtx(p, r.kb.KernelTask))
-			c.WaitClosed(p)
+			awaitClosed(p, c)
 		}
 	})
 	seen := map[uint16]int{}
@@ -34,7 +34,7 @@ func TestEphemeralPortRecycling(t *testing.T) {
 			}
 			seen[c.LocalPort()]++
 			c.Close(r.ka.TaskCtx(p, r.ka.KernelTask))
-			c.WaitClosed(p)
+			awaitClosed(p, c)
 		}
 	})
 	r.eng.Run()

@@ -215,7 +215,6 @@ type TCPConn struct {
 	rttStart       units.Time
 
 	establishedSig *sim.Signal
-	closedSig      *sim.Signal
 	Err            error
 
 	listener *TCPListener // set while handshaking on the passive side
@@ -242,7 +241,6 @@ func (s *Stack) newConn(key connKey) *TCPConn {
 		sndSpaceSig:    sim.NewSignal(s.K.Eng),
 		rcvDataSig:     sim.NewSignal(s.K.Eng),
 		establishedSig: sim.NewSignal(s.K.Eng),
-		closedSig:      sim.NewSignal(s.K.Eng),
 		lastRcvd:       s.K.Eng.Now(),
 		progressAt:     s.K.Eng.Now(),
 	}
@@ -619,7 +617,8 @@ func (c *TCPConn) WindowUpdate(ctx kern.Ctx) {
 }
 
 // Close half-closes the send side: a FIN follows the buffered data. It
-// does not block; use WaitClosed to synchronize on full teardown.
+// does not block; the connection is fully torn down once State reports
+// StateClosed.
 func (c *TCPConn) Close(ctx kern.Ctx) {
 	c.stk.Splnet(ctx.P)
 	defer c.stk.Splx()
@@ -637,13 +636,6 @@ func (c *TCPConn) Close(ctx kern.Ctx) {
 		return
 	}
 	c.Output(ctx)
-}
-
-// WaitClosed blocks until the connection is fully closed.
-func (c *TCPConn) WaitClosed(p *sim.Proc) {
-	for c.state != StateClosed {
-		c.closedSig.Wait(p)
-	}
 }
 
 // teardown finalizes the connection with err (nil for orderly close).
@@ -689,7 +681,6 @@ func (c *TCPConn) teardown(err error) {
 	c.establishedSig.Broadcast()
 	c.rcvDataSig.Broadcast()
 	c.sndSpaceSig.Broadcast()
-	c.closedSig.Broadcast()
 }
 
 // Abort drops the connection immediately, sending a RST to the peer (the

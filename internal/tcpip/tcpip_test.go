@@ -111,6 +111,13 @@ func sendAll(p *sim.Proc, k *kern.Kernel, c *TCPConn, data []byte) error {
 	return nil
 }
 
+// awaitClosed polls c from its process until the connection is torn down.
+func awaitClosed(p *sim.Proc, c *TCPConn) {
+	for c.State() != StateClosed {
+		p.Sleep(100 * units.Microsecond)
+	}
+}
+
 // recvAll drains the stream until EOF.
 func recvAll(p *sim.Proc, k *kern.Kernel, c *TCPConn) []byte {
 	ctx := k.TaskCtx(p, k.KernelTask)
@@ -398,7 +405,6 @@ func TestOrderlyCloseBothStates(t *testing.T) {
 		srv = lis.Accept(p)
 		recvAll(p, r.kb, srv)
 		srv.Close(r.kb.TaskCtx(p, r.kb.KernelTask)) // close our side too
-		srv.WaitClosed(p)
 	})
 	r.eng.Go("cli", func(p *sim.Proc) {
 		ctx := r.ka.TaskCtx(p, r.ka.KernelTask)
@@ -410,7 +416,6 @@ func TestOrderlyCloseBothStates(t *testing.T) {
 		}
 		sendAll(p, r.ka, cli, pattern(64*1024, 8))
 		cli.Close(r.ka.TaskCtx(p, r.ka.KernelTask))
-		cli.WaitClosed(p)
 	})
 	r.eng.Run()
 	defer r.eng.KillAll()

@@ -97,11 +97,7 @@ type Rate float64
 
 // Common rates.
 const (
-	BitPerSec  Rate = 1
-	Kbps       Rate = 1e3
-	Mbps       Rate = 1e6
-	Gbps       Rate = 1e9
-	BytePerSec Rate = 8
+	Mbps Rate = 1e6
 	// MBytePerSec is 10^6 bytes/second, the convention used for media
 	// rates such as HIPPI's 100 MByte/second line rate.
 	MBytePerSec Rate = 8e6
