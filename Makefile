@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race allocs fuzz bench-smoke benchsmoke examples bench benchcheck gate audit soak obs-race load load-race ci
+.PHONY: all build crossbuild vet test race allocs fuzz bench-smoke benchsmoke examples bench benchcheck gate audit soak obs-race load load-race ci
 
 all: build
 
@@ -15,6 +15,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Vet and build for arm64, where the checksum package has no assembly:
+# the portable path (sum_other.go) must keep compiling, and nothing on
+# amd64 builds it.
+crossbuild:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
 
 # The allocation pins (tests named *Alloc* or *Budget*: zero-allocation
 # walks, mallocs per event and per segment, bytes per payload byte) without
@@ -116,4 +123,4 @@ load-race:
 	$(GO) test -race -count 1 ./internal/load/...
 
 # The GitHub workflow runs exactly these, one step each, in this order.
-ci: vet build race allocs fuzz bench-smoke benchsmoke examples audit benchcheck
+ci: vet build crossbuild race allocs fuzz bench-smoke benchsmoke examples audit benchcheck

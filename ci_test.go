@@ -295,9 +295,6 @@ func TestNoMapOrderInSimulation(t *testing.T) {
 		"internal/cab/cab.go:CAB.liveByAlloc":             "collect-then-sort",
 		"internal/obs/netobs/analyze.go:Recorder.Analyze": "r.flows is the registration-order slice; the map of that name is a wire's",
 		"internal/obs/netobs/netobs.go:Recorder.Snapshot": "r.flows is the registration-order slice; w.flows keys are collected then sorted",
-		"internal/obs/prof/prof.go:Node.Total":            "sum",
-		"internal/obs/prof/prof.go:Profiler.Folded":       "collect-then-sort",
-		"internal/obs/prof/prof.go:Profiler.Snapshot":     "collect-then-sort",
 	}
 	dirs := []string{"sim", "kern", "tcpip", "socket", "cab", "cabdrv", "hippi", "mbuf", "fabric", "fault", "load"}
 	err := filepath.WalkDir("internal/obs", func(path string, d os.DirEntry, err error) error {

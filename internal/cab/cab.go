@@ -77,7 +77,8 @@ type RxEvent struct {
 	Len units.Size
 	// BodySum is the receive checksum engine's unfolded partial sum over
 	// the packet from RxCsumSkip to its end, available to the host as
-	// soon as the packet is (Section 2.1).
+	// soon as the packet is (Section 2.1); only a fault mask when the
+	// host ignores it (CAB.RxSumIgnored).
 	BodySum uint32
 	// Span is the sender's data-path span carried across the wire (nil
 	// when telemetry and the ledger are disabled).
@@ -174,6 +175,13 @@ type CAB struct {
 	// runs in hardware/event context — the driver is responsible for
 	// posting a host interrupt).
 	OnRx func(ev *RxEvent)
+
+	// RxSumIgnored is set by a driver that never reads RxEvent.BodySum
+	// (the unmodified personality, which verifies in software): the
+	// receive checksum engine then skips the sum, since nothing in the
+	// simulation would see it, but a FaultRxCsum mask is still drawn per
+	// frame, so fault streams do not depend on it.
+	RxSumIgnored bool
 
 	// OnReset is the host's firmware-reset notification (installed by the
 	// driver; runs in hardware/event context after Reset has wiped the

@@ -262,6 +262,46 @@ func TestMediaTransmitAndReceive(t *testing.T) {
 	}
 }
 
+// TestIgnoredRxSumStillDrawsFault: a CAB whose driver ignores the receive
+// sum (the unmodified personality) computes none — each frame's BodySum is
+// the fault mask alone — but consults FaultRxCsum once per frame exactly
+// as one that sums, so a fault plan draws the same stream either way.
+func TestIgnoredRxSumStillDrawsFault(t *testing.T) {
+	for _, ignored := range []bool{false, true} {
+		e, _, a, b := testRig()
+		b.RxSumIgnored = ignored
+		const mask, frames = 0x0100, 3
+		draws := 0
+		b.FaultRxCsum = func() uint32 { draws++; return mask }
+		for i := 0; i < frames; i++ {
+			b.ProvideRxBuf(make([]byte, b.Cfg.AutoDMALen))
+		}
+		var sums []uint32
+		b.OnRx = func(ev *RxEvent) { sums = append(sums, ev.BodySum); ev.Done() }
+		data := make([]byte, 12000)
+		rand.New(rand.NewSource(6)).Read(data)
+		for i := 0; i < frames; i++ {
+			pk, _ := a.AllocPacket(units.Size(len(data)))
+			a.SDMA(&SDMAReq{Dir: ToCAB, Pkt: pk, Gather: [][]byte{data},
+				Owner: onDone(func(*SDMAReq) { a.MDMATx(pk, 2, nil, nil) })})
+		}
+		e.Run()
+		e.KillAll()
+		want := uint32(mask)
+		if !ignored {
+			want ^= checksum.Sum(data[b.Cfg.RxCsumSkip:])
+		}
+		if len(sums) != frames || draws != frames {
+			t.Fatalf("ignored %v: %d frames delivered, %d fault draws; want %d of each", ignored, len(sums), draws, frames)
+		}
+		for i, got := range sums {
+			if got != want {
+				t.Fatalf("ignored %v: frame %d BodySum %#x, want %#x", ignored, i, got, want)
+			}
+		}
+	}
+}
+
 func TestSmallPacketFitsAutoDMA(t *testing.T) {
 	e, _, a, b := testRig()
 	defer e.KillAll()

@@ -321,11 +321,11 @@ func (c *CAB) tryRx(f hippi.Frame) bool {
 }
 
 // rxBodySum is the receive checksum engine's partial sum over frame past
-// the fixed skip offset (0 for a frame no longer than the skip), as an
-// injected engine fault leaves it.
+// the fixed skip offset (0 for a frame no longer than the skip, or when
+// the host ignores the sum), as an injected engine fault leaves it.
 func (c *CAB) rxBodySum(frame []byte) uint32 {
 	var sum uint32
-	if units.Size(len(frame)) > c.Cfg.RxCsumSkip {
+	if !c.RxSumIgnored && units.Size(len(frame)) > c.Cfg.RxCsumSkip {
 		sum = checksum.Sum(frame[c.Cfg.RxCsumSkip:])
 	}
 	if c.FaultRxCsum != nil {

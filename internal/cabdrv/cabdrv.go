@@ -318,6 +318,7 @@ func New(name string, k *kern.Kernel, c *cab.CAB, singleCopy bool) *Driver {
 		d.provideRxBuf()
 	}
 	c.OnRx = d.hwRx
+	c.RxSumIgnored = !singleCopy // rxLegacy never reads BodySum
 	c.OnReset = d.hwReset
 	k.Eng.Go(name+"/txd", d.txd)
 	if r := k.Obs; r != nil {

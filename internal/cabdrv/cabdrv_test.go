@@ -88,6 +88,18 @@ func TestOutputDeliversKernelBufferPacket(t *testing.T) {
 	}
 }
 
+// TestUnmodifiedIgnoresRxSum: the driver tells its CAB at attach whether
+// it reads the receive sum; only the single-copy personality does.
+func TestUnmodifiedIgnoresRxSum(t *testing.T) {
+	for _, singleCopy := range []bool{false, true} {
+		r := newRig(t, singleCopy)
+		if got := r.cb.RxSumIgnored; got == singleCopy {
+			t.Errorf("single-copy %v: RxSumIgnored %v, want %v", singleCopy, got, !singleCopy)
+		}
+		r.eng.KillAll()
+	}
+}
+
 func TestSingleCopyRxDeliversWCAB(t *testing.T) {
 	r := newRig(t, true)
 	big := make([]byte, 20000)

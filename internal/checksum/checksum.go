@@ -20,6 +20,14 @@
 // order: the ones-complement sum does not depend on byte order (RFC 1071
 // §2(B)), so Sum swaps the bytes of its folded result once instead of
 // every word it loads.
+//
+// On amd64 CPUs with AVX2 (and an OS that saves the YMM registers, which
+// CPUID and XGETBV report at start-up) Sum hands the 128-byte blocks of a
+// long input to an assembly kernel that adds the words into eight 32-bit
+// lanes, about three times the loop's speed; the tail and the end-around
+// fold stay in Go. Everywhere else Sum is sumGeneric, the portable loop,
+// which stays for those machines and as the reference the tests hold the
+// kernel to. Nothing selects the kernel but the CPU.
 package checksum
 
 import (
@@ -36,6 +44,24 @@ import (
 // Only Fold(Sum(b)) is specified: the unfolded value is some member of the
 // folded sum's congruence class mod 0xffff, not a particular one.
 func Sum(b []byte) uint32 {
+	if !haveVector || len(b) < blockLen {
+		return sumGeneric(b)
+	}
+	// The whole blocks go to the vector engine at most chunkLen at a time,
+	// the rest to the loop. The prefix has even length, so the two sums
+	// add without a swap.
+	n := len(b) &^ (blockLen - 1)
+	var s uint64
+	for i := 0; i < n; i += chunkLen {
+		s += sumVector(b[i:min(i+chunkLen, n)])
+	}
+	return Add(swapFold(s), sumGeneric(b[n:]))
+}
+
+// sumGeneric is Sum in portable Go: the only path on other architectures
+// and on CPUs without AVX2, and the reference the vector path is tested
+// against.
+func sumGeneric(b []byte) uint32 {
 	// Eight bytes per load, little-endian, which is a plain load on the
 	// hosts this runs on. A 64-bit word is four 16-bit words and
 	// 2^16 ≡ 1 (mod 0xffff), so a ones-complement sum of 64-bit words (add,
@@ -74,13 +100,30 @@ func Sum(b []byte) uint32 {
 	// End-around carry. If this add carries too, s is left 0 and the
 	// second carry cannot overflow it.
 	s, c = bits.Add64(s, 0, c)
-	s += c
-	// Reduce to 32 bits: twice, because the first fold can reach 2^33-2.
-	// Then to 16, which is where the byte swap is exact.
+	return swapFold(s + c)
+}
+
+// swapFold turns a sum of little-endian words into Sum's result: reduced
+// to 32 bits twice, because the first fold can reach 2^33-2, then to 16,
+// which is where the byte swap is exact.
+func swapFold(s uint64) uint32 {
 	s = s>>32 + s&0xffffffff
 	s = s>>32 + s&0xffffffff
 	return uint32(bits.ReverseBytes16(Fold(uint32(s))))
 }
+
+// The vector engine: haveVector, set at start-up, is true where the CPU
+// has one (sum_amd64.go; sum_other.go elsewhere), and sumVector then
+// returns the sum of the little-endian 16-bit words of b as a plain
+// integer; len(b) is a multiple of blockLen and at most chunkLen. Each of
+// its 32-bit lanes takes two words per 32-byte load, so a chunk adds at
+// most 2·0xffff·chunkLen/32 = 0xfffe0000 to a lane: 1 MB is the largest
+// power of two whose lanes cannot overflow. sumVector is called directly,
+// not through a function value, so that b does not escape.
+const (
+	blockLen = 128
+	chunkLen = 1 << 20
+)
 
 // Add combines two partial sums that both start on even byte offsets.
 func Add(a, b uint32) uint32 {

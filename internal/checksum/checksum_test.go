@@ -32,10 +32,16 @@ func randBytes(r *rand.Rand, n int) []byte {
 	return b
 }
 
+// checkSum holds Sum (the vector engine's path, where the CPU has one)
+// and sumGeneric (the portable loop) to the reference.
 func checkSum(t *testing.T, what string, b []byte) {
 	t.Helper()
-	if got, want := Fold(Sum(b)), Fold(refSum(b)); got != want {
+	want := Fold(refSum(b))
+	if got := Fold(Sum(b)); got != want {
 		t.Fatalf("%s: Fold(Sum) = %#04x, reference %#04x (len %d)", what, got, want, len(b))
+	}
+	if got := Fold(sumGeneric(b)); got != want {
+		t.Fatalf("%s: Fold(sumGeneric) = %#04x, reference %#04x (len %d)", what, got, want, len(b))
 	}
 }
 
@@ -70,12 +76,29 @@ func TestSumMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSumAllOnesAcrossChunks: all-0xFF input fills every 32-bit lane of
+// the vector engine to its bound within each 1 MB chunk, so a lane that
+// overflowed, a chunk bound set too high or a dropped carry between chunks
+// changes the sum. The lengths cross several chunk edges and leave
+// 128-byte blocks and a short tail behind the last one.
+func TestSumAllOnesAcrossChunks(t *testing.T) {
+	ff := make([]byte, 4*chunkLen+3*blockLen+5)
+	for i := range ff {
+		ff[i] = 0xff
+	}
+	for _, n := range []int{chunkLen, chunkLen + blockLen, 4 * chunkLen, len(ff) - 1, len(ff)} {
+		checkSum(t, "all 0xff", ff[:n])
+		checkSum(t, "all 0xff, odd start", ff[1:n])
+	}
+}
+
 func TestSumProperty(t *testing.T) {
 	f := func(b []byte, off uint8) bool {
 		if o := int(off % 8); o <= len(b) {
 			b = b[o:]
 		}
-		return Fold(Sum(b)) == Fold(refSum(b))
+		want := Fold(refSum(b))
+		return Fold(Sum(b)) == want && Fold(sumGeneric(b)) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

@@ -20,16 +20,19 @@ package prof
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/obs"
 )
 
-// cell is one accumulation bucket under a node.
+// cell is one accumulation bucket under a node: the time charged in one
+// category for one flow.
 type cell struct {
 	cat  int
 	flow int
+	ns   int64
 }
 
 // Node is one interned frame of a layer stack. Nodes form a trie rooted at
@@ -40,8 +43,11 @@ type Node struct {
 	name     string
 	parent   *Node
 	children []*Node
-	byName   map[string]*Node
-	self     map[cell]int64
+	// self holds the node's cells sorted by (flow, cat), found by binary
+	// search: a handful on a bulk transfer's nodes, one per flow and
+	// category on those every connection of a many-flow run passes
+	// through. No hashing on the path every CPU charge takes.
+	self []cell
 }
 
 // Child returns the child frame named name, interning it on first use.
@@ -50,16 +56,24 @@ func (n *Node) Child(name string) *Node {
 	if n == nil {
 		return nil
 	}
-	if c, ok := n.byName[name]; ok {
+	if c := n.child(name); c != nil {
 		return c
 	}
 	c := &Node{prof: n.prof, name: name, parent: n}
-	if n.byName == nil {
-		n.byName = make(map[string]*Node)
-	}
-	n.byName[name] = c
 	n.children = append(n.children, c)
 	return c
+}
+
+// child returns the existing child frame named name, or nil. A node has a
+// few children (the layers called under it), so a scan is cheaper than
+// hashing the name.
+func (n *Node) child(name string) *Node {
+	for _, c := range n.children {
+		if c.name == name {
+			return c
+		}
+	}
+	return nil
 }
 
 // Add accumulates d nanoseconds of CPU time in category cat for flow on
@@ -68,10 +82,20 @@ func (n *Node) Add(cat, flow int, d int64) {
 	if n == nil || d <= 0 {
 		return
 	}
-	if n.self == nil {
-		n.self = make(map[cell]int64)
+	lo, hi := 0, len(n.self)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c := &n.self[m]; c.flow < flow || c.flow == flow && c.cat < cat {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	n.self[cell{cat, flow}] += d
+	if lo < len(n.self) && n.self[lo].flow == flow && n.self[lo].cat == cat {
+		n.self[lo].ns += d
+		return
+	}
+	n.self = slices.Insert(n.self, lo, cell{cat: cat, flow: flow, ns: d})
 }
 
 // Total returns the node's self time summed over categories and flows.
@@ -80,8 +104,8 @@ func (n *Node) Total() int64 {
 		return 0
 	}
 	var t int64
-	for _, v := range n.self {
-		t += v
+	for _, c := range n.self {
+		t += c.ns
 	}
 	return t
 }
@@ -142,10 +166,7 @@ func (p *Profiler) HostTotal(name string) int64 {
 	if p == nil {
 		return 0
 	}
-	if n, ok := p.root.byName[name]; ok {
-		return n.TreeTotal()
-	}
-	return 0
+	return p.root.child(name).TreeTotal()
 }
 
 // catName labels category c.
@@ -182,8 +203,8 @@ func (p *Profiler) Folded() string {
 			return
 		}
 		byCat := make(map[int]int64)
-		for c, v := range n.self {
-			byCat[c.cat] += v
+		for _, c := range n.self {
+			byCat[c.cat] += c.ns
 		}
 		prefix := strings.Join(n.path(), ";")
 		for cat, ns := range byCat {
@@ -235,12 +256,12 @@ func (p *Profiler) Snapshot() Snapshot {
 				return
 			}
 			stack := strings.Join(n.path()[1:], ";") // drop the host frame
-			for c, v := range n.self {
+			for _, c := range n.self {
 				hp.Stacks = append(hp.Stacks, StackEntry{
 					Stack:    stack,
 					Category: p.catName(c.cat),
 					Flow:     c.flow,
-					Ns:       v,
+					Ns:       c.ns,
 				})
 			}
 		})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -510,16 +511,20 @@ func diffCalls(got, want []monCall) string {
 }
 
 // sleepLog is a monitor that also counts the dispatches a Sleep ended in
-// place: Dispatched called by Proc.Sleep rather than by Step.
+// place (Dispatched called by Proc.Sleep rather than by Step) and those a
+// parking process made on its own stack (called by Proc.park).
 type sleepLog struct {
 	monLog
-	inPlace int
+	inPlace, fromPark int
 }
 
 func (l *sleepLog) Dispatched(k Kind, n int) {
 	l.monLog.Dispatched(k, n)
-	if calledBySleep() {
+	switch {
+	case calledBySleep():
 		l.inPlace++
+	case calledByPark():
+		l.fromPark++
 	}
 }
 
@@ -531,13 +536,23 @@ func calledBySleep() bool {
 	return strings.HasSuffix(f.Function, ".(*Proc).Sleep")
 }
 
+// calledByPark reports whether the monitor's caller is Proc.park.
+func calledByPark() bool {
+	var pc [4]uintptr
+	frames := runtime.CallersFrames(pc[:runtime.Callers(3, pc[:])])
+	f, _ := frames.Next()
+	return strings.HasSuffix(f.Function, ".(*Proc).park")
+}
+
 // sleepScenario runs six random processes that sleep 0–3, signal, wait
-// (with a timer they schedule to signal), and hold a resource, beside a
-// generic event that signals every 3 time units; one process calls Stop
-// twice. drive runs the engine to the end; progress tells it the time and
-// the number of process steps so far. The scenario returns each process
-// step as time and name, the monitor's record, and the progress at each
-// Stop.
+// (with a timer they schedule to signal), hold a resource, and schedule
+// one to three callbacks due 0–3 from now before sleeping 1–4, so that
+// callbacks fall between their park and their wake-up, beside a generic
+// event that signals every 3 time units; one process calls Stop twice.
+// drive runs the engine to the end; progress tells it the time and the
+// number of steps so far. The scenario returns each process step and each
+// of those callbacks as time and name, the monitor's record, and the
+// progress at each Stop.
 func sleepScenario(seed int64, drive func(e *Engine, progress func() string)) (steps []string, mon *sleepLog, stops []string) {
 	e := NewEngine(seed)
 	defer e.KillAll()
@@ -561,7 +576,7 @@ func sleepScenario(seed int64, drive func(e *Engine, progress func() string)) (s
 		e.Go(name, func(p *Proc) {
 			defer func() { live-- }()
 			for n := 0; n < 150; n++ {
-				op := e.Rand().Intn(6)
+				op := e.Rand().Intn(7)
 				switch op {
 				case 0, 1, 2:
 					p.Sleep(units.Time(e.Rand().Intn(4)))
@@ -575,6 +590,17 @@ func sleepScenario(seed int64, drive func(e *Engine, progress func() string)) (s
 					r.Acquire(p, e.Rand().Intn(2))
 					p.Sleep(units.Time(e.Rand().Intn(4)))
 					r.Release()
+				case 6:
+					for k := e.Rand().Intn(3); k >= 0; k-- {
+						cb := fmt.Sprintf("cb %s %d.%d", name, n, k)
+						e.After(units.Time(e.Rand().Intn(4)), func() {
+							steps = append(steps, fmt.Sprintf("%v %s", e.Now(), cb))
+							if k == 0 {
+								s.Signal()
+							}
+						})
+					}
+					p.Sleep(units.Time(1 + e.Rand().Intn(4)))
 				}
 				steps = append(steps, fmt.Sprintf("%v %s %d", p.Now(), name, op))
 				if name == "p0" && (n == 40 || n == 100) {
@@ -588,11 +614,12 @@ func sleepScenario(seed int64, drive func(e *Engine, progress func() string)) (s
 	return steps, mon, stops
 }
 
-// TestSleepInPlaceMatchesStepLoop: a Sleep resumed in place under Run is
-// indistinguishable from the coroutine round trip a bare Step loop (which
-// never resumes in place) makes — the same process steps at the same
-// times, and the same Monitor calls with the same pending counts — and a
-// Stop from a process still ends Run with the event that called it.
+// TestSleepInPlaceMatchesStepLoop: a Sleep resumed in place, and events
+// dispatched on a parking process's stack, under Run are indistinguishable
+// from the coroutine round trips a bare Step loop (which does neither)
+// makes — the same process steps and callbacks at the same times, and the
+// same Monitor calls with the same pending counts — and a Stop from a
+// process still ends Run with the event that called it.
 func TestSleepInPlaceMatchesStepLoop(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		var returns []string
@@ -606,8 +633,15 @@ func TestSleepInPlaceMatchesStepLoop(t *testing.T) {
 			for e.Step() {
 			}
 		})
-		if len(got) != 6*150 || len(got) != len(want) {
-			t.Fatalf("seed %d: %d process steps under Run, %d under Step, want %d", seed, len(got), len(want), 6*150)
+		procSteps := 0
+		for _, st := range got {
+			if !strings.Contains(st, " cb ") {
+				procSteps++
+			}
+		}
+		if procSteps != 6*150 || len(got) != len(want) {
+			t.Fatalf("seed %d: %d process steps under Run, %d steps and callbacks under Run and %d under Step, want %d process steps",
+				seed, procSteps, len(got), len(want), 6*150)
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -623,6 +657,50 @@ func TestSleepInPlaceMatchesStepLoop(t *testing.T) {
 		if wantMon.inPlace != 0 || gotMon.inPlace < 30 {
 			t.Fatalf("seed %d: %d sleeps resumed in place under Step, %d under Run; want none and many", seed, wantMon.inPlace, gotMon.inPlace)
 		}
+		if wantMon.fromPark != 0 || gotMon.fromPark < 300 {
+			t.Fatalf("seed %d: %d events ended by a parking process under Step, %d under Run; want none and many", seed, wantMon.fromPark, gotMon.fromPark)
+		}
+	}
+}
+
+// TestPanicOnParkedStackReachesRun: a callback that panics while it runs
+// on a parking process's stack unwinds that process (it finishes) and
+// reaches Run's caller with its own value; KillAll then reaps every other
+// process and leaves no goroutine behind.
+func TestPanicOnParkedStackReachesRun(t *testing.T) {
+	start := runtime.NumGoroutine()
+	e := NewEngine(1)
+	s := NewSignal(e)
+	for i := 0; i < 3; i++ {
+		e.Go("waiter", func(p *Proc) { s.Wait(p) })
+	}
+	sleeper := e.Go("sleeper", func(p *Proc) {
+		e.After(1, func() {
+			if !strings.Contains(string(debug.Stack()), ".(*Proc).park(") {
+				t.Errorf("the callback did not run on the parking process's stack")
+			}
+			panic("boom")
+		})
+		p.Sleep(2) // the callback is due first: park dispatches it
+		t.Error("the sleeper ran past the panic")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("Run's caller recovered %v, want the callback's \"boom\"", got)
+	}
+	if !sleeper.Done() || e.LiveProcs() != 3 {
+		t.Fatalf("sleeper done %v, %d procs live (%v); want it finished and the 3 waiters parked", sleeper.Done(), e.LiveProcs(), e.LiveProcNames())
+	}
+	e.KillAll()
+	if n := e.LiveProcs(); n != 0 {
+		t.Fatalf("live procs after KillAll = %d (%v), want 0", n, e.LiveProcNames())
+	}
+	if n := runtime.NumGoroutine(); n > start {
+		t.Fatalf("goroutines after KillAll = %d, want the %d there were at the start", n, start)
 	}
 }
 

@@ -22,7 +22,10 @@
 // own, so the re-armed expiries that mostly fire as no-ops stay out of
 // the heap every wake-up goes through, and dispatch takes the earlier of
 // the two tops; and under Run a Sleep whose wake-up would be the very
-// next event goes on in place, with no coroutine switch (Proc.Sleep).
+// next event goes on in place, with no coroutine switch (Proc.Sleep), and
+// a process that parks dispatches the callbacks due before the next
+// process wake-up on its own stack, going on without a switch when that
+// wake-up is its own (Proc.park).
 package sim
 
 import (
@@ -68,7 +71,8 @@ func (k Kind) String() string {
 // The calls describe the schedule, not the data structures behind it: a
 // Sleep resumed in place (Proc.Sleep) makes the Scheduled and Dispatched
 // calls its wake-up event would have caused, with the same pending counts,
-// although no event is queued.
+// although no event is queued, and events dispatched on a parking
+// process's stack (Proc.park) make the calls Step would have made.
 type Monitor interface {
 	// Scheduled runs after an event is queued; pending is the number of
 	// events pending, the new one included.
@@ -98,9 +102,13 @@ type Engine struct {
 	kind  Kind
 	evSeq int64
 	// running is true inside Run, the one loop under which a Sleep may
-	// resume in place (Step and RunUntil return after a bounded amount of
-	// work, which a lone sleeper resuming in place would never allow).
+	// resume in place and a parking process may dispatch events on its
+	// own stack (Step and RunUntil return after a bounded amount of work,
+	// which a lone sleeper resuming in place would never allow). ended
+	// tells deliver that the process it resumed ended the current event
+	// itself when it parked.
 	running bool
+	ended   bool
 	stopped bool
 	live    map[*Proc]struct{}
 	rng     *rand.Rand
@@ -265,7 +273,9 @@ func (e *Engine) Step() bool {
 	}
 	e.kind, e.evSeq = ev.kind(), int64(ev.key>>8)
 	if ev.proc != nil {
-		e.deliver(ev.proc)
+		if e.deliver(ev.proc) {
+			return true
+		}
 	} else {
 		ev.fn()
 	}

@@ -16,6 +16,9 @@ func (f *FIFO[T]) Len() int { return f.n }
 // At returns the i-th oldest element, 0 ≤ i < Len.
 func (f *FIFO[T]) At(i int) T { return f.buf[(f.head+i)&(len(f.buf)-1)] }
 
+// Peek returns the oldest element in place; the FIFO must not be empty.
+func (f *FIFO[T]) Peek() *T { return &f.buf[f.head] }
+
 // Push appends v.
 func (f *FIFO[T]) Push(v T) {
 	if f.n == len(f.buf) {

@@ -20,7 +20,9 @@ import (
 // Proc methods that block must only be called from the process itself.
 // Methods that wake other processes (Signal.Broadcast and friends) may be
 // called from any simulation context; they take effect via scheduled
-// events.
+// events. Under Run a parking process also dispatches, on its own stack,
+// the callbacks due before the next process wake-up, and goes on without
+// a switch when that wake-up is its own (see park).
 type Proc struct {
 	eng    *Engine
 	name   string
@@ -71,19 +73,80 @@ func (p *Proc) Now() units.Time { return p.eng.now }
 
 // deliver switches to p and returns when it parks or finishes. It must be
 // called from event context (never from inside a process), as the event's
-// last act: a Sleep may end the event in place. A panic in the process
-// surfaces here.
-func (e *Engine) deliver(p *Proc) {
+// last act: a Sleep may end the event in place. It reports whether the
+// process ended the event itself (park, under Run), so that the caller
+// does not report its dispatch again. A panic in the process, or in an
+// event dispatched on its stack, surfaces here.
+func (e *Engine) deliver(p *Proc) bool {
 	if p.done {
-		return
+		return false
 	}
+	e.ended = false
 	p.next()
+	return e.ended
 }
 
 // park switches from the calling process back to the event loop and
 // returns when the process is next delivered. A killed process unwinds
 // instead, and keeps unwinding if its own defers try to block again.
+//
+// Under Run, park first does on the process's own stack what Step would
+// do after the switch back: it ends the current event with the Dispatched
+// call Step would have made, then dispatches each following event that
+// resumes no live process — a callback, or the wake-up of a process that
+// has finished — with its own Dispatched call, in the order Step would
+// pop them. It stops at Stop, when no event is left, or at the first
+// wake-up of a live process. When that wake-up is p's own it becomes the
+// current event (clock, kind, sequence number) and park returns with no
+// coroutine switch; otherwise p switches back as usual, and Step, told by
+// deliver that the event has ended, goes on to the next one. Every event
+// keeps its time, kind and sequence number, and every Monitor call its
+// arguments; only the stack the callbacks run on differs, so a panicking
+// callback unwinds p (which finishes) on its way to Run's caller.
 func (p *Proc) park() {
+	e := p.eng
+	if e.running && !p.killed {
+		e.ended = true
+		if e.mon != nil {
+			e.mon.Dispatched(e.kind, e.Pending())
+		}
+		for !e.stopped {
+			var src *eventHeap
+			var next *event
+			switch {
+			case e.lane.Len() > 0 && !e.heapDue(e.now):
+				next = e.lane.Peek()
+			case len(e.timers) > 0 && (len(e.events) == 0 || e.timers[0].before(&e.events[0])):
+				src = &e.timers
+			case len(e.events) > 0:
+				src = &e.events
+			}
+			if src != nil {
+				next = &(*src)[0]
+			}
+			if next == nil || next.proc != nil && next.proc != p && !next.proc.done {
+				break
+			}
+			var ev event
+			if src == nil {
+				ev = e.lane.Pop()
+			} else {
+				ev = src.pop()
+				e.now = ev.at
+			}
+			e.kind, e.evSeq = ev.kind(), int64(ev.key>>8)
+			if ev.proc == p {
+				e.ended = false
+				return
+			}
+			if ev.fn != nil {
+				ev.fn()
+			}
+			if e.mon != nil {
+				e.mon.Dispatched(e.kind, e.Pending())
+			}
+		}
+	}
 	if p.killed || !p.yield(struct{}{}) {
 		p.killed = true
 		panic(killSentinel{})

@@ -137,8 +137,9 @@ type TCPConn struct {
 	// sndStamps records each Append, so a fresh segment's data-path span
 	// can begin at enqueue time (the "socket" stage) and its tcp_output
 	// event hang off the writer's. Only maintained when telemetry is
-	// enabled.
-	sndStamps []sndStamp
+	// enabled; a ring, so that appending and acknowledging stop
+	// allocating once it reaches the window's depth.
+	sndStamps sim.FIFO[sndStamp]
 
 	// Causal chains (no-ops unless the critical-path recorder is enabled):
 	// the socket writer's and reader's, and trig, why the next Output runs
@@ -497,13 +498,18 @@ func (c *TCPConn) Append(ctx kern.Ctx, m *mbuf.Mbuf, n units.Size, boundary bool
 	c.noteQueues()
 	// The writer's latest event (its enqueue) made these bytes sendable,
 	// and this Output runs because it appended them: a CPU trigger.
-	if c.stk.tr != nil {
-		c.sndStamps = append(c.sndStamps,
-			sndStamp{endSeq: c.sndUna + uint32(c.sndLen), ev: c.wr.Cur(), t: c.stk.K.Eng.Now()})
-	}
+	c.stampAppend()
 	c.trigger(c.wr.Cur(), obs.CauseCPU)
 	c.Output(ctx)
 	return nil
+}
+
+// stampAppend records the stamp of the append that just enqueued the
+// send buffer's last bytes, when telemetry is on.
+func (c *TCPConn) stampAppend() {
+	if c.stk.tr != nil {
+		c.sndStamps.Push(sndStamp{endSeq: c.sndUna + uint32(c.sndLen), ev: c.wr.Cur(), t: c.stk.K.Eng.Now()})
+	}
 }
 
 // stampAt returns the stamp of the append that enqueued the byte at seq
@@ -511,11 +517,11 @@ func (c *TCPConn) Append(ctx kern.Ctx, m *mbuf.Mbuf, n units.Size, boundary bool
 // only once their bytes are acknowledged, so a go-back-N retransmission
 // still finds its own bytes' stamp.
 func (c *TCPConn) stampAt(seq uint32) (st sndStamp, ok bool) {
-	for len(c.sndStamps) > 0 && !seqGT(c.sndStamps[0].endSeq, c.sndUna) {
-		c.sndStamps = c.sndStamps[1:]
+	for c.sndStamps.Len() > 0 && !seqGT(c.sndStamps.Peek().endSeq, c.sndUna) {
+		c.sndStamps.Pop()
 	}
-	for _, st := range c.sndStamps {
-		if seqGT(st.endSeq, seq) {
+	for i := 0; i < c.sndStamps.Len(); i++ {
+		if st := c.sndStamps.At(i); seqGT(st.endSeq, seq) {
 			return st, true
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/race"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -86,5 +88,46 @@ func TestTracerSeesUDPAndDescriptors(t *testing.T) {
 	defer r.eng.KillAll()
 	if !udpSeen {
 		t.Fatal("tracer missed the UDP datagram")
+	}
+}
+
+// TestSendStampAllocBudget pins the send stamps telemetry keeps per Append
+// at zero heap objects in steady state: each write pushes one stamp and
+// each acknowledgement drops the stamps it covers from the front of a
+// ring, which stops growing at the depth of the data in flight.
+func TestSendStampAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	r, cli, _ := livenessPair(t, 64)
+	defer r.eng.KillAll()
+	cli.stk.tr = new(obs.Trace) // telemetry on: Append records stamps
+	const write, inFlight = 1000, 3
+	step := func() {
+		cli.sndLen += write // an Append
+		cli.stampAppend()
+		if cli.sndLen > inFlight*write { // the oldest write is acknowledged
+			cli.sndUna += write
+			cli.sndLen -= write
+		}
+		if _, ok := cli.stampAt(cli.sndUna); !ok {
+			t.Fatal("no stamp for the first unacknowledged byte")
+		}
+	}
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	// AllocsPerRun rounds down to whole objects per run, and a slice
+	// resliced from the front reallocates only every few appends, so each
+	// run is a hundred writes.
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 100; i++ {
+			step()
+		}
+	}); n != 0 {
+		t.Fatalf("a hundred steady-state Appends' stamps allocate %.0f objects, want 0", n)
+	}
+	if got := cli.sndStamps.Len(); got != inFlight {
+		t.Fatalf("%d stamps held, want one per write in flight (%d)", got, inFlight)
 	}
 }
