@@ -996,10 +996,14 @@ func TestChecksumRequestIsGeometry(t *testing.T) {
 // socket buffer or the outstanding-DMA counter and every timeout is a TCP
 // timer, so a Signal wait has no timeout and no generation scheme; a
 // caller learns a connection closed from its State; routing is host
-// routes only; CPU work is charged through Kernel.Work or Ctx.Charge and
-// data moved through the UIO primitives; and the critical path has no
-// cause class for Nagle, which the stack does not implement. An entry is
-// a declared name, or Type.name for a method or struct field of Type.
+// routes only, and a route is the interface and next hop the stack reads;
+// CPU work is charged through Kernel.Work or Ctx.Charge and data moved
+// through the UIO primitives; the critical path has no cause class for
+// Nagle, which the stack does not implement; a head-of-line run returns
+// its utilization, the one figure the study reads; and a ledger hook or a
+// profiler is read through its records and exports, not through a host
+// label, an enabled flag or a per-host total. An entry is a declared name,
+// or Type.name for a method or struct field of Type.
 func TestNoTestOnlyCapabilities(t *testing.T) {
 	banned := []struct {
 		dir   string
@@ -1007,7 +1011,10 @@ func TestNoTestOnlyCapabilities(t *testing.T) {
 	}{
 		{"internal/sim", []string{"WaitTimeout", "Proc.waitGen", "Proc.timedOut"}},
 		{"internal/tcpip", []string{"TCPConn.WaitClosed", "TCPConn.closedSig"}},
-		{"internal/netif", []string{"Table.SetDefault", "Table.Remove", "Table.def"}},
+		{"internal/netif", []string{"Table.SetDefault", "Table.Remove", "Table.def", "Route.Dst"}},
+		{"internal/hippi", []string{"HOLResult"}},
+		{"internal/obs/ledger", []string{"Hook.Host", "Hook.Enabled"}},
+		{"internal/obs/prof", []string{"Profiler.HostTotal"}},
 		{"internal/kern", []string{"IntrWork", "ResetAccounting", "CopyBytes"}},
 		{"internal/obs", []string{"CauseNagle"}},
 	}
@@ -1051,6 +1058,7 @@ func TestNoTestOnlyCapabilities(t *testing.T) {
 					check(owner, n.Name)
 				case *ast.TypeSpec:
 					seen[n.Name.Name] = true
+					check("", n.Name)
 					if st, ok := n.Type.(*ast.StructType); ok {
 						for _, fld := range st.Fields.List {
 							for _, name := range fld.Names {
@@ -1071,5 +1079,98 @@ func TestNoTestOnlyCapabilities(t *testing.T) {
 				t.Errorf("%s declares no type %s: the guard no longer sees it", b.dir, typ)
 			}
 		}
+	}
+}
+
+// TestLayersBoundOnce keeps the stack's layers one obs.Layer enum with one
+// name table (ROADMAP 19): no non-test call of In passes a string literal
+// and kern's Ctx.In takes an obs.Layer, so a context entering a layer looks
+// no name up; the ledger binds no layer name of its own (no Hook.Layer, no
+// layerNames, no Layer constants), since it seeds its table from the enum;
+// and kern.Ctx carries no stream mapping (seg) and no interrupt flag
+// (Intr): the mapping is an argument of the data primitives that read it,
+// and interrupt context is a Ctx without a Task.
+func TestLayersBoundOnce(t *testing.T) {
+	parseDir := func(dir string, fn func(*token.FileSet, *ast.File)) {
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			fn(fset, f)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		parseDir(root, func(fset *token.FileSet, f *ast.File) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 1 {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if lit, isLit := call.Args[0].(*ast.BasicLit); ok && sel.Sel.Name == "In" && isLit && lit.Kind == token.STRING {
+					t.Errorf("%s: In(%s): enter a layer by its obs.Layer", fset.Position(call.Pos()), lit.Value)
+				}
+				return true
+			})
+		})
+	}
+	parseDir(filepath.Join("internal", "obs", "ledger"), func(fset *token.FileSet, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if funcName(n) == "Hook.Layer" {
+					t.Errorf("%s: Hook.Layer: a layer's ledger id is its obs.Layer value", fset.Position(n.Pos()))
+				}
+			case *ast.ValueSpec:
+				for _, id := range n.Names {
+					if id.Name == "layerNames" || strings.HasPrefix(id.Name, "Layer") {
+						t.Errorf("%s: %s: the ledger's layers are obs.Layer's", fset.Position(id.Pos()), id.Name)
+					}
+				}
+			}
+			return true
+		})
+	})
+	sawCtx, sawIn := false, false
+	parseDir(filepath.Join("internal", "kern"), func(fset *token.FileSet, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || n.Name.Name != "Ctx" {
+					return true
+				}
+				sawCtx = true
+				for _, fld := range st.Fields.List {
+					for _, id := range fld.Names {
+						if id.Name == "seg" || id.Name == "Intr" {
+							t.Errorf("%s: Ctx.%s: the context carries only what its callers read", fset.Position(id.Pos()), id.Name)
+						}
+					}
+				}
+			case *ast.FuncDecl:
+				if funcName(n) != "Ctx.In" {
+					return true
+				}
+				sawIn = true
+				params := n.Type.Params.List
+				if len(params) != 1 || !isSelector(params[0].Type, "obs", "Layer") {
+					t.Errorf("%s: Ctx.In must take one obs.Layer", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	})
+	if !sawCtx || !sawIn {
+		t.Fatal("internal/kern declares no Ctx struct or no Ctx.In: the guard no longer sees them")
 	}
 }

@@ -72,7 +72,7 @@ func (c *CAB) mdmaNext() {
 		// is the frame's own: the receiving adaptor keeps it.
 		data := c.net.Bufs.Get(int(e.pkt.Len()))
 		copy(data, e.pkt.buf)
-		c.Led.TouchP(e.span, 0, e.pkt.Len(), ledger.MDMATx, ledger.LayerMDMA, 0)
+		c.Led.TouchP(e.span, 0, e.pkt.Len(), ledger.MDMATx, obs.LayerMDMA, 0)
 		c.txCur = e
 		c.net.SendFrame(hippi.Frame{Src: c.nodeID, Dst: e.dst, Data: data, Span: e.span, Flow: e.pkt.flow},
 			c.sentFn)
@@ -153,7 +153,7 @@ type heldRx struct {
 func (c *CAB) rxFrame(f hippi.Frame) {
 	f.Span.EnterOn(obs.StageMDMA, c.Host)
 	f.Span.CritEv(obs.CauseWire, obs.EvWireRx)
-	c.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.MDMARx, ledger.LayerMDMA, 0)
+	c.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.MDMARx, obs.LayerMDMA, 0)
 	if c.Arb != nil {
 		c.rxFrameArb(f)
 		return
@@ -349,7 +349,7 @@ type rxState struct {
 // SDMADone: the head is in the host buffer; notify the host.
 func (st *rxState) SDMADone(*SDMAReq) {
 	c, ev := st.c, &st.ev
-	c.Led.TouchP(ev.Span, 0, ev.HdrLen, ledger.SDMAToHost, ledger.LayerSDMA, ledger.FlagAutoDMA)
+	c.Led.TouchP(ev.Span, 0, ev.HdrLen, ledger.SDMAToHost, obs.LayerSDMA, ledger.FlagAutoDMA)
 	if c.OnRx == nil {
 		ev.Pkt.Free()
 		ev.Done()
@@ -376,7 +376,7 @@ func (c *CAB) rxDeliverDirect(f hippi.Frame) {
 	c.Stats.RxHdrDeliveries++
 	span := f.Span
 	c.eng.AfterKind(c.Mach.DMATime(n), sim.KindDMA, func() {
-		c.Led.TouchP(span, 0, n, ledger.SDMAToHost, ledger.LayerSDMA, ledger.FlagAutoDMA)
+		c.Led.TouchP(span, 0, n, ledger.SDMAToHost, obs.LayerSDMA, ledger.FlagAutoDMA)
 		span.CritEv(obs.CauseDMA, obs.EvAutoDMA)
 		if c.OnRx == nil {
 			return

@@ -171,7 +171,7 @@ func (c *CAB) sdmaDone() {
 				if req.CsumSkip != 0 {
 					fl = ledger.FlagCsumFlight
 				}
-				c.Led.TouchP(req.Span, 0, req.Pkt.Len(), ledger.SDMAToNet, ledger.LayerSDMA, fl)
+				c.Led.TouchP(req.Span, 0, req.Pkt.Len(), ledger.SDMAToNet, obs.LayerSDMA, fl)
 			}
 		case ToHost:
 			c.performToHost(req)

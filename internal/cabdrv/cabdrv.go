@@ -271,7 +271,7 @@ type copyReq struct {
 
 // SDMADone implements cab.SDMAOwner.
 func (r *copyReq) SDMADone(*cab.SDMAReq) {
-	r.d.C.Led.TouchP(r.span, r.off, r.n, ledger.SDMAToHost, ledger.LayerSDMA, 0)
+	r.d.C.Led.TouchP(r.span, r.off, r.n, ledger.SDMAToHost, obs.LayerSDMA, 0)
 	r.d.endCopy(r, nil)
 }
 
@@ -347,7 +347,7 @@ func (d *Driver) hwReset() {
 		d.provideRxBuf()
 	}
 	d.K.PostIntr("cab-reset", func(p *sim.Proc) {
-		ctx := d.K.IntrCtx(p).In("cabdrv_reset")
+		ctx := d.K.IntrCtx(p).In(obs.LayerCabdrvReset)
 		if d.ResetNotify != nil {
 			d.ResetNotify(ctx, d)
 		}
@@ -382,7 +382,7 @@ func (d *Driver) AdmitTx(p *sim.Proc, flow int, n units.Size) {
 // daemon, converting descriptor chains first when running as a legacy
 // driver.
 func (d *Driver) Output(ctx kern.Ctx, m *mbuf.Mbuf, dst netif.LinkAddr) {
-	ctx = ctx.In("cabdrv")
+	ctx = ctx.In(obs.LayerCabdrv)
 	ctx.Charge(d.K.Mach.DriverPerPacket, kern.CatDriver)
 	if m.IsPktHdr() && mbuf.ChainLen(m) != m.PktLen() {
 		panic(fmt.Sprintf("cabdrv: packet length %v does not match header %v (types %v)",
@@ -456,7 +456,7 @@ func (d *Driver) send(p *sim.Proc, job *txJob) {
 			d.Stats.TxFallbackReads++
 			b := make([]byte, cur.Len())
 			copy(b, w.Handle.Read(cur.Off(), cur.Len()))
-			d.K.Led.TouchP(m.Span(), pkOff, cur.Len(), ledger.CPUCopy, ledger.LayerCabdrv, 0)
+			d.K.Led.TouchP(m.Span(), pkOff, cur.Len(), ledger.CPUCopy, obs.LayerCabdrv, 0)
 			gather = append(gather, b)
 		}
 		pkOff += cur.Len()
@@ -670,7 +670,7 @@ func (d *Driver) completeTx(job *txJob) {
 func (d *Driver) finishTxBatch(p *sim.Proc) {
 	// Open the handler's profiler frame, as every interrupt handler does,
 	// although the completion work charges nothing to it.
-	d.K.IntrCtx(p).In("cabdrv_txdone")
+	d.K.IntrCtx(p).In(obs.LayerCabdrvTxDone)
 	n, _ := d.txBatches.TryGet()
 	for ; n > 0; n-- {
 		job, _ := d.txDone.TryGet()

@@ -25,7 +25,7 @@ func (d *Driver) hwRx(ev *cab.RxEvent) {
 // queued.
 func (d *Driver) rxIntrQueued(p *sim.Proc) {
 	ev, _ := d.rxEvents.TryGet()
-	d.rxIntr(d.K.IntrCtx(p).In("cabdrv_rx"), ev)
+	d.rxIntr(d.K.IntrCtx(p).In(obs.LayerCabdrvRx), ev)
 	ev.Done()
 }
 
@@ -138,7 +138,7 @@ type legacyRx struct {
 // SDMADone implements cab.SDMAOwner: the chain is complete; pass it up.
 func (b *legacyRx) SDMADone(req *cab.SDMAReq) {
 	d := b.d
-	d.C.Led.TouchP(b.span, b.off, b.n, ledger.SDMAToHost, ledger.LayerSDMA, 0)
+	d.C.Led.TouchP(b.span, b.off, b.n, ledger.SDMAToHost, obs.LayerSDMA, 0)
 	req.Pkt.Free()
 	d.rxBodies.Put(b.head)
 	d.legacyRxs.Put(b)
@@ -153,7 +153,7 @@ func (b *legacyRx) SDMAFail(*cab.SDMAReq) { b.d.legacyRxs.Put(b) }
 // whose body DMA finished.
 func (d *Driver) rxBodyQueued(p *sim.Proc) {
 	head, _ := d.rxBodies.TryGet()
-	d.Input(d.K.IntrCtx(p).In("cabdrv_rx"), head, d)
+	d.Input(d.K.IntrCtx(p).In(obs.LayerCabdrvRx), head, d)
 }
 
 func minSize(a, b units.Size) units.Size {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/kern"
 	"repro/internal/mbuf"
 	"repro/internal/netif"
+	"repro/internal/obs"
 	"repro/internal/obs/ledger"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -69,7 +70,7 @@ func (d *Driver) Caps() netif.Caps { return netif.Caps{} }
 // Output implements netif.Interface. Descriptor chains are materialized at
 // the entry point (Section 5): "a copy has merely been delayed".
 func (d *Driver) Output(ctx kern.Ctx, m *mbuf.Mbuf, dst netif.LinkAddr) {
-	ctx = ctx.In("ethdrv")
+	ctx = ctx.In(obs.LayerEthdrv)
 	ctx.Charge(d.K.Mach.DriverPerPacket, kern.CatDriver)
 	if mbuf.HasDescriptors(m) {
 		d.Converted++
@@ -97,7 +98,7 @@ func (d *Driver) txd(p *sim.Proc) {
 		mbuf.FreeChain(job.m)
 		// Device DMA from kernel buffers occupies the bus.
 		p.Sleep(d.K.Mach.DMATime(units.Size(len(frame))))
-		d.K.Led.TouchP(sp, 0, units.Size(len(frame)), ledger.SDMAToNet, ledger.LayerEthdev, 0)
+		d.K.Led.TouchP(sp, 0, units.Size(len(frame)), ledger.SDMAToNet, obs.LayerEthdev, 0)
 		sent := sim.NewSignal(d.K.Eng)
 		d.net.SendFrame(hippi.Frame{Src: d.id, Dst: hippi.NodeID(job.dst), Data: frame, Span: sp},
 			func() { sent.Broadcast() })
@@ -110,7 +111,7 @@ func (d *Driver) txd(p *sim.Proc) {
 // buffers; the interrupt handler builds a regular mbuf chain.
 func (d *Driver) hwRx(f hippi.Frame) {
 	d.K.PostIntr("eth-rx", func(p *sim.Proc) {
-		ctx := d.K.IntrCtx(p).In("ethdrv_rx")
+		ctx := d.K.IntrCtx(p).In(obs.LayerEthdrvRx)
 		ctx.Charge(d.K.Mach.DriverPerPacket, kern.CatDriver)
 		lh, err := wire.ParseLinkHdr(f.Data)
 		if err != nil || lh.Type != wire.EtherTypeIP {
@@ -145,7 +146,7 @@ func (d *Driver) hwRx(f hippi.Frame) {
 		head.MarkPktHdr(units.Size(len(payload)))
 		// The device DMAed the frame into the kernel buffers just built.
 		f.Span.DropTrace()
-		d.K.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.SDMAToHost, ledger.LayerEthdev, 0)
+		d.K.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.SDMAToHost, obs.LayerEthdev, 0)
 		head.AttachSpan(f.Span)
 		d.Input(ctx, head, d)
 	})

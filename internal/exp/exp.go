@@ -222,8 +222,8 @@ type HOLResult struct {
 func RunHOL(ports, slots int, seed int64) HOLResult {
 	return HOLResult{
 		Ports:               ports,
-		FIFOUtilization:     hippi.RunFIFO(ports, slots, seed).Utilization,
-		ChannelsUtilization: hippi.RunLogicalChannels(ports, slots, seed).Utilization,
+		FIFOUtilization:     hippi.RunFIFO(ports, slots, seed),
+		ChannelsUtilization: hippi.RunLogicalChannels(ports, slots, seed),
 	}
 }
 

@@ -50,8 +50,8 @@ func TestProfilerExactSum(t *testing.T) {
 			t.Errorf("host %s: folded sum %d != kern.cpu_busy_ns %d",
 				h.Name, perHost[h.Name], busy)
 		}
-		if got := tb.Prof.HostTotal(h.Name); got != busy {
-			t.Errorf("host %s: HostTotal %d != busy %d", h.Name, got, busy)
+		if got := h.K.Prof.TreeTotal(); got != busy {
+			t.Errorf("host %s: profile tree total %d != busy %d", h.Name, got, busy)
 		}
 	}
 }

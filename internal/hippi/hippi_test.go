@@ -175,29 +175,29 @@ func TestThroughputAtLineRate(t *testing.T) {
 func TestHOLFIFOUtilizationNear58Percent(t *testing.T) {
 	// Hluchyj & Karol: saturated FIFO inputs on a large crossbar deliver
 	// ≈ 58.6% utilization; the paper cites "at most 58%".
-	res := RunFIFO(32, 20000, 42)
-	if res.Utilization < 0.54 || res.Utilization > 0.64 {
-		t.Fatalf("FIFO utilization = %.3f, want ≈0.586", res.Utilization)
+	util := RunFIFO(32, 20000, 42)
+	if util < 0.54 || util > 0.64 {
+		t.Fatalf("FIFO utilization = %.3f, want ≈0.586", util)
 	}
 }
 
 func TestHOLLogicalChannelsBeatFIFO(t *testing.T) {
 	fifo := RunFIFO(16, 10000, 7)
 	voq := RunLogicalChannels(16, 10000, 7)
-	if voq.Utilization < 0.9 {
-		t.Fatalf("logical-channel utilization = %.3f, want > 0.9", voq.Utilization)
+	if voq < 0.9 {
+		t.Fatalf("logical-channel utilization = %.3f, want > 0.9", voq)
 	}
-	if voq.Utilization <= fifo.Utilization+0.2 {
+	if voq <= fifo+0.2 {
 		t.Fatalf("logical channels (%.3f) should clearly beat FIFO (%.3f)",
-			voq.Utilization, fifo.Utilization)
+			voq, fifo)
 	}
 }
 
 func TestHOLSmallSwitchHigherUtilization(t *testing.T) {
 	// For n=2 the theoretical FIFO limit is 0.75; utilization must exceed
 	// the asymptotic 0.586.
-	res := RunFIFO(2, 20000, 11)
-	if res.Utilization < 0.70 || res.Utilization > 0.80 {
-		t.Fatalf("2-port FIFO utilization = %.3f, want ≈0.75", res.Utilization)
+	util := RunFIFO(2, 20000, 11)
+	if util < 0.70 || util > 0.80 {
+		t.Fatalf("2-port FIFO utilization = %.3f, want ≈0.75", util)
 	}
 }

@@ -9,18 +9,12 @@ import "math/rand"
 // of packets with different destinations. This slotted-crossbar model
 // reproduces both regimes.
 
-// HOLResult is the outcome of one queuing-discipline run.
-type HOLResult struct {
-	Ports       int
-	Delivered   int
-	Utilization float64 // delivered / (ports × slots)
-}
-
 // RunFIFO simulates n saturated input ports with single FIFO queues on an
 // n×n crossbar for the given number of slots. Each slot, every output
 // accepts at most one packet; an input whose head-of-line packet targets a
-// taken output is blocked even if it holds packets for idle outputs.
-func RunFIFO(n, slots int, seed int64) HOLResult {
+// taken output is blocked even if it holds packets for idle outputs. It
+// returns the utilization: packets delivered / (ports × slots).
+func RunFIFO(n, slots int, seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
 	// Each input's FIFO holds destination indices; saturated inputs are
 	// modeled by refilling so queues never drain.
@@ -48,18 +42,15 @@ func RunFIFO(n, slots int, seed int64) HOLResult {
 			}
 		}
 	}
-	return HOLResult{
-		Ports:       n,
-		Delivered:   delivered,
-		Utilization: float64(delivered) / float64(n*slots),
-	}
+	return float64(delivered) / float64(n*slots)
 }
 
 // RunLogicalChannels simulates the same saturated crossbar with
 // per-destination queues at each input (the CAB's logical channels / VOQ
 // organization) and a simple iterative matching: blocked inputs may send a
 // packet queued for any idle output, so head-of-line blocking disappears.
-func RunLogicalChannels(n, slots int, seed int64) HOLResult {
+// It returns the utilization, as RunFIFO does.
+func RunLogicalChannels(n, slots int, seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
 	// voq[i][d] is the number of packets input i holds for output d.
 	// Saturation: every channel always has traffic available; we model a
@@ -99,9 +90,5 @@ func RunLogicalChannels(n, slots int, seed int64) HOLResult {
 			}
 		}
 	}
-	return HOLResult{
-		Ports:       n,
-		Delivered:   delivered,
-		Utilization: float64(delivered) / float64(n*slots),
-	}
+	return float64(delivered) / float64(n*slots)
 }

@@ -351,6 +351,6 @@ func (n *Network) delivered(fl *flight) {
 	n.Delivered++
 	f, dp := fl.f, fl.dp
 	n.flights.Put(fl)
-	n.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.WireTransit, ledger.LayerWire, 0)
+	n.Led.TouchP(f.Span, 0, units.Size(len(f.Data)), ledger.WireTransit, obs.LayerWire, 0)
 	dp.recv(f)
 }

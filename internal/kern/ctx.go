@@ -11,31 +11,24 @@ import (
 
 // Ctx identifies the execution context protocol code runs in: either a
 // task's process context (a system call on its behalf) or interrupt
-// context. It lets shared stack code charge CPU time correctly without
-// caring who called it.
+// context (Task nil). It lets shared stack code charge CPU time correctly
+// without caring who called it.
 //
 // Ctx also carries the layer-stack position for the virtual-time profiler:
-// each layer pushes a frame with In ("socket", "tcp_output", ...), and every
-// Charge issued under it accumulates on that node. When profiling is off
-// the node stays nil and the whole mechanism is free.
+// each layer pushes a frame with In (obs.LayerSocket, obs.LayerTCPOutput,
+// ...), and every Charge issued under it accumulates on that node. When
+// profiling is off the node stays nil and the whole mechanism is free.
+// The layer is carried even then, so the data primitives' ledger records
+// name the layer that touched the bytes. Ctx is six words, small enough to
+// pass in registers on the per-packet paths.
 type Ctx struct {
 	K    *Kernel
 	P    *sim.Proc
 	Task *Task // nil in interrupt context
-	Intr bool
 
-	node *prof.Node
-	flow int
-
-	// Data-touch ledger attribution (see OnStream/OnStreamProv): the
-	// copy/checksum primitives record their byte ranges through seg the
-	// way a device maps a packet through its span's Seg, with buffer
-	// offsets in place of packet offsets. Its zero value (Len 0) counts
-	// every touch as unattributed. layer is the most recent In frame as
-	// bound in the ledger's name table, carried even when profiling is off
-	// so ledger records name the layer that touched the bytes.
-	layer obs.Name
-	seg   obs.Seg
+	node  *prof.Node
+	flow  int
+	layer obs.Layer
 }
 
 // TaskCtx returns a process-context Ctx for task t running in p.
@@ -46,31 +39,22 @@ func (k *Kernel) TaskCtx(p *sim.Proc, t *Task) Ctx {
 // IntrCtx returns an interrupt-context Ctx running in p (normally the
 // interrupt daemon's process).
 func (k *Kernel) IntrCtx(p *sim.Proc) Ctx {
-	return Ctx{K: k, P: p, Intr: true}
-}
-
-// base returns the node In stacks its first frame on: the per-task or
-// interrupt fallback, matching where Charge lands un-framed work.
-func (c Ctx) base() *prof.Node {
-	if c.Intr {
-		return c.K.intrNode()
-	}
-	return c.K.taskNode(c.Task)
+	return Ctx{K: k, P: p}
 }
 
 // In returns a Ctx one layer frame deeper: CPU time charged through the
-// result is attributed to layer under this context's stack. Free (nil
-// node chain) when profiling is disabled.
-func (c Ctx) In(layer string) Ctx {
-	c.layer = c.K.Led.Layer(layer)
+// result is attributed to layer l under this context's stack. Free (nil
+// node chain) when profiling is disabled; no name is looked up either way.
+func (c Ctx) In(l obs.Layer) Ctx {
+	c.layer = l
 	n := c.node
 	if n == nil {
 		if c.K.Prof == nil {
 			return c
 		}
-		n = c.base()
+		n = c.K.fallback(c.Task) // where Charge lands un-framed work
 	}
-	c.node = n.Child(layer)
+	c.node = n.Layer(l)
 	return c
 }
 
@@ -85,59 +69,58 @@ func (c Ctx) WithFlow(flow int) Ctx {
 // in process context, or misattributed to the current task in interrupt
 // context.
 func (c Ctx) Charge(d units.Time, cat Category) {
-	if c.Intr {
+	if c.Task == nil {
 		c.K.intrWorkAt(c.P, d, cat, c.node, c.flow)
 		return
 	}
 	c.K.workAt(c.P, c.Task, d, cat, true, c.node, c.flow)
 }
 
-// OnStream returns a Ctx whose data primitives record their byte ranges
-// in the data-touch ledger against flow, with buffer offset 0 mapping to
-// stream byte base. Without it (or with the ledger disabled) unmappable
-// touches are counted as unattributed rather than silently lost.
-func (c Ctx) OnStream(flow int, base units.Size) Ctx {
-	c.seg = obs.Seg{Flow: flow, Len: units.Size(1) << 62, PayloadOff: -base}
-	return c
+// StreamSeg maps buffer offset 0 to stream byte base of flow, unclipped.
+// The data primitives below record their byte ranges in the data-touch
+// ledger through such a segment g, the way a device maps a packet through
+// its span's Seg, with buffer offsets in place of packet offsets. The zero
+// Seg (Len 0) counts every touch as unattributed rather than silently lost.
+func StreamSeg(flow int, base units.Size) obs.Seg {
+	return obs.Seg{Flow: flow, Len: units.Size(1) << 62, PayloadOff: -base}
 }
 
-// OnStreamProv is OnStream driven by the segment sp carries: buffer
-// offset 0 maps to stream byte base, records clip to the segment's payload
-// window [Off, Off+Len), and its retransmit flag and descriptor id carry
-// into the records. Used where a primitive's buffer spans more than the
-// payload (e.g. a checksum over transport header + payload).
-func (c Ctx) OnStreamProv(sp *obs.Span, base units.Size) Ctx {
-	c.seg = sp.Seg()
-	c.seg.PayloadOff = c.seg.Off - base
-	return c
+// SpanSeg is StreamSeg driven by the segment sp carries: buffer offset 0
+// maps to stream byte base, records clip to the segment's payload window
+// [Off, Off+Len), and its retransmit flag and descriptor id carry into the
+// records. Used where a primitive's buffer spans more than the payload
+// (e.g. a checksum over transport header + payload).
+func SpanSeg(sp *obs.Span, base units.Size) obs.Seg {
+	g := sp.Seg()
+	g.PayloadOff = g.Off - base
+	return g
 }
 
-// touch records a data touch at buffer offset off, length n, mapped to
-// stream coordinates. Free (one nil check) when the ledger is off.
-func (c Ctx) touch(kind ledger.Kind, off, n units.Size) {
-	c.K.Led.TouchSeg(c.seg, off, n, kind, c.layer, 0)
+// CopyCharge charges this context for CPU-copying n bytes at buffer offset
+// off and records the touch through g; the caller moves the bytes.
+func (c Ctx) CopyCharge(off, n, region units.Size, g obs.Seg) {
+	c.Charge(c.K.Mach.CopyTime(n, region), CatCopy)
+	c.K.Led.TouchSeg(g, off, n, ledger.CPUCopy, c.layer, 0)
 }
 
 // CopyFromUIO copies n bytes at offset off of u into dst, charging copy
 // time in this context (the socket layer's copyin on the traditional path).
-func (c Ctx) CopyFromUIO(u *mem.UIO, off, n units.Size, dst []byte, region units.Size) {
-	c.Charge(c.K.Mach.CopyTime(n, region), CatCopy)
-	c.touch(ledger.CPUCopy, off, n)
+func (c Ctx) CopyFromUIO(u *mem.UIO, off, n units.Size, dst []byte, region units.Size, g obs.Seg) {
+	c.CopyCharge(off, n, region, g)
 	u.ReadAt(dst, off, n)
 }
 
 // CopyToUIO copies src into u at offset off, charging copy time in this
 // context (the traditional receive copyout).
-func (c Ctx) CopyToUIO(u *mem.UIO, off units.Size, src []byte, region units.Size) {
-	c.Charge(c.K.Mach.CopyTime(units.Size(len(src)), region), CatCopy)
-	c.touch(ledger.CPUCopy, off, units.Size(len(src)))
+func (c Ctx) CopyToUIO(u *mem.UIO, off units.Size, src []byte, region units.Size, g obs.Seg) {
+	c.CopyCharge(off, units.Size(len(src)), region, g)
 	u.WriteAt(src, off)
 }
 
 // ChecksumCharge charges this context for software-checksumming n bytes and
 // records the touch. The caller sums the bytes where they lie (the stack's
 // data sits in mbuf chains, which the kernel does not know).
-func (c Ctx) ChecksumCharge(n, region units.Size) {
+func (c Ctx) ChecksumCharge(n, region units.Size, g obs.Seg) {
 	c.Charge(c.K.Mach.CsumTime(n, region), CatCsum)
-	c.touch(ledger.CPUCsum, 0, n)
+	c.K.Led.TouchSeg(g, 0, n, ledger.CPUCsum, c.layer, 0)
 }

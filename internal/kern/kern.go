@@ -77,6 +77,8 @@ type Task struct {
 
 	UserTime units.Time
 	SysTime  units.Time
+
+	node *prof.Node // profiler fallback node, found on first use
 }
 
 // Kernel is one host's OS context.
@@ -109,7 +111,7 @@ type Kernel struct {
 	// Led is the host's data-touch ledger hook (nil when the ledger is
 	// disabled: the recording fast path is a single nil check). The CPU
 	// data primitives record through it; stream coordinates come from
-	// Ctx.OnStream/OnStreamProv.
+	// the obs.Seg each is handed (StreamSeg, SpanSeg).
 	Led *ledger.Hook
 
 	// EngObs is the simulator meta-observer (nil when disabled: each hook
@@ -117,6 +119,9 @@ type Kernel struct {
 	// generates — charges and quantum slices — beside the engine's own
 	// event-dispatch counters.
 	EngObs *engine.Observer
+
+	// intr is the pseudo-task interrupt-context work is profiled under.
+	intr Task
 
 	// IntrPosts counts interrupt work posted (PostIntr).
 	IntrPosts int
@@ -195,6 +200,7 @@ func New(name string, eng *sim.Engine, mach *cost.Machine) *Kernel {
 		Quantum: 100 * units.Microsecond,
 		cpu:     sim.NewResource(eng, 1),
 		intrQ:   sim.NewQueue[intrWork](eng),
+		intr:    Task{Name: "intr"},
 		Mbufs:   new(mbuf.Pool),
 	}
 	k.KernelTask = k.NewTask("kernel", PrioKern, nil)
@@ -267,23 +273,18 @@ func (k *Kernel) chargeSlices(p *sim.Proc, prio int, d units.Time, cat Category,
 	}
 }
 
-// taskNode returns the profiler fallback node for process-context work with
-// no explicit layer stack: a per-task child of the host root. Nil (free)
-// when profiling is off.
-func (k *Kernel) taskNode(t *Task) *prof.Node {
-	if k.Prof == nil {
-		return nil
+// fallback returns the profiler node for work with no explicit layer stack:
+// task t's child of the host root, or the "intr" child in interrupt
+// context (t nil), each looked up by name once. Nil (free) when profiling
+// is off.
+func (k *Kernel) fallback(t *Task) *prof.Node {
+	if t == nil {
+		t = &k.intr
 	}
-	return k.Prof.Child(t.Name)
-}
-
-// intrNode is the fallback for interrupt-context work with no explicit
-// stack.
-func (k *Kernel) intrNode() *prof.Node {
-	if k.Prof == nil {
-		return nil
+	if t.node == nil && k.Prof != nil {
+		t.node = k.Prof.Child(t.Name)
 	}
-	return k.Prof.Child("intr")
+	return t.node
 }
 
 // workAt is Work with an explicit profiler attribution: node (or the task's
@@ -294,7 +295,7 @@ func (k *Kernel) workAt(p *sim.Proc, t *Task, d units.Time, cat Category, sys bo
 		return
 	}
 	if node == nil {
-		node = k.taskNode(t)
+		node = k.fallback(t)
 	}
 	k.EngObs.KernCharge()
 	node.Add(int(cat), flow, int64(d))
@@ -317,7 +318,7 @@ func (k *Kernel) intrWorkAt(p *sim.Proc, d units.Time, cat Category, node *prof.
 		return
 	}
 	if node == nil {
-		node = k.intrNode()
+		node = k.fallback(nil)
 	}
 	k.EngObs.KernCharge()
 	node.Add(int(cat), flow, int64(d))
@@ -368,7 +369,7 @@ func (s *soaker) start() {
 	k := s.k
 	s.slice = k.Quantum
 	k.EngObs.KernCharge()
-	k.taskNode(s.t).Add(int(s.cat), 0, int64(s.slice))
+	k.fallback(s.t).Add(int(s.cat), 0, int64(s.slice))
 	k.EngObs.KernSlice()
 	if k.cpu.AcquireFunc(s.t.Prio, s.onGrant) {
 		s.granted()

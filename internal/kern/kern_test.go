@@ -9,6 +9,7 @@ import (
 	"repro/internal/checksum"
 	"repro/internal/cost"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/obs/engine"
 	"repro/internal/obs/prof"
 	"repro/internal/sim"
@@ -208,8 +209,8 @@ func TestCopyAndChecksumCharges(t *testing.T) {
 	var sum uint32
 	e.Go("w", func(p *sim.Proc) {
 		c := k.TaskCtx(p, task)
-		c.CopyFromUIO(&mem.UIO{Buf: buf}, 0, units.Size(len(src)), dst, 1*units.MB)
-		c.ChecksumCharge(units.Size(len(dst)), 1*units.MB)
+		c.CopyFromUIO(&mem.UIO{Buf: buf}, 0, units.Size(len(src)), dst, 1*units.MB, obs.Seg{})
+		c.ChecksumCharge(units.Size(len(dst)), 1*units.MB, obs.Seg{})
 		sum = checksum.Sum(dst)
 	})
 	e.Run()
@@ -242,8 +243,8 @@ func TestUIOCopyHelpers(t *testing.T) {
 	dst := make([]byte, 500)
 	e.Go("w", func(p *sim.Proc) {
 		c := k.TaskCtx(p, task)
-		c.CopyFromUIO(u, 100, 500, dst, 1000)
-		c.CopyToUIO(u, 0, dst, 1000)
+		c.CopyFromUIO(u, 100, 500, dst, 1000, obs.Seg{})
+		c.CopyToUIO(u, 0, dst, 1000, obs.Seg{})
 	})
 	e.Run()
 	want := byte(100 * 3 % 256)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/kern"
 	"repro/internal/mbuf"
 	"repro/internal/netif"
+	"repro/internal/obs"
 	"repro/internal/obs/ledger"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -44,8 +45,8 @@ func (l *Loopback) Output(ctx kern.Ctx, m *mbuf.Mbuf, dst netif.LinkAddr) {
 		m = netif.ConvertForLegacy(ctx, m)
 	}
 	l.TxPackets++
-	l.K.Led.TouchP(m.Span(), wire.LinkHdrLen, mbuf.ChainLen(m), ledger.WireTransit, ledger.LayerLoop, 0)
+	l.K.Led.TouchP(m.Span(), wire.LinkHdrLen, mbuf.ChainLen(m), ledger.WireTransit, obs.LayerLoop, 0)
 	l.K.PostIntr("lo-rx", func(p *sim.Proc) {
-		l.Input(l.K.IntrCtx(p).In("loop"), m, l)
+		l.Input(l.K.IntrCtx(p).In(obs.LayerLoop), m, l)
 	})
 }

@@ -61,7 +61,6 @@ type Admitter interface {
 // Route maps a destination address to an interface and a link-level next
 // hop.
 type Route struct {
-	Dst  wire.Addr
 	If   Interface
 	Link LinkAddr
 }
@@ -76,7 +75,7 @@ func NewTable() *Table { return &Table{routes: make(map[wire.Addr]Route)} }
 
 // AddHost installs a host route.
 func (t *Table) AddHost(dst wire.Addr, ifc Interface, link LinkAddr) {
-	t.routes[dst] = Route{Dst: dst, If: ifc, Link: link}
+	t.routes[dst] = Route{If: ifc, Link: link}
 }
 
 // Lookup selects the route for dst — the interface selection the paper

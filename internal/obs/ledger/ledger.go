@@ -94,7 +94,8 @@ func (f Flags) String() string {
 }
 
 // Record is one data-touch interval in stream coordinates. Layer and Host
-// are Names in the ledger's table (see Ledger.Name).
+// are Names in the ledger's table (see Ledger.Name); an obs.Layer l is
+// obs.Name(l) in every ledger.
 type Record struct {
 	Flow  int
 	Off   units.Size
@@ -106,23 +107,6 @@ type Record struct {
 	VTime units.Time
 	Desc  int64
 }
-
-// The layers that record touches directly — the devices and the wire —
-// have the same Name in every ledger; a protocol layer's Name is bound
-// when a context enters it (Hook.Layer). LayerNone is a touch outside any
-// layer.
-const (
-	LayerNone obs.Name = iota
-	LayerEthdev
-	LayerSDMA
-	LayerCabdrv
-	LayerMDMA
-	LayerWire
-	LayerShim
-	LayerLoop
-)
-
-var layerNames = []string{"ethdev", "sdma", "cabdrv", "mdma", "wire", "shim", "loop"}
 
 // maxRecords bounds the ledger; beyond it records are counted as dropped
 // (Audit refuses to certify a truncated ledger — no silent loss).
@@ -148,7 +132,7 @@ type Ledger struct {
 
 // New returns a ledger timestamped by now — the engine's virtual clock.
 func New(now func() units.Time) *Ledger {
-	return &Ledger{now: now, names: obs.NewNames(layerNames...), records: obs.NewLog[Record](maxRecords)}
+	return &Ledger{now: now, names: obs.NewLayerNames(), records: obs.NewLog[Record](maxRecords)}
 }
 
 // Name returns the string a record's Layer or Host stands for.
@@ -185,33 +169,13 @@ type Hook struct {
 	n    int
 }
 
-// Host returns the hook's host label ("" for nil).
-func (h *Hook) Host() string {
-	if h == nil {
-		return ""
-	}
-	return h.led.Name(h.host)
-}
-
-// Layer binds a layer's name in the ledger's table and returns its id, the
-// Layer a touch recorded under it carries (LayerNone for nil).
-func (h *Hook) Layer(name string) obs.Name {
-	if h == nil {
-		return LayerNone
-	}
-	return h.led.names.Bind(name)
-}
-
-// Enabled reports whether the hook records (false for nil).
-func (h *Hook) Enabled() bool { return h != nil }
-
 // Touch records one data-touch interval in stream coordinates under the
-// layer named layer, binding the name on the way.
+// layer named layer, binding a name that is no obs.Layer on the way.
 func (h *Hook) Touch(flow int, off, n units.Size, kind Kind, layer string, flags Flags, desc int64) {
 	if h == nil || n <= 0 {
 		return
 	}
-	h.touch(flow, off, n, kind, h.Layer(layer), flags, desc)
+	h.touch(flow, off, n, kind, h.led.names.Bind(layer), flags, desc)
 }
 
 // touch is Touch with the layer already bound.
@@ -234,14 +198,14 @@ func (h *Hook) touch(flow int, off, n units.Size, kind Kind, layer obs.Name, fla
 // bytes on a packet without a payload-carrying span (nil, or a pure-ACK
 // carrier with Len 0) count as unattributed. The segment's Rtx folds into
 // the flags.
-func (h *Hook) TouchP(sp *obs.Span, pktOff, n units.Size, kind Kind, layer obs.Name, flags Flags) {
+func (h *Hook) TouchP(sp *obs.Span, pktOff, n units.Size, kind Kind, layer obs.Layer, flags Flags) {
 	if h != nil {
 		h.TouchSeg(sp.Seg(), pktOff, n, kind, layer, flags)
 	}
 }
 
 // TouchSeg is TouchP for a bare segment identity.
-func (h *Hook) TouchSeg(g obs.Seg, pktOff, n units.Size, kind Kind, layer obs.Name, flags Flags) {
+func (h *Hook) TouchSeg(g obs.Seg, pktOff, n units.Size, kind Kind, layer obs.Layer, flags Flags) {
 	if h == nil || n <= 0 {
 		return
 	}
@@ -262,7 +226,7 @@ func (h *Hook) TouchSeg(g obs.Seg, pktOff, n units.Size, kind Kind, layer obs.Na
 	if g.Rtx {
 		flags |= FlagRtx
 	}
-	h.touch(g.Flow, g.Off+(lo-g.PayloadOff), hi-lo, kind, layer, flags, g.Desc)
+	h.touch(g.Flow, g.Off+(lo-g.PayloadOff), hi-lo, kind, obs.Name(layer), flags, g.Desc)
 }
 
 // Unattributed counts bytes touched by kind that could not be mapped to a

@@ -25,12 +25,10 @@ func TestDisabledLedgerZeroAlloc(t *testing.T) {
 	sp := seg(obs.Seg{Flow: 1, Off: 0, Len: 100, PayloadOff: 40})
 	if n := testing.AllocsPerRun(1000, func() {
 		h.Touch(1, 0, 100, ledger.CPUCopy, "test", 0, 0)
-		h.TouchP(sp, 40, 60, ledger.SDMAToNet, ledger.LayerMDMA, ledger.FlagCsumFlight)
-		h.TouchP(nil, 0, 100, ledger.MDMATx, ledger.LayerMDMA, 0)
+		h.TouchP(sp, 40, 60, ledger.SDMAToNet, obs.LayerMDMA, ledger.FlagCsumFlight)
+		h.TouchP(nil, 0, 100, ledger.MDMATx, obs.LayerMDMA, 0)
 		h.Unattributed(ledger.CPUCsum, 100)
 		_ = h.NextDesc()
-		_ = h.Host()
-		_ = h.Enabled()
 	}); n != 0 {
 		t.Fatalf("disabled ledger allocated %.1f times per run, want 0", n)
 	}
@@ -62,9 +60,9 @@ func TestTouchPZeroAlloc(t *testing.T) {
 	live := tr.StartSeg("A", 0, obs.Seg{Flow: 1, Len: 100, PayloadOff: 40})
 	dark := seg(obs.Seg{Flow: 1, Len: 100, PayloadOff: 40})
 	if n := testing.AllocsPerRun(1000, func() {
-		h.TouchP(nil, 0, 100, ledger.MDMATx, ledger.LayerMDMA, 0)
-		h.TouchP(live, 0, 40, ledger.MDMATx, ledger.LayerMDMA, 0) // header only
-		h.TouchP(dark, 0, 40, ledger.MDMATx, ledger.LayerMDMA, 0)
+		h.TouchP(nil, 0, 100, ledger.MDMATx, obs.LayerMDMA, 0)
+		h.TouchP(live, 0, 40, ledger.MDMATx, obs.LayerMDMA, 0) // header only
+		h.TouchP(dark, 0, 40, ledger.MDMATx, obs.LayerMDMA, 0)
 	}); n != 0 {
 		t.Fatalf("TouchP allocated %.1f times per run, want 0", n)
 	}
@@ -84,7 +82,7 @@ func TestTouchPClipsAndAttributes(t *testing.T) {
 	tr.EnableCrit()
 	data := tr.StartSeg("A", 0, obs.Seg{Flow: 9, Off: 1000, Len: 60, PayloadOff: 40, Desc: 5, Rtx: true})
 
-	h.TouchP(data, 0, 40, ledger.SDMAToNet, ledger.LayerSDMA, 0) // header only
+	h.TouchP(data, 0, 40, ledger.SDMAToNet, obs.LayerSDMA, 0) // header only
 	if n := len(led.Records()); n != 0 {
 		t.Fatalf("header-only range recorded %d touches", n)
 	}
@@ -93,8 +91,8 @@ func TestTouchPClipsAndAttributes(t *testing.T) {
 	}
 
 	data.DropTrace()
-	h.TouchP(data, 30, 40, ledger.SDMAToNet, ledger.LayerSDMA, ledger.FlagCsumFlight)
-	want := ledger.Record{Flow: 9, Off: 1000, Len: 30, Kind: ledger.SDMAToNet, Layer: ledger.LayerSDMA,
+	h.TouchP(data, 30, 40, ledger.SDMAToNet, obs.LayerSDMA, ledger.FlagCsumFlight)
+	want := ledger.Record{Flow: 9, Off: 1000, Len: 30, Kind: ledger.SDMAToNet, Layer: obs.Name(obs.LayerSDMA),
 		Flags: ledger.FlagCsumFlight | ledger.FlagRtx, Desc: 5}
 	got := led.Records()
 	if len(got) == 1 {
@@ -104,8 +102,8 @@ func TestTouchPClipsAndAttributes(t *testing.T) {
 		t.Fatalf("records = %+v, want [%+v] on host A", got, want)
 	}
 
-	h.TouchP(tr.StartCarrier("A", 9), 0, 54, ledger.MDMATx, ledger.LayerMDMA, 0)
-	h.TouchP(nil, 0, 6, ledger.MDMATx, ledger.LayerMDMA, 0)
+	h.TouchP(tr.StartCarrier("A", 9), 0, 54, ledger.MDMATx, obs.LayerMDMA, 0)
+	h.TouchP(nil, 0, 6, ledger.MDMATx, obs.LayerMDMA, 0)
 	if n := len(led.Records()); n != 1 {
 		t.Fatalf("carrier or nil span recorded a touch (%d records)", n)
 	}
@@ -183,8 +181,8 @@ func TestCopyRangeRecordsNoTouches(t *testing.T) {
 func TestAuditsBindNoName(t *testing.T) {
 	led := ledger.New(func() units.Time { return 0 })
 	h := led.Hook("A")
-	h.Touch(1, 0, 100, ledger.CPUCopy, "copy", 0, 0)
-	first := h.Layer("first")
+	h.Touch(1, 0, 100, ledger.CPUCopy, "first", 0, 0)
+	first := led.Records()[0].Layer
 
 	cfg := ledger.AuditConfig{Flow: 1, Total: 100, SndHost: "A", RcvHost: "nowhere"}
 	for _, c := range []taxonomy.Config{taxonomy.CAB, taxonomy.Unmodified} {
@@ -196,7 +194,8 @@ func TestAuditsBindNoName(t *testing.T) {
 	if len(fs.Hosts) != 2 || len(fs.Hosts[0].Kinds) != 1 || len(fs.Hosts[1].Kinds) != 0 {
 		t.Fatalf("summary = %+v, want one kind on A and none on ghost", fs.Hosts)
 	}
-	if next := h.Layer("next"); next != first+1 {
+	h.Touch(2, 0, 1, ledger.CPUCopy, "next", 0, 0)
+	if next := led.Records()[1].Layer; next != first+1 {
 		t.Fatalf("the name bound after the audits got id %d, want %d: the audits grew the table", next, first+1)
 	}
 }

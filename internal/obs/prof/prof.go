@@ -39,10 +39,10 @@ type cell struct {
 // a host root; CPU time is accumulated on the node the charge was issued
 // under ("self" time — children account for their own).
 type Node struct {
-	prof     *Profiler
 	name     string
 	parent   *Node
 	children []*Node
+	layers   [obs.NumLayers]*Node // the children Layer found, by layer
 	// self holds the node's cells sorted by (flow, cat), found by binary
 	// search: a handful on a bulk transfer's nodes, one per flow and
 	// category on those every connection of a many-flow run passes
@@ -51,29 +51,32 @@ type Node struct {
 }
 
 // Child returns the child frame named name, interning it on first use.
-// Child on a nil node returns nil (profiling disabled).
+// Child on a nil node returns nil (profiling disabled). A node has a few
+// children, so a scan is cheaper than hashing the name.
 func (n *Node) Child(name string) *Node {
 	if n == nil {
 		return nil
 	}
-	if c := n.child(name); c != nil {
-		return c
-	}
-	c := &Node{prof: n.prof, name: name, parent: n}
-	n.children = append(n.children, c)
-	return c
-}
-
-// child returns the existing child frame named name, or nil. A node has a
-// few children (the layers called under it), so a scan is cheaper than
-// hashing the name.
-func (n *Node) child(name string) *Node {
 	for _, c := range n.children {
 		if c.name == name {
 			return c
 		}
 	}
-	return nil
+	c := &Node{name: name, parent: n}
+	n.children = append(n.children, c)
+	return c
+}
+
+// Layer returns the child frame named after layer l. Only its first call
+// for l looks the name up; a nil node returns nil (profiling disabled).
+func (n *Node) Layer(l obs.Layer) *Node {
+	if n == nil {
+		return nil
+	}
+	if n.layers[l] == nil {
+		n.layers[l] = n.Child(l.String())
+	}
+	return n.layers[l]
 }
 
 // Add accumulates d nanoseconds of CPU time in category cat for flow on
@@ -146,9 +149,7 @@ type Profiler struct {
 // New returns a profiler whose category axis is labeled by cats (index ==
 // the kernel's Category value).
 func New(cats []string) *Profiler {
-	p := &Profiler{cats: append([]string(nil), cats...)}
-	p.root.prof = p
-	return p
+	return &Profiler{cats: append([]string(nil), cats...)}
 }
 
 // Host returns (creating on first use) the root node for host. Returns nil
@@ -158,15 +159,6 @@ func (p *Profiler) Host(name string) *Node {
 		return nil
 	}
 	return p.root.Child(name)
-}
-
-// HostTotal returns all CPU time recorded under host (0 if unknown): the
-// profiler's view of the kernel's cpu_busy_ns.
-func (p *Profiler) HostTotal(name string) int64 {
-	if p == nil {
-		return 0
-	}
-	return p.root.child(name).TreeTotal()
 }
 
 // catName labels category c.

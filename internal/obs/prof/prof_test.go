@@ -21,7 +21,7 @@ func TestNilProfilerIsNoOp(t *testing.T) {
 	if n.Total() != 0 || n.TreeTotal() != 0 {
 		t.Fatal("nil node has time")
 	}
-	if p.HostTotal("A") != 0 {
+	if p.Host("A").TreeTotal() != 0 {
 		t.Fatal("nil profiler has time")
 	}
 	if p.Folded() != "" {
@@ -57,11 +57,8 @@ func TestAccumulationAndTotals(t *testing.T) {
 	if got := sock.TreeTotal(); got != 250 {
 		t.Fatalf("sock.TreeTotal = %d, want 250", got)
 	}
-	if got := p.HostTotal("A"); got != 250 {
-		t.Fatalf("HostTotal = %d, want 250", got)
-	}
-	if got := p.HostTotal("nope"); got != 0 {
-		t.Fatalf("HostTotal(unknown) = %d, want 0", got)
+	if got := p.Snapshot().Hosts[0].TotalNs; got != 250 {
+		t.Fatalf("host A's total_ns = %d, want 250", got)
 	}
 	// Child interning: same pointer on repeat lookup.
 	if host.Child("socket") != sock {

@@ -4,6 +4,7 @@ import (
 	"repro/internal/kern"
 	"repro/internal/mbuf"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tcpip"
 	"repro/internal/units"
@@ -61,7 +62,7 @@ func MustDGram(k *kern.Kernel, vm *kern.VM, task *kern.Task, stk *tcpip.Stack, p
 // long for one datagram is refused with tcpip.ErrMsgSize before anything
 // is copied, mapped or pinned.
 func (d *DGram) SendTo(p *sim.Proc, buf mem.Buf, dst wire.Addr, dport uint16) error {
-	ctx := d.K.TaskCtx(p, d.Task).In("socket").WithFlow(int(d.Sock.Port()))
+	ctx := d.K.TaskCtx(p, d.Task).In(obs.LayerSocket).WithFlow(int(d.Sock.Port()))
 	ctx.Charge(d.K.Mach.SyscallCost, kern.CatSyscall)
 	if err := d.Sock.CheckLen(buf.Len); err != nil {
 		return err
@@ -78,8 +79,9 @@ func (d *DGram) SendTo(p *sim.Proc, buf mem.Buf, dst wire.Addr, dport uint16) er
 		buf.Len >= d.Cfg.UIOThreshold &&
 		u.AlignedTo(0, buf.Len, 4)
 	if !useUIO {
-		tmp := make([]byte, buf.Len)
-		ctx.CopyFromUIO(u, 0, buf.Len, tmp, buf.Len)
+		// One copy of the datagram, charged and recorded once; the bytes
+		// go straight from the UIO into each cluster.
+		ctx.CopyCharge(0, buf.Len, buf.Len, obs.Seg{})
 		var head, tail *mbuf.Mbuf
 		for off := units.Size(0); off < buf.Len; off += mbuf.MCLBYTES {
 			n := buf.Len - off
@@ -87,7 +89,8 @@ func (d *DGram) SendTo(p *sim.Proc, buf mem.Buf, dst wire.Addr, dport uint16) er
 				n = mbuf.MCLBYTES
 			}
 			d.K.WaitAlloc(p)
-			cl := d.K.Mbufs.NewCluster(tmp[off : off+n])
+			cl := d.K.Mbufs.AllocCluster(n)
+			u.ReadAt(cl.Bytes(), off, n)
 			if head == nil {
 				head = cl
 			} else {
@@ -114,7 +117,7 @@ func (d *DGram) SendTo(p *sim.Proc, buf mem.Buf, dst wire.Addr, dport uint16) er
 // RecvFrom receives one datagram into buf, returning the byte count and
 // source. Datagrams longer than buf are truncated (BSD semantics).
 func (d *DGram) RecvFrom(p *sim.Proc, buf mem.Buf) (units.Size, wire.Addr, uint16) {
-	ctx := d.K.TaskCtx(p, d.Task).In("socket").WithFlow(int(d.Sock.Port()))
+	ctx := d.K.TaskCtx(p, d.Task).In(obs.LayerSocket).WithFlow(int(d.Sock.Port()))
 	ctx.Charge(d.K.Mach.SyscallCost, kern.CatSyscall)
 	for {
 		dg := d.Sock.RecvFrom(p)
@@ -127,7 +130,7 @@ func (d *DGram) RecvFrom(p *sim.Proc, buf mem.Buf) (units.Size, wire.Addr, uint1
 		}
 		head, rest := mbuf.SplitAt(dg.Chain, n)
 		d.rcv.Cfg = d.Cfg
-		err := d.rcv.copyOut(ctx, buf, head, n, nil, 0)
+		err := d.rcv.copyOut(ctx, obs.Seg{}, buf, head, n, nil, 0)
 		mbuf.FreeChain(head)
 		mbuf.FreeChain(rest)
 		if err != nil {

@@ -224,7 +224,7 @@ func (t *tracker) wait(p *sim.Proc) {
 // kernel buffers, on the single-copy path when the last byte is secured
 // outboard.
 func (s *Socket) Write(p *sim.Proc, buf mem.Buf) (units.Size, error) {
-	ctx := s.K.TaskCtx(p, s.Task).In("socket").WithFlow(int(s.Conn.LocalPort()))
+	ctx := s.K.TaskCtx(p, s.Task).In(obs.LayerSocket).WithFlow(int(s.Conn.LocalPort()))
 	ctx.Charge(s.K.Mach.SyscallCost, kern.CatSyscall)
 	// The gap since the writer's previous event is the application's own
 	// time (or, for the first write, the chain root).
@@ -279,7 +279,7 @@ func (s *Socket) writeCopy(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, e
 	// stream offset (stable across the loop: ACKs shift sndUna and sndLen
 	// in lockstep). The copies below address the UIO at write offsets, so
 	// the base maps them straight to stream bytes.
-	ctx = ctx.OnStream(int(c.LocalPort()), c.AppendStreamOff())
+	g := kern.StreamSeg(int(c.LocalPort()), c.AppendStreamOff())
 	w := c.WriteChain()
 	boundary := true
 	for sent := units.Size(0); sent < total; {
@@ -306,7 +306,7 @@ func (s *Socket) writeCopy(ctx kern.Ctx, u *mem.UIO, buf mem.Buf) (units.Size, e
 			}
 			s.K.WaitAlloc(ctx.P)
 			cl := s.K.Mbufs.AllocCluster(n)
-			ctx.CopyFromUIO(u, sent+off, n, cl.Bytes(), total)
+			ctx.CopyFromUIO(u, sent+off, n, cl.Bytes(), total, g)
 			if head == nil {
 				head = cl
 			} else {
@@ -409,7 +409,7 @@ func (s *Socket) unpinAll(ctx kern.Ctx, u *mem.UIO, pinned []mem.Iovec) {
 // Read receives into buf, blocking until at least one byte (or EOF) is
 // available, BSD-style. It returns the byte count.
 func (s *Socket) Read(p *sim.Proc, buf mem.Buf) (units.Size, error) {
-	ctx := s.K.TaskCtx(p, s.Task).In("socket").WithFlow(int(s.Conn.LocalPort()))
+	ctx := s.K.TaskCtx(p, s.Task).In(obs.LayerSocket).WithFlow(int(s.Conn.LocalPort()))
 	ctx.Charge(s.K.Mach.SyscallCost, kern.CatSyscall)
 	c := s.Conn
 	r := c.ReadChain()
@@ -428,7 +428,7 @@ func (s *Socket) Read(p *sim.Proc, buf mem.Buf) (units.Size, error) {
 	if n == 0 {
 		return 0, ErrEOF
 	}
-	err := s.copyOut(ctx.OnStream(int(c.RemotePort()), base), buf, chain, n, r, base)
+	err := s.copyOut(ctx, kern.StreamSeg(int(c.RemotePort()), base), buf, chain, n, r, base)
 	mbuf.FreeChain(chain)
 	if err != nil {
 		// The outboard data vanished mid-copy-out (adaptor reset); the
@@ -452,8 +452,9 @@ func (s *Socket) Read(p *sim.Proc, buf mem.Buf) (units.Size, error) {
 // word-aligned (the paper's receive-side single-copy; unaligned reads fall
 // back to the copy path, Section 4.5). Its copy and DMA events go on the
 // reader's causal chain r (nil for a datagram), labelled with the read's
-// stream range [base, base+n).
-func (s *Socket) copyOut(ctx kern.Ctx, buf mem.Buf, chain *mbuf.Mbuf, n units.Size, r *obs.Chain, base units.Size) error {
+// stream range [base, base+n). Its CPU copies record their touches
+// through g.
+func (s *Socket) copyOut(ctx kern.Ctx, g obs.Seg, buf mem.Buf, chain *mbuf.Mbuf, n units.Size, r *obs.Chain, base units.Size) error {
 	trk := take(&s.rtrk, s.K.Eng, s.K.Mbufs, buf)
 	defer park(&s.rtrk, trk)
 	u := &trk.uio
@@ -465,7 +466,7 @@ func (s *Socket) copyOut(ctx kern.Ctx, buf mem.Buf, chain *mbuf.Mbuf, n units.Si
 		switch m.Type() {
 		case mbuf.TData, mbuf.TCluster:
 			didCopy = true
-			ctx.CopyToUIO(u, off, m.Bytes(), n)
+			ctx.CopyToUIO(u, off, m.Bytes(), n, g)
 		case mbuf.TWCAB:
 			w := m.WCABRef()
 			if w.Handle.Dead() {
@@ -487,7 +488,7 @@ func (s *Socket) copyOut(ctx kern.Ctx, buf mem.Buf, chain *mbuf.Mbuf, n units.Si
 				// Fallback: read outboard data with the CPU.
 				s.st.CopyReads++
 				didCopy = true
-				ctx.CopyToUIO(u, off, w.Handle.Read(m.Off(), ln), n)
+				ctx.CopyToUIO(u, off, w.Handle.Read(m.Off(), ln), n, g)
 			}
 		case mbuf.TUIO:
 			panic("socket: M_UIO mbuf in receive buffer")
@@ -524,13 +525,13 @@ func (s *Socket) WriteAll(p *sim.Proc, buf mem.Buf) error {
 // Close closes the stream (half-close of the send side; full teardown
 // proceeds via FIN exchange).
 func (s *Socket) Close(p *sim.Proc) {
-	s.Conn.Close(s.K.TaskCtx(p, s.Task).In("socket").WithFlow(int(s.Conn.LocalPort())))
+	s.Conn.Close(s.K.TaskCtx(p, s.Task).In(obs.LayerSocket).WithFlow(int(s.Conn.LocalPort())))
 }
 
 // Dial establishes a TCP connection and wraps it in a socket.
 func Dial(p *sim.Proc, k *kern.Kernel, vm *kern.VM, task *kern.Task, stk *tcpip.Stack,
 	raddr wire.Addr, rport uint16, cfg Config) (*Socket, error) {
-	ctx := k.TaskCtx(p, task).In("socket")
+	ctx := k.TaskCtx(p, task).In(obs.LayerSocket)
 	conn, err := stk.Connect(ctx, raddr, rport)
 	if err != nil {
 		return nil, err

@@ -26,7 +26,7 @@ func (s *Stack) tcpInput(ctx kern.Ctx, m *mbuf.Mbuf, iph wire.IPHdr) {
 		mbuf.FreeChain(m)
 		return
 	}
-	ctx = ctx.In("tcp_input").WithFlow(int(hdr.DPort))
+	ctx = ctx.In(obs.LayerTCPInput).WithFlow(int(hdr.DPort))
 
 	// Verify the data checksum before any state changes. On the
 	// single-copy path this touches only the header: the CAB computed the

@@ -271,7 +271,7 @@ func (s *Stack) IPOutput(ctx kern.Ctx, m *mbuf.Mbuf, proto uint8, dst wire.Addr)
 // packets lose the codepoint across fragmentation — ECN senders size
 // segments to the route MTU, so the case never arises for them.
 func (s *Stack) IPOutputECN(ctx kern.Ctx, m *mbuf.Mbuf, proto uint8, dst wire.Addr, ecn uint8) {
-	ctx = ctx.In("ip_output")
+	ctx = ctx.In(obs.LayerIPOutput)
 	r, err := s.Routes.Lookup(dst)
 	if err != nil {
 		s.Stats.IPDropNoRoute++
@@ -307,7 +307,7 @@ func (s *Stack) IPOutputECN(ctx kern.Ctx, m *mbuf.Mbuf, proto uint8, dst wire.Ad
 // first mbuf starts with the IP header; drivers have stripped the link
 // header.
 func (s *Stack) Input(ctx kern.Ctx, m *mbuf.Mbuf, from netif.Interface) {
-	ctx = ctx.In("ip_input")
+	ctx = ctx.In(obs.LayerIPInput)
 	s.Splnet(ctx.P)
 	defer s.Splx()
 	first := m
@@ -431,13 +431,14 @@ func (s *Stack) verifyTransportCsum(ctx kern.Ctx, m *mbuf.Mbuf, iph wire.IPHdr, 
 		return checksum.VerifySum(checksum.Add(ps, h.HWRxSum))
 	}
 	s.Stats.SWCsumVerified++
-	if g := m.Span().Seg(); g.Len > 0 && ctx.K.Led != nil {
+	var g obs.Seg
+	if sg := m.Span().Seg(); sg.Len > 0 && ctx.K.Led != nil {
 		// The segment starts at the transport header: payload byte 0 (stream
-		// byte g.Off) sits at segment offset segLen-g.Len; the segment's
+		// byte sg.Off) sits at segment offset segLen-sg.Len; the segment's
 		// window clips the header bytes out of the record.
-		ctx = ctx.OnStreamProv(m.Span(), g.Off-(segLen-g.Len))
+		g = kern.SpanSeg(m.Span(), sg.Off-(segLen-sg.Len))
 	}
-	sum := csumChain(ctx, m, segLen, segLen)
+	sum := csumChain(ctx, g, m, segLen, segLen)
 	// Software verification read every payload byte: the data-touching CPU
 	// time the single-copy path eliminates.
 	m.Span().CritEv(obs.CauseCPUCsum, obs.EvTCPIn)
@@ -446,10 +447,10 @@ func (s *Stack) verifyTransportCsum(ctx kern.Ctx, m *mbuf.Mbuf, iph wire.IPHdr, 
 
 // csumChain software-checksums the first n bytes of chain m where they lie,
 // charging ctx for the read (region is the cache working set, as for
-// cost.Machine.CsumTime).
-func csumChain(ctx kern.Ctx, m *mbuf.Mbuf, n, region units.Size) uint32 {
+// cost.Machine.CsumTime) and recording it through g.
+func csumChain(ctx kern.Ctx, g obs.Seg, m *mbuf.Mbuf, n, region units.Size) uint32 {
 	sum := mbuf.SumRange(m, 0, n)
-	ctx.ChecksumCharge(n, region)
+	ctx.ChecksumCharge(n, region, g)
 	return sum
 }
 

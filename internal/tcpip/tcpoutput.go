@@ -112,7 +112,7 @@ func (c *TCPConn) sendSegment(ctx kern.Ctx, seq uint32, seglen units.Size, flags
 // the route's interface supports it, software otherwise), and hands the
 // packet to IP.
 func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, flags uint16, data *mbuf.Mbuf) {
-	ctx = ctx.In("tcp_output").WithFlow(int(c.key.lport))
+	ctx = ctx.In(obs.LayerTCPOutput).WithFlow(int(c.key.lport))
 	// A data segment's span is its one recorder handle, made when the
 	// trace or the ledger is on: the stream byte range it carries (data
 	// byte 0 is sequence iss+1), the retransmit flag, and the sosend
@@ -201,13 +201,13 @@ func (c *TCPConn) sendSegmentRaw(ctx kern.Ctx, seq uint32, seglen units.Size, fl
 			if region < seglen {
 				region = seglen
 			}
-			csCtx := ctx
+			var g obs.Seg
 			if c.stk.K.Led != nil {
 				// The chain is payload only: offset 0 is the segment's
 				// first stream byte.
-				csCtx = ctx.OnStreamProv(span, span.Seg().Off)
+				g = kern.SpanSeg(span, span.Seg().Off)
 			}
-			body = csumChain(csCtx, data, seglen, region)
+			body = csumChain(ctx, g, data, seglen, region)
 			// The CPU read every payload byte to checksum it — the
 			// data-touching edge absent from the single-copy sender.
 			span.CritEv(obs.CauseCPUCsum, obs.EvTCPCsum)

@@ -89,7 +89,7 @@ func (c *TCPConn) timerIntr(p *sim.Proc, k timerKind) {
 	c.stk.Splnet(p)
 	s := &c.timers[k]
 	if s.pending--; s.pending == 0 && s.armed == s.posted && c.state != StateClosed {
-		ctx := c.stk.K.IntrCtx(p).In("tcp_timer")
+		ctx := c.stk.K.IntrCtx(p).In(obs.LayerTCPTimer)
 		switch k {
 		case timerRtx:
 			c.rtxTimeout(ctx)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/kern"
 	"repro/internal/mbuf"
 	"repro/internal/netif"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/wire"
@@ -103,7 +104,7 @@ func (u *UDPSock) CheckLen(n units.Size) error {
 // outboard packet after the media send, since UDP keeps no retransmit state
 // and so sets no OnOutboard. A refused datagram's chain is freed.
 func (u *UDPSock) SendTo(ctx kern.Ctx, m *mbuf.Mbuf, n units.Size, dst wire.Addr, dport uint16) error {
-	ctx = ctx.In("udp_output").WithFlow(int(u.port))
+	ctx = ctx.In(obs.LayerUDPOutput).WithFlow(int(u.port))
 	if err := u.CheckLen(n); err != nil {
 		mbuf.FreeChain(m)
 		return err
@@ -124,7 +125,7 @@ func (u *UDPSock) SendTo(ctx kern.Ctx, m *mbuf.Mbuf, n units.Size, dst wire.Addr
 	} else {
 		var body uint32
 		if n > 0 {
-			body = csumChain(ctx, m, n, n)
+			body = csumChain(ctx, obs.Seg{}, m, n, n)
 		}
 		binary.BigEndian.PutUint16(hb[wire.UDPCsumOff:], checksum.UDPWire(softCsum(hb, ps, body)))
 	}
@@ -175,7 +176,7 @@ func (s *Stack) udpInput(ctx kern.Ctx, m *mbuf.Mbuf, iph wire.IPHdr) {
 		mbuf.FreeChain(m)
 		return
 	}
-	ctx = ctx.In("udp_input").WithFlow(int(hdr.DPort))
+	ctx = ctx.In(obs.LayerUDPInput).WithFlow(int(hdr.DPort))
 	if hdr.Csum != 0 && !s.verifyTransportCsum(ctx, m, iph, wire.ProtoUDP) {
 		s.Stats.UDPCsumErrors++
 		mbuf.FreeChain(m)
