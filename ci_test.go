@@ -4,8 +4,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strconv"
@@ -1172,5 +1174,187 @@ func TestLayersBoundOnce(t *testing.T) {
 	})
 	if !sawCtx || !sawIn {
 		t.Fatal("internal/kern declares no Ctx struct or no Ctx.In: the guard no longer sees them")
+	}
+}
+
+// TestNoUnreadState keeps every untagged struct field declared in non-test
+// internal/ read somewhere in the module, tests included, or by the bench
+// module, which is built against it: a field only ever written is state
+// nothing reads, a count that counts nothing. A field is read at any
+// selector of its name (an unexported one, in its own package) that is
+// not a write: a write assigns it, increments or decrements it, assigns an
+// element of it (x.f[i] = v, x.f[i]++), or appends to it
+// (x.f = append(x.f, ...)); a composite-literal key is a write too. Tagged
+// fields are read by their encoder. Each allowlist entry,
+// dir.Type.field, says why its field stays; an entry whose field is read
+// or gone fails the test.
+func TestNoUnreadState(t *testing.T) {
+	const mapKey = "a map key: the map reads every field when it hashes and compares keys"
+	allow := map[string]string{
+		"internal/tcpip.fragKey.src": mapKey,
+		"internal/tcpip.fragKey.dst": mapKey,
+		"internal/tcpip.fragKey.id":  mapKey,
+	}
+	type field struct {
+		dir, typ, name string
+		pos            token.Position
+	}
+	var decls []field
+	// reads holds "name" for an exported field read anywhere and
+	// "dir\x00name" for an unexported one read in dir.
+	reads := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if strings.HasPrefix(dir, "internal/") && !strings.HasSuffix(path, "_test.go") {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					for _, fld := range st.Fields.List {
+						if fld.Tag != nil {
+							continue
+						}
+						for _, id := range fld.Names {
+							if id.Name != "_" {
+								decls = append(decls, field{dir, ts.Name.Name, id.Name, fset.Position(id.Pos())})
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		writes := map[*ast.SelectorExpr]bool{}
+		written := func(e ast.Expr) {
+			if ix, ok := e.(*ast.IndexExpr); ok {
+				e = ix.X
+			}
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				writes[sel] = true
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					written(lhs)
+					if len(n.Rhs) != len(n.Lhs) {
+						continue
+					}
+					call, ok := n.Rhs[i].(*ast.CallExpr)
+					if !ok || len(call.Args) == 0 {
+						continue
+					}
+					if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "append" {
+						continue
+					}
+					if sel, ok := call.Args[0].(*ast.SelectorExpr); ok && types.ExprString(sel) == types.ExprString(lhs) {
+						writes[sel] = true
+					}
+				}
+			case *ast.IncDecStmt:
+				written(n.X)
+			}
+			return true
+		})
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && !writes[sel] {
+				reads[sel.Sel.Name] = true
+				reads[dir+"\x00"+sel.Sel.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) == 0 {
+		t.Fatal("found no struct field under internal/: the guard no longer sees them")
+	}
+	declared := map[string]bool{}
+	for _, d := range decls {
+		key := d.dir + "." + d.typ + "." + d.name
+		declared[key] = true
+		read := reads[d.dir+"\x00"+d.name]
+		if token.IsExported(d.name) {
+			read = reads[d.name]
+		}
+		if _, ok := allow[key]; ok {
+			if read {
+				t.Errorf("%s: allowlisted %s is read now: drop its entry", d.pos, key)
+			}
+			continue
+		}
+		if !read {
+			t.Errorf("%s: %s is written and never read: delete it, or read what it records", d.pos, key)
+		}
+	}
+	for key := range allow {
+		if !declared[key] {
+			t.Errorf("allowlisted %s is not an untagged field any more: drop its entry", key)
+		}
+	}
+}
+
+// TestOneChromeEncoder keeps the Chrome trace-event format one encoder
+// (DESIGN §6): the span trace, the critical-path report and netobs's
+// counter tracks all build obs.ChromeEvent values and write them through
+// obs.ChromeJSON, so non-test internal/ declares exactly one struct with a
+// traceEvents field, in internal/obs. A recorder that rolled its own file
+// envelope would have to declare a second.
+func TestOneChromeEncoder(t *testing.T) {
+	var found []string
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, fld := range st.Fields.List {
+				if fld.Tag == nil {
+					continue
+				}
+				tag, err := strconv.Unquote(fld.Tag.Value)
+				if err == nil && reflect.StructTag(tag).Get("json") == "traceEvents" {
+					found = append(found, fset.Position(st.Pos()).String())
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(found) != 1 || filepath.ToSlash(filepath.Dir(found[0])) != "internal/obs" {
+		t.Errorf("structs with a traceEvents field: %v; want exactly one, obs.ChromeJSON's envelope in internal/obs", found)
 	}
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -201,5 +203,49 @@ func TestSeriesIntervalChecked(t *testing.T) {
 	}
 	if err := json.Unmarshal(b, &s); err != nil || s.IntervalNs != 50_000 {
 		t.Errorf("-series-interval-us 50: series interval_ns %d (%v), want 50000", s.IntervalNs, err)
+	}
+}
+
+// TestArtifactMatrix regenerates the loadgen row of the recorders'
+// artifact matrix (cmd/testdata/artifacts.sha256, c/): an 8-flow bulk run
+// with netobs on and its four file flags. Every file and stdout must hash
+// to its committed value, so a change to any recorder dump is deliberate
+// and lands with the list.
+func TestArtifactMatrix(t *testing.T) {
+	dir := t.TempDir()
+	files := [][2]string{{"series", "s.json"}, {"series-csv", "s.csv"}, {"netobs-json", "n.json"}, {"netobs-chrome", "c.json"}}
+	args := []string{"-flows", "8", "-bulk", "-netobs"}
+	for _, f := range files {
+		args = append(args, "-"+f[0], filepath.Join(dir, f[1]))
+	}
+	var out, errb bytes.Buffer
+	if status := run(args, &out, &errb); status != 0 || errb.Len() != 0 {
+		t.Fatalf("status %d, stderr %q", status, errb.String())
+	}
+	got := map[string][]byte{"c/stdout": out.Bytes()}
+	for _, f := range files {
+		b, err := os.ReadFile(filepath.Join(dir, f[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got["c/"+f[1]] = b
+	}
+	list, err := os.ReadFile(filepath.Join("..", "testdata", "artifacts.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(string(list), "\n") {
+		if sum, name, ok := strings.Cut(line, "  "); ok && !strings.HasPrefix(line, "#") && strings.HasPrefix(name, "c/") {
+			want[name] = sum
+		}
+	}
+	if len(want) != len(got) {
+		t.Errorf("committed c/ files %v, the run wrote %d", want, len(got))
+	}
+	for name, b := range got {
+		if sum := sha256.Sum256(b); want[name] != hex.EncodeToString(sum[:]) {
+			t.Errorf("%s: sha256 %x, committed %q", name, sum, want[name])
+		}
 	}
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -214,5 +216,56 @@ func TestSeriesIntervalChecked(t *testing.T) {
 	}
 	if err := json.Unmarshal(b, &s); err != nil || s.IntervalNs != 50_000 {
 		t.Errorf("-series-interval-us 50: series interval_ns %d (%v), want 50000", s.IntervalNs, err)
+	}
+}
+
+// TestArtifactMatrix regenerates the ttcp rows of the recorders' artifact
+// matrix (cmd/testdata/artifacts.sha256): a 2 MB transfer with every
+// recorder on and all 11 file flags, clean (a/) and dropping every 13th
+// frame (b/). Every file and stdout must hash to its committed value, so a
+// change to any recorder dump is deliberate and lands with the list.
+func TestArtifactMatrix(t *testing.T) {
+	files := [][2]string{
+		{"trace", "t.json"}, {"metrics", "m.json"}, {"profile-out", "p.folded"}, {"profile-json", "p.json"},
+		{"series", "s.json"}, {"series-csv", "s.csv"}, {"ledger", "l.json"}, {"flightrec", "f.json"},
+		{"critpath-chrome", "c.json"}, {"netobs-json", "n.json"}, {"netobs-chrome", "nc.json"},
+	}
+	got := map[string][]byte{}
+	for set, fault := range map[string][]string{"a": nil, "b": {"-fault", "drop:every=13,min=1000"}} {
+		dir := t.TempDir()
+		args := append([]string{"-total", "2M", "-audit", "-stats", "-critpath", "-netobs"}, fault...)
+		for _, f := range files {
+			args = append(args, "-"+f[0], filepath.Join(dir, f[1]))
+		}
+		var out, errb bytes.Buffer
+		if status := run(args, &out, &errb); status != 0 || errb.Len() != 0 {
+			t.Fatalf("%s: status %d, stderr %q", set, status, errb.String())
+		}
+		got[set+"/stdout"] = out.Bytes()
+		for _, f := range files {
+			b, err := os.ReadFile(filepath.Join(dir, f[1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[set+"/"+f[1]] = b
+		}
+	}
+	list, err := os.ReadFile(filepath.Join("..", "testdata", "artifacts.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(string(list), "\n") {
+		if sum, name, ok := strings.Cut(line, "  "); ok && !strings.HasPrefix(line, "#") && (strings.HasPrefix(name, "a/") || strings.HasPrefix(name, "b/")) {
+			want[name] = sum
+		}
+	}
+	if len(want) != len(got) {
+		t.Errorf("committed a/ and b/ files %v, the runs wrote %d", want, len(got))
+	}
+	for name, b := range got {
+		if sum := sha256.Sum256(b); want[name] != hex.EncodeToString(sum[:]) {
+			t.Errorf("%s: sha256 %x, committed %q", name, sum, want[name])
+		}
 	}
 }

@@ -56,7 +56,6 @@ type ArbConfig struct {
 }
 
 type flowAcct struct {
-	id       int
 	held     int // pages currently allocated in network memory
 	inflight int // pages admitted by AdmitTx but not yet allocated
 	lastUse  units.Time
@@ -205,7 +204,7 @@ func (a *Arbiter) admit(f *flowAcct, pages int, borrowPriv bool) bool {
 func (a *Arbiter) touch(flow int) *flowAcct {
 	f, ok := a.flows[flow]
 	if !ok {
-		f = &flowAcct{id: flow}
+		f = &flowAcct{}
 		a.flows[flow] = f
 		a.order = append(a.order, f)
 	}

@@ -346,7 +346,7 @@ func (d *Driver) hwReset() {
 	for i := 0; i < rxBufCount; i++ {
 		d.provideRxBuf()
 	}
-	d.K.PostIntr("cab-reset", func(p *sim.Proc) {
+	d.K.PostIntr(func(p *sim.Proc) {
 		ctx := d.K.IntrCtx(p).In(obs.LayerCabdrvReset)
 		if d.ResetNotify != nil {
 			d.ResetNotify(ctx, d)
@@ -661,7 +661,7 @@ func (d *Driver) completeTx(job *txJob) {
 	if d.pendingTxSDMA == 0 || d.txBatchLen >= doneBatchLimit {
 		d.txBatches.Put(d.txBatchLen)
 		d.txBatchLen = 0
-		d.K.PostIntr("cab-tx-done", d.txDoneIntr)
+		d.K.PostIntr(d.txDoneIntr)
 	}
 }
 

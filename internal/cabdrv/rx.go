@@ -18,7 +18,7 @@ func (d *Driver) hwRx(ev *cab.RxEvent) {
 	// Keep the auto-DMA pool topped up.
 	d.provideRxBuf()
 	d.rxEvents.Put(ev)
-	d.K.PostIntr("cab-rx", d.rxIntrNext)
+	d.K.PostIntr(d.rxIntrNext)
 }
 
 // rxIntrQueued is the cab-rx interrupt: it handles the oldest event hwRx
@@ -142,7 +142,7 @@ func (b *legacyRx) SDMADone(req *cab.SDMAReq) {
 	req.Pkt.Free()
 	d.rxBodies.Put(b.head)
 	d.legacyRxs.Put(b)
-	d.K.PostIntr("cab-rx-dma", d.rxBodyIntr)
+	d.K.PostIntr(d.rxBodyIntr)
 }
 
 // SDMAFail implements cab.SDMAOwner: the packet died with the adaptor; the

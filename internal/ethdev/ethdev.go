@@ -35,10 +35,6 @@ type Driver struct {
 
 	// Stats.
 	TxPackets, RxPackets, Converted int
-	// RxDropNoBuf counts frames lost to receive-buffer exhaustion (the
-	// kernel allocation-fault surface; the transport recovers by
-	// retransmission).
-	RxDropNoBuf int
 }
 
 type txJob struct {
@@ -110,7 +106,7 @@ func (d *Driver) txd(p *sim.Proc) {
 // hwRx runs at frame arrival: the device has DMAed the frame into kernel
 // buffers; the interrupt handler builds a regular mbuf chain.
 func (d *Driver) hwRx(f hippi.Frame) {
-	d.K.PostIntr("eth-rx", func(p *sim.Proc) {
+	d.K.PostIntr(func(p *sim.Proc) {
 		ctx := d.K.IntrCtx(p).In(obs.LayerEthdrvRx)
 		ctx.Charge(d.K.Mach.DriverPerPacket, kern.CatDriver)
 		lh, err := wire.ParseLinkHdr(f.Data)
@@ -121,7 +117,6 @@ func (d *Driver) hwRx(f hippi.Frame) {
 			// No kernel buffers for the frame: the device ring overruns.
 			// Interrupt context cannot back off and retry the way the
 			// socket layer does; the frame is lost and TCP recovers.
-			d.RxDropNoBuf++
 			return
 		}
 		d.RxPackets++

@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/load"
 	"repro/internal/obs/netobs"
 	"repro/internal/tcpip"
+	"repro/internal/units"
 )
 
 // TestFabricVerdictPair machine-checks the congestion-control comparison
@@ -125,5 +127,50 @@ func TestFabricPartitionHeal(t *testing.T) {
 	}
 	if partitioned == 0 || other == 0 {
 		t.Errorf("trunk shares: partitioned link carried %d bytes, rest %d — want both nonzero", partitioned, other)
+	}
+}
+
+// TestNetObsReadsWireDrops holds netobs's three drop counts, in the dump
+// and in the postmortem, to the network's own, on two runs that drop: the
+// partition/heal scenario, whose dead uplink drops frames by injection,
+// and the Reno incast, whose capped trunk tail-drops. netobs reads the
+// counts and counts none itself.
+func TestNetObsReadsWireDrops(t *testing.T) {
+	incast := FabricIncast("")
+	incast.Duration = 200 * units.Millisecond
+	var seen [3]int64
+	for _, s := range []load.Scenario{fabricPartition(), incast} {
+		rep, err := runLoad(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := rep.Testbed.Net
+		want := [3]int64{int64(net.DroppedInj), int64(net.DroppedUnattached), int64(net.DroppedFull)}
+		for i, n := range want {
+			seen[i] += n
+		}
+		wires := 0
+		for _, w := range rep.Testbed.NetObs.Snapshot().Wires {
+			if got := [3]int64{w.DropInj, w.DropUnattached, w.DropFull}; w.Label == "hippi" {
+				wires++
+				if got != want {
+					t.Errorf("%s: dump's drops = %v, want the network's %v", s.Name, got, want)
+				}
+			}
+		}
+		for _, w := range rep.NetObs.Wires {
+			if got := [3]int64{w.DropInj, w.DropUnattached, w.DropFull}; w.Label == "hippi" {
+				wires++
+				if got != want {
+					t.Errorf("%s: postmortem's drops = %v, want the network's %v", s.Name, got, want)
+				}
+			}
+		}
+		if wires != 2 {
+			t.Errorf("%s: %d hippi wires in the dump and the postmortem, want one in each", s.Name, wires)
+		}
+	}
+	if seen[0] == 0 || seen[2] == 0 {
+		t.Fatalf("network drops inj/unattached/full = %v: the runs no longer drop by injection and at a full queue", seen)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -190,6 +191,49 @@ func TestHOLLogicalChannelsBeatFIFO(t *testing.T) {
 	if voq <= fifo+0.2 {
 		t.Fatalf("logical channels (%.3f) should clearly beat FIFO (%.3f)",
 			voq, fifo)
+	}
+}
+
+// TestHOLUtilizationsPinned holds three runs of each discipline to their
+// exact figures: the study draws its random numbers in a fixed order, so a
+// change to how a run keeps its queues must leave every draw in place.
+func TestHOLUtilizationsPinned(t *testing.T) {
+	for _, c := range []struct {
+		n, slots    int
+		seed        int64
+		fifo, chans float64
+	}{
+		{32, 20000, 42, 0.5929734375, 0.99591875},
+		{16, 10000, 7, 0.60175625, 0.99133125},
+		{2, 20000, 11, 0.7494, 0.95265},
+	} {
+		if got := RunFIFO(c.n, c.slots, c.seed); got != c.fifo {
+			t.Errorf("RunFIFO(%d, %d, %d) = %v, want %v", c.n, c.slots, c.seed, got, c.fifo)
+		}
+		if got := RunLogicalChannels(c.n, c.slots, c.seed); got != c.chans {
+			t.Errorf("RunLogicalChannels(%d, %d, %d) = %v, want %v", c.n, c.slots, c.seed, got, c.chans)
+		}
+	}
+}
+
+// TestHOLAllocBudget keeps a head-of-line run's scratch allocated once per
+// run: its allocations do not grow with the number of slots, and stay
+// within 2n for n ports.
+func TestHOLAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	const n = 32
+	for _, c := range []struct {
+		name string
+		run  func(n, slots int, seed int64) float64
+	}{{"RunFIFO", RunFIFO}, {"RunLogicalChannels", RunLogicalChannels}} {
+		short := testing.AllocsPerRun(3, func() { c.run(n, 200, 3) })
+		long := testing.AllocsPerRun(3, func() { c.run(n, 20000, 3) })
+		if long != short || long > 2*n {
+			t.Errorf("%s(%d, slots, 3) allocates %.0f at 200 slots and %.0f at 20000, want the same and at most %d",
+				c.name, n, short, long, 2*n)
+		}
 	}
 }
 

@@ -16,33 +16,43 @@ import "math/rand"
 // returns the utilization: packets delivered / (ports × slots).
 func RunFIFO(n, slots int, seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
-	// Each input's FIFO holds destination indices; saturated inputs are
-	// modeled by refilling so queues never drain.
+	// Each input's FIFO is a ring of depth destination indices, head[i]
+	// its front; saturated inputs are modeled by refilling so queues never
+	// drain: the slot a delivered packet leaves is its replacement's.
 	const depth = 64
-	queues := make([][]int, n)
-	for i := range queues {
-		for j := 0; j < depth; j++ {
-			queues[i] = append(queues[i], rng.Intn(n))
-		}
+	ring := make([]int, n*depth)
+	for i := range ring {
+		ring[i] = rng.Intn(n)
 	}
+	head := make([]int, n)
 	delivered := 0
 	outTaken := make([]bool, n)
+	order := make([]int, n)
 	for s := 0; s < slots; s++ {
-		for i := range outTaken {
-			outTaken[i] = false
-		}
+		clear(outTaken)
 		// Random service order each slot avoids persistent port bias.
-		order := rng.Perm(n)
+		perm(rng, order)
 		for _, in := range order {
-			head := queues[in][0]
-			if !outTaken[head] {
-				outTaken[head] = true
+			q := ring[in*depth : (in+1)*depth]
+			if d := q[head[in]]; !outTaken[d] {
+				outTaken[d] = true
 				delivered++
-				queues[in] = append(queues[in][1:], rng.Intn(n))
+				q[head[in]] = rng.Intn(n)
+				head[in] = (head[in] + 1) % depth
 			}
 		}
 	}
 	return float64(delivered) / float64(n*slots)
+}
+
+// perm fills m with a random permutation of [0, len(m)), drawing from rng
+// exactly as rng.Perm(len(m)) does, into m instead of a new slice.
+func perm(rng *rand.Rand, m []int) {
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
 }
 
 // RunLogicalChannels simulates the same saturated crossbar with
@@ -63,12 +73,15 @@ func RunLogicalChannels(n, slots int, seed int64) float64 {
 		}
 	}
 	delivered := 0
+	outTaken := make([]bool, n)
+	inDone := make([]bool, n)
+	order := make([]int, n)
 	for s := 0; s < slots; s++ {
-		outTaken := make([]bool, n)
-		inDone := make([]bool, n)
+		clear(outTaken)
+		clear(inDone)
 		// A few greedy matching iterations approximate maximal matching.
 		for iter := 0; iter < 4; iter++ {
-			order := rng.Perm(n)
+			perm(rng, order)
 			for _, in := range order {
 				if inDone[in] {
 					continue

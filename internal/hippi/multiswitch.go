@@ -194,7 +194,6 @@ func (n *Network) hop(fl *flight, sw, dstSw SwitchID) {
 		t.drops[dir]++
 		n.Dropped++
 		n.DroppedFull++
-		n.nobs.DropFull()
 		n.flights.Put(fl)
 		return
 	}

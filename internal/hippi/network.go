@@ -132,8 +132,14 @@ type Network struct {
 	DroppedFull int
 }
 
-// SetNetObs attaches the wire-telemetry recorder.
-func (n *Network) SetNetObs(w *netobs.WireRec) { n.nobs = w }
+// SetNetObs attaches the wire-telemetry recorder, which reads its drop
+// counts from the network's own.
+func (n *Network) SetNetObs(w *netobs.WireRec) {
+	n.nobs = w
+	w.ReadDrops(func() netobs.Drops {
+		return netobs.Drops{Inj: int64(n.DroppedInj), Unattached: int64(n.DroppedUnattached), Full: int64(n.DroppedFull)}
+	})
+}
 
 // SetObs registers the network's counters on r under prefix (e.g. "hippi",
 // "eth"). Safe to skip entirely; a nil registry is a no-op.
@@ -256,7 +262,6 @@ func (n *Network) drop(fl *flight, injected bool) {
 	} else {
 		n.DroppedUnattached++
 	}
-	n.nobs.Drop(injected)
 	n.flights.Put(fl)
 }
 

@@ -95,7 +95,7 @@ type Kernel struct {
 	cur   *Task // task most recently running on the CPU
 	byCat [numCategories]units.Time
 	busy  units.Time
-	intrQ *sim.Queue[intrWork]
+	intrQ *sim.Queue[func(*sim.Proc)]
 
 	// Obs is the host's telemetry registry (nil when disabled). Set by
 	// the assembler (core.AddHost) before subsystems are built, so each
@@ -186,11 +186,6 @@ func (k *Kernel) WaitAlloc(p *sim.Proc) {
 	}
 }
 
-type intrWork struct {
-	name string
-	fn   func(*sim.Proc)
-}
-
 // New returns a kernel for machine mach on engine eng.
 func New(name string, eng *sim.Engine, mach *cost.Machine) *Kernel {
 	k := &Kernel{
@@ -199,7 +194,7 @@ func New(name string, eng *sim.Engine, mach *cost.Machine) *Kernel {
 		Mach:    mach,
 		Quantum: 100 * units.Microsecond,
 		cpu:     sim.NewResource(eng, 1),
-		intrQ:   sim.NewQueue[intrWork](eng),
+		intrQ:   sim.NewQueue[func(*sim.Proc)](eng),
 		intr:    Task{Name: "intr"},
 		Mbufs:   new(mbuf.Pool),
 	}
@@ -220,17 +215,17 @@ func (k *Kernel) NewTask(name string, prio int, space *mem.AddrSpace) *Task {
 // misattribution, which the util methodology corrects for).
 func (k *Kernel) intrd(p *sim.Proc) {
 	for {
-		w := k.intrQ.Get(p)
+		fn := k.intrQ.Get(p)
 		k.intrWorkAt(p, k.Mach.InterruptCost, CatIntr, nil, 0)
-		w.fn(p)
+		fn(p)
 	}
 }
 
 // PostIntr queues fn to run in interrupt context. Safe to call from any
 // simulation context (device models post completions from event callbacks).
-func (k *Kernel) PostIntr(name string, fn func(*sim.Proc)) {
+func (k *Kernel) PostIntr(fn func(*sim.Proc)) {
 	k.IntrPosts++
-	k.intrQ.Put(intrWork{name: name, fn: fn})
+	k.intrQ.Put(fn)
 }
 
 // RegisterObs registers the kernel's metrics on k.Obs: the interrupt and

@@ -54,7 +54,7 @@ func TestPreemptionByInterrupt(t *testing.T) {
 		k.Work(p, task, 10*units.Millisecond, CatApp, false)
 	})
 	e.At(1*units.Millisecond, func() {
-		k.PostIntr("tick", func(p *sim.Proc) { intrAt = p.Now() })
+		k.PostIntr(func(p *sim.Proc) { intrAt = p.Now() })
 	})
 	e.Run()
 	// The interrupt must get the CPU within ~2 quanta, not after 10 ms.
@@ -71,7 +71,7 @@ func TestInterruptMisattribution(t *testing.T) {
 		k.Work(p, util, 5*units.Millisecond, CatApp, false)
 	})
 	e.At(1*units.Millisecond, func() {
-		k.PostIntr("net", func(p *sim.Proc) {
+		k.PostIntr(func(p *sim.Proc) {
 			k.IntrCtx(p).Charge(300*units.Microsecond, CatProto)
 		})
 	})
@@ -309,7 +309,7 @@ func runSoakScenario(t *testing.T, soak func(k *Kernel, t *Task, cat Category, s
 		}
 		d := units.Time(5+rng.Int63n(150)) * units.Microsecond
 		e.At(at, func() {
-			k.PostIntr("dev", func(p *sim.Proc) {
+			k.PostIntr(func(p *sim.Proc) {
 				log("intr")
 				k.IntrCtx(p).Charge(d, CatDriver)
 			})

@@ -27,7 +27,7 @@ func TestProfiledChargesSumToBusy(t *testing.T) {
 		ctx := k.TaskCtx(p, task).In(obs.LayerSocket).WithFlow(7)
 		ctx.Charge(100*units.Microsecond, CatCopy)
 		ctx.In(obs.LayerTCPOutput).Charge(50*units.Microsecond, CatProto)
-		k.PostIntr("rx", func(p *sim.Proc) {
+		k.PostIntr(func(p *sim.Proc) {
 			k.IntrCtx(p).In(obs.LayerCabdrvRx).Charge(20*units.Microsecond, CatDriver)
 		})
 	})

@@ -46,7 +46,7 @@ func (l *Loopback) Output(ctx kern.Ctx, m *mbuf.Mbuf, dst netif.LinkAddr) {
 	}
 	l.TxPackets++
 	l.K.Led.TouchP(m.Span(), wire.LinkHdrLen, mbuf.ChainLen(m), ledger.WireTransit, obs.LayerLoop, 0)
-	l.K.PostIntr("lo-rx", func(p *sim.Proc) {
+	l.K.PostIntr(func(p *sim.Proc) {
 		l.Input(l.K.IntrCtx(p).In(obs.LayerLoop), m, l)
 	})
 }

@@ -1,15 +1,12 @@
 package critpath
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 
-	"repro/internal/units"
+	"repro/internal/obs"
 )
-
-func us(t units.Time) float64 { return float64(t) / float64(units.Microsecond) }
 
 // WriteWaterfall renders one path as a text waterfall: each step's absolute
 // virtual time, the edge duration charged to it, the cause class, and where
@@ -29,7 +26,7 @@ func WriteWaterfall(w io.Writer, p *Path) {
 			rng = fmt.Sprintf("[%d,+%d)", s.Off, s.Len)
 		}
 		fmt.Fprintf(w, "  %12.3f %12.3f  %-9s %-14s %-6s %s\n",
-			us(s.T), us(s.Dur), cause, s.Kind, s.Host, rng)
+			obs.Micros(s.T), obs.Micros(s.Dur), cause, s.Kind, s.Host, rng)
 	}
 	fmt.Fprintf(w, "  by cause:")
 	for _, c := range Causes(p.ByCause) {
@@ -40,7 +37,7 @@ func WriteWaterfall(w io.Writer, p *Path) {
 		fmt.Fprintf(w, "  off-path slack (how much later it could have finished):\n")
 		for _, s := range p.Slack {
 			fmt.Fprintf(w, "    %-14s -> %-14s %-9s slack=%.3fus\n",
-				s.FromKind, s.ToKind, s.Cause.String(), us(s.Slack))
+				s.FromKind, s.ToKind, s.Cause.String(), obs.Micros(s.Slack))
 		}
 	}
 }
@@ -78,19 +75,7 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// chromeEvent mirrors the Chrome trace-event format the rest of the
-// observatory emits, so critical paths load into the same Perfetto UI.
-type chromeEvent struct {
-	Name string     `json:"name"`
-	Ph   string     `json:"ph"`
-	Cat  string     `json:"cat,omitempty"`
-	TS   float64    `json:"ts"`
-	Dur  float64    `json:"dur,omitempty"`
-	PID  string     `json:"pid"`
-	TID  string     `json:"tid"`
-	Args chromeArgs `json:"args"`
-}
-
+// chromeArgs is a critical-path event's Chrome args.
 type chromeArgs struct {
 	Ev    int32  `json:"ev,omitempty"`
 	Flow  int    `json:"flow,omitempty"`
@@ -104,7 +89,7 @@ type chromeArgs struct {
 // event spanning the wait it attributes. Deterministic: events appear in
 // path then step order.
 func (r *Report) ChromeJSON() []byte {
-	evs := []chromeEvent{}
+	var evs []obs.ChromeEvent
 	for pi := range r.Paths {
 		p := &r.Paths[pi]
 		for i, s := range p.Steps {
@@ -112,26 +97,20 @@ func (r *Report) ChromeJSON() []byte {
 				continue
 			}
 			prev := p.Steps[i-1]
-			evs = append(evs, chromeEvent{
+			evs = append(evs, obs.ChromeEvent{
 				Name: s.Kind, Ph: "X", Cat: "critpath",
-				TS: us(prev.T), Dur: us(s.Dur),
+				TS: obs.Micros(prev.T), Dur: obs.Micros(s.Dur),
 				PID: "critpath/" + s.Host, TID: s.Cause.String(),
 				Args: chromeArgs{Ev: s.Ev, Flow: s.Flow, Off: s.Off, Len: s.Len,
 					Cause: s.Cause.String()},
 			})
 		}
 		done := p.Steps[len(p.Steps)-1]
-		evs = append(evs, chromeEvent{
+		evs = append(evs, obs.ChromeEvent{
 			Name: "done:" + p.Kind, Ph: "i", Cat: "critpath",
-			TS: us(p.End), PID: "critpath/" + p.Host, TID: "done",
+			TS: obs.Micros(p.End), PID: "critpath/" + p.Host, TID: "done",
 			Args: chromeArgs{Ev: done.Ev, Flow: p.Flow, Len: p.Bytes},
 		})
 	}
-	out, err := json.Marshal(struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}{evs})
-	if err != nil {
-		panic("critpath: chrome marshal: " + err.Error())
-	}
-	return append(out, '\n')
+	return obs.ChromeJSON(evs)
 }

@@ -131,11 +131,6 @@ func (s Snapshot) Format() string {
 	return b.String()
 }
 
-// chromeFile is the Chrome trace-event JSON envelope.
-type chromeFile struct {
-	TraceEvents []chromeJSON `json:"traceEvents"`
-}
-
 // Chrome renders the collected stage events as Chrome trace-event JSON
 // (load in Perfetto or chrome://tracing); timestamps are microseconds of
 // virtual time, pid is the originating host, tid the stage.
@@ -147,7 +142,7 @@ func (t *Telemetry) Chrome() []byte {
 // plus that flow's cross-host "s"/"f" binding pairs) — the journey of one
 // connection's bytes, ready for Perfetto.
 func (t *Telemetry) ChromeFlow(flow int) []byte {
-	return t.chromeWhere(0, func(ev *chromeEvent) bool { return ev.args.Flow == flow })
+	return t.chromeWhere(0, func(ev *traceEvent) bool { return ev.args.Flow == flow })
 }
 
 // ChromeTail renders the most recent n trace events — the trace half of a
@@ -162,21 +157,17 @@ func (t *Telemetry) ChromeTail(n int) []byte {
 
 // chromeWhere renders the trace events from index from on that keep
 // accepts (all of them for a nil keep), resolved into Chrome's form.
-func (t *Telemetry) chromeWhere(from int, keep func(*chromeEvent) bool) []byte {
-	f := chromeFile{TraceEvents: []chromeJSON{}}
+func (t *Telemetry) chromeWhere(from int, keep func(*traceEvent) bool) []byte {
+	var evs []ChromeEvent
 	if tr := t.trace; tr != nil {
 		if keep == nil {
-			f.TraceEvents = make([]chromeJSON, 0, tr.events.Len()-from)
+			evs = make([]ChromeEvent, 0, tr.events.Len()-from)
 		}
 		for i := from; i < tr.events.Len(); i++ {
 			if ev := tr.events.At(i); keep == nil || keep(ev) {
-				f.TraceEvents = append(f.TraceEvents, tr.chrome(ev))
+				evs = append(evs, tr.chrome(ev))
 			}
 		}
 	}
-	b, err := json.Marshal(f)
-	if err != nil {
-		panic("obs: chrome trace marshal: " + err.Error())
-	}
-	return append(b, '\n')
+	return ChromeJSON(evs)
 }

@@ -13,5 +13,5 @@ func ChainOn(r *CritRec, host string, flow int) Chain {
 	return Chain{rec: r, host: r.Bind(host), flow: int32(flow)}
 }
 
-// ChromeEvent is the trace's record type, for TestRecordLogsPointerFree.
-type ChromeEvent = chromeEvent
+// TraceEvent is the trace's record type, for TestRecordLogsPointerFree.
+type TraceEvent = traceEvent

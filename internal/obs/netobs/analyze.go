@@ -268,11 +268,12 @@ func (r *Recorder) Analyze(mem []HostMem, opt Options) *Postmortem {
 	}
 
 	for _, w := range r.wires {
+		dr := w.drops()
 		ws := WireSummary{
 			Label:          w.Label,
-			DropInj:        w.dropInj,
-			DropUnattached: w.dropUnattached,
-			DropFull:       w.dropFull,
+			DropInj:        dr.Inj,
+			DropUnattached: dr.Unattached,
+			DropFull:       dr.Full,
 		}
 		nodes := append([]int(nil), w.portOrder...)
 		sort.Ints(nodes)

@@ -1,32 +1,16 @@
 package netobs
 
 import (
-	"encoding/json"
 	"strconv"
 
+	"repro/internal/obs"
 	"repro/internal/units"
 )
 
-// Chrome-trace counter events.  The obs package's event struct is
-// unexported, and counter tracks ("ph":"C") need a different shape anyway:
-// one numeric arg per named counter, grouped by pid.
-type chromeCounter struct {
-	Name string     `json:"name"`
-	Ph   string     `json:"ph"`
-	TS   float64    `json:"ts"`
-	PID  string     `json:"pid"`
-	Args counterVal `json:"args"`
-}
-
+// counterVal is a counter event's args: the one value of its named track.
 type counterVal struct {
 	V int64 `json:"v"`
 }
-
-type chromeFile struct {
-	TraceEvents []chromeCounter `json:"traceEvents"`
-}
-
-func micros(t int64) float64 { return float64(t) / float64(units.Microsecond) }
 
 // Chrome renders the recorder's series as Chrome-trace counter tracks
 // (load chrome://tracing or Perfetto).  Each flow contributes cwnd,
@@ -49,10 +33,10 @@ func (d *Dump) Chrome() []byte {
 	if d == nil {
 		return nil
 	}
-	f := chromeFile{TraceEvents: []chromeCounter{}}
+	var evs []obs.ChromeEvent
 	add := func(pid, name string, tNs, v int64) {
-		f.TraceEvents = append(f.TraceEvents, chromeCounter{
-			Name: name, Ph: "C", TS: micros(tNs), PID: pid, Args: counterVal{V: v},
+		evs = append(evs, obs.ChromeEvent{
+			Name: name, Ph: "C", TS: obs.Micros(units.Time(tNs)), PID: pid, Args: counterVal{V: v},
 		})
 	}
 	for i := range d.Flows {
@@ -76,11 +60,7 @@ func (d *Dump) Chrome() []byte {
 			emitPerMille(add, "wire "+w.Label, label+" rx_busy_pm", p.RxBusyPerMille, w.WindowNs)
 		}
 	}
-	b, err := json.Marshal(f)
-	if err != nil {
-		panic("netobs: chrome marshal: " + err.Error())
-	}
-	return b
+	return obs.ChromeJSON(evs)
 }
 
 func emitPerMille(add func(pid, name string, tNs, v int64), pid, name string, pm []int64, windowNs int64) {

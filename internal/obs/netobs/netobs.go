@@ -16,8 +16,9 @@
 //
 //   - Per-port wire telemetry (WireRec): tx/rx busy time accumulated into
 //     fixed virtual-time windows (a busy-fraction series), stall-duration
-//     histograms, per-cause drop counters, and per-(src,flow) bytes-on-wire
-//     attribution using the fabric's Frame.Flow tag.
+//     histograms, and per-(src,flow) bytes-on-wire attribution using the
+//     fabric's Frame.Flow tag. The per-cause drop counts are the network's
+//     own, read through ReadDrops, not counted here.
 //
 // The analyzer (analyze.go) joins the two with per-host adaptor-memory
 // stats into a per-flow congestion verdict.
@@ -128,8 +129,7 @@ type FlowRec struct {
 	RPort int // remote port
 
 	samples   obs.Log[FlowSample] // at most maxFlowSamples
-	rtx       [numRtxKinds]int64
-	rtxEvents obs.Log[RtxEvent] // at most maxRtxEvents
+	rtxEvents obs.Log[RtxEvent]   // at most maxRtxEvents
 }
 
 // Note records the connection state if it differs from the last recorded
@@ -159,7 +159,6 @@ func (f *FlowRec) Rtx(kind RtxKind) {
 	if f == nil || kind < 0 || kind >= numRtxKinds {
 		return
 	}
-	f.rtx[kind]++
 	f.rtxEvents.Append(RtxEvent{TNs: int64(f.rec.now()), Kind: kind})
 }
 
@@ -232,9 +231,21 @@ type WireRec struct {
 
 	flows map[flowKey]*flowWire
 
-	dropInj        int64 // frames dropped by the fault injector
-	dropUnattached int64 // frames addressed to a node with no attached port
-	dropFull       int64 // frames tail-dropped at a full trunk queue
+	// drops reads the wire's own drop counts (none until ReadDrops).
+	drops func() Drops
+}
+
+// Drops is a wire's frame-drop counts by cause: frames dropped by the
+// fault injector, frames addressed to a node with no attached port, and
+// frames tail-dropped at a full trunk queue.
+type Drops struct{ Inj, Unattached, Full int64 }
+
+// ReadDrops hands the recorder the wire's drop counts: Snapshot and
+// Analyze report what fn returns, so the network stays their one counter.
+func (w *WireRec) ReadDrops(fn func() Drops) {
+	if w != nil {
+		w.drops = fn
+	}
 }
 
 func (w *WireRec) port(node int) *portRec {
@@ -340,28 +351,6 @@ func (w *WireRec) Rx(dst, bytes int, stall, start, end units.Time) {
 	}
 }
 
-// Drop counts a frame that left a source port but never reached a
-// destination port, split by cause.
-func (w *WireRec) Drop(injected bool) {
-	if w == nil {
-		return
-	}
-	if injected {
-		w.dropInj++
-	} else {
-		w.dropUnattached++
-	}
-}
-
-// DropFull counts a frame tail-dropped at a trunk whose output queue was
-// over its configured cap (hippi.SetQueueCap).
-func (w *WireRec) DropFull() {
-	if w == nil {
-		return
-	}
-	w.dropFull++
-}
-
 // Recorder owns the run's flow and wire records.  The zero value of the
 // pointer (nil) is a valid disabled recorder.
 type Recorder struct {
@@ -404,6 +393,7 @@ func (r *Recorder) Wire(label string, window units.Time) *WireRec {
 		window: window,
 		ports:  make(map[int]*portRec),
 		flows:  make(map[flowKey]*flowWire),
+		drops:  func() Drops { return Drops{} },
 	}
 	r.wires = append(r.wires, w)
 	return w
@@ -506,12 +496,13 @@ func (r *Recorder) Snapshot() *Dump {
 		d.Flows = []FlowDump{}
 	}
 	for _, w := range r.wires {
+		dr := w.drops()
 		wd := WireDump{
 			Label:          w.Label,
 			WindowNs:       int64(w.window),
-			DropInj:        w.dropInj,
-			DropUnattached: w.dropUnattached,
-			DropFull:       w.dropFull,
+			DropInj:        dr.Inj,
+			DropUnattached: dr.Unattached,
+			DropFull:       dr.Full,
 		}
 		nodes := append([]int(nil), w.portOrder...)
 		sort.Ints(nodes)

@@ -37,7 +37,7 @@ func TestNetObsNilSafety(t *testing.T) {
 	f.Rtx(RtxRTO)
 	w.Tx(1, 2, 10, 100, 0, 0, units.Microsecond)
 	w.Rx(2, 100, 0, 0, units.Microsecond)
-	w.Drop(true)
+	w.ReadDrops(func() Drops { return Drops{Inj: 1} })
 }
 
 // TestNetObsDisabledHooksZeroAlloc pins the nil-hook discipline: a disabled
@@ -56,7 +56,6 @@ func TestNetObsDisabledHooksZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		w.Tx(1, 2, 10, 4096, 0, 0, units.Microsecond)
 		w.Rx(2, 4096, 0, 0, units.Microsecond)
-		w.Drop(false)
 	}); n != 0 {
 		t.Fatalf("nil WireRec hooks allocate %.1f/op, want 0", n)
 	}
@@ -294,12 +293,18 @@ func TestNetObsDropSplitCounters(t *testing.T) {
 	var c clock
 	r := New(c.now)
 	w := r.Wire("hippi", 0)
-	w.Drop(true)
-	w.Drop(true)
-	w.Drop(false)
+	if d := r.Snapshot(); d.Wires[0].DropInj != 0 || d.Wires[0].DropUnattached != 0 || d.Wires[0].DropFull != 0 {
+		t.Fatalf("drops with no reader = %+v, want none", d.Wires[0])
+	}
+	drops := Drops{Inj: 2, Unattached: 1, Full: 4}
+	w.ReadDrops(func() Drops { return drops })
 	d := r.Snapshot()
-	if d.Wires[0].DropInj != 2 || d.Wires[0].DropUnattached != 1 {
-		t.Fatalf("drop split = %d/%d, want 2/1", d.Wires[0].DropInj, d.Wires[0].DropUnattached)
+	if d.Wires[0].DropInj != 2 || d.Wires[0].DropUnattached != 1 || d.Wires[0].DropFull != 4 {
+		t.Fatalf("drop split = %d/%d/%d, want 2/1/4", d.Wires[0].DropInj, d.Wires[0].DropUnattached, d.Wires[0].DropFull)
+	}
+	drops.Inj++ // the reader is live: a later snapshot sees the wire's count now
+	if ws := r.Analyze(nil, Options{}).Wires[0]; ws.DropInj != 3 || ws.DropUnattached != 1 || ws.DropFull != 4 {
+		t.Fatalf("postmortem drop split = %d/%d/%d, want 3/1/4", ws.DropInj, ws.DropUnattached, ws.DropFull)
 	}
 }
 

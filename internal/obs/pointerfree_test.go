@@ -18,7 +18,7 @@ import (
 // recordTypes maps the type argument of every obs.Log in a non-test file,
 // as the source spells it, to the type.
 var recordTypes = map[string]reflect.Type{
-	"chromeEvent":       reflect.TypeOf(obs.ChromeEvent{}),
+	"traceEvent":        reflect.TypeOf(obs.TraceEvent{}),
 	"CritEvent":         reflect.TypeOf(obs.CritEvent{}),
 	"CritAlt":           reflect.TypeOf(obs.CritAlt{}),
 	"Record":            reflect.TypeOf(ledger.Record{}),

@@ -46,7 +46,7 @@ type Trace struct {
 	now       func() units.Time
 	names     *Names
 	nextID    int64
-	events    Log[chromeEvent]
+	events    Log[traceEvent]
 	spans     int64
 	latency   Histogram
 	stageTime [numStages]units.Time
@@ -74,7 +74,7 @@ func (t *Trace) Crit() *CritRec {
 // NewTrace returns a trace clocked by now.
 func NewTrace(now func() units.Time) *Trace {
 	return &Trace{now: now, names: NewNames(append(stageNames[:], "xfer")...),
-		events: NewLog[chromeEvent](maxTraceEvents)}
+		events: NewLog[traceEvent](maxTraceEvents)}
 }
 
 // A trace's name table starts with the stage names, then "xfer", the name
@@ -84,13 +84,13 @@ const nameXfer = Name(numStages + 1)
 // name returns stage's id in a trace's name table.
 func (s Stage) name() Name { return Name(s + 1) }
 
-// chromeEvent is one Chrome trace-event: "X" complete events for stages,
-// "i" instants, and "s"/"f" flow events that draw the cross-host arrow
-// when a span migrates from the sender's timeline to the receiver's.
+// traceEvent is one recorded Chrome trace-event: "X" complete events for
+// stages, "i" instants, and "s"/"f" flow events that draw the cross-host
+// arrow when a span migrates from the sender's timeline to the receiver's.
 // Timestamps and durations are microseconds of virtual time. Its name, pid
-// and tid are ids in the trace's name table; chromeJSON is its exported
-// form.
-type chromeEvent struct {
+// and tid are ids in the trace's name table; chrome resolves them into a
+// ChromeEvent.
+type traceEvent struct {
 	ts, dur        float64
 	id             int64
 	args           evArgs
@@ -110,23 +110,9 @@ const (
 
 var phaseNames = [...]string{"X", "i", "s", "f"}
 
-// chromeJSON is a chromeEvent as Chrome reads it.
-type chromeJSON struct {
-	Name string  `json:"name"`
-	Ph   string  `json:"ph"`
-	Cat  string  `json:"cat,omitempty"`
-	ID   int64   `json:"id,omitempty"`
-	BP   string  `json:"bp,omitempty"`
-	TS   float64 `json:"ts"`
-	Dur  float64 `json:"dur"`
-	PID  string  `json:"pid"`
-	TID  string  `json:"tid"`
-	Args evArgs  `json:"args"`
-}
-
-// chrome resolves ev's ids into its exported form.
-func (t *Trace) chrome(ev *chromeEvent) chromeJSON {
-	j := chromeJSON{
+// chrome resolves ev's ids into the event Chrome reads.
+func (t *Trace) chrome(ev *traceEvent) ChromeEvent {
+	j := ChromeEvent{
 		Name: t.names.String(ev.name), Ph: phaseNames[ev.ph], ID: ev.id,
 		TS: ev.ts, Dur: ev.dur,
 		PID: t.names.String(ev.pid), TID: t.names.String(ev.tid), Args: ev.args,
@@ -152,8 +138,6 @@ type evArgs struct {
 	Len  int64 `json:"len,omitempty"`
 }
 
-func micros(t units.Time) float64 { return float64(t) / float64(units.Microsecond) }
-
 // Event emits an instant event (Chrome "i" phase) on pid's timeline —
 // point occurrences like injected faults that have no duration. A nil
 // *Trace is a no-op.
@@ -161,8 +145,8 @@ func (t *Trace) Event(pid, tid, name string) {
 	if t == nil {
 		return
 	}
-	t.events.Append(chromeEvent{
-		name: t.names.Bind(name), ph: phInstant, ts: micros(t.now()),
+	t.events.Append(traceEvent{
+		name: t.names.Bind(name), ph: phInstant, ts: Micros(t.now()),
 		pid: t.names.Bind(pid), tid: t.names.Bind(tid),
 	})
 }
@@ -309,13 +293,13 @@ func (s *Span) EnterOn(stage Stage, host string) {
 			s.host = id
 		} else {
 			s.closeStage(at)
-			ts := micros(at)
-			s.tr.events.Append(chromeEvent{
+			ts := Micros(at)
+			s.tr.events.Append(traceEvent{
 				name: nameXfer, ph: phFlowStart, id: s.id, ts: ts,
 				pid: s.host, tid: s.cur.name(), args: s.args(),
 			})
 			s.host = id
-			s.tr.events.Append(chromeEvent{
+			s.tr.events.Append(traceEvent{
 				name: nameXfer, ph: phFlowEnd, id: s.id, ts: ts,
 				pid: s.host, tid: stage.name(), args: s.args(),
 			})
@@ -341,9 +325,9 @@ func (s *Span) closeStage(end units.Time) {
 	t := s.tr
 	t.stageTime[s.cur] += d
 	t.stageN[s.cur]++
-	t.events.Append(chromeEvent{
+	t.events.Append(traceEvent{
 		name: s.cur.name(), ph: phComplete,
-		ts: micros(s.curStart), dur: micros(d),
+		ts: Micros(s.curStart), dur: Micros(d),
 		pid: s.host, tid: s.cur.name(),
 		args: s.args(),
 	})

@@ -207,7 +207,7 @@ func (s *Stack) reassemble(ctx kern.Ctx, m *mbuf.Mbuf, iph wire.IPHdr) *mbuf.Mbu
 func (s *Stack) armFragTimeout(key fragKey, q *fragQueue) {
 	gen := q.gen
 	s.K.Eng.AfterKind(reassTimeout, sim.KindTimer, func() {
-		s.K.PostIntr("ip-reass-timeout", func(p *sim.Proc) {
+		s.K.PostIntr(func(p *sim.Proc) {
 			s.Splnet(p)
 			defer s.Splx()
 			cur := s.frags[key]

@@ -167,7 +167,6 @@ type TCPConn struct {
 	closePending bool
 
 	// Receive state.
-	irs           uint32
 	rcvNxt        uint32
 	rcvBuf        *mbuf.Mbuf
 	rcvLen        units.Size

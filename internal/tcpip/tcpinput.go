@@ -16,13 +16,11 @@ import (
 func (s *Stack) tcpInput(ctx kern.Ctx, m *mbuf.Mbuf, iph wire.IPHdr) {
 	s.Stats.TCPSegsIn++
 	if m.Len() < wire.TCPHdrLen {
-		s.Stats.IPHdrErrors++
 		mbuf.FreeChain(m)
 		return
 	}
 	hdr, err := wire.ParseTCPHdr(m.Bytes())
 	if err != nil {
-		s.Stats.IPHdrErrors++
 		mbuf.FreeChain(m)
 		return
 	}
@@ -45,7 +43,6 @@ func (s *Stack) tcpInput(ctx kern.Ctx, m *mbuf.Mbuf, iph wire.IPHdr) {
 		if l, lok := s.listeners[hdr.DPort]; lok && hdr.Flags&wire.FlagSYN != 0 && hdr.Flags&wire.FlagACK == 0 {
 			l.acceptSyn(ctx, key, hdr)
 		} else {
-			s.Stats.TCPDropNoConn++
 			if hdr.Flags&wire.FlagRST == 0 {
 				s.sendRst(ctx, key, hdr, mbuf.ChainLen(m)-wire.TCPHdrLen)
 			}
@@ -81,7 +78,6 @@ func (l *TCPListener) acceptSyn(ctx kern.Ctx, key connKey, hdr wire.TCPHdr) {
 	c := l.stk.newConn(key)
 	c.listener = l
 	c.setMaxSeg()
-	c.irs = hdr.Seq
 	c.rcvNxt = hdr.Seq + 1
 	c.iss = l.stk.K.Eng.Rand().Uint32()
 	c.sndUna, c.sndNxt = c.iss, c.iss
@@ -115,7 +111,6 @@ func (c *TCPConn) segInput(ctx kern.Ctx, hdr wire.TCPHdr, payload *mbuf.Mbuf, se
 	case StateSynSent:
 		if hdr.Flags&(wire.FlagSYN|wire.FlagACK) == wire.FlagSYN|wire.FlagACK &&
 			hdr.Ack == c.sndNxt {
-			c.irs = hdr.Seq
 			c.rcvNxt = hdr.Seq + 1
 			c.sndUna = hdr.Ack
 			c.sndWnd = wire.UnscaleWindow(hdr.Wnd)

@@ -35,7 +35,6 @@ type Stats struct {
 	IPIn, IPOut           int
 	IPForwarded           int
 	IPDropNoRoute         int
-	IPHdrErrors           int
 	IPFragsOut, IPFragsIn int
 	IPReassembled         int
 	IPReassTimeouts       int
@@ -44,7 +43,6 @@ type Stats struct {
 	TCPRetransmits        int
 	TCPFastRetransmits    int
 	TCPRstsIn, TCPRstsOut int
-	TCPDropNoConn         int
 	TCPOutOfOrder         int
 	TCPDupSegs            int
 	TCPListenOverflow     int
@@ -312,7 +310,6 @@ func (s *Stack) Input(ctx kern.Ctx, m *mbuf.Mbuf, from netif.Interface) {
 	defer s.Splx()
 	first := m
 	if first.Len() < wire.IPHdrLen {
-		s.Stats.IPHdrErrors++
 		mbuf.FreeChain(m)
 		return
 	}
@@ -320,7 +317,6 @@ func (s *Stack) Input(ctx kern.Ctx, m *mbuf.Mbuf, from netif.Interface) {
 	if err != nil || iph.TotLen < wire.IPHdrLen {
 		// A total length shorter than the header leaves no packet to trim
 		// the header off.
-		s.Stats.IPHdrErrors++
 		mbuf.FreeChain(m)
 		return
 	}

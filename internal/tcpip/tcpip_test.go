@@ -43,7 +43,7 @@ func (i *pipeIf) Output(ctx kern.Ctx, m *mbuf.Mbuf, dst netif.LinkAddr) {
 	}
 	peer := i.peer
 	i.k.Eng.After(i.delay, func() {
-		peer.k.PostIntr("pipe-rx", func(p *sim.Proc) {
+		peer.k.PostIntr(func(p *sim.Proc) {
 			var chain *mbuf.Mbuf
 			for off := 0; off < len(data); off += int(mbuf.MCLBYTES) {
 				n := len(data) - off
@@ -336,7 +336,7 @@ func TestDuplicateSegmentsIgnored(t *testing.T) {
 			// Inject a duplicate copy after a short delay.
 			cp := append([]byte{}, data...)
 			r.ka.Eng.After(300*units.Microsecond, func() {
-				orig.k.PostIntr("dup-rx", func(p *sim.Proc) {
+				orig.k.PostIntr(func(p *sim.Proc) {
 					var chain *mbuf.Mbuf
 					for off := 0; off < len(cp); off += int(mbuf.MCLBYTES) {
 						e := off + int(mbuf.MCLBYTES)

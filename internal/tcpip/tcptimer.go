@@ -30,9 +30,6 @@ const (
 	numTimers
 )
 
-// intrName is each timer's interrupt name.
-var intrName = [numTimers]string{"tcp-rtx", "tcp-persist", "tcp-delack", "tcp-keepalive"}
-
 // timerSlot is one timer kind's state. armed is the sequence number of
 // the live expiry event (0: not armed); posted is the armed value the last
 // live expiry posted its handler under, and pending counts the handlers
@@ -77,7 +74,7 @@ func (c *TCPConn) expire() {
 		}
 		s.posted = s.armed
 		s.pending++
-		c.stk.K.PostIntr(intrName[k], s.intr)
+		c.stk.K.PostIntr(s.intr)
 		return
 	}
 }

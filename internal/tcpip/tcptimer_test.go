@@ -59,7 +59,7 @@ func (h *timerRig) arm(d units.Time) {
 	h.c.arm(h.kind, d)
 	h.n++
 	h.r.eng.After(d, func() {
-		h.r.ka.PostIntr("timer-probe", func(*sim.Proc) {
+		h.r.ka.PostIntr(func(*sim.Proc) {
 			if a := h.acts(); a != h.seen {
 				h.saw.WriteByte('x')
 				h.seen = a
@@ -85,6 +85,9 @@ func (h *timerRig) cancel() {
 // after runs fn d from now, behind every event already scheduled for
 // that instant — an arm's expiry and probe included.
 func (h *timerRig) after(d units.Time, fn func()) { h.r.eng.After(d, fn) }
+
+// timerNames names each timer kind's subtests.
+var timerNames = [numTimers]string{"tcp-rtx", "tcp-persist", "tcp-delack", "tcp-keepalive"}
 
 // TestTimerSemantics pins what an expiry does for each TCP timer kind: a
 // re-arm or cancel supersedes the earlier arm, also between an expiry
@@ -143,7 +146,7 @@ func TestTimerSemantics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, k := range tc.kinds {
-			t.Run(tc.name+"/"+intrName[k], func(t *testing.T) {
+			t.Run(tc.name+"/"+timerNames[k], func(t *testing.T) {
 				r, cli, _ := livenessPair(t, 61)
 				defer r.eng.KillAll()
 				r.ia.drop = func(int, []byte) bool { return true }

@@ -166,13 +166,11 @@ func (u *UDPSock) CountDevResetDrop() { u.stk.Stats.UDPDevResetDrops++ }
 // udpInput demultiplexes a received UDP datagram.
 func (s *Stack) udpInput(ctx kern.Ctx, m *mbuf.Mbuf, iph wire.IPHdr) {
 	if m.Len() < wire.UDPHdrLen {
-		s.Stats.IPHdrErrors++
 		mbuf.FreeChain(m)
 		return
 	}
 	hdr, err := wire.ParseUDPHdr(m.Bytes())
 	if err != nil {
-		s.Stats.IPHdrErrors++
 		mbuf.FreeChain(m)
 		return
 	}

@@ -51,7 +51,7 @@ func RunRaw(tb *core.Testbed, snd, rcv *core.Host, pr Params) Result {
 		pk.Free()
 		outstanding--
 		credit.Broadcast()
-		rcv.K.PostIntr("raw-rx", func(p *sim.Proc) {
+		rcv.K.PostIntr(func(p *sim.Proc) {
 			rcv.K.IntrCtx(p).Charge(rcv.K.Mach.InterruptCost/2, kern.CatDriver)
 			m.received += n
 			if m.received >= pr.Total {
