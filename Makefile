@@ -78,11 +78,11 @@ examples:
 bench:
 	$(GO) run ./cmd/experiments -exp bench -benchdir .
 
-# The perf-regression gate: regenerate every registry entry that has a
-# baseline, in process, and diff it against the committed file under the
-# entry's tolerance class. The simulation is deterministic, so any drift
-# is a real behavior change; advisory wall-clock and allocation fields are
-# reported but never fail the gate.
+# The baseline gate: regenerate every registry entry that has a baseline,
+# in process, and require the committed file's exact bytes. The baselines
+# hold only virtual-time results and the simulation is deterministic, so
+# any difference is a real behavior change; each differing leaf is printed
+# by its JSON path. Host time is measured by bench/, not here.
 benchcheck:
 	$(GO) run ./cmd/experiments -check
 

@@ -1358,3 +1358,64 @@ func TestOneChromeEncoder(t *testing.T) {
 		t.Errorf("structs with a traceEvents field: %v; want exactly one, obs.ChromeJSON's envelope in internal/obs", found)
 	}
 }
+
+// TestHostTimeHasOneOwner keeps host time out of the simulation and its
+// baselines: every committed BENCH_*.json holds only virtual-time results,
+// which the gate compares byte for byte, and host cost is measured by the
+// repository benchmark (bench/), in paired runs. So no non-test file under
+// internal/ reads the wall clock or the allocator's statistics, except the
+// engine meta-observer (internal/obs/engine), which bench/ reads.
+func TestHostTimeHasOneOwner(t *testing.T) {
+	const owner = "internal/obs/engine"
+	hostTime := map[string][]string{
+		"time":    {"Now", "Since", "Until"},
+		"runtime": {"ReadMemStats"},
+	}
+	ownerRefs := 0
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		local := map[string]string{} // local import name -> import path
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if _, ok := hostTime[p]; !ok {
+				continue
+			}
+			name := p
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			local[name] = p
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			id, ok := sel.X.(*ast.Ident)
+			if !ok || local[id.Name] == "" || !slices.Contains(hostTime[local[id.Name]], sel.Sel.Name) {
+				return true
+			}
+			if filepath.ToSlash(filepath.Dir(path)) == owner {
+				ownerRefs++
+			} else {
+				t.Errorf("%s: %s.%s reads host time outside %s; measure host cost in bench/",
+					fset.Position(sel.Pos()), local[id.Name], sel.Sel.Name, owner)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ownerRefs == 0 {
+		t.Errorf("%s reads no host time: the guard no longer sees its owner", owner)
+	}
+}

@@ -13,11 +13,11 @@
 // Baseline files are written only when -benchdir is given, and only on the
 // full grid: -quick with -benchdir or -check is refused.
 //
-// -check is the perf-regression gate. Every file's verdict line carries its
-// comparison coverage — "N exact / N tolerant / N advisory fields compared"
-// — so a gate that quietly stops comparing anything is visible at a
-// glance. Exit status 1 means at least one file regressed; each violation
-// is printed with its JSON path and percentage drift.
+// -check is the baseline gate. The committed files hold only virtual-time
+// results, so a fresh regeneration must equal them byte for byte: each
+// file prints "ok   <file>" or "FAIL <file>" followed by one line per
+// differing leaf, named by its JSON path. Exit status 1 means at least one
+// file differs.
 package main
 
 import (
@@ -31,7 +31,6 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/exp"
-	"repro/internal/units"
 )
 
 func main() {
@@ -48,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	check := fs.Bool("check", false, "gate mode: regenerate the named entries (default: every entry with a baseline) and compare against the committed files in -benchdir")
 	quick := fs.Bool("quick", false, "use the reduced grid, for entries that have one")
 	csv := fs.Bool("csv", false, "emit figures as CSV instead of tables")
-	metricsOut := fs.String("metrics", "", "write a telemetry snapshot of one instrumented transfer to this JSON file")
 	benchDir := fs.String("benchdir", "", "directory of the baseline files in the table below: written there by -exp, read from there by -check (default .)")
 	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProf := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -126,20 +124,9 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 					fmt.Fprintf(stdout, "  %s\n", v)
 					status = 1
 				}
-				for _, a := range d.Advisories {
-					fmt.Fprintf(stdout, "  adv  %s\n", a)
-				}
 			}
 		}
 		return status
-	}
-
-	if *metricsOut != "" {
-		snap := exp.MetricsRun(64*units.KB, 1)
-		if err := os.WriteFile(*metricsOut, snap.JSON(), 0o644); err != nil {
-			return fail(1, err)
-		}
-		fmt.Fprintf(stderr, "wrote %s\n", *metricsOut)
 	}
 
 	entries, err := exp.Select(reg, *which)

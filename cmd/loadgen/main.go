@@ -49,6 +49,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -203,6 +204,9 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	}
 	if *memKB < 0 {
 		return fail(1, fmt.Errorf("-netmem %d KB is negative (0 = adaptor default)", *memKB))
+	}
+	if *memKB > math.MaxInt64/int(units.KB) {
+		return fail(1, fmt.Errorf("-netmem %d KB does not fit in bytes", *memKB))
 	}
 	if *memKB > 0 {
 		c := cab.DefaultConfig()

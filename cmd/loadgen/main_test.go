@@ -94,6 +94,28 @@ func TestNegativeFlagsRefused(t *testing.T) {
 	}
 }
 
+// TestBadNetmemRefused: a -netmem that is not a whole number of adaptor
+// pages, or whose bytes overflow, exits 1 with a loadgen error; the first
+// used to panic in cab.New ("cab: bad memory geometry") and exit 2.
+func TestBadNetmemRefused(t *testing.T) {
+	for _, tc := range []struct {
+		netmem, want string
+	}{
+		{"12", "CABConfig MemSize 12KB is not a positive multiple of PageSize 8KB"},
+		{"1", "CABConfig MemSize 1KB is not a positive multiple of PageSize 8KB"},
+		{"9007199254740993", "-netmem 9007199254740993 KB does not fit in bytes"},
+	} {
+		var out, errb bytes.Buffer
+		status := run(append(append([]string{}, tiny...), "-netmem", tc.netmem), &out, &errb)
+		if status != 1 || !strings.HasPrefix(errb.String(), "loadgen: ") || !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("-netmem %s: status %d, stderr %q; want status 1 and a loadgen error saying %s", tc.netmem, status, errb.String(), tc.want)
+		}
+		if strings.Contains(errb.String(), "panic") {
+			t.Errorf("-netmem %s panicked: %s", tc.netmem, errb.String())
+		}
+	}
+}
+
 // TestModesRun: each accepted -mode runs its stack, and two invocations
 // with the same flags print the same report.
 func TestModesRun(t *testing.T) {

@@ -1,17 +1,21 @@
 package exp
 
 import (
-	"encoding/json"
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
-func parse(t *testing.T, s string) any {
+// gate runs the gate's comparison over two literal files.
+func gate(t *testing.T, base, fresh string) Diff {
 	t.Helper()
-	var v any
-	if err := json.Unmarshal([]byte(s), &v); err != nil {
+	d, err := compareBytes("f", []byte(base), []byte(fresh))
+	if err != nil {
 		t.Fatalf("bad test JSON: %v", err)
 	}
-	return v
+	return d
 }
 
 const baseFig = `{
@@ -26,12 +30,15 @@ const baseFig = `{
 }`
 
 func TestCompareIdentical(t *testing.T) {
-	if d := Compare("f", parse(t, baseFig), parse(t, baseFig), defaultRel, defaultAbs); len(d.Violations) != 0 {
-		t.Fatalf("identical trees produced violations: %v", d.Violations)
+	if d := gate(t, baseFig, baseFig); len(d.Violations) != 0 {
+		t.Fatalf("identical files produced violations: %v", d.Violations)
 	}
 }
 
-func TestCompareWithinTolerance(t *testing.T) {
+// TestCompareFailsOnSmallDrift: every numeric leaf is pinned exactly, so
+// drift of under 1 % — inside the ±5 % band the gate once forgave — fails
+// once per leaf.
+func TestCompareFailsOnSmallDrift(t *testing.T) {
 	fresh := `{
   "name": "Figure 7",
   "series": [{
@@ -42,8 +49,12 @@ func TestCompareWithinTolerance(t *testing.T) {
     ]
   }]
 }`
-	if d := Compare("f", parse(t, baseFig), parse(t, fresh), defaultRel, defaultAbs); len(d.Violations) != 0 {
-		t.Fatalf("in-tolerance drift flagged: %v", d.Violations)
+	d := gate(t, baseFig, fresh)
+	if len(d.Violations) != 4 {
+		t.Fatalf("want 4 violations, one per drifted leaf, got %v", d.Violations)
+	}
+	if want := "f.series[0].points[0].efficiency_mbps: 464 != baseline 462.8"; d.Violations[0] != want {
+		t.Errorf("first violation %q, want %q", d.Violations[0], want)
 	}
 }
 
@@ -60,15 +71,14 @@ func TestCompareDetectsRegression(t *testing.T) {
     ]
   }]
 }`
-	d := Compare("f", parse(t, baseFig), parse(t, fresh), defaultRel, defaultAbs)
-	if len(d.Violations) != 2 {
+	if d := gate(t, baseFig, fresh); len(d.Violations) != 2 {
 		t.Fatalf("want 2 violations (utilization + efficiency), got %v", d.Violations)
 	}
 }
 
 func TestCompareStructuralMismatch(t *testing.T) {
 	missing := `{"name": "Figure 7", "series": []}`
-	if d := Compare("f", parse(t, baseFig), parse(t, missing), defaultRel, defaultAbs); len(d.Violations) == 0 {
+	if d := gate(t, baseFig, missing); len(d.Violations) == 0 {
 		t.Fatal("dropped series not flagged")
 	}
 	extra := `{"name": "Figure 7", "extra": 1, "series": [{
@@ -78,7 +88,7 @@ func TestCompareStructuralMismatch(t *testing.T) {
       {"rwsize_bytes": 262144, "utilization": 0.27, "efficiency_mbps": 485.2}
     ]
   }]}`
-	if d := Compare("f", parse(t, baseFig), parse(t, extra), defaultRel, defaultAbs); len(d.Violations) == 0 {
+	if d := gate(t, baseFig, extra); len(d.Violations) == 0 {
 		t.Fatal("unexpected new key not flagged")
 	}
 	renamed := `{"name": "Figure 8", "series": [{
@@ -88,7 +98,7 @@ func TestCompareStructuralMismatch(t *testing.T) {
       {"rwsize_bytes": 262144, "utilization": 0.27, "efficiency_mbps": 485.2}
     ]
   }]}`
-	if d := Compare("f", parse(t, baseFig), parse(t, renamed), defaultRel, defaultAbs); len(d.Violations) == 0 {
+	if d := gate(t, baseFig, renamed); len(d.Violations) == 0 {
 		t.Fatal("string change not flagged")
 	}
 }
@@ -101,9 +111,9 @@ const baseSim = `{
   }]
 }`
 
-// TestCompareAdvisoryClass: drift in advisory wall-clock fields is
-// reported but never a violation, even at zero tolerance (the simbench
-// exact-diff mode); drift in the deterministic section still fails.
+// TestCompareAdvisoryClass: there is no advisory class any more. Drift in
+// wall-clock fields under a key named "advisory" fails like any other
+// leaf, which is why no committed baseline carries host time.
 func TestCompareAdvisoryClass(t *testing.T) {
 	fresh := `{
   "workloads": [{
@@ -112,29 +122,13 @@ func TestCompareAdvisoryClass(t *testing.T) {
     "advisory": {"wall_ns": 1500000, "events_per_sec": 66666, "allocs_per_event": 4.1}
   }]
 }`
-	d := Compare("f", parse(t, baseSim), parse(t, fresh), 0, 0)
-	if len(d.Violations) != 0 {
-		t.Fatalf("advisory drift became violations: %v", d.Violations)
-	}
-	if len(d.Advisories) != 3 {
-		t.Fatalf("want 3 advisory drifts, got %v", d.Advisories)
-	}
-
-	det := `{
-  "workloads": [{
-    "name": "fig5-xfer",
-    "deterministic": {"events_total": 101, "queue_depth_hw": 12},
-    "advisory": {"wall_ns": 1000000, "events_per_sec": 100000, "allocs_per_event": 3.5}
-  }]
-}`
-	d = Compare("f", parse(t, baseSim), parse(t, det), 0, 0)
-	if len(d.Violations) != 1 {
-		t.Fatalf("deterministic drift not flagged exactly once: %v", d.Violations)
+	if d := gate(t, baseSim, fresh); len(d.Violations) != 3 {
+		t.Fatalf("want 3 violations, one per drifted wall-clock leaf, got %v", d.Violations)
 	}
 }
 
-// TestCompareAdvisoryStructural: an advisory field disappearing is a real
-// violation — the class exempts values, not presence.
+// TestCompareAdvisoryStructural: a field disappearing is a violation
+// under any key.
 func TestCompareAdvisoryStructural(t *testing.T) {
 	gone := `{
   "workloads": [{
@@ -143,75 +137,59 @@ func TestCompareAdvisoryStructural(t *testing.T) {
     "advisory": {"wall_ns": 1000000, "events_per_sec": 100000}
   }]
 }`
-	d := Compare("f", parse(t, baseSim), parse(t, gone), 0, 0)
-	if len(d.Violations) == 0 {
-		t.Fatal("missing advisory field not flagged")
-	}
-}
-
-// TestCoverageCounts pins how compared leaves are classified: numeric
-// leaves are tolerant (or exact under zero tolerance), strings and
-// booleans are always exact, and anything under an advisory key counts
-// as advisory.
-func TestCoverageCounts(t *testing.T) {
-	base := parse(t, `{
-		"name": "fig5",
-		"ok": true,
-		"mbps": 700.5,
-		"cells": [1, 2, 3],
-		"advisory": {"wall_ns": 123, "note": "x"},
-		"advisory_allocs": 7
-	}`)
-
-	d := Compare("f", base, base, defaultRel, defaultAbs)
-	if len(d.Violations) != 0 || len(d.Advisories) != 0 {
-		t.Fatalf("self-compare produced diffs: %+v", d)
-	}
-	// name + ok exact; mbps + 3 cells tolerant; wall_ns + note + allocs
-	// advisory.
-	if d.Exact != 2 || d.Tolerant != 4 || d.Advisory != 3 {
-		t.Fatalf("coverage = %d exact / %d tolerant / %d advisory, want 2/4/3",
-			d.Exact, d.Tolerant, d.Advisory)
-	}
-
-	// Zero tolerance (the exact-file mode) reclassifies the non-advisory
-	// numeric leaves as exact.
-	d = Compare("f", base, base, 0, 0)
-	if d.Exact != 6 || d.Tolerant != 0 || d.Advisory != 3 {
-		t.Fatalf("zero-tolerance coverage = %d/%d/%d, want 6/0/3",
-			d.Exact, d.Tolerant, d.Advisory)
+	d := gate(t, baseSim, gone)
+	if want := "f.workloads[0].advisory.allocs_per_event: missing from fresh output"; len(d.Violations) != 1 || d.Violations[0] != want {
+		t.Fatalf("violations %q, want [%q]", d.Violations, want)
 	}
 }
 
 // TestSummaryFormat pins the one-line per-file verdict the gate prints.
 func TestSummaryFormat(t *testing.T) {
-	base := parse(t, `{"a": 1, "s": "x", "advisory": {"w": 10}}`)
-
-	d := Compare("f", base, base, defaultRel, defaultAbs)
-	if got, want := d.Summary("BENCH_fig5.json"),
-		"ok   BENCH_fig5.json (1 exact / 1 tolerant / 1 advisory fields compared)"; got != want {
+	base := `{"a": 1, "s": "x"}`
+	if got, want := gate(t, base, base).Summary("BENCH_fig5.json"), "ok   BENCH_fig5.json"; got != want {
 		t.Errorf("clean summary:\n got %q\nwant %q", got, want)
 	}
-
-	// Advisory drift: tallied on the line, verdict stays ok.
-	fresh := parse(t, `{"a": 1, "s": "x", "advisory": {"w": 99}}`)
-	d = Compare("f", base, fresh, defaultRel, defaultAbs)
-	if len(d.Violations) != 0 || len(d.Advisories) != 1 {
-		t.Fatalf("unexpected diff classes: %+v", d)
+	d := gate(t, base, `{"a": 2, "s": "y"}`)
+	if want := []string{"f.a: 2 != baseline 1", "f.s: y != baseline x"}; strings.Join(d.Violations, "\n") != strings.Join(want, "\n") {
+		t.Errorf("violations %q, want %q", d.Violations, want)
 	}
-	if got, want := d.Summary("BENCH_sim.json"),
-		"ok   BENCH_sim.json (1 exact / 1 tolerant / 1 advisory fields compared; 1 advisory drifts)"; got != want {
-		t.Errorf("advisory summary:\n got %q\nwant %q", got, want)
-	}
-
-	// A real violation flips the verdict.
-	fresh = parse(t, `{"a": 2, "s": "y", "advisory": {"w": 10}}`)
-	d = Compare("f", base, fresh, defaultRel, defaultAbs)
-	if len(d.Violations) != 2 {
-		t.Fatalf("want 2 violations, got %+v", d.Violations)
-	}
-	if got, want := d.Summary("BENCH_touches.json"),
-		"FAIL BENCH_touches.json (1 exact / 1 tolerant / 1 advisory fields compared; 2 violations)"; got != want {
+	if got, want := d.Summary("BENCH_touches.json"), "FAIL BENCH_touches.json"; got != want {
 		t.Errorf("failing summary:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestGateFailsOnAnyByte runs the gate's comparison over the committed
+// Figure 5 baseline: clean against itself, one violation naming the leaf
+// for a +3 % throughput edit (inside the old ±5 % band), and one
+// formatting violation for a number rewritten with a trailing zero, whose
+// value does not change.
+func TestGateFailsOnAnyByte(t *testing.T) {
+	const file = "BENCH_fig5.json"
+	data, err := os.ReadFile(filepath.Join("../..", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := compareBytes(file, data, data); err != nil || len(d.Violations) != 0 {
+		t.Fatalf("%s against itself: %v %v", file, d.Violations, err)
+	}
+	for _, tc := range []struct {
+		name, old, new, want string
+	}{
+		{"+3% throughput", `"throughput_mbps": 13.377959810383109,`, `"throughput_mbps": 13.78,`,
+			file + ".series[0].points[1].throughput_mbps: 13.377959810383109 != baseline 13.78"},
+		{"trailing zero", `"throughput_mbps": 29.4676669945193,`, `"throughput_mbps": 29.46766699451930,`,
+			file + ": same values, different bytes (a formatting change)"},
+	} {
+		edited := bytes.Replace(data, []byte(tc.old), []byte(tc.new), 1)
+		if bytes.Equal(edited, data) {
+			t.Fatalf("%s: edit target %s not in %s", tc.name, tc.old, file)
+		}
+		d, err := compareBytes(file, edited, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Violations) != 1 || d.Violations[0] != tc.want {
+			t.Errorf("%s: violations %q, want [%q]", tc.name, d.Violations, tc.want)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/cab"
 	"repro/internal/core"
@@ -16,10 +15,9 @@ import (
 
 // CritBench is the critical-path latency baseline (BENCH_critpath.json):
 // the Figure-5 size sweep in both stack modes plus a 64-flow incast, each
-// cell reduced to its per-cause latency attribution. Everything except the
-// "advisory" analysis wall time is a pure function of the virtual event
-// sequence, so the gate exact-diffs it — the per-cause nanoseconds ARE the
-// paper's claim restated as latency: the single-copy cells commit
+// cell reduced to its per-cause latency attribution. Everything is a pure
+// function of the virtual event sequence, so the gate compares its bytes —
+// the per-cause nanoseconds ARE the paper's claim restated as latency: the single-copy cells commit
 // sender_cpu_copy_ns = 0 and sender_cpu_csum_ns = 0, the unmodified cells
 // commit where those nanoseconds went instead.
 type CritBench struct {
@@ -49,18 +47,10 @@ type CritCell struct {
 	// ByCause is the full attribution across all paths, cause-index order,
 	// zero classes omitted. It sums exactly to TotalNs.
 	ByCause []critpath.CauseNs `json:"by_cause"`
-	Adv     critAdv            `json:"advisory"`
-}
-
-// critAdv holds the cell's wall-clock cost of analysis — machine-dependent,
-// reported but never gated.
-type critAdv struct {
-	AnalyzeWallNs int64 `json:"analyze_wall_ns"`
 }
 
 // critCell reduces one recorder to a cell.
 func critCell(name, mode string, rw units.Size, flows int, rec *obs.CritRec) CritCell {
-	t0 := time.Now()
 	rep := critpath.Analyze(rec)
 	cell := CritCell{
 		Name: name, Mode: mode,
@@ -78,7 +68,6 @@ func critCell(name, mode string, rw units.Size, flows int, rec *obs.CritRec) Cri
 		cell.SenderCopyNs += int64(rep.Paths[i].CauseOn("A", obs.CauseCPUCopy))
 		cell.SenderCsumNs += int64(rep.Paths[i].CauseOn("A", obs.CauseCPUCsum))
 	}
-	cell.Adv.AnalyzeWallNs = time.Since(t0).Nanoseconds()
 	return cell
 }
 

@@ -141,14 +141,6 @@ func RunFigure(name string, mach func() *cost.Machine, sizes []units.Size) Figur
 	return fig
 }
 
-// MetricsRun runs one instrumented Figure-5-style cell (single-copy stack,
-// Alpha 3000/400) and returns the full telemetry snapshot. Deterministic:
-// the same (rw, seed) always yields byte-identical Snapshot.JSON().
-func MetricsRun(rw units.Size, seed int64) obs.Snapshot {
-	tb := fig5Cell(socket.ModeSingleCopy, rw, seed, core.Recorders{Telemetry: true})
-	return tb.Tel.Snapshot()
-}
-
 // Figure5 regenerates Figure 5 (Alpha 3000/400).
 func Figure5(sizes []units.Size) Figure {
 	return RunFigure("Figure 5", cost.Alpha400, sizes)

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/fault/soak"
 	"repro/internal/socket"
@@ -13,8 +12,7 @@ import (
 // every case of the recovery soak matrix reduced to its virtual-time
 // recovery telemetry. The injection schedule, the first-goodput instant,
 // each flow's fate, and the byte/reset/drop counts are pure functions of
-// the seeded event sequence, so the gate exact-diffs them; only the
-// advisory wall time may drift. Recovery-time-to-first-goodput is the
+// the seeded event sequence, so the gate compares their bytes. Recovery-time-to-first-goodput is the
 // robustness claim restated as a number: how long after the fault domain
 // heals does the application see bytes again.
 type RecoverBench struct {
@@ -43,7 +41,6 @@ type RecoverCell struct {
 	// FlowFates pins each flow's end state: byte-exact completion or the
 	// documented error it surfaced on each side.
 	FlowFates []RecoverFate `json:"flow_fates"`
-	Adv       recoverAdv    `json:"advisory"`
 }
 
 // RecoverFate is one flow's committed end state.
@@ -52,12 +49,6 @@ type RecoverFate struct {
 	SndErr    string `json:"snd_err,omitempty"`
 	RcvErr    string `json:"rcv_err,omitempty"`
 	Complete  bool   `json:"complete"`
-}
-
-// recoverAdv is the machine-dependent wall-clock cost, reported but never
-// gated.
-type recoverAdv struct {
-	WallNs int64 `json:"wall_ns"`
 }
 
 func errName(err error) string {
@@ -73,7 +64,6 @@ func errName(err error) string {
 func RunRecoverBench() (RecoverBench, error) {
 	var b RecoverBench
 	for _, c := range soak.RecoverMatrix() {
-		t0 := time.Now()
 		o := soak.Run(c)
 		if len(o.Failures) != 0 {
 			return b, fmt.Errorf("recover %s: %s", c.Name, strings.Join(o.Failures, "; "))
@@ -101,7 +91,6 @@ func RunRecoverBench() (RecoverBench, error) {
 				Complete:  fl.Complete,
 			})
 		}
-		cell.Adv.WallNs = time.Since(t0).Nanoseconds()
 		b.Cells = append(b.Cells, cell)
 	}
 	return b, nil

@@ -26,10 +26,6 @@ type Experiment struct {
 	// File is the committed baseline this entry regenerates ("" for
 	// print-only entries).
 	File string
-	// Exact selects the gate's tolerance class for File's numeric leaves:
-	// zero tolerance when set, defaultRel/defaultAbs otherwise. The class
-	// lives here, not in the JSON, so committed bytes do not carry it.
-	Exact bool
 	// Run executes the experiment. quick selects a reduced grid where the
 	// entry has one (never a baseline); entries without one ignore it. A
 	// non-nil error may still come with a Result worth printing (a failed
@@ -170,30 +166,24 @@ func Registry() []Experiment {
 			Doc: "the adversarial soak matrix as a table; fails on any invariant violation"},
 		// The single-copy auditor (`make audit`): both stack variants with
 		// the data-touch ledger on. A failed oracle is an error, and the
-		// table still prints. Touch counts are exact integers — copies,
-		// checksums, DMA crossings per byte.
-		{Name: "touches", File: "BENCH_touches.json", Exact: true,
+		// table still prints.
+		{Name: "touches", File: "BENCH_touches.json",
 			Doc: "single-copy audit: measured data-touch table per stack variant",
 			Run: func(bool) (Result, error) {
 				rep, err := RunTouches(1)
 				return Result{Text: rep.Format(), JSON: obs.JSON(rep)}, err
 			}},
-		// Throughput and latency leaves get the relative tolerance; the
-		// structure, flow counts and order digests (strings) are compared
-		// exactly, so the gate still pins event-ordering determinism.
 		{Name: "load", File: "BENCH_load.json", Run: bench(fullOnly(RunLoadBench)),
 			Doc: "many-flow workload engine: 256-flow mix plus the fairness pair"},
-		// The entries below are pure functions of their seeded event
-		// sequences (see each bench type), hence Exact.
-		{Name: "simbench", File: "BENCH_sim.json", Exact: true, Run: bench(RunSimBench),
+		{Name: "simbench", File: "BENCH_sim.json", Run: bench(RunSimBench),
 			Doc: "simulator self-observatory: engine meta-profile of the seeded workload matrix"},
-		{Name: "critpath", File: "BENCH_critpath.json", Exact: true, Run: bench(RunCritPath),
+		{Name: "critpath", File: "BENCH_critpath.json", Run: bench(RunCritPath),
 			Doc: "critical-path latency attribution over the Figure 5 sweep and a 64-flow incast"},
-		{Name: "recover", File: "BENCH_recover.json", Exact: true, Run: bench(fullOnly(RunRecoverBench)),
+		{Name: "recover", File: "BENCH_recover.json", Run: bench(fullOnly(RunRecoverBench)),
 			Doc: "fault-domain recovery matrix: partition/heal, adaptor reset, peer death"},
-		{Name: "netobs", File: "BENCH_netobs.json", Exact: true, Run: bench(fullOnly(RunNetObs)),
+		{Name: "netobs", File: "BENCH_netobs.json", Run: bench(fullOnly(RunNetObs)),
 			Doc: "transport-dynamics postmortems of the fairness incast pair"},
-		{Name: "fabric", File: "BENCH_fabric.json", Exact: true, Run: bench(fullOnly(RunFabric)),
+		{Name: "fabric", File: "BENCH_fabric.json", Run: bench(fullOnly(RunFabric)),
 			Doc: "multi-switch fabric: ECMP, CE marking, Reno vs DCTCP, partition/heal"},
 	}
 }
@@ -240,5 +230,5 @@ func (e Experiment) Check(dir string) (Diff, error) {
 	if err != nil {
 		return Diff{}, err
 	}
-	return compareJSON(e.File, committed, res.JSON, e.Exact)
+	return compareBytes(e.File, committed, res.JSON)
 }

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,25 +13,23 @@ import (
 	"repro/internal/obs"
 )
 
-// sameSeedTwice runs a baseline generator twice and requires what the gate
-// pins — the rendered file minus its advisory class — to be byte-identical.
-// It returns the first run for the caller's oracle assertions.
+// sameSeedTwice runs a baseline generator twice and requires the rendered
+// files — what the gate compares — to be byte-identical. It returns the
+// first run for the caller's oracle assertions.
 func sameSeedTwice[B any](t *testing.T, run func() (B, error)) B {
 	t.Helper()
 	var runs [2]B
-	var pinned [2][]byte
+	var files [2][]byte
 	for i := range runs {
 		var err error
 		if runs[i], err = run(); err != nil {
 			t.Fatalf("run %d: %v", i+1, err)
 		}
-		if pinned[i], err = StripAdvisory(obs.JSON(runs[i])); err != nil {
-			t.Fatal(err)
-		}
+		files[i] = obs.JSON(runs[i])
 	}
-	if !bytes.Equal(pinned[0], pinned[1]) {
-		t.Fatalf("deterministic fields differ between same-seed runs:\n--- first\n%s\n--- second\n%s",
-			pinned[0], pinned[1])
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("same-seed runs render different files:\n--- first\n%s\n--- second\n%s",
+			files[0], files[1])
 	}
 	return runs[0]
 }
@@ -39,8 +38,9 @@ func sameSeedTwice[B any](t *testing.T, run func() (B, error)) B {
 // committed BENCH_*.json is generated by exactly one entry and every
 // entry's File is committed, so neither the gate nor `make bench` can
 // skip a baseline (as the hand-kept list once skipped BENCH_recover.json).
-// Each committed file must also survive the gate's own walk against
-// itself with something actually compared.
+// Each committed file must also be what the byte gate can pin: valid JSON
+// ending in a newline (obs.JSON's rendering) with no advisory subtree of
+// host time, which would differ on every run.
 func TestRegistryMatchesRepo(t *testing.T) {
 	const root = "../.."
 	committed, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
@@ -68,18 +68,16 @@ func TestRegistryMatchesRepo(t *testing.T) {
 			t.Errorf("%s: %v", e.Name, err)
 			continue
 		}
-		d, err := compareJSON(e.File, data, data, e.Exact)
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.HasSuffix(data, []byte("\n")) {
+			t.Errorf("%s does not end in a newline", e.File)
 		}
-		if len(d.Violations) != 0 || len(d.Advisories) != 0 {
-			t.Errorf("%s against itself: %v %v", e.File, d.Violations, d.Advisories)
+		var tree any
+		if err := json.Unmarshal(data, &tree); err != nil {
+			t.Errorf("%s: %v", e.File, err)
+			continue
 		}
-		if d.Exact+d.Tolerant == 0 {
-			t.Errorf("%s: the gate would compare nothing (%s)", e.File, d.Coverage())
-		}
-		if e.Exact && d.Tolerant != 0 {
-			t.Errorf("%s: exact entry compared %d leaves under tolerance", e.File, d.Tolerant)
+		if path := hostTimeKey(e.File, tree); path != "" {
+			t.Errorf("%s: a baseline holds only virtual-time results; host time is measured by bench/", path)
 		}
 	}
 	sort.Strings(files)
@@ -88,45 +86,25 @@ func TestRegistryMatchesRepo(t *testing.T) {
 	}
 }
 
-// TestStripAdvisoryMatchesGate: for the committed baselines that carry
-// advisory fields, stripping must remove exactly the leaves Compare counts
-// as advisory and nothing else — so the determinism tests and the gate can
-// never disagree about which fields are pinned.
-func TestStripAdvisoryMatchesGate(t *testing.T) {
-	for _, file := range []string{"BENCH_sim.json", "BENCH_critpath.json", "BENCH_recover.json"} {
-		data, err := os.ReadFile(filepath.Join("../..", file))
-		if err != nil {
-			t.Fatal(err)
+// hostTimeKey returns the path of the first object key in tree that opens
+// an advisory (host-time) subtree, or "".
+func hostTimeKey(path string, tree any) string {
+	switch v := tree.(type) {
+	case map[string]any:
+		for k, sub := range v {
+			if strings.HasPrefix(k, "advisory") {
+				return path + "." + k
+			}
+			if p := hostTimeKey(path+"."+k, sub); p != "" {
+				return p
+			}
 		}
-		stripped, err := StripAdvisory(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var full, rest any
-		if err := json.Unmarshal(data, &full); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(stripped, &rest); err != nil {
-			t.Fatal(err)
-		}
-		whole := Compare(file, full, full, 0, 0)
-		if whole.Advisory == 0 {
-			t.Fatalf("%s: no advisory leaves — the test is vacuous", file)
-		}
-		kept := Compare(file, rest, rest, 0, 0)
-		if kept.Advisory != 0 || kept.Exact != whole.Exact {
-			t.Errorf("%s: stripped tree has %s, want %d exact and no advisory",
-				file, kept.Coverage(), whole.Exact)
-		}
-		// Walking the full tree against the stripped one visits every
-		// surviving leaf, so the only differences allowed are the advisory
-		// keys themselves going missing.
-		for _, v := range Compare(file, full, rest, 0, 0).Violations {
-			path, what, _ := strings.Cut(v, ": ")
-			key := path[strings.LastIndex(path, ".")+1:]
-			if what != "missing from fresh output" || !advisoryKey(key) {
-				t.Errorf("%s: stripping changed a pinned field: %s", file, v)
+	case []any:
+		for i, sub := range v {
+			if p := hostTimeKey(fmt.Sprintf("%s[%d]", path, i), sub); p != "" {
+				return p
 			}
 		}
 	}
+	return ""
 }

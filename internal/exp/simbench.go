@@ -16,12 +16,10 @@ import (
 // SimBench is the simulator self-observatory baseline (BENCH_sim.json): a
 // fixed seeded workload matrix run under the engine meta-observer. Each
 // workload's "deterministic" section is a pure function of the virtual
-// event sequence and is exact-diffed by the simbench CI gate; the
-// "advisory" section (wall-clock ns/event, events/sec, allocations) is
-// machine- and Go-version-dependent, so the gate reports its drift but
-// never fails on it. Together they are the wall-clock "before" picture
-// for simulator-speed work: any change to how much real work the engine
-// does per unit of simulated traffic shows up here first.
+// event sequence, and the gate compares its bytes: any change to how many
+// events the engine dispatches per unit of simulated traffic, or to its
+// queue depths, shows up here first. What those events cost in host time
+// is measured by the repository benchmark (bench/), in paired runs.
 type SimBench struct {
 	Workloads []SimWorkload `json:"workloads"`
 }
@@ -35,7 +33,6 @@ type SimWorkload struct {
 	// VirtualNs is the total simulated time covered.
 	VirtualNs int64                `json:"virtual_ns"`
 	Det       engine.Deterministic `json:"deterministic"`
-	Adv       engine.Advisory      `json:"advisory"`
 }
 
 // simFig5 runs the Figure-5 single-copy transfer cell (64 KB read/write,
@@ -126,9 +123,8 @@ func RunSimBench(quick bool) (SimBench, error) {
 		if err != nil {
 			return b, err
 		}
-		snap := o.Snapshot()
 		b.Workloads = append(b.Workloads, SimWorkload{
-			Name: w.name, Cases: cases, VirtualNs: int64(vtime), Det: snap.Det, Adv: snap.Adv,
+			Name: w.name, Cases: cases, VirtualNs: int64(vtime), Det: o.Snapshot().Det,
 		})
 	}
 	return b, nil
@@ -137,15 +133,13 @@ func RunSimBench(quick bool) (SimBench, error) {
 // Format renders a human summary.
 func (b SimBench) Format() string {
 	var sb strings.Builder
-	sb.WriteString("Simulator self-observatory (wall-clock meta-profile):\n")
+	sb.WriteString("Simulator self-observatory (engine meta-profile):\n")
 	for _, w := range b.Workloads {
 		fmt.Fprintf(&sb, "  %-12s cases=%-2d vtime=%8.3fs  events=%9d  queue hw %5d  timer hw %4d  kern charges %8d\n",
 			w.Name, w.Cases, float64(w.VirtualNs)/1e9, w.Det.EventsTotal,
 			w.Det.QueueDepthHW, w.Det.PendingHW.Timer, w.Det.KernCharges)
 		fmt.Fprintf(&sb, "  %-12s   by kind: proc %d, timer %d, wire %d, dma %d, generic %d\n",
 			"", w.Det.Events.Proc, w.Det.Events.Timer, w.Det.Events.Wire, w.Det.Events.DMA, w.Det.Events.Generic)
-		fmt.Fprintf(&sb, "  %-12s   advisory: %.1f ms wall, %.0f events/sec, %.1f ns/event, %.2f allocs/event\n",
-			"", float64(w.Adv.WallNs)/1e6, w.Adv.EventsPerSec, w.Adv.NsPerEvent, w.Adv.AllocsPerEv)
 	}
 	return sb.String()
 }

@@ -198,6 +198,9 @@ func (s Scenario) normalized() (Scenario, error) {
 			{Frac: 0.05, Req: 4 * units.KB, Resp: 128 * units.KB},
 		}
 	}
+	if c := s.CABConfig; c != nil && (c.PageSize <= 0 || c.MemSize <= 0 || c.MemSize%c.PageSize != 0) {
+		return s, fmt.Errorf("load: CABConfig MemSize %v is not a positive multiple of PageSize %v", c.MemSize, c.PageSize)
+	}
 	if s.MTU != 0 && s.MTU < 68 {
 		return s, fmt.Errorf("load: MTU %v below IPv4's minimum of 68B", s.MTU)
 	}

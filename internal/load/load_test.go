@@ -119,6 +119,28 @@ func TestNonFiniteRefused(t *testing.T) {
 	}
 }
 
+// TestScenarioRejectsBadNetmem: an adaptor memory that is not a positive
+// whole number of its pages is refused by value before any host exists;
+// cab.New used to panic on it ("cab: bad memory geometry").
+func TestScenarioRejectsBadNetmem(t *testing.T) {
+	for _, tc := range []struct {
+		mem, page units.Size
+		want      string
+	}{
+		{12 * units.KB, 8 * units.KB, "MemSize 12KB is not a positive multiple of PageSize 8KB"},
+		{units.KB, 8 * units.KB, "MemSize 1KB is not a positive multiple of PageSize 8KB"},
+		{0, 8 * units.KB, "MemSize 0B is not a positive multiple of PageSize 8KB"},
+		{-16 * units.KB, 8 * units.KB, "MemSize -16KB is not a positive multiple of PageSize 8KB"},
+		{64 * units.KB, 0, "MemSize 64KB is not a positive multiple of PageSize 0B"},
+	} {
+		c := cab.DefaultConfig()
+		c.MemSize, c.PageSize = tc.mem, tc.page
+		if _, err := Run(Scenario{Flows: 2, CABConfig: &c}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("MemSize %v, PageSize %v: error %v, want it to say %s", tc.mem, tc.page, err, tc.want)
+		}
+	}
+}
+
 // TestDrawnDelayOverflowFailsFlow: an open-loop interarrival or a think
 // time drawn past units.Time's range fails its flow instead of wrapping to
 // a time in the past, from which the next request would go out at once.
